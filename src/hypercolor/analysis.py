@@ -1,37 +1,84 @@
 """Degree bounds on the chromatic index and the bound-verdict engine.
 
 The central comparison throughout is q(H) against the two-section degree
-bound max_degree([H]_2) + 1.  Condition tags name the shapes for which
-that bound is established:
-
-  THM1   loopless and antirank^2 >= Delta_2 + 1
-  THM2   linear, k-uniform and (k+1)-regular with k >= 2
-  THM3   loopless and (max_degree - 1)^2 <= Delta_2 + 1
-  RK61   loopless and antirank^2 > Delta_2 + 1 (strict greedy regime)
-  RK62   rank * (max_degree - 1) <= Delta_2
-  U65_1..U65_4, OPEN   the classification of uniform linear instances
-
-where Delta_2 abbreviates the maximum two-section degree.
+bound max_degree([H]_2) + 1, where Delta_2 abbreviates max_degree([H]_2).
+Condition tags name the shapes for which that bound is established;
+_CONDITIONS below defines each tag as one predicate over HypergraphStats,
+and the *_condition functions and classify_uniform look their tags up
+there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .coloring import EdgeColoring, brooks_edge_color, greedy_color, is_proper
 from .core import Hypergraph, HypergraphStats, UnsupportedInputError
 from .oracle import Budget, chromatic_index, greedy_clique
-from .transforms import line_graph, max_degree_two_section
+from .transforms import line_graph
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
 UNRESOLVED = "UNRESOLVED"
 
 
+def _uniform_linear(st: HypergraphStats) -> bool:
+    """Linear and k-uniform with k >= 2 (so m >= 1): the U65 scope."""
+    return st.linear and st.uniform_k is not None and st.uniform_k >= 2
+
+
+def _open(st: HypergraphStats) -> bool:
+    return _uniform_linear(st) and not any(
+        holds(st) for tag, holds in _CONDITIONS.items() if tag.startswith("U65")
+    )
+
+
+# The condition tags, each one predicate over the stats in integer
+# arithmetic.  THM3 reads max_degree <= sqrt(Delta_2 + 1) + 1 and holds at
+# m = 0.  RK61 is the strict greedy regime.  RK62 puts the line-graph greedy
+# bound rank * (max_degree - 1) + 1 within Delta_2 + 1.  The U65 tags and
+# OPEN classify linear k-uniform instances with k >= 2; OPEN, given when no
+# U65 tag applies, marks the regime where the bound is not settled.
+_CONDITIONS: dict[str, Callable[[HypergraphStats], bool]] = {
+    "THM1": lambda st: st.m >= 1 and st.loopless
+        and st.antirank ** 2 >= st.two_section_max_degree + 1,
+    "THM2": lambda st: _uniform_linear(st) and st.regular_d == st.uniform_k + 1,
+    "THM3": lambda st: st.loopless and (st.max_degree <= 1
+        or (st.max_degree - 1) ** 2 <= st.two_section_max_degree + 1),
+    "RK61": lambda st: st.m >= 1 and st.loopless
+        and st.antirank ** 2 > st.two_section_max_degree + 1,
+    "RK62": lambda st: st.m >= 1
+        and st.rank * (st.max_degree - 1) <= st.two_section_max_degree,
+    "U65_1": lambda st: _uniform_linear(st) and st.uniform_k == 2,
+    "U65_2": lambda st: _uniform_linear(st)
+        and st.uniform_k ** 2 >= st.two_section_max_degree + 1,
+    "U65_3": lambda st: _uniform_linear(st)
+        and st.two_section_max_degree == st.uniform_k ** 2,
+    "U65_4": lambda st: _uniform_linear(st) and st.uniform_k >= 3
+        and st.uniform_k * (st.max_degree - 1) <= st.two_section_max_degree,
+    "OPEN": _open,
+}
+
+
+def _conditions(st: HypergraphStats) -> frozenset[str]:
+    return frozenset(tag for tag, holds in _CONDITIONS.items() if holds(st))
+
+
+def _greedy_bound(st: HypergraphStats) -> Optional[int]:
+    if st.m == 0 or not st.loopless:
+        return None
+    d2 = st.two_section_max_degree
+    return max(k * (d2 // (k - 1) - 1) + 1 for k in range(st.antirank, st.rank + 1))
+
+
+def _rank_degree_bound(st: HypergraphStats) -> Optional[int]:
+    return st.rank * (st.max_degree - 1) + 1 if st.m else None
+
+
 def two_section_bound(h: Hypergraph) -> int:
     """The conjectured ceiling: max two-section degree plus one."""
-    return max_degree_two_section(h) + 1
+    return h.stats().two_section_max_degree + 1
 
 
 def greedy_bound(h: Hypergraph) -> int:
@@ -41,13 +88,10 @@ def greedy_bound(h: Hypergraph) -> int:
     Raises UnsupportedInputError when m = 0 or a loop is present, since
     the first-fit analysis needs every hyperedge size to be at least 2.
     """
-    if h.m == 0 or not h.loopless:
+    bound = _greedy_bound(h.stats())
+    if bound is None:
         raise UnsupportedInputError("greedy bound needs m >= 1 and no loops")
-    d2 = max_degree_two_section(h)
-    best = 0
-    for k in range(h.antirank, h.rank + 1):
-        best = max(best, k * (d2 // (k - 1) - 1) + 1)
-    return best
+    return bound
 
 
 def rank_degree_bound(h: Hypergraph) -> int:
@@ -57,9 +101,10 @@ def rank_degree_bound(h: Hypergraph) -> int:
     others, so first-fit through the line graph never needs more colors.
     Holds for every hypergraph with at least one hyperedge.
     """
-    if h.m == 0:
+    bound = _rank_degree_bound(h.stats())
+    if bound is None:
         raise UnsupportedInputError("rank-degree bound needs m >= 1")
-    return h.rank * (max(h.degrees(), default=1) - 1) + 1
+    return bound
 
 
 def edge_degree_bound(h: Hypergraph) -> int:
@@ -70,78 +115,37 @@ def edge_degree_bound(h: Hypergraph) -> int:
 
 
 def antirank_condition(h: Hypergraph) -> bool:
-    """Loopless and antirank^2 >= Delta_2 + 1 (integer arithmetic only)."""
-    if h.m == 0 or not h.loopless:
-        return False
-    ar = h.antirank
-    return ar * ar >= max_degree_two_section(h) + 1
+    """Whether h meets the THM1 hypothesis of the condition table."""
+    return _CONDITIONS["THM1"](h.stats())
 
 
 def uniform_regular_condition(h: Hypergraph) -> bool:
-    """Linear, k-uniform and (k+1)-regular for some k >= 2."""
-    st = h.stats()
-    return (
-        st.m >= 1
-        and st.linear
-        and st.uniform_k is not None
-        and st.uniform_k >= 2
-        and st.regular_d is not None
-        and st.regular_d == st.uniform_k + 1
-    )
+    """Whether h meets the THM2 hypothesis of the condition table."""
+    return _CONDITIONS["THM2"](h.stats())
 
 
 def max_degree_condition(h: Hypergraph) -> bool:
-    """Loopless and max_degree <= sqrt(Delta_2 + 1) + 1.
-
-    Evaluated in integers as: max_degree <= 1, or
-    (max_degree - 1)^2 <= Delta_2 + 1.
-    """
-    if not h.loopless:
-        return False
-    dmax = max(h.degrees(), default=0)
-    if dmax <= 1:
-        return True
-    return (dmax - 1) * (dmax - 1) <= max_degree_two_section(h) + 1
+    """Whether h meets the THM3 hypothesis of the condition table."""
+    return _CONDITIONS["THM3"](h.stats())
 
 
 def rank_product_condition(h: Hypergraph) -> bool:
-    """rank * (max_degree - 1) <= Delta_2.
-
-    When this holds, q <= rank * (max_degree - 1) + 1 <= Delta_2 + 1
-    follows from the line-graph greedy bound, with no further hypotheses.
-    """
-    if h.m == 0:
-        return False
-    dmax = max(h.degrees(), default=0)
-    return h.rank * (dmax - 1) <= max_degree_two_section(h)
+    """Whether h meets the RK62 hypothesis of the condition table."""
+    return _CONDITIONS["RK62"](h.stats())
 
 
 def classify_uniform(h: Hypergraph) -> frozenset[str]:
-    """Which established conditions cover a uniform linear instance.
+    """The U65_1..U65_4 tags of a linear k-uniform instance, or {"OPEN"}.
 
-    Requires a linear, k-uniform hypergraph with k >= 2.  Tags:
-    U65_1 (k = 2), U65_2 (k^2 >= Delta_2 + 1), U65_3 (Delta_2 = k^2),
-    U65_4 (k >= 3 and k * (max_degree - 1) <= Delta_2).  When none
-    applies the result is {"OPEN"}: the instance sits in the regime the
-    two-section bound has not been settled for.
+    Raises UnsupportedInputError unless h is linear and k-uniform with
+    k >= 2; the tags are defined in the condition table.
     """
     st = h.stats()
-    if st.m == 0 or not st.linear or st.uniform_k is None or st.uniform_k < 2:
+    if not _uniform_linear(st):
         raise UnsupportedInputError(
             "classification needs a linear k-uniform hypergraph with k >= 2"
         )
-    k = st.uniform_k
-    d2 = st.two_section_max_degree
-    tags = set()
-    if k == 2:
-        tags.add("U65_1")
-    if k * k >= d2 + 1:
-        tags.add("U65_2")
-    if d2 == k * k:
-        tags.add("U65_3")
-    if k >= 3 and k * (st.max_degree - 1) <= d2:
-        tags.add("U65_4")
-    return frozenset(tags) if tags else frozenset({"OPEN"})
+    return frozenset(t for t in _conditions(st) if t.startswith("U65") or t == "OPEN")
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ def inequality_suite(h: Hypergraph) -> InequalityReport:
         ok, detail = True, "needs m >= 1"
     checks.append(InequalityCheck("edge-degree-incidence-sum", sum_applicable, ok, detail))
 
-    urc_applicable = uniform_regular_condition(h)
+    urc_applicable = _CONDITIONS["THM2"](st)
     if urc_applicable:
         k = st.uniform_k
         count_ok = k * st.m == (k + 1) * st.n
@@ -280,28 +284,10 @@ def verify_conjecture(
     bf = st.two_section_max_degree + 1
     bounds = BoundSet(
         two_section=bf,
-        greedy=greedy_bound(h) if st.m >= 1 and st.loopless else None,
-        rank_degree=rank_degree_bound(h) if st.m >= 1 else None,
+        greedy=_greedy_bound(st),
+        rank_degree=_rank_degree_bound(st),
         edge_degree=edge_degree_bound(h) if st.m >= 1 else None,
     )
-
-    conditions = set()
-    if antirank_condition(h):
-        conditions.add("THM1")
-    if uniform_regular_condition(h):
-        conditions.add("THM2")
-    if max_degree_condition(h):
-        conditions.add("THM3")
-    if (
-        st.m >= 1
-        and st.loopless
-        and st.antirank * st.antirank > st.two_section_max_degree + 1
-    ):
-        conditions.add("RK61")
-    if rank_product_condition(h):
-        conditions.add("RK62")
-    if st.m >= 1 and st.linear and st.uniform_k is not None and st.uniform_k >= 2:
-        conditions |= classify_uniform(h)
 
     nodes = 0
     if st.m == 0:
@@ -317,7 +303,7 @@ def verify_conjecture(
         witness = min(candidates, key=lambda c: c.q_used)
         q_upper = witness.q_used
         clique = greedy_clique(line_graph(h))
-        q_lower = max(len(clique), max(h.degrees(), default=0))
+        q_lower = max(len(clique), st.max_degree)
     if not is_proper(h, witness):
         raise RuntimeError("internal error: emitted coloring is not proper")
     if witness.q_used != q_upper:
@@ -352,7 +338,7 @@ def verify_conjecture(
     return Verdict(
         stats=st,
         bounds=bounds,
-        conditions=frozenset(conditions),
+        conditions=_conditions(st),
         q_lower=q_lower,
         q_upper=q_upper,
         q_exact=q_exact,

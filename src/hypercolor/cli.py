@@ -32,38 +32,39 @@ from .coloring import (
     vizing_edge_color_hypergraph,
 )
 from .core import Hypergraph, UnsupportedInputError
-from .hgr import HgrParseError, digest, parse_hgr, serialize_hgr
+from .hgr import HgrParseError, digest, load, parse_hgr, serialize_hgr
 from .instances import GenerationError, generate, parse_family, survey_instance
 from .oracle import Budget, chromatic_index, criticality_report, extract_critical
 
 
-def _env_int(name: str, fallback: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise GenerationError(f"{name} must be an integer, got {value!r}")
+def _budget_setting(flag_value, flag: str, env: str, kind: type, fallback):
+    """The flag's value, else the environment variable's, else fallback.
 
-
-def _env_float(name: str, fallback: float) -> float:
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
+    Raises GenerationError unless the value is a number of the given kind
+    and at least 0.
+    """
+    if flag_value is not None:
+        name, value = flag, flag_value
+    else:
+        name, value = env, os.environ.get(env, fallback)
     try:
-        return float(value)
+        number = kind(value)
+        valid = number >= 0
     except ValueError:
-        raise GenerationError(f"{name} must be a number, got {value!r}")
+        valid = False
+    if not valid:
+        expected = "an integer" if kind is int else "a number"
+        raise GenerationError(f"{name} must be {expected} >= 0, got {value!r}")
+    return number
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    nodes = args.budget
-    if nodes is None:
-        nodes = _env_int("HYPERCOLOR_MAX_NODES", 10_000_000)
-    limit = args.time_limit
-    if limit is None:
-        limit = _env_float("HYPERCOLOR_TIME_LIMIT", 30.0)
+    nodes = _budget_setting(
+        args.budget, "--budget", "HYPERCOLOR_MAX_NODES", int, 10_000_000
+    )
+    limit = _budget_setting(
+        args.time_limit, "--time-limit", "HYPERCOLOR_TIME_LIMIT", float, 30.0
+    )
     return Budget(max_nodes=nodes, time_limit=limit if limit > 0 else None)
 
 
@@ -105,8 +106,7 @@ def _load_input(args: argparse.Namespace) -> Hypergraph:
         raise GenerationError("no input: give a file (or -) or --family")
     if args.input == "-":
         return parse_hgr(sys.stdin.read())
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_hgr(fh.read())
+    return load(args.input)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -235,6 +235,8 @@ def _survey_worker(task: tuple) -> dict:
 def cmd_survey(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise GenerationError("--count must be non-negative")
+    if args.jobs < 1:
+        raise GenerationError("--jobs must be at least 1")
     n_range = _parse_range(args.n_range, "--n-range")
     m_range = _parse_range(args.m_range, "--m-range")
     if n_range[0] < 2:
@@ -277,19 +279,16 @@ def cmd_survey(args: argparse.Namespace) -> int:
     for row in rows:
         counts[row["status"]] += 1
     if args.json:
-        import json
-
         payload = {
-            "tool": f"hypercolor {report.TOOL_VERSION}",
             "master_seed": args.seed,
             "instances": rows,
             "holds": counts[HOLDS],
             "violated": counts[VIOLATED],
             "unresolved": counts[UNRESOLVED],
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(report._json(payload))
     else:
-        lines = [f"tool: hypercolor {report.TOOL_VERSION}", f"master-seed: {args.seed}"]
+        lines = [f"tool: {report._TOOL}", f"master-seed: {args.seed}"]
         for row in rows:
             q = row["q_exact"]
             q_text = str(q) if q is not None else f"[{row['q_lower']},{row['q_upper']}]"
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"hypercolor {report.TOOL_VERSION}",
+        version=report._TOOL,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -171,6 +171,11 @@ class Hypergraph:
         return Hypergraph(self.n, self.edges[:i] + self.edges[i + 1 :])
 
     def stats(self) -> HypergraphStats:
+        """The scalar invariants, computed on the first call and then kept."""
+        return self._stats
+
+    @cached_property
+    def _stats(self) -> HypergraphStats:
         # Deferred import: transforms builds on this module, and the
         # two-section degree formula lives there with the multigraph.
         from .transforms import max_degree_two_section

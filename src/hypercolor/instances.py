@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import Hypergraph
 
@@ -98,23 +98,23 @@ class FamilySpec:
     seed: Optional[int] = None
 
     def label(self) -> str:
-        """Canonical one-token description, parseable by parse_family."""
-        if self.family == "fano":
-            return "fano"
-        if self.family in ("complete-graph", "cycle", "steiner-triple"):
-            return f"{self.family}:{self.n}"
-        if self.family in ("affine-plane", "projective-plane"):
-            return f"{self.family}:{self.order}"
-        if self.family == "random-linear":
-            return (
-                f"random-linear:n={self.n},m={self.m},k={self.k},seed={self.seed}"
-            )
-        if self.family == "random":
-            return (
-                f"random:n={self.n},m={self.m},"
-                f"sizes={self.size_min}-{self.size_max},seed={self.seed}"
-            )
-        raise GenerationError(f"unknown family {self.family!r}")
+        """Canonical one-token description, parseable by parse_family.
+
+        Keyed families list only the fields that are set.
+        """
+        params, _ = _family(self.family)
+        if not params:
+            return self.family
+        if len(params) == 1:
+            return f"{self.family}:{getattr(self, params[0])}"
+        parts = []
+        for key in params:
+            value = getattr(self, key, None)
+            if key == "sizes" and self.size_min is not None:
+                value = f"{self.size_min}-{self.size_max}"
+            if value is not None:
+                parts.append(f"{key}={value}")
+        return f"{self.family}:" + ",".join(parts)
 
 
 def _is_prime(p: int) -> bool:
@@ -276,41 +276,45 @@ def random_hypergraph(
     return Hypergraph(n, edges)
 
 
+def _build_random(spec: FamilySpec) -> Hypergraph:
+    lo = spec.size_min if spec.size_min is not None else 2
+    hi = spec.size_max if spec.size_max is not None else min(3, spec.n)
+    return random_hypergraph(spec.n, spec.m, (lo, hi), spec.seed or 0)
+
+
+# Every family: its FamilySpec parameters in label order, and its builder.
+# A family with one parameter is written name:VALUE, one with several
+# name:key=value,...; "sizes" stands for size_min-size_max.  All parameters
+# but the _OPTIONAL ones are required.
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[FamilySpec], Hypergraph]]] = {
+    "fano": ((), lambda s: fano()),
+    "complete-graph": (("n",), lambda s: complete_graph(s.n)),
+    "cycle": (("n",), lambda s: cycle(s.n)),
+    "affine-plane": (("order",), lambda s: affine_plane(s.order)),
+    "projective-plane": (("order",), lambda s: projective_plane(s.order)),
+    "steiner-triple": (("n",), lambda s: steiner_triple(s.n)),
+    "random-linear": (
+        ("n", "m", "k", "seed"),
+        lambda s: random_linear(s.n, s.m, s.k, s.seed or 0),
+    ),
+    "random": (("n", "m", "sizes", "seed"), _build_random),
+}
+_OPTIONAL = ("sizes", "seed")
+
+
+def _family(name: str) -> tuple[tuple[str, ...], Callable[[FamilySpec], Hypergraph]]:
+    if name not in _FAMILIES:
+        raise GenerationError(f"unknown family {name!r}")
+    return _FAMILIES[name]
+
+
 def generate(spec: FamilySpec) -> Hypergraph:
     """Build the hypergraph a FamilySpec describes."""
-    if spec.family == "fano":
-        return fano()
-    if spec.family == "complete-graph":
-        if spec.n is None:
-            raise GenerationError("complete-graph needs n")
-        return complete_graph(spec.n)
-    if spec.family == "cycle":
-        if spec.n is None:
-            raise GenerationError("cycle needs n")
-        return cycle(spec.n)
-    if spec.family == "affine-plane":
-        if spec.order is None:
-            raise GenerationError("affine-plane needs an order")
-        return affine_plane(spec.order)
-    if spec.family == "projective-plane":
-        if spec.order is None:
-            raise GenerationError("projective-plane needs an order")
-        return projective_plane(spec.order)
-    if spec.family == "steiner-triple":
-        if spec.n is None:
-            raise GenerationError("steiner-triple needs n")
-        return steiner_triple(spec.n)
-    if spec.family == "random-linear":
-        if None in (spec.n, spec.m, spec.k):
-            raise GenerationError("random-linear needs n, m and k")
-        return random_linear(spec.n, spec.m, spec.k, spec.seed or 0)
-    if spec.family == "random":
-        if None in (spec.n, spec.m):
-            raise GenerationError("random needs n and m")
-        lo = spec.size_min if spec.size_min is not None else 2
-        hi = spec.size_max if spec.size_max is not None else min(3, spec.n)
-        return random_hypergraph(spec.n, spec.m, (lo, hi), spec.seed or 0)
-    raise GenerationError(f"unknown family {spec.family!r}")
+    params, build = _family(spec.family)
+    missing = [p for p in params if p not in _OPTIONAL and getattr(spec, p) is None]
+    if missing:
+        raise GenerationError(f"{spec.family} needs {', '.join(missing)}")
+    return build(spec)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -323,64 +327,44 @@ def parse_family(text: str) -> FamilySpec:
     """
     head, _, rest = text.partition(":")
     head = head.strip()
-    if head == "fano":
+    params, _ = _family(head)
+    if not params:
         if rest:
-            raise GenerationError("fano takes no parameters")
-        return FamilySpec("fano")
-    if head in ("complete-graph", "cycle", "steiner-triple"):
+            raise GenerationError(f"{head} takes no parameters")
+        return FamilySpec(head)
+    if len(params) == 1:
         try:
-            n = int(rest)
+            value = int(rest)
         except ValueError:
-            raise GenerationError(f"{head} needs an integer n, got {rest!r}")
-        return FamilySpec(head, n=n)
-    if head in ("affine-plane", "projective-plane"):
-        try:
-            order = int(rest)
-        except ValueError:
-            raise GenerationError(f"{head} needs an integer order, got {rest!r}")
-        return FamilySpec(head, order=order)
-    if head in ("random-linear", "random"):
-        fields: dict[str, str] = {}
-        if rest:
-            for part in rest.split(","):
-                key, eq, value = part.partition("=")
-                if not eq:
-                    raise GenerationError(f"expected key=value, got {part!r}")
-                fields[key.strip()] = value.strip()
-        unknown = set(fields) - {"n", "m", "k", "sizes", "seed"}
-        if unknown:
-            raise GenerationError(f"unknown parameters {sorted(unknown)}")
-
-        def intfield(key: str) -> Optional[int]:
-            if key not in fields:
-                return None
-            try:
-                return int(fields[key])
-            except ValueError:
-                raise GenerationError(f"{key} must be an integer, got {fields[key]!r}")
-
-        size_min = size_max = None
-        if "sizes" in fields:
-            lo_txt, dash, hi_txt = fields["sizes"].partition("-")
-            try:
-                size_min = int(lo_txt)
-                size_max = int(hi_txt) if dash else size_min
-            except ValueError:
-                raise GenerationError(f"bad sizes value {fields['sizes']!r}")
-        if head == "random-linear" and size_min is not None:
-            raise GenerationError("random-linear is k-uniform; use k=, not sizes=")
-        if head == "random" and "k" in fields:
-            raise GenerationError("random uses sizes=LO-HI, not k=")
-        return FamilySpec(
-            head,
-            n=intfield("n"),
-            m=intfield("m"),
-            k=intfield("k"),
-            size_min=size_min,
-            size_max=size_max,
-            seed=intfield("seed"),
+            raise GenerationError(
+                f"{head} needs an integer {params[0]}, got {rest!r}"
+            )
+        return FamilySpec(head, **{params[0]: value})
+    fields: dict[str, str] = {}
+    if rest:
+        for part in rest.split(","):
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise GenerationError(f"expected key=value, got {part!r}")
+            fields[key.strip()] = value.strip()
+    unknown = set(fields) - set(params)
+    if unknown:
+        raise GenerationError(
+            f"{head} takes {', '.join(params)}; unknown parameters {sorted(unknown)}"
         )
-    raise GenerationError(f"unknown family {head!r}")
+    values: dict[str, int] = {}
+    for key, text_value in fields.items():
+        try:
+            if key == "sizes":
+                lo_txt, dash, hi_txt = text_value.partition("-")
+                values["size_min"] = int(lo_txt)
+                values["size_max"] = int(hi_txt) if dash else values["size_min"]
+            else:
+                values[key] = int(text_value)
+        except ValueError:
+            expected = "LO-HI" if key == "sizes" else "an integer"
+            raise GenerationError(f"{key} must be {expected}, got {text_value!r}")
+    return FamilySpec(head, **values)
 
 
 def survey_instance(

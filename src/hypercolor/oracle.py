@@ -310,9 +310,11 @@ class CriticalCore:
 def extract_critical(h: Hypergraph, budget: Budget = Budget()) -> CriticalCore:
     """Greedily delete hyperedges whose removal keeps q, until none does.
 
-    Scans positions in ascending order, deletes the first removable one,
-    and rescans from the start, so the result is deterministic.  Every
-    hyperedge of the result is critical: removing it would lower q.
+    Scans positions once in ascending order, deleting each removable one
+    and carrying on at the same position, so the result is deterministic.
+    One pass suffices: a hyperedge found critical stays critical in every
+    subhypergraph with the same q that still holds it.  Every hyperedge
+    of the result is critical: removing it would lower q.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
@@ -321,17 +323,15 @@ def extract_critical(h: Hypergraph, budget: Budget = Budget()) -> CriticalCore:
     cur = h
     original = list(range(h.m))
     removed: list[int] = []
-    while True:
-        progressed = False
-        for i in range(cur.m):
-            candidate = cur.remove_hyperedge(i)
-            sub = chromatic_index(candidate, budget)
-            if sub.exact is None:
-                return CriticalCore(cur, q, False, tuple(removed))
-            if sub.exact == q:
-                removed.append(original.pop(i))
-                cur = candidate
-                progressed = True
-                break
-        if not progressed:
-            return CriticalCore(cur, q, True, tuple(removed))
+    i = 0
+    while i < cur.m:
+        candidate = cur.remove_hyperedge(i)
+        sub = chromatic_index(candidate, budget)
+        if sub.exact is None:
+            return CriticalCore(cur, q, False, tuple(removed))
+        if sub.exact == q:
+            removed.append(original.pop(i))
+            cur = candidate
+        else:
+            i += 1
+    return CriticalCore(cur, q, True, tuple(removed))

@@ -19,6 +19,7 @@ from .hgr import digest
 from .oracle import CriticalCore, CriticalityReport
 
 TOOL_VERSION = "0.1.0"
+_TOOL = f"hypercolor {TOOL_VERSION}"
 
 
 def _fmt(value) -> str:
@@ -32,7 +33,15 @@ def _fmt(value) -> str:
 
 
 def _header(h: Hypergraph) -> list[str]:
-    return [f"tool: hypercolor {TOOL_VERSION}", f"input-sha256: {digest(h)}"]
+    return [f"tool: {_TOOL}", f"input-sha256: {digest(h)}"]
+
+
+def _json(payload: dict, h: Optional[Hypergraph] = None) -> str:
+    """payload as sorted JSON under the tool name and, given h, its digest."""
+    header = {"tool": _TOOL}
+    if h is not None:
+        header["input_sha256"] = digest(h)
+    return json.dumps({**header, **payload}, indent=2, sort_keys=True) + "\n"
 
 
 def _stats_lines(st: HypergraphStats) -> list[str]:
@@ -64,12 +73,7 @@ def render_stats(h: Hypergraph) -> str:
 
 
 def stats_json(h: Hypergraph) -> str:
-    payload = {
-        "tool": f"hypercolor {TOOL_VERSION}",
-        "input_sha256": digest(h),
-        "stats": asdict(h.stats()),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json({"stats": asdict(h.stats())}, h)
 
 
 def render_coloring(h: Hypergraph, coloring: EdgeColoring, method: str) -> str:
@@ -83,13 +87,11 @@ def render_coloring(h: Hypergraph, coloring: EdgeColoring, method: str) -> str:
 
 def coloring_json(h: Hypergraph, coloring: EdgeColoring, method: str) -> str:
     payload = {
-        "tool": f"hypercolor {TOOL_VERSION}",
-        "input_sha256": digest(h),
         "method": method,
         "colors_used": coloring.q_used,
         "colors": [coloring.colors[i] for i in sorted(coloring.colors)],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload, h)
 
 
 def _verdict_lines(v: Verdict) -> list[str]:
@@ -121,12 +123,7 @@ def verdict_dict(v: Verdict) -> dict:
     """JSON-ready payload for one verdict (no header)."""
     return {
         "stats": asdict(v.stats),
-        "bounds": {
-            "two_section": v.bounds.two_section,
-            "greedy": v.bounds.greedy,
-            "rank_degree": v.bounds.rank_degree,
-            "edge_degree": v.bounds.edge_degree,
-        },
+        "bounds": asdict(v.bounds),
         "conditions": sorted(v.conditions),
         "q_lower": v.q_lower,
         "q_upper": v.q_upper,
@@ -141,12 +138,7 @@ def verdict_dict(v: Verdict) -> dict:
 
 
 def verdict_json(h: Hypergraph, v: Verdict) -> str:
-    payload = {
-        "tool": f"hypercolor {TOOL_VERSION}",
-        "input_sha256": digest(h),
-    }
-    payload.update(verdict_dict(v))
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(verdict_dict(v), h)
 
 
 def render_inequalities(rep: InequalityReport) -> list[str]:
@@ -187,8 +179,6 @@ def criticality_json(
     h: Hypergraph, rep: CriticalityReport, core: Optional[CriticalCore]
 ) -> str:
     payload = {
-        "tool": f"hypercolor {TOOL_VERSION}",
-        "input_sha256": digest(h),
         "q_exact": rep.q,
         "complete": rep.complete,
         "entries": [asdict(e) for e in rep.entries],
@@ -202,4 +192,4 @@ def criticality_json(
             "n": core.hypergraph.n,
             "edges": [list(e) for e in core.hypergraph.edges],
         }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload, h)

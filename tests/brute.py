@@ -4,12 +4,14 @@ The colorability searches here are deliberately naive (iterative
 deepening over the color count, index-order backtracking) and share no
 code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
-package types wherever possible.
+package types wherever possible.  The two reference versions of package
+logic (condition tags, core extraction) are the earlier, more literal
+forms of that logic, kept to check the current forms against.
 """
 
 from __future__ import annotations
 
-from hypercolor import Hypergraph, Rng
+from hypercolor import Budget, CriticalCore, Hypergraph, Rng, chromatic_index
 from hypercolor.transforms import SimpleGraph
 
 
@@ -136,3 +138,70 @@ def bridged_cubic() -> SimpleGraph:
     edges += [(u + 5, v + 5) for u, v in gadget]
     edges.append((4, 9))
     return SimpleGraph(10, edges)
+
+
+def if_chain_conditions(h: Hypergraph) -> frozenset[str]:
+    """Condition tags of h, one if per tag, from invariants computed here."""
+    m = len(h.edges)
+    sizes = [len(e) for e in h.edges]
+    degs = [sum(x in e for e in h.edges) for x in range(h.n)]
+    d2 = max(
+        (sum(len(e) - 1 for e in h.edges if x in e) for x in range(h.n)), default=0
+    )
+    dmax = max(degs, default=0)
+    loopless = all(size >= 2 for size in sizes)
+    linear = all(
+        len(set(a) & set(b)) <= 1
+        for i, a in enumerate(h.edges)
+        for b in h.edges[i + 1 :]
+    )
+    k = sizes[0] if m and len(set(sizes)) == 1 else None
+    regular = degs and len(set(degs)) == 1
+    tags = set()
+    if m >= 1 and loopless and min(sizes) ** 2 >= d2 + 1:
+        tags.add("THM1")
+    if m >= 1 and linear and k is not None and k >= 2 and regular and dmax == k + 1:
+        tags.add("THM2")
+    if loopless and (dmax <= 1 or (dmax - 1) ** 2 <= d2 + 1):
+        tags.add("THM3")
+    if m >= 1 and loopless and min(sizes) ** 2 > d2 + 1:
+        tags.add("RK61")
+    if m >= 1 and max(sizes) * (dmax - 1) <= d2:
+        tags.add("RK62")
+    if m >= 1 and linear and k is not None and k >= 2:
+        uniform = set()
+        if k == 2:
+            uniform.add("U65_1")
+        if k * k >= d2 + 1:
+            uniform.add("U65_2")
+        if d2 == k * k:
+            uniform.add("U65_3")
+        if k >= 3 and k * (dmax - 1) <= d2:
+            uniform.add("U65_4")
+        tags |= uniform or {"OPEN"}
+    return frozenset(tags)
+
+
+def rescanning_extract_critical(h: Hypergraph, budget: Budget) -> CriticalCore:
+    """Core extraction that rescans from position 0 after every deletion."""
+    base = chromatic_index(h, budget)
+    if base.exact is None:
+        return CriticalCore(h, None, False, ())
+    q = base.exact
+    cur = h
+    original = list(range(h.m))
+    removed: list[int] = []
+    while True:
+        progressed = False
+        for i in range(cur.m):
+            candidate = cur.remove_hyperedge(i)
+            sub = chromatic_index(candidate, budget)
+            if sub.exact is None:
+                return CriticalCore(cur, q, False, tuple(removed))
+            if sub.exact == q:
+                removed.append(original.pop(i))
+                cur = candidate
+                progressed = True
+                break
+        if not progressed:
+            return CriticalCore(cur, q, True, tuple(removed))

@@ -27,12 +27,13 @@ from hypercolor import (
     random_linear,
     rank_degree_bound,
     rank_product_condition,
+    survey_instance,
     two_section_bound,
     uniform_regular_condition,
     verify_conjecture,
 )
 
-from brute import brute_chromatic_index, random_hypergraph_raw
+from brute import brute_chromatic_index, if_chain_conditions, random_hypergraph_raw
 
 FAST = Budget(max_nodes=1_000_000, time_limit=None)
 
@@ -106,6 +107,58 @@ def test_condition_tag_pins():
     assert uniform_regular_condition(affine_plane(3))
     assert not uniform_regular_condition(fano())
     assert not uniform_regular_condition(Hypergraph(3, []))
+
+
+def _tag_table_instances() -> list[Hypergraph]:
+    """About 200 seeded instances: loops, duplicates, m = 0, mixed sizes."""
+    instances = [
+        Hypergraph(0, []),
+        Hypergraph(3, []),
+        Hypergraph(2, [(0,), (0,)]),
+        Hypergraph(4, [(0, 1), (0, 1)]),
+        fano(),
+        complete_graph(4),
+        complete_graph(5),
+        affine_plane(3),
+        cycle(5),
+        Hypergraph(11, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (0, 9, 10)]),
+    ]
+    for seed in range(192):
+        rng = Rng(seed)
+        kind = seed % 4
+        if kind == 0:
+            h = random_hypergraph_raw(rng, size_lo=1)
+        elif kind == 1:
+            h = random_hypergraph_raw(rng, size_lo=2, size_hi=5)
+        elif kind == 2:
+            _, h = survey_instance(seed, 0, (5, 12), (1, 10), (2, 3, 4))
+        else:
+            h = random_hypergraph_raw(rng, m_hi=6)
+            h = Hypergraph(h.n, h.edges + h.edges[:2])
+        instances.append(h)
+    return instances
+
+
+def test_condition_table_matches_the_if_chain():
+    seen = set()
+    for h in _tag_table_instances():
+        expected = if_chain_conditions(h)
+        seen |= expected
+        assert verify_conjecture(h, FAST, use_exact=False).conditions == expected
+        assert antirank_condition(h) == ("THM1" in expected)
+        assert uniform_regular_condition(h) == ("THM2" in expected)
+        assert max_degree_condition(h) == ("THM3" in expected)
+        assert rank_product_condition(h) == ("RK62" in expected)
+        uniform = {t for t in expected if t.startswith("U65") or t == "OPEN"}
+        if uniform:
+            assert classify_uniform(h) == uniform
+        else:
+            with pytest.raises(UnsupportedInputError):
+                classify_uniform(h)
+    assert seen == {
+        "THM1", "THM2", "THM3", "RK61", "RK62",
+        "U65_1", "U65_2", "U65_3", "U65_4", "OPEN",
+    }
 
 
 def test_classify_uniform_exact_tag_sets():

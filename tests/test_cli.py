@@ -220,6 +220,34 @@ def test_budget_env_fallback_and_flag_override(capsys, monkeypatch):
     assert "HYPERCOLOR_MAX_NODES" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env, named",
+    [
+        (["verify", "--family", "fano", "--budget", "-5"], {}, "--budget"),
+        (["verify", "--family", "fano", "--time-limit", "-1"], {}, "--time-limit"),
+        (["verify", "--family", "fano", "--time-limit", "nan"], {}, "--time-limit"),
+        (["survey", "--count", "2", "--jobs", "0"], {}, "--jobs"),
+        (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "many"},
+         "HYPERCOLOR_MAX_NODES"),
+        (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "-3"},
+         "HYPERCOLOR_MAX_NODES"),
+        (["critical", "--family", "fano"], {"HYPERCOLOR_TIME_LIMIT": "soon"},
+         "HYPERCOLOR_TIME_LIMIT"),
+        (["verify", "--family", "fano"], {"HYPERCOLOR_TIME_LIMIT": "-0.5"},
+         "HYPERCOLOR_TIME_LIMIT"),
+    ],
+)
+def test_budget_inputs_are_validated(capsys, monkeypatch, argv, env, named):
+    monkeypatch.delenv("HYPERCOLOR_MAX_NODES", raising=False)
+    monkeypatch.delenv("HYPERCOLOR_TIME_LIMIT", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 def test_critical_command(capsys, tmp_path):
     path = tmp_path / "path.hgr"
     path.write_text("p hgr 3 2\ne 1 2\ne 2 3\n", encoding="utf-8")

@@ -120,6 +120,12 @@ def test_stats_pinned_on_fano():
     assert st.two_section_max_degree == 6
 
 
+def test_stats_are_computed_once_per_hypergraph():
+    h = fano()
+    assert h.stats() is h.stats()
+    assert h.remove_hyperedge(0).stats() is not h.stats()
+
+
 def test_stats_internal_consistency():
     for seed in range(60):
         h = random_hypergraph_raw(Rng(seed))

@@ -228,6 +228,8 @@ def test_parse_family_round_trips_labels():
         "steiner-triple:15",
         "random-linear:n=8,m=5,k=3,seed=4",
         "random:n=8,m=5,sizes=2-4,seed=4",
+        "random-linear:n=8,m=5,k=3",
+        "random:n=8,m=5",
     ]
     for label in labels:
         spec = parse_family(label)

@@ -21,8 +21,11 @@ from hypercolor import (
     is_proper,
     is_proper_vertex_coloring,
     random_linear,
+    survey_instance,
 )
 from hypercolor.transforms import SimpleGraph
+
+from hypercolor import oracle
 
 from brute import (
     brute_chromatic_index,
@@ -30,6 +33,7 @@ from brute import (
     petersen,
     random_graph,
     random_hypergraph_raw,
+    rescanning_extract_critical,
 )
 
 FAST = Budget(max_nodes=1_000_000, time_limit=None)
@@ -210,6 +214,34 @@ def test_extract_critical_preserves_q_and_leaves_only_critical_edges():
             assert core.q - 1 <= core.hypergraph.hyperedge_degree(i)
         kept += 1
     assert kept == 25
+
+
+def test_one_pass_extraction_matches_the_rescanning_reference(monkeypatch):
+    calls = []
+
+    def counted(h, budget=FAST):
+        calls.append(h.m)
+        return chromatic_index(h, budget)
+
+    compared = 0
+    for seed in range(60):
+        _, h = survey_instance(seed, 0, (7, 10), (5, 9), (3,))
+        ref = rescanning_extract_critical(h, FAST)
+        if not ref.complete:
+            continue
+        calls.clear()
+        monkeypatch.setattr(oracle, "chromatic_index", counted)
+        core = extract_critical(h, FAST)
+        monkeypatch.undo()
+        assert (core.hypergraph, core.q, core.complete, core.removed) == (
+            ref.hypergraph,
+            ref.q,
+            ref.complete,
+            ref.removed,
+        )
+        assert len(calls) <= h.m + 1
+        compared += 1
+    assert compared >= 50
 
 
 def test_critical_core_obeys_size_adjusted_bound():

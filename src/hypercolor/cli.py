@@ -34,7 +34,13 @@ from .coloring import (
 from .core import Hypergraph, UnsupportedInputError
 from .hgr import HgrParseError, digest, load, parse_hgr, serialize_hgr
 from .instances import GenerationError, generate, parse_family, survey_instance
-from .oracle import Budget, chromatic_index, criticality_report, extract_critical
+from .oracle import (
+    Budget,
+    _extract_critical_with_q,
+    chromatic_index,
+    criticality_report,
+    extract_critical,
+)
 
 
 def _budget_setting(flag_value, flag: str, env: str, kind: type, fallback):
@@ -166,7 +172,12 @@ def cmd_critical(args: argparse.Namespace) -> int:
     h = _load_input(args)
     budget = _budget(args)
     rep = criticality_report(h, budget)
-    core = None if args.no_extract else extract_critical(h, budget)
+    if args.no_extract:
+        core = None
+    elif rep.q is None:
+        core = extract_critical(h, budget)
+    else:
+        core = _extract_critical_with_q(h, rep.q, budget)
     sys.stdout.write(
         report.criticality_json(h, rep, core)
         if args.json

@@ -6,11 +6,19 @@ exact value or, when the budget runs out, returns an honest bracket
 it never reports a wrong exact value.  The search is deterministic, so
 an exact answer never changes when the budget is enlarged, and node
 counts are reproducible (wall-clock cutoffs aside).
+
+The search is iterative, on an explicit stack, so its depth is not tied
+to the interpreter's recursion limit.  Each vertex keeps counts of the
+colors on its neighbours, updated as vertices are colored and uncolored,
+so a branch node costs time in the degree of one vertex instead of a
+rebuild of every saturation set.  It visits the same nodes in the same
+order as the recursive, set-rebuilding search (tests/brute.py keeps that
+one as the reference), so node counts, brackets and witnesses are
+unchanged from it.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -81,24 +89,66 @@ class OracleResult:
         return self.lower == self.upper
 
 
+class _Saturation:
+    """Neighbour color counts and the DSATUR pick key, kept incrementally.
+
+    counts[v][c] is the number of neighbours of v holding color c, and
+    key[v] = sat*n*n + deg*n + (n-1-v), where sat is the number of distinct
+    colors among them: integer order on key is the order of the tuple
+    (sat, deg, -v).  A colored vertex's key is lowered by n**3, more than
+    any key, so the largest key belongs to an uncolored vertex while one
+    is left.  assign and unassign must be called in matching pairs.
+    """
+
+    __slots__ = ("adj", "n", "nn", "off", "counts", "key")
+
+    def __init__(self, g: SimpleGraph, slots: int):
+        n = g.n
+        self.adj = g.adj
+        self.n = n
+        self.nn = n * n
+        self.off = n * n * n
+        self.counts = [[0] * slots for _ in range(n)]
+        self.key = [len(nb) * n + n - 1 - v for v, nb in enumerate(g.adj)]
+
+    def pick(self) -> int:
+        """The uncolored vertex with the largest key."""
+        return self.n - 1 - max(self.key) % self.n
+
+    def assign(self, v: int, c: int) -> None:
+        key, nn, counts = self.key, self.nn, self.counts
+        key[v] -= self.off
+        for w in self.adj[v]:
+            row = counts[w]
+            k = row[c]
+            if not k:
+                key[w] += nn
+            row[c] = k + 1
+
+    def unassign(self, v: int, c: int) -> None:
+        key, nn, counts = self.key, self.nn, self.counts
+        key[v] += self.off
+        for w in self.adj[v]:
+            row = counts[w]
+            k = row[c] - 1
+            row[c] = k
+            if not k:
+                key[w] -= nn
+
+
 def _dsatur_greedy(g: SimpleGraph) -> list[int]:
     """Greedy coloring picking the most saturated vertex first."""
-    n = g.n
-    colors = [0] * n
-    for _ in range(n):
-        pick, pick_key = -1, (-1, -1, 0)
-        for v in range(n):
-            if colors[v]:
-                continue
-            sat = len({colors[w] for w in g.adj[v] if colors[w]})
-            key = (sat, len(g.adj[v]), -v)
-            if key > pick_key:
-                pick, pick_key = v, key
-        used = {colors[w] for w in g.adj[pick]}
+    colors = [0] * g.n
+    # A vertex of degree d never needs a color above d + 1.
+    sat = _Saturation(g, g.max_degree() + 2)
+    for _ in range(g.n):
+        v = sat.pick()
+        row = sat.counts[v]
         c = 1
-        while c in used:
+        while row[c]:
             c += 1
-        colors[pick] = c
+        colors[v] = c
+        sat.assign(v, c)
     return colors
 
 
@@ -121,61 +171,66 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
 def _component_chromatic(
     g: SimpleGraph, state: _SearchState
 ) -> tuple[int, int, list[int]]:
-    """(lower, upper, coloring achieving upper) for a connected graph."""
-    n = g.n
-    greedy = _dsatur_greedy(g)
-    best_count = max(greedy)
-    best = list(greedy)
+    """(lower, upper, coloring achieving upper) for a connected graph.
+
+    Depth-first branch and bound on an explicit stack, so deep searches
+    need no recursion.  A frame is [vertex, next color to try, colors used
+    on entry, color limit], the limit fixed when the frame is entered.
+    """
+    best = _dsatur_greedy(g)
+    best_count = max(best)
     clique = greedy_clique(g)
     lb = len(clique)
     if lb == best_count:
         return lb, best_count, best
 
-    colors = [0] * n
+    # Search colors stay below the incumbent, so it bounds the rows.
+    sat = _Saturation(g, best_count + 1)
+    counts, assign, unassign, pick = sat.counts, sat.assign, sat.unassign, sat.pick
+    colors = [0] * g.n
     for idx, v in enumerate(clique):
         colors[v] = idx + 1
-    adj = g.adj
-    uncolored = n - len(clique)
-
-    def descend(used: int) -> None:
-        nonlocal best_count, best, uncolored
-        state.tick()
-        if uncolored == 0:
-            if used < best_count:
-                best_count = used
-                best = colors.copy()
-            return
-        pick, pick_key = -1, (-1, -1, 0)
-        for v in range(n):
-            if colors[v] == 0:
-                sat = len({colors[w] for w in adj[v] if colors[w]})
-                key = (sat, len(adj[v]), -v)
-                if key > pick_key:
-                    pick, pick_key = v, key
-        v = pick
-        forbidden = {colors[w] for w in adj[v]}
-        # Colors beyond used+1 are interchangeable, so trying one of them
-        # suffices; anything at or above the incumbent cannot improve it.
-        limit = min(used + 1, best_count - 1)
-        for c in range(1, limit + 1):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            uncolored -= 1
-            descend(max(used, c))
-            uncolored += 1
-            colors[v] = 0
-            if best_count == lb:
-                return
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 1000))
+        assign(v, idx + 1)
+    free = g.n - lb
+    stack: list[list[int]] = []
+    used = lb
     try:
-        descend(len(clique))
+        while True:
+            state.tick()
+            if len(stack) == free:
+                if used < best_count:
+                    best_count = used
+                    best = colors.copy()
+            else:
+                # Colors beyond used+1 are interchangeable, so trying one of
+                # them suffices; anything at or above the incumbent cannot
+                # improve it.
+                stack.append([pick(), 1, used, min(used + 1, best_count - 1)])
+            # Back up to the deepest frame with a color left, and take it.
+            while stack:
+                frame = stack[-1]
+                v, c, used, limit = frame
+                if colors[v]:
+                    unassign(v, colors[v])
+                    colors[v] = 0
+                    if best_count == lb:
+                        stack.pop()
+                        continue
+                row = counts[v]
+                while c <= limit and row[c]:
+                    c += 1
+                if c > limit:
+                    stack.pop()
+                    continue
+                frame[1] = c + 1
+                colors[v] = c
+                assign(v, c)
+                used = max(used, c)
+                break
+            if not stack:
+                break
     except _BudgetExhausted:
         return lb, best_count, best
-    finally:
-        sys.setrecursionlimit(old_limit)
     return best_count, best_count, best
 
 
@@ -319,7 +374,11 @@ def extract_critical(h: Hypergraph, budget: Budget = Budget()) -> CriticalCore:
     base = chromatic_index(h, budget)
     if base.exact is None:
         return CriticalCore(h, None, False, ())
-    q = base.exact
+    return _extract_critical_with_q(h, base.exact, budget)
+
+
+def _extract_critical_with_q(h: Hypergraph, q: int, budget: Budget) -> CriticalCore:
+    """extract_critical for an h whose chromatic index q is already known."""
     cur = h
     original = list(range(h.m))
     removed: list[int] = []

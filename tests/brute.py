@@ -4,14 +4,18 @@ The colorability searches here are deliberately naive (iterative
 deepening over the color count, index-order backtracking) and share no
 code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
-package types wherever possible.  The two reference versions of package
-logic (condition tags, core extraction) are the earlier, more literal
-forms of that logic, kept to check the current forms against.
+package types wherever possible.  The reference versions of package
+logic (condition tags, core extraction, the oracle's greedy and branch
+and bound) are the earlier, more literal forms of that logic, kept to
+check the current forms against.
 """
 
 from __future__ import annotations
 
+import sys
+
 from hypercolor import Budget, CriticalCore, Hypergraph, Rng, chromatic_index
+from hypercolor.oracle import _BudgetExhausted, _SearchState, greedy_clique
 from hypercolor.transforms import SimpleGraph
 
 
@@ -205,3 +209,87 @@ def rescanning_extract_critical(h: Hypergraph, budget: Budget) -> CriticalCore:
                 break
         if not progressed:
             return CriticalCore(cur, q, True, tuple(removed))
+
+
+def rebuilding_dsatur_greedy(g: SimpleGraph) -> list[int]:
+    """DSATUR greedy rebuilding every saturation set at every step."""
+    n = g.n
+    colors = [0] * n
+    for _ in range(n):
+        pick, pick_key = -1, (-1, -1, 0)
+        for v in range(n):
+            if colors[v]:
+                continue
+            sat = len({colors[w] for w in g.adj[v] if colors[w]})
+            key = (sat, len(g.adj[v]), -v)
+            if key > pick_key:
+                pick, pick_key = v, key
+        used = {colors[w] for w in g.adj[pick]}
+        c = 1
+        while c in used:
+            c += 1
+        colors[pick] = c
+    return colors
+
+
+def recursive_component_chromatic(
+    g: SimpleGraph, state: _SearchState
+) -> tuple[int, int, list[int]]:
+    """The oracle's branch and bound as a recursion over set rebuilds.
+
+    Same contract as hypercolor.oracle._component_chromatic, and it must
+    visit the same nodes in the same order.
+    """
+    n = g.n
+    greedy = rebuilding_dsatur_greedy(g)
+    best_count = max(greedy)
+    best = list(greedy)
+    clique = greedy_clique(g)
+    lb = len(clique)
+    if lb == best_count:
+        return lb, best_count, best
+
+    colors = [0] * n
+    for idx, v in enumerate(clique):
+        colors[v] = idx + 1
+    adj = g.adj
+    uncolored = n - len(clique)
+
+    def descend(used: int) -> None:
+        nonlocal best_count, best, uncolored
+        state.tick()
+        if uncolored == 0:
+            if used < best_count:
+                best_count = used
+                best = colors.copy()
+            return
+        pick, pick_key = -1, (-1, -1, 0)
+        for v in range(n):
+            if colors[v] == 0:
+                sat = len({colors[w] for w in adj[v] if colors[w]})
+                key = (sat, len(adj[v]), -v)
+                if key > pick_key:
+                    pick, pick_key = v, key
+        v = pick
+        forbidden = {colors[w] for w in adj[v]}
+        limit = min(used + 1, best_count - 1)
+        for c in range(1, limit + 1):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            uncolored -= 1
+            descend(max(used, c))
+            uncolored += 1
+            colors[v] = 0
+            if best_count == lb:
+                return
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, n + 1000))
+    try:
+        descend(len(clique))
+    except _BudgetExhausted:
+        return lb, best_count, best
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return best_count, best_count, best

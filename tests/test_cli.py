@@ -10,14 +10,20 @@ import sys
 import pytest
 
 from hypercolor import (
+    Budget,
     FamilySpec,
+    chromatic_index,
+    criticality_report,
+    extract_critical,
     fano,
     generate,
+    parse_family,
     random_linear,
     serialize_hgr,
 )
+from hypercolor import oracle
 from hypercolor.cli import main
-from hypercolor.report import TOOL_VERSION, render_stats
+from hypercolor.report import TOOL_VERSION, render_criticality, render_stats
 
 LOOPS = "p hgr 1 2\ne 1\ne 1\n"
 
@@ -274,6 +280,28 @@ def test_critical_command(capsys, tmp_path):
     )
     assert code == 4
     assert "q-exact: none" in out
+
+
+def test_critical_computes_the_base_q_once(capsys, monkeypatch):
+    family = "random-linear:n=8,m=6,k=3,seed=1"
+    h = generate(parse_family(family))
+    budget = Budget(max_nodes=1_000_000, time_limit=None)
+    expected = render_criticality(
+        h, criticality_report(h, budget), extract_critical(h, budget)
+    )
+    calls = []
+
+    def counted(g, budget):
+        calls.append(g.m)
+        return chromatic_index(g, budget)
+
+    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    code, out, _ = run_cli(capsys, "critical", "--family", family, "--time-limit", "0")
+    assert code == 0
+    assert out == expected
+    # One base call, one per row of the table, one per extraction step.
+    assert calls.count(h.m) == 1
+    assert len(calls) == 1 + 2 * h.m
 
 
 def test_survey_text_json_and_jobs_agree(capsys):

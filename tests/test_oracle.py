@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 from hypercolor import (
     Budget,
     EdgeColoring,
@@ -21,9 +23,10 @@ from hypercolor import (
     is_proper,
     is_proper_vertex_coloring,
     random_linear,
+    steiner_triple,
     survey_instance,
 )
-from hypercolor.transforms import SimpleGraph
+from hypercolor.transforms import SimpleGraph, line_graph
 
 from hypercolor import oracle
 
@@ -33,6 +36,8 @@ from brute import (
     petersen,
     random_graph,
     random_hypergraph_raw,
+    rebuilding_dsatur_greedy,
+    recursive_component_chromatic,
     rescanning_extract_critical,
 )
 
@@ -129,6 +134,77 @@ def test_search_is_deterministic_including_node_counts():
         assert chromatic_number(g, FAST) == chromatic_number(g, FAST)
     h = complete_graph(5)
     assert chromatic_index(h, FAST) == chromatic_index(h, FAST)
+
+
+def _disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
+    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    return SimpleGraph(a.n + b.n, edges)
+
+
+def _linear(seed: int) -> Hypergraph:
+    return survey_instance(seed, 0, (12, 18), (16, 30), (3,))[1]
+
+
+def _differential_graphs():
+    for seed in range(60):
+        yield line_graph(_linear(seed + 500))
+    for seed in range(30):
+        yield line_graph(random_hypergraph_raw(Rng(seed + 12_000), 3, 8, 14, 1, 4))
+    for seed in range(30):
+        # A linear instance plus a repeated hyperedge and a loop.
+        h = _linear(seed + 700)
+        rng = Rng(seed + 12_500)
+        extra = [h.edges[rng.below(h.m)], (rng.below(h.n),)]
+        yield line_graph(Hypergraph(h.n, list(h.edges) + extra))
+    for seed in range(40):
+        rng = Rng(seed + 13_000)
+        yield _disjoint_union(random_graph(rng, 3, 12, 10, 40), line_graph(_linear(seed + 900)))
+    for seed in range(40):
+        yield random_graph(Rng(seed + 14_000), 8, 16, 30, 60)
+
+
+def test_search_matches_the_recursive_reference(monkeypatch):
+    searched = starved = multi = 0
+    for index, g in enumerate(_differential_graphs()):
+        if g.n:
+            assert oracle._dsatur_greedy(g) == rebuilding_dsatur_greedy(g)
+        multi += len(g.connected_components()) > 1
+        for budget in (Budget(index % 51, None), FAST):
+            got = chromatic_number(g, budget)
+            monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
+            want = chromatic_number(g, budget)
+            monkeypatch.undo()
+            assert got == want
+            searched += got.nodes > 0
+            starved += not got.complete
+    assert index + 1 == 200
+    assert searched >= 150 and starved >= 50 and multi >= 40
+
+
+def test_search_depth_is_not_bound_by_the_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the search must not change the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 1201
+    assert n > sys.getrecursionlimit()
+    odd_cycle = SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    res = chromatic_number(odd_cycle, FAST)
+    assert (res.lower, res.upper) == (3, 3)
+    assert is_proper_vertex_coloring(odd_cycle, VertexColoring(res.witness, 3))
+
+
+def test_hard_set_brackets_and_node_counts():
+    # Deterministic counters of the benchmark's hard set, node budgets only.
+    for v, budget, bracket, nodes in (
+        (15, 100_000, (9, 9), 35_373),
+        (21, 20_000, (10, 12), 20_001),
+        (27, 16_000, (13, 16), 16_001),
+    ):
+        h = steiner_triple(v)
+        res = chromatic_index(h, Budget(budget, None))
+        assert ((res.lower, res.upper), res.nodes) == (bracket, nodes)
+        assert is_proper(h, EdgeColoring(res.witness, res.upper))
 
 
 def test_greedy_clique_is_a_maximal_clique():

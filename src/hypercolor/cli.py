@@ -33,13 +33,13 @@ from .coloring import (
 )
 from .core import Hypergraph, UnsupportedInputError
 from .hgr import HgrParseError, digest, load, parse_hgr, serialize_hgr
-from .instances import GenerationError, generate, parse_family, survey_instance
+from .instances import _FAMILIES, GenerationError, generate, parse_family, survey_instance
 from .oracle import (
     Budget,
+    CriticalCore,
     _extract_critical_with_q,
     chromatic_index,
     criticality_report,
-    extract_critical,
 )
 
 
@@ -175,7 +175,9 @@ def cmd_critical(args: argparse.Namespace) -> int:
     if args.no_extract:
         core = None
     elif rep.q is None:
-        core = extract_critical(h, budget)
+        # The base search failed within this budget; extraction would only
+        # repeat it.
+        core = CriticalCore(h, None, False, ())
     else:
         core = _extract_critical_with_q(h, rep.q, budget)
     sys.stdout.write(
@@ -197,7 +199,8 @@ def cmd_critical(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
     if args.seed is not None:
-        if spec.family not in ("random-linear", "random"):
+        params, _ = _FAMILIES[spec.family]
+        if "seed" not in params:
             raise GenerationError(f"--seed does not apply to {spec.family}")
         spec = replace(spec, seed=args.seed)
     h = generate(spec)

@@ -126,14 +126,22 @@ class Hypergraph:
     def is_linear(self) -> bool:
         """True when every two positions share at most one vertex.
 
-        A duplicated hyperedge of size >= 2 therefore makes the hypergraph
-        non-linear, while duplicated loops do not.
+        Equivalently, no vertex pair lies in two hyperedges: the two-section
+        is simple.  A duplicated hyperedge of size >= 2 therefore makes the
+        hypergraph non-linear, while duplicated loops do not.  Each position
+        marks the earlier positions it meets through its vertices; meeting
+        one twice means a second shared vertex.  The work is bounded by the
+        line graph's edges and the memory by m, however large a hyperedge.
         """
-        sets = [set(e) for e in self.edges]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if len(sets[i] & sets[j]) > 1:
-                    return False
+        met_by = [-1] * self.m
+        for pos, edge in enumerate(self.edges):
+            for v in edge:
+                for other in self._incidence[v]:
+                    if other >= pos:
+                        break
+                    if met_by[other] == pos:
+                        return False
+                    met_by[other] = pos
         return True
 
     def connected_components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -176,14 +184,16 @@ class Hypergraph:
 
     @cached_property
     def _stats(self) -> HypergraphStats:
-        # Deferred import: transforms builds on this module, and the
-        # two-section degree formula lives there with the multigraph.
-        from .transforms import max_degree_two_section
-
         degs = self.degrees()
         max_deg = max(degs, default=0)
         min_deg = min(degs, default=0)
         sizes = [len(e) for e in self.edges]
+        # A hyperedge e through x gives x, in the two-section, a multi-edge
+        # to each of its other len(e) - 1 vertices.
+        two_section_degs = [
+            sum(sizes[p] for p in positions) - len(positions)
+            for positions in self._incidence
+        ]
         return HypergraphStats(
             n=self.n,
             m=self.m,
@@ -196,7 +206,7 @@ class Hypergraph:
             uniform_k=sizes[0] if sizes and len(set(sizes)) == 1 else None,
             regular_d=max_deg if max_deg == min_deg else None,
             connected=len(self.connected_components()) <= 1,
-            two_section_max_degree=max_degree_two_section(self),
+            two_section_max_degree=max(two_section_degs, default=0),
         )
 
     def _check_vertex(self, x: int) -> None:

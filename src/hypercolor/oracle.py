@@ -254,13 +254,8 @@ def chromatic_number(
             local = _dsatur_greedy(sub)
             lo, hi = 1, max(local)
         else:
-            try:
-                lo, hi, local = _component_chromatic(sub, state)
-            except _BudgetExhausted:
-                local = _dsatur_greedy(sub)
-                lo, hi = 1, max(local)
-            if lo != hi:
-                exhausted = True
+            lo, hi, local = _component_chromatic(sub, state)
+            exhausted = lo != hi
         for i, v in enumerate(comp):
             witness[v] = local[i]
         lower = max(lower, lo)

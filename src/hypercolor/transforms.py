@@ -1,10 +1,14 @@
-"""Derived graphs of a hypergraph: the two-section and the line graph."""
+"""The line graph of a hypergraph, and the simple graphs it is kept as.
+
+The two-section's facts (its maximum degree and whether it is simple)
+are hypergraph invariants, read from Hypergraph.stats().
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import Hypergraph
 
@@ -80,95 +84,16 @@ class SimpleGraph:
         return SimpleGraph(len(vertices), pairs)
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    """A loopless multigraph on 0..n-1 with explicit edge multiplicities."""
-
-    n: int
-    mult: tuple[tuple[tuple[int, int], int], ...]
-
-    def __init__(self, n: int, mult: Mapping[tuple[int, int], int]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        items = []
-        for (u, v), k in mult.items():
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) leaves 0..{n - 1}")
-            if k <= 0:
-                raise ValueError(f"multiplicity of ({u}, {v}) must be positive")
-            items.append(((min(u, v), max(u, v)), k))
-        items.sort()
-        for a, b in zip(items, items[1:]):
-            if a[0] == b[0]:
-                raise ValueError(f"edge {a[0]} listed twice")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mult", tuple(items))
-
-    def multiplicity(self, u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        for pair, k in self.mult:
-            if pair == key:
-                return k
-        return 0
-
-    def degree(self, x: int) -> int:
-        if not 0 <= x < self.n:
-            raise IndexError(f"vertex {x} not in 0..{self.n - 1}")
-        return sum(k for (u, v), k in self.mult if x in (u, v))
-
-    def max_degree(self) -> int:
-        degs = [0] * self.n
-        for (u, v), k in self.mult:
-            degs[u] += k
-            degs[v] += k
-        return max(degs, default=0)
-
-    def support(self) -> SimpleGraph:
-        """The simple graph keeping one copy of every multi-edge."""
-        return SimpleGraph(self.n, [pair for pair, _ in self.mult])
-
-
-def two_section(h: Hypergraph) -> Multigraph:
-    """The two-section multigraph of h.
-
-    Vertices are those of h; the multiplicity of {x, y} is the number of
-    hyperedge positions whose edge contains both.  Loops contribute nothing.
-    """
-    mult: dict[tuple[int, int], int] = {}
-    for edge in h.edges:
-        for pair in combinations(edge, 2):
-            mult[pair] = mult.get(pair, 0) + 1
-    return Multigraph(h.n, mult)
-
-
-def max_degree_two_section(h: Hypergraph) -> int:
-    """Maximum degree of the two-section, computed without building it.
-
-    The two-section degree of x is sum(len(e) - 1) over hyperedges e
-    containing x, since e contributes a multi-edge from x to each of its
-    other vertices.
-    """
-    deg = [0] * h.n
-    for edge in h.edges:
-        for v in edge:
-            deg[v] += len(edge) - 1
-    return max(deg, default=0)
-
-
 def line_graph(h: Hypergraph) -> SimpleGraph:
     """The intersection graph of the hyperedge positions of h.
 
     Vertex i stands for position i; i and j are adjacent iff the hyperedges
     share a vertex.  Equal hyperedges at distinct positions are adjacent,
-    so the line graph has as many vertices as h has positions.
+    so the line graph has as many vertices as h has positions.  Built from
+    the positions through each vertex, so the cost is the number of such
+    pairs; two hyperedges sharing several vertices give one edge.
     """
-    sets = [set(e) for e in h.edges]
-    pairs = [
-        (i, j)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-        if sets[i] & sets[j]
-    ]
-    return SimpleGraph(len(sets), pairs)
+    pairs = (
+        pair for x in range(h.n) for pair in combinations(h.incident(x), 2)
+    )
+    return SimpleGraph(h.m, pairs)

@@ -80,6 +80,49 @@ def brute_chromatic_index(n: int, hyperedges: list[tuple[int, ...]]) -> int:
     raise AssertionError("m colors always suffice for m hyperedges")
 
 
+def brute_two_section(
+    n: int, hyperedges: list[tuple[int, ...]]
+) -> dict[tuple[int, int], int]:
+    """Two-section multiplicities: for each vertex pair x < y lying in some
+    hyperedge, the number of hyperedge positions holding both.
+
+    Loops hold no pair, so they add nothing.  The hypergraph is linear iff
+    every multiplicity is 1.
+    """
+    mult = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            k = sum(x in e and y in e for e in hyperedges)
+            if k:
+                mult[(x, y)] = k
+    return mult
+
+
+def brute_two_section_max_degree(n: int, hyperedges: list[tuple[int, ...]]) -> int:
+    """Maximum vertex degree of the two-section, summing multiplicities."""
+    mult = brute_two_section(n, hyperedges)
+    return max(
+        (sum(k for pair, k in mult.items() if x in pair) for x in range(n)), default=0
+    )
+
+
+def pairwise_line_graph_edges(
+    n: int, hyperedges: list[tuple[int, ...]]
+) -> list[tuple[int, int]]:
+    """Line graph edges (i, j), i < j, sorted, by intersecting every pair of
+    positions: the O(m^2) scan the package used before its line graph was
+    built from the incidence lists.  n is unused; it keeps the raw-input
+    signature of the other references.
+    """
+    sets = [set(e) for e in hyperedges]
+    return [
+        (i, j)
+        for i in range(len(sets))
+        for j in range(i + 1, len(sets))
+        if sets[i] & sets[j]
+    ]
+
+
 def random_graph(rng: Rng, n_lo: int, n_hi: int, percent_lo: int = 20,
                  percent_hi: int = 80) -> SimpleGraph:
     """A seeded Erdos-Renyi style simple graph with random density."""

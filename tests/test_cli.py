@@ -100,9 +100,14 @@ def test_gen_seed_override_rules(capsys):
     assert code == 0
     assert out == serialize_hgr(random_linear(8, 5, 3, 7))
 
-    code, _, err = run_cli(capsys, "gen", "--family", "fano", "--seed", "7")
-    assert code == 2
-    assert "does not apply" in err
+    code, out, _ = run_cli(capsys, "gen", "--family", "random:n=6,m=4", "--seed", "3")
+    assert code == 0
+    assert out == serialize_hgr(generate(FamilySpec("random", n=6, m=4, seed=3)))
+
+    for family in ("fano", "cycle:5"):
+        code, _, err = run_cli(capsys, "gen", "--family", family, "--seed", "7")
+        assert code == 2
+        assert f"--seed does not apply to {family.split(':')[0]}" in err
 
 
 def test_color_methods_and_exit_codes(capsys):
@@ -283,12 +288,17 @@ def test_critical_command(capsys, tmp_path):
 
 
 def test_critical_computes_the_base_q_once(capsys, monkeypatch):
-    family = "random-linear:n=8,m=6,k=3,seed=1"
-    h = generate(parse_family(family))
-    budget = Budget(max_nodes=1_000_000, time_limit=None)
-    expected = render_criticality(
-        h, criticality_report(h, budget), extract_critical(h, budget)
-    )
+    # A decided base q, then one the budget leaves undecided.
+    cases = [
+        ("random-linear:n=8,m=6,k=3,seed=1", Budget(1_000_000, None), 0),
+        ("complete-graph:5", Budget(8, None), 4),
+    ]
+    expected = {}
+    for family, budget, _ in cases:
+        h = generate(parse_family(family))
+        expected[family] = render_criticality(
+            h, criticality_report(h, budget), extract_critical(h, budget)
+        )
     calls = []
 
     def counted(g, budget):
@@ -296,12 +306,21 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         return chromatic_index(g, budget)
 
     monkeypatch.setattr(oracle, "chromatic_index", counted)
-    code, out, _ = run_cli(capsys, "critical", "--family", family, "--time-limit", "0")
-    assert code == 0
-    assert out == expected
-    # One base call, one per row of the table, one per extraction step.
-    assert calls.count(h.m) == 1
-    assert len(calls) == 1 + 2 * h.m
+    for family, budget, exit_code in cases:
+        m = generate(parse_family(family)).m
+        calls.clear()
+        code, out, _ = run_cli(
+            capsys, "critical", "--family", family,
+            "--budget", str(budget.max_nodes), "--time-limit", "0",
+        )
+        assert code == exit_code
+        assert out == expected[family]
+        assert calls.count(m) == 1
+        if exit_code == 0:
+            # One base call, one per row of the table, one per extraction step.
+            assert len(calls) == 1 + 2 * m
+        else:
+            assert calls == [m]
 
 
 def test_survey_text_json_and_jobs_agree(capsys):

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from hypercolor import Hypergraph, Rng, fano, random_linear
-from hypercolor.transforms import max_degree_two_section
 
-from brute import random_hypergraph_raw
+from brute import brute_two_section_max_degree, random_hypergraph_raw
 
 
 def test_construction_canonicalizes_edges():
@@ -130,7 +129,7 @@ def test_stats_internal_consistency():
     for seed in range(60):
         h = random_hypergraph_raw(Rng(seed))
         st = h.stats()
-        assert st.two_section_max_degree == max_degree_two_section(h)
+        assert st.two_section_max_degree == brute_two_section_max_degree(h.n, h.edges)
         if st.m:
             assert st.antirank <= st.rank
             assert (st.uniform_k is not None) == (st.antirank == st.rank)

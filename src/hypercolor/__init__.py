@@ -17,16 +17,9 @@ from .analysis import (
     InequalityCheck,
     InequalityReport,
     Verdict,
-    antirank_condition,
-    classify_uniform,
-    edge_degree_bound,
-    greedy_bound,
+    bound_set,
+    conditions,
     inequality_suite,
-    max_degree_condition,
-    rank_degree_bound,
-    rank_product_condition,
-    two_section_bound,
-    uniform_regular_condition,
     verify_conjecture,
 )
 from .coloring import (
@@ -70,7 +63,6 @@ from .oracle import (
     criticality_report,
     extract_critical,
     greedy_clique,
-    is_critical,
 )
 from .report import TOOL_VERSION
 from .transforms import SimpleGraph, line_graph
@@ -102,44 +94,36 @@ __all__ = [
     "Verdict",
     "VertexColoring",
     "affine_plane",
-    "antirank_condition",
+    "bound_set",
     "brooks_color",
     "brooks_edge_color",
     "chromatic_index",
     "chromatic_number",
-    "classify_uniform",
     "complete_graph",
+    "conditions",
     "criticality_report",
     "cycle",
     "derive_seed",
     "digest",
     "dump",
-    "edge_degree_bound",
     "extract_critical",
     "fano",
     "generate",
-    "greedy_bound",
     "greedy_clique",
     "greedy_color",
     "inequality_suite",
-    "is_critical",
     "is_proper",
     "is_proper_vertex_coloring",
     "line_graph",
     "load",
-    "max_degree_condition",
     "parse_family",
     "parse_hgr",
     "projective_plane",
     "random_hypergraph",
     "random_linear",
-    "rank_degree_bound",
-    "rank_product_condition",
     "serialize_hgr",
     "steiner_triple",
     "survey_instance",
-    "two_section_bound",
-    "uniform_regular_condition",
     "verify_conjecture",
     "vizing_edge_color",
     "vizing_edge_color_hypergraph",

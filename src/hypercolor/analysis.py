@@ -4,8 +4,8 @@ The central comparison throughout is q(H) against the two-section degree
 bound max_degree([H]_2) + 1, where Delta_2 abbreviates max_degree([H]_2).
 Condition tags name the shapes for which that bound is established;
 _CONDITIONS below defines each tag as one predicate over HypergraphStats,
-and the *_condition functions and classify_uniform look their tags up
-there.
+and conditions(h) returns the tags that hold.  bound_set(h) returns the
+upper bounds on q(h), and verify_conjecture reports both.
 """
 
 from __future__ import annotations
@@ -13,8 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .coloring import EdgeColoring, brooks_edge_color, greedy_color, is_proper
-from .core import Hypergraph, HypergraphStats, UnsupportedInputError
+from .coloring import (
+    EdgeColoring,
+    brooks_color,
+    brooks_edge_color,
+    greedy_color,
+    is_proper,
+)
+from .core import Hypergraph, HypergraphStats
 from .oracle import Budget, chromatic_index, greedy_clique
 from .transforms import line_graph
 
@@ -61,91 +67,10 @@ _CONDITIONS: dict[str, Callable[[HypergraphStats], bool]] = {
 }
 
 
-def _conditions(st: HypergraphStats) -> frozenset[str]:
-    return frozenset(tag for tag, holds in _CONDITIONS.items() if holds(st))
-
-
-def _greedy_bound(st: HypergraphStats) -> Optional[int]:
-    if st.m == 0 or not st.loopless:
-        return None
-    d2 = st.two_section_max_degree
-    return max(k * (d2 // (k - 1) - 1) + 1 for k in range(st.antirank, st.rank + 1))
-
-
-def _rank_degree_bound(st: HypergraphStats) -> Optional[int]:
-    return st.rank * (st.max_degree - 1) + 1 if st.m else None
-
-
-def two_section_bound(h: Hypergraph) -> int:
-    """The conjectured ceiling: max two-section degree plus one."""
-    return h.stats().two_section_max_degree + 1
-
-
-def greedy_bound(h: Hypergraph) -> int:
-    """Upper bound on q from first-fit coloring, loopless instances only.
-
-    max over k in antirank..rank of k * (floor(Delta_2 / (k-1)) - 1) + 1.
-    Raises UnsupportedInputError when m = 0 or a loop is present, since
-    the first-fit analysis needs every hyperedge size to be at least 2.
-    """
-    bound = _greedy_bound(h.stats())
-    if bound is None:
-        raise UnsupportedInputError("greedy bound needs m >= 1 and no loops")
-    return bound
-
-
-def rank_degree_bound(h: Hypergraph) -> int:
-    """Unconditional bound rank * (max_degree - 1) + 1.
-
-    A hyperedge of size at most rank meets at most rank * (max_degree - 1)
-    others, so first-fit through the line graph never needs more colors.
-    Holds for every hypergraph with at least one hyperedge.
-    """
-    bound = _rank_degree_bound(h.stats())
-    if bound is None:
-        raise UnsupportedInputError("rank-degree bound needs m >= 1")
-    return bound
-
-
-def edge_degree_bound(h: Hypergraph) -> int:
-    """Sharper line-graph greedy bound: max hyperedge degree plus one."""
-    if h.m == 0:
-        raise UnsupportedInputError("edge degree bound needs m >= 1")
-    return max(h.hyperedge_degree(i) for i in range(h.m)) + 1
-
-
-def antirank_condition(h: Hypergraph) -> bool:
-    """Whether h meets the THM1 hypothesis of the condition table."""
-    return _CONDITIONS["THM1"](h.stats())
-
-
-def uniform_regular_condition(h: Hypergraph) -> bool:
-    """Whether h meets the THM2 hypothesis of the condition table."""
-    return _CONDITIONS["THM2"](h.stats())
-
-
-def max_degree_condition(h: Hypergraph) -> bool:
-    """Whether h meets the THM3 hypothesis of the condition table."""
-    return _CONDITIONS["THM3"](h.stats())
-
-
-def rank_product_condition(h: Hypergraph) -> bool:
-    """Whether h meets the RK62 hypothesis of the condition table."""
-    return _CONDITIONS["RK62"](h.stats())
-
-
-def classify_uniform(h: Hypergraph) -> frozenset[str]:
-    """The U65_1..U65_4 tags of a linear k-uniform instance, or {"OPEN"}.
-
-    Raises UnsupportedInputError unless h is linear and k-uniform with
-    k >= 2; the tags are defined in the condition table.
-    """
+def conditions(h: Hypergraph) -> frozenset[str]:
+    """The condition tags whose hypotheses h satisfies."""
     st = h.stats()
-    if not _uniform_linear(st):
-        raise UnsupportedInputError(
-            "classification needs a linear k-uniform hypergraph with k >= 2"
-        )
-    return frozenset(t for t in _conditions(st) if t.startswith("U65") or t == "OPEN")
+    return frozenset(tag for tag, holds in _CONDITIONS.items() if holds(st))
 
 
 @dataclass(frozen=True)
@@ -233,15 +158,36 @@ def inequality_suite(h: Hypergraph) -> InequalityReport:
 class BoundSet:
     """The computed upper-bound values for one instance.
 
-    two_section (the conjectured ceiling) is always present.  The rest
-    are None when their preconditions fail: rank_degree and edge_degree
-    need at least one hyperedge, greedy additionally refuses loops.
+    two_section, Delta_2 + 1, is the conjectured ceiling and always
+    present.  greedy is the first-fit bound, max over k in antirank..rank
+    of k * (floor(Delta_2 / (k-1)) - 1) + 1; its analysis needs every
+    hyperedge size to be at least 2.  rank_degree is
+    rank * (max_degree - 1) + 1: a hyperedge meets at most
+    rank * (max_degree - 1) others, so first-fit through the line graph
+    never needs more colors.  edge_degree, the maximum hyperedge degree
+    plus one, sharpens it.  The last three are None when m = 0, and
+    greedy also when a loop is present.
     """
 
     two_section: int
     greedy: Optional[int]
     rank_degree: Optional[int]
     edge_degree: Optional[int]
+
+
+def bound_set(h: Hypergraph) -> BoundSet:
+    """The upper bounds on q(h), each None where its precondition fails."""
+    st = h.stats()
+    greedy = rank_degree = edge_degree = None
+    if st.m:
+        rank_degree = st.rank * (st.max_degree - 1) + 1
+        edge_degree = max(h.hyperedge_degree(i) for i in range(h.m)) + 1
+        if st.loopless:
+            d2 = st.two_section_max_degree
+            greedy = max(
+                k * (d2 // (k - 1) - 1) + 1 for k in range(st.antirank, st.rank + 1)
+            )
+    return BoundSet(st.two_section_max_degree + 1, greedy, rank_degree, edge_degree)
 
 
 @dataclass(frozen=True)
@@ -281,13 +227,8 @@ def verify_conjecture(
     status whenever the bracket clears the bound on either side.
     """
     st = h.stats()
-    bf = st.two_section_max_degree + 1
-    bounds = BoundSet(
-        two_section=bf,
-        greedy=_greedy_bound(st),
-        rank_degree=_rank_degree_bound(st),
-        edge_degree=edge_degree_bound(h) if st.m >= 1 else None,
-    )
+    bounds = bound_set(h)
+    bf = bounds.two_section
 
     nodes = 0
     if st.m == 0:
@@ -299,11 +240,16 @@ def verify_conjecture(
         q_lower, q_upper = res.lower, res.upper
         witness = EdgeColoring(dict(res.witness), res.upper)
     else:
-        candidates = [greedy_color(h), brooks_edge_color(h)]
+        # One line graph serves the Brooks coloring and the clique.
+        lg = line_graph(h)
+        brooks = brooks_color(lg)
+        candidates = [
+            greedy_color(h),
+            EdgeColoring(dict(brooks.colors), brooks.q_used),
+        ]
         witness = min(candidates, key=lambda c: c.q_used)
         q_upper = witness.q_used
-        clique = greedy_clique(line_graph(h))
-        q_lower = max(len(clique), st.max_degree)
+        q_lower = max(len(greedy_clique(lg)), st.max_degree)
     if not is_proper(h, witness):
         raise RuntimeError("internal error: emitted coloring is not proper")
     if witness.q_used != q_upper:
@@ -338,7 +284,7 @@ def verify_conjecture(
     return Verdict(
         stats=st,
         bounds=bounds,
-        conditions=_conditions(st),
+        conditions=conditions(h),
         q_lower=q_lower,
         q_upper=q_upper,
         q_exact=q_exact,

@@ -1,10 +1,12 @@
 """Command line interface.
 
-Exit codes: 0 success; 2 bad input (file parse, flags, family parameters,
-unsupported instance shapes); 3 when any instance's verdict is VIOLATED,
-which is the counterexample alarm and is never masked by other failures;
-4 when verdicts stayed UNRESOLVED (budget ran out, or exactness was
-turned off) and nothing was VIOLATED.
+Exit codes: 0 success; 1 an internal error, a bug rather than bad input
+(a traceback, or the message of the critical command's lemma alarm);
+2 bad input (file parse, text that is not UTF-8, flags, family
+parameters, unsupported instance shapes); 3 when any instance's verdict
+is VIOLATED, which is the counterexample alarm and is never masked by
+other failures; 4 when verdicts stayed UNRESOLVED (budget ran out, or
+exactness was turned off) and nothing was VIOLATED.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .coloring import (
     vizing_edge_color_hypergraph,
 )
 from .core import Hypergraph, UnsupportedInputError
-from .hgr import HgrParseError, digest, load, parse_hgr, serialize_hgr
+from .hgr import HgrParseError, _parse_stream, digest, load, serialize_hgr
 from .instances import _FAMILIES, GenerationError, generate, parse_family, survey_instance
 from .oracle import (
     Budget,
@@ -111,7 +113,7 @@ def _load_input(args: argparse.Namespace) -> Hypergraph:
     if args.input is None:
         raise GenerationError("no input: give a file (or -) or --family")
     if args.input == "-":
-        return parse_hgr(sys.stdin.read())
+        return _parse_stream(sys.stdin)
     return load(args.input)
 
 
@@ -442,13 +444,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        HgrParseError,
-        GenerationError,
-        UnsupportedInputError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (HgrParseError, GenerationError, UnsupportedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

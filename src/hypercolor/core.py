@@ -108,21 +108,6 @@ class Hypergraph:
         """Vertex degrees indexed by vertex."""
         return tuple(len(positions) for positions in self._incidence)
 
-    @property
-    def rank(self) -> Optional[int]:
-        """Largest hyperedge size, None when m = 0."""
-        return max((len(e) for e in self.edges), default=None)
-
-    @property
-    def antirank(self) -> Optional[int]:
-        """Smallest hyperedge size, None when m = 0."""
-        return min((len(e) for e in self.edges), default=None)
-
-    @property
-    def loopless(self) -> bool:
-        """True when every hyperedge has at least two vertices."""
-        return all(len(e) >= 2 for e in self.edges)
-
     def is_linear(self) -> bool:
         """True when every two positions share at most one vertex.
 
@@ -197,11 +182,11 @@ class Hypergraph:
         return HypergraphStats(
             n=self.n,
             m=self.m,
-            rank=self.rank,
-            antirank=self.antirank,
+            rank=max(sizes, default=None),
+            antirank=min(sizes, default=None),
             max_degree=max_deg,
             min_degree=min_deg,
-            loopless=self.loopless,
+            loopless=all(size >= 2 for size in sizes),
             linear=self.is_linear(),
             uniform_k=sizes[0] if sizes and len(set(sizes)) == 1 else None,
             regular_d=max_deg if max_deg == min_deg else None,

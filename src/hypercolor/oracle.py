@@ -279,20 +279,6 @@ def chromatic_index(h: Hypergraph, budget: Budget = Budget()) -> OracleResult:
     return chromatic_number(line_graph(h), budget, lower_hint=hint)
 
 
-def is_critical(h: Hypergraph, i: int, budget: Budget = Budget()) -> Optional[bool]:
-    """Does removing hyperedge position i lower the chromatic index?
-
-    None when either exact value did not fit in the budget.
-    """
-    base = chromatic_index(h, budget)
-    if base.exact is None:
-        return None
-    sub = chromatic_index(h.remove_hyperedge(i), budget)
-    if sub.exact is None:
-        return None
-    return sub.exact == base.exact - 1
-
-
 @dataclass(frozen=True)
 class EdgeCriticality:
     """One row of a criticality table."""

@@ -73,7 +73,13 @@ class SimpleGraph:
         return comps
 
     def induced(self, vertices: tuple[int, ...]) -> "SimpleGraph":
-        """The induced subgraph; local vertex i stands for vertices[i]."""
+        """The induced subgraph; local vertex i stands for vertices[i].
+
+        All vertices in their own order give the graph itself, which is
+        frozen, so it is shared rather than copied.
+        """
+        if vertices == tuple(range(self.n)):
+            return self
         index = {v: i for i, v in enumerate(vertices)}
         pairs = [
             (index[u], index[v])

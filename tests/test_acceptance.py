@@ -20,29 +20,26 @@ from hypercolor import (
     Hypergraph,
     Rng,
     affine_plane,
-    antirank_condition,
+    bound_set,
     brooks_color,
     brooks_edge_color,
     chromatic_index,
     chromatic_number,
     complete_graph,
+    conditions,
+    criticality_report,
     cycle,
     derive_seed,
     digest,
     extract_critical,
     fano,
-    greedy_bound,
     inequality_suite,
-    is_critical,
     is_proper,
     is_proper_vertex_coloring,
-    max_degree_condition,
     projective_plane,
     random_linear,
-    rank_product_condition,
     steiner_triple,
     survey_instance,
-    uniform_regular_condition,
     verify_conjecture,
     vizing_edge_color,
 )
@@ -115,7 +112,7 @@ def test_criterion_2_affine_plane_counts_and_colorings():
     with criterion(2, 5.0) as info:
         h = affine_plane(3)
         st = h.stats()
-        assert uniform_regular_condition(h)
+        assert "THM2" in conditions(h)
         k = st.uniform_k
         assert k * st.m == (k + 1) * st.n == 36
         assert st.two_section_max_degree == 8
@@ -164,7 +161,7 @@ def _strict_regime_report() -> str:
         ):
             continue
         res = chromatic_index(h, BUDGET)
-        bound = greedy_bound(h)
+        bound = bound_set(h).greedy
         assert res.exact is not None, f"scan index {idx - 1}: budget ran out"
         assert res.exact <= bound, (
             f"scan index {idx - 1}: q={res.exact} exceeds greedy bound {bound}"
@@ -182,8 +179,8 @@ def test_criterion_4_greedy_bound_dominates_in_the_strict_regime():
     with criterion(4, 60.0) as info:
         report = _cached("strict", _strict_regime_report)
         assert report.splitlines()[-1] == "accepted=100 scanned=150"
-        assert greedy_bound(fano()) == 7
-        assert greedy_bound(affine_plane(3)) == 10
+        assert bound_set(fano()).greedy == 7
+        assert bound_set(affine_plane(3)).greedy == 10
         info["detail"] = (
             "100 strict-regime 3-uniform linear instances all have q within "
             "the first-fit bound; pinned bounds 7 and 10 match"
@@ -200,8 +197,10 @@ def _critical_core_report() -> str:
             f"instance {i}: budget ran out"
         )
         assert core.q == base.exact, f"instance {i}: extraction changed q"
-        for j in range(core.hypergraph.m):
-            assert is_critical(core.hypergraph, j, BUDGET) is True, (
+        rep = criticality_report(core.hypergraph, BUDGET)
+        assert rep.complete, f"instance {i}: budget ran out"
+        for j, entry in enumerate(rep.entries):
+            assert entry.critical is True, (
                 f"instance {i} position {j}: removable edge left in core"
             )
             assert core.q - 1 <= core.hypergraph.hyperedge_degree(j), (
@@ -391,11 +390,8 @@ def test_criterion_8_integer_conditions_match_high_precision_forms():
             d2 = st.two_section_max_degree
             dmax = st.max_degree
             sqrt_d2p1 = Decimal(d2 + 1).sqrt()
-            integer_forms = (
-                antirank_condition(h),
-                max_degree_condition(h),
-                rank_product_condition(h),
-            )
+            tags = conditions(h)
+            integer_forms = ("THM1" in tags, "THM3" in tags, "RK62" in tags)
             sqrt_antirank = (
                 st.m >= 1
                 and st.loopless

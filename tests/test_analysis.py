@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from hypercolor import (
     HOLDS,
     UNRESOLVED,
@@ -11,25 +9,17 @@ from hypercolor import (
     Budget,
     Hypergraph,
     Rng,
-    UnsupportedInputError,
     affine_plane,
-    antirank_condition,
+    bound_set,
     chromatic_index,
-    classify_uniform,
     complete_graph,
+    conditions,
     cycle,
-    edge_degree_bound,
     fano,
-    greedy_bound,
     inequality_suite,
     is_proper,
-    max_degree_condition,
     random_linear,
-    rank_degree_bound,
-    rank_product_condition,
     survey_instance,
-    two_section_bound,
-    uniform_regular_condition,
     verify_conjecture,
 )
 
@@ -39,32 +29,28 @@ FAST = Budget(max_nodes=1_000_000, time_limit=None)
 
 
 def test_two_section_bound_pins():
-    assert two_section_bound(fano()) == 7
-    assert two_section_bound(Hypergraph(4, [])) == 1
-    assert two_section_bound(cycle(3)) == 3
+    assert bound_set(fano()).two_section == 7
+    assert bound_set(Hypergraph(4, [])).two_section == 1
+    assert bound_set(cycle(3)).two_section == 3
 
 
 def test_greedy_bound_pins_and_refusals():
-    assert greedy_bound(fano()) == 7
-    assert greedy_bound(affine_plane(3)) == 10
-    with pytest.raises(UnsupportedInputError):
-        greedy_bound(Hypergraph(3, []))
-    with pytest.raises(UnsupportedInputError):
-        greedy_bound(Hypergraph(2, [(0,), (0, 1)]))
+    assert bound_set(fano()).greedy == 7
+    assert bound_set(affine_plane(3)).greedy == 10
+    assert bound_set(Hypergraph(3, [])).greedy is None
+    assert bound_set(Hypergraph(2, [(0,), (0, 1)])).greedy is None
 
 
 def test_rank_and_edge_degree_bound_pins():
-    assert rank_degree_bound(fano()) == 7
-    assert edge_degree_bound(fano()) == 7
+    assert bound_set(fano()).rank_degree == 7
+    assert bound_set(fano()).edge_degree == 7
     k4 = complete_graph(4)
-    assert rank_degree_bound(k4) == 5
-    assert edge_degree_bound(k4) == 5
+    assert bound_set(k4).rank_degree == 5
+    assert bound_set(k4).edge_degree == 5
     matching = Hypergraph(4, [(0, 1), (2, 3)])
-    assert edge_degree_bound(matching) == 1
-    with pytest.raises(UnsupportedInputError):
-        rank_degree_bound(Hypergraph(3, []))
-    with pytest.raises(UnsupportedInputError):
-        edge_degree_bound(Hypergraph(3, []))
+    assert bound_set(matching).edge_degree == 1
+    assert bound_set(Hypergraph(3, [])).rank_degree is None
+    assert bound_set(Hypergraph(3, [])).edge_degree is None
 
 
 def test_exact_values_respect_every_applicable_bound():
@@ -74,39 +60,45 @@ def test_exact_values_respect_every_applicable_bound():
             continue
         q = chromatic_index(h, FAST).exact
         assert q is not None
-        assert q <= rank_degree_bound(h)
-        assert q <= edge_degree_bound(h)
+        bounds = bound_set(h)
+        assert q <= bounds.rank_degree
+        assert q <= bounds.edge_degree
         st = h.stats()
         if (
             st.loopless
             and st.antirank * st.antirank > st.two_section_max_degree + 1
         ):
-            assert q <= greedy_bound(h)
+            assert q <= bounds.greedy
 
 
 def test_condition_tag_pins():
-    tri_pendant = Hypergraph(6, [(0, 1), (1, 2), (0, 2), (2, 3, 4, 5)])
-    assert not antirank_condition(tri_pendant)
-    assert max_degree_condition(tri_pendant)
-    assert not rank_product_condition(tri_pendant)
+    tri_pendant = conditions(Hypergraph(6, [(0, 1), (1, 2), (0, 2), (2, 3, 4, 5)]))
+    assert "THM1" not in tri_pendant
+    assert "THM3" in tri_pendant
+    assert "RK62" not in tri_pendant
 
-    star5 = Hypergraph(6, [(0, i) for i in range(1, 6)])
-    assert not max_degree_condition(star5)
-    assert not rank_product_condition(star5)
+    star5 = conditions(Hypergraph(6, [(0, i) for i in range(1, 6)]))
+    assert "THM3" not in star5
+    assert "RK62" not in star5
 
-    matching = Hypergraph(4, [(0, 1), (2, 3)])
-    assert antirank_condition(matching)
-    assert max_degree_condition(matching)
-    assert rank_product_condition(matching)
+    matching = conditions(Hypergraph(4, [(0, 1), (2, 3)]))
+    assert "THM1" in matching
+    assert "THM3" in matching
+    assert "RK62" in matching
 
-    loopy = Hypergraph(2, [(0,), (0, 1)])
-    assert not antirank_condition(loopy)
-    assert not max_degree_condition(loopy)
+    loopy = conditions(Hypergraph(2, [(0,), (0, 1)]))
+    assert "THM1" not in loopy
+    assert "THM3" not in loopy
 
-    assert uniform_regular_condition(complete_graph(4))
-    assert uniform_regular_condition(affine_plane(3))
-    assert not uniform_regular_condition(fano())
-    assert not uniform_regular_condition(Hypergraph(3, []))
+    assert "THM2" in conditions(complete_graph(4))
+    assert "THM2" in conditions(affine_plane(3))
+    assert "THM2" not in conditions(fano())
+    assert "THM2" not in conditions(Hypergraph(3, []))
+
+
+def _uniform_tags(h: Hypergraph) -> frozenset[str]:
+    """The U65_1..U65_4 and OPEN tags, given to linear k-uniform instances."""
+    return frozenset(t for t in conditions(h) if t.startswith("U65") or t == "OPEN")
 
 
 def _tag_table_instances() -> list[Hypergraph]:
@@ -145,16 +137,7 @@ def test_condition_table_matches_the_if_chain():
         expected = if_chain_conditions(h)
         seen |= expected
         assert verify_conjecture(h, FAST, use_exact=False).conditions == expected
-        assert antirank_condition(h) == ("THM1" in expected)
-        assert uniform_regular_condition(h) == ("THM2" in expected)
-        assert max_degree_condition(h) == ("THM3" in expected)
-        assert rank_product_condition(h) == ("RK62" in expected)
-        uniform = {t for t in expected if t.startswith("U65") or t == "OPEN"}
-        if uniform:
-            assert classify_uniform(h) == uniform
-        else:
-            with pytest.raises(UnsupportedInputError):
-                classify_uniform(h)
+        assert conditions(h) == expected
     assert seen == {
         "THM1", "THM2", "THM3", "RK61", "RK62",
         "U65_1", "U65_2", "U65_3", "U65_4", "OPEN",
@@ -162,25 +145,22 @@ def test_condition_table_matches_the_if_chain():
 
 
 def test_classify_uniform_exact_tag_sets():
-    assert classify_uniform(complete_graph(4)) == frozenset({"U65_1", "U65_2"})
-    assert classify_uniform(complete_graph(5)) == frozenset({"U65_1", "U65_3"})
-    assert classify_uniform(fano()) == frozenset({"U65_2", "U65_4"})
-    assert classify_uniform(affine_plane(3)) == frozenset({"U65_2"})
+    assert _uniform_tags(complete_graph(4)) == frozenset({"U65_1", "U65_2"})
+    assert _uniform_tags(complete_graph(5)) == frozenset({"U65_1", "U65_3"})
+    assert _uniform_tags(fano()) == frozenset({"U65_2", "U65_4"})
+    assert _uniform_tags(affine_plane(3)) == frozenset({"U65_2"})
     star_triples = Hypergraph(
         11, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (0, 9, 10)]
     )
-    assert classify_uniform(star_triples) == frozenset({"OPEN"})
+    assert _uniform_tags(star_triples) == frozenset({"OPEN"})
 
 
 def test_classify_uniform_refusals():
-    with pytest.raises(UnsupportedInputError):
-        classify_uniform(Hypergraph(4, [(0, 1), (0, 1)]))
-    with pytest.raises(UnsupportedInputError):
-        classify_uniform(Hypergraph(2, [(0,), (1,)]))
-    with pytest.raises(UnsupportedInputError):
-        classify_uniform(Hypergraph(4, [(0, 1), (1, 2, 3)]))
-    with pytest.raises(UnsupportedInputError):
-        classify_uniform(Hypergraph(3, []))
+    # Only linear k-uniform instances with k >= 2 are classified.
+    assert _uniform_tags(Hypergraph(4, [(0, 1), (0, 1)])) == frozenset()
+    assert _uniform_tags(Hypergraph(2, [(0,), (1,)])) == frozenset()
+    assert _uniform_tags(Hypergraph(4, [(0, 1), (1, 2, 3)])) == frozenset()
+    assert _uniform_tags(Hypergraph(3, [])) == frozenset()
 
 
 def test_inequality_suite_on_design_instances():

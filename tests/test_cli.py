@@ -12,18 +12,28 @@ import pytest
 from hypercolor import (
     Budget,
     FamilySpec,
+    brooks_edge_color,
     chromatic_index,
     criticality_report,
     extract_critical,
     fano,
     generate,
+    greedy_clique,
+    greedy_color,
+    line_graph,
     parse_family,
     random_linear,
     serialize_hgr,
+    verify_conjecture,
 )
-from hypercolor import oracle
+from hypercolor import analysis, coloring, oracle
 from hypercolor.cli import main
-from hypercolor.report import TOOL_VERSION, render_criticality, render_stats
+from hypercolor.report import (
+    TOOL_VERSION,
+    render_criticality,
+    render_stats,
+    render_verdict,
+)
 
 LOOPS = "p hgr 1 2\ne 1\ne 1\n"
 
@@ -77,6 +87,48 @@ def test_input_source_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stats", "--family", "tesseract:4")
     assert code == 2
     assert "unknown family" in err
+
+
+def test_input_that_is_not_utf8_is_bad_input(capsys, tmp_path, monkeypatch):
+    binary = tmp_path / "binary.hgr"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "stats", str(binary))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "UTF-8" in err
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "stats", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_internal_errors_are_not_reported_as_bad_input(capsys, monkeypatch):
+    def broken(colors, q_used):
+        raise ValueError("palette invariant broken")
+
+    monkeypatch.setattr(coloring, "_check_palette", broken)
+    with pytest.raises(ValueError, match="palette invariant broken"):
+        main(["color", "--family", "fano"])
+    assert "error:" not in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # Run as a program, the failure ends in a traceback and exit code 1.
+    script = (
+        "import sys\n"
+        "from hypercolor import coloring\n"
+        "from hypercolor.cli import main\n"
+        "def broken(colors, q_used):\n"
+        "    raise ValueError('palette invariant broken')\n"
+        "coloring._check_palette = broken\n"
+        "sys.exit(main(['color', '--family', 'fano']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert "ValueError: palette invariant broken" in proc.stderr
 
 
 def test_gen_writes_canonical_files(capsys, tmp_path):
@@ -199,6 +251,34 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert code == 4
     assert "q-lower: 4" in out
     assert "q-upper: 6" in out
+
+
+def test_verify_no_exact_builds_the_line_graph_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h.m)
+        return line_graph(h)
+
+    for family in ("fano", "steiner-triple:15"):
+        h = generate(parse_family(family))
+        # The bracket as separate builds for each colorer and the clique give it.
+        witness = min([greedy_color(h), brooks_edge_color(h)], key=lambda c: c.q_used)
+        q_lower = max(len(greedy_clique(line_graph(h))), h.stats().max_degree)
+        calls.clear()
+        monkeypatch.setattr(analysis, "line_graph", counted)
+        monkeypatch.setattr(coloring, "line_graph", counted)
+        code, out, _ = run_cli(capsys, "verify", "--family", family, "--no-exact")
+        monkeypatch.undo()
+        assert calls == [h.m]
+        verdict = verify_conjecture(h, use_exact=False)
+        assert (verdict.witness, verdict.q_lower, verdict.q_upper) == (
+            witness,
+            q_lower,
+            witness.q_used,
+        )
+        assert out == render_verdict(h, verdict)
+        assert code == 0
 
 
 def test_verify_json_and_inequalities(capsys):

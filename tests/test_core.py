@@ -57,13 +57,14 @@ def test_hyperedge_degree_counts_intersecting_positions():
 
 
 def test_rank_antirank_and_loopless():
-    assert Hypergraph(3, []).rank is None
-    assert Hypergraph(3, []).antirank is None
-    h = Hypergraph(5, [(0,), (1, 2, 3), (0, 4)])
-    assert h.rank == 3 and h.antirank == 1
-    assert not h.loopless
-    assert Hypergraph(3, [(0, 1)]).loopless
-    assert Hypergraph(3, []).loopless
+    empty = Hypergraph(3, []).stats()
+    assert empty.rank is None
+    assert empty.antirank is None
+    st = Hypergraph(5, [(0,), (1, 2, 3), (0, 4)]).stats()
+    assert st.rank == 3 and st.antirank == 1
+    assert not st.loopless
+    assert Hypergraph(3, [(0, 1)]).stats().loopless
+    assert empty.loopless
 
 
 def test_linearity_predicate():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hypercolor
-from hypercolor import transforms
+from hypercolor import analysis, oracle, transforms
 
 
 def test_exported_names_resolve_and_removed_ones_are_gone():
@@ -17,3 +17,27 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
         assert name not in namespace
         assert not hasattr(hypercolor, name)
         assert not hasattr(transforms, name)
+    # Bounds and condition tags are read through bound_set and conditions,
+    # criticality through criticality_report.
+    for name, module in (
+        ("two_section_bound", analysis),
+        ("greedy_bound", analysis),
+        ("rank_degree_bound", analysis),
+        ("edge_degree_bound", analysis),
+        ("antirank_condition", analysis),
+        ("uniform_regular_condition", analysis),
+        ("max_degree_condition", analysis),
+        ("rank_product_condition", analysis),
+        ("classify_uniform", analysis),
+        ("is_critical", oracle),
+    ):
+        assert name not in namespace
+        assert not hasattr(hypercolor, name)
+        assert not hasattr(module, name)
+    for name in ("bound_set", "conditions", "criticality_report"):
+        assert name in hypercolor.__all__
+    # The size facts are read from stats(), not from the hypergraph.
+    h = hypercolor.fano()
+    for name in ("rank", "antirank", "loopless"):
+        assert not hasattr(h, name)
+        assert hasattr(h.stats(), name)

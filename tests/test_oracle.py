@@ -19,7 +19,6 @@ from hypercolor import (
     extract_critical,
     fano,
     greedy_clique,
-    is_critical,
     is_proper,
     is_proper_vertex_coloring,
     random_linear,
@@ -205,6 +204,10 @@ def test_hard_set_brackets_and_node_counts():
         res = chromatic_index(h, Budget(budget, None))
         assert ((res.lower, res.upper), res.nodes) == (bracket, nodes)
         assert is_proper(h, EdgeColoring(res.witness, res.upper))
+    h = random_linear(40, 80, 4, 1)
+    res = chromatic_index(h, Budget(10_000, None))
+    assert ((res.lower, res.upper), res.nodes) == ((10, 12), 10_001)
+    assert is_proper(h, EdgeColoring(res.witness, res.upper))
 
 
 def test_greedy_clique_is_a_maximal_clique():
@@ -221,16 +224,21 @@ def test_greedy_clique_is_a_maximal_clique():
         assert len(clique) <= brute_chromatic_number(g.n, list(g.edges()))
 
 
-def test_is_critical_pins():
+def _critical_flags(h: Hypergraph, budget: Budget) -> list:
+    return [e.critical for e in criticality_report(h, budget).entries]
+
+
+def test_criticality_report_pins():
     path = Hypergraph(3, [(0, 1), (1, 2)])
-    assert is_critical(path, 0, FAST) is True
-    assert is_critical(path, 1, FAST) is True
+    assert _critical_flags(path, FAST) == [True, True]
     triangle = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert all(is_critical(triangle, i, FAST) for i in range(3))
+    assert _critical_flags(triangle, FAST) == [True, True, True]
     matching = Hypergraph(4, [(0, 1), (2, 3)])
-    assert is_critical(matching, 0, FAST) is False
+    assert _critical_flags(matching, FAST)[0] is False
+    # Undecided within the budget: no row is claimed either way.
     starved = Budget(max_nodes=8, time_limit=None)
-    assert is_critical(complete_graph(5), 0, starved) is None
+    rep = criticality_report(complete_graph(5), starved)
+    assert not rep.complete and rep.entries == ()
 
 
 def test_criticality_report_on_small_instances():
@@ -285,8 +293,10 @@ def test_extract_critical_preserves_q_and_leaves_only_critical_edges():
         assert core.q == base.exact
         assert chromatic_index(core.hypergraph, FAST).exact == core.q
         assert core.hypergraph.m + len(core.removed) == h.m
-        for i in range(core.hypergraph.m):
-            assert is_critical(core.hypergraph, i, FAST) is True
+        rep = criticality_report(core.hypergraph, FAST)
+        assert rep.complete and len(rep.entries) == core.hypergraph.m
+        for i, entry in enumerate(rep.entries):
+            assert entry.critical is True
             assert core.q - 1 <= core.hypergraph.hyperedge_degree(i)
         kept += 1
     assert kept == 25
@@ -331,9 +341,9 @@ def test_critical_core_obeys_size_adjusted_bound():
         core = extract_critical(h, FAST)
         assert core.complete
         ch = core.hypergraph
-        if ch.m == 0 or not ch.loopless:
-            continue
         st = ch.stats()
+        if ch.m == 0 or not st.loopless:
+            continue
         bound = st.two_section_max_degree + 1 - (st.antirank - st.max_degree)
         assert core.q <= bound
         checked += 1

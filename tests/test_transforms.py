@@ -33,6 +33,15 @@ def test_simple_graph_components_and_induced():
     sub = g.induced((1, 2, 3))
     assert sub.n == 3
     assert sub.edges() == [(0, 1)]
+    # All vertices in their own order: the frozen graph itself is shared.
+    assert g.induced((0, 1, 2, 3, 4)) is g
+    # A permuted or partial tuple still relabels.
+    perm = g.induced((4, 3, 2, 1, 0))
+    assert perm is not g
+    assert perm.edges() == [(0, 1), (2, 3), (3, 4)]
+    part = g.induced((0, 1, 2, 3))
+    assert part is not g
+    assert part.n == 4 and part.edges() == [(0, 1), (1, 2)]
 
 
 def test_two_section_multiplicities():

@@ -19,13 +19,7 @@ from dataclasses import replace
 from typing import Optional
 
 from . import report
-from .analysis import (
-    HOLDS,
-    UNRESOLVED,
-    VIOLATED,
-    inequality_suite,
-    verify_conjecture,
-)
+from .analysis import UNRESOLVED, VIOLATED, inequality_suite, verify_conjecture
 from .coloring import (
     EdgeColoring,
     brooks_edge_color,
@@ -34,15 +28,9 @@ from .coloring import (
     vizing_edge_color_hypergraph,
 )
 from .core import Hypergraph, UnsupportedInputError
-from .hgr import HgrParseError, _parse_stream, digest, load, serialize_hgr
+from .hgr import HgrParseError, digest, load, parse_hgr_bytes, serialize_hgr
 from .instances import _FAMILIES, GenerationError, generate, parse_family, survey_instance
-from .oracle import (
-    Budget,
-    CriticalCore,
-    _extract_critical_with_q,
-    chromatic_index,
-    criticality_report,
-)
+from .oracle import Budget, chromatic_index, criticality_report, extract_critical
 
 
 def _budget_setting(flag_value, flag: str, env: str, kind: type, fallback):
@@ -113,7 +101,8 @@ def _load_input(args: argparse.Namespace) -> Hypergraph:
     if args.input is None:
         raise GenerationError("no input: give a file (or -) or --family")
     if args.input == "-":
-        return _parse_stream(sys.stdin)
+        # Bytes, decoded strictly whatever the locale's error handler.
+        return parse_hgr_bytes(sys.stdin.buffer.read())
     return load(args.input)
 
 
@@ -174,14 +163,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
     h = _load_input(args)
     budget = _budget(args)
     rep = criticality_report(h, budget)
-    if args.no_extract:
-        core = None
-    elif rep.q is None:
-        # The base search failed within this budget; extraction would only
-        # repeat it.
-        core = CriticalCore(h, None, False, ())
-    else:
-        core = _extract_critical_with_q(h, rep.q, budget)
+    core = None if args.no_extract else extract_critical(h, rep, budget)
     sys.stdout.write(
         report.criticality_json(h, rep, core)
         if args.json
@@ -229,13 +211,10 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _survey_worker(task: tuple) -> dict:
-    (seed, index, n_range, m_range, ks, use_exact, max_nodes, time_limit) = task
+    # task[1] is the instance index; the benchmark's tracer names spans by it.
+    seed, index, n_range, m_range, ks, use_exact, budget = task
     spec, h = survey_instance(seed, index, n_range, m_range, ks)
-    verdict = verify_conjecture(
-        h,
-        Budget(max_nodes=max_nodes, time_limit=time_limit),
-        use_exact=use_exact,
-    )
+    verdict = verify_conjecture(h, budget, use_exact=use_exact)
     row = {
         "index": index,
         "family": spec.label(),
@@ -267,17 +246,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
         raise GenerationError("--k sizes must all be at least 2")
     budget = _budget(args)
     tasks = [
-        (
-            args.seed,
-            i,
-            n_range,
-            m_range,
-            ks,
-            args.exact,
-            budget.max_nodes,
-            budget.time_limit,
-        )
-        for i in range(args.count)
+        (args.seed, i, n_range, m_range, ks, args.exact, budget) for i in range(args.count)
     ]
     if args.jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -291,41 +260,12 @@ def cmd_survey(args: argparse.Namespace) -> int:
     else:
         rows = [_survey_worker(t) for t in tasks]
     rows.sort(key=lambda r: r["index"])
-    counts = {HOLDS: 0, VIOLATED: 0, UNRESOLVED: 0}
-    for row in rows:
-        counts[row["status"]] += 1
-    if args.json:
-        payload = {
-            "master_seed": args.seed,
-            "instances": rows,
-            "holds": counts[HOLDS],
-            "violated": counts[VIOLATED],
-            "unresolved": counts[UNRESOLVED],
-        }
-        sys.stdout.write(report._json(payload))
-    else:
-        lines = [f"tool: {report._TOOL}", f"master-seed: {args.seed}"]
-        for row in rows:
-            q = row["q_exact"]
-            q_text = str(q) if q is not None else f"[{row['q_lower']},{row['q_upper']}]"
-            conds = ",".join(row["conditions"]) if row["conditions"] else "none"
-            lines.append(
-                f"[{row['index']}] family={row['family']} n={row['n']} "
-                f"m={row['m']} k={row['k']} "
-                f"delta2={row['stats']['two_section_max_degree']} "
-                f"q={q_text} bound={row['bounds']['two_section']} "
-                f"status={row['status']} conditions={conds}"
-            )
-        lines += [
-            f"instances: {len(rows)}",
-            f"holds: {counts[HOLDS]}",
-            f"violated: {counts[VIOLATED]}",
-            f"unresolved: {counts[UNRESOLVED]}",
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    if counts[VIOLATED]:
+    render = report.survey_json if args.json else report.render_survey
+    sys.stdout.write(render(args.seed, rows))
+    statuses = {row["status"] for row in rows}
+    if VIOLATED in statuses:
         return 3
-    if counts[UNRESOLVED]:
+    if UNRESOLVED in statuses:
         return 4
     return 0
 

@@ -11,7 +11,7 @@ hypergraphs produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, TextIO
+from typing import Optional
 
 from .core import Hypergraph
 
@@ -101,18 +101,18 @@ def serialize_hgr(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_stream(fh: TextIO) -> Hypergraph:
-    """Parse a text stream; input that is not UTF-8 is a parse error."""
+def parse_hgr_bytes(data: bytes) -> Hypergraph:
+    """parse_hgr on raw file bytes; bytes that are not UTF-8 are a parse error."""
     try:
-        text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise HgrParseError(f"input is not UTF-8 text (byte {exc.start})") from None
     return parse_hgr(text)
 
 
 def load(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_stream(fh)
+    with open(path, "rb") as fh:
+        return parse_hgr_bytes(fh.read())
 
 
 def dump(h: Hypergraph, path: str) -> None:

@@ -343,35 +343,36 @@ class CriticalCore:
     removed: tuple[int, ...]
 
 
-def extract_critical(h: Hypergraph, budget: Budget = Budget()) -> CriticalCore:
+def extract_critical(
+    h: Hypergraph, rep: CriticalityReport, budget: Budget = Budget()
+) -> CriticalCore:
     """Greedily delete hyperedges whose removal keeps q, until none does.
 
-    Scans positions once in ascending order, deleting each removable one
-    and carrying on at the same position, so the result is deterministic.
-    One pass suffices: a hyperedge found critical stays critical in every
-    subhypergraph with the same q that still holds it.  Every hyperedge
-    of the result is critical: removing it would lower q.
+    rep is criticality_report(h, ...), the extraction's first pass.
+    Positions are scanned once in ascending order and each removable one
+    is deleted, so the result is deterministic.  A row the table proved
+    critical is kept without a search: in every subhypergraph h' of h that
+    holds e and has the same q, q(h' - e) <= q(h - e) = q - 1, so e stays
+    critical there.  The first removable row met before any deletion is
+    deleted on the table's word, since the table searched that exact
+    candidate; every other row is searched again.  Every hyperedge of the
+    result is critical: removing it would lower q.
     """
-    base = chromatic_index(h, budget)
-    if base.exact is None:
+    q = rep.q
+    if q is None:
         return CriticalCore(h, None, False, ())
-    return _extract_critical_with_q(h, base.exact, budget)
-
-
-def _extract_critical_with_q(h: Hypergraph, q: int, budget: Budget) -> CriticalCore:
-    """extract_critical for an h whose chromatic index q is already known."""
     cur = h
-    original = list(range(h.m))
     removed: list[int] = []
-    i = 0
-    while i < cur.m:
-        candidate = cur.remove_hyperedge(i)
-        sub = chromatic_index(candidate, budget)
-        if sub.exact is None:
-            return CriticalCore(cur, q, False, tuple(removed))
-        if sub.exact == q:
-            removed.append(original.pop(i))
-            cur = candidate
-        else:
-            i += 1
+    for entry in rep.entries:
+        if entry.critical is True:
+            continue
+        candidate = cur.remove_hyperedge(entry.position - len(removed))
+        if removed or entry.critical is None:
+            sub = chromatic_index(candidate, budget)
+            if sub.exact is None:
+                return CriticalCore(cur, q, False, tuple(removed))
+            if sub.exact != q:
+                continue
+        removed.append(entry.position)
+        cur = candidate
     return CriticalCore(cur, q, True, tuple(removed))

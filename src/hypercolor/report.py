@@ -9,12 +9,12 @@ its input.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional
 
-from .analysis import InequalityReport, Verdict
+from .analysis import HOLDS, UNRESOLVED, VIOLATED, InequalityReport, Verdict
 from .coloring import EdgeColoring
-from .core import Hypergraph, HypergraphStats
+from .core import Hypergraph
 from .hgr import digest
 from .oracle import CriticalCore, CriticalityReport
 
@@ -44,20 +44,11 @@ def _json(payload: dict, h: Optional[Hypergraph] = None) -> str:
     return json.dumps({**header, **payload}, indent=2, sort_keys=True) + "\n"
 
 
-def _stats_lines(st: HypergraphStats) -> list[str]:
+def _field_lines(record, prefix: str = "") -> list[str]:
+    """One key: value line per dataclass field, keys hyphenated."""
     return [
-        f"n: {st.n}",
-        f"m: {st.m}",
-        f"rank: {_fmt(st.rank)}",
-        f"antirank: {_fmt(st.antirank)}",
-        f"max-degree: {st.max_degree}",
-        f"min-degree: {st.min_degree}",
-        f"loopless: {_fmt(st.loopless)}",
-        f"linear: {_fmt(st.linear)}",
-        f"uniform-k: {_fmt(st.uniform_k)}",
-        f"regular-d: {_fmt(st.regular_d)}",
-        f"connected: {_fmt(st.connected)}",
-        f"two-section-max-degree: {st.two_section_max_degree}",
+        f"{prefix}{f.name.replace('_', '-')}: {_fmt(getattr(record, f.name))}"
+        for f in fields(record)
     ]
 
 
@@ -69,7 +60,7 @@ def _witness_line(coloring: Optional[EdgeColoring]) -> str:
 
 
 def render_stats(h: Hypergraph) -> str:
-    return "\n".join(_header(h) + _stats_lines(h.stats())) + "\n"
+    return "\n".join(_header(h) + _field_lines(h.stats())) + "\n"
 
 
 def stats_json(h: Hypergraph) -> str:
@@ -95,13 +86,8 @@ def coloring_json(h: Hypergraph, coloring: EdgeColoring, method: str) -> str:
 
 
 def _verdict_lines(v: Verdict) -> list[str]:
-    bounds = v.bounds
-    lines = _stats_lines(v.stats)
+    lines = _field_lines(v.stats) + _field_lines(v.bounds, "bound-")
     lines += [
-        f"bound-two-section: {bounds.two_section}",
-        f"bound-greedy: {_fmt(bounds.greedy)}",
-        f"bound-rank-degree: {_fmt(bounds.rank_degree)}",
-        f"bound-edge-degree: {_fmt(bounds.edge_degree)}",
         "conditions: "
         + (" ".join(sorted(v.conditions)) if v.conditions else "none"),
         f"q-lower: {v.q_lower}",
@@ -193,3 +179,31 @@ def criticality_json(
             "edges": [list(e) for e in core.hypergraph.edges],
         }
     return _json(payload, h)
+
+
+def _survey_totals(rows: list[dict]) -> dict:
+    statuses = [row["status"] for row in rows]
+    return {s.lower(): statuses.count(s) for s in (HOLDS, VIOLATED, UNRESOLVED)}
+
+
+def render_survey(master_seed: int, rows: list[dict]) -> str:
+    """One line per survey row, then the totals by status."""
+    lines = [f"tool: {_TOOL}", f"master-seed: {master_seed}"]
+    for row in rows:
+        q = row["q_exact"]
+        q_text = str(q) if q is not None else f"[{row['q_lower']},{row['q_upper']}]"
+        conds = ",".join(row["conditions"]) if row["conditions"] else "none"
+        lines.append(
+            f"[{row['index']}] family={row['family']} n={row['n']} "
+            f"m={row['m']} k={row['k']} "
+            f"delta2={row['stats']['two_section_max_degree']} "
+            f"q={q_text} bound={row['bounds']['two_section']} "
+            f"status={row['status']} conditions={conds}"
+        )
+    lines.append(f"instances: {len(rows)}")
+    lines += [f"{key}: {count}" for key, count in _survey_totals(rows).items()]
+    return "\n".join(lines) + "\n"
+
+
+def survey_json(master_seed: int, rows: list[dict]) -> str:
+    return _json({"master_seed": master_seed, "instances": rows, **_survey_totals(rows)})

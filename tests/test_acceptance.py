@@ -192,7 +192,7 @@ def _critical_core_report() -> str:
     for i in range(50):
         spec, h = survey_instance(MASTER_CORES, i, (6, 10), (4, 12), (2, 3))
         base = chromatic_index(h, BUDGET)
-        core = extract_critical(h, BUDGET)
+        core = extract_critical(h, criticality_report(h, BUDGET), BUDGET)
         assert base.exact is not None and core.complete, (
             f"instance {i}: budget ran out"
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -58,7 +59,8 @@ def test_stats_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out == render_stats(fano())
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_hgr(fano())))
+    stdin = io.TextIOWrapper(io.BytesIO(serialize_hgr(fano()).encode("utf-8")))
+    monkeypatch.setattr(sys, "stdin", stdin)
     code, out, _ = run_cli(capsys, "stats", "-")
     assert code == 0
     assert out == render_stats(fano())
@@ -101,6 +103,20 @@ def test_input_that_is_not_utf8_is_bad_input(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "stats", "-")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_stdin_that_is_not_utf8_is_bad_input_under_the_c_locale():
+    # The C locale reads stdin text with surrogateescape; the bytes must
+    # still be decoded strictly, as they are from a file.
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercolor", "stats", "-"],
+        input=b"p hgr 2 1\nc \xff\ne 1 2\n",
+        capture_output=True,
+        env={**os.environ, "LC_ALL": "C"},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: input is not UTF-8")
 
 
 def test_internal_errors_are_not_reported_as_bad_input(capsys, monkeypatch):
@@ -368,7 +384,8 @@ def test_critical_command(capsys, tmp_path):
 
 
 def test_critical_computes_the_base_q_once(capsys, monkeypatch):
-    # A decided base q, then one the budget leaves undecided.
+    # A decided base q whose table flags are F,F,F,F,T,T, then one the
+    # budget leaves undecided.
     cases = [
         ("random-linear:n=8,m=6,k=3,seed=1", Budget(1_000_000, None), 0),
         ("complete-graph:5", Budget(8, None), 4),
@@ -376,9 +393,8 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
     expected = {}
     for family, budget, _ in cases:
         h = generate(parse_family(family))
-        expected[family] = render_criticality(
-            h, criticality_report(h, budget), extract_critical(h, budget)
-        )
+        rep = criticality_report(h, budget)
+        expected[family] = render_criticality(h, rep, extract_critical(h, rep, budget))
     calls = []
 
     def counted(g, budget):
@@ -397,10 +413,46 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         assert out == expected[family]
         assert calls.count(m) == 1
         if exit_code == 0:
-            # One base call, one per row of the table, one per extraction step.
-            assert len(calls) == 1 + 2 * m
+            # One base call and one per row of the table.  Extraction keeps
+            # the two critical rows and deletes the first removable one on
+            # the table's word, so it searches only the other three.
+            assert len(calls) == 1 + m + 3
         else:
             assert calls == [m]
+
+
+def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys):
+    # The table decides every row but 5 within 20 nodes.  Re-searching a
+    # row it proved critical used to run out of budget and leave the core
+    # incomplete; now the core is the default-budget one.
+    family = "random-linear:n=12,m=14,k=3,seed=14"
+    h = generate(parse_family(family))
+    budget = Budget(20, None)
+    rep = criticality_report(h, budget)
+    assert [e.position for e in rep.entries if e.critical is None] == [5]
+    core = extract_critical(h, rep, budget)
+    assert core == extract_critical(h, criticality_report(h, Budget(time_limit=None)))
+    assert core.complete and core.removed == (3, 8, 9) and core.hypergraph.m == 11
+    code, out, _ = run_cli(
+        capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
+    )
+    assert code == 4
+    assert out == render_criticality(h, rep, core)
+
+
+def test_critical_extraction_searches_the_rows_the_table_left_open():
+    # q is known but rows 12 and 13 are undecided within 50 nodes; after
+    # the first deletion both are searched on smaller hypergraphs, which
+    # settles them (12 removable, 13 critical).
+    h = generate(parse_family("random-linear:n=16,m=22,k=3,seed=1"))
+    budget = Budget(50, None)
+    rep = criticality_report(h, budget)
+    assert rep.q == 6
+    assert [e.position for e in rep.entries if e.critical is None] == [12, 13]
+    core = extract_critical(h, rep, budget)
+    full = extract_critical(h, criticality_report(h, Budget(time_limit=None)))
+    assert core == full
+    assert core.complete and 12 in core.removed and 13 not in core.removed
 
 
 def test_survey_text_json_and_jobs_agree(capsys):

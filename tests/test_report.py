@@ -44,6 +44,17 @@ def test_stats_report_header_and_fields():
     assert text == render_stats(fano())
 
 
+def test_text_keys_follow_the_stats_and_bound_fields():
+    # Text reports list every stats and bound field, under hyphenated keys.
+    v = verify_conjecture(fano(), FAST)
+    payload = verdict_dict(v)
+    stats_keys = [name.replace("_", "-") for name in payload["stats"]]
+    bound_keys = ["bound-" + name.replace("_", "-") for name in payload["bounds"]]
+    lines = render_verdict(fano(), v).splitlines()[2 : 2 + len(stats_keys) + len(bound_keys)]
+    assert [line.split(": ")[0] for line in lines] == stats_keys + bound_keys
+    assert render_stats(fano()).splitlines()[2:] == lines[: len(stats_keys)]
+
+
 def test_stats_json_round_trip():
     payload = json.loads(stats_json(fano()))
     assert payload["tool"] == f"hypercolor {TOOL_VERSION}"
@@ -125,7 +136,7 @@ def test_inequality_rendering():
 def test_criticality_reports():
     path = Hypergraph(3, [(0, 1), (1, 2)])
     rep = criticality_report(path, FAST)
-    core = extract_critical(path, FAST)
+    core = extract_critical(path, rep, FAST)
     text = render_criticality(path, rep, core)
     assert "q-exact: 2" in text
     assert "hyperedge 0: degree 1 q-without 1 critical yes" in text

@@ -23,15 +23,13 @@ from .analysis import (
     verify_conjecture,
 )
 from .coloring import (
-    EdgeColoring,
-    VertexColoring,
+    Coloring,
     brooks_color,
     brooks_edge_color,
     greedy_color,
     is_proper,
     is_proper_vertex_coloring,
     vizing_edge_color,
-    vizing_edge_color_hypergraph,
 )
 from .core import Hypergraph, HypergraphStats, UnsupportedInputError
 from .hgr import HgrParseError, digest, dump, load, parse_hgr, serialize_hgr
@@ -75,9 +73,9 @@ __all__ = [
     "VIOLATED",
     "BoundSet",
     "Budget",
+    "Coloring",
     "CriticalCore",
     "CriticalityReport",
-    "EdgeColoring",
     "EdgeCriticality",
     "FamilySpec",
     "GenerationError",
@@ -92,7 +90,6 @@ __all__ = [
     "TOOL_VERSION",
     "UnsupportedInputError",
     "Verdict",
-    "VertexColoring",
     "affine_plane",
     "bound_set",
     "brooks_color",
@@ -126,5 +123,4 @@ __all__ = [
     "survey_instance",
     "verify_conjecture",
     "vizing_edge_color",
-    "vizing_edge_color_hypergraph",
 ]

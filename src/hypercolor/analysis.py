@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import (
-    EdgeColoring,
+    Coloring,
     brooks_color,
     brooks_edge_color,
     greedy_color,
@@ -212,7 +212,7 @@ class Verdict:
     q_exact: Optional[int]
     status: str
     efl_ok: Optional[bool]
-    witness: Optional[EdgeColoring]
+    witness: Coloring
     oracle_nodes: int
 
 
@@ -231,23 +231,14 @@ def verify_conjecture(
     bf = bounds.two_section
 
     nodes = 0
-    if st.m == 0:
-        witness = EdgeColoring({}, 0)
-        q_lower = q_upper = 0
-    elif use_exact:
+    if use_exact:
         res = chromatic_index(h, budget)
         nodes = res.nodes
-        q_lower, q_upper = res.lower, res.upper
-        witness = EdgeColoring(dict(res.witness), res.upper)
+        q_lower, q_upper, witness = res.lower, res.upper, res.witness
     else:
         # One line graph serves the Brooks coloring and the clique.
         lg = line_graph(h)
-        brooks = brooks_color(lg)
-        candidates = [
-            greedy_color(h),
-            EdgeColoring(dict(brooks.colors), brooks.q_used),
-        ]
-        witness = min(candidates, key=lambda c: c.q_used)
+        witness = min([greedy_color(h), brooks_color(lg)], key=lambda c: c.q_used)
         q_upper = witness.q_used
         q_lower = max(len(greedy_clique(lg)), st.max_degree)
     if not is_proper(h, witness):

@@ -20,13 +20,7 @@ from typing import Optional
 
 from . import report
 from .analysis import UNRESOLVED, VIOLATED, inequality_suite, verify_conjecture
-from .coloring import (
-    EdgeColoring,
-    brooks_edge_color,
-    greedy_color,
-    is_proper,
-    vizing_edge_color_hypergraph,
-)
+from .coloring import brooks_edge_color, greedy_color, is_proper, vizing_edge_color
 from .core import Hypergraph, UnsupportedInputError
 from .hgr import HgrParseError, digest, load, parse_hgr_bytes, serialize_hgr
 from .instances import _FAMILIES, GenerationError, generate, parse_family, survey_instance
@@ -120,10 +114,10 @@ def cmd_color(args: argparse.Namespace) -> int:
     elif args.method == "brooks":
         coloring = brooks_edge_color(h)
     elif args.method == "vizing":
-        coloring = vizing_edge_color_hypergraph(h)
+        coloring = vizing_edge_color(h)
     else:
         res = chromatic_index(h, _budget(args))
-        coloring = EdgeColoring(dict(res.witness), res.upper)
+        coloring = res.witness
         if res.exact is None:
             bracket_note = (
                 f"budget exhausted: q is in [{res.lower}, {res.upper}]; "

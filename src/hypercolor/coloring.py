@@ -1,9 +1,11 @@
 """Constructive colorers: greedy on hyperedges, Brooks-style vertex
 coloring of graphs, and Vizing-style edge coloring of simple graphs.
 
-All colorers are deterministic for a fixed input (and order strategy /
-seed where one applies), and all emit palettes that are exactly
-1..q_used with every color in between used at least once.
+Every colorer returns a Coloring: a tuple of colors indexed by
+hyperedge position (or by graph vertex).  All colorers are deterministic
+for a fixed input (and order strategy / seed where one applies), and all
+emit palettes that are exactly 1..q_used with every color in between
+used at least once.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from .instances import Rng
 from .transforms import SimpleGraph, line_graph
 
 
-def _check_palette(colors: dict, q_used: int) -> None:
-    used = set(colors.values())
-    if q_used < 0:
-        raise ValueError("q_used must be non-negative")
+def _check_palette(colors: tuple[int, ...]) -> None:
+    used = set(colors)
+    q_used = max(colors, default=0)
     if used != set(range(1, q_used + 1)):
         raise ValueError(
             f"colors must be exactly 1..{q_used}, got {sorted(used)}"
@@ -27,34 +28,26 @@ def _check_palette(colors: dict, q_used: int) -> None:
 
 
 @dataclass(frozen=True)
-class EdgeColoring:
-    """Assignment of colors to hyperedge positions; palette is 1..q_used."""
+class Coloring:
+    """colors[i] is the color of position (or vertex) i; palette 1..q_used."""
 
-    colors: dict[int, int]
-    q_used: int
-
-    def __post_init__(self):
-        _check_palette(self.colors, self.q_used)
-
-
-@dataclass(frozen=True)
-class VertexColoring:
-    """Assignment of colors to graph vertices; palette is 1..q_used."""
-
-    colors: dict[int, int]
-    q_used: int
+    colors: tuple[int, ...]
 
     def __post_init__(self):
-        _check_palette(self.colors, self.q_used)
+        _check_palette(self.colors)
+
+    @property
+    def q_used(self) -> int:
+        return max(self.colors, default=0)
 
 
-def is_proper(h: Hypergraph, coloring: EdgeColoring) -> bool:
+def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
     """True iff intersecting hyperedge positions always differ in color.
 
-    The coloring must assign every position of h; a partial or
-    mis-keyed coloring raises ValueError.
+    The coloring must assign every position of h; a partial coloring
+    raises ValueError.
     """
-    if set(coloring.colors) != set(range(h.m)):
+    if len(coloring.colors) != h.m:
         raise ValueError("coloring must assign exactly the positions 0..m-1")
     for v in range(h.n):
         seen = set()
@@ -66,9 +59,9 @@ def is_proper(h: Hypergraph, coloring: EdgeColoring) -> bool:
     return True
 
 
-def is_proper_vertex_coloring(g: SimpleGraph, coloring: VertexColoring) -> bool:
+def is_proper_vertex_coloring(g: SimpleGraph, coloring: Coloring) -> bool:
     """True iff adjacent vertices always differ in color (total colorings only)."""
-    if set(coloring.colors) != set(range(g.n)):
+    if len(coloring.colors) != g.n:
         raise ValueError("coloring must assign exactly the vertices 0..n-1")
     return all(
         coloring.colors[u] != coloring.colors[w]
@@ -80,7 +73,7 @@ def is_proper_vertex_coloring(g: SimpleGraph, coloring: VertexColoring) -> bool:
 
 def greedy_color(
     h: Hypergraph, order: str = "desc-degree", seed: Optional[int] = None
-) -> EdgeColoring:
+) -> Coloring:
     """First-fit coloring of the hyperedges in a chosen order.
 
     Orders: "index" (positions as given), "desc-degree" (by decreasing
@@ -98,8 +91,7 @@ def greedy_color(
     else:
         raise ValueError(f"unknown order {order!r}")
     at_vertex: list[set[int]] = [set() for _ in range(h.n)]
-    colors: dict[int, int] = {}
-    q_used = 0
+    colors = [0] * h.m
     for pos in positions:
         forbidden: set[int] = set()
         for v in h.edges[pos]:
@@ -108,10 +100,9 @@ def greedy_color(
         while c in forbidden:
             c += 1
         colors[pos] = c
-        q_used = max(q_used, c)
         for v in h.edges[pos]:
             at_vertex[v].add(c)
-    return EdgeColoring(colors, q_used)
+    return Coloring(tuple(colors))
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +121,24 @@ def greedy_color(
 # ---------------------------------------------------------------------------
 
 
-def brooks_color(g: SimpleGraph) -> VertexColoring:
+def brooks_color(g: SimpleGraph) -> Coloring:
     """Vertex coloring meeting the classical degree bound per component."""
-    colors: dict[int, int] = {}
-    q_used = 0
+    colors = [0] * g.n
     for comp in g.connected_components():
-        sub = g.induced(comp)
-        local = _brooks_component(sub)
+        local = _brooks_component(g.induced(comp))
         for i, v in enumerate(comp):
             colors[v] = local[i]
-        q_used = max(q_used, max(local, default=0))
-    return VertexColoring(colors, q_used)
+    return Coloring(tuple(colors))
 
 
-def brooks_edge_color(h: Hypergraph) -> EdgeColoring:
+def brooks_edge_color(h: Hypergraph) -> Coloring:
     """Color hyperedges by running brooks_color on the line graph.
 
     Uses at most max hyperedge degree + 1 colors, and at most the max
     hyperedge degree when no line-graph component is complete or an odd
     cycle.
     """
-    if h.m == 0:
-        return EdgeColoring({}, 0)
-    vc = brooks_color(line_graph(h))
-    return EdgeColoring(dict(vc.colors), vc.q_used)
+    return brooks_color(line_graph(h))
 
 
 def _brooks_component(g: SimpleGraph) -> list[int]:
@@ -370,16 +355,29 @@ def _recombine_blocks(
 # ---------------------------------------------------------------------------
 
 
-def vizing_edge_color(g: SimpleGraph) -> EdgeColoring:
+def vizing_edge_color(h: Hypergraph) -> Coloring:
     """Proper edge coloring of a simple graph with at most Delta+1 colors.
 
-    Colors are keyed by the index of the edge in g.edges().
+    The graph is a hypergraph whose hyperedges all have exactly two
+    vertices and are pairwise distinct; anything else raises
+    UnsupportedInputError.  Edges are colored in sorted order.
     """
-    edges = g.edges()
-    if not edges:
-        return EdgeColoring({}, 0)
-    palette = g.max_degree() + 1
-    at: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    if any(len(e) != 2 for e in h.edges):
+        raise UnsupportedInputError(
+            "this colorer needs every hyperedge to have exactly 2 vertices"
+        )
+    if len(set(h.edges)) != h.m:
+        raise UnsupportedInputError(
+            "this colorer needs all hyperedges distinct (no multi-edges)"
+        )
+    edges = sorted(h.edges)
+    # Neighbour lists come out ascending: (u, x) with u < x sorts before (x, w).
+    adj: list[list[int]] = [[] for _ in range(h.n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    palette = max(map(len, adj), default=0) + 1
+    at: list[dict[int, int]] = [dict() for _ in range(h.n)]
     col: dict[tuple[int, int], int] = {}
 
     def assign(a: int, b: int, c: int) -> None:
@@ -422,7 +420,7 @@ def vizing_edge_color(g: SimpleGraph) -> EdgeColoring:
         while True:
             last = fan[-1]
             ext = None
-            for x in g.adj[u]:
+            for x in adj[u]:
                 if x in fanset:
                     continue
                 cx = col.get((min(u, x), max(u, x)))
@@ -459,28 +457,5 @@ def vizing_edge_color(g: SimpleGraph) -> EdgeColoring:
 
     used = sorted(set(col.values()))
     remap = {c: i + 1 for i, c in enumerate(used)}
-    by_index = {
-        i: remap[col[(u, v)]] for i, (u, v) in enumerate(edges)
-    }
-    return EdgeColoring(by_index, len(used))
+    return Coloring(tuple(remap[col[e]] for e in h.edges))
 
-
-def vizing_edge_color_hypergraph(h: Hypergraph) -> EdgeColoring:
-    """vizing_edge_color for hypergraphs that are really simple graphs.
-
-    Requires every hyperedge to have exactly two vertices and no pair to
-    repeat; anything else raises UnsupportedInputError.
-    """
-    if any(len(e) != 2 for e in h.edges):
-        raise UnsupportedInputError(
-            "this colorer needs every hyperedge to have exactly 2 vertices"
-        )
-    if len(set(h.edges)) != h.m:
-        raise UnsupportedInputError(
-            "this colorer needs all hyperedges distinct (no multi-edges)"
-        )
-    g = SimpleGraph(h.n, [(e[0], e[1]) for e in h.edges])
-    ec = vizing_edge_color(g)
-    position = {e: i for i, e in enumerate(h.edges)}
-    colors = {position[pair]: ec.colors[i] for i, pair in enumerate(g.edges())}
-    return EdgeColoring(colors, ec.q_used)

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .coloring import Coloring
 from .core import Hypergraph
 from .transforms import SimpleGraph, line_graph
 
@@ -70,14 +71,14 @@ class OracleResult:
     """Outcome of an exact-coloring search.
 
     lower <= chi <= upper always holds; witness is a proper coloring with
-    exactly `upper` colors (keyed by vertex for chromatic_number, by
+    exactly `upper` colors (indexed by vertex for chromatic_number, by
     hyperedge position for chromatic_index).  exact is the value when the
     bracket is tight, None when the budget ran out first.
     """
 
     lower: int
     upper: int
-    witness: dict[int, int]
+    witness: Coloring
     nodes: int
 
     @property
@@ -246,7 +247,7 @@ def chromatic_number(
     state = _SearchState(budget)
     lower = max(lower_hint, 1 if g.n else 0)
     upper = 0
-    witness: dict[int, int] = {}
+    witness = [0] * g.n
     exhausted = False
     for comp in g.connected_components():
         sub = g.induced(comp)
@@ -262,19 +263,19 @@ def chromatic_number(
         upper = max(upper, hi)
     if not exhausted:
         lower = max(lower, upper)
-    return OracleResult(lower, upper, witness, state.nodes)
+    return OracleResult(lower, upper, Coloring(tuple(witness)), state.nodes)
 
 
 def chromatic_index(h: Hypergraph, budget: Budget = Budget()) -> OracleResult:
     """Minimum colors for the hyperedges so intersecting ones differ.
 
     Computed as the chromatic number of the line graph; the witness is
-    keyed by hyperedge position.  The hyperedges through any one vertex
+    indexed by hyperedge position.  The hyperedges through any one vertex
     are pairwise intersecting, so the maximum vertex degree seeds the
     lower bound.
     """
     if h.m == 0:
-        return OracleResult(0, 0, {}, 0)
+        return OracleResult(0, 0, Coloring(()), 0)
     hint = max(h.degrees(), default=0)
     return chromatic_number(line_graph(h), budget, lower_hint=hint)
 
@@ -353,10 +354,12 @@ def extract_critical(
     is deleted, so the result is deterministic.  A row the table proved
     critical is kept without a search: in every subhypergraph h' of h that
     holds e and has the same q, q(h' - e) <= q(h - e) = q - 1, so e stays
-    critical there.  The first removable row met before any deletion is
-    deleted on the table's word, since the table searched that exact
-    candidate; every other row is searched again.  Every hyperedge of the
-    result is critical: removing it would lower q.
+    critical there.  Before the first deletion the table has searched
+    each candidate itself: the first removable row is deleted on its word,
+    and an undecided row ends the extraction, incomplete, since the table
+    already ran out of budget on that very candidate.  Every row after the
+    first deletion that is not proved critical is searched again.  Every
+    hyperedge of a complete result is critical: removing it would lower q.
     """
     q = rep.q
     if q is None:
@@ -366,8 +369,10 @@ def extract_critical(
     for entry in rep.entries:
         if entry.critical is True:
             continue
+        if not removed and entry.critical is None:
+            return CriticalCore(h, q, False, ())
         candidate = cur.remove_hyperedge(entry.position - len(removed))
-        if removed or entry.critical is None:
+        if removed:
             sub = chromatic_index(candidate, budget)
             if sub.exact is None:
                 return CriticalCore(cur, q, False, tuple(removed))

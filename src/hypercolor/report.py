@@ -13,7 +13,7 @@ from dataclasses import asdict, fields
 from typing import Optional
 
 from .analysis import HOLDS, UNRESOLVED, VIOLATED, InequalityReport, Verdict
-from .coloring import EdgeColoring
+from .coloring import Coloring
 from .core import Hypergraph
 from .hgr import digest
 from .oracle import CriticalCore, CriticalityReport
@@ -52,11 +52,8 @@ def _field_lines(record, prefix: str = "") -> list[str]:
     ]
 
 
-def _witness_line(coloring: Optional[EdgeColoring]) -> str:
-    if coloring is None:
-        return "witness: none"
-    parts = [str(coloring.colors[i]) for i in sorted(coloring.colors)]
-    return "witness: " + (" ".join(parts) if parts else "empty")
+def _witness_line(coloring: Coloring) -> str:
+    return "witness: " + (" ".join(map(str, coloring.colors)) or "empty")
 
 
 def render_stats(h: Hypergraph) -> str:
@@ -67,7 +64,7 @@ def stats_json(h: Hypergraph) -> str:
     return _json({"stats": asdict(h.stats())}, h)
 
 
-def render_coloring(h: Hypergraph, coloring: EdgeColoring, method: str) -> str:
+def render_coloring(h: Hypergraph, coloring: Coloring, method: str) -> str:
     lines = _header(h) + [
         f"method: {method}",
         f"colors-used: {coloring.q_used}",
@@ -76,11 +73,11 @@ def render_coloring(h: Hypergraph, coloring: EdgeColoring, method: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def coloring_json(h: Hypergraph, coloring: EdgeColoring, method: str) -> str:
+def coloring_json(h: Hypergraph, coloring: Coloring, method: str) -> str:
     payload = {
         "method": method,
         "colors_used": coloring.q_used,
-        "colors": [coloring.colors[i] for i in sorted(coloring.colors)],
+        "colors": list(coloring.colors),
     }
     return _json(payload, h)
 
@@ -117,9 +114,7 @@ def verdict_dict(v: Verdict) -> dict:
         "status": v.status,
         "efl_within_vertex_count": v.efl_ok,
         "oracle_nodes": v.oracle_nodes,
-        "witness": [v.witness.colors[i] for i in sorted(v.witness.colors)]
-        if v.witness is not None
-        else None,
+        "witness": list(v.witness.colors),
     }
 
 

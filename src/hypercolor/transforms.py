@@ -40,9 +40,6 @@ class SimpleGraph:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

@@ -307,9 +307,8 @@ def _graph_batch_report() -> str:
         assert res.exact == expected, (
             f"chromatic[{i}]: solver {res.exact} vs brute force {expected}"
         )
-        from hypercolor import VertexColoring
-
-        assert is_proper_vertex_coloring(g, VertexColoring(res.witness, res.upper))
+        assert is_proper_vertex_coloring(g, res.witness)
+        assert res.witness.q_used == res.upper
         lines.append(
             f"chromatic[{i}] n={g.n} m={len(g.edges())} "
             f"chi={res.exact} nodes={res.nodes}"
@@ -328,9 +327,9 @@ def _graph_batch_report() -> str:
         lines.append(f"brooks[{i}] n={n} delta={delta} q={c.q_used}")
     for i in range(300):
         g = random_graph(Rng(derive_seed(MASTER_VIZING, i)), 2, 12)
-        ec = vizing_edge_color(g)
+        h = Hypergraph(g.n, g.edges())
+        ec = vizing_edge_color(h)
         assert ec.q_used <= g.max_degree() + 1, f"vizing[{i}]: over delta+1"
-        h = Hypergraph(g.n, list(g.edges()))
         assert is_proper(h, ec), f"vizing[{i}]: improper"
         lines.append(f"vizing[{i}] n={g.n} delta={g.max_degree()} q={ec.q_used}")
     lines.append("chromatic=300 brooks=300 vizing=300 failures=0")

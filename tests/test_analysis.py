@@ -286,9 +286,8 @@ def test_verdicts_are_honest_against_brute_force():
         else:
             assert v.status == HOLDS
             assert truth <= bf
-        if v.witness is not None:
-            assert is_proper(h, v.witness)
-            assert v.witness.q_used == v.q_upper
+        assert is_proper(h, v.witness)
+        assert v.witness.q_used == v.q_upper
 
 
 def test_linear_loopless_instances_all_hold():

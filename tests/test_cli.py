@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from hypercolor import (
     Budget,
+    CriticalCore,
     FamilySpec,
     brooks_edge_color,
     chromatic_index,
@@ -120,7 +122,7 @@ def test_stdin_that_is_not_utf8_is_bad_input_under_the_c_locale():
 
 
 def test_internal_errors_are_not_reported_as_bad_input(capsys, monkeypatch):
-    def broken(colors, q_used):
+    def broken(colors):
         raise ValueError("palette invariant broken")
 
     monkeypatch.setattr(coloring, "_check_palette", broken)
@@ -134,7 +136,7 @@ def test_internal_errors_are_not_reported_as_bad_input(capsys, monkeypatch):
         "import sys\n"
         "from hypercolor import coloring\n"
         "from hypercolor.cli import main\n"
-        "def broken(colors, q_used):\n"
+        "def broken(colors):\n"
         "    raise ValueError('palette invariant broken')\n"
         "coloring._check_palette = broken\n"
         "sys.exit(main(['color', '--family', 'fano']))\n"
@@ -224,6 +226,33 @@ def test_color_methods_and_exit_codes(capsys):
     )
     assert code == 0
     assert "colors-used: 5" in out
+
+
+# sha256 of the stdout of `color` runs.  Every colorer and the oracle
+# hand the reports the same Coloring; these pin what the reports make of it.
+COLOR_DIGESTS = [
+    ("fano --method greedy --order index", "c99b60db529af8cce5c8ac7fb2edc2d980d32431f9946ed6e27c156926a42e8e"),
+    ("fano --method greedy --order desc-degree", "c99b60db529af8cce5c8ac7fb2edc2d980d32431f9946ed6e27c156926a42e8e"),
+    ("fano --method greedy --order random --seed 3", "83b952a537c32d262da9e42183af134516ce6c52403fa5aa53b7d827c22ad3b7"),
+    ("fano --method brooks", "0d5183e2b7ceec2153e8f511b19034afb19cc4b8e4eb9cfd12bf77d966df52c3"),
+    ("fano --method exact", "7050fd2f19961f3c7a2f9265394e7af1c25f69a912b5dced2ac475362431804e"),
+    ("steiner-triple:15 --method greedy --order index", "087902765c15027fc04b2a7b5d91e96918aa43586b4a100197733edc46fea0db"),
+    ("steiner-triple:15 --method greedy --order desc-degree", "087902765c15027fc04b2a7b5d91e96918aa43586b4a100197733edc46fea0db"),
+    ("steiner-triple:15 --method greedy --order random --seed 3", "2da730aba7059a8bfe57a3e2d576ca6b7d086ed73ac18a63200b21920667b0e0"),
+    ("steiner-triple:15 --method brooks", "a449346bc7291db609216fcb7b1e3dcfda064a0b2ae195b80c6fe45a4fb50cb0"),
+    ("steiner-triple:15 --method exact", "786f51481a22ea7664c460a543ba8f1f125d1b80b1145f80e898fa856090926d"),
+    ("cycle:7 --method vizing", "e148de113dd27cfe682f66d8dc086b1fa91dd79a07b9fbbbfc28684561e2f255"),
+    ("cycle:7 --method vizing --json", "cc7c22488241188a939f75868fbaaa1d5b0762275cb445aa50ede3e0d572b17d"),
+    ("complete-graph:6 --method vizing", "904c36ed6cb3213c370455f53eaac771d01d576c5751259cb887398af41200aa"),
+    ("complete-graph:6 --method vizing --json", "af5d9e3a0019b610059d77f7fc2ab9d4b0c766a6070f3714483d1d9fc277b816"),
+]
+
+
+def test_color_reports_are_pinned_byte_for_byte(capsys):
+    for args, expected in COLOR_DIGESTS:
+        code, out, _ = run_cli(capsys, "color", "--family", *args.split())
+        assert code == 0, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, args
 
 
 def test_color_greedy_order_flags(capsys):
@@ -453,6 +482,33 @@ def test_critical_extraction_searches_the_rows_the_table_left_open():
     full = extract_critical(h, criticality_report(h, Budget(time_limit=None)))
     assert core == full
     assert core.complete and 12 in core.removed and 13 not in core.removed
+
+
+def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypatch):
+    # Row 0 is undecided within 20 nodes.  Before any deletion its candidate
+    # is the one the table ran out of budget on, so extraction stops there,
+    # incomplete, without searching it again.
+    family = "random-linear:n=12,m=14,k=3,seed=24"
+    h = generate(parse_family(family))
+    budget = Budget(20, None)
+    rep = criticality_report(h, budget)
+    assert rep.q == 6 and rep.entries[0].critical is None
+    calls = []
+
+    def counted(g, budget):
+        calls.append(g.m)
+        return chromatic_index(g, budget)
+
+    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    core = extract_critical(h, rep, budget)
+    monkeypatch.undo()
+    assert calls == []
+    assert core == CriticalCore(h, 6, False, ())
+    code, out, _ = run_cli(
+        capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
+    )
+    assert code == 4
+    assert out == render_criticality(h, rep, core)
 
 
 def test_survey_text_json_and_jobs_agree(capsys):

@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from hypercolor import (
-    EdgeColoring,
+    Coloring,
     Hypergraph,
     Rng,
     UnsupportedInputError,
-    VertexColoring,
     affine_plane,
     brooks_color,
     brooks_edge_color,
@@ -20,7 +19,6 @@ from hypercolor import (
     is_proper,
     is_proper_vertex_coloring,
     vizing_edge_color,
-    vizing_edge_color_hypergraph,
 )
 from hypercolor.transforms import SimpleGraph
 
@@ -34,29 +32,30 @@ from brute import (
 
 
 def test_coloring_records_validate_their_palette():
-    EdgeColoring({0: 1, 1: 2}, 2)
+    assert Coloring((1, 2)).q_used == 2
+    assert Coloring(()).q_used == 0
     with pytest.raises(ValueError):
-        EdgeColoring({0: 1, 1: 3}, 3)
+        Coloring((1, 3))
     with pytest.raises(ValueError):
-        EdgeColoring({0: 0}, 1)
+        Coloring((0,))
     with pytest.raises(ValueError):
-        VertexColoring({0: 1}, 2)
+        Coloring((2,))
 
 
 def test_is_proper_requires_totality_and_disjoint_classes():
     h = Hypergraph(3, [(0, 1), (1, 2)])
-    assert is_proper(h, EdgeColoring({0: 1, 1: 2}, 2))
-    assert not is_proper(h, EdgeColoring({0: 1, 1: 1}, 1))
+    assert is_proper(h, Coloring((1, 2)))
+    assert not is_proper(h, Coloring((1, 1)))
     with pytest.raises(ValueError):
-        is_proper(h, EdgeColoring({0: 1}, 1))
+        is_proper(h, Coloring((1,)))
     disjoint = Hypergraph(4, [(0, 1), (2, 3)])
-    assert is_proper(disjoint, EdgeColoring({0: 1, 1: 1}, 1))
+    assert is_proper(disjoint, Coloring((1, 1)))
 
 
 def test_is_proper_separates_duplicate_positions():
     dup = Hypergraph(2, [(0, 1), (0, 1)])
-    assert not is_proper(dup, EdgeColoring({0: 1, 1: 1}, 1))
-    assert is_proper(dup, EdgeColoring({0: 1, 1: 2}, 2))
+    assert not is_proper(dup, Coloring((1, 1)))
+    assert is_proper(dup, Coloring((1, 2)))
 
 
 def test_greedy_color_orders_and_guarantee():
@@ -81,7 +80,7 @@ def test_greedy_color_rejects_unknown_order():
         greedy_color(fano(), order="mystery")
 
 
-def _check_brooks(g: SimpleGraph) -> VertexColoring:
+def _check_brooks(g: SimpleGraph) -> Coloring:
     coloring = brooks_color(g)
     assert is_proper_vertex_coloring(g, coloring)
     return coloring
@@ -155,24 +154,23 @@ def test_brooks_edge_color_on_design_instances():
 
 
 def test_vizing_pinned_instances():
-    k4 = SimpleGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    k4 = Hypergraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     c = vizing_edge_color(k4)
     assert c.q_used <= 4
-    five = SimpleGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    five = Hypergraph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert vizing_edge_color(five).q_used == 3
-    matching = SimpleGraph(6, [(0, 1), (2, 3), (4, 5)])
+    matching = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
     assert vizing_edge_color(matching).q_used == 1
-    empty = SimpleGraph(3, [])
+    empty = Hypergraph(3, [])
     assert vizing_edge_color(empty).q_used == 0
 
 
-def _assert_proper_edge_coloring(g: SimpleGraph, coloring: EdgeColoring) -> None:
-    pairs = g.edges()
-    assert set(coloring.colors) == set(range(len(pairs)))
-    for v in range(g.n):
+def _assert_proper_edge_coloring(h: Hypergraph, coloring: Coloring) -> None:
+    assert len(coloring.colors) == h.m
+    for v in range(h.n):
         seen = set()
-        for idx, (a, b) in enumerate(pairs):
-            if v in (a, b):
+        for idx, edge in enumerate(h.edges):
+            if v in edge:
                 assert coloring.colors[idx] not in seen
                 seen.add(coloring.colors[idx])
 
@@ -180,28 +178,41 @@ def _assert_proper_edge_coloring(g: SimpleGraph, coloring: EdgeColoring) -> None
 def test_vizing_bound_on_random_graphs():
     for seed in range(100):
         g = random_graph(Rng(seed + 7000), 2, 9)
-        coloring = vizing_edge_color(g)
+        h = Hypergraph(g.n, g.edges())
+        coloring = vizing_edge_color(h)
         assert coloring.q_used <= g.max_degree() + 1
-        _assert_proper_edge_coloring(g, coloring)
+        _assert_proper_edge_coloring(h, coloring)
 
 
 def test_vizing_hypergraph_adapter():
     triangle = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
-    c = vizing_edge_color_hypergraph(triangle)
+    c = vizing_edge_color(triangle)
     assert is_proper(triangle, c)
     assert c.q_used == 3
-    with pytest.raises(UnsupportedInputError):
-        vizing_edge_color_hypergraph(fano())
-    with pytest.raises(UnsupportedInputError):
-        vizing_edge_color_hypergraph(Hypergraph(2, [(0,), (0, 1)]))
-    with pytest.raises(UnsupportedInputError):
-        vizing_edge_color_hypergraph(Hypergraph(2, [(0, 1), (0, 1)]))
+    with pytest.raises(UnsupportedInputError, match="exactly 2 vertices"):
+        vizing_edge_color(fano())
+    with pytest.raises(UnsupportedInputError, match="exactly 2 vertices"):
+        vizing_edge_color(Hypergraph(2, [(0,), (0, 1)]))
+    with pytest.raises(UnsupportedInputError, match="no multi-edges"):
+        vizing_edge_color(Hypergraph(2, [(0, 1), (0, 1)]))
 
 
 def test_vizing_matches_graph_edge_coloring_on_two_uniform():
     k4 = complete_graph(4)
-    c = vizing_edge_color_hypergraph(k4)
+    c = vizing_edge_color(k4)
     assert is_proper(k4, c)
     assert c.q_used <= 4
     c5 = cycle(5)
-    assert vizing_edge_color_hypergraph(c5).q_used == 3
+    assert vizing_edge_color(c5).q_used == 3
+
+
+def test_vizing_colors_each_edge_the_same_in_any_position_order():
+    # Edges are colored in sorted order, so the positions only index them.
+    for seed in range(30):
+        g = random_graph(Rng(seed + 7100), 2, 9)
+        edges = g.edges()
+        shuffled = list(edges)
+        Rng(seed).shuffle(shuffled)
+        base = vizing_edge_color(Hypergraph(g.n, edges))
+        moved = vizing_edge_color(Hypergraph(g.n, shuffled))
+        assert dict(zip(edges, base.colors)) == dict(zip(shuffled, moved.colors))

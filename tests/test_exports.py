@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hypercolor
-from hypercolor import analysis, oracle, transforms
+from hypercolor import analysis, coloring, oracle, transforms
 
 
 def test_exported_names_resolve_and_removed_ones_are_gone():
@@ -36,6 +36,15 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
         assert not hasattr(module, name)
     for name in ("bound_set", "conditions", "criticality_report"):
         assert name in hypercolor.__all__
+    # Every colorer and the oracle return one Coloring; Vizing takes the
+    # 2-uniform hypergraph itself.
+    for name in ("EdgeColoring", "VertexColoring", "vizing_edge_color_hypergraph"):
+        assert name not in namespace
+        assert not hasattr(hypercolor, name)
+        assert not hasattr(coloring, name)
+    assert "Coloring" in hypercolor.__all__
+    assert namespace["Coloring"] is coloring.Coloring
+    assert not hasattr(transforms.SimpleGraph, "neighbors")
     # The size facts are read from stats(), not from the hypergraph.
     h = hypercolor.fano()
     for name in ("rank", "antirank", "loopless"):

@@ -6,11 +6,10 @@ import sys
 
 from hypercolor import (
     Budget,
-    EdgeColoring,
+    Coloring,
     Hypergraph,
     OracleResult,
     Rng,
-    VertexColoring,
     affine_plane,
     chromatic_index,
     chromatic_number,
@@ -51,16 +50,16 @@ def test_budget_defaults():
 
 
 def test_result_bracket_properties():
-    open_bracket = OracleResult(2, 3, {0: 1, 1: 2, 2: 3}, 5)
+    open_bracket = OracleResult(2, 3, Coloring((1, 2, 3)), 5)
     assert open_bracket.exact is None
     assert not open_bracket.complete
-    tight = OracleResult(3, 3, {0: 1, 1: 2, 2: 3}, 5)
+    tight = OracleResult(3, 3, Coloring((1, 2, 3)), 5)
     assert tight.exact == 3
     assert tight.complete
 
 
 def test_chromatic_number_pins():
-    assert chromatic_number(SimpleGraph(0, []), FAST) == OracleResult(0, 0, {}, 0)
+    assert chromatic_number(SimpleGraph(0, []), FAST) == OracleResult(0, 0, Coloring(()), 0)
     assert chromatic_number(SimpleGraph(1, []), FAST).exact == 1
     k4 = SimpleGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert chromatic_number(k4, FAST).exact == 4
@@ -77,7 +76,8 @@ def test_chromatic_number_matches_brute_force():
         res = chromatic_number(g, FAST)
         expected = brute_chromatic_number(g.n, list(g.edges()))
         assert res.exact == expected
-        assert is_proper_vertex_coloring(g, VertexColoring(res.witness, res.upper))
+        assert is_proper_vertex_coloring(g, res.witness)
+        assert res.witness.q_used == res.upper
 
 
 def test_lower_hint_tightens_but_never_flips_answers():
@@ -101,7 +101,7 @@ def test_chromatic_index_pins():
     assert chromatic_index(affine_plane(3), FAST).exact == 4
     path = Hypergraph(3, [(0, 1), (1, 2)])
     assert chromatic_index(path, FAST).exact == 2
-    assert chromatic_index(Hypergraph(3, []), FAST) == OracleResult(0, 0, {}, 0)
+    assert chromatic_index(Hypergraph(3, []), FAST) == OracleResult(0, 0, Coloring(()), 0)
     loops = Hypergraph(1, [(0,), (0,)])
     assert chromatic_index(loops, FAST).exact == 2
 
@@ -112,7 +112,8 @@ def test_chromatic_index_matches_brute_force():
         res = chromatic_index(h, FAST)
         expected = brute_chromatic_index(h.n, list(h.edges))
         assert res.exact == expected
-        assert is_proper(h, EdgeColoring(res.witness, res.upper))
+        assert is_proper(h, res.witness)
+        assert res.witness.q_used == res.upper
 
 
 def test_starved_search_reports_honest_bracket():
@@ -122,7 +123,8 @@ def test_starved_search_reports_honest_bracket():
     starved = chromatic_index(h, Budget(max_nodes=8, time_limit=None))
     assert starved.exact is None
     assert starved.lower <= 5 <= starved.upper
-    assert is_proper(h, EdgeColoring(starved.witness, starved.upper))
+    assert is_proper(h, starved.witness)
+    assert starved.witness.q_used == starved.upper
     bigger = chromatic_index(h, Budget(max_nodes=10_000_000, time_limit=None))
     assert bigger.exact == 5
 
@@ -190,7 +192,8 @@ def test_search_depth_is_not_bound_by_the_recursion_limit(monkeypatch):
     odd_cycle = SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
     res = chromatic_number(odd_cycle, FAST)
     assert (res.lower, res.upper) == (3, 3)
-    assert is_proper_vertex_coloring(odd_cycle, VertexColoring(res.witness, 3))
+    assert is_proper_vertex_coloring(odd_cycle, res.witness)
+    assert res.witness.q_used == 3
 
 
 def test_hard_set_brackets_and_node_counts():
@@ -203,11 +206,13 @@ def test_hard_set_brackets_and_node_counts():
         h = steiner_triple(v)
         res = chromatic_index(h, Budget(budget, None))
         assert ((res.lower, res.upper), res.nodes) == (bracket, nodes)
-        assert is_proper(h, EdgeColoring(res.witness, res.upper))
+        assert is_proper(h, res.witness)
+        assert res.witness.q_used == res.upper
     h = random_linear(40, 80, 4, 1)
     res = chromatic_index(h, Budget(10_000, None))
     assert ((res.lower, res.upper), res.nodes) == ((10, 12), 10_001)
-    assert is_proper(h, EdgeColoring(res.witness, res.upper))
+    assert is_proper(h, res.witness)
+    assert res.witness.q_used == res.upper
 
 
 def test_greedy_clique_is_a_maximal_clique():

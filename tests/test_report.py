@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from hypercolor import (
     Budget,
@@ -117,11 +116,6 @@ def test_verdict_report_text_and_json():
     assert payload["witness"] == [v.witness.colors[i] for i in range(7)]
     assert payload["q_exact"] == 7
 
-
-def test_verdict_report_handles_missing_witness():
-    v = replace(verify_conjecture(fano(), FAST), witness=None)
-    assert "witness: none" in render_verdict(fano(), v)
-    assert verdict_dict(v)["witness"] is None
 
 
 def test_inequality_rendering():

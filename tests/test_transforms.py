@@ -19,7 +19,7 @@ def test_simple_graph_construction():
     g = SimpleGraph(4, [(1, 0), (2, 3), (0, 1)])
     assert g.edges() == [(0, 1), (2, 3)]
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
-    assert g.neighbors(0) == (1,)
+    assert g.adj[0] == (1,)
     assert g.degree(0) == 1 and g.max_degree() == 1
     with pytest.raises(ValueError):
         SimpleGraph(3, [(0, 0)])

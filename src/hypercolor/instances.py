@@ -18,7 +18,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class GenerationError(ValueError):
-    """Raised for invalid family parameters or exhausted retry caps."""
+    """Raised for invalid family parameters or an unplaceable random edge.
+
+    random_linear raises it at its retry cap, or as soon as no k-set
+    avoids every vertex pair already used: the edge the cap would fail on.
+    """
 
 
 class Rng:
@@ -225,12 +229,30 @@ def steiner_triple(n: int) -> Hypergraph:
 _RETRIES_PER_EDGE = 1000
 
 
+def _has_clique(free: list[int], cand: int, k: int) -> bool:
+    """Whether k vertices of the bitmask ``cand`` are pairwise free.
+
+    Branches on the top vertex of ``cand``, keeping its free lower
+    vertices, and prunes a branch once fewer than k vertices are left.
+    """
+    if k == 1:
+        return cand != 0
+    while cand.bit_count() >= k:
+        v = cand.bit_length() - 1
+        cand ^= 1 << v
+        if _has_clique(free, cand & free[v], k - 1):
+            return True
+    return False
+
+
 def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
     """m distinct k-sets on n vertices, pairwise sharing at most one vertex.
 
     Rejection sampling: each edge is redrawn until it fits, up to a fixed
-    cap of attempts per edge, after which a GenerationError reports the
-    partial count.  Deterministic for a given seed.
+    cap of attempts per edge.  A GenerationError reports the edge that
+    could not be placed: at the cap, or as soon as no k-set avoids every
+    vertex pair already used, which is the edge the cap would fail on.
+    Deterministic for a given seed.
     """
     if k < 2:
         raise GenerationError(f"linear family needs k >= 2, got {k}")
@@ -240,20 +262,27 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
         raise GenerationError("edge count must be non-negative")
     rng = Rng(seed)
     chosen: list[tuple[int, ...]] = []
-    chosen_sets: list[set[int]] = []
+    # free[v]: bitmask of the vertices that share no chosen edge with v.  A
+    # k-set fits iff all its pairs are free; a repeated k-set repeats a pair.
+    everyone = (1 << n) - 1
+    free = [everyone ^ (1 << v) for v in range(n)]
     for _ in range(m):
-        for _attempt in range(_RETRIES_PER_EDGE):
+        for attempt in range(_RETRIES_PER_EDGE):
             cand = rng.sample_sorted(k, n)
-            cset = set(cand)
-            if all(len(cset & other) <= 1 for other in chosen_sets):
-                chosen.append(cand)
-                chosen_sets.append(cset)
+            fits = all(free[a] >> b & 1 for a, b in combinations(cand, 2))
+            # With no free k-set left every later draw misses too, and the
+            # RNG is not read again, so failing now changes no output.
+            if fits or (attempt == 0 and not _has_clique(free, everyone, k)):
                 break
-        else:
+        if not fits:
             raise GenerationError(
                 f"could not place edge {len(chosen) + 1} of {m} "
                 f"(n={n}, k={k}): retry cap hit"
             )
+        chosen.append(cand)
+        for a, b in combinations(cand, 2):
+            free[a] &= ~(1 << b)
+            free[b] &= ~(1 << a)
     return Hypergraph(n, chosen)
 
 

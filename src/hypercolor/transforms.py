@@ -36,10 +36,6 @@ class SimpleGraph:
             self, "adj", tuple(tuple(sorted(s)) for s in neighbor_sets)
         )
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

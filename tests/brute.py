@@ -6,15 +6,23 @@ code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
 package types wherever possible.  The reference versions of package
 logic (condition tags, core extraction, the oracle's greedy and branch
-and bound) are the earlier, more literal forms of that logic, kept to
-check the current forms against.
+and bound, the random linear sampler) are the earlier, more literal
+forms of that logic, kept to check the current forms against.
 """
 
 from __future__ import annotations
 
 import sys
 
-from hypercolor import Budget, CriticalCore, Hypergraph, Rng, chromatic_index
+from hypercolor import (
+    Budget,
+    CriticalCore,
+    GenerationError,
+    Hypergraph,
+    Rng,
+    chromatic_index,
+)
+from hypercolor.instances import _RETRIES_PER_EDGE
 from hypercolor.oracle import _BudgetExhausted, _SearchState, greedy_clique
 from hypercolor.transforms import SimpleGraph
 
@@ -121,6 +129,11 @@ def pairwise_line_graph_edges(
         for j in range(i + 1, len(sets))
         if sets[i] & sets[j]
     ]
+
+
+def graph_edges(g: SimpleGraph) -> list[tuple[int, int]]:
+    """All edges of g as (u, v) with u < v, lexicographically sorted."""
+    return [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
 
 
 def random_graph(rng: Rng, n_lo: int, n_hi: int, percent_lo: int = 20,
@@ -336,3 +349,32 @@ def recursive_component_chromatic(
     finally:
         sys.setrecursionlimit(old_limit)
     return best_count, best_count, best
+
+
+def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
+    """The pairwise-set form of ``random_linear``: every draw is checked
+    against every chosen edge, and each edge gets the full retry cap.
+    """
+    if k < 2:
+        raise GenerationError(f"linear family needs k >= 2, got {k}")
+    if k > n:
+        raise GenerationError(f"edge size {k} exceeds vertex count {n}")
+    if m < 0:
+        raise GenerationError("edge count must be non-negative")
+    rng = Rng(seed)
+    chosen: list[tuple[int, ...]] = []
+    chosen_sets: list[set[int]] = []
+    for _ in range(m):
+        for _attempt in range(_RETRIES_PER_EDGE):
+            cand = rng.sample_sorted(k, n)
+            cset = set(cand)
+            if all(len(cset & other) <= 1 for other in chosen_sets):
+                chosen.append(cand)
+                chosen_sets.append(cset)
+                break
+        else:
+            raise GenerationError(
+                f"could not place edge {len(chosen) + 1} of {m} "
+                f"(n={n}, k={k}): retry cap hit"
+            )
+    return Hypergraph(n, chosen)

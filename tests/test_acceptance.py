@@ -48,6 +48,7 @@ from hypercolor.instances import GenerationError
 from brute import (
     bridged_cubic,
     brute_chromatic_number,
+    graph_edges,
     petersen,
     random_connected_graph,
     random_graph,
@@ -303,14 +304,14 @@ def _graph_batch_report() -> str:
     for i in range(300):
         g = random_graph(Rng(derive_seed(MASTER_CHROMATIC, i)), 1, 7)
         res = chromatic_number(g, BUDGET)
-        expected = brute_chromatic_number(g.n, list(g.edges()))
+        expected = brute_chromatic_number(g.n, graph_edges(g))
         assert res.exact == expected, (
             f"chromatic[{i}]: solver {res.exact} vs brute force {expected}"
         )
         assert is_proper_vertex_coloring(g, res.witness)
         assert res.witness.q_used == res.upper
         lines.append(
-            f"chromatic[{i}] n={g.n} m={len(g.edges())} "
+            f"chromatic[{i}] n={g.n} m={len(graph_edges(g))} "
             f"chi={res.exact} nodes={res.nodes}"
         )
     for i in range(300):
@@ -327,7 +328,7 @@ def _graph_batch_report() -> str:
         lines.append(f"brooks[{i}] n={n} delta={delta} q={c.q_used}")
     for i in range(300):
         g = random_graph(Rng(derive_seed(MASTER_VIZING, i)), 2, 12)
-        h = Hypergraph(g.n, g.edges())
+        h = Hypergraph(g.n, graph_edges(g))
         ec = vizing_edge_color(h)
         assert ec.q_used <= g.max_degree() + 1, f"vizing[{i}]: over delta+1"
         assert is_proper(h, ec), f"vizing[{i}]: improper"
@@ -350,7 +351,7 @@ def test_criterion_7_graph_colorers_meet_their_contracts():
 
 def _engineered_boundary_instances() -> list[Hypergraph]:
     def from_graph(g) -> Hypergraph:
-        return Hypergraph(g.n, list(g.edges()))
+        return Hypergraph(g.n, graph_edges(g))
 
     prism = Hypergraph(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]

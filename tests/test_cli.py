@@ -532,6 +532,33 @@ def test_survey_text_json_and_jobs_agree(capsys):
     assert all(row["status"] == "HOLDS" for row in payload["instances"])
 
 
+# sha256 of `survey --count 100 --seed 7 --time-limit 0` stdout, recorded
+# before random_linear stopped early on a full packing: the generator must
+# place the same edges and retry the same instances as its rejection form.
+SURVEY_DIGESTS = [
+    ((), "de104492f0c21286cefde20bd67dae3e26ca1de3f13bc10235bc14523d0f4b1f"),
+    (("--json",), "2751fc3bcc8873e46f34992e3b956c82dd963b12d2b4f7150fe9cf9d91c25d4d"),
+]
+
+
+def test_survey_reports_are_pinned_byte_for_byte(capsys):
+    for extra, expected in SURVEY_DIGESTS:
+        code, out, _ = run_cli(
+            capsys, "survey", "--count", "100", "--seed", "7", "--time-limit", "0", *extra
+        )
+        assert code == 0, extra
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, extra
+
+
+def test_gen_reports_an_unplaceable_edge_as_before(capsys):
+    # Exit code and stderr as recorded with the rejection form of the
+    # generator, which spent its whole retry cap on this edge.
+    code, out, err = run_cli(capsys, "gen", "--family", "random-linear:n=4,m=100,k=2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: could not place edge 7 of 100 (n=4, k=2): retry cap hit\n"
+
+
 def test_survey_range_syntax_and_validation(capsys):
     code, out, _ = run_cli(
         capsys,

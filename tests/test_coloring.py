@@ -24,6 +24,7 @@ from hypercolor.transforms import SimpleGraph
 
 from brute import (
     bridged_cubic,
+    graph_edges,
     petersen,
     random_connected_graph,
     random_graph,
@@ -178,7 +179,7 @@ def _assert_proper_edge_coloring(h: Hypergraph, coloring: Coloring) -> None:
 def test_vizing_bound_on_random_graphs():
     for seed in range(100):
         g = random_graph(Rng(seed + 7000), 2, 9)
-        h = Hypergraph(g.n, g.edges())
+        h = Hypergraph(g.n, graph_edges(g))
         coloring = vizing_edge_color(h)
         assert coloring.q_used <= g.max_degree() + 1
         _assert_proper_edge_coloring(h, coloring)
@@ -210,7 +211,7 @@ def test_vizing_colors_each_edge_the_same_in_any_position_order():
     # Edges are colored in sorted order, so the positions only index them.
     for seed in range(30):
         g = random_graph(Rng(seed + 7100), 2, 9)
-        edges = g.edges()
+        edges = graph_edges(g)
         shuffled = list(edges)
         Rng(seed).shuffle(shuffled)
         base = vizing_edge_color(Hypergraph(g.n, edges))

@@ -45,6 +45,7 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
     assert "Coloring" in hypercolor.__all__
     assert namespace["Coloring"] is coloring.Coloring
     assert not hasattr(transforms.SimpleGraph, "neighbors")
+    assert not hasattr(transforms.SimpleGraph, "edges")
     # The size facts are read from stats(), not from the hypergraph.
     h = hypercolor.fano()
     for name in ("rank", "antirank", "loopless"):

@@ -24,6 +24,9 @@ from hypercolor import (
     steiner_triple,
     survey_instance,
 )
+from hypercolor.instances import _RETRIES_PER_EDGE, _has_clique
+
+from brute import rejection_random_linear
 
 
 def test_rng_is_deterministic_and_survives_zero_seed():
@@ -173,6 +176,80 @@ def test_random_linear_properties():
         random_linear(3, 1, 4, 0)
     with pytest.raises(GenerationError):
         random_linear(5, -1, 2, 0)
+
+
+def _outcome(generator, *args):
+    """The edges a generator returns, or the text of its GenerationError."""
+    try:
+        return generator(*args).edges
+    except GenerationError as exc:
+        return str(exc)
+
+
+def test_random_linear_matches_the_rejection_reference(monkeypatch):
+    rng = Rng(2024)
+    failures = successes = 0
+    for n in range(2, 21):
+        for k in range(2, min(5, n) + 1):
+            budget = (n * (n - 1) // 2) // (k * (k - 1) // 2)
+            for _ in range(3):
+                args = (n, rng.randint(1, budget + 2), k, rng.below(1 << 32))
+                got = _outcome(random_linear, *args)
+                assert got == _outcome(rejection_random_linear, *args), args
+                if isinstance(got, str):
+                    failures += 1
+                else:
+                    successes += 1
+    assert failures and successes
+
+    draws = [0]
+    sample_sorted = Rng.sample_sorted
+
+    def counted(self, k, n):
+        draws[0] += 1
+        return sample_sorted(self, k, n)
+
+    monkeypatch.setattr(Rng, "sample_sorted", counted)
+
+    def draws_of(generator, *args):
+        draws[0] = 0
+        message = _outcome(generator, *args)
+        return message, draws[0]
+
+    # K_4 holds six pairs: the seventh edge fits nowhere, which is proved
+    # after its first rejected draw instead of after the whole cap.
+    message, fast = draws_of(random_linear, 4, 100, 2, 0)
+    assert message == "could not place edge 7 of 100 (n=4, k=2): retry cap hit"
+    assert fast < 50
+    ref_message, ref_draws = draws_of(rejection_random_linear, 4, 100, 2, 0)
+    assert ref_message == message and ref_draws >= _RETRIES_PER_EDGE
+    # A free 4-set is left, so the failure here is only unlikely, not
+    # provable: the last edge spends the whole cap, as the reference does.
+    message, slow = draws_of(random_linear, 12, 9, 4, 4)
+    assert message == "could not place edge 9 of 9 (n=12, k=4): retry cap hit"
+    assert slow >= _RETRIES_PER_EDGE
+    assert draws_of(rejection_random_linear, 12, 9, 4, 4) == (message, slow)
+
+
+def test_packing_full_search_matches_brute_force():
+    rng = Rng(77)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        k = rng.randint(2, 5)
+        percent = rng.randint(10, 95)
+        free = [0] * n
+        for a, b in combinations(range(n), 2):
+            if rng.below(100) < percent:
+                free[a] |= 1 << b
+                free[b] |= 1 << a
+        expected = any(
+            all(free[a] >> b & 1 for a, b in combinations(c, 2))
+            for c in combinations(range(n), k)
+        )
+        assert _has_clique(free, (1 << n) - 1, k) == expected, (n, k, free)
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_random_hypergraph_properties():

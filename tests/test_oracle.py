@@ -31,6 +31,7 @@ from hypercolor import oracle
 from brute import (
     brute_chromatic_index,
     brute_chromatic_number,
+    graph_edges,
     petersen,
     random_graph,
     random_hypergraph_raw,
@@ -74,7 +75,7 @@ def test_chromatic_number_matches_brute_force():
     for seed in range(50):
         g = random_graph(Rng(seed + 8000), 2, 8)
         res = chromatic_number(g, FAST)
-        expected = brute_chromatic_number(g.n, list(g.edges()))
+        expected = brute_chromatic_number(g.n, graph_edges(g))
         assert res.exact == expected
         assert is_proper_vertex_coloring(g, res.witness)
         assert res.witness.q_used == res.upper
@@ -138,7 +139,7 @@ def test_search_is_deterministic_including_node_counts():
 
 
 def _disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
-    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    edges = graph_edges(a) + [(u + a.n, v + a.n) for u, v in graph_edges(b)]
     return SimpleGraph(a.n + b.n, edges)
 
 
@@ -226,7 +227,7 @@ def test_greedy_clique_is_a_maximal_clique():
         for v in range(g.n):
             if v not in clique:
                 assert not all(g.has_edge(v, u) for u in clique)
-        assert len(clique) <= brute_chromatic_number(g.n, list(g.edges()))
+        assert len(clique) <= brute_chromatic_number(g.n, graph_edges(g))
 
 
 def _critical_flags(h: Hypergraph, budget: Budget) -> list:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import Coloring
+from .coloring import Coloring, is_proper_vertex_coloring
 from .core import Hypergraph
 from .transforms import SimpleGraph, line_graph
 
@@ -169,16 +169,34 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
+def _renumbered(colors: list[int]) -> list[int]:
+    """The same color classes, numbered 1..k in increasing order of color."""
+    rank = {c: i + 1 for i, c in enumerate(sorted(set(colors)))}
+    return [rank[c] for c in colors]
+
+
+def _start(g: SimpleGraph, incumbent: Optional[list[int]]) -> list[int]:
+    """DSATUR's coloring, or the incumbent when it uses fewer colors."""
+    greedy = _dsatur_greedy(g)
+    if incumbent is not None and max(incumbent) < max(greedy):
+        return incumbent
+    return greedy
+
+
 def _component_chromatic(
-    g: SimpleGraph, state: _SearchState
+    g: SimpleGraph, state: _SearchState, incumbent: Optional[list[int]] = None
 ) -> tuple[int, int, list[int]]:
     """(lower, upper, coloring achieving upper) for a connected graph.
 
     Depth-first branch and bound on an explicit stack, so deep searches
     need no recursion.  A frame is [vertex, next color to try, colors used
     on entry, color limit], the limit fixed when the frame is entered.
+    The search starts from the incumbent, a proper coloring 1..k, when it
+    uses fewer colors than DSATUR.  A lower start bound only narrows each
+    frame's color limit, so it prunes the same search tree: it never
+    visits a node the unseeded search would not.
     """
-    best = _dsatur_greedy(g)
+    best = _start(g, incumbent)
     best_count = max(best)
     clique = greedy_clique(g)
     lb = len(clique)
@@ -236,14 +254,24 @@ def _component_chromatic(
 
 
 def chromatic_number(
-    g: SimpleGraph, budget: Budget = Budget(), lower_hint: int = 0
+    g: SimpleGraph,
+    budget: Budget = Budget(),
+    lower_hint: int = 0,
+    incumbent: Optional[Coloring] = None,
 ) -> OracleResult:
     """Chromatic number of a simple graph, componentwise.
 
     lower_hint must be a valid lower bound for the whole graph (for
     example a known clique size); it can only tighten the reported
-    bracket, never change an exact answer.
+    bracket, never change an exact answer.  incumbent, a proper coloring
+    of g, is restricted to each component, renumbered 1..k there, and
+    used as that component's starting coloring when it beats DSATUR's.
+    At any node budget it can only narrow the bracket and lower the node
+    count, never change an exact answer; a coloring that is not proper
+    raises ValueError.
     """
+    if incumbent is not None and not is_proper_vertex_coloring(g, incumbent):
+        raise ValueError("incumbent is not a proper coloring of the graph")
     state = _SearchState(budget)
     lower = max(lower_hint, 1 if g.n else 0)
     upper = 0
@@ -251,11 +279,16 @@ def chromatic_number(
     exhausted = False
     for comp in g.connected_components():
         sub = g.induced(comp)
+        start = (
+            None
+            if incumbent is None
+            else _renumbered([incumbent.colors[v] for v in comp])
+        )
         if exhausted:
-            local = _dsatur_greedy(sub)
+            local = _start(sub, start)
             lo, hi = 1, max(local)
         else:
-            lo, hi, local = _component_chromatic(sub, state)
+            lo, hi, local = _component_chromatic(sub, state, start)
             exhausted = lo != hi
         for i, v in enumerate(comp):
             witness[v] = local[i]
@@ -266,18 +299,23 @@ def chromatic_number(
     return OracleResult(lower, upper, Coloring(tuple(witness)), state.nodes)
 
 
-def chromatic_index(h: Hypergraph, budget: Budget = Budget()) -> OracleResult:
+def chromatic_index(
+    h: Hypergraph, budget: Budget = Budget(), incumbent: Optional[Coloring] = None
+) -> OracleResult:
     """Minimum colors for the hyperedges so intersecting ones differ.
 
     Computed as the chromatic number of the line graph; the witness is
     indexed by hyperedge position.  The hyperedges through any one vertex
     are pairwise intersecting, so the maximum vertex degree seeds the
-    lower bound.
+    lower bound.  incumbent, a proper coloring of the hyperedges, is the
+    search's starting point (see chromatic_number).
     """
     if h.m == 0:
         return OracleResult(0, 0, Coloring(()), 0)
     hint = max(h.degrees(), default=0)
-    return chromatic_number(line_graph(h), budget, lower_hint=hint)
+    return chromatic_number(
+        line_graph(h), budget, lower_hint=hint, incumbent=incumbent
+    )
 
 
 @dataclass(frozen=True)
@@ -295,38 +333,100 @@ class CriticalityReport:
     """Per-hyperedge criticality, plus the key inequality's verdict.
 
     lemma_ok reports whether q - 1 <= hyperedge degree held for every
-    hyperedge whose criticality was decided positively; a False here on a
-    loopless instance indicates an implementation bug, not a discovery.
+    hyperedge whose criticality was decided positively.  That inequality
+    holds for every critical e of any hypergraph, loops and duplicate
+    edges included: if e's neighbours missed a color of a (q-1)-coloring
+    of h - e, e could take that color and h would need only q - 1.  So a
+    False here indicates an implementation bug, not a discovery.
     complete is True when q and every row were decided within budget.
+    witness is the base search's proper coloring of h with q colors
+    (Coloring(()) when q is None); no report renders it.
     """
 
     q: Optional[int]
     entries: tuple[EdgeCriticality, ...]
     complete: bool
     lemma_ok: bool
+    witness: Coloring
+
+
+class _Rows:
+    """q(h - deleted - e) for the rows of a table or an extraction.
+
+    Built once from h, its chromatic index q and a proper q-coloring of h.
+    The deleted positions are those of h's edges missing from the current
+    subhypergraph h', whose chromatic index is q as well.  A row is proved
+    without a search when one of three facts of the base search applies;
+    any other row is searched, starting from the base coloring restricted
+    to the candidate.
+    """
+
+    def __init__(self, h: Hypergraph, q: int, witness: Coloring):
+        self.h = h
+        self.q = q
+        self.colors = witness.colors
+        self.full = [set(h.incident(x)) for x, d in enumerate(h.degrees()) if d == q]
+        clique = greedy_clique(line_graph(h))
+        self.clique = set(clique) if len(clique) == q else None
+        self.classes: dict[int, list[int]] = {}
+        for pos, c in enumerate(witness.colors):
+            self.classes.setdefault(c, []).append(pos)
+
+    def q_without(self, deleted: list[int], e: int, budget: Budget) -> Optional[int]:
+        """q of h without the deleted positions and e; None if undecided."""
+        gone = {e, *deleted}
+        # q pairwise intersecting edges left make q colors necessary, and
+        # no deletion raises q.
+        if any(gone.isdisjoint(edges) for edges in self.full):
+            return self.q
+        if self.clique is not None and gone.isdisjoint(self.clique):
+            return self.q
+        # The base coloring without e uses q - 1 colors, and one deletion
+        # lowers q by at most 1.
+        if gone.issuperset(self.classes[self.colors[e]]):
+            return self.q - 1
+        keep = [p for p in range(self.h.m) if p not in gone]
+        candidate = Hypergraph(self.h.n, [self.h.edges[p] for p in keep])
+        start = Coloring(tuple(_renumbered([self.colors[p] for p in keep])))
+        return chromatic_index(candidate, budget, incumbent=start).exact
 
 
 def criticality_report(h: Hypergraph, budget: Budget = Budget()) -> CriticalityReport:
-    """Tabulate criticality and check q - 1 <= d(e) for critical e."""
+    """Tabulate criticality and check q - 1 <= d(e) for critical e.
+
+    A row is decided by proof where the base search gives one, and is
+    searched otherwise (see _Rows):
+    - a vertex of degree q outside e leaves q pairwise intersecting edges
+      in h - e, so q(h - e) >= q, and removing an edge never raises q;
+    - so does a q-clique of h's line graph (greedy_clique) without e;
+    - when e alone holds its color in the base q-coloring, that coloring
+      without e uses q - 1 colors, and q(h) <= q(h - e) + 1, so e is
+      critical.
+    The lemma check runs on every critical row however it was decided.
+    Any other row is searched from the base coloring without e, which
+    only prunes the search, so a row decided by a plain search within the
+    budget is decided here too, with the same value.
+    """
     base = chromatic_index(h, budget)
     if base.exact is None:
-        return CriticalityReport(None, (), False, True)
+        return CriticalityReport(None, (), False, True, Coloring(()))
     q = base.exact
+    rows = _Rows(h, q, base.witness)
     entries = []
     complete = True
     lemma_ok = True
     for i in range(h.m):
         deg = h.hyperedge_degree(i)
-        sub = chromatic_index(h.remove_hyperedge(i), budget)
-        if sub.exact is None:
+        q_without = rows.q_without([], i, budget)
+        if q_without is None:
             entries.append(EdgeCriticality(i, deg, None, None))
             complete = False
             continue
-        crit = sub.exact == q - 1
-        entries.append(EdgeCriticality(i, deg, sub.exact, crit))
+        crit = q_without == q - 1
+        entries.append(EdgeCriticality(i, deg, q_without, crit))
         if crit and not q - 1 <= deg:
             lemma_ok = False
-    return CriticalityReport(q, tuple(entries), complete, lemma_ok)
+    return CriticalityReport(q, tuple(entries), complete, lemma_ok, base.witness)
 
 
 @dataclass(frozen=True)
@@ -354,16 +454,25 @@ def extract_critical(
     is deleted, so the result is deterministic.  A row the table proved
     critical is kept without a search: in every subhypergraph h' of h that
     holds e and has the same q, q(h' - e) <= q(h - e) = q - 1, so e stays
-    critical there.  Before the first deletion the table has searched
+    critical there.  Before the first deletion the table has decided
     each candidate itself: the first removable row is deleted on its word,
     and an undecided row ends the extraction, incomplete, since the table
     already ran out of budget on that very candidate.  Every row after the
-    first deletion that is not proved critical is searched again.  Every
-    hyperedge of a complete result is critical: removing it would lower q.
+    first deletion that is not proved critical is decided by the table's
+    proofs, on the current subhypergraph h' (whose q is q):
+    - a vertex of degree q in h none of whose edges is deleted or e, or a
+      q-clique of h's line graph avoiding them, leaves q pairwise
+      intersecting edges in h' - e, so e is removable;
+    - when no other edge of h' has e's color in rep.witness, that coloring
+      of h' - e uses q - 1 colors, so e is critical.
+    Any other row is searched again, from rep.witness restricted to
+    h' - e.  Every hyperedge of a complete result is critical: removing
+    it would lower q.
     """
     q = rep.q
     if q is None:
         return CriticalCore(h, None, False, ())
+    rows = _Rows(h, q, rep.witness)
     cur = h
     removed: list[int] = []
     for entry in rep.entries:
@@ -371,13 +480,12 @@ def extract_critical(
             continue
         if not removed and entry.critical is None:
             return CriticalCore(h, q, False, ())
-        candidate = cur.remove_hyperedge(entry.position - len(removed))
         if removed:
-            sub = chromatic_index(candidate, budget)
-            if sub.exact is None:
+            q_without = rows.q_without(removed, entry.position, budget)
+            if q_without is None:
                 return CriticalCore(cur, q, False, tuple(removed))
-            if sub.exact != q:
+            if q_without != q:
                 continue
+        cur = cur.remove_hyperedge(entry.position - len(removed))
         removed.append(entry.position)
-        cur = candidate
     return CriticalCore(cur, q, True, tuple(removed))

@@ -5,9 +5,10 @@ deepening over the color count, index-order backtracking) and share no
 code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
 package types wherever possible.  The reference versions of package
-logic (condition tags, core extraction, the oracle's greedy and branch
-and bound, the random linear sampler) are the earlier, more literal
-forms of that logic, kept to check the current forms against.
+logic (condition tags, the criticality table, core extraction, the
+oracle's greedy and branch and bound, the random linear sampler) are the
+earlier, more literal forms of that logic, kept to check the current
+forms against.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import sys
 
 from hypercolor import (
     Budget,
+    Coloring,
     CriticalCore,
+    CriticalityReport,
+    EdgeCriticality,
     GenerationError,
     Hypergraph,
     Rng,
@@ -242,6 +246,33 @@ def if_chain_conditions(h: Hypergraph) -> frozenset[str]:
     return frozenset(tags)
 
 
+def searching_criticality_report(h: Hypergraph, budget: Budget) -> CriticalityReport:
+    """The criticality table that searches every row from scratch.
+
+    One chromatic_index call for the base q and one per hyperedge, with no
+    certificate and no starting coloring.
+    """
+    base = chromatic_index(h, budget)
+    if base.exact is None:
+        return CriticalityReport(None, (), False, True, Coloring(()))
+    q = base.exact
+    entries = []
+    complete = True
+    lemma_ok = True
+    for i in range(h.m):
+        deg = h.hyperedge_degree(i)
+        sub = chromatic_index(h.remove_hyperedge(i), budget)
+        if sub.exact is None:
+            entries.append(EdgeCriticality(i, deg, None, None))
+            complete = False
+            continue
+        crit = sub.exact == q - 1
+        entries.append(EdgeCriticality(i, deg, sub.exact, crit))
+        if crit and not q - 1 <= deg:
+            lemma_ok = False
+    return CriticalityReport(q, tuple(entries), complete, lemma_ok, base.witness)
+
+
 def rescanning_extract_critical(h: Hypergraph, budget: Budget) -> CriticalCore:
     """Core extraction that rescans from position 0 after every deletion."""
     base = chromatic_index(h, budget)
@@ -289,15 +320,18 @@ def rebuilding_dsatur_greedy(g: SimpleGraph) -> list[int]:
 
 
 def recursive_component_chromatic(
-    g: SimpleGraph, state: _SearchState
+    g: SimpleGraph, state: _SearchState, incumbent: list[int] | None = None
 ) -> tuple[int, int, list[int]]:
     """The oracle's branch and bound as a recursion over set rebuilds.
 
     Same contract as hypercolor.oracle._component_chromatic, and it must
-    visit the same nodes in the same order.
+    visit the same nodes in the same order.  It starts from the incumbent
+    when that uses fewer colors than the greedy coloring.
     """
     n = g.n
     greedy = rebuilding_dsatur_greedy(g)
+    if incumbent is not None and max(incumbent) < max(greedy):
+        greedy = incumbent
     best_count = max(greedy)
     best = list(greedy)
     clique = greedy_clique(g)

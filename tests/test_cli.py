@@ -426,9 +426,9 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         expected[family] = render_criticality(h, rep, extract_critical(h, rep, budget))
     calls = []
 
-    def counted(g, budget):
+    def counted(g, budget, incumbent=None):
         calls.append(g.m)
-        return chromatic_index(g, budget)
+        return chromatic_index(g, budget, incumbent)
 
     monkeypatch.setattr(oracle, "chromatic_index", counted)
     for family, budget, exit_code in cases:
@@ -442,10 +442,11 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         assert out == expected[family]
         assert calls.count(m) == 1
         if exit_code == 0:
-            # One base call and one per row of the table.  Extraction keeps
-            # the two critical rows and deletes the first removable one on
-            # the table's word, so it searches only the other three.
-            assert len(calls) == 1 + m + 3
+            # One base call, and the two rows of the table that no proof of
+            # the base search settles.  Extraction keeps the two critical
+            # rows and deletes the first removable one on the table's word;
+            # of the other three, a proof settles two and one is searched.
+            assert calls == [m, m - 1, m - 1, m - 2]
         else:
             assert calls == [m]
 
@@ -469,19 +470,31 @@ def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys
     assert out == render_criticality(h, rep, core)
 
 
-def test_critical_extraction_searches_the_rows_the_table_left_open():
-    # q is known but rows 12 and 13 are undecided within 50 nodes; after
-    # the first deletion both are searched on smaller hypergraphs, which
-    # settles them (12 removable, 13 critical).
-    h = generate(parse_family("random-linear:n=16,m=22,k=3,seed=1"))
+def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
+    # q is known but rows 3, 7, 8, 9 and 10 are undecided within 50 nodes,
+    # and no proof of the base search settles them.  After the first
+    # deletion (row 1) each is searched on a smaller hypergraph, which
+    # settles them (8 removable, the others critical).
+    h = generate(parse_family("random-linear:n=16,m=22,k=3,seed=22"))
     budget = Budget(50, None)
     rep = criticality_report(h, budget)
     assert rep.q == 6
-    assert [e.position for e in rep.entries if e.critical is None] == [12, 13]
+    assert [e.position for e in rep.entries if e.critical is None] == [3, 7, 8, 9, 10]
+    calls = []
+
+    def counted(g, budget, incumbent=None):
+        calls.append(g.m)
+        return chromatic_index(g, budget, incumbent)
+
+    monkeypatch.setattr(oracle, "chromatic_index", counted)
     core = extract_critical(h, rep, budget)
+    monkeypatch.undo()
+    # Rows 3 and 4 are searched on 20 edges, 7 and 8 on 19, 9, 10, 11 and
+    # 13 on 18, and 15, 17 and 21 on 17.
+    assert calls == [20, 20, 19, 19, 18, 18, 18, 18, 17, 17, 17]
     full = extract_critical(h, criticality_report(h, Budget(time_limit=None)))
     assert core == full
-    assert core.complete and 12 in core.removed and 13 not in core.removed
+    assert core.complete and core.removed == (1, 4, 8, 13)
 
 
 def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypatch):
@@ -495,9 +508,9 @@ def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypa
     assert rep.q == 6 and rep.entries[0].critical is None
     calls = []
 
-    def counted(g, budget):
+    def counted(g, budget, incumbent=None):
         calls.append(g.m)
-        return chromatic_index(g, budget)
+        return chromatic_index(g, budget, incumbent)
 
     monkeypatch.setattr(oracle, "chromatic_index", counted)
     core = extract_critical(h, rep, budget)
@@ -509,6 +522,42 @@ def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypa
     )
     assert code == 4
     assert out == render_criticality(h, rep, core)
+
+
+# sha256 of `critical --time-limit 0` stdout, recorded while every row of
+# the table was still searched: the proofs of the base search and the
+# seeded searches must give the same table and core.
+CRITICAL_DIGESTS = [
+    ("random-linear:n=16,m=22,k=3,seed=1", "e109e55b044e355526a89b8e74e620e3f0241a5977f5db6d826c43b8924249a6"),
+    ("random-linear:n=16,m=22,k=3,seed=1 --json", "2f7901f5135ecab3b1c019e2fe7fd1ebe7bfce9ae2366bca1d9c169240c461f6"),
+    ("random-linear:n=16,m=22,k=3,seed=2", "dd8a760c1eea89a0d09519905a4b989a650007ba86e9242a63659b145e7d29c8"),
+    ("random-linear:n=16,m=22,k=3,seed=2 --json", "c8912b7e05484ea075d14945fe02ed5198d225cb15d86e90c9a319be2c3cf994"),
+    ("random-linear:n=16,m=22,k=3,seed=3", "047b65716d1d6c49292d641bf2d7c9a66c1d2aac6ee474176164b9064008ef1c"),
+    ("random-linear:n=16,m=22,k=3,seed=3 --json", "b1aa6c7ba1bdc5611f2bd2f681d0c1ae88def44085b9e5d4509eb43c5fef709d"),
+    ("random-linear:n=16,m=22,k=3,seed=4", "efd89d5cfef0380f32eeca692b2436ef79ed8a1445aeba1b1a166c7915bbfec2"),
+    ("random-linear:n=16,m=22,k=3,seed=4 --json", "05ce66d27f650e127d4240aeda5f7359a3de1bf5e02a9b18d28570be5a0f7a63"),
+    ("random-linear:n=20,m=16,k=4,seed=1", "6934acb23e16ed545d6fd43971b7b664be3612d536a1265086cd0d428f4d04b2"),
+    ("random-linear:n=20,m=16,k=4,seed=1 --json", "e0b396f531c8d26485f5a4eb76278911028fbfcac3420561db33e153d06bf49a"),
+    ("random-linear:n=20,m=16,k=4,seed=2", "482b3efdf4d26d9a750da272bf6af2f98c9438b2c3900dd370024cfc1e40536f"),
+    ("random-linear:n=20,m=16,k=4,seed=2 --json", "5e81ccba69323e89bebd22d7c6831e912efcdfc10a90bbae8b67a233cbbfb224"),
+    ("random-linear:n=20,m=16,k=4,seed=3", "ee913572652ecdfcbacca19f1d4970c990f279004acccfbbfc3e20c16e7549c1"),
+    ("random-linear:n=20,m=16,k=4,seed=3 --json", "f1beb1f1b4c76fdc15dae4b4866b17ee6025d34cdf0b020d26dd71baf056a353"),
+    ("random-linear:n=20,m=16,k=4,seed=4", "ab21116f1bd35d266c2065a9f28ed1864b9ff53713a6bddbe6c02f19cb70ae20"),
+    ("random-linear:n=20,m=16,k=4,seed=4 --json", "e64d8e0f8c69c11484b0df8a67a867c045534f31f29db35f7e57c23d9f0b97cd"),
+    ("fano", "9d16e94699f3f811010acf7ccc3a5559f68c46899968f6b8e87f5ef9c4137fd8"),
+    ("fano --json", "86bd5a56995d827fe7fb23d59bc7e8db9fd508f720f2b31b27ea2afee22aa70d"),
+    ("cycle:7", "0c5e1f2a84371da9bdb1609a1eae78fefac6f1e6c30cb33ff1220e51e5e37adf"),
+    ("cycle:7 --json", "b122389596f6675bf7e486c84e517cd798305d19d7b9c8127d76cfe71a5bd7b8"),
+]
+
+
+def test_critical_reports_are_pinned_byte_for_byte(capsys):
+    for args, expected in CRITICAL_DIGESTS:
+        code, out, _ = run_cli(
+            capsys, "critical", "--family", *args.split(), "--time-limit", "0"
+        )
+        assert code == 0, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, args
 
 
 def test_survey_text_json_and_jobs_agree(capsys):

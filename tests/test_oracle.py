@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import sys
 
+import pytest
+
 from hypercolor import (
     Budget,
     Coloring,
@@ -38,6 +40,7 @@ from brute import (
     rebuilding_dsatur_greedy,
     recursive_component_chromatic,
     rescanning_extract_critical,
+    searching_criticality_report,
 )
 
 FAST = Budget(max_nodes=1_000_000, time_limit=None)
@@ -183,6 +186,80 @@ def test_search_matches_the_recursive_reference(monkeypatch):
     assert searched >= 150 and starved >= 50 and multi >= 40
 
 
+def _renumber(colors: list[int]) -> tuple[int, ...]:
+    rank = {c: i + 1 for i, c in enumerate(sorted(set(colors)))}
+    return tuple(rank[c] for c in colors)
+
+
+def _incumbents(g: SimpleGraph) -> list[Coloring]:
+    """Proper colorings to start from: an optimal one, index-order first
+    fit, and the optimal one with the components' colors interleaved, so
+    that no component of a disconnected graph holds 1..k."""
+    best = chromatic_number(g, FAST).witness.colors
+    first_fit = [0] * g.n
+    for v in range(g.n):
+        taken = {first_fit[w] for w in g.adj[v]}
+        first_fit[v] = min(c for c in range(1, g.n + 2) if c not in taken)
+    comps = g.connected_components()
+    interleaved = [0] * g.n
+    for j, comp in enumerate(comps):
+        for v in comp:
+            interleaved[v] = (best[v] - 1) * len(comps) + j + 1
+    return [Coloring(best), Coloring(tuple(first_fit)), Coloring(_renumber(interleaved))]
+
+
+def _seeded_graphs():
+    yield from _differential_graphs()
+    for seed in range(20):
+        rng = Rng(seed + 15_000)
+        three = _disjoint_union(random_graph(rng, 1, 6), random_graph(rng, 2, 7))
+        yield _disjoint_union(three, line_graph(_linear(seed + 950)))
+
+
+def test_a_seeded_search_agrees_and_never_visits_more_nodes(monkeypatch):
+    spread = beaten = 0
+    for index, g in enumerate(_seeded_graphs()):
+        plain = chromatic_number(g, FAST)
+        starts = _incumbents(g)
+        for start in starts:
+            seeded = chromatic_number(g, FAST, incumbent=start)
+            assert seeded.exact == plain.exact
+            assert seeded.nodes <= plain.nodes
+            assert is_proper_vertex_coloring(g, seeded.witness)
+            assert seeded.witness.q_used == seeded.upper
+            beaten += seeded.nodes < plain.nodes
+            budget = Budget(index % 51, None)
+            got = chromatic_number(g, budget, incumbent=start)
+            monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
+            want = chromatic_number(g, budget, incumbent=start)
+            monkeypatch.undo()
+            assert got == want
+        for comp in g.connected_components():
+            local = {starts[2].colors[v] for v in comp}
+            spread += len(local) < max(local) - min(local) + 1
+        # At every node budget the seeded bracket holds the true value and
+        # lies within the unseeded one.  From plain.nodes on, both searches
+        # finish, as checked above.
+        for nodes in range(min(50, plain.nodes) + 1):
+            start = starts[nodes % len(starts)]
+            cut = chromatic_number(g, Budget(nodes, None))
+            res = chromatic_number(g, Budget(nodes, None), incumbent=start)
+            assert cut.lower <= res.lower <= plain.exact <= res.upper <= cut.upper
+            assert res.upper <= start.q_used and res.nodes <= cut.nodes
+            assert is_proper_vertex_coloring(g, res.witness)
+            assert res.witness.q_used == res.upper
+    assert index + 1 == 220
+    assert spread >= 40 and beaten >= 50
+
+
+def test_an_incumbent_that_is_not_proper_is_refused():
+    triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="not a proper coloring"):
+        chromatic_number(triangle, FAST, incumbent=Coloring((1, 2, 1)))
+    with pytest.raises(ValueError, match="exactly the vertices"):
+        chromatic_number(triangle, FAST, incumbent=Coloring((1, 2)))
+
+
 def test_search_depth_is_not_bound_by_the_recursion_limit(monkeypatch):
     def refuse(limit):
         raise AssertionError("the search must not change the recursion limit")
@@ -311,9 +388,9 @@ def test_extract_critical_preserves_q_and_leaves_only_critical_edges():
 def test_one_pass_extraction_matches_the_rescanning_reference(monkeypatch):
     calls = []
 
-    def counted(h, budget=FAST):
+    def counted(h, budget=FAST, incumbent=None):
         calls.append(h.m)
-        return chromatic_index(h, budget)
+        return chromatic_index(h, budget, incumbent)
 
     compared = 0
     for seed in range(60):
@@ -338,6 +415,85 @@ def test_one_pass_extraction_matches_the_rescanning_reference(monkeypatch):
         assert len(calls) <= max(0, removable - 1)
         compared += 1
     assert compared >= 50
+
+
+def _criticality_inputs():
+    for seed in range(30):
+        yield random_linear(16, 22, 3, seed)
+        yield random_linear(20, 16, 4, seed)
+    for seed in range(100):
+        yield random_hypergraph_raw(Rng(seed + 16_000), 2, 9, 12, 1, 4)
+    for seed in range(30):
+        a = random_hypergraph_raw(Rng(seed + 16_500), 2, 7, 8, 1, 3)
+        b = random_linear(9, 8, 3, seed)
+        yield Hypergraph(a.n + b.n, list(a.edges) + [[v + a.n for v in e] for e in b.edges])
+    for n in range(1, 6):
+        yield Hypergraph(n, [])
+        yield Hypergraph(n, [tuple(range(n))])
+
+
+def _certified(h: Hypergraph, rep) -> list[tuple[bool, bool, bool]]:
+    """Which proofs of the base search apply to each row of rep, by rule:
+    a degree-q vertex outside e, a q-clique of the line graph without e,
+    e alone in its color class of the base witness."""
+    q, colors = rep.q, rep.witness.colors
+    clique = greedy_clique(line_graph(h))
+    return [
+        (
+            any(h.vertex_degree(x) == q and x not in h.edges[e] for x in range(h.n)),
+            len(clique) == q and e not in clique,
+            colors.count(colors[e]) == 1,
+        )
+        for e in range(h.m)
+    ]
+
+
+def test_certified_rows_match_the_searching_table(monkeypatch):
+    fired = [0, 0, 0]
+    gained = 0
+    for index, h in enumerate(_criticality_inputs()):
+        full = searching_criticality_report(h, FAST)
+        calls = []
+
+        def counted(g, budget=FAST, incumbent=None):
+            calls.append(g.m)
+            return chromatic_index(g, budget, incumbent)
+
+        monkeypatch.setattr(oracle, "chromatic_index", counted)
+        rep = criticality_report(h, FAST)
+        monkeypatch.undo()
+        assert rep == full
+        proofs = _certified(h, rep)
+        # One base search, then one per row that no proof settles.
+        assert len(calls) == 1 + sum(not any(p) for p in proofs)
+        for entry, p in zip(rep.entries, proofs):
+            fired = [f + b for f, b in zip(fired, p)]
+            if any(p[:2]):
+                assert entry.q_without == rep.q
+            if p[2]:
+                assert entry.critical is True
+        core = extract_critical(h, rep, FAST)
+        assert core == rescanning_extract_critical(h, FAST)
+        for nodes in (20, 50, 200):
+            budget = Budget(nodes, None)
+            ref = searching_criticality_report(h, budget)
+            got = criticality_report(h, budget)
+            assert (got.q, got.witness) == (ref.q, ref.witness)
+            for mine, theirs, want in zip(got.entries, ref.entries, full.entries):
+                if theirs.critical is not None:
+                    assert mine == theirs
+                if mine.critical is not None:
+                    assert mine == want
+                gained += mine.critical is not None and theirs.critical is None
+            if got.q is not None:
+                assert got.lemma_ok
+            partial = extract_critical(h, got, budget)
+            if partial.complete:
+                assert partial == core
+            else:
+                assert core.removed[: len(partial.removed)] == partial.removed
+    assert index + 1 == 200
+    assert min(fired) >= 1 and gained >= 1
 
 
 def test_critical_core_obeys_size_adjusted_bound():

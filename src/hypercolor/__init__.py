@@ -25,7 +25,6 @@ from .analysis import (
 from .coloring import (
     Coloring,
     brooks_color,
-    brooks_edge_color,
     greedy_color,
     is_proper,
     is_proper_vertex_coloring,
@@ -93,7 +92,6 @@ __all__ = [
     "affine_plane",
     "bound_set",
     "brooks_color",
-    "brooks_edge_color",
     "chromatic_index",
     "chromatic_number",
     "complete_graph",

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .coloring import (
-    Coloring,
-    brooks_color,
-    brooks_edge_color,
-    greedy_color,
-    is_proper,
-)
+from .coloring import Coloring, brooks_color, greedy_color, is_proper
 from .core import Hypergraph, HypergraphStats
 from .oracle import Budget, chromatic_index, greedy_clique
 from .transforms import line_graph
@@ -122,7 +116,7 @@ def inequality_suite(h: Hypergraph) -> InequalityReport:
         worst = ""
         for i in range(h.m):
             d = h.hyperedge_degree(i)
-            bound = sum(h.vertex_degree(x) - 1 for x in h.edges[i])
+            bound = sum(len(h.incident(x)) - 1 for x in h.edges[i])
             if d > bound or (st.linear and d != bound):
                 ok = False
                 worst = f"; position {i}: degree {d} vs sum {bound}"
@@ -250,7 +244,7 @@ def verify_conjecture(
     if q_lower > bf:
         # A violation verdict is an alarm, so cross-examine it: any proper
         # coloring within the bound would prove the lower bound wrong.
-        for alt in (greedy_color(h), brooks_edge_color(h)):
+        for alt in (greedy_color(h), brooks_color(line_graph(h))):
             if alt.q_used <= bf and is_proper(h, alt):
                 raise RuntimeError(
                     "internal error: lower bound exceeds a constructive coloring"

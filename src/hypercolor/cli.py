@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success; 1 an internal error, a bug rather than bad input
-(a traceback, or the message of the critical command's lemma alarm);
+(a traceback, the message of the critical command's lemma alarm, or of a
+failed structural check under verify --inequalities);
 2 bad input (file parse, text that is not UTF-8, flags, family
 parameters, unsupported instance shapes); 3 when any instance's verdict
 is VIOLATED, which is the counterexample alarm and is never masked by
@@ -20,11 +21,12 @@ from typing import Optional
 
 from . import report
 from .analysis import UNRESOLVED, VIOLATED, inequality_suite, verify_conjecture
-from .coloring import brooks_edge_color, greedy_color, is_proper, vizing_edge_color
+from .coloring import brooks_color, greedy_color, is_proper, vizing_edge_color
 from .core import Hypergraph, UnsupportedInputError
 from .hgr import HgrParseError, digest, load, parse_hgr_bytes, serialize_hgr
 from .instances import _FAMILIES, GenerationError, generate, parse_family, survey_instance
 from .oracle import Budget, chromatic_index, criticality_report, extract_critical
+from .transforms import line_graph
 
 
 def _budget_setting(flag_value, flag: str, env: str, kind: type, fallback):
@@ -48,12 +50,19 @@ def _budget_setting(flag_value, flag: str, env: str, kind: type, fallback):
     return number
 
 
+_DEFAULTS = Budget()
+
+
 def _budget(args: argparse.Namespace) -> Budget:
     nodes = _budget_setting(
-        args.budget, "--budget", "HYPERCOLOR_MAX_NODES", int, 10_000_000
+        args.budget, "--budget", "HYPERCOLOR_MAX_NODES", int, _DEFAULTS.max_nodes
     )
     limit = _budget_setting(
-        args.time_limit, "--time-limit", "HYPERCOLOR_TIME_LIMIT", float, 30.0
+        args.time_limit,
+        "--time-limit",
+        "HYPERCOLOR_TIME_LIMIT",
+        float,
+        _DEFAULTS.time_limit,
     )
     return Budget(max_nodes=nodes, time_limit=limit if limit > 0 else None)
 
@@ -64,14 +73,14 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="NODES",
-        help="search nodes per exact call (default 10000000, "
+        help=f"search nodes per exact call (default {_DEFAULTS.max_nodes}, "
         "env HYPERCOLOR_MAX_NODES)",
     )
     sub.add_argument(
         "--time-limit",
         type=float,
         default=None,
-        help="seconds per exact call, 0 to disable (default 30, "
+        help=f"seconds per exact call, 0 to disable (default {_DEFAULTS.time_limit:g}, "
         "env HYPERCOLOR_TIME_LIMIT)",
     )
 
@@ -112,7 +121,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.method == "greedy":
         coloring = greedy_color(h, order=args.order, seed=args.seed)
     elif args.method == "brooks":
-        coloring = brooks_edge_color(h)
+        coloring = brooks_color(line_graph(h))
     elif args.method == "vizing":
         coloring = vizing_edge_color(h)
     else:
@@ -139,15 +148,23 @@ def cmd_color(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     h = _load_input(args)
     verdict = verify_conjecture(h, _budget(args), use_exact=args.exact)
+    checks = inequality_suite(h) if args.inequalities else None
     if args.json:
         sys.stdout.write(report.verdict_json(h, verdict))
     else:
         text = report.render_verdict(h, verdict)
-        if args.inequalities:
-            text += "\n".join(report.render_inequalities(inequality_suite(h))) + "\n"
+        if checks is not None:
+            text += "\n".join(report.render_inequalities(checks)) + "\n"
         sys.stdout.write(text)
     if verdict.status == VIOLATED:
         return 3
+    if checks is not None and not checks.all_ok:
+        failed = [c.name for c in checks.checks if c.applicable and not c.ok]
+        print(
+            f"internal error: structural check failed: {', '.join(failed)}",
+            file=sys.stderr,
+        )
+        return 1
     if verdict.status == UNRESOLVED:
         return 4
     return 0

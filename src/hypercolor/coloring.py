@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
-from .transforms import SimpleGraph, line_graph
+from .transforms import SimpleGraph
 
 
 def _check_palette(colors: tuple[int, ...]) -> None:
@@ -39,6 +39,12 @@ class Coloring:
     @property
     def q_used(self) -> int:
         return max(self.colors, default=0)
+
+
+def _renumbered(colors: list[int]) -> list[int]:
+    """The same color classes, numbered 1..k in increasing order of color."""
+    rank = {c: i + 1 for i, c in enumerate(sorted(set(colors)))}
+    return [rank[c] for c in colors]
 
 
 def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
@@ -129,16 +135,6 @@ def brooks_color(g: SimpleGraph) -> Coloring:
         for i, v in enumerate(comp):
             colors[v] = local[i]
     return Coloring(tuple(colors))
-
-
-def brooks_edge_color(h: Hypergraph) -> Coloring:
-    """Color hyperedges by running brooks_color on the line graph.
-
-    Uses at most max hyperedge degree + 1 colors, and at most the max
-    hyperedge degree when no line-graph component is complete or an odd
-    cycle.
-    """
-    return brooks_color(line_graph(h))
 
 
 def _brooks_component(g: SimpleGraph) -> list[int]:
@@ -455,7 +451,5 @@ def vizing_edge_color(h: Hypergraph) -> Coloring:
             assign(u, fan[j], shifted)
         assign(u, fan[w], d)
 
-    used = sorted(set(col.values()))
-    remap = {c: i + 1 for i, c in enumerate(used)}
-    return Coloring(tuple(remap[col[e]] for e in h.edges))
+    return Coloring(tuple(_renumbered([col[e] for e in h.edges])))
 

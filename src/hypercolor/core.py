@@ -19,7 +19,10 @@ class HypergraphStats:
     common hyperedge size when all sizes agree (None otherwise), regular_d
     the common vertex degree when all degrees agree.  two_section_max_degree
     is the maximum degree of the two-section multigraph, i.e. the largest
-    value of sum(len(e) - 1 for e containing x) over vertices x.
+    value of sum(len(e) - 1 for e containing x) over vertices x.  linear:
+    no two positions share two vertices, so a duplicated hyperedge of size
+    >= 2 breaks it and duplicated loops do not.  connected: at most one
+    component, an isolated vertex being a component of its own.
     """
 
     n: int
@@ -83,13 +86,9 @@ class Hypergraph:
 
     def incident(self, x: int) -> tuple[int, ...]:
         """Positions of the hyperedges containing vertex x, ascending."""
-        self._check_vertex(x)
+        if not 0 <= x < self.n:
+            raise IndexError(f"vertex {x} not in 0..{self.n - 1}")
         return self._incidence[x]
-
-    def vertex_degree(self, x: int) -> int:
-        """Number of hyperedge positions containing x."""
-        self._check_vertex(x)
-        return len(self._incidence[x])
 
     def hyperedge_degree(self, i: int) -> int:
         """Number of other positions whose hyperedge meets hyperedge i.
@@ -108,15 +107,11 @@ class Hypergraph:
         """Vertex degrees indexed by vertex."""
         return tuple(len(positions) for positions in self._incidence)
 
-    def is_linear(self) -> bool:
-        """True when every two positions share at most one vertex.
-
-        Equivalently, no vertex pair lies in two hyperedges: the two-section
-        is simple.  A duplicated hyperedge of size >= 2 therefore makes the
-        hypergraph non-linear, while duplicated loops do not.  Each position
-        marks the earlier positions it meets through its vertices; meeting
-        one twice means a second shared vertex.  The work is bounded by the
-        line graph's edges and the memory by m, however large a hyperedge.
+    def _is_linear(self) -> bool:
+        """stats().linear.  Each position marks the earlier positions it
+        meets through its vertices; meeting one twice means a second shared
+        vertex.  The work is bounded by the line graph's edges and the
+        memory by m, however large a hyperedge.
         """
         met_by = [-1] * self.m
         for pos, edge in enumerate(self.edges):
@@ -129,12 +124,8 @@ class Hypergraph:
                     met_by[other] = pos
         return True
 
-    def connected_components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Components as (vertices, hyperedge positions), both ascending.
-
-        Isolated vertices form singleton components with no hyperedges.
-        Components are listed by their smallest vertex.
-        """
+    def _component_count(self) -> int:
+        """The number of components, each isolated vertex counting as one."""
         parent = list(range(self.n))
 
         def find(a: int) -> int:
@@ -147,16 +138,7 @@ class Hypergraph:
             r = find(edge[0])
             for v in edge[1:]:
                 parent[find(v)] = r
-        verts: dict[int, list[int]] = {}
-        for v in range(self.n):
-            verts.setdefault(find(v), []).append(v)
-        eds: dict[int, list[int]] = {}
-        for pos, edge in enumerate(self.edges):
-            eds.setdefault(find(edge[0]), []).append(pos)
-        return [
-            (tuple(vs), tuple(eds.get(root, ())))
-            for root, vs in sorted(verts.items(), key=lambda kv: kv[1][0])
-        ]
+        return sum(parent[v] == v for v in range(self.n))
 
     def remove_hyperedge(self, i: int) -> "Hypergraph":
         """The hypergraph on the same vertices with position i deleted."""
@@ -187,16 +169,12 @@ class Hypergraph:
             max_degree=max_deg,
             min_degree=min_deg,
             loopless=all(size >= 2 for size in sizes),
-            linear=self.is_linear(),
+            linear=self._is_linear(),
             uniform_k=sizes[0] if sizes and len(set(sizes)) == 1 else None,
             regular_d=max_deg if max_deg == min_deg else None,
-            connected=len(self.connected_components()) <= 1,
+            connected=self._component_count() <= 1,
             two_section_max_degree=max(two_section_degs, default=0),
         )
-
-    def _check_vertex(self, x: int) -> None:
-        if not 0 <= x < self.n:
-            raise IndexError(f"vertex {x} not in 0..{self.n - 1}")
 
     def _check_position(self, i: int) -> None:
         if not 0 <= i < self.m:

@@ -20,8 +20,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class GenerationError(ValueError):
     """Raised for invalid family parameters or an unplaceable random edge.
 
-    random_linear raises it at its retry cap, or as soon as no k-set
-    avoids every vertex pair already used: the edge the cap would fail on.
+    random_linear raises it at its retry cap ("retry cap hit"), or as soon
+    as no k-set avoids every vertex pair already used ("no k-set avoids
+    the used vertex pairs"): the edge the cap would fail on.
     """
 
 
@@ -271,13 +272,14 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
             cand = rng.sample_sorted(k, n)
             fits = all(free[a] >> b & 1 for a, b in combinations(cand, 2))
             # With no free k-set left every later draw misses too, and the
-            # RNG is not read again, so failing now changes no output.
-            if fits or (attempt == 0 and not _has_clique(free, everyone, k)):
+            # RNG is not read again, so failing now changes only the reason.
+            full = not fits and attempt == 0 and not _has_clique(free, everyone, k)
+            if fits or full:
                 break
         if not fits:
+            reason = "no k-set avoids the used vertex pairs" if full else "retry cap hit"
             raise GenerationError(
-                f"could not place edge {len(chosen) + 1} of {m} "
-                f"(n={n}, k={k}): retry cap hit"
+                f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}"
             )
         chosen.append(cand)
         for a, b in combinations(cand, 2):

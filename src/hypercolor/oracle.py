@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import Coloring, is_proper_vertex_coloring
+from .coloring import Coloring, _renumbered, is_proper_vertex_coloring
 from .core import Hypergraph
 from .transforms import SimpleGraph, line_graph
 
@@ -167,12 +167,6 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
         clique.append(pick)
         cand &= adj_sets[pick]
     return clique
-
-
-def _renumbered(colors: list[int]) -> list[int]:
-    """The same color classes, numbered 1..k in increasing order of color."""
-    rank = {c: i + 1 for i, c in enumerate(sorted(set(colors)))}
-    return [rank[c] for c in colors]
 
 
 def _start(g: SimpleGraph, incumbent: Optional[list[int]]) -> list[int]:
@@ -365,9 +359,12 @@ class _Rows:
         self.h = h
         self.q = q
         self.colors = witness.colors
-        self.full = [set(h.incident(x)) for x, d in enumerate(h.degrees()) if d == q]
+        # Sets of q pairwise intersecting positions: the edges through a
+        # vertex of degree q, and the greedy clique when it has q members.
+        self.cliques = [set(h.incident(x)) for x, d in enumerate(h.degrees()) if d == q]
         clique = greedy_clique(line_graph(h))
-        self.clique = set(clique) if len(clique) == q else None
+        if len(clique) == q:
+            self.cliques.append(set(clique))
         self.classes: dict[int, list[int]] = {}
         for pos, c in enumerate(witness.colors):
             self.classes.setdefault(c, []).append(pos)
@@ -377,9 +374,7 @@ class _Rows:
         gone = {e, *deleted}
         # q pairwise intersecting edges left make q colors necessary, and
         # no deletion raises q.
-        if any(gone.isdisjoint(edges) for edges in self.full):
-            return self.q
-        if self.clique is not None and gone.isdisjoint(self.clique):
+        if any(gone.isdisjoint(clique) for clique in self.cliques):
             return self.q
         # The base coloring without e uses q - 1 colors, and one deletion
         # lowers q by at most 1.

@@ -14,6 +14,7 @@ forms against.
 from __future__ import annotations
 
 import sys
+from itertools import combinations
 
 from hypercolor import (
     Budget,
@@ -108,6 +109,23 @@ def brute_two_section(
             if k:
                 mult[(x, y)] = k
     return mult
+
+
+def brute_connected(n: int, hyperedges: list[tuple[int, ...]]) -> bool:
+    """Whether a breadth-first search over the two-section's pairs reaches
+    every vertex from vertex 0; an isolated vertex is a component of its
+    own, and n <= 1 counts as connected.
+    """
+    pairs = brute_two_section(n, hyperedges)
+    reached = {0} if n else set()
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop(0)
+        for y in range(n):
+            if y not in reached and (min(x, y), max(x, y)) in pairs:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached) == n
 
 
 def brute_two_section_max_degree(n: int, hyperedges: list[tuple[int, ...]]) -> int:
@@ -387,7 +405,8 @@ def recursive_component_chromatic(
 
 def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
     """The pairwise-set form of ``random_linear``: every draw is checked
-    against every chosen edge, and each edge gets the full retry cap.
+    against every chosen edge, and each edge gets the full retry cap.  A
+    failure names its reason by trying every k-set once the cap is spent.
     """
     if k < 2:
         raise GenerationError(f"linear family needs k >= 2, got {k}")
@@ -407,8 +426,14 @@ def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
                 chosen_sets.append(cset)
                 break
         else:
+            free_left = any(
+                all(len(set(cset) & other) <= 1 for other in chosen_sets)
+                for cset in combinations(range(n), k)
+            )
+            reason = (
+                "retry cap hit" if free_left else "no k-set avoids the used vertex pairs"
+            )
             raise GenerationError(
-                f"could not place edge {len(chosen) + 1} of {m} "
-                f"(n={n}, k={k}): retry cap hit"
+                f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}"
             )
     return Hypergraph(n, chosen)

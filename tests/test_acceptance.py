@@ -22,7 +22,6 @@ from hypercolor import (
     affine_plane,
     bound_set,
     brooks_color,
-    brooks_edge_color,
     chromatic_index,
     chromatic_number,
     complete_graph,
@@ -36,6 +35,7 @@ from hypercolor import (
     inequality_suite,
     is_proper,
     is_proper_vertex_coloring,
+    line_graph,
     projective_plane,
     random_linear,
     steiner_triple,
@@ -122,7 +122,7 @@ def test_criterion_2_affine_plane_counts_and_colorings():
         by_name = {c.name: c for c in rep.checks}
         assert by_name["uniform-regular-count"].applicable
         assert rep.all_ok
-        coloring = brooks_edge_color(h)
+        coloring = brooks_color(line_graph(h))
         assert is_proper(h, coloring)
         assert coloring.q_used <= 9
         assert chromatic_index(h, BUDGET).exact == 4

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,8 @@ from hypercolor import (
     Budget,
     CriticalCore,
     FamilySpec,
-    brooks_edge_color,
+    InequalityReport,
+    brooks_color,
     chromatic_index,
     criticality_report,
     extract_critical,
@@ -23,13 +25,14 @@ from hypercolor import (
     generate,
     greedy_clique,
     greedy_color,
+    inequality_suite,
     line_graph,
     parse_family,
     random_linear,
     serialize_hgr,
     verify_conjecture,
 )
-from hypercolor import analysis, coloring, oracle
+from hypercolor import analysis, cli, coloring, oracle
 from hypercolor.cli import main
 from hypercolor.report import (
     TOOL_VERSION,
@@ -255,6 +258,39 @@ def test_color_reports_are_pinned_byte_for_byte(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, args
 
 
+# sha256 of `stats` and `verify --no-exact --inequalities` stdout, recorded
+# while linearity and connectivity still had their own Hypergraph methods.
+# The inputs: fano; a disconnected instance with a loop and isolated
+# vertices; a non-linear one holding one edge three times.
+STRUCTURE_DIGESTS = [
+    ("stats fano", "d6d454b308bf8c1e13ee111b888350b776fc39c3a7f5b2807b6e422a9931ee64"),
+    ("stats fano --json", "ce40c2ade96eb634112bbd15742b7c005bf59e86088635634fe4b646b498b9ce"),
+    ("verify fano --no-exact --inequalities", "b1f234910be14c5493c78108b6b3cea3f00de79546a48ad3986c92dfc6be1c9d"),
+    ("verify fano --no-exact --inequalities --json", "b91cc5f3590daf0016d2ca3c94e857282668761750ec78e575895cd980365cc7"),
+    ("stats random:n=9,m=5,sizes=1-3,seed=0", "87ad69ae8e69e1b6bfc06d2046f5f6d326b2455256c663320c097a0047ee438f"),
+    ("stats random:n=9,m=5,sizes=1-3,seed=0 --json", "3c77c79fa8f983011c2b3fc462f0379127bb261d030a8e12668a63ae8a16bd1b"),
+    ("verify random:n=9,m=5,sizes=1-3,seed=0 --no-exact --inequalities", "2953c9ef83d10a832d0e18a3c0e15d4b0c084009ad2b7147d33553fb28dcaaa9"),
+    ("verify random:n=9,m=5,sizes=1-3,seed=0 --no-exact --inequalities --json", "eb9d33f170e06e24afc8f55e2db4b7000ac05b81e77f02269dc04e570eafe12e"),
+    ("stats random:n=5,m=6,sizes=2-3,seed=1", "aedeb7ff7954425c46b15c2c85ca5aadc8f6a5d1837ba17f0991a9522b02ef86"),
+    ("stats random:n=5,m=6,sizes=2-3,seed=1 --json", "a85c5586e3c117c25500901121126ec45dc5120b3f7175327833aad366d8484d"),
+    ("verify random:n=5,m=6,sizes=2-3,seed=1 --no-exact --inequalities", "d1f972d492bd6da91ef4df378a845d08bf26dd3ed63493eef890f1a668d5f78d"),
+    ("verify random:n=5,m=6,sizes=2-3,seed=1 --no-exact --inequalities --json", "83f4ea32bbeb8ca4d4b6ea7bdab96ee8e2c4af0aabdfed73fc77e1c80e2ddcb4"),
+]
+
+
+def test_stats_and_verify_reports_are_pinned_byte_for_byte(capsys):
+    disconnected = generate(parse_family("random:n=9,m=5,sizes=1-3,seed=0")).stats()
+    assert not disconnected.connected and not disconnected.loopless
+    assert disconnected.min_degree == 0
+    repeated = generate(parse_family("random:n=5,m=6,sizes=2-3,seed=1"))
+    assert not repeated.stats().linear and len(set(repeated.edges)) < repeated.m
+    for args, expected in STRUCTURE_DIGESTS:
+        command, family, *flags = args.split()
+        code, out, _ = run_cli(capsys, command, "--family", family, *flags)
+        assert code == 0, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, args
+
+
 def test_color_greedy_order_flags(capsys):
     code1, out1, _ = run_cli(
         capsys, "color", "--family", "fano", "--order", "random", "--seed", "3"
@@ -308,11 +344,12 @@ def test_verify_no_exact_builds_the_line_graph_once(capsys, monkeypatch):
     for family in ("fano", "steiner-triple:15"):
         h = generate(parse_family(family))
         # The bracket as separate builds for each colorer and the clique give it.
-        witness = min([greedy_color(h), brooks_edge_color(h)], key=lambda c: c.q_used)
+        witness = min(
+            [greedy_color(h), brooks_color(line_graph(h))], key=lambda c: c.q_used
+        )
         q_lower = max(len(greedy_clique(line_graph(h))), h.stats().max_degree)
         calls.clear()
         monkeypatch.setattr(analysis, "line_graph", counted)
-        monkeypatch.setattr(coloring, "line_graph", counted)
         code, out, _ = run_cli(capsys, "verify", "--family", family, "--no-exact")
         monkeypatch.undo()
         assert calls == [h.m]
@@ -337,6 +374,46 @@ def test_verify_json_and_inequalities(capsys):
     assert code == 0
     assert out.count("check ") == 3
     assert "FAILED" not in out
+
+
+def test_a_failed_structural_check_is_an_internal_error(capsys, monkeypatch):
+    def failing(h):
+        rep = inequality_suite(h)
+        first, *rest = rep.checks
+        return InequalityReport((replace(first, ok=False), *rest))
+
+    argv = ("verify", "--family", "fano", "--inequalities")
+    _, text, _ = run_cli(capsys, *argv)
+    _, payload, _ = run_cli(capsys, *argv, "--json")
+    monkeypatch.setattr(cli, "inequality_suite", failing)
+    alarm = "internal error: structural check failed: two-section-degree-floor\n"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, alarm)
+    assert out == text.replace(
+        "two-section-degree-floor: checked ok", "two-section-degree-floor: checked FAILED"
+    )
+    # The checks run under --json too, and leave its stdout as it was.
+    assert run_cli(capsys, *argv, "--json") == (1, payload, alarm)
+    # VIOLATED keeps exit code 3 whatever else failed.
+    verify = cli.verify_conjecture
+    monkeypatch.setattr(
+        cli,
+        "verify_conjecture",
+        lambda *a, **kw: replace(verify(*a, **kw), status=analysis.VIOLATED),
+    )
+    assert run_cli(capsys, *argv)[0] == 3
+
+
+def test_budget_defaults_come_from_the_budget_type(capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default 10000000, env HYPERCOLOR_MAX_NODES)" in help_text
+    assert "(default 30, env HYPERCOLOR_TIME_LIMIT)" in help_text
+    monkeypatch.delenv("HYPERCOLOR_MAX_NODES", raising=False)
+    monkeypatch.delenv("HYPERCOLOR_TIME_LIMIT", raising=False)
+    args = cli.build_parser().parse_args(["verify", "--family", "fano"])
+    assert cli._budget(args) == Budget()
 
 
 def test_budget_env_fallback_and_flag_override(capsys, monkeypatch):
@@ -599,13 +676,16 @@ def test_survey_reports_are_pinned_byte_for_byte(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, extra
 
 
-def test_gen_reports_an_unplaceable_edge_as_before(capsys):
-    # Exit code and stderr as recorded with the rejection form of the
-    # generator, which spent its whole retry cap on this edge.
+def test_gen_says_why_an_edge_could_not_be_placed(capsys):
+    # K_4 holds six vertex pairs, so no seventh 2-set is free: the generator
+    # proves this after one draw and says so, on the edge the cap fails on.
     code, out, err = run_cli(capsys, "gen", "--family", "random-linear:n=4,m=100,k=2")
     assert code == 2
     assert out == ""
-    assert err == "error: could not place edge 7 of 100 (n=4, k=2): retry cap hit\n"
+    assert err == (
+        "error: could not place edge 7 of 100 (n=4, k=2): "
+        "no k-set avoids the used vertex pairs\n"
+    )
 
 
 def test_survey_range_syntax_and_validation(capsys):

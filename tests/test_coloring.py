@@ -11,13 +11,13 @@ from hypercolor import (
     UnsupportedInputError,
     affine_plane,
     brooks_color,
-    brooks_edge_color,
     complete_graph,
     cycle,
     fano,
     greedy_color,
     is_proper,
     is_proper_vertex_coloring,
+    line_graph,
     vizing_edge_color,
 )
 from hypercolor.transforms import SimpleGraph
@@ -144,14 +144,16 @@ def test_brooks_respects_max_degree_on_random_connected_graphs():
 
 
 def test_brooks_edge_color_on_design_instances():
-    f = brooks_edge_color(fano())
+    # Brooks edge coloring is brooks_color on the line graph.
+    f = brooks_color(line_graph(fano()))
     assert is_proper(fano(), f)
     assert f.q_used == 7
-    a = brooks_edge_color(affine_plane(3))
+    a = brooks_color(line_graph(affine_plane(3)))
     assert is_proper(affine_plane(3), a)
     assert a.q_used <= 9
     single = Hypergraph(3, [(0, 1, 2)])
-    assert brooks_edge_color(single).q_used == 1
+    assert brooks_color(line_graph(single)).q_used == 1
+    assert brooks_color(line_graph(Hypergraph(3, []))) == Coloring(())
 
 
 def test_vizing_pinned_instances():

@@ -6,7 +6,7 @@ import pytest
 
 from hypercolor import Hypergraph, Rng, fano, random_linear
 
-from brute import brute_two_section_max_degree, random_hypergraph_raw
+from brute import brute_connected, brute_two_section_max_degree, random_hypergraph_raw
 
 
 def test_construction_canonicalizes_edges():
@@ -31,18 +31,18 @@ def test_construction_rejects_bad_input():
 def test_duplicate_hyperedges_are_kept_as_positions():
     h = Hypergraph(2, [(0, 1), (0, 1)])
     assert h.m == 2
-    assert h.vertex_degree(0) == 2
+    assert h.degrees() == (2, 2)
     assert h.hyperedge_degree(0) == 1 and h.hyperedge_degree(1) == 1
 
 
 def test_degrees_and_incidence():
     h = Hypergraph(4, [(0, 1), (1, 2), (0, 1, 2)])
     assert h.degrees() == (2, 3, 2, 0)
-    assert h.vertex_degree(1) == 3
+    assert len(h.incident(1)) == 3
     assert h.incident(3) == ()
     assert h.incident(0) == (0, 2)
     with pytest.raises(IndexError):
-        h.vertex_degree(4)
+        h.incident(4)
     with pytest.raises(IndexError):
         h.hyperedge_degree(3)
 
@@ -68,19 +68,41 @@ def test_rank_antirank_and_loopless():
 
 
 def test_linearity_predicate():
-    assert fano().is_linear()
-    assert not Hypergraph(4, [(0, 1, 2), (0, 1, 3)]).is_linear()
-    assert Hypergraph(2, [(0,), (0,)]).is_linear()
-    assert not Hypergraph(2, [(0, 1), (0, 1)]).is_linear()
-    assert Hypergraph(3, []).is_linear()
+    assert fano().stats().linear
+    assert not Hypergraph(4, [(0, 1, 2), (0, 1, 3)]).stats().linear
+    assert Hypergraph(2, [(0,), (0,)]).stats().linear
+    assert not Hypergraph(2, [(0, 1), (0, 1)]).stats().linear
+    assert Hypergraph(3, []).stats().linear
 
 
 def test_connected_components():
+    # An isolated vertex is a component of its own.
     h = Hypergraph(6, [(0, 1), (1, 2), (4, 5)])
-    comps = h.connected_components()
-    assert comps == [((0, 1, 2), (0, 1)), ((3,), ()), ((4, 5), (2,))]
-    assert fano().stats().connected
     assert not h.stats().connected
+    assert not Hypergraph(3, [(0, 1)]).stats().connected
+    assert Hypergraph(3, [(0, 1), (1, 2)]).stats().connected
+    assert Hypergraph(3, [(0, 1, 2)]).stats().connected
+    assert fano().stats().connected
+    assert Hypergraph(0, []).stats().connected
+    assert Hypergraph(1, []).stats().connected
+    assert not Hypergraph(2, []).stats().connected
+
+
+def test_connected_matches_a_search_of_the_two_section():
+    seen = set()
+    inputs = [random_hypergraph_raw(Rng(seed + 5000), 1, 8, 8) for seed in range(200)]
+    inputs += [Hypergraph(0, []), Hypergraph(1, []), Hypergraph(1, [(0,), (0,)])]
+    for h in inputs:
+        connected = brute_connected(h.n, list(h.edges))
+        assert h.stats().connected == connected, (h.n, h.edges)
+        seen.add("connected" if connected else "disconnected")
+        if min(h.degrees(), default=1) == 0:
+            seen.add("isolated")
+        if not h.stats().loopless:
+            seen.add("loop")
+        if len(set(h.edges)) < h.m:
+            seen.add("duplicate")
+    assert seen == {"connected", "disconnected", "isolated", "loop", "duplicate"}
 
 
 def test_remove_hyperedge_shifts_positions():
@@ -173,10 +195,10 @@ def test_hyperedge_degree_incidence_sum():
     for seed in range(40):
         h = random_hypergraph_raw(Rng(seed + 3000))
         for i in range(h.m):
-            bound = sum(h.vertex_degree(x) - 1 for x in h.edges[i])
+            bound = sum(len(h.incident(x)) - 1 for x in h.edges[i])
             assert h.hyperedge_degree(i) <= bound
     for seed in range(10):
         h = random_linear(12, 8, 3, seed)
         for i in range(h.m):
-            bound = sum(h.vertex_degree(x) - 1 for x in h.edges[i])
+            bound = sum(len(h.incident(x)) - 1 for x in h.edges[i])
             assert h.hyperedge_degree(i) == bound

@@ -46,8 +46,15 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
     assert namespace["Coloring"] is coloring.Coloring
     assert not hasattr(transforms.SimpleGraph, "neighbors")
     assert not hasattr(transforms.SimpleGraph, "edges")
-    # The size facts are read from stats(), not from the hypergraph.
+    # Brooks edge coloring is brooks_color(line_graph(h)).
+    assert "brooks_edge_color" not in namespace
+    assert not hasattr(hypercolor, "brooks_edge_color")
+    assert not hasattr(coloring, "brooks_edge_color")
+    # The size, linearity and connectivity facts are read from stats(), and
+    # vertex degrees from degrees() or incident(), not from other methods.
     h = hypercolor.fano()
-    for name in ("rank", "antirank", "loopless"):
+    for name in ("rank", "antirank", "loopless", "linear", "connected"):
         assert not hasattr(h, name)
         assert hasattr(h.stats(), name)
+    for name in ("is_linear", "connected_components", "vertex_degree"):
+        assert not hasattr(h, name)

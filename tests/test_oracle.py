@@ -440,7 +440,7 @@ def _certified(h: Hypergraph, rep) -> list[tuple[bool, bool, bool]]:
     clique = greedy_clique(line_graph(h))
     return [
         (
-            any(h.vertex_degree(x) == q and x not in h.edges[e] for x in range(h.n)),
+            any(len(h.incident(x)) == q and x not in h.edges[e] for x in range(h.n)),
             len(clique) == q and e not in clique,
             colors.count(colors[e]) == 1,
         )

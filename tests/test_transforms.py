@@ -52,12 +52,12 @@ def test_two_section_multiplicities():
     }
     h = Hypergraph(4, edges)
     assert h.stats().two_section_max_degree == 4
-    assert not h.is_linear() and not h.stats().linear
+    assert not h.stats().linear
     # Loops contribute nothing to the two-section.
     loops = Hypergraph(2, [(0,), (0,)])
     assert brute_two_section(2, loops.edges) == {}
     assert loops.stats().two_section_max_degree == 0
-    assert loops.is_linear()
+    assert loops.stats().linear
 
 
 def test_two_section_of_fano_is_the_simple_complete_graph():
@@ -93,7 +93,7 @@ def test_intersection_facts_match_the_references():
         linear = all(k == 1 for k in mult.values())
         st = h.stats()
         assert graph_edges(line_graph(h)) == pairwise_line_graph_edges(h.n, edges)
-        assert h.is_linear() == st.linear == linear
+        assert st.linear == linear
         assert st.two_section_max_degree == brute_two_section_max_degree(h.n, edges)
         seen.add("linear" if linear else "nonlinear")
         if h.m == 0:
@@ -128,7 +128,7 @@ def test_line_graph_of_fano_is_complete():
 
 def test_line_graphs_of_the_large_designs():
     sts = steiner_triple(99)
-    assert sts.is_linear()
+    assert sts.stats().linear
     lg = line_graph(sts)
     assert lg.n == 1617
     assert {lg.degree(v) for v in range(lg.n)} == {144}

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .coloring import Coloring, brooks_color, greedy_color, is_proper
 from .core import Hypergraph, HypergraphStats
-from .oracle import Budget, chromatic_index, greedy_clique
+from .oracle import Budget, chromatic_index
 from .transforms import line_graph
 
 HOLDS = "HOLDS"
@@ -191,11 +191,12 @@ class Verdict:
     status is HOLDS only with proof in hand: an exact q within the bound,
     or a verified proper coloring using at most the bound.  VIOLATED
     likewise needs proof that q exceeds the bound: an exact value, or a
-    certified lower bound, above it.  Anything undecided (budget ran
-    out, or only a too-large constructive coloring is known) stays
-    UNRESOLVED.  conditions lists the tags whose hypotheses the instance
-    satisfies; efl_ok compares q against the vertex count on linear
-    instances (None when not linear or undecided).
+    certified lower bound, above it.  Anything undecided (the oracle's
+    budget ran out, or was 0 nodes, with the bracket across the bound)
+    stays UNRESOLVED.  conditions lists the tags whose hypotheses the
+    instance satisfies; efl_ok compares q against the vertex count on
+    linear instances (None when not linear or undecided); oracle_nodes
+    counts the nodes the oracle visited, at most the budget's max_nodes.
     """
 
     stats: HypergraphStats
@@ -210,31 +211,21 @@ class Verdict:
     oracle_nodes: int
 
 
-def verify_conjecture(
-    h: Hypergraph, budget: Budget = Budget(), use_exact: bool = True
-) -> Verdict:
+def verify_conjecture(h: Hypergraph, budget: Budget = Budget()) -> Verdict:
     """Check q(H) <= max two-section degree + 1 on one instance.
 
-    With use_exact=False the oracle is skipped: q is bracketed from below
-    by a clique in the intersection graph of the hyperedges and from
-    above by the best constructive coloring, which can still settle the
-    status whenever the bracket clears the bound on either side.
+    q is bracketed by chromatic_index(h, budget), the one bracket
+    routine.  At max_nodes=0 no node is searched: the bracket is DSATUR's
+    coloring over the larger of the maximum degree and the largest greedy
+    clique of a line-graph component, which can still settle the status
+    whenever it clears the bound on either side.
     """
     st = h.stats()
     bounds = bound_set(h)
     bf = bounds.two_section
 
-    nodes = 0
-    if use_exact:
-        res = chromatic_index(h, budget)
-        nodes = res.nodes
-        q_lower, q_upper, witness = res.lower, res.upper, res.witness
-    else:
-        # One line graph serves the Brooks coloring and the clique.
-        lg = line_graph(h)
-        witness = min([greedy_color(h), brooks_color(lg)], key=lambda c: c.q_used)
-        q_upper = witness.q_used
-        q_lower = max(len(greedy_clique(lg)), st.max_degree)
+    res = chromatic_index(h, budget)
+    q_lower, q_upper, witness = res.lower, res.upper, res.witness
     if not is_proper(h, witness):
         raise RuntimeError("internal error: emitted coloring is not proper")
     if witness.q_used != q_upper:
@@ -276,5 +267,5 @@ def verify_conjecture(
         status=status,
         efl_ok=efl_ok,
         witness=witness,
-        oracle_nodes=nodes,
+        oracle_nodes=res.nodes,
     )

@@ -6,8 +6,8 @@ failed structural check under verify --inequalities);
 2 bad input (file parse, text that is not UTF-8, flags, family
 parameters, unsupported instance shapes); 3 when any instance's verdict
 is VIOLATED, which is the counterexample alarm and is never masked by
-other failures; 4 when verdicts stayed UNRESOLVED (budget ran out, or
-exactness was turned off) and nothing was VIOLATED.
+other failures; 4 when verdicts stayed UNRESOLVED (the search budget ran
+out, or was 0 nodes under --no-exact) and nothing was VIOLATED.
 """
 
 from __future__ import annotations
@@ -85,6 +85,17 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_exact_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--exact",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="run the exact oracle (--no-exact: the oracle at zero nodes, DSATUR "
+        "over the greedy clique and the maximum degree; ignores --budget and "
+        "--time-limit)",
+    )
+
+
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "input", nargs="?", help="hypergraph file in hgr format, or - for stdin"
@@ -147,7 +158,10 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     h = _load_input(args)
-    verdict = verify_conjecture(h, _budget(args), use_exact=args.exact)
+    budget = _budget(args)
+    if not args.exact:
+        budget = replace(budget, max_nodes=0)
+    verdict = verify_conjecture(h, budget)
     checks = inequality_suite(h) if args.inequalities else None
     if args.json:
         sys.stdout.write(report.verdict_json(h, verdict))
@@ -223,9 +237,9 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 def _survey_worker(task: tuple) -> dict:
     # task[1] is the instance index; the benchmark's tracer names spans by it.
-    seed, index, n_range, m_range, ks, use_exact, budget = task
+    seed, index, n_range, m_range, ks, budget = task
     spec, h = survey_instance(seed, index, n_range, m_range, ks)
-    verdict = verify_conjecture(h, budget, use_exact=use_exact)
+    verdict = verify_conjecture(h, budget)
     row = {
         "index": index,
         "family": spec.label(),
@@ -256,9 +270,9 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if any(k < 2 for k in ks) or not ks:
         raise GenerationError("--k sizes must all be at least 2")
     budget = _budget(args)
-    tasks = [
-        (args.seed, i, n_range, m_range, ks, args.exact, budget) for i in range(args.count)
-    ]
+    if not args.exact:
+        budget = replace(budget, max_nodes=0)
+    tasks = [(args.seed, i, n_range, m_range, ks, budget) for i in range(args.count)]
     if args.jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(
@@ -320,12 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check q against the two-section degree bound"
     )
     _add_input_flags(p_verify)
-    p_verify.add_argument(
-        "--exact",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the exact oracle (--no-exact brackets q constructively)",
-    )
+    _add_exact_flag(p_verify)
     p_verify.add_argument(
         "--inequalities",
         action="store_true",
@@ -366,24 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey = subs.add_parser(
         "survey", help="verify a batch of seeded random linear instances"
     )
-    p_survey.add_argument(
-        "--family",
-        choices=["random-linear"],
-        default="random-linear",
-        help="instance family to sample (only random-linear)",
-    )
     p_survey.add_argument("--count", type=int, required=True)
     p_survey.add_argument("--seed", type=int, default=0, help="master seed")
     p_survey.add_argument("--n-range", default="6..12", help="vertex range LO..HI")
     p_survey.add_argument("--m-range", default="4..16", help="edge range LO..HI")
     p_survey.add_argument("--k", default="2,3,4", help="edge sizes, comma list")
     p_survey.add_argument("--jobs", type=int, default=1)
-    p_survey.add_argument(
-        "--exact",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the exact oracle per instance",
-    )
+    _add_exact_flag(p_survey)
     p_survey.add_argument("--json", action="store_true")
     _add_budget_flags(p_survey)
     p_survey.set_defaults(func=cmd_survey)

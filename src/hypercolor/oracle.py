@@ -32,8 +32,10 @@ from .transforms import SimpleGraph, line_graph
 class Budget:
     """Per-call search allowance: branch nodes and wall-clock seconds.
 
-    time_limit=None disables the clock; node limits alone keep results
-    machine-independent.
+    A search visits at most max_nodes nodes; at max_nodes=0 it visits
+    none, and each component is bracketed by its greedy clique and its
+    starting (DSATUR) coloring.  time_limit=None disables the clock; node limits
+    alone keep results machine-independent.
     """
 
     max_nodes: int = 10_000_000
@@ -55,9 +57,9 @@ class _SearchState:
         )
 
     def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self._max_nodes:
+        if self.nodes >= self._max_nodes:
             raise _BudgetExhausted
+        self.nodes += 1
         if (
             self._deadline is not None
             and (self.nodes & 1023) == 0
@@ -73,7 +75,8 @@ class OracleResult:
     lower <= chi <= upper always holds; witness is a proper coloring with
     exactly `upper` colors (indexed by vertex for chromatic_number, by
     hyperedge position for chromatic_index).  exact is the value when the
-    bracket is tight, None when the budget ran out first.
+    bracket is tight, None when the budget ran out first.  nodes, the
+    branch nodes visited, never exceeds the budget's max_nodes.
     """
 
     lower: int
@@ -157,7 +160,8 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     """A maximal clique grown by highest degree into the candidate set.
 
     Its size is a certified lower bound on the chromatic number; the
-    search below starts from it, and bracket reports reuse it.
+    search below starts from it, and a component the budget leaves
+    unsearched takes it as its lower end.
     """
     adj_sets = [set(nb) for nb in g.adj]
     cand = set(range(g.n))
@@ -255,6 +259,8 @@ def chromatic_number(
 ) -> OracleResult:
     """Chromatic number of a simple graph, componentwise.
 
+    The components share one budget; once it runs out, each component
+    left is bracketed by its greedy clique and its starting coloring.
     lower_hint must be a valid lower bound for the whole graph (for
     example a known clique size); it can only tighten the reported
     bracket, never change an exact answer.  incumbent, a proper coloring
@@ -280,7 +286,7 @@ def chromatic_number(
         )
         if exhausted:
             local = _start(sub, start)
-            lo, hi = 1, max(local)
+            lo, hi = len(greedy_clique(sub)), max(local)
         else:
             lo, hi, local = _component_chromatic(sub, state, start)
             exhausted = lo != hi

@@ -136,7 +136,7 @@ def test_condition_table_matches_the_if_chain():
     for h in _tag_table_instances():
         expected = if_chain_conditions(h)
         seen |= expected
-        assert verify_conjecture(h, FAST, use_exact=False).conditions == expected
+        assert verify_conjecture(h, Budget(0, None)).conditions == expected
         assert conditions(h) == expected
     assert seen == {
         "THM1", "THM2", "THM3", "RK61", "RK62",
@@ -241,7 +241,7 @@ def test_verdict_flags_violations_from_loops():
     assert exact.bounds.greedy is None
     assert exact.bounds.rank_degree == 2
     assert exact.bounds.edge_degree == 2
-    bracketed = verify_conjecture(loops, use_exact=False)
+    bracketed = verify_conjecture(loops, Budget(0, None))
     assert bracketed.status == VIOLATED
     assert bracketed.q_lower == 2
 
@@ -255,7 +255,7 @@ def test_verdict_unresolved_when_bracket_straddles_bound():
     assert starved.efl_ok is None
     assert is_proper(h, starved.witness)
 
-    constructive = verify_conjecture(h, use_exact=False)
+    constructive = verify_conjecture(h, Budget(0, None))
     assert constructive.status == UNRESOLVED
     assert (constructive.q_lower, constructive.q_upper) == (4, 6)
 
@@ -267,7 +267,7 @@ def test_verdict_unresolved_when_bracket_straddles_bound():
 
 
 def test_constructive_mode_can_still_settle_easy_instances():
-    v = verify_conjecture(fano(), use_exact=False)
+    v = verify_conjecture(fano(), Budget(0, None))
     assert v.status == HOLDS
     assert v.q_upper <= 7
     assert v.oracle_nodes == 0
@@ -275,8 +275,11 @@ def test_constructive_mode_can_still_settle_easy_instances():
 
 
 def test_verdicts_are_honest_against_brute_force():
+    loops = duplicates = 0
     for seed in range(40):
         h = random_hypergraph_raw(Rng(seed + 14_000), 3, 7, 7, 1, 3)
+        loops += not h.stats().loopless
+        duplicates += len(set(h.edges)) < h.m
         v = verify_conjecture(h, FAST)
         bf = v.bounds.two_section
         truth = brute_chromatic_index(h.n, list(h.edges))
@@ -288,6 +291,15 @@ def test_verdicts_are_honest_against_brute_force():
             assert truth <= bf
         assert is_proper(h, v.witness)
         assert v.witness.q_used == v.q_upper
+        # At 0 nodes the bracket still holds the truth, and a decided
+        # status agrees with it.
+        zero = verify_conjecture(h, Budget(0, None))
+        assert zero.q_lower <= truth <= zero.q_upper
+        assert zero.status in (v.status, UNRESOLVED)
+        assert zero.oracle_nodes == 0
+        assert is_proper(h, zero.witness)
+        assert zero.witness.q_used == zero.q_upper
+    assert loops and duplicates
 
 
 def test_linear_loopless_instances_all_hold():

@@ -17,19 +17,19 @@ from hypercolor import (
     CriticalCore,
     FamilySpec,
     InequalityReport,
-    brooks_color,
     chromatic_index,
     criticality_report,
+    digest,
     extract_critical,
     fano,
     generate,
     greedy_clique,
-    greedy_color,
     inequality_suite,
     line_graph,
     parse_family,
     random_linear,
     serialize_hgr,
+    survey_instance,
     verify_conjecture,
 )
 from hypercolor import analysis, cli, coloring, oracle
@@ -38,7 +38,6 @@ from hypercolor.report import (
     TOOL_VERSION,
     render_criticality,
     render_stats,
-    render_verdict,
 )
 
 LOOPS = "p hgr 1 2\ne 1\ne 1\n"
@@ -334,33 +333,63 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert "q-upper: 6" in out
 
 
-def test_verify_no_exact_builds_the_line_graph_once(capsys, monkeypatch):
+def _counting_line_graphs(monkeypatch):
+    """Count the oracle's line-graph builds, recording each input's m."""
     calls = []
 
     def counted(h):
         calls.append(h.m)
         return line_graph(h)
 
-    for family in ("fano", "steiner-triple:15"):
+    monkeypatch.setattr(oracle, "line_graph", counted)
+    return calls
+
+
+def _no_exact_floor(h):
+    """The larger of a greedy clique of the whole line graph and the
+    maximum degree: no --no-exact lower end may fall below it."""
+    return max(len(greedy_clique(line_graph(h))), h.stats().max_degree)
+
+
+def test_verify_no_exact_is_the_oracle_at_zero_nodes(capsys, monkeypatch):
+    families = (
+        "fano",
+        "steiner-triple:15",
+        "complete-graph:5",
+        "random:n=9,m=5,sizes=1-3,seed=0",
+    )
+    for family in families:
         h = generate(parse_family(family))
-        # The bracket as separate builds for each colorer and the clique give it.
-        witness = min(
-            [greedy_color(h), brooks_color(line_graph(h))], key=lambda c: c.q_used
-        )
-        q_lower = max(len(greedy_clique(line_graph(h))), h.stats().max_degree)
-        calls.clear()
-        monkeypatch.setattr(analysis, "line_graph", counted)
-        code, out, _ = run_cli(capsys, "verify", "--family", family, "--no-exact")
+        for extra in ([], ["--json"]):
+            zero = run_cli(
+                capsys, "verify", "--family", family,
+                "--budget", "0", "--time-limit", "0", *extra,
+            )
+            calls = _counting_line_graphs(monkeypatch)
+            got = run_cli(capsys, "verify", "--family", family, "--no-exact", *extra)
+            monkeypatch.undo()
+            assert got == zero, (family, extra)
+            assert calls == [h.m], (family, extra)
+        payload = json.loads(got[1])
+        assert payload["oracle_nodes"] == 0
+        assert payload["q_lower"] >= _no_exact_floor(h), family
+        assert payload["q_upper"] == len(set(payload["witness"]))
+
+
+def test_survey_no_exact_is_the_oracle_at_zero_nodes(capsys, monkeypatch):
+    base = ["survey", "--count", "20", "--seed", "3"]
+    for extra in ([], ["--json"]):
+        zero = run_cli(capsys, *base, "--budget", "0", *extra)
+        calls = _counting_line_graphs(monkeypatch)
+        got = run_cli(capsys, *base, "--no-exact", *extra)
         monkeypatch.undo()
-        assert calls == [h.m]
-        verdict = verify_conjecture(h, use_exact=False)
-        assert (verdict.witness, verdict.q_lower, verdict.q_upper) == (
-            witness,
-            q_lower,
-            witness.q_used,
-        )
-        assert out == render_verdict(h, verdict)
-        assert code == 0
+        assert got == zero, extra
+        assert len(calls) == 20
+    for row in json.loads(got[1])["instances"]:
+        _, h = survey_instance(3, row["index"], (6, 12), (4, 16), (2, 3, 4))
+        assert row["input_sha256"] == digest(h)
+        assert row["oracle_nodes"] == 0
+        assert row["q_lower"] >= _no_exact_floor(h), row["index"]
 
 
 def test_verify_json_and_inequalities(capsys):
@@ -440,6 +469,9 @@ def test_budget_env_fallback_and_flag_override(capsys, monkeypatch):
         (["verify", "--family", "fano", "--time-limit", "-1"], {}, "--time-limit"),
         (["verify", "--family", "fano", "--time-limit", "nan"], {}, "--time-limit"),
         (["survey", "--count", "2", "--jobs", "0"], {}, "--jobs"),
+        (["verify", "--family", "fano", "--no-exact", "--budget", "-5"], {}, "--budget"),
+        (["survey", "--count", "2", "--no-exact", "--time-limit", "-1"], {},
+         "--time-limit"),
         (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "many"},
          "HYPERCOLOR_MAX_NODES"),
         (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "-3"},
@@ -735,6 +767,10 @@ def test_argparse_level_failures_exit_two():
     with pytest.raises(SystemExit) as err2:
         main(["color", "--family", "fano", "--method", "sparkle"])
     assert err2.value.code == 2
+    # survey samples random linear instances only; it takes no --family.
+    with pytest.raises(SystemExit) as err3:
+        main(["survey", "--count", "1", "--family", "random-linear"])
+    assert err3.value.code == 2
 
 
 def test_version_flag(capsys):

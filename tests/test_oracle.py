@@ -245,7 +245,7 @@ def test_a_seeded_search_agrees_and_never_visits_more_nodes(monkeypatch):
             cut = chromatic_number(g, Budget(nodes, None))
             res = chromatic_number(g, Budget(nodes, None), incumbent=start)
             assert cut.lower <= res.lower <= plain.exact <= res.upper <= cut.upper
-            assert res.upper <= start.q_used and res.nodes <= cut.nodes
+            assert res.upper <= start.q_used and res.nodes <= cut.nodes <= nodes
             assert is_proper_vertex_coloring(g, res.witness)
             assert res.witness.q_used == res.upper
     assert index + 1 == 220
@@ -278,8 +278,8 @@ def test_hard_set_brackets_and_node_counts():
     # Deterministic counters of the benchmark's hard set, node budgets only.
     for v, budget, bracket, nodes in (
         (15, 100_000, (9, 9), 35_373),
-        (21, 20_000, (10, 12), 20_001),
-        (27, 16_000, (13, 16), 16_001),
+        (21, 20_000, (10, 12), 20_000),
+        (27, 16_000, (13, 16), 16_000),
     ):
         h = steiner_triple(v)
         res = chromatic_index(h, Budget(budget, None))
@@ -288,9 +288,21 @@ def test_hard_set_brackets_and_node_counts():
         assert res.witness.q_used == res.upper
     h = random_linear(40, 80, 4, 1)
     res = chromatic_index(h, Budget(10_000, None))
-    assert ((res.lower, res.upper), res.nodes) == ((10, 12), 10_001)
+    assert ((res.lower, res.upper), res.nodes) == ((10, 12), 10_000)
     assert is_proper(h, res.witness)
     assert res.witness.q_used == res.upper
+
+
+def test_a_component_past_the_budget_keeps_its_greedy_clique():
+    # K_5 beside the Fano plane on vertices 5..11.  At 0 nodes the budget
+    # runs out on K_5, whose line graph DSATUR colors with 6 > 4 colors;
+    # the Fano line graph, K_7, still brings its clique, closing [7, 7].
+    plane = [tuple(x + 5 for x in e) for e in fano().edges]
+    h = Hypergraph(12, list(complete_graph(5).edges) + plane)
+    assert not h.stats().connected
+    res = chromatic_index(h, Budget(0, None))
+    assert (res.lower, res.upper, res.nodes) == (7, 7, 0)
+    assert is_proper(h, res.witness)
 
 
 def test_greedy_clique_is_a_maximal_clique():

@@ -469,9 +469,6 @@ def test_budget_env_fallback_and_flag_override(capsys, monkeypatch):
         (["verify", "--family", "fano", "--time-limit", "-1"], {}, "--time-limit"),
         (["verify", "--family", "fano", "--time-limit", "nan"], {}, "--time-limit"),
         (["survey", "--count", "2", "--jobs", "0"], {}, "--jobs"),
-        (["verify", "--family", "fano", "--no-exact", "--budget", "-5"], {}, "--budget"),
-        (["survey", "--count", "2", "--no-exact", "--time-limit", "-1"], {},
-         "--time-limit"),
         (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "many"},
          "HYPERCOLOR_MAX_NODES"),
         (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "-3"},
@@ -480,6 +477,9 @@ def test_budget_env_fallback_and_flag_override(capsys, monkeypatch):
          "HYPERCOLOR_TIME_LIMIT"),
         (["verify", "--family", "fano"], {"HYPERCOLOR_TIME_LIMIT": "-0.5"},
          "HYPERCOLOR_TIME_LIMIT"),
+        (["verify", "--family", "fano", "--no-exact", "--budget", "-5"], {}, "--budget"),
+        (["survey", "--count", "2", "--no-exact", "--time-limit", "-1"], {},
+         "--time-limit"),
     ],
 )
 def test_budget_inputs_are_validated(capsys, monkeypatch, argv, env, named):

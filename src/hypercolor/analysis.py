@@ -230,7 +230,7 @@ def verify_conjecture(h: Hypergraph, budget: Budget = Budget()) -> Verdict:
         raise RuntimeError("internal error: emitted coloring is not proper")
     if witness.q_used != q_upper:
         raise RuntimeError("internal error: witness does not match q_upper")
-    q_exact = q_upper if q_lower == q_upper else None
+    q_exact = res.exact
 
     if q_lower > bf:
         # A violation verdict is an alarm, so cross-examine it: any proper
@@ -241,8 +241,6 @@ def verify_conjecture(h: Hypergraph, budget: Budget = Budget()) -> Verdict:
                     "internal error: lower bound exceeds a constructive coloring"
                 )
         status = VIOLATED
-    elif q_exact is not None:
-        status = HOLDS
     elif q_upper <= bf:
         status = HOLDS
     else:

@@ -377,7 +377,10 @@ def parse_family(text: str) -> FamilySpec:
             key, eq, value = part.partition("=")
             if not eq:
                 raise GenerationError(f"expected key=value, got {part!r}")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise GenerationError(f"{head} parameter {key!r} is given twice")
+            fields[key] = value.strip()
     unknown = set(fields) - set(params)
     if unknown:
         raise GenerationError(

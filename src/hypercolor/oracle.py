@@ -20,7 +20,7 @@ unchanged from it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .coloring import Coloring, _renumbered, is_proper_vertex_coloring
@@ -65,6 +65,8 @@ class _SearchState:
             and (self.nodes & 1023) == 0
             and time.monotonic() > self._deadline
         ):
+            # Every later tick refuses before it counts, as after a node cut.
+            self._max_nodes = self.nodes
             raise _BudgetExhausted
 
 
@@ -173,14 +175,6 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
-def _start(g: SimpleGraph, incumbent: Optional[list[int]]) -> list[int]:
-    """DSATUR's coloring, or the incumbent when it uses fewer colors."""
-    greedy = _dsatur_greedy(g)
-    if incumbent is not None and max(incumbent) < max(greedy):
-        return incumbent
-    return greedy
-
-
 def _component_chromatic(
     g: SimpleGraph, state: _SearchState, incumbent: Optional[list[int]] = None
 ) -> tuple[int, int, list[int]]:
@@ -194,7 +188,9 @@ def _component_chromatic(
     frame's color limit, so it prunes the same search tree: it never
     visits a node the unseeded search would not.
     """
-    best = _start(g, incumbent)
+    best = _dsatur_greedy(g)
+    if incumbent is not None and max(incumbent) < max(best):
+        best = incumbent
     best_count = max(best)
     clique = greedy_clique(g)
     lb = len(clique)
@@ -252,50 +248,34 @@ def _component_chromatic(
 
 
 def chromatic_number(
-    g: SimpleGraph,
-    budget: Budget = Budget(),
-    lower_hint: int = 0,
-    incumbent: Optional[Coloring] = None,
+    g: SimpleGraph, budget: Budget = Budget(), incumbent: Optional[Coloring] = None
 ) -> OracleResult:
     """Chromatic number of a simple graph, componentwise.
 
     The components share one budget; once it runs out, each component
     left is bracketed by its greedy clique and its starting coloring.
-    lower_hint must be a valid lower bound for the whole graph (for
-    example a known clique size); it can only tighten the reported
-    bracket, never change an exact answer.  incumbent, a proper coloring
-    of g, is restricted to each component, renumbered 1..k there, and
-    used as that component's starting coloring when it beats DSATUR's.
-    At any node budget it can only narrow the bracket and lower the node
-    count, never change an exact answer; a coloring that is not proper
-    raises ValueError.
+    incumbent, a proper coloring of g, is restricted to each component,
+    renumbered 1..k there, and used as that component's starting coloring
+    when it beats DSATUR's.  At any node budget it can only narrow the
+    bracket and lower the node count, never change an exact answer; a
+    coloring that is not proper raises ValueError.
     """
     if incumbent is not None and not is_proper_vertex_coloring(g, incumbent):
         raise ValueError("incumbent is not a proper coloring of the graph")
     state = _SearchState(budget)
-    lower = max(lower_hint, 1 if g.n else 0)
-    upper = 0
+    lower = upper = 0
     witness = [0] * g.n
-    exhausted = False
     for comp in g.connected_components():
-        sub = g.induced(comp)
         start = (
             None
             if incumbent is None
             else _renumbered([incumbent.colors[v] for v in comp])
         )
-        if exhausted:
-            local = _start(sub, start)
-            lo, hi = len(greedy_clique(sub)), max(local)
-        else:
-            lo, hi, local = _component_chromatic(sub, state, start)
-            exhausted = lo != hi
+        lo, hi, local = _component_chromatic(g.induced(comp), state, start)
         for i, v in enumerate(comp):
             witness[v] = local[i]
         lower = max(lower, lo)
         upper = max(upper, hi)
-    if not exhausted:
-        lower = max(lower, upper)
     return OracleResult(lower, upper, Coloring(tuple(witness)), state.nodes)
 
 
@@ -306,16 +286,14 @@ def chromatic_index(
 
     Computed as the chromatic number of the line graph; the witness is
     indexed by hyperedge position.  The hyperedges through any one vertex
-    are pairwise intersecting, so the maximum vertex degree seeds the
-    lower bound.  incumbent, a proper coloring of the hyperedges, is the
+    are pairwise intersecting, so the lower end is raised to the maximum
+    vertex degree.  incumbent, a proper coloring of the hyperedges, is the
     search's starting point (see chromatic_number).
     """
     if h.m == 0:
         return OracleResult(0, 0, Coloring(()), 0)
-    hint = max(h.degrees(), default=0)
-    return chromatic_number(
-        line_graph(h), budget, lower_hint=hint, incumbent=incumbent
-    )
+    res = chromatic_number(line_graph(h), budget, incumbent=incumbent)
+    return replace(res, lower=max(res.lower, max(h.degrees())))
 
 
 @dataclass(frozen=True)
@@ -356,9 +334,17 @@ class _Rows:
     Built once from h, its chromatic index q and a proper q-coloring of h.
     The deleted positions are those of h's edges missing from the current
     subhypergraph h', whose chromatic index is q as well.  A row is proved
-    without a search when one of three facts of the base search applies;
-    any other row is searched, starting from the base coloring restricted
-    to the candidate.
+    without a search by one of three facts of the base search:
+    - a vertex of degree q in h none of whose edges is deleted or e leaves
+      q pairwise intersecting edges in h' - e, so q(h' - e) >= q, and
+      removing an edge never raises q: e is removable;
+    - so does a q-clique of h's line graph (greedy_clique) avoiding them;
+    - when no other edge of h' has e's color in the base coloring, that
+      coloring of h' - e uses q - 1 colors, and one deletion lowers q by
+      at most 1, so e is critical.
+    Any other row is searched from the base coloring restricted to h' - e,
+    which only prunes the search, so a row decided by a plain search
+    within the budget is decided here too, with the same value.
     """
 
     def __init__(self, h: Hypergraph, q: int, witness: Coloring):
@@ -395,18 +381,9 @@ class _Rows:
 def criticality_report(h: Hypergraph, budget: Budget = Budget()) -> CriticalityReport:
     """Tabulate criticality and check q - 1 <= d(e) for critical e.
 
-    A row is decided by proof where the base search gives one, and is
-    searched otherwise (see _Rows):
-    - a vertex of degree q outside e leaves q pairwise intersecting edges
-      in h - e, so q(h - e) >= q, and removing an edge never raises q;
-    - so does a q-clique of h's line graph (greedy_clique) without e;
-    - when e alone holds its color in the base q-coloring, that coloring
-      without e uses q - 1 colors, and q(h) <= q(h - e) + 1, so e is
-      critical.
-    The lemma check runs on every critical row however it was decided.
-    Any other row is searched from the base coloring without e, which
-    only prunes the search, so a row decided by a plain search within the
-    budget is decided here too, with the same value.
+    Each row is q(h - e), decided by proof where the base search gives
+    one and searched otherwise (see _Rows).  The lemma check runs on every
+    critical row however it was decided.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
@@ -414,19 +391,12 @@ def criticality_report(h: Hypergraph, budget: Budget = Budget()) -> CriticalityR
     q = base.exact
     rows = _Rows(h, q, base.witness)
     entries = []
-    complete = True
-    lemma_ok = True
     for i in range(h.m):
-        deg = h.hyperedge_degree(i)
         q_without = rows.q_without([], i, budget)
-        if q_without is None:
-            entries.append(EdgeCriticality(i, deg, None, None))
-            complete = False
-            continue
-        crit = q_without == q - 1
-        entries.append(EdgeCriticality(i, deg, q_without, crit))
-        if crit and not q - 1 <= deg:
-            lemma_ok = False
+        crit = None if q_without is None else q_without == q - 1
+        entries.append(EdgeCriticality(i, h.hyperedge_degree(i), q_without, crit))
+    complete = all(e.critical is not None for e in entries)
+    lemma_ok = all(q - 1 <= e.degree for e in entries if e.critical)
     return CriticalityReport(q, tuple(entries), complete, lemma_ok, base.witness)
 
 
@@ -455,20 +425,10 @@ def extract_critical(
     is deleted, so the result is deterministic.  A row the table proved
     critical is kept without a search: in every subhypergraph h' of h that
     holds e and has the same q, q(h' - e) <= q(h - e) = q - 1, so e stays
-    critical there.  Before the first deletion the table has decided
-    each candidate itself: the first removable row is deleted on its word,
-    and an undecided row ends the extraction, incomplete, since the table
-    already ran out of budget on that very candidate.  Every row after the
-    first deletion that is not proved critical is decided by the table's
-    proofs, on the current subhypergraph h' (whose q is q):
-    - a vertex of degree q in h none of whose edges is deleted or e, or a
-      q-clique of h's line graph avoiding them, leaves q pairwise
-      intersecting edges in h' - e, so e is removable;
-    - when no other edge of h' has e's color in rep.witness, that coloring
-      of h' - e uses q - 1 colors, so e is critical.
-    Any other row is searched again, from rep.witness restricted to
-    h' - e.  Every hyperedge of a complete result is critical: removing
-    it would lower q.
+    critical there.  Before the first deletion a row takes the table's
+    value; after it, the row is decided on the current subhypergraph h'
+    (see _Rows).  An undecided row ends the extraction, incomplete.  Every
+    hyperedge of a complete result is critical: removing it would lower q.
     """
     q = rep.q
     if q is None:
@@ -479,14 +439,15 @@ def extract_critical(
     for entry in rep.entries:
         if entry.critical is True:
             continue
-        if not removed and entry.critical is None:
-            return CriticalCore(h, q, False, ())
-        if removed:
-            q_without = rows.q_without(removed, entry.position, budget)
-            if q_without is None:
-                return CriticalCore(cur, q, False, tuple(removed))
-            if q_without != q:
-                continue
+        q_without = (
+            rows.q_without(removed, entry.position, budget)
+            if removed
+            else entry.q_without
+        )
+        if q_without is None:
+            return CriticalCore(cur, q, False, tuple(removed))
+        if q_without != q:
+            continue
         cur = cur.remove_hyperedge(entry.position - len(removed))
         removed.append(entry.position)
     return CriticalCore(cur, q, True, tuple(removed))

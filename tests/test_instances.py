@@ -338,6 +338,8 @@ def test_parse_family_rejections():
         "random:n=8,m=5,k=3",
         "random:n=8,m=5,sizes=big",
         "random:n=8,m=five",
+        "random-linear:n=5,n=9,m=3,k=2,seed=1",
+        "random:n=5,m=3,sizes=2-3,sizes=1-1",
     ]
     for text in bad:
         with pytest.raises(GenerationError):

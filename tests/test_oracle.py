@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,22 +85,6 @@ def test_chromatic_number_matches_brute_force():
         assert res.witness.q_used == res.upper
 
 
-def test_lower_hint_tightens_but_never_flips_answers():
-    h = complete_graph(5)
-    assert chromatic_index(h, FAST).exact == 5
-    from hypercolor.transforms import line_graph
-
-    lg = line_graph(h)
-    starved = Budget(max_nodes=8, time_limit=None)
-    plain = chromatic_number(lg, starved)
-    assert plain.exact is None
-    hinted = chromatic_number(lg, starved, lower_hint=5)
-    assert hinted.exact is None
-    assert hinted.lower == 5
-    assert hinted.upper == plain.upper
-    assert chromatic_number(lg, FAST, lower_hint=5).exact == 5
-
-
 def test_chromatic_index_pins():
     assert chromatic_index(fano(), FAST).exact == 7
     assert chromatic_index(affine_plane(3), FAST).exact == 4
@@ -131,6 +116,33 @@ def test_starved_search_reports_honest_bracket():
     assert starved.witness.q_used == starved.upper
     bigger = chromatic_index(h, Budget(max_nodes=10_000_000, time_limit=None))
     assert bigger.exact == 5
+    # At zero nodes the line graph's bracket starts at its greedy clique;
+    # chromatic_index raises it to the maximum degree.
+    h = random_linear(12, 14, 3, 2)
+    assert max(h.degrees()) == 5
+    unsearched = Budget(0, None)
+    plain = chromatic_number(line_graph(h), unsearched)
+    assert (plain.lower, plain.upper, plain.nodes) == (4, 6, 0)
+    floored = chromatic_index(h, unsearched)
+    assert (floored.lower, floored.upper) == (5, 6)
+    assert floored.witness == plain.witness
+    assert chromatic_index(h, FAST).exact == 5
+
+
+def test_a_clock_cut_stops_every_later_component(monkeypatch):
+    # STS(15) on vertices 0-14 and K_5 on 15-19: the clock fires at the
+    # first check inside STS(15), and K_5's component is not searched.
+    sts = steiner_triple(15)
+    k5 = [tuple(v + 15 for v in e) for e in complete_graph(5).edges]
+    h = Hypergraph(20, list(sts.edges) + k5)
+    readings = iter([0.0])
+    monkeypatch.setattr(
+        oracle, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
+    )
+    res = chromatic_index(h, Budget(10**7, 1.0))
+    assert (res.lower, res.upper, res.nodes) == (7, 9, 1024)
+    assert is_proper(h, res.witness)
+    assert res.witness.q_used == 9
 
 
 def test_search_is_deterministic_including_node_counts():

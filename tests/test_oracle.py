@@ -85,6 +85,30 @@ def test_chromatic_number_matches_brute_force():
         assert res.witness.q_used == res.upper
 
 
+def test_lower_hint_tightens_but_never_flips_answers():
+    # The lower hint is the maximum degree, which chromatic_index applies to
+    # the line graph's bracket.  At zero nodes that bracket starts at its
+    # greedy clique, and the hint raises it.
+    h = random_linear(12, 14, 3, 2)
+    assert max(h.degrees()) == 5
+    unsearched = Budget(0, None)
+    plain = chromatic_number(line_graph(h), unsearched)
+    assert (plain.lower, plain.upper, plain.nodes) == (4, 6, 0)
+    floored = chromatic_index(h, unsearched)
+    assert (floored.lower, floored.upper) == (5, 6)
+    assert floored.witness == plain.witness
+    assert chromatic_index(h, FAST).exact == 5
+    assert chromatic_number(line_graph(h), FAST).exact == 5
+    # Never flips: with or without the hint the exact answers agree.
+    for seed in range(30):
+        h = random_hypergraph_raw(Rng(seed + 9100), 3, 8, 8, 1, 3)
+        bare = chromatic_number(line_graph(h), FAST)
+        hinted = chromatic_index(h, FAST)
+        assert bare.exact is not None
+        assert hinted.exact == bare.exact
+        assert hinted.lower >= max(h.degrees(), default=0)
+
+
 def test_chromatic_index_pins():
     assert chromatic_index(fano(), FAST).exact == 7
     assert chromatic_index(affine_plane(3), FAST).exact == 4
@@ -116,17 +140,6 @@ def test_starved_search_reports_honest_bracket():
     assert starved.witness.q_used == starved.upper
     bigger = chromatic_index(h, Budget(max_nodes=10_000_000, time_limit=None))
     assert bigger.exact == 5
-    # At zero nodes the line graph's bracket starts at its greedy clique;
-    # chromatic_index raises it to the maximum degree.
-    h = random_linear(12, 14, 3, 2)
-    assert max(h.degrees()) == 5
-    unsearched = Budget(0, None)
-    plain = chromatic_number(line_graph(h), unsearched)
-    assert (plain.lower, plain.upper, plain.nodes) == (4, 6, 0)
-    floored = chromatic_index(h, unsearched)
-    assert (floored.lower, floored.upper) == (5, 6)
-    assert floored.witness == plain.witness
-    assert chromatic_index(h, FAST).exact == 5
 
 
 def test_a_clock_cut_stops_every_later_component(monkeypatch):

@@ -23,7 +23,7 @@ from . import report
 from .analysis import UNRESOLVED, VIOLATED, inequality_suite, verify_conjecture
 from .coloring import brooks_color, greedy_color, is_proper, vizing_edge_color
 from .core import Hypergraph, UnsupportedInputError
-from .hgr import HgrParseError, digest, load, parse_hgr_bytes, serialize_hgr
+from .hgr import HgrParseError, digest, dump, load, parse_hgr_bytes, serialize_hgr
 from .instances import _FAMILIES, GenerationError, generate, parse_family, survey_instance
 from .oracle import Budget, chromatic_index, criticality_report, extract_critical
 from .transforms import line_graph
@@ -54,6 +54,7 @@ _DEFAULTS = Budget()
 
 
 def _budget(args: argparse.Namespace) -> Budget:
+    """The search budget; --no-exact, where a command has it, is 0 nodes."""
     nodes = _budget_setting(
         args.budget, "--budget", "HYPERCOLOR_MAX_NODES", int, _DEFAULTS.max_nodes
     )
@@ -64,6 +65,8 @@ def _budget(args: argparse.Namespace) -> Budget:
         float,
         _DEFAULTS.time_limit,
     )
+    if not getattr(args, "exact", True):
+        nodes = 0
     return Budget(max_nodes=nodes, time_limit=limit if limit > 0 else None)
 
 
@@ -143,7 +146,7 @@ def cmd_color(args: argparse.Namespace) -> int:
                 f"budget exhausted: q is in [{res.lower}, {res.upper}]; "
                 "the coloring shown achieves the upper end"
             )
-    if h.m and not is_proper(h, coloring):
+    if not is_proper(h, coloring):
         raise RuntimeError("internal error: emitted coloring is not proper")
     sys.stdout.write(
         report.coloring_json(h, coloring, args.method)
@@ -158,10 +161,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     h = _load_input(args)
-    budget = _budget(args)
-    if not args.exact:
-        budget = replace(budget, max_nodes=0)
-    verdict = verify_conjecture(h, budget)
+    verdict = verify_conjecture(h, _budget(args))
     checks = inequality_suite(h) if args.inequalities else None
     if args.json:
         sys.stdout.write(report.verdict_json(h, verdict))
@@ -213,12 +213,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise GenerationError(f"--seed does not apply to {spec.family}")
         spec = replace(spec, seed=args.seed)
     h = generate(spec)
-    text = serialize_hgr(h)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dump(h, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_hgr(h))
     return 0
 
 
@@ -270,21 +268,20 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if any(k < 2 for k in ks) or not ks:
         raise GenerationError("--k sizes must all be at least 2")
     budget = _budget(args)
-    if not args.exact:
-        budget = replace(budget, max_nodes=0)
     tasks = [(args.seed, i, n_range, m_range, ks, budget) for i in range(args.count)]
-    if args.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool forks all its workers at once, so start no more than can work.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(
                     _survey_worker,
                     tasks,
-                    chunksize=max(1, len(tasks) // (args.jobs * 4)),
+                    chunksize=max(1, len(tasks) // (workers * 4)),
                 )
             )
     else:
         rows = [_survey_worker(t) for t in tasks]
-    rows.sort(key=lambda r: r["index"])
     render = report.survey_json if args.json else report.render_survey
     sys.stdout.write(render(args.seed, rows))
     statuses = {row["status"] for row in rows}

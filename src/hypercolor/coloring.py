@@ -121,9 +121,12 @@ def greedy_color(
 # degree; for regular two-connected components find two non-adjacent
 # vertices u, w with a common neighbor v whose removal keeps the graph
 # connected, give u and w the same color, and finish greedily in reverse
-# breadth-first order from v; for regular components with a cut vertex,
-# color the biconnected blocks independently and align them at their
-# shared vertices by swapping two color classes inside a block.
+# breadth-first order from v.  A regular component with a cut vertex x is
+# split there: each component of g - x is colored together with x, greedily
+# in reverse breadth-first order from x.  x has neighbors in at least two
+# parts, so fewer than the maximum degree in each, and every other vertex
+# keeps its search parent uncolored; first fit leaves no gaps, and swapping
+# two colors inside a part gives x color 1 in all of them.
 # ---------------------------------------------------------------------------
 
 
@@ -151,11 +154,11 @@ def _brooks_component(g: SimpleGraph) -> list[int]:
     low_vertices = [v for v in range(n) if degs[v] < delta]
     if low_vertices:
         return _greedy_reverse_bfs(g, low_vertices[0], {})
-    blocks = _biconnected_blocks(g)
-    if len(blocks) == 1:
-        u, v, w = _connected_split_pair(g)
-        return _greedy_reverse_bfs(g, v, {u: 1, w: 1})
-    return _recombine_blocks(g, blocks)
+    x = _cut_vertex(g)
+    if x is not None:
+        return _split_at(g, x)
+    u, v, w = _connected_split_pair(g)
+    return _greedy_reverse_bfs(g, v, {u: 1, w: 1})
 
 
 def _color_path_or_cycle(g: SimpleGraph, degs: list[int]) -> list[int]:
@@ -242,98 +245,51 @@ def _connected_without(g: SimpleGraph, u: int, w: int) -> bool:
     return len(seen) == g.n - 2
 
 
-def _biconnected_blocks(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Vertex sets of the biconnected blocks of a connected graph."""
-    n = g.n
-    num = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    counter = 1
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[tuple[int, ...]] = []
-    num[0] = low[0] = counter
-    counter += 1
-    dfs = [(0, iter(g.adj[0]))]
-    while dfs:
-        v, it = dfs[-1]
-        advanced = False
+def _cut_vertex(g: SimpleGraph) -> Optional[int]:
+    """A cut vertex of the connected graph g, or None if it has none.
+
+    Depth-first search from vertex 0 with low points: a non-root u is a
+    cut vertex once a finished child's subtree reaches nothing above u;
+    the root is one when its first child's subtree misses a vertex.
+    """
+    num = [0] * g.n
+    low = [0] * g.n
+    num[0] = low[0] = counter = 1
+    stack = [(0, iter(g.adj[0]))]
+    while stack:
+        v, it = stack[-1]
         for w in it:
-            if w == parent[v]:
-                continue
-            if num[w]:
-                if num[w] < num[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], num[w])
-            else:
-                edge_stack.append((v, w))
-                parent[w] = v
-                num[w] = low[w] = counter
+            if not num[w]:
                 counter += 1
-                dfs.append((w, iter(g.adj[w])))
-                advanced = True
+                num[w] = low[w] = counter
+                stack.append((w, iter(g.adj[w])))
                 break
-        if not advanced:
-            dfs.pop()
-            if dfs:
-                u = dfs[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= num[u]:
-                    members = set()
-                    while True:
-                        e = edge_stack.pop()
-                        members.update(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(tuple(sorted(members)))
-    return blocks
+            low[v] = min(low[v], num[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if u == 0:
+                return 0 if counter < g.n else None
+            if low[v] >= num[u]:
+                return u
+            low[u] = min(low[u], low[v])
+    return None
 
 
-def _recombine_blocks(
-    g: SimpleGraph, blocks: list[tuple[int, ...]]
-) -> list[int]:
-    """Color each block on its own, then align shared cut vertices.
-
-    Blocks form a tree through their shared vertices, so when a block is
-    processed (in breadth-first order over that tree) exactly one of its
-    vertices is already colored.  Swapping two color classes inside the
-    block's own coloring makes it agree there without touching anything
-    else.  In a regular component of degree d >= 3 every block needs at
-    most d colors: a complete block K_t with a vertex attached elsewhere
-    has t <= d, and any other block obeys its own degree bound."""
-    by_vertex: dict[int, list[int]] = {}
-    for bi, verts in enumerate(blocks):
-        for v in verts:
-            by_vertex.setdefault(v, []).append(bi)
-    order = [0]
-    placed = {0}
-    head = 0
-    while head < len(order):
-        bi = order[head]
-        head += 1
-        for v in blocks[bi]:
-            for bj in by_vertex[v]:
-                if bj not in placed:
-                    placed.add(bj)
-                    order.append(bj)
-    colors: dict[int, int] = {}
-    for bi in order:
-        verts = blocks[bi]
-        local = _brooks_component(g.induced(verts))
-        shared = [i for i, v in enumerate(verts) if v in colors]
-        if len(shared) > 1:
-            raise RuntimeError("blocks do not form a tree; invariant broken")
-        if shared:
-            i = shared[0]
-            want = colors[verts[i]]
-            have = local[i]
-            if want != have:
-                local = [
-                    want if c == have else have if c == want else c
-                    for c in local
-                ]
-        for i, v in enumerate(verts):
-            colors[v] = local[i]
-    return [colors[v] for v in range(g.n)]
+def _split_at(g: SimpleGraph, x: int) -> list[int]:
+    """Color each component of g - x together with x, x taking color 1."""
+    rest = tuple(v for v in range(g.n) if v != x)
+    colors = [0] * g.n
+    for comp in g.induced(rest).connected_components():
+        part = tuple(sorted([rest[i] for i in comp] + [x]))
+        root = part.index(x)
+        local = _greedy_reverse_bfs(g.induced(part), root, {})
+        have = local[root]
+        for v, c in zip(part, local):
+            colors[v] = 1 if c == have else have if c == 1 else c
+    return colors
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,32 @@ def bridged_cubic() -> SimpleGraph:
     return SimpleGraph(10, edges)
 
 
+def gadget_join(d: int) -> SimpleGraph:
+    """A d-regular graph (d even) whose cut vertex is on no bridge.
+
+    Vertex 0 is joined to both ends a, b of the missing edge in each of
+    d / 2 copies of K_{d+1} minus the edge ab.
+    """
+    edges = []
+    for copy in range(d // 2):
+        verts = range(1 + copy * (d + 1), 1 + (copy + 1) * (d + 1))
+        a, b = verts[0], verts[1]
+        edges += [(u, v) for u, v in combinations(verts, 2) if (u, v) != (a, b)]
+        edges += [(0, a), (0, b)]
+    return SimpleGraph(1 + d // 2 * (d + 1), edges)
+
+
+def brute_cut_vertices(g: SimpleGraph) -> set[int]:
+    """Vertices whose removal leaves more components than g has."""
+    base = len(g.connected_components())
+    cut = set()
+    for x in range(g.n):
+        rest = tuple(v for v in range(g.n) if v != x)
+        if len(g.induced(rest).connected_components()) > base:
+            cut.add(x)
+    return cut
+
+
 def if_chain_conditions(h: Hypergraph) -> frozenset[str]:
     """Condition tags of h, one if per tag, from invariants computed here."""
     m = len(h.edges)

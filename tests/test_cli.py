@@ -699,6 +699,38 @@ SURVEY_DIGESTS = [
 ]
 
 
+def test_survey_jobs_start_no_more_workers_than_instances(capsys, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        # Records the pool size and maps in this process: no worker starts.
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, tasks)
+
+    args = ["survey", "--count", "3", "--seed", "5", "--time-limit", "0"]
+    serial = run_cli(capsys, *args, "--jobs", "1")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert run_cli(capsys, *args, "--jobs", "64") == serial
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_cli(capsys, *args, "--jobs", "64") == serial
+    assert sizes == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_cli(capsys, *args, "--jobs", "64") == serial
+    assert sizes == [3, 2]
+
+
 def test_survey_reports_are_pinned_byte_for_byte(capsys):
     for extra, expected in SURVEY_DIGESTS:
         code, out, _ = run_cli(

@@ -20,10 +20,13 @@ from hypercolor import (
     line_graph,
     vizing_edge_color,
 )
+from hypercolor.coloring import _cut_vertex
 from hypercolor.transforms import SimpleGraph
 
 from brute import (
     bridged_cubic,
+    brute_cut_vertices,
+    gadget_join,
     graph_edges,
     petersen,
     random_connected_graph,
@@ -119,6 +122,25 @@ def test_brooks_on_regular_graph_with_cut_vertices():
     assert g.max_degree() == 3
     assert all(g.degree(v) == 3 for v in range(g.n))
     assert _check_brooks(g).q_used <= 3
+    for d in (4, 6, 8):
+        g = gadget_join(d)
+        assert all(g.degree(v) == d for v in range(g.n))
+        assert brute_cut_vertices(g) == {0}
+        assert _check_brooks(g).q_used <= d
+
+
+def test_cut_vertex_matches_vertex_removal():
+    outcomes = set()
+    for seed in range(300):
+        g = random_connected_graph(Rng(seed + 8000), 2, 14)
+        cut = brute_cut_vertices(g)
+        found = _cut_vertex(g)
+        if found is None:
+            assert not cut, seed
+        else:
+            assert found in cut, seed
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
 
 
 def test_brooks_on_disconnected_input():

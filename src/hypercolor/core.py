@@ -84,6 +84,29 @@ class Hypergraph:
                 inc[v].append(pos)
         return tuple(tuple(positions) for positions in inc)
 
+    @cached_property
+    def _line_rows(self) -> tuple[tuple[int, ...], ...]:
+        """For each position, the other positions whose hyperedge meets it,
+        ascending: the rows of the line graph.  Each position walks the
+        incidence lists of its vertices and marks what it meets, so a
+        position met through two shared vertices is listed once.
+        Hypergraphs made by without() inherit the rows.
+        """
+        inc = self._incidence
+        mark = [-1] * self.m
+        rows = []
+        for pos, edge in enumerate(self.edges):
+            mark[pos] = pos
+            row = []
+            for v in edge:
+                for other in inc[v]:
+                    if mark[other] != pos:
+                        mark[other] = pos
+                        row.append(other)
+            row.sort()
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def incident(self, x: int) -> tuple[int, ...]:
         """Positions of the hyperedges containing vertex x, ascending."""
         if not 0 <= x < self.n:
@@ -94,7 +117,9 @@ class Hypergraph:
         """Number of other positions whose hyperedge meets hyperedge i.
 
         Duplicate hyperedges count once per position, so a pair of equal
-        edges contributes 1 to each other's degree.
+        edges contributes 1 to each other's degree.  It reads the incidence
+        lists, never the line graph's rows, so a caller that wants only
+        degrees does not build and keep the whole line graph.
         """
         self._check_position(i)
         met = set()
@@ -142,8 +167,33 @@ class Hypergraph:
 
     def remove_hyperedge(self, i: int) -> "Hypergraph":
         """The hypergraph on the same vertices with position i deleted."""
-        self._check_position(i)
-        return Hypergraph(self.n, self.edges[:i] + self.edges[i + 1 :])
+        return self.without({i})
+
+    def without(self, positions: Iterable[int]) -> "Hypergraph":
+        """The hypergraph on the same vertices without the given positions.
+
+        The other hyperedges keep their order and are not validated again.
+        When this hypergraph's line-graph rows are built, the result
+        inherits them, renumbered, instead of building its own.
+        """
+        gone = set(positions)
+        for i in gone:
+            self._check_position(i)
+        keep = [p for p in range(self.m) if p not in gone]
+        sub = object.__new__(Hypergraph)
+        object.__setattr__(sub, "n", self.n)
+        object.__setattr__(sub, "edges", tuple(self.edges[p] for p in keep))
+        rows = self.__dict__.get("_line_rows")
+        if rows is not None:
+            index = [-1] * self.m
+            for new, p in enumerate(keep):
+                index[p] = new
+            # index is increasing on the kept positions, so rows stay sorted.
+            sub.__dict__["_line_rows"] = tuple(
+                tuple([k for other in rows[p] if (k := index[other]) >= 0])
+                for p in keep
+            )
+        return sub
 
     def stats(self) -> HypergraphStats:
         """The scalar invariants, computed on the first call and then kept."""

@@ -163,15 +163,21 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
 
     Its size is a certified lower bound on the chromatic number; the
     search below starts from it, and a component the budget leaves
-    unsearched takes it as its lower end.
+    unsearched takes it as its lower end.  While every vertex is a
+    candidate the count is the degree, so the first pick is the
+    lowest-numbered vertex of maximum degree; later counts intersect the
+    candidates with the rows.
     """
-    adj_sets = [set(nb) for nb in g.adj]
-    cand = set(range(g.n))
-    clique: list[int] = []
+    if not g.n:
+        return []
+    adj = g.adj
+    pick = max(range(g.n), key=lambda v: (len(adj[v]), -v))
+    clique = [pick]
+    cand = set(adj[pick])
     while cand:
-        pick = max(cand, key=lambda v: (len(adj_sets[v] & cand), -v))
+        pick = max(cand, key=lambda v: (len(cand.intersection(adj[v])), -v))
         clique.append(pick)
-        cand &= adj_sets[pick]
+        cand.intersection_update(adj[pick])
     return clique
 
 
@@ -344,7 +350,10 @@ class _Rows:
       at most 1, so e is critical.
     Any other row is searched from the base coloring restricted to h' - e,
     which only prunes the search, so a row decided by a plain search
-    within the budget is decided here too, with the same value.
+    within the budget is decided here too, with the same value.  The
+    candidate h' - e is h.without(...): once the base search has built h's
+    line-graph rows, every candidate inherits them, renumbered, instead of
+    building its own line graph.
     """
 
     def __init__(self, h: Hypergraph, q: int, witness: Coloring):
@@ -372,10 +381,10 @@ class _Rows:
         # lowers q by at most 1.
         if gone.issuperset(self.classes[self.colors[e]]):
             return self.q - 1
-        keep = [p for p in range(self.h.m) if p not in gone]
-        candidate = Hypergraph(self.h.n, [self.h.edges[p] for p in keep])
-        start = Coloring(tuple(_renumbered([self.colors[p] for p in keep])))
-        return chromatic_index(candidate, budget, incumbent=start).exact
+        start = [c for p, c in enumerate(self.colors) if p not in gone]
+        return chromatic_index(
+            self.h.without(gone), budget, incumbent=Coloring(tuple(_renumbered(start)))
+        ).exact
 
 
 def criticality_report(h: Hypergraph, budget: Budget = Budget()) -> CriticalityReport:
@@ -434,8 +443,8 @@ def extract_critical(
     if q is None:
         return CriticalCore(h, None, False, ())
     rows = _Rows(h, q, rep.witness)
-    cur = h
     removed: list[int] = []
+    complete = True
     for entry in rep.entries:
         if entry.critical is True:
             continue
@@ -445,9 +454,8 @@ def extract_critical(
             else entry.q_without
         )
         if q_without is None:
-            return CriticalCore(cur, q, False, tuple(removed))
-        if q_without != q:
-            continue
-        cur = cur.remove_hyperedge(entry.position - len(removed))
-        removed.append(entry.position)
-    return CriticalCore(cur, q, True, tuple(removed))
+            complete = False
+            break
+        if q_without == q:
+            removed.append(entry.position)
+    return CriticalCore(h.without(removed), q, complete, tuple(removed))

@@ -1,13 +1,15 @@
 """The line graph of a hypergraph, and the simple graphs it is kept as.
 
-The two-section's facts (its maximum degree and whether it is simple)
-are hypergraph invariants, read from Hypergraph.stats().
+The line graph's rows (the positions each hyperedge meets) are a cached
+fact of the Hypergraph; line_graph only wraps them, so a hypergraph
+builds them once and a subhypergraph made by Hypergraph.without inherits
+them.  The two-section's facts (its maximum degree and whether it is
+simple) are hypergraph invariants, read from Hypergraph.stats().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .core import Hypergraph
@@ -35,6 +37,15 @@ class SimpleGraph:
         object.__setattr__(
             self, "adj", tuple(tuple(sorted(s)) for s in neighbor_sets)
         )
+
+    @classmethod
+    def _from_rows(cls, adj: tuple[tuple[int, ...], ...]) -> "SimpleGraph":
+        """The graph with these rows, trusted to be a symmetric, loopless
+        adjacency with each row ascending; nothing is checked or copied."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", adj)
+        return g
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -73,14 +84,17 @@ class SimpleGraph:
         """
         if vertices == tuple(range(self.n)):
             return self
-        index = {v: i for i, v in enumerate(vertices)}
-        pairs = [
-            (index[u], index[v])
-            for u in vertices
-            for v in self.adj[u]
-            if u < v and v in index
+        index = [-1] * self.n
+        for i, v in enumerate(vertices):
+            index[v] = i
+        rows = [
+            [k for w in self.adj[v] if (k := index[w]) >= 0] for v in vertices
         ]
-        return SimpleGraph(len(vertices), pairs)
+        # An ascending vertex tuple keeps each filtered row ascending.
+        if any(a > b for a, b in zip(vertices, vertices[1:])):
+            for row in rows:
+                row.sort()
+        return SimpleGraph._from_rows(tuple(map(tuple, rows)))
 
 
 def line_graph(h: Hypergraph) -> SimpleGraph:
@@ -88,11 +102,8 @@ def line_graph(h: Hypergraph) -> SimpleGraph:
 
     Vertex i stands for position i; i and j are adjacent iff the hyperedges
     share a vertex.  Equal hyperedges at distinct positions are adjacent,
-    so the line graph has as many vertices as h has positions.  Built from
-    the positions through each vertex, so the cost is the number of such
-    pairs; two hyperedges sharing several vertices give one edge.
+    so the line graph has as many vertices as h has positions.  Its rows
+    are h's own, built on the first call and kept (see Hypergraph.without),
+    so later calls on h cost no more than the wrapper.
     """
-    pairs = (
-        pair for x in range(h.n) for pair in combinations(h.incident(x), 2)
-    )
-    return SimpleGraph(h.m, pairs)
+    return SimpleGraph._from_rows(h._line_rows)

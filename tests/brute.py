@@ -6,9 +6,9 @@ code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
 package types wherever possible.  The reference versions of package
 logic (condition tags, the criticality table, core extraction, the
-oracle's greedy and branch and bound, the random linear sampler) are the
-earlier, more literal forms of that logic, kept to check the current
-forms against.
+oracle's greedy coloring, greedy clique and branch and bound, the random
+linear sampler) are the earlier, more literal forms of that logic, kept
+to check the current forms against.
 """
 
 from __future__ import annotations
@@ -340,6 +340,21 @@ def rescanning_extract_critical(h: Hypergraph, budget: Budget) -> CriticalCore:
                 break
         if not progressed:
             return CriticalCore(cur, q, True, tuple(removed))
+
+
+def set_greedy_clique(g: SimpleGraph) -> list[int]:
+    """The oracle's greedy clique in its set-based form: every vertex a
+    candidate at the start, a neighbour set per vertex, and each pick the
+    candidate with the most neighbours among the candidates, the lowest
+    number on ties."""
+    adj_sets = [set(nb) for nb in g.adj]
+    cand = set(range(g.n))
+    clique: list[int] = []
+    while cand:
+        pick = max(cand, key=lambda v: (len(adj_sets[v] & cand), -v))
+        clique.append(pick)
+        cand &= adj_sets[pick]
+    return clique
 
 
 def rebuilding_dsatur_greedy(g: SimpleGraph) -> list[int]:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -16,6 +17,7 @@ from hypercolor import (
     Budget,
     CriticalCore,
     FamilySpec,
+    Hypergraph,
     InequalityReport,
     chromatic_index,
     criticality_report,
@@ -343,6 +345,38 @@ def _counting_line_graphs(monkeypatch):
 
     monkeypatch.setattr(oracle, "line_graph", counted)
     return calls
+
+
+def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
+    # Every row searched in the table or the extraction is a subhypergraph
+    # of the input, and inherits the input's rows instead of building its
+    # own: one build for 44 oracle calls.
+    built = []
+    build = Hypergraph._line_rows.func
+
+    def counted(h):
+        built.append(h.m)
+        return build(h)
+
+    rows = cached_property(counted)
+    rows.__set_name__(Hypergraph, "_line_rows")
+    monkeypatch.setattr(Hypergraph, "_line_rows", rows)
+    calls = []
+    searched = oracle.chromatic_index
+
+    def spied(h, budget=Budget(), incumbent=None):
+        calls.append(h.m)
+        return searched(h, budget, incumbent)
+
+    monkeypatch.setattr(oracle, "chromatic_index", spied)
+    code, out, _ = run_cli(
+        capsys, "critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"
+    )
+    assert code == 0
+    # The base search, all 22 table rows, then 21 rows of the extraction.
+    assert len(calls) == 44
+    assert calls[:23] == [22] + [21] * 22
+    assert built == [22]
 
 
 def _no_exact_floor(h):

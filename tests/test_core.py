@@ -114,6 +114,29 @@ def test_remove_hyperedge_shifts_positions():
         h.remove_hyperedge(3)
 
 
+def test_without_keeps_the_other_positions_in_order():
+    h = Hypergraph(4, [(0, 1), (1, 2), (0,), (0, 1), (2, 3)])
+    sub = h.without({1, 3})
+    assert (sub.n, sub.edges) == (4, ((0, 1), (0,), (2, 3)))
+    assert h.without([]) == h
+    assert h.without(range(5)) == Hypergraph(4, [])
+    with pytest.raises(IndexError):
+        h.without({5})
+    # Loops and duplicate edges kept or dropped like any other position.
+    seen = set()
+    for seed in range(200):
+        h = random_hypergraph_raw(Rng(seed + 6000))
+        rng = Rng(seed + 6500)
+        gone = {p for p in range(h.m) if rng.below(3) == 0}
+        kept = [e for p, e in enumerate(h.edges) if p not in gone]
+        assert h.without(gone) == Hypergraph(h.n, kept)
+        if not all(len(e) >= 2 for e in kept):
+            seen.add("loop")
+        if len(set(kept)) < len(kept):
+            seen.add("duplicate")
+    assert seen == {"loop", "duplicate"}
+
+
 def test_remove_hyperedge_monotonicity_properties():
     # Removal never increases max degree, two-section degree, or rank,
     # and never decreases antirank.

@@ -42,6 +42,7 @@ from brute import (
     recursive_component_chromatic,
     rescanning_extract_critical,
     searching_criticality_report,
+    set_greedy_clique,
 )
 
 FAST = Budget(max_nodes=1_000_000, time_limit=None)
@@ -342,6 +343,13 @@ def test_greedy_clique_is_a_maximal_clique():
             if v not in clique:
                 assert not all(g.has_edge(v, u) for u in clique)
         assert len(clique) <= brute_chromatic_number(g.n, graph_edges(g))
+
+
+def test_greedy_clique_matches_the_set_based_reference():
+    graphs = [random_graph(Rng(seed + 13_000), 0, 14) for seed in range(300)]
+    graphs += [SimpleGraph(0, []), SimpleGraph(6, [])]
+    for g in graphs:
+        assert greedy_clique(g) == set_greedy_clique(g)
 
 
 def _critical_flags(h: Hypergraph, budget: Budget) -> list:

@@ -12,6 +12,7 @@ from brute import (
     brute_two_section_max_degree,
     graph_edges,
     pairwise_line_graph_edges,
+    random_graph,
     random_hypergraph_raw,
 )
 
@@ -108,6 +109,47 @@ def test_intersection_facts_match_the_references():
     # Loops add nothing to Delta_2.
     assert Hypergraph(5, _WITH_LOOPS).stats().two_section_max_degree == 4
     assert Hypergraph(5, _LOOPLESS).stats().two_section_max_degree == 4
+
+
+def _shuffled(rng: Rng, items) -> list:
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def test_without_inherits_or_builds_the_line_graph():
+    for index, h in enumerate(_raw_inputs()):
+        rng = Rng(index + 7000)
+        gone = {p for p in range(h.m) if rng.below(3) == 0}
+        kept = [e for p, e in enumerate(h.edges) if p not in gone]
+        want = SimpleGraph(len(kept), pairwise_line_graph_edges(h.n, kept))
+        # Before h's rows are built, the subhypergraph builds its own.
+        lazy = h.without(gone)
+        assert "_line_rows" not in vars(lazy)
+        assert line_graph(lazy) == want
+        # After, it inherits them, renumbered.
+        line_graph(h)
+        inherited = h.without(gone)
+        assert "_line_rows" in vars(inherited)
+        assert line_graph(inherited) == want
+
+
+def test_induced_on_shuffled_vertices_matches_the_pairs():
+    for seed in range(200):
+        rng = Rng(seed + 8000)
+        g = random_graph(rng, 0, 12)
+        vertices = tuple(v for v in _shuffled(rng, range(g.n)) if rng.below(4))
+        index = {v: i for i, v in enumerate(vertices)}
+        pairs = [
+            (index[u], index[v])
+            for u, v in graph_edges(g)
+            if u in index and v in index
+        ]
+        sub = g.induced(vertices)
+        assert sub == SimpleGraph(len(vertices), pairs)
+        assert all(list(row) == sorted(row) for row in sub.adj)
 
 
 def test_line_graph_adjacency():

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
-from .transforms import SimpleGraph
+from .transforms import SimpleGraph, line_graph
 
 
 def _check_palette(colors: tuple[int, ...]) -> None:
@@ -80,34 +80,31 @@ def is_proper_vertex_coloring(g: SimpleGraph, coloring: Coloring) -> bool:
 def greedy_color(
     h: Hypergraph, order: str = "desc-degree", seed: Optional[int] = None
 ) -> Coloring:
-    """First-fit coloring of the hyperedges in a chosen order.
+    """First-fit coloring of the line graph, hyperedges in a chosen order.
 
     Orders: "index" (positions as given), "desc-degree" (by decreasing
     hyperedge degree, ties by position), "random" (a seeded shuffle;
-    seed defaults to 0).  Uses at most max hyperedge degree + 1 colors.
+    seed defaults to 0).  A position takes the least color held by no
+    position in its line-graph row; an uncolored one holds 0, which never
+    blocks.  Uses at most max hyperedge degree + 1 colors.
     """
+    adj = line_graph(h).adj
     positions = list(range(h.m))
     if order == "index":
         pass
     elif order == "desc-degree":
-        degs = [h.hyperedge_degree(i) for i in positions]
-        positions.sort(key=lambda i: (-degs[i], i))
+        positions.sort(key=lambda i: (-len(adj[i]), i))
     elif order == "random":
         Rng(seed if seed is not None else 0).shuffle(positions)
     else:
         raise ValueError(f"unknown order {order!r}")
-    at_vertex: list[set[int]] = [set() for _ in range(h.n)]
     colors = [0] * h.m
     for pos in positions:
-        forbidden: set[int] = set()
-        for v in h.edges[pos]:
-            forbidden |= at_vertex[v]
+        taken = {colors[other] for other in adj[pos]}
         c = 1
-        while c in forbidden:
+        while c in taken:
             c += 1
         colors[pos] = c
-        for v in h.edges[pos]:
-            at_vertex[v].add(c)
     return Coloring(tuple(colors))
 
 
@@ -226,23 +223,10 @@ def _connected_split_pair(g: SimpleGraph) -> tuple[int, int, int]:
                 u, w = nb[a], nb[b]
                 if g.has_edge(u, w):
                     continue
-                if _connected_without(g, u, w):
+                rest = tuple(x for x in range(n) if x != u and x != w)
+                if len(g.induced(rest).connected_components()) == 1:
                     return u, v, w
     raise RuntimeError("no split pair found; input was not as assumed")
-
-
-def _connected_without(g: SimpleGraph, u: int, w: int) -> bool:
-    skip = {u, w}
-    start = next(v for v in range(g.n) if v not in skip)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for x in g.adj[v]:
-            if x not in skip and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return len(seen) == g.n - 2
 
 
 def _cut_vertex(g: SimpleGraph) -> Optional[int]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class UnsupportedInputError(ValueError):
@@ -87,10 +87,10 @@ class Hypergraph:
     @cached_property
     def _line_rows(self) -> tuple[tuple[int, ...], ...]:
         """For each position, the other positions whose hyperedge meets it,
-        ascending: the rows of the line graph.  Each position walks the
-        incidence lists of its vertices and marks what it meets, so a
-        position met through two shared vertices is listed once.
-        Hypergraphs made by without() inherit the rows.
+        ascending: the line graph's rows, the one record of which hyperedges
+        meet.  Each position walks its vertices' incidence lists and marks
+        what it meets, so a position met twice is listed once.  Hypergraphs
+        made by without() inherit the rows.
         """
         inc = self._incidence
         mark = [-1] * self.m
@@ -117,16 +117,11 @@ class Hypergraph:
         """Number of other positions whose hyperedge meets hyperedge i.
 
         Duplicate hyperedges count once per position, so a pair of equal
-        edges contributes 1 to each other's degree.  It reads the incidence
-        lists, never the line graph's rows, so a caller that wants only
-        degrees does not build and keep the whole line graph.
+        edges contributes 1 to each other's degree.  It is the length of
+        row i of the line graph.
         """
         self._check_position(i)
-        met = set()
-        for v in self.edges[i]:
-            met.update(self._incidence[v])
-        met.discard(i)
-        return len(met)
+        return len(self._line_rows[i])
 
     def degrees(self) -> tuple[int, ...]:
         """Vertex degrees indexed by vertex."""
@@ -174,7 +169,8 @@ class Hypergraph:
 
         The other hyperedges keep their order and are not validated again.
         When this hypergraph's line-graph rows are built, the result
-        inherits them, renumbered, instead of building its own.
+        inherits them, cut down by _restricted_rows, instead of building
+        its own.
         """
         gone = set(positions)
         for i in gone:
@@ -185,14 +181,7 @@ class Hypergraph:
         object.__setattr__(sub, "edges", tuple(self.edges[p] for p in keep))
         rows = self.__dict__.get("_line_rows")
         if rows is not None:
-            index = [-1] * self.m
-            for new, p in enumerate(keep):
-                index[p] = new
-            # index is increasing on the kept positions, so rows stay sorted.
-            sub.__dict__["_line_rows"] = tuple(
-                tuple([k for other in rows[p] if (k := index[other]) >= 0])
-                for p in keep
-            )
+            sub.__dict__["_line_rows"] = _restricted_rows(rows, keep)
         return sub
 
     def stats(self) -> HypergraphStats:
@@ -229,3 +218,21 @@ class Hypergraph:
     def _check_position(self, i: int) -> None:
         if not 0 <= i < self.m:
             raise IndexError(f"hyperedge position {i} not in 0..{self.m - 1}")
+
+
+def _restricted_rows(
+    rows: tuple[tuple[int, ...], ...], keep: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Ascending adjacency rows cut down to the vertices in keep, where new
+    vertex i stands for keep[i]: the rows of the induced subgraph.  Both
+    Hypergraph.without and SimpleGraph.induced restrict rows through it.
+    """
+    index = [-1] * len(rows)
+    for new, p in enumerate(keep):
+        index[p] = new
+    cut = [[k for other in rows[p] if (k := index[other]) >= 0] for p in keep]
+    # index is increasing on an ascending keep, so its rows stay sorted.
+    if any(a > b for a, b in zip(keep, keep[1:])):
+        for row in cut:
+            row.sort()
+    return tuple(map(tuple, cut))

@@ -25,13 +25,23 @@ class HgrParseError(ValueError):
         super().__init__(prefix + message)
 
 
+def _integer(token: str) -> int:
+    """int(token) for ASCII decimal digits after an optional minus sign;
+    int() alone would also read '+1', '1_0' and non-ASCII digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_hgr(text: str) -> Hypergraph:
     """Parse file contents into a Hypergraph.
 
     Raises HgrParseError, with a line number, on any deviation from the
-    format: missing or repeated problem line, unknown line type, vertex
-    ids outside 1..n, repeated vertices inside an edge, or an edge count
-    that disagrees with the problem line.
+    format: missing or repeated problem line, unknown line type, n, m or
+    a vertex id that is not ASCII decimal digits, vertex ids outside
+    1..n, repeated vertices inside an edge, or an edge count that
+    disagrees with the problem line.
     """
     n: Optional[int] = None
     m: Optional[int] = None
@@ -53,7 +63,7 @@ def parse_hgr(text: str) -> Hypergraph:
                     "problem line must be 'p hgr <n> <m>'", line_no
                 )
             try:
-                n, m = int(tokens[2]), int(tokens[3])
+                n, m = _integer(tokens[2]), _integer(tokens[3])
             except ValueError:
                 raise HgrParseError("n and m must be integers", line_no)
             if n < 0 or m < 0:
@@ -66,7 +76,7 @@ def parse_hgr(text: str) -> Hypergraph:
             vs = []
             for tok in tokens[1:]:
                 try:
-                    v = int(tok)
+                    v = _integer(tok)
                 except ValueError:
                     raise HgrParseError(f"bad vertex id {tok!r}", line_no)
                 if not 1 <= v <= n:

@@ -292,13 +292,16 @@ def chromatic_index(
 
     Computed as the chromatic number of the line graph; the witness is
     indexed by hyperedge position.  The hyperedges through any one vertex
-    are pairwise intersecting, so the lower end is raised to the maximum
-    vertex degree.  incumbent, a proper coloring of the hyperedges, is the
-    search's starting point (see chromatic_number).
+    are pairwise intersecting, so an open bracket's lower end is raised to
+    the maximum vertex degree; an exact value is already at least that.
+    incumbent, a proper coloring of the hyperedges, is the search's
+    starting point (see chromatic_number).
     """
     if h.m == 0:
         return OracleResult(0, 0, Coloring(()), 0)
     res = chromatic_number(line_graph(h), budget, incumbent=incumbent)
+    if res.complete:
+        return res
     return replace(res, lower=max(res.lower, max(h.degrees())))
 
 

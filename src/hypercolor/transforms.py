@@ -1,10 +1,12 @@
 """The line graph of a hypergraph, and the simple graphs it is kept as.
 
 The line graph's rows (the positions each hyperedge meets) are a cached
-fact of the Hypergraph; line_graph only wraps them, so a hypergraph
-builds them once and a subhypergraph made by Hypergraph.without inherits
-them.  The two-section's facts (its maximum degree and whether it is
-simple) are hypergraph invariants, read from Hypergraph.stats().
+fact of the Hypergraph and the one record of which hyperedges meet;
+line_graph only wraps them, so a hypergraph builds them once and a
+subhypergraph made by Hypergraph.without inherits them, cut down by
+core._restricted_rows as induced subgraphs are.  The two-section's facts
+(its maximum degree and whether it is simple) are hypergraph invariants,
+read from Hypergraph.stats().
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Hypergraph
+from .core import Hypergraph, _restricted_rows
 
 
 @dataclass(frozen=True)
@@ -79,22 +81,13 @@ class SimpleGraph:
     def induced(self, vertices: tuple[int, ...]) -> "SimpleGraph":
         """The induced subgraph; local vertex i stands for vertices[i].
 
-        All vertices in their own order give the graph itself, which is
-        frozen, so it is shared rather than copied.
+        Its rows are cut down by core._restricted_rows, as those that
+        Hypergraph.without hands down are.  All vertices in their own order
+        give the graph itself, which is frozen, so it is shared.
         """
         if vertices == tuple(range(self.n)):
             return self
-        index = [-1] * self.n
-        for i, v in enumerate(vertices):
-            index[v] = i
-        rows = [
-            [k for w in self.adj[v] if (k := index[w]) >= 0] for v in vertices
-        ]
-        # An ascending vertex tuple keeps each filtered row ascending.
-        if any(a > b for a, b in zip(vertices, vertices[1:])):
-            for row in rows:
-                row.sort()
-        return SimpleGraph._from_rows(tuple(map(tuple, rows)))
+        return SimpleGraph._from_rows(_restricted_rows(self.adj, vertices))
 
 
 def line_graph(h: Hypergraph) -> SimpleGraph:

@@ -6,15 +6,16 @@ code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
 package types wherever possible.  The reference versions of package
 logic (condition tags, the criticality table, core extraction, the
-oracle's greedy coloring, greedy clique and branch and bound, the random
-linear sampler) are the earlier, more literal forms of that logic, kept
-to check the current forms against.
+first-fit hyperedge colorer, the oracle's greedy coloring, greedy clique
+and branch and bound, the random linear sampler) are the earlier, more
+literal forms of that logic, kept to check the current forms against.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import combinations
+from typing import Optional
 
 from hypercolor import (
     Budget,
@@ -340,6 +341,40 @@ def rescanning_extract_critical(h: Hypergraph, budget: Budget) -> CriticalCore:
                 break
         if not progressed:
             return CriticalCore(cur, q, True, tuple(removed))
+
+
+def vertex_set_greedy_color(
+    h: Hypergraph, order: str = "desc-degree", seed: Optional[int] = None
+) -> Coloring:
+    """greedy_color in its per-vertex form: each vertex keeps the set of
+    colors on its hyperedges, a position avoids the union of its vertices'
+    sets, and hyperedge degrees come from a union of incidence lists, with
+    no line graph."""
+    positions = list(range(h.m))
+    if order == "desc-degree":
+        degs = []
+        for i in positions:
+            met = set()
+            for v in h.edges[i]:
+                met.update(h.incident(v))
+            met.discard(i)
+            degs.append(len(met))
+        positions.sort(key=lambda i: (-degs[i], i))
+    elif order == "random":
+        Rng(seed if seed is not None else 0).shuffle(positions)
+    at_vertex: list[set[int]] = [set() for _ in range(h.n)]
+    colors = [0] * h.m
+    for pos in positions:
+        forbidden: set[int] = set()
+        for v in h.edges[pos]:
+            forbidden |= at_vertex[v]
+        c = 1
+        while c in forbidden:
+            c += 1
+        colors[pos] = c
+        for v in h.edges[pos]:
+            at_vertex[v].add(c)
+    return Coloring(tuple(colors))
 
 
 def set_greedy_clique(g: SimpleGraph) -> list[int]:

@@ -347,20 +347,27 @@ def _counting_line_graphs(monkeypatch):
     return calls
 
 
-def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
-    # Every row searched in the table or the extraction is a subhypergraph
-    # of the input, and inherits the input's rows instead of building its
-    # own: one build for 44 oracle calls.
+def _counting_builds(monkeypatch, name):
+    """Count the builds of the cached Hypergraph fact name, recording each
+    hypergraph's m."""
     built = []
-    build = Hypergraph._line_rows.func
+    build = getattr(Hypergraph, name).func
 
     def counted(h):
         built.append(h.m)
         return build(h)
 
-    rows = cached_property(counted)
-    rows.__set_name__(Hypergraph, "_line_rows")
-    monkeypatch.setattr(Hypergraph, "_line_rows", rows)
+    fact = cached_property(counted)
+    fact.__set_name__(Hypergraph, name)
+    monkeypatch.setattr(Hypergraph, name, fact)
+    return built
+
+
+def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
+    # Every row searched in the table or the extraction is a subhypergraph
+    # of the input, and inherits the input's rows instead of building its
+    # own: one build for 44 oracle calls.
+    built = _counting_builds(monkeypatch, "_line_rows")
     calls = []
     searched = oracle.chromatic_index
 
@@ -376,6 +383,18 @@ def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
     # The base search, all 22 table rows, then 21 rows of the extraction.
     assert len(calls) == 44
     assert calls[:23] == [22] + [21] * 22
+    assert built == [22]
+
+
+def test_critical_builds_the_incidence_lists_once(capsys, monkeypatch):
+    # A searched candidate inherits its line-graph rows, and its search
+    # ends exact, so the maximum-degree floor, the one reader of its
+    # incidence lists, is never needed: only the input builds them.
+    built = _counting_builds(monkeypatch, "_incidence")
+    code, _, _ = run_cli(
+        capsys, "critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"
+    )
+    assert code == 0
     assert built == [22]
 
 

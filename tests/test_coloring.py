@@ -32,6 +32,7 @@ from brute import (
     random_connected_graph,
     random_graph,
     random_hypergraph_raw,
+    vertex_set_greedy_color,
 )
 
 
@@ -77,6 +78,22 @@ def test_greedy_color_orders_and_guarantee():
         assert c1 == c2
         assert is_proper(h, c1)
         assert h.m == 0 or c1.q_used <= ceiling
+
+
+def test_greedy_color_matches_the_per_vertex_reference():
+    # First fit on the line-graph rows against the per-vertex color sets
+    # it replaced, in every order, on inputs with loops and duplicates.
+    loops = duplicates = 0
+    for seed in range(300):
+        h = random_hypergraph_raw(Rng(seed + 5200), 1, 10, 16, 1, 5)
+        loops += any(len(e) == 1 for e in h.edges)
+        duplicates += len(set(h.edges)) < h.m
+        runs = [("index", None), ("desc-degree", None), ("random", None)]
+        runs += [("random", s) for s in (0, 1, seed, 10_000 + seed)]
+        for order, s in runs:
+            want = vertex_set_greedy_color(h, order, s)
+            assert greedy_color(h, order, s) == want, (seed, order, s)
+    assert loops and duplicates
 
 
 def test_greedy_color_rejects_unknown_order():

@@ -6,7 +6,12 @@ import pytest
 
 from hypercolor import Hypergraph, Rng, fano, random_linear
 
-from brute import brute_connected, brute_two_section_max_degree, random_hypergraph_raw
+from brute import (
+    brute_connected,
+    brute_two_section_max_degree,
+    pairwise_line_graph_edges,
+    random_hypergraph_raw,
+)
 
 
 def test_construction_canonicalizes_edges():
@@ -54,6 +59,16 @@ def test_hyperedge_degree_counts_intersecting_positions():
     assert all(f.hyperedge_degree(i) == 6 for i in range(7))
     matching = Hypergraph(4, [(0, 1), (2, 3)])
     assert matching.hyperedge_degree(0) == 0
+
+
+def test_hyperedge_degree_matches_the_pairwise_line_graph():
+    for seed in range(300):
+        h = random_hypergraph_raw(Rng(seed + 5400), 1, 10, 16, 1, 5)
+        want = [0] * h.m
+        for i, j in pairwise_line_graph_edges(h.n, list(h.edges)):
+            want[i] += 1
+            want[j] += 1
+        assert [h.hyperedge_degree(i) for i in range(h.m)] == want, seed
 
 
 def test_rank_antirank_and_loopless():

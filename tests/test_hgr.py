@@ -77,6 +77,10 @@ def test_parse_errors_carry_line_numbers():
         ("p hgr 3 1\ne 1 4\n", 2, "outside 1..3"),
         ("p hgr 3 1\ne 2 2\n", 2, "repeated vertex"),
         ("p hgr 3 1\ne 1 2\ne 2 3\n", 3, "more than the declared"),
+        # int() reads these; the format takes ASCII decimal digits only.
+        ("p hgr 1_0 1\ne 1 2\n", 1, "must be integers"),
+        ("p hgr 3 1\ne +1 2\n", 2, "bad vertex id '+1'"),
+        ("p hgr 3 1\ne 1 \u0661\n", 2, "bad vertex id"),
     ]
     for text, line_no, fragment in cases:
         with pytest.raises(HgrParseError) as err:

@@ -16,75 +16,57 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import Optional
 
 from . import report
 from .analysis import UNRESOLVED, VIOLATED, inequality_suite, verify_conjecture
 from .coloring import brooks_color, greedy_color, is_proper, vizing_edge_color
 from .core import Hypergraph, UnsupportedInputError
-from .hgr import HgrParseError, digest, dump, load, parse_hgr_bytes, serialize_hgr
-from .instances import _FAMILIES, GenerationError, generate, parse_family, survey_instance
+from .hgr import (
+    HgrParseError,
+    digest,
+    dump,
+    integer,
+    load,
+    parse_hgr_bytes,
+    serialize_hgr,
+)
+from .instances import GenerationError, generate, parse_family, survey_instance
 from .oracle import Budget, chromatic_index, criticality_report, extract_critical
 from .transforms import line_graph
-
-
-def _budget_setting(flag_value, flag: str, env: str, kind: type, fallback):
-    """The flag's value, else the environment variable's, else fallback.
-
-    Raises GenerationError unless the value is a number of the given kind
-    and at least 0.
-    """
-    if flag_value is not None:
-        name, value = flag, flag_value
-    else:
-        name, value = env, os.environ.get(env, fallback)
-    try:
-        number = kind(value)
-        valid = number >= 0
-    except ValueError:
-        valid = False
-    if not valid:
-        expected = "an integer" if kind is int else "a number"
-        raise GenerationError(f"{name} must be {expected} >= 0, got {value!r}")
-    return number
 
 
 _DEFAULTS = Budget()
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    """The search budget; --no-exact, where a command has it, is 0 nodes."""
-    nodes = _budget_setting(
-        args.budget, "--budget", "HYPERCOLOR_MAX_NODES", int, _DEFAULTS.max_nodes
-    )
-    limit = _budget_setting(
-        args.time_limit,
-        "--time-limit",
-        "HYPERCOLOR_TIME_LIMIT",
-        float,
-        _DEFAULTS.time_limit,
-    )
-    if not getattr(args, "exact", True):
-        nodes = 0
-    return Budget(max_nodes=nodes, time_limit=limit if limit > 0 else None)
+    """The search budget; --time-limit 0 is no clock, and --no-exact, where
+    a command has it, is 0 nodes."""
+    if args.budget < 0:
+        raise GenerationError(f"--budget must be an integer >= 0, got {args.budget!r}")
+    # Written so that NaN fails too.
+    if not args.time_limit >= 0:
+        raise GenerationError(
+            f"--time-limit must be a number >= 0, got {args.time_limit!r}"
+        )
+    nodes = args.budget if getattr(args, "exact", True) else 0
+    limit = args.time_limit if args.time_limit > 0 else None
+    return Budget(max_nodes=nodes, time_limit=limit)
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--budget",
-        type=int,
-        default=None,
+        type=integer,
+        default=_DEFAULTS.max_nodes,
         metavar="NODES",
-        help=f"search nodes per exact call (default {_DEFAULTS.max_nodes}, "
-        "env HYPERCOLOR_MAX_NODES)",
+        help=f"search nodes per exact call (default {_DEFAULTS.max_nodes})",
     )
     sub.add_argument(
         "--time-limit",
         type=float,
-        default=None,
-        help=f"seconds per exact call, 0 to disable (default {_DEFAULTS.time_limit:g}, "
-        "env HYPERCOLOR_TIME_LIMIT)",
+        default=_DEFAULTS.time_limit,
+        help=f"seconds per exact call, 0 to disable (default {_DEFAULTS.time_limit:g})",
     )
 
 
@@ -206,13 +188,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = parse_family(args.family)
-    if args.seed is not None:
-        params, _ = _FAMILIES[spec.family]
-        if "seed" not in params:
-            raise GenerationError(f"--seed does not apply to {spec.family}")
-        spec = replace(spec, seed=args.seed)
-    h = generate(spec)
+    h = generate(parse_family(args.family))
     if args.out:
         dump(h, args.out)
     else:
@@ -221,11 +197,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
-    norm = text.replace("..", ":")
-    lo_txt, sep, hi_txt = norm.partition(":")
+    lo_txt, sep, hi_txt = text.partition("..")
     try:
-        lo = int(lo_txt)
-        hi = int(hi_txt) if sep else lo
+        lo = integer(lo_txt)
+        hi = integer(hi_txt) if sep else lo
     except ValueError:
         raise GenerationError(f"{flag} must be LO..HI, got {text!r}")
     if lo > hi:
@@ -262,7 +237,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if m_range[0] < 1:
         raise GenerationError("--m-range must start at 1 or more")
     try:
-        ks = tuple(int(part) for part in args.k.split(","))
+        ks = tuple(integer(part) for part in args.k.split(","))
     except ValueError:
         raise GenerationError(f"--k must be a comma list of sizes, got {args.k!r}")
     if any(k < 2 for k in ks) or not ks:
@@ -322,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="desc-degree",
         help="hyperedge order for --method greedy",
     )
-    p_color.add_argument("--seed", type=int, default=0, help="seed for --order random")
+    p_color.add_argument(
+        "--seed", type=integer, default=0, help="seed for --order random"
+    )
     p_color.add_argument("--json", action="store_true")
     _add_budget_flags(p_color)
     p_color.set_defaults(func=cmd_color)
@@ -358,13 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--family",
         required=True,
-        help="family description, e.g. fano or affine-plane:3",
-    )
-    p_gen.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed override for the random families",
+        help="family description, e.g. fano, affine-plane:3 or "
+        "random-linear:n=8,m=5,k=3,seed=7 (the seed is part of the family)",
     )
     p_gen.add_argument("-o", "--out", help="write to a file instead of stdout")
     p_gen.set_defaults(func=cmd_gen)
@@ -372,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey = subs.add_parser(
         "survey", help="verify a batch of seeded random linear instances"
     )
-    p_survey.add_argument("--count", type=int, required=True)
-    p_survey.add_argument("--seed", type=int, default=0, help="master seed")
-    p_survey.add_argument("--n-range", default="6..12", help="vertex range LO..HI")
-    p_survey.add_argument("--m-range", default="4..16", help="edge range LO..HI")
+    p_survey.add_argument("--count", type=integer, required=True)
+    p_survey.add_argument("--seed", type=integer, default=0, help="master seed")
+    p_survey.add_argument("--n-range", default="6..12", help="vertex range LO..HI or N")
+    p_survey.add_argument("--m-range", default="4..16", help="edge range LO..HI or M")
     p_survey.add_argument("--k", default="2,3,4", help="edge sizes, comma list")
-    p_survey.add_argument("--jobs", type=int, default=1)
+    p_survey.add_argument("--jobs", type=integer, default=1)
     _add_exact_flag(p_survey)
     p_survey.add_argument("--json", action="store_true")
     _add_budget_flags(p_survey)

@@ -11,7 +11,7 @@ used at least once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
@@ -98,14 +98,21 @@ def greedy_color(
         Rng(seed if seed is not None else 0).shuffle(positions)
     else:
         raise ValueError(f"unknown order {order!r}")
-    colors = [0] * h.m
-    for pos in positions:
-        taken = {colors[other] for other in adj[pos]}
+    return Coloring(tuple(_first_fit(adj, positions, [0] * h.m)))
+
+
+def _first_fit(
+    adj: Sequence[Sequence[int]], order: Iterable[int], colors: list[int]
+) -> list[int]:
+    """Give each vertex of order, in turn, the least color held by none of
+    its neighbors in adj; colors is filled in place, 0 being uncolored."""
+    for v in order:
+        taken = {colors[w] for w in adj[v]}
         c = 1
         while c in taken:
             c += 1
-        colors[pos] = c
-    return Coloring(tuple(colors))
+        colors[v] = c
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +157,12 @@ def _brooks_component(g: SimpleGraph) -> list[int]:
         return _color_path_or_cycle(g, degs)
     low_vertices = [v for v in range(n) if degs[v] < delta]
     if low_vertices:
-        return _greedy_reverse_bfs(g, low_vertices[0], {})
+        return _greedy_reverse_bfs(g, low_vertices[0])
     x = _cut_vertex(g)
     if x is not None:
         return _split_at(g, x)
     u, v, w = _connected_split_pair(g)
-    return _greedy_reverse_bfs(g, v, {u: 1, w: 1})
+    return _greedy_reverse_bfs(g, v, (u, w))
 
 
 def _color_path_or_cycle(g: SimpleGraph, degs: list[int]) -> list[int]:
@@ -181,13 +188,14 @@ def _color_path_or_cycle(g: SimpleGraph, degs: list[int]) -> list[int]:
 
 
 def _greedy_reverse_bfs(
-    g: SimpleGraph, root: int, precolored: dict[int, int]
+    g: SimpleGraph, root: int, ones: tuple[int, ...] = ()
 ) -> list[int]:
     """Color greedily so every vertex but the root keeps an uncolored
-    neighbor (its search parent) at assignment time.  The traversal skips
-    precolored vertices, so it must reach all others from the root."""
+    neighbor (its search parent) at assignment time.  The vertices in ones
+    take color 1 first and the traversal skips them, so it must reach all
+    others from the root."""
     order = [root]
-    seen = set(precolored)
+    seen = set(ones)
     seen.add(root)
     head = 0
     while head < len(order):
@@ -199,14 +207,10 @@ def _greedy_reverse_bfs(
                 order.append(w)
     if len(seen) != g.n:
         raise RuntimeError("traversal failed to reach the whole component")
-    colors = dict(precolored)
-    for v in reversed(order):
-        used = {colors[w] for w in g.adj[v] if w in colors}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    return [colors[v] for v in range(g.n)]
+    colors = [0] * g.n
+    for v in ones:
+        colors[v] = 1
+    return _first_fit(g.adj, reversed(order), colors)
 
 
 def _connected_split_pair(g: SimpleGraph) -> tuple[int, int, int]:
@@ -269,7 +273,7 @@ def _split_at(g: SimpleGraph, x: int) -> list[int]:
     for comp in g.induced(rest).connected_components():
         part = tuple(sorted([rest[i] for i in comp] + [x]))
         root = part.index(x)
-        local = _greedy_reverse_bfs(g.induced(part), root, {})
+        local = _greedy_reverse_bfs(g.induced(part), root)
         have = local[root]
         for v, c in zip(part, local):
             colors[v] = 1 if c == have else have if c == 1 else c

@@ -25,12 +25,15 @@ class HgrParseError(ValueError):
         super().__init__(prefix + message)
 
 
-def _integer(token: str) -> int:
-    """int(token) for ASCII decimal digits after an optional minus sign;
-    int() alone would also read '+1', '1_0' and non-ASCII digits."""
+def integer(text: str) -> int:
+    """int(text) for ASCII decimal digits after an optional minus sign,
+    with surrounding whitespace; int() alone would also read '+1', '1_0'
+    and non-ASCII digits.  Files, family strings and the command line all
+    read their integers through this one rule."""
+    token = text.strip()
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {token!r}")
+        raise ValueError(f"not a decimal integer: {text!r}")
     return int(token)
 
 
@@ -63,7 +66,7 @@ def parse_hgr(text: str) -> Hypergraph:
                     "problem line must be 'p hgr <n> <m>'", line_no
                 )
             try:
-                n, m = _integer(tokens[2]), _integer(tokens[3])
+                n, m = integer(tokens[2]), integer(tokens[3])
             except ValueError:
                 raise HgrParseError("n and m must be integers", line_no)
             if n < 0 or m < 0:
@@ -76,7 +79,7 @@ def parse_hgr(text: str) -> Hypergraph:
             vs = []
             for tok in tokens[1:]:
                 try:
-                    v = _integer(tok)
+                    v = integer(tok)
                 except ValueError:
                     raise HgrParseError(f"bad vertex id {tok!r}", line_no)
                 if not 1 <= v <= n:

@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .core import Hypergraph
+from .hgr import integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -354,7 +355,8 @@ def parse_family(text: str) -> FamilySpec:
     Grammar: ``fano``, ``complete-graph:N``, ``cycle:N``,
     ``affine-plane:P``, ``projective-plane:P``, ``steiner-triple:N``,
     ``random-linear:n=N,m=M,k=K[,seed=S]``,
-    ``random:n=N,m=M[,sizes=LO-HI][,seed=S]``.
+    ``random:n=N,m=M[,sizes=LO-HI][,seed=S]``.  Every number is read by
+    hgr.integer: ASCII decimal digits, so '+1', '1_0' and '٣' are errors.
     """
     head, _, rest = text.partition(":")
     head = head.strip()
@@ -365,7 +367,7 @@ def parse_family(text: str) -> FamilySpec:
         return FamilySpec(head)
     if len(params) == 1:
         try:
-            value = int(rest)
+            value = integer(rest)
         except ValueError:
             raise GenerationError(
                 f"{head} needs an integer {params[0]}, got {rest!r}"
@@ -391,10 +393,10 @@ def parse_family(text: str) -> FamilySpec:
         try:
             if key == "sizes":
                 lo_txt, dash, hi_txt = text_value.partition("-")
-                values["size_min"] = int(lo_txt)
-                values["size_max"] = int(hi_txt) if dash else values["size_min"]
+                values["size_min"] = integer(lo_txt)
+                values["size_max"] = integer(hi_txt) if dash else values["size_min"]
             else:
-                values[key] = int(text_value)
+                values[key] = integer(text_value)
         except ValueError:
             expected = "LO-HI" if key == "sizes" else "an integer"
             raise GenerationError(f"{key} must be {expected}, got {text_value!r}")

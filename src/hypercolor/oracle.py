@@ -90,6 +90,7 @@ class OracleResult:
     def exact(self) -> Optional[int]:
         return self.upper if self.lower == self.upper else None
 
+    # The package reads exact; of the program only bench/tracing.py reads this.
     @property
     def complete(self) -> bool:
         return self.lower == self.upper
@@ -297,10 +298,8 @@ def chromatic_index(
     incumbent, a proper coloring of the hyperedges, is the search's
     starting point (see chromatic_number).
     """
-    if h.m == 0:
-        return OracleResult(0, 0, Coloring(()), 0)
     res = chromatic_number(line_graph(h), budget, incumbent=incumbent)
-    if res.complete:
+    if res.exact is not None:
         return res
     return replace(res, lower=max(res.lower, max(h.degrees())))
 

@@ -167,23 +167,6 @@ def test_gen_writes_canonical_files(capsys, tmp_path):
     )
 
 
-def test_gen_seed_override_rules(capsys):
-    code, out, _ = run_cli(
-        capsys, "gen", "--family", "random-linear:n=8,m=5,k=3", "--seed", "7"
-    )
-    assert code == 0
-    assert out == serialize_hgr(random_linear(8, 5, 3, 7))
-
-    code, out, _ = run_cli(capsys, "gen", "--family", "random:n=6,m=4", "--seed", "3")
-    assert code == 0
-    assert out == serialize_hgr(generate(FamilySpec("random", n=6, m=4, seed=3)))
-
-    for family in ("fano", "cycle:5"):
-        code, _, err = run_cli(capsys, "gen", "--family", family, "--seed", "7")
-        assert code == 2
-        assert f"--seed does not apply to {family.split(':')[0]}" in err
-
-
 def test_color_methods_and_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "color", "--family", "fano", "--method", "greedy")
     assert code == 0
@@ -486,35 +469,45 @@ def test_a_failed_structural_check_is_an_internal_error(capsys, monkeypatch):
     assert run_cli(capsys, *argv)[0] == 3
 
 
-def test_budget_defaults_come_from_the_budget_type(capsys, monkeypatch):
+def test_budget_defaults_come_from_the_budget_type(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "(default 10000000, env HYPERCOLOR_MAX_NODES)" in help_text
-    assert "(default 30, env HYPERCOLOR_TIME_LIMIT)" in help_text
-    monkeypatch.delenv("HYPERCOLOR_MAX_NODES", raising=False)
-    monkeypatch.delenv("HYPERCOLOR_TIME_LIMIT", raising=False)
+    assert "(default 10000000)" in help_text
+    assert "(default 30)" in help_text
     args = cli.build_parser().parse_args(["verify", "--family", "fano"])
     assert cli._budget(args) == Budget()
 
 
-def test_budget_env_fallback_and_flag_override(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERCOLOR_MAX_NODES", "8")
-    monkeypatch.setenv("HYPERCOLOR_TIME_LIMIT", "0")
-    code, out, _ = run_cli(capsys, "verify", "--family", "complete-graph:5")
-    assert code == 4
+def test_the_environment_does_not_change_a_report(capsys, monkeypatch):
+    argv = ["verify", "--family", "steiner-triple:15", "--time-limit", "0"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "q-exact: 9\n" in plain and "oracle-nodes: 35373\n" in plain
+    monkeypatch.setenv("HYPERCOLOR_MAX_NODES", "0")
+    monkeypatch.setenv("HYPERCOLOR_TIME_LIMIT", "0.001")
+    assert run_cli(capsys, *argv) == (0, plain, "")
+
+
+def test_gen_seed_and_the_colon_range_are_gone(capsys):
+    # The family string's seed= is the one way to seed gen.
     code, out, _ = run_cli(
-        capsys, "verify", "--family", "complete-graph:5", "--budget", "1000000"
+        capsys, "gen", "--family", "random-linear:n=8,m=5,k=3,seed=7"
     )
     assert code == 0
-    assert "status: HOLDS" in out
-
-    monkeypatch.setenv("HYPERCOLOR_MAX_NODES", "many")
-    code, _, err = run_cli(capsys, "verify", "--family", "complete-graph:5")
+    assert out == serialize_hgr(random_linear(8, 5, 3, 7))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--family", "random-linear:n=8,m=5,k=3", "--seed", "7"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "survey", "--count", "1", "--n-range", "6:8")
     assert code == 2
-    assert "HYPERCOLOR_MAX_NODES" in err
+    assert out == ""
+    assert err == "error: --n-range must be LO..HI, got '6:8'\n"
 
 
+# env holds variables the program must not read: the error names the flag
+# or family parameter at fault, never the environment.
 @pytest.mark.parametrize(
     "argv, env, named",
     [
@@ -522,28 +515,27 @@ def test_budget_env_fallback_and_flag_override(capsys, monkeypatch):
         (["verify", "--family", "fano", "--time-limit", "-1"], {}, "--time-limit"),
         (["verify", "--family", "fano", "--time-limit", "nan"], {}, "--time-limit"),
         (["survey", "--count", "2", "--jobs", "0"], {}, "--jobs"),
-        (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "many"},
-         "HYPERCOLOR_MAX_NODES"),
-        (["verify", "--family", "fano"], {"HYPERCOLOR_MAX_NODES": "-3"},
-         "HYPERCOLOR_MAX_NODES"),
-        (["critical", "--family", "fano"], {"HYPERCOLOR_TIME_LIMIT": "soon"},
-         "HYPERCOLOR_TIME_LIMIT"),
-        (["verify", "--family", "fano"], {"HYPERCOLOR_TIME_LIMIT": "-0.5"},
-         "HYPERCOLOR_TIME_LIMIT"),
+        (["survey", "--count", "1", "--n-range", "6..+8"],
+         {"HYPERCOLOR_MAX_NODES": "many"}, "--n-range"),
+        (["survey", "--count", "1", "--k", "2,\u0663"],
+         {"HYPERCOLOR_MAX_NODES": "-3"}, "--k"),
+        (["verify", "--family", "complete-graph:5_0"],
+         {"HYPERCOLOR_TIME_LIMIT": "soon"}, "complete-graph needs an integer n"),
+        (["verify", "--family", "random-linear:n=8,m=5,k=3,seed=+1"],
+         {"HYPERCOLOR_TIME_LIMIT": "-0.5"}, "seed must be an integer"),
         (["verify", "--family", "fano", "--no-exact", "--budget", "-5"], {}, "--budget"),
         (["survey", "--count", "2", "--no-exact", "--time-limit", "-1"], {},
          "--time-limit"),
     ],
 )
 def test_budget_inputs_are_validated(capsys, monkeypatch, argv, env, named):
-    monkeypatch.delenv("HYPERCOLOR_MAX_NODES", raising=False)
-    monkeypatch.delenv("HYPERCOLOR_TIME_LIMIT", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert named in err
+    assert "HYPERCOLOR" not in err
 
 
 def test_critical_command(capsys, tmp_path):
@@ -814,7 +806,7 @@ def test_survey_range_syntax_and_validation(capsys):
         "--seed",
         "1",
         "--n-range",
-        "6:8",
+        "6..8",
         "--m-range",
         "4..6",
         "--time-limit",

@@ -340,6 +340,10 @@ def test_parse_family_rejections():
         "random:n=8,m=five",
         "random-linear:n=5,n=9,m=3,k=2,seed=1",
         "random:n=5,m=3,sizes=2-3,sizes=1-1",
+        # int() reads these; integers from outside are ASCII decimal digits.
+        "complete-graph:5_0",
+        "cycle:\u0663",
+        "random-linear:n=8,m=5,k=3,seed=+1",
     ]
     for text in bad:
         with pytest.raises(GenerationError):

@@ -58,7 +58,6 @@ from .oracle import (
     chromatic_index,
     chromatic_number,
     criticality_report,
-    extract_critical,
     greedy_clique,
 )
 from .report import TOOL_VERSION
@@ -101,7 +100,6 @@ __all__ = [
     "derive_seed",
     "digest",
     "dump",
-    "extract_critical",
     "fano",
     "generate",
     "greedy_clique",

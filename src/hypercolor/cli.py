@@ -32,7 +32,7 @@ from .hgr import (
     serialize_hgr,
 )
 from .instances import GenerationError, generate, parse_family, survey_instance
-from .oracle import Budget, chromatic_index, criticality_report, extract_critical
+from .oracle import Budget, chromatic_index, criticality_report
 from .transforms import line_graph
 
 
@@ -41,17 +41,18 @@ _DEFAULTS = Budget()
 
 def _budget(args: argparse.Namespace) -> Budget:
     """The search budget; --time-limit 0 is no clock, and --no-exact, where
-    a command has it, is 0 nodes."""
+    a command has it, is 0 nodes.  --time-limit is ASCII decimal digits
+    with at most one '.', after an optional minus sign: float() alone would
+    also read '1_0', '+1', '٣', 'inf' and 'nan'."""
     if args.budget < 0:
         raise GenerationError(f"--budget must be an integer >= 0, got {args.budget!r}")
-    # Written so that NaN fails too.
-    if not args.time_limit >= 0:
-        raise GenerationError(
-            f"--time-limit must be a number >= 0, got {args.time_limit!r}"
-        )
+    text = args.time_limit
+    digits = text.strip().removeprefix("-").replace(".", "", 1)
+    if not (digits.isascii() and digits.isdigit()) or float(text) < 0:
+        raise GenerationError(f"--time-limit must be a number >= 0, got {text!r}")
+    seconds = float(text)
     nodes = args.budget if getattr(args, "exact", True) else 0
-    limit = args.time_limit if args.time_limit > 0 else None
-    return Budget(max_nodes=nodes, time_limit=limit)
+    return Budget(max_nodes=nodes, time_limit=seconds if seconds > 0 else None)
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
@@ -64,8 +65,7 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--time-limit",
-        type=float,
-        default=_DEFAULTS.time_limit,
+        default=str(_DEFAULTS.time_limit),
         help=f"seconds per exact call, 0 to disable (default {_DEFAULTS.time_limit:g})",
     )
 
@@ -168,21 +168,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_critical(args: argparse.Namespace) -> int:
     h = _load_input(args)
-    budget = _budget(args)
-    rep = criticality_report(h, budget)
-    core = None if args.no_extract else extract_critical(h, rep, budget)
-    sys.stdout.write(
-        report.criticality_json(h, rep, core)
-        if args.json
-        else report.render_criticality(h, rep, core)
-    )
+    rep = criticality_report(h, _budget(args), extract=not args.no_extract)
+    render = report.criticality_json if args.json else report.render_criticality
+    sys.stdout.write(render(h, rep))
     if not rep.lemma_ok:
         print(
             "internal error: a critical hyperedge has degree below q - 1",
             file=sys.stderr,
         )
         return 1
-    if not rep.complete or (core is not None and not core.complete):
+    if not rep.complete or (rep.core is not None and not rep.core.complete):
         return 4
     return 0
 

@@ -416,9 +416,15 @@ def survey_instance(
     so the mapping from index to instance does not depend on worker
     scheduling.  The edge count is clamped to the pair budget
     C(n,2) / C(k,2) that linearity imposes, and on a rejection-cap failure
-    the draw retries with a fresh generator seed and one edge fewer, so the
-    procedure always terminates.
+    the draw retries with a fresh generator seed and one edge fewer, down
+    to one edge, which always fits.  So the procedure terminates whenever
+    n_range starts at 2 or more, both ranges are LO <= HI and every size
+    in k_choices is at least 2; other input raises GenerationError.
     """
+    if not (2 <= n_range[0] <= n_range[1] and m_range[0] <= m_range[1]):
+        raise GenerationError(f"bad survey ranges: n {n_range}, m {m_range}")
+    if not k_choices or min(k_choices) < 2:
+        raise GenerationError(f"survey edge sizes must be at least 2, got {k_choices}")
     rng = Rng(derive_seed(master_seed, index))
     n = rng.randint(*n_range)
     k = k_choices[rng.below(len(k_choices))]

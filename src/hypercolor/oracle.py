@@ -315,6 +315,20 @@ class EdgeCriticality:
 
 
 @dataclass(frozen=True)
+class CriticalCore:
+    """A subhypergraph with the same chromatic index, every edge critical.
+
+    removed lists the original positions deleted, in deletion order.
+    complete=False flags a budget interruption: the hypergraph returned is
+    then merely an intermediate stage.
+    """
+
+    hypergraph: Hypergraph
+    complete: bool
+    removed: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class CriticalityReport:
     """Per-hyperedge criticality, plus the key inequality's verdict.
 
@@ -325,19 +339,19 @@ class CriticalityReport:
     of h - e, e could take that color and h would need only q - 1.  So a
     False here indicates an implementation bug, not a discovery.
     complete is True when q and every row were decided within budget.
-    witness is the base search's proper coloring of h with q colors
-    (Coloring(()) when q is None); no report renders it.
+    core is the critical core of h with the same q (see
+    criticality_report), or None when it was not asked for.
     """
 
     q: Optional[int]
     entries: tuple[EdgeCriticality, ...]
     complete: bool
     lemma_ok: bool
-    witness: Coloring
+    core: Optional[CriticalCore]
 
 
 class _Rows:
-    """q(h - deleted - e) for the rows of a table or an extraction.
+    """q(h - deleted - e) for the rows of a table and its extraction.
 
     Built once from h, its chromatic index q and a proper q-coloring of h.
     The deleted positions are those of h's edges missing from the current
@@ -389,16 +403,28 @@ class _Rows:
         ).exact
 
 
-def criticality_report(h: Hypergraph, budget: Budget = Budget()) -> CriticalityReport:
-    """Tabulate criticality and check q - 1 <= d(e) for critical e.
+def criticality_report(
+    h: Hypergraph, budget: Budget = Budget(), extract: bool = False
+) -> CriticalityReport:
+    """Tabulate criticality, check q - 1 <= d(e) for critical e, and with
+    extract, reduce h to a critical core.
 
     Each row is q(h - e), decided by proof where the base search gives
     one and searched otherwise (see _Rows).  The lemma check runs on every
     critical row however it was decided.
+
+    The core scans positions once in ascending order and deletes each one
+    whose removal keeps q, so it is deterministic.  A row the table proved
+    critical is kept without a search: in every subhypergraph h' of h that
+    holds e and has the same q, q(h' - e) <= q(h - e) = q - 1.  Before the
+    first deletion a row takes the table's value; after it, _Rows decides
+    it on the current h'.  An undecided row or q ends the extraction,
+    incomplete.  Every hyperedge of a complete core is critical.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
-        return CriticalityReport(None, (), False, True, Coloring(()))
+        core = CriticalCore(h, False, ()) if extract else None
+        return CriticalityReport(None, (), False, True, core)
     q = base.exact
     rows = _Rows(h, q, base.witness)
     entries = []
@@ -408,56 +434,22 @@ def criticality_report(h: Hypergraph, budget: Budget = Budget()) -> CriticalityR
         entries.append(EdgeCriticality(i, h.hyperedge_degree(i), q_without, crit))
     complete = all(e.critical is not None for e in entries)
     lemma_ok = all(q - 1 <= e.degree for e in entries if e.critical)
-    return CriticalityReport(q, tuple(entries), complete, lemma_ok, base.witness)
-
-
-@dataclass(frozen=True)
-class CriticalCore:
-    """A subhypergraph with the same chromatic index, every edge critical.
-
-    removed lists the original positions deleted, in deletion order.
-    complete=False flags a budget interruption: the hypergraph returned is
-    then merely an intermediate stage.
-    """
-
-    hypergraph: Hypergraph
-    q: Optional[int]
-    complete: bool
-    removed: tuple[int, ...]
-
-
-def extract_critical(
-    h: Hypergraph, rep: CriticalityReport, budget: Budget = Budget()
-) -> CriticalCore:
-    """Greedily delete hyperedges whose removal keeps q, until none does.
-
-    rep is criticality_report(h, ...), the extraction's first pass.
-    Positions are scanned once in ascending order and each removable one
-    is deleted, so the result is deterministic.  A row the table proved
-    critical is kept without a search: in every subhypergraph h' of h that
-    holds e and has the same q, q(h' - e) <= q(h - e) = q - 1, so e stays
-    critical there.  Before the first deletion a row takes the table's
-    value; after it, the row is decided on the current subhypergraph h'
-    (see _Rows).  An undecided row ends the extraction, incomplete.  Every
-    hyperedge of a complete result is critical: removing it would lower q.
-    """
-    q = rep.q
-    if q is None:
-        return CriticalCore(h, None, False, ())
-    rows = _Rows(h, q, rep.witness)
-    removed: list[int] = []
-    complete = True
-    for entry in rep.entries:
-        if entry.critical is True:
-            continue
-        q_without = (
-            rows.q_without(removed, entry.position, budget)
-            if removed
-            else entry.q_without
-        )
-        if q_without is None:
-            complete = False
-            break
-        if q_without == q:
-            removed.append(entry.position)
-    return CriticalCore(h.without(removed), q, complete, tuple(removed))
+    core = None
+    if extract:
+        removed: list[int] = []
+        core_complete = True
+        for entry in entries:
+            if entry.critical is True:
+                continue
+            q_without = (
+                rows.q_without(removed, entry.position, budget)
+                if removed
+                else entry.q_without
+            )
+            if q_without is None:
+                core_complete = False
+                break
+            if q_without == q:
+                removed.append(entry.position)
+        core = CriticalCore(h.without(removed), core_complete, tuple(removed))
+    return CriticalityReport(q, tuple(entries), complete, lemma_ok, core)

@@ -16,7 +16,7 @@ from .analysis import HOLDS, UNRESOLVED, VIOLATED, InequalityReport, Verdict
 from .coloring import Coloring
 from .core import Hypergraph
 from .hgr import digest
-from .oracle import CriticalCore, CriticalityReport
+from .oracle import CriticalityReport
 
 TOOL_VERSION = "0.1.0"
 _TOOL = f"hypercolor {TOOL_VERSION}"
@@ -133,9 +133,7 @@ def render_inequalities(rep: InequalityReport) -> list[str]:
     return lines
 
 
-def render_criticality(
-    h: Hypergraph, rep: CriticalityReport, core: Optional[CriticalCore]
-) -> str:
+def render_criticality(h: Hypergraph, rep: CriticalityReport) -> str:
     lines = _header(h) + [f"q-exact: {_fmt(rep.q)}", f"complete: {_fmt(rep.complete)}"]
     for entry in rep.entries:
         lines.append(
@@ -143,9 +141,10 @@ def render_criticality(
             f"q-without {_fmt(entry.q_without)} critical {_fmt(entry.critical)}"
         )
     lines.append(f"degree-dominates-q-minus-one: {_fmt(rep.lemma_ok)}")
+    core = rep.core
     if core is not None:
         lines.append(f"core-complete: {_fmt(core.complete)}")
-        lines.append(f"core-q: {_fmt(core.q)}")
+        lines.append(f"core-q: {_fmt(rep.q)}")
         lines.append(
             "core-removed-positions: "
             + (" ".join(map(str, core.removed)) if core.removed else "none")
@@ -156,19 +155,18 @@ def render_criticality(
     return "\n".join(lines) + "\n"
 
 
-def criticality_json(
-    h: Hypergraph, rep: CriticalityReport, core: Optional[CriticalCore]
-) -> str:
+def criticality_json(h: Hypergraph, rep: CriticalityReport) -> str:
     payload = {
         "q_exact": rep.q,
         "complete": rep.complete,
         "entries": [asdict(e) for e in rep.entries],
         "degree_dominates_q_minus_one": rep.lemma_ok,
     }
+    core = rep.core
     if core is not None:
         payload["core"] = {
             "complete": core.complete,
-            "q": core.q,
+            "q": rep.q,
             "removed_positions": list(core.removed),
             "n": core.hypergraph.n,
             "edges": [list(e) for e in core.hypergraph.edges],

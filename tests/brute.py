@@ -295,11 +295,11 @@ def searching_criticality_report(h: Hypergraph, budget: Budget) -> CriticalityRe
     """The criticality table that searches every row from scratch.
 
     One chromatic_index call for the base q and one per hyperedge, with no
-    certificate and no starting coloring.
+    certificate and no starting coloring.  It extracts no core.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
-        return CriticalityReport(None, (), False, True, Coloring(()))
+        return CriticalityReport(None, (), False, True, None)
     q = base.exact
     entries = []
     complete = True
@@ -315,14 +315,14 @@ def searching_criticality_report(h: Hypergraph, budget: Budget) -> CriticalityRe
         entries.append(EdgeCriticality(i, deg, sub.exact, crit))
         if crit and not q - 1 <= deg:
             lemma_ok = False
-    return CriticalityReport(q, tuple(entries), complete, lemma_ok, base.witness)
+    return CriticalityReport(q, tuple(entries), complete, lemma_ok, None)
 
 
 def rescanning_extract_critical(h: Hypergraph, budget: Budget) -> CriticalCore:
     """Core extraction that rescans from position 0 after every deletion."""
     base = chromatic_index(h, budget)
     if base.exact is None:
-        return CriticalCore(h, None, False, ())
+        return CriticalCore(h, False, ())
     q = base.exact
     cur = h
     original = list(range(h.m))
@@ -333,14 +333,14 @@ def rescanning_extract_critical(h: Hypergraph, budget: Budget) -> CriticalCore:
             candidate = cur.remove_hyperedge(i)
             sub = chromatic_index(candidate, budget)
             if sub.exact is None:
-                return CriticalCore(cur, q, False, tuple(removed))
+                return CriticalCore(cur, False, tuple(removed))
             if sub.exact == q:
                 removed.append(original.pop(i))
                 cur = candidate
                 progressed = True
                 break
         if not progressed:
-            return CriticalCore(cur, q, True, tuple(removed))
+            return CriticalCore(cur, True, tuple(removed))
 
 
 def vertex_set_greedy_color(

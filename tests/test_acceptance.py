@@ -30,7 +30,6 @@ from hypercolor import (
     cycle,
     derive_seed,
     digest,
-    extract_critical,
     fano,
     inequality_suite,
     is_proper,
@@ -193,22 +192,22 @@ def _critical_core_report() -> str:
     for i in range(50):
         spec, h = survey_instance(MASTER_CORES, i, (6, 10), (4, 12), (2, 3))
         base = chromatic_index(h, BUDGET)
-        core = extract_critical(h, criticality_report(h, BUDGET), BUDGET)
+        core = criticality_report(h, BUDGET, extract=True).core
         assert base.exact is not None and core.complete, (
             f"instance {i}: budget ran out"
         )
-        assert core.q == base.exact, f"instance {i}: extraction changed q"
         rep = criticality_report(core.hypergraph, BUDGET)
         assert rep.complete, f"instance {i}: budget ran out"
+        assert rep.q == base.exact, f"instance {i}: extraction changed q"
         for j, entry in enumerate(rep.entries):
             assert entry.critical is True, (
                 f"instance {i} position {j}: removable edge left in core"
             )
-            assert core.q - 1 <= core.hypergraph.hyperedge_degree(j), (
+            assert rep.q - 1 <= core.hypergraph.hyperedge_degree(j), (
                 f"instance {i} position {j}: degree below q-1"
             )
         lines.append(
-            f"[{i}] sha={digest(h)[:12]} q={core.q} m={h.m} "
+            f"[{i}] sha={digest(h)[:12]} q={rep.q} m={h.m} "
             f"core-m={core.hypergraph.m} removed={len(core.removed)}"
         )
     lines.append("instances=50 failures=0")

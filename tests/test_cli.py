@@ -22,7 +22,6 @@ from hypercolor import (
     chromatic_index,
     criticality_report,
     digest,
-    extract_critical,
     fano,
     generate,
     greedy_clique,
@@ -381,6 +380,22 @@ def test_critical_builds_the_incidence_lists_once(capsys, monkeypatch):
     assert built == [22]
 
 
+def test_critical_builds_the_proof_rows_once(capsys, monkeypatch):
+    # The table and the core share one _Rows, built from the base search.
+    built = []
+
+    class CountedRows(oracle._Rows):
+        def __init__(self, h, q, witness):
+            built.append(h.m)
+            super().__init__(h, q, witness)
+
+    monkeypatch.setattr(oracle, "_Rows", CountedRows)
+    family = "random-linear:n=16,m=22,k=3,seed=1"
+    code, out, _ = run_cli(capsys, "critical", "--family", family, "--time-limit", "0")
+    assert code == 0 and "core-m: " in out
+    assert built == [22]
+
+
 def _no_exact_floor(h):
     """The larger of a greedy clique of the whole line graph and the
     maximum degree: no --no-exact lower end may fall below it."""
@@ -526,6 +541,10 @@ def test_gen_seed_and_the_colon_range_are_gone(capsys):
         (["verify", "--family", "fano", "--no-exact", "--budget", "-5"], {}, "--budget"),
         (["survey", "--count", "2", "--no-exact", "--time-limit", "-1"], {},
          "--time-limit"),
+        (["verify", "--family", "fano", "--time-limit", "1_0"], {}, "--time-limit"),
+        (["verify", "--family", "fano", "--time-limit", "+1"], {}, "--time-limit"),
+        (["verify", "--family", "fano", "--time-limit", "\u0663"], {}, "--time-limit"),
+        (["critical", "--family", "fano", "--time-limit", "inf"], {}, "--time-limit"),
     ],
 )
 def test_budget_inputs_are_validated(capsys, monkeypatch, argv, env, named):
@@ -576,8 +595,8 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
     expected = {}
     for family, budget, _ in cases:
         h = generate(parse_family(family))
-        rep = criticality_report(h, budget)
-        expected[family] = render_criticality(h, rep, extract_critical(h, rep, budget))
+        rep = criticality_report(h, budget, extract=True)
+        expected[family] = render_criticality(h, rep)
     calls = []
 
     def counted(g, budget, incumbent=None):
@@ -612,16 +631,35 @@ def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys
     family = "random-linear:n=12,m=14,k=3,seed=14"
     h = generate(parse_family(family))
     budget = Budget(20, None)
-    rep = criticality_report(h, budget)
+    rep = criticality_report(h, budget, extract=True)
     assert [e.position for e in rep.entries if e.critical is None] == [5]
-    core = extract_critical(h, rep, budget)
-    assert core == extract_critical(h, criticality_report(h, Budget(time_limit=None)))
+    core = rep.core
+    assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
     assert core.complete and core.removed == (3, 8, 9) and core.hypergraph.m == 11
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
     )
     assert code == 4
-    assert out == render_criticality(h, rep, core)
+    assert out == render_criticality(h, rep)
+
+
+def _table_then_extraction_calls(monkeypatch, h, budget):
+    """criticality_report(h, budget, extract=True) and the edge counts of
+    its oracle calls after those the table alone makes (the extraction's)."""
+    calls = []
+
+    def counted(g, budget, incumbent=None):
+        calls.append(g.m)
+        return chromatic_index(g, budget, incumbent)
+
+    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    criticality_report(h, budget)
+    table_calls = list(calls)
+    calls.clear()
+    rep = criticality_report(h, budget, extract=True)
+    monkeypatch.undo()
+    assert calls[: len(table_calls)] == table_calls
+    return rep, calls[len(table_calls):]
 
 
 def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
@@ -631,22 +669,14 @@ def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
     # settles them (8 removable, the others critical).
     h = generate(parse_family("random-linear:n=16,m=22,k=3,seed=22"))
     budget = Budget(50, None)
-    rep = criticality_report(h, budget)
+    rep, calls = _table_then_extraction_calls(monkeypatch, h, budget)
     assert rep.q == 6
     assert [e.position for e in rep.entries if e.critical is None] == [3, 7, 8, 9, 10]
-    calls = []
-
-    def counted(g, budget, incumbent=None):
-        calls.append(g.m)
-        return chromatic_index(g, budget, incumbent)
-
-    monkeypatch.setattr(oracle, "chromatic_index", counted)
-    core = extract_critical(h, rep, budget)
-    monkeypatch.undo()
     # Rows 3 and 4 are searched on 20 edges, 7 and 8 on 19, 9, 10, 11 and
     # 13 on 18, and 15, 17 and 21 on 17.
     assert calls == [20, 20, 19, 19, 18, 18, 18, 18, 17, 17, 17]
-    full = extract_critical(h, criticality_report(h, Budget(time_limit=None)))
+    core = rep.core
+    full = criticality_report(h, Budget(time_limit=None), extract=True).core
     assert core == full
     assert core.complete and core.removed == (1, 4, 8, 13)
 
@@ -658,24 +688,15 @@ def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypa
     family = "random-linear:n=12,m=14,k=3,seed=24"
     h = generate(parse_family(family))
     budget = Budget(20, None)
-    rep = criticality_report(h, budget)
+    rep, calls = _table_then_extraction_calls(monkeypatch, h, budget)
     assert rep.q == 6 and rep.entries[0].critical is None
-    calls = []
-
-    def counted(g, budget, incumbent=None):
-        calls.append(g.m)
-        return chromatic_index(g, budget, incumbent)
-
-    monkeypatch.setattr(oracle, "chromatic_index", counted)
-    core = extract_critical(h, rep, budget)
-    monkeypatch.undo()
     assert calls == []
-    assert core == CriticalCore(h, 6, False, ())
+    assert rep.core == CriticalCore(h, False, ())
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
     )
     assert code == 4
-    assert out == render_criticality(h, rep, core)
+    assert out == render_criticality(h, rep)
 
 
 # sha256 of `critical --time-limit 0` stdout, recorded while every row of

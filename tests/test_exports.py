@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import hypercolor
 from hypercolor import analysis, coloring, oracle, transforms
 
@@ -18,7 +20,7 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
         assert not hasattr(hypercolor, name)
         assert not hasattr(transforms, name)
     # Bounds and condition tags are read through bound_set and conditions,
-    # criticality through criticality_report.
+    # criticality and its core through criticality_report.
     for name, module in (
         ("two_section_bound", analysis),
         ("greedy_bound", analysis),
@@ -30,6 +32,7 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
         ("rank_product_condition", analysis),
         ("classify_uniform", analysis),
         ("is_critical", oracle),
+        ("extract_critical", oracle),
     ):
         assert name not in namespace
         assert not hasattr(hypercolor, name)
@@ -58,3 +61,10 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
         assert hasattr(h.stats(), name)
     for name in ("is_linear", "connected_components", "vertex_degree"):
         assert not hasattr(h, name)
+    # A report carries its core; the two hand no state to each other.
+    assert [f.name for f in fields(oracle.CriticalityReport)] == [
+        "q", "entries", "complete", "lemma_ok", "core"
+    ]
+    assert [f.name for f in fields(oracle.CriticalCore)] == [
+        "hypergraph", "complete", "removed"
+    ]

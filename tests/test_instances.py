@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -380,3 +382,30 @@ def test_survey_instance_clamps_impossible_requests():
     tight, ht = survey_instance(42, 0, (4, 4), (50, 50), (3,))
     assert tight.m <= 2
     assert ht.stats().linear
+
+
+def test_survey_instance_refuses_input_it_cannot_sample():
+    # Each of these used to loop forever or fail on a division deep in
+    # the sampler; they run in a child so that a hang fails the test.
+    script = """
+from hypercolor import GenerationError, survey_instance
+for args in [
+    ((1, 1), (1, 1), (2,)),
+    ((0, 8), (4, 6), (3,)),
+    ((6, 8), (4, 6), (1,)),
+    ((6, 8), (4, 6), (3, -2)),
+    ((8, 6), (4, 6), (3,)),
+    ((6, 8), (6, 4), (3,)),
+    ((6, 8), (4, 6), ()),
+]:
+    try:
+        survey_instance(0, 0, *args)
+    except GenerationError:
+        continue
+    raise SystemExit(f"accepted {args}")
+print("refused all")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "refused all\n", "")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from hypercolor import (
     Budget,
     Coloring,
+    CriticalCore,
     Hypergraph,
     OracleResult,
     Rng,
@@ -18,7 +20,6 @@ from hypercolor import (
     chromatic_number,
     complete_graph,
     criticality_report,
-    extract_critical,
     fano,
     greedy_clique,
     is_proper,
@@ -395,18 +396,34 @@ def test_criticality_report_respects_budget():
     assert rep.lemma_ok
 
 
+def test_criticality_report_extracts_a_core_only_when_asked():
+    for h in (Hypergraph(4, [(0, 1), (2, 3)]), fano(), complete_graph(5)):
+        for budget in (FAST, Budget(max_nodes=8, time_limit=None)):
+            rep = criticality_report(h, budget)
+            assert rep.core is None
+            extracted = criticality_report(h, budget, extract=True)
+            assert extracted.core is not None
+            assert replace(extracted, core=None) == rep
+    # An undecided q leaves h as an incomplete core with nothing removed.
+    k5 = complete_graph(5)
+    starved = criticality_report(k5, Budget(max_nodes=8, time_limit=None), extract=True)
+    assert starved.core == CriticalCore(k5, False, ())
+
+
 def test_extract_critical_pins():
     matching = Hypergraph(4, [(0, 1), (2, 3)])
-    core = extract_critical(matching, criticality_report(matching, FAST), FAST)
+    rep = criticality_report(matching, FAST, extract=True)
+    core = rep.core
     assert core.complete
-    assert core.q == 1
+    assert rep.q == 1
     assert core.removed == (0,)
     assert core.hypergraph.edges == ((2, 3),)
     assert core.hypergraph.n == 4
 
-    fano_core = extract_critical(fano(), criticality_report(fano(), FAST), FAST)
+    fano_rep = criticality_report(fano(), FAST, extract=True)
+    fano_core = fano_rep.core
     assert fano_core.complete
-    assert fano_core.q == 7
+    assert fano_rep.q == 7
     assert fano_core.removed == ()
     assert fano_core.hypergraph == fano()
 
@@ -416,16 +433,16 @@ def test_extract_critical_preserves_q_and_leaves_only_critical_edges():
     for seed in range(25):
         h = random_linear(8, 6, 3, seed)
         base = chromatic_index(h, FAST)
-        core = extract_critical(h, criticality_report(h, FAST), FAST)
+        q = base.exact
+        core = criticality_report(h, FAST, extract=True).core
         assert core.complete
-        assert core.q == base.exact
-        assert chromatic_index(core.hypergraph, FAST).exact == core.q
+        assert chromatic_index(core.hypergraph, FAST).exact == q
         assert core.hypergraph.m + len(core.removed) == h.m
         rep = criticality_report(core.hypergraph, FAST)
         assert rep.complete and len(rep.entries) == core.hypergraph.m
         for i, entry in enumerate(rep.entries):
             assert entry.critical is True
-            assert core.q - 1 <= core.hypergraph.hyperedge_degree(i)
+            assert q - 1 <= core.hypergraph.hyperedge_degree(i)
         kept += 1
     assert kept == 25
 
@@ -443,21 +460,19 @@ def test_one_pass_extraction_matches_the_rescanning_reference(monkeypatch):
         ref = rescanning_extract_critical(h, FAST)
         if not ref.complete:
             continue
-        rep = criticality_report(h, FAST)
-        calls.clear()
         monkeypatch.setattr(oracle, "chromatic_index", counted)
-        core = extract_critical(h, rep, FAST)
+        calls.clear()
+        rep = criticality_report(h, FAST)
+        table_calls = list(calls)
+        calls.clear()
+        core = criticality_report(h, FAST, extract=True).core
         monkeypatch.undo()
-        assert (core.hypergraph, core.q, core.complete, core.removed) == (
-            ref.hypergraph,
-            ref.q,
-            ref.complete,
-            ref.removed,
-        )
+        assert calls[: len(table_calls)] == table_calls
+        assert core == ref
         # Critical rows are kept and the first removable one deleted on
         # the table's word; only the other removable rows are searched.
         removable = sum(entry.critical is False for entry in rep.entries)
-        assert len(calls) <= max(0, removable - 1)
+        assert len(calls) - len(table_calls) <= max(0, removable - 1)
         compared += 1
     assert compared >= 50
 
@@ -480,8 +495,9 @@ def _criticality_inputs():
 def _certified(h: Hypergraph, rep) -> list[tuple[bool, bool, bool]]:
     """Which proofs of the base search apply to each row of rep, by rule:
     a degree-q vertex outside e, a q-clique of the line graph without e,
-    e alone in its color class of the base witness."""
-    q, colors = rep.q, rep.witness.colors
+    e alone in its color class of the base witness (the coloring the base
+    search returns)."""
+    q, colors = rep.q, chromatic_index(h, FAST).witness.colors
     clique = greedy_clique(line_graph(h))
     return [
         (
@@ -517,13 +533,13 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
                 assert entry.q_without == rep.q
             if p[2]:
                 assert entry.critical is True
-        core = extract_critical(h, rep, FAST)
+        core = criticality_report(h, FAST, extract=True).core
         assert core == rescanning_extract_critical(h, FAST)
         for nodes in (20, 50, 200):
             budget = Budget(nodes, None)
             ref = searching_criticality_report(h, budget)
-            got = criticality_report(h, budget)
-            assert (got.q, got.witness) == (ref.q, ref.witness)
+            got = criticality_report(h, budget, extract=True)
+            assert got.q == ref.q
             for mine, theirs, want in zip(got.entries, ref.entries, full.entries):
                 if theirs.critical is not None:
                     assert mine == theirs
@@ -532,7 +548,7 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
                 gained += mine.critical is not None and theirs.critical is None
             if got.q is not None:
                 assert got.lemma_ok
-            partial = extract_critical(h, got, budget)
+            partial = got.core
             if partial.complete:
                 assert partial == core
             else:
@@ -549,13 +565,14 @@ def test_critical_core_obeys_size_adjusted_bound():
     checked = 0
     for seed in range(25):
         h = random_linear(9, 7, 3, seed + 300)
-        core = extract_critical(h, criticality_report(h, FAST), FAST)
+        rep = criticality_report(h, FAST, extract=True)
+        core = rep.core
         assert core.complete
         ch = core.hypergraph
         st = ch.stats()
         if ch.m == 0 or not st.loopless:
             continue
         bound = st.two_section_max_degree + 1 - (st.antirank - st.max_degree)
-        assert core.q <= bound
+        assert rep.q <= bound
         checked += 1
     assert checked >= 20

@@ -9,7 +9,6 @@ from hypercolor import (
     Hypergraph,
     criticality_report,
     digest,
-    extract_critical,
     fano,
     greedy_color,
     inequality_suite,
@@ -129,9 +128,8 @@ def test_inequality_rendering():
 
 def test_criticality_reports():
     path = Hypergraph(3, [(0, 1), (1, 2)])
-    rep = criticality_report(path, FAST)
-    core = extract_critical(path, rep, FAST)
-    text = render_criticality(path, rep, core)
+    rep = criticality_report(path, FAST, extract=True)
+    text = render_criticality(path, rep)
     assert "q-exact: 2" in text
     assert "hyperedge 0: degree 1 q-without 1 critical yes" in text
     assert "hyperedge 1: degree 1 q-without 1 critical yes" in text
@@ -139,12 +137,13 @@ def test_criticality_reports():
     assert "core-removed-positions: none" in text
     assert "core-m: 2" in text
 
-    payload = json.loads(criticality_json(path, rep, core))
+    payload = json.loads(criticality_json(path, rep))
     assert payload["q_exact"] == 2
     assert payload["degree_dominates_q_minus_one"] is True
     assert payload["core"]["edges"] == [[0, 1], [1, 2]]
     assert payload["core"]["removed_positions"] == []
 
-    no_core = json.loads(criticality_json(path, rep, None))
+    table = criticality_report(path, FAST)
+    no_core = json.loads(criticality_json(path, table))
     assert "core" not in no_core
-    assert "core-m" not in render_criticality(path, rep, None)
+    assert "core-m" not in render_criticality(path, table)

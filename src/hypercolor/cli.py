@@ -13,6 +13,7 @@ out, or was 0 nodes under --no-exact) and nothing was VIOLATED.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -353,8 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first use and kept for the process.
+
+    Parsing leaves a parser as it was, and a build costs more than many a
+    command it would parse, so one process making many main calls builds
+    it once.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (HgrParseError, GenerationError, UnsupportedInputError, OSError) as exc:

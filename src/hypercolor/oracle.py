@@ -8,10 +8,16 @@ an exact answer never changes when the budget is enlarged, and node
 counts are reproducible (wall-clock cutoffs aside).
 
 The search is iterative, on an explicit stack, so its depth is not tied
-to the interpreter's recursion limit.  Each vertex keeps counts of the
-colors on its neighbours, updated as vertices are colored and uncolored,
-so a branch node costs time in the degree of one vertex instead of a
-rebuild of every saturation set.  It visits the same nodes in the same
+to the interpreter's recursion limit.  It runs on bitsets, in the manner
+of San Segundo et al.'s bit-parallel colorings: the graph's bit view
+(SimpleGraph._bit_view) ranks the vertices by degree, then number, and
+keeps each neighbourhood as an int mask over the ranks.  A mask per
+color marks the vertices with a neighbour of that color, and the
+saturations are a bit-sliced counter, so coloring or uncoloring a vertex
+and picking the next one (DSATUR's most saturated, then highest-degree,
+then lowest-numbered vertex) cost a few big-integer operations each,
+not a loop over neighbours.  DSATUR's starting coloring and the greedy
+clique read the same view.  The search visits the same nodes in the same
 order as the recursive, set-rebuilding search (tests/brute.py keeps that
 one as the reference), so node counts, brackets and witnesses are
 unchanged from it.
@@ -96,66 +102,80 @@ class OracleResult:
         return self.lower == self.upper
 
 
-class _Saturation:
-    """Neighbour color counts and the DSATUR pick key, kept incrementally.
+class _BitSaturation:
+    """DSATUR's saturation on a graph's bit view (SimpleGraph._bit_view).
 
-    counts[v][c] is the number of neighbours of v holding color c, and
-    key[v] = sat*n*n + deg*n + (n-1-v), where sat is the number of distinct
-    colors among them: integer order on key is the order of the tuple
-    (sat, deg, -v).  A colored vertex's key is lowered by n**3, more than
-    any key, so the largest key belongs to an uncolored vertex while one
-    is left.  assign and unassign must be called in matching pairs.
+    Masks are over ranks.  seen[c] holds the vertices with a neighbour
+    colored c, and the saturation of each vertex (its number of distinct
+    neighbour colors) is kept bit-sliced: bit i of planes[j] is bit j of
+    the count of rank i.  uncolored holds the ranks without a color.
+    assign returns the mask it newly saturated with c; the search undoes
+    assignments last in, first out, so unassign with that mask restores
+    seen[c] and the counts exactly.  colors bounds every color assigned,
+    hence every count.
     """
 
-    __slots__ = ("adj", "n", "nn", "off", "counts", "key")
+    __slots__ = ("nb", "seen", "planes", "uncolored")
 
-    def __init__(self, g: SimpleGraph, slots: int):
-        n = g.n
-        self.adj = g.adj
-        self.n = n
-        self.nn = n * n
-        self.off = n * n * n
-        self.counts = [[0] * slots for _ in range(n)]
-        self.key = [len(nb) * n + n - 1 - v for v, nb in enumerate(g.adj)]
+    def __init__(self, nb: tuple[int, ...], colors: int):
+        self.nb = nb
+        self.seen = [0] * (colors + 1)
+        self.planes = [0] * colors.bit_length()
+        self.uncolored = (1 << len(nb)) - 1
 
     def pick(self) -> int:
-        """The uncolored vertex with the largest key."""
-        return self.n - 1 - max(self.key) % self.n
+        """The uncolored rank with the largest (sat, degree, -vertex).
 
-    def assign(self, v: int, c: int) -> None:
-        key, nn, counts = self.key, self.nn, self.counts
-        key[v] -= self.off
-        for w in self.adj[v]:
-            row = counts[w]
-            k = row[c]
-            if not k:
-                key[w] += nn
-            row[c] = k + 1
+        Narrowing the uncolored mask plane by plane from the top leaves the
+        ties at the highest saturation; their lowest rank has the highest
+        degree, then the lowest number.
+        """
+        ties = self.uncolored
+        for plane in reversed(self.planes):
+            top = ties & plane
+            if top:
+                ties = top
+        return (ties & -ties).bit_length() - 1
 
-    def unassign(self, v: int, c: int) -> None:
-        key, nn, counts = self.key, self.nn, self.counts
-        key[v] += self.off
-        for w in self.adj[v]:
-            row = counts[w]
-            k = row[c] - 1
-            row[c] = k
-            if not k:
-                key[w] -= nn
+    def assign(self, i: int, c: int) -> int:
+        x = self.nb[i] & ~self.seen[c]
+        self.seen[c] |= x
+        self.uncolored ^= 1 << i
+        planes = self.planes
+        carry, j = x, 0
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j += 1
+        return x
+
+    def unassign(self, i: int, c: int, x: int) -> None:
+        self.seen[c] ^= x
+        self.uncolored |= 1 << i
+        planes = self.planes
+        borrow, j = x, 0
+        while borrow:
+            plane = planes[j]
+            planes[j] = plane ^ borrow
+            borrow &= ~plane
+            j += 1
 
 
 def _dsatur_greedy(g: SimpleGraph) -> list[int]:
     """Greedy coloring picking the most saturated vertex first."""
+    order, _, nb = g._bit_view
     colors = [0] * g.n
     # A vertex of degree d never needs a color above d + 1.
-    sat = _Saturation(g, g.max_degree() + 2)
+    sat = _BitSaturation(nb, g.max_degree() + 1)
+    seen = sat.seen
     for _ in range(g.n):
-        v = sat.pick()
-        row = sat.counts[v]
+        i = sat.pick()
         c = 1
-        while row[c]:
+        while seen[c] >> i & 1:
             c += 1
-        colors[v] = c
-        sat.assign(v, c)
+        colors[order[i]] = c
+        sat.assign(i, c)
     return colors
 
 
@@ -166,20 +186,26 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     search below starts from it, and a component the budget leaves
     unsearched takes it as its lower end.  While every vertex is a
     candidate the count is the degree, so the first pick is the
-    lowest-numbered vertex of maximum degree; later counts intersect the
-    candidates with the rows.
+    lowest-numbered vertex of maximum degree, rank 0 of the bit view;
+    later counts are popcounts of the candidates within a row, ties going
+    to the lowest-numbered vertex.
     """
     if not g.n:
         return []
-    adj = g.adj
-    pick = max(range(g.n), key=lambda v: (len(adj[v]), -v))
-    clique = [pick]
-    cand = set(adj[pick])
+    order, _, nb = g._bit_view
+    clique = [0]
+    cand = nb[0]
     while cand:
-        pick = max(cand, key=lambda v: (len(cand.intersection(adj[v])), -v))
+        ranks = []
+        rest = cand
+        while rest:
+            low = rest & -rest
+            ranks.append(low.bit_length() - 1)
+            rest ^= low
+        pick = max(ranks, key=lambda i: ((cand & nb[i]).bit_count(), -order[i]))
         clique.append(pick)
-        cand.intersection_update(adj[pick])
-    return clique
+        cand &= nb[pick]
+    return [order[i] for i in clique]
 
 
 def _component_chromatic(
@@ -188,8 +214,10 @@ def _component_chromatic(
     """(lower, upper, coloring achieving upper) for a connected graph.
 
     Depth-first branch and bound on an explicit stack, so deep searches
-    need no recursion.  A frame is [vertex, next color to try, colors used
-    on entry, color limit], the limit fixed when the frame is entered.
+    need no recursion.  The search colors ranks of the bit view.  A frame
+    is [rank, next color to try, colors used on entry, color limit, the
+    mask its current color saturated], the limit fixed when the frame is
+    entered.
     The search starts from the incumbent, a proper coloring 1..k, when it
     uses fewer colors than DSATUR.  A lower start bound only narrows each
     frame's color limit, so it prunes the same search tree: it never
@@ -204,13 +232,14 @@ def _component_chromatic(
     if lb == best_count:
         return lb, best_count, best
 
-    # Search colors stay below the incumbent, so it bounds the rows.
-    sat = _Saturation(g, best_count + 1)
-    counts, assign, unassign, pick = sat.counts, sat.assign, sat.unassign, sat.pick
+    # Search colors stay below the incumbent.
+    _, rank, nb = g._bit_view
+    sat = _BitSaturation(nb, best_count - 1)
+    seen, assign, unassign, pick = sat.seen, sat.assign, sat.unassign, sat.pick
     colors = [0] * g.n
     for idx, v in enumerate(clique):
-        colors[v] = idx + 1
-        assign(v, idx + 1)
+        colors[rank[v]] = idx + 1
+        assign(rank[v], idx + 1)
     free = g.n - lb
     stack: list[list[int]] = []
     used = lb
@@ -220,32 +249,34 @@ def _component_chromatic(
             if len(stack) == free:
                 if used < best_count:
                     best_count = used
-                    best = colors.copy()
+                    best = [colors[i] for i in rank]
             else:
                 # Colors beyond used+1 are interchangeable, so trying one of
                 # them suffices; anything at or above the incumbent cannot
-                # improve it.
-                stack.append([pick(), 1, used, min(used + 1, best_count - 1)])
+                # improve it.  (Here and below, a comparison in place of
+                # min and max saves a call per node.)
+                limit = used + 1 if used + 1 < best_count else best_count - 1
+                stack.append([pick(), 1, used, limit, 0])
             # Back up to the deepest frame with a color left, and take it.
             while stack:
                 frame = stack[-1]
-                v, c, used, limit = frame
-                if colors[v]:
-                    unassign(v, colors[v])
-                    colors[v] = 0
+                i, c, used, limit, saturated = frame
+                if colors[i]:
+                    unassign(i, colors[i], saturated)
+                    colors[i] = 0
                     if best_count == lb:
                         stack.pop()
                         continue
-                row = counts[v]
-                while c <= limit and row[c]:
+                while c <= limit and seen[c] >> i & 1:
                     c += 1
                 if c > limit:
                     stack.pop()
                     continue
                 frame[1] = c + 1
-                colors[v] = c
-                assign(v, c)
-                used = max(used, c)
+                colors[i] = c
+                frame[4] = assign(i, c)
+                if c > used:
+                    used = c
                 break
             if not stack:
                 break

@@ -4,14 +4,16 @@ The line graph's rows (the positions each hyperedge meets) are a cached
 fact of the Hypergraph and the one record of which hyperedges meet;
 line_graph only wraps them, so a hypergraph builds them once and a
 subhypergraph made by Hypergraph.without inherits them, cut down by
-core._restricted_rows as induced subgraphs are.  The two-section's facts
-(its maximum degree and whether it is simple) are hypergraph invariants,
-read from Hypergraph.stats().
+core._restricted_rows as induced subgraphs are.  A SimpleGraph keeps one
+more cached fact, its rows as bitmasks (SimpleGraph._bit_view), which the
+oracle reads.  The two-section's facts (its maximum degree and whether it
+is simple) are hypergraph invariants, read from Hypergraph.stats().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .core import Hypergraph, _restricted_rows
@@ -48,6 +50,25 @@ class SimpleGraph:
         object.__setattr__(g, "n", len(adj))
         object.__setattr__(g, "adj", adj)
         return g
+
+    @cached_property
+    def _bit_view(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(order, rank, nb): the vertices ranked by degree descending, then
+        index ascending, as order[i] = v and rank[v] = i; nb[i] is the
+        neighbourhood of order[i] as an int whose bit j stands for rank j.
+
+        Built on the first use and kept, so the oracle's greedy coloring,
+        clique and search on one graph share it.  The lowest set bit of a
+        mask is the highest-degree, then lowest-numbered, vertex in it.
+        """
+        adj = self.adj
+        order = sorted(range(self.n), key=lambda v: (-len(adj[v]), v))
+        rank = [0] * self.n
+        for i, v in enumerate(order):
+            rank[v] = i
+        bit = [1 << i for i in rank]
+        nb = tuple(sum(map(bit.__getitem__, adj[v])) for v in order)
+        return tuple(order), tuple(rank), nb
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

@@ -878,6 +878,50 @@ def test_version_flag(capsys):
     assert f"hypercolor {TOOL_VERSION}" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_main_call(capsys, monkeypatch):
+    # main builds its parser once per process.  A parser that has already
+    # parsed must print what a fresh process prints: a report, a table,
+    # --version and a bad flag's usage error (exit 2).  COLUMNS fixes the
+    # usage line's width on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["verify", "--family", "fano"],
+        ["critical", "--family", "fano", "--json"],
+        ["--version"],
+        ["verify", "--family", "fano", "--sparkle"],
+    ]
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    shared = []
+    try:
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            shared.append((code, out, err))
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2]
+    for argv, got in zip(calls, shared):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hypercolor", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hypercolor", "verify", "--family", "fano"],

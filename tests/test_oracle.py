@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from hypercolor import (
     greedy_clique,
     is_proper,
     is_proper_vertex_coloring,
+    projective_plane,
     random_linear,
     steiner_triple,
     survey_instance,
@@ -351,6 +353,51 @@ def test_greedy_clique_matches_the_set_based_reference():
     graphs += [SimpleGraph(0, []), SimpleGraph(6, [])]
     for g in graphs:
         assert greedy_clique(g) == set_greedy_clique(g)
+
+
+def test_large_line_graphs_match_the_references(monkeypatch):
+    # Sizes the differential set never reaches.  K17's line graph has 136
+    # vertices and DSATUR colors it with 19 colors; saturations reach 18,
+    # so the counter carries into its fifth plane.  PG(2,11)'s is K133.
+    graphs = [
+        line_graph(h)
+        for h in (complete_graph(17), steiner_triple(21), projective_plane(11))
+    ]
+    assert [g.n for g in graphs] == [136, 70, 133]
+    assert max(oracle._dsatur_greedy(graphs[0])) == 19
+    for g in graphs:
+        assert oracle._dsatur_greedy(g) == rebuilding_dsatur_greedy(g)
+        assert greedy_clique(g) == set_greedy_clique(g)
+        for nodes in (0, 1, 37, 500):
+            budget = Budget(nodes, None)
+            got = chromatic_number(g, budget)
+            monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
+            want = chromatic_number(g, budget)
+            monkeypatch.undo()
+            assert got == want
+
+
+def test_a_search_builds_each_components_bit_view_once(monkeypatch):
+    # DSATUR, the greedy clique and the branch and bound share one view.
+    built = []
+    build = SimpleGraph._bit_view.func
+
+    def counted(g):
+        built.append(g.n)
+        return build(g)
+
+    view = cached_property(counted)
+    view.__set_name__(SimpleGraph, "_bit_view")
+    monkeypatch.setattr(SimpleGraph, "_bit_view", view)
+    # K_5 (line graph of 10 vertices, searched) beside the Fano plane (K_7).
+    plane = [tuple(x + 5 for x in e) for e in fano().edges]
+    h = Hypergraph(12, list(complete_graph(5).edges) + plane)
+    res = chromatic_index(h, FAST)
+    assert res.exact == 7 and res.nodes > 0
+    assert built == [10, 7]
+    built.clear()
+    assert chromatic_index(steiner_triple(15), FAST).exact == 9
+    assert built == [35]
 
 
 def _critical_flags(h: Hypergraph, budget: Budget) -> list:

@@ -27,7 +27,6 @@ from .coloring import (
     brooks_color,
     greedy_color,
     is_proper,
-    is_proper_vertex_coloring,
     vizing_edge_color,
 )
 from .core import Hypergraph, HypergraphStats, UnsupportedInputError
@@ -56,12 +55,11 @@ from .oracle import (
     EdgeCriticality,
     OracleResult,
     chromatic_index,
-    chromatic_number,
     criticality_report,
     greedy_clique,
 )
 from .report import TOOL_VERSION
-from .transforms import SimpleGraph, line_graph
+from .transforms import line_graph
 
 __version__ = TOOL_VERSION
 
@@ -84,7 +82,6 @@ __all__ = [
     "InequalityReport",
     "OracleResult",
     "Rng",
-    "SimpleGraph",
     "TOOL_VERSION",
     "UnsupportedInputError",
     "Verdict",
@@ -92,7 +89,6 @@ __all__ = [
     "bound_set",
     "brooks_color",
     "chromatic_index",
-    "chromatic_number",
     "complete_graph",
     "conditions",
     "criticality_report",
@@ -106,7 +102,6 @@ __all__ = [
     "greedy_color",
     "inequality_suite",
     "is_proper",
-    "is_proper_vertex_coloring",
     "line_graph",
     "load",
     "parse_family",

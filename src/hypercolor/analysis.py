@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from .coloring import Coloring, brooks_color, greedy_color, is_proper
 from .core import Hypergraph, HypergraphStats
 from .oracle import Budget, chromatic_index
-from .transforms import line_graph
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
@@ -235,7 +234,7 @@ def verify_conjecture(h: Hypergraph, budget: Budget = Budget()) -> Verdict:
     if q_lower > bf:
         # A violation verdict is an alarm, so cross-examine it: any proper
         # coloring within the bound would prove the lower bound wrong.
-        for alt in (greedy_color(h), brooks_color(line_graph(h))):
+        for alt in (greedy_color(h), brooks_color(h)):
             if alt.q_used <= bf and is_proper(h, alt):
                 raise RuntimeError(
                     "internal error: lower bound exceeds a constructive coloring"

@@ -32,9 +32,14 @@ from .hgr import (
     parse_hgr_bytes,
     serialize_hgr,
 )
-from .instances import GenerationError, generate, parse_family, survey_instance
+from .instances import (
+    GenerationError,
+    _check_survey_input,
+    generate,
+    parse_family,
+    survey_instance,
+)
 from .oracle import Budget, chromatic_index, criticality_report
-from .transforms import line_graph
 
 
 _DEFAULTS = Budget()
@@ -118,7 +123,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.method == "greedy":
         coloring = greedy_color(h, order=args.order, seed=args.seed)
     elif args.method == "brooks":
-        coloring = brooks_color(line_graph(h))
+        coloring = brooks_color(h)
     elif args.method == "vizing":
         coloring = vizing_edge_color(h)
     else:
@@ -199,8 +204,6 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
         hi = integer(hi_txt) if sep else lo
     except ValueError:
         raise GenerationError(f"{flag} must be LO..HI, got {text!r}")
-    if lo > hi:
-        raise GenerationError(f"{flag} range is empty: {text!r}")
     return lo, hi
 
 
@@ -228,16 +231,12 @@ def cmd_survey(args: argparse.Namespace) -> int:
         raise GenerationError("--jobs must be at least 1")
     n_range = _parse_range(args.n_range, "--n-range")
     m_range = _parse_range(args.m_range, "--m-range")
-    if n_range[0] < 2:
-        raise GenerationError("--n-range must start at 2 or more")
-    if m_range[0] < 1:
-        raise GenerationError("--m-range must start at 1 or more")
     try:
         ks = tuple(integer(part) for part in args.k.split(","))
     except ValueError:
         raise GenerationError(f"--k must be a comma list of sizes, got {args.k!r}")
-    if any(k < 2 for k in ks) or not ks:
-        raise GenerationError("--k sizes must all be at least 2")
+    # Checked here as well as per instance, so --count 0 validates too.
+    _check_survey_input(n_range, m_range, ks)
     budget = _budget(args)
     tasks = [(args.seed, i, n_range, m_range, ks, budget) for i in range(args.count)]
     # The pool forks all its workers at once, so start no more than can work.

@@ -1,8 +1,9 @@
-"""Constructive colorers: greedy on hyperedges, Brooks-style vertex
-coloring of graphs, and Vizing-style edge coloring of simple graphs.
+"""Constructive colorers of hyperedges: greedy first fit, Brooks-style
+coloring of the line graph, and Vizing-style edge coloring of simple
+graphs.
 
-Every colorer returns a Coloring: a tuple of colors indexed by
-hyperedge position (or by graph vertex).  All colorers are deterministic
+Every colorer takes a Hypergraph and returns a Coloring: a tuple of
+colors indexed by hyperedge position.  All colorers are deterministic
 for a fixed input (and order strategy / seed where one applies), and all
 emit palettes that are exactly 1..q_used with every color in between
 used at least once.
@@ -29,7 +30,7 @@ def _check_palette(colors: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class Coloring:
-    """colors[i] is the color of position (or vertex) i; palette 1..q_used."""
+    """colors[i] is the color of position i; palette 1..q_used."""
 
     colors: tuple[int, ...]
 
@@ -48,33 +49,20 @@ def _renumbered(colors: list[int]) -> list[int]:
 
 
 def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
-    """True iff intersecting hyperedge positions always differ in color.
+    """True iff intersecting hyperedge positions always differ in color,
+    that is, every color class is a matching: no vertex lies in two of its
+    hyperedges.
 
     The coloring must assign every position of h; a partial coloring
-    raises ValueError.
+    raises ValueError.  Only the hyperedges are read, so the check builds
+    neither incidence lists nor line-graph rows.
     """
     if len(coloring.colors) != h.m:
         raise ValueError("coloring must assign exactly the positions 0..m-1")
-    for v in range(h.n):
-        seen = set()
-        for pos in h.incident(v):
-            c = coloring.colors[pos]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
-
-
-def is_proper_vertex_coloring(g: SimpleGraph, coloring: Coloring) -> bool:
-    """True iff adjacent vertices always differ in color (total colorings only)."""
-    if len(coloring.colors) != g.n:
-        raise ValueError("coloring must assign exactly the vertices 0..n-1")
-    return all(
-        coloring.colors[u] != coloring.colors[w]
-        for u in range(g.n)
-        for w in g.adj[u]
-        if u < w
-    )
+    classes: dict[int, list[int]] = {}
+    for edge, c in zip(h.edges, coloring.colors):
+        classes.setdefault(c, []).extend(edge)
+    return all(len(vertices) == len(set(vertices)) for vertices in classes.values())
 
 
 def greedy_color(
@@ -116,11 +104,12 @@ def _first_fit(
 
 
 # ---------------------------------------------------------------------------
-# Brooks-style vertex coloring.
+# Brooks-style coloring of the line graph.
 #
-# Per connected component C the colorer uses at most max_degree(C) colors
-# unless C is a complete graph or an odd cycle, which need one more.  The
-# strategy follows the constructive proof: color non-regular components
+# Per connected component C of the line graph the colorer uses at most
+# max_degree(C) colors unless C is a complete graph or an odd cycle, which
+# need one more.  The strategy follows the constructive proof of Brooks'
+# theorem on the line graph's vertices: color non-regular components
 # greedily in reverse breadth-first order from a vertex of non-maximum
 # degree; for regular two-connected components find two non-adjacent
 # vertices u, w with a common neighbor v whose removal keeps the graph
@@ -134,8 +123,10 @@ def _first_fit(
 # ---------------------------------------------------------------------------
 
 
-def brooks_color(g: SimpleGraph) -> Coloring:
-    """Vertex coloring meeting the classical degree bound per component."""
+def brooks_color(h: Hypergraph) -> Coloring:
+    """Hyperedge coloring meeting Brooks' bound on each line-graph component:
+    at most its maximum degree, one more for a complete graph or odd cycle."""
+    g = line_graph(h)
     colors = [0] * g.n
     for comp in g.connected_components():
         local = _brooks_component(g.induced(comp))
@@ -147,9 +138,7 @@ def brooks_color(g: SimpleGraph) -> Coloring:
 def _brooks_component(g: SimpleGraph) -> list[int]:
     """Color a connected graph with colors 1..k, k within the degree bound."""
     n = g.n
-    if n == 1:
-        return [1]
-    degs = [g.degree(v) for v in range(n)]
+    degs = [len(row) for row in g.adj]
     delta = max(degs)
     if all(d == n - 1 for d in degs):
         return [v + 1 for v in range(n)]
@@ -225,7 +214,7 @@ def _connected_split_pair(g: SimpleGraph) -> tuple[int, int, int]:
         for a in range(len(nb)):
             for b in range(a + 1, len(nb)):
                 u, w = nb[a], nb[b]
-                if g.has_edge(u, w):
+                if w in g.adj[u]:
                     continue
                 rest = tuple(x for x in range(n) if x != u and x != w)
                 if len(g.induced(rest).connected_components()) == 1:

@@ -403,6 +403,24 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(head, **values)
 
 
+def _check_survey_input(
+    n_range: tuple[int, int], m_range: tuple[int, int], k_choices: tuple[int, ...]
+) -> None:
+    """Raise GenerationError on survey input that survey_instance cannot
+    sample: a range with LO > HI, vertex counts below 2, edge counts below
+    1, or no edge size, or one below 2."""
+    for name, (lo, hi), least in (("n", n_range, 2), ("m", m_range, 1)):
+        if lo > hi:
+            raise GenerationError(f"survey {name} range is empty: {lo}..{hi}")
+        if lo < least:
+            raise GenerationError(
+                f"survey {name} range must start at {least} or more, got {lo}..{hi}"
+            )
+    if not k_choices or min(k_choices) < 2:
+        sizes = ",".join(map(str, k_choices)) or "none"
+        raise GenerationError(f"survey edge sizes must be at least 2, got {sizes}")
+
+
 def survey_instance(
     master_seed: int,
     index: int,
@@ -418,13 +436,11 @@ def survey_instance(
     C(n,2) / C(k,2) that linearity imposes, and on a rejection-cap failure
     the draw retries with a fresh generator seed and one edge fewer, down
     to one edge, which always fits.  So the procedure terminates whenever
-    n_range starts at 2 or more, both ranges are LO <= HI and every size
-    in k_choices is at least 2; other input raises GenerationError.
+    n_range starts at 2 or more, m_range at 1 or more, both ranges are
+    LO <= HI and every size in k_choices is at least 2; other input raises
+    GenerationError (see _check_survey_input).
     """
-    if not (2 <= n_range[0] <= n_range[1] and m_range[0] <= m_range[1]):
-        raise GenerationError(f"bad survey ranges: n {n_range}, m {m_range}")
-    if not k_choices or min(k_choices) < 2:
-        raise GenerationError(f"survey edge sizes must be at least 2, got {k_choices}")
+    _check_survey_input(n_range, m_range, k_choices)
     rng = Rng(derive_seed(master_seed, index))
     n = rng.randint(*n_range)
     k = k_choices[rng.below(len(k_choices))]
@@ -432,7 +448,7 @@ def survey_instance(
         k = 2
     m = rng.randint(*m_range)
     budget = (n * (n - 1) // 2) // (k * (k - 1) // 2)
-    m = max(1, min(m, budget))
+    m = min(m, budget)
     while True:
         seed = rng.next_u64()
         try:

@@ -1,9 +1,11 @@
-"""Exact chromatic numbers under an explicit search budget.
+"""Exact chromatic indices under an explicit search budget.
 
-The solver is a saturation-guided branch and bound.  It either proves an
-exact value or, when the budget runs out, returns an honest bracket
-[lower, upper] together with a proper coloring achieving the upper end;
-it never reports a wrong exact value.  The search is deterministic, so
+The chromatic index of a hypergraph is the chromatic number of its line
+graph, and the solver is a saturation-guided branch and bound on each
+component of that graph.  It either proves an exact value or, when the
+budget runs out, returns an honest bracket [lower, upper] together with
+a proper coloring achieving the upper end; it never reports a wrong
+exact value.  The search is deterministic, so
 an exact answer never changes when the budget is enlarged, and node
 counts are reproducible (wall-clock cutoffs aside).
 
@@ -26,10 +28,10 @@ unchanged from it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import Coloring, _renumbered, is_proper_vertex_coloring
+from .coloring import Coloring, _renumbered, is_proper
 from .core import Hypergraph
 from .transforms import SimpleGraph, line_graph
 
@@ -80,11 +82,11 @@ class _SearchState:
 class OracleResult:
     """Outcome of an exact-coloring search.
 
-    lower <= chi <= upper always holds; witness is a proper coloring with
-    exactly `upper` colors (indexed by vertex for chromatic_number, by
-    hyperedge position for chromatic_index).  exact is the value when the
-    bracket is tight, None when the budget ran out first.  nodes, the
-    branch nodes visited, never exceeds the budget's max_nodes.
+    lower <= q <= upper always holds; witness is a proper coloring of the
+    hyperedges with exactly `upper` colors, indexed by position.  exact is
+    the value when the bracket is tight, None when the budget ran out
+    first.  nodes, the branch nodes visited, never exceeds the budget's
+    max_nodes.
     """
 
     lower: int
@@ -285,21 +287,28 @@ def _component_chromatic(
     return best_count, best_count, best
 
 
-def chromatic_number(
-    g: SimpleGraph, budget: Budget = Budget(), incumbent: Optional[Coloring] = None
+def chromatic_index(
+    h: Hypergraph, budget: Budget = Budget(), incumbent: Optional[Coloring] = None
 ) -> OracleResult:
-    """Chromatic number of a simple graph, componentwise.
+    """Minimum colors for the hyperedges so intersecting ones differ.
 
-    The components share one budget; once it runs out, each component
-    left is bracketed by its greedy clique and its starting coloring.
-    incumbent, a proper coloring of g, is restricted to each component,
-    renumbered 1..k there, and used as that component's starting coloring
-    when it beats DSATUR's.  At any node budget it can only narrow the
-    bracket and lower the node count, never change an exact answer; a
-    coloring that is not proper raises ValueError.
+    Computed as the chromatic number of the line graph, component by
+    component; the witness is indexed by hyperedge position.  The
+    components share one budget; once it runs out, each component left is
+    bracketed by its greedy clique and its starting coloring.  The
+    hyperedges through any one vertex are pairwise intersecting, so an
+    open bracket's lower end is raised to the maximum vertex degree; an
+    exact value is already at least that.
+
+    incumbent, a proper coloring of the hyperedges, is restricted to each
+    component, renumbered 1..k there, and used as that component's
+    starting coloring when it beats DSATUR's.  At any node budget it can
+    only narrow the bracket and lower the node count, never change an
+    exact answer; a coloring that is not proper raises ValueError.
     """
-    if incumbent is not None and not is_proper_vertex_coloring(g, incumbent):
-        raise ValueError("incumbent is not a proper coloring of the graph")
+    if incumbent is not None and not is_proper(h, incumbent):
+        raise ValueError("incumbent is not a proper coloring of the hyperedges")
+    g = line_graph(h)
     state = _SearchState(budget)
     lower = upper = 0
     witness = [0] * g.n
@@ -314,25 +323,9 @@ def chromatic_number(
             witness[v] = local[i]
         lower = max(lower, lo)
         upper = max(upper, hi)
+    if lower < upper:
+        lower = max(lower, max(h.degrees()))
     return OracleResult(lower, upper, Coloring(tuple(witness)), state.nodes)
-
-
-def chromatic_index(
-    h: Hypergraph, budget: Budget = Budget(), incumbent: Optional[Coloring] = None
-) -> OracleResult:
-    """Minimum colors for the hyperedges so intersecting ones differ.
-
-    Computed as the chromatic number of the line graph; the witness is
-    indexed by hyperedge position.  The hyperedges through any one vertex
-    are pairwise intersecting, so an open bracket's lower end is raised to
-    the maximum vertex degree; an exact value is already at least that.
-    incumbent, a proper coloring of the hyperedges, is the search's
-    starting point (see chromatic_number).
-    """
-    res = chromatic_number(line_graph(h), budget, incumbent=incumbent)
-    if res.exact is not None:
-        return res
-    return replace(res, lower=max(res.lower, max(h.degrees())))
 
 
 @dataclass(frozen=True)

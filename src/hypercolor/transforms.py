@@ -1,46 +1,32 @@
-"""The line graph of a hypergraph, and the simple graphs it is kept as.
+"""The line graph of a hypergraph: the one graph the package works on.
 
 The line graph's rows (the positions each hyperedge meets) are a cached
 fact of the Hypergraph and the one record of which hyperedges meet;
 line_graph only wraps them, so a hypergraph builds them once and a
 subhypergraph made by Hypergraph.without inherits them, cut down by
-core._restricted_rows as induced subgraphs are.  A SimpleGraph keeps one
-more cached fact, its rows as bitmasks (SimpleGraph._bit_view), which the
-oracle reads.  The two-section's facts (its maximum degree and whether it
-is simple) are hypergraph invariants, read from Hypergraph.stats().
+core._restricted_rows as induced subgraphs are.  A SimpleGraph is made
+only from such rows: the line graph itself, or an induced subgraph of it
+(a component, for the oracle and Brooks' colorer).  It keeps one more
+cached fact, its rows as bitmasks (SimpleGraph._bit_view), which the
+oracle reads.  The two-section's facts (its maximum degree and whether
+it is simple) are hypergraph invariants, read from Hypergraph.stats().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .core import Hypergraph, _restricted_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimpleGraph:
-    """An undirected simple graph on vertices 0..n-1, kept as sorted adjacency."""
+    """An undirected simple graph on vertices 0..n-1, kept as sorted
+    adjacency rows: a line graph or an induced subgraph of one."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) leaves 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "adj", tuple(tuple(sorted(s)) for s in neighbor_sets)
-        )
 
     @classmethod
     def _from_rows(cls, adj: tuple[tuple[int, ...], ...]) -> "SimpleGraph":
@@ -69,12 +55,6 @@ class SimpleGraph:
         bit = [1 << i for i in rank]
         nb = tuple(sum(map(bit.__getitem__, adj[v])) for v in order)
         return tuple(order), tuple(rank), nb
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def max_degree(self) -> int:
         return max((len(nb) for nb in self.adj), default=0)

@@ -4,7 +4,9 @@ The colorability searches here are deliberately naive (iterative
 deepening over the color count, index-order backtracking) and share no
 code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
-package types wherever possible.  The reference versions of package
+package types wherever possible; the package colors hyperedges only, so
+a simple graph reaches it as graph_hypergraph(n, edges), whose line
+graph it is.  The reference versions of package
 logic (condition tags, the criticality table, core extraction, the
 first-fit hyperedge colorer, the oracle's greedy coloring, greedy clique
 and branch and bound, the random linear sampler) are the earlier, more
@@ -159,9 +161,43 @@ def graph_edges(g: SimpleGraph) -> list[tuple[int, int]]:
     return [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
 
 
+def sorted_adjacency(
+    n: int, edges: list[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The ascending neighbour rows of the simple graph (n, edges)."""
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def graph_hypergraph(n: int, edges: list[tuple[int, int]]) -> Hypergraph:
+    """A hypergraph whose line graph is the simple graph (n, edges), with
+    position i standing for vertex i.
+
+    Hyperedge i holds a private vertex i, so it is never empty, and one
+    vertex n + k for each edge k at i, which lies in exactly the two
+    hyperedges of edge k's ends; an edge listed twice, in either order,
+    counts once.  So two positions meet iff their vertices are adjacent,
+    and every vertex has degree 1 or 2.  A component of the line graph
+    with an edge has a greedy clique of 2 or more, so the oracle's
+    maximum-degree floor never moves a bracket here: chromatic_index on
+    this hypergraph is the chromatic number of the graph, with the same
+    bracket, witness and node count.
+    """
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    hyperedges = [[i] for i in range(n)]
+    for k, (u, v) in enumerate(pairs):
+        hyperedges[u].append(n + k)
+        hyperedges[v].append(n + k)
+    return Hypergraph(n + len(pairs), hyperedges)
+
+
 def random_graph(rng: Rng, n_lo: int, n_hi: int, percent_lo: int = 20,
-                 percent_hi: int = 80) -> SimpleGraph:
-    """A seeded Erdos-Renyi style simple graph with random density."""
+                 percent_hi: int = 80) -> tuple[int, list[tuple[int, int]]]:
+    """A seeded Erdos-Renyi style simple graph with random density, as
+    (n, edges) with each edge (i, j), i < j, in sorted order."""
     n = rng.randint(n_lo, n_hi)
     percent = rng.randint(percent_lo, percent_hi)
     edges = []
@@ -169,12 +205,13 @@ def random_graph(rng: Rng, n_lo: int, n_hi: int, percent_lo: int = 20,
         for j in range(i + 1, n):
             if rng.below(100) < percent:
                 edges.append((i, j))
-    return SimpleGraph(n, edges)
+    return n, edges
 
 
 def random_connected_graph(rng: Rng, n_lo: int, n_hi: int,
-                           extra_hi: int = 10) -> SimpleGraph:
-    """A seeded connected simple graph: random tree plus extra edges."""
+                           extra_hi: int = 10) -> tuple[int, list[tuple[int, int]]]:
+    """A seeded connected simple graph, random tree plus extra edges, as
+    (n, edges) with each edge (i, j), i < j, in sorted order."""
     n = rng.randint(n_lo, n_hi)
     edges = set()
     for i in range(1, n):
@@ -184,7 +221,7 @@ def random_connected_graph(rng: Rng, n_lo: int, n_hi: int,
         j = rng.below(n)
         if i != j:
             edges.add((min(i, j), max(i, j)))
-    return SimpleGraph(n, sorted(edges))
+    return n, sorted(edges)
 
 
 def random_hypergraph_raw(rng: Rng, n_lo: int = 3, n_hi: int = 10,
@@ -202,15 +239,15 @@ def random_hypergraph_raw(rng: Rng, n_lo: int = 3, n_hi: int = 10,
     return Hypergraph(n, edges)
 
 
-def petersen() -> SimpleGraph:
+def petersen() -> tuple[int, list[tuple[int, int]]]:
     """The Petersen graph: outer 5-cycle, inner 5-star, spokes."""
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
-    return SimpleGraph(10, edges)
+    return 10, edges
 
 
-def bridged_cubic() -> SimpleGraph:
+def bridged_cubic() -> tuple[int, list[tuple[int, int]]]:
     """A 3-regular graph with a bridge, hence with cut vertices.
 
     Each half is a near-clique on 5 vertices whose single degree-2
@@ -220,10 +257,10 @@ def bridged_cubic() -> SimpleGraph:
     edges = list(gadget)
     edges += [(u + 5, v + 5) for u, v in gadget]
     edges.append((4, 9))
-    return SimpleGraph(10, edges)
+    return 10, edges
 
 
-def gadget_join(d: int) -> SimpleGraph:
+def gadget_join(d: int) -> tuple[int, list[tuple[int, int]]]:
     """A d-regular graph (d even) whose cut vertex is on no bridge.
 
     Vertex 0 is joined to both ends a, b of the missing edge in each of
@@ -235,7 +272,7 @@ def gadget_join(d: int) -> SimpleGraph:
         a, b = verts[0], verts[1]
         edges += [(u, v) for u, v in combinations(verts, 2) if (u, v) != (a, b)]
         edges += [(0, a), (0, b)]
-    return SimpleGraph(1 + d // 2 * (d + 1), edges)
+    return 1 + d // 2 * (d + 1), edges
 
 
 def brute_cut_vertices(g: SimpleGraph) -> set[int]:

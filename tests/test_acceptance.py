@@ -23,7 +23,6 @@ from hypercolor import (
     bound_set,
     brooks_color,
     chromatic_index,
-    chromatic_number,
     complete_graph,
     conditions,
     criticality_report,
@@ -33,8 +32,6 @@ from hypercolor import (
     fano,
     inequality_suite,
     is_proper,
-    is_proper_vertex_coloring,
-    line_graph,
     projective_plane,
     random_linear,
     steiner_triple,
@@ -47,11 +44,12 @@ from hypercolor.instances import GenerationError
 from brute import (
     bridged_cubic,
     brute_chromatic_number,
-    graph_edges,
+    graph_hypergraph,
     petersen,
     random_connected_graph,
     random_graph,
     random_hypergraph_raw,
+    sorted_adjacency,
 )
 
 BUDGET = Budget(max_nodes=10_000_000, time_limit=None)
@@ -121,7 +119,7 @@ def test_criterion_2_affine_plane_counts_and_colorings():
         by_name = {c.name: c for c in rep.checks}
         assert by_name["uniform-regular-count"].applicable
         assert rep.all_ok
-        coloring = brooks_color(line_graph(h))
+        coloring = brooks_color(h)
         assert is_proper(h, coloring)
         assert coloring.q_used <= 9
         assert chromatic_index(h, BUDGET).exact == 4
@@ -300,38 +298,43 @@ def _graph_batch_report() -> str:
         f"graph batches masters={MASTER_CHROMATIC},"
         f"{MASTER_BROOKS},{MASTER_VIZING}"
     ]
+    # A graph is colored as the hypergraph whose line graph it is.
     for i in range(300):
-        g = random_graph(Rng(derive_seed(MASTER_CHROMATIC, i)), 1, 7)
-        res = chromatic_number(g, BUDGET)
-        expected = brute_chromatic_number(g.n, graph_edges(g))
+        n, edges = random_graph(Rng(derive_seed(MASTER_CHROMATIC, i)), 1, 7)
+        h = graph_hypergraph(n, edges)
+        res = chromatic_index(h, BUDGET)
+        expected = brute_chromatic_number(n, edges)
         assert res.exact == expected, (
             f"chromatic[{i}]: solver {res.exact} vs brute force {expected}"
         )
-        assert is_proper_vertex_coloring(g, res.witness)
+        assert is_proper(h, res.witness)
         assert res.witness.q_used == res.upper
         lines.append(
-            f"chromatic[{i}] n={g.n} m={len(graph_edges(g))} "
+            f"chromatic[{i}] n={n} m={len(edges)} "
             f"chi={res.exact} nodes={res.nodes}"
         )
     for i in range(300):
-        g = random_connected_graph(Rng(derive_seed(MASTER_BROOKS, i)), 2, 12)
-        c = brooks_color(g)
-        assert is_proper_vertex_coloring(g, c), f"brooks[{i}]: improper"
-        n, delta = g.n, g.max_degree()
-        if all(g.degree(v) == n - 1 for v in range(n)):
+        n, edges = random_connected_graph(Rng(derive_seed(MASTER_BROOKS, i)), 2, 12)
+        h = graph_hypergraph(n, edges)
+        c = brooks_color(h)
+        assert is_proper(h, c), f"brooks[{i}]: improper"
+        degs = [len(row) for row in sorted_adjacency(n, edges)]
+        delta = max(degs)
+        if all(d == n - 1 for d in degs):
             assert c.q_used == n, f"brooks[{i}]: complete graph needs n colors"
-        elif n % 2 == 1 and all(g.degree(v) == 2 for v in range(n)):
+        elif n % 2 == 1 and all(d == 2 for d in degs):
             assert c.q_used == 3, f"brooks[{i}]: odd cycle needs 3 colors"
         else:
             assert c.q_used <= delta, f"brooks[{i}]: exceeded max degree {delta}"
         lines.append(f"brooks[{i}] n={n} delta={delta} q={c.q_used}")
     for i in range(300):
-        g = random_graph(Rng(derive_seed(MASTER_VIZING, i)), 2, 12)
-        h = Hypergraph(g.n, graph_edges(g))
+        n, edges = random_graph(Rng(derive_seed(MASTER_VIZING, i)), 2, 12)
+        h = Hypergraph(n, edges)
+        delta = max(h.degrees())
         ec = vizing_edge_color(h)
-        assert ec.q_used <= g.max_degree() + 1, f"vizing[{i}]: over delta+1"
+        assert ec.q_used <= delta + 1, f"vizing[{i}]: over delta+1"
         assert is_proper(h, ec), f"vizing[{i}]: improper"
-        lines.append(f"vizing[{i}] n={g.n} delta={g.max_degree()} q={ec.q_used}")
+        lines.append(f"vizing[{i}] n={n} delta={delta} q={ec.q_used}")
     lines.append("chromatic=300 brooks=300 vizing=300 failures=0")
     return "\n".join(lines) + "\n"
 
@@ -349,8 +352,10 @@ def test_criterion_7_graph_colorers_meet_their_contracts():
 
 
 def _engineered_boundary_instances() -> list[Hypergraph]:
-    def from_graph(g) -> Hypergraph:
-        return Hypergraph(g.n, graph_edges(g))
+    def from_graph(graph) -> Hypergraph:
+        # Positions in the sorted order of the edges, smaller end first.
+        n, edges = graph
+        return Hypergraph(n, sorted(tuple(sorted(e)) for e in edges))
 
     prism = Hypergraph(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]

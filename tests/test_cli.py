@@ -856,6 +856,14 @@ def test_survey_count_zero(capsys):
     code, out, _ = run_cli(capsys, "survey", "--count", "0", "--seed", "9")
     assert code == 0
     assert "instances: 0" in out
+    # The ranges are checked even when no instance is drawn, by the rule
+    # survey_instance applies to each instance.
+    code, out, err = run_cli(capsys, "survey", "--count", "0", "--m-range", "0..4")
+    assert (code, out) == (2, "")
+    assert err == "error: survey m range must start at 1 or more, got 0..4\n"
+    code, out, err = run_cli(capsys, "survey", "--count", "0", "--k", "1,3")
+    assert (code, out) == (2, "")
+    assert err == "error: survey edge sizes must be at least 2, got 1,3\n"
 
 
 def test_argparse_level_failures_exit_two():

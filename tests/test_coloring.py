@@ -16,22 +16,22 @@ from hypercolor import (
     fano,
     greedy_color,
     is_proper,
-    is_proper_vertex_coloring,
     line_graph,
     vizing_edge_color,
 )
 from hypercolor.coloring import _cut_vertex
-from hypercolor.transforms import SimpleGraph
 
 from brute import (
     bridged_cubic,
     brute_cut_vertices,
     gadget_join,
-    graph_edges,
+    graph_hypergraph,
+    pairwise_line_graph_edges,
     petersen,
     random_connected_graph,
     random_graph,
     random_hypergraph_raw,
+    sorted_adjacency,
     vertex_set_greedy_color,
 )
 
@@ -61,6 +61,23 @@ def test_is_proper_separates_duplicate_positions():
     dup = Hypergraph(2, [(0, 1), (0, 1)])
     assert not is_proper(dup, Coloring((1, 1)))
     assert is_proper(dup, Coloring((1, 2)))
+
+
+def test_is_proper_matches_the_pairwise_rule():
+    # Color classes as matchings against "every intersecting pair of
+    # positions differs", on inputs with loops and duplicate hyperedges.
+    outcomes = set()
+    for seed in range(300):
+        rng = Rng(seed + 5600)
+        h = random_hypergraph_raw(rng, 1, 8, 10, 1, 4)
+        drawn = [rng.randint(1, 4) for _ in range(h.m)]
+        rank = {c: i + 1 for i, c in enumerate(sorted(set(drawn)))}
+        colors = tuple(rank[c] for c in drawn)
+        pairs = pairwise_line_graph_edges(h.n, list(h.edges))
+        want = all(colors[i] != colors[j] for i, j in pairs)
+        assert is_proper(h, Coloring(colors)) == want, seed
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_greedy_color_orders_and_guarantee():
@@ -101,55 +118,54 @@ def test_greedy_color_rejects_unknown_order():
         greedy_color(fano(), order="mystery")
 
 
-def _check_brooks(g: SimpleGraph) -> Coloring:
-    coloring = brooks_color(g)
-    assert is_proper_vertex_coloring(g, coloring)
+def _check_brooks(n: int, edges: list[tuple[int, int]]) -> Coloring:
+    # Brooks colors the line graph, here the graph (n, edges) itself.
+    h = graph_hypergraph(n, edges)
+    coloring = brooks_color(h)
+    assert is_proper(h, coloring)
     return coloring
+
+
+def _degrees(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    return [len(row) for row in sorted_adjacency(n, edges)]
 
 
 def test_brooks_on_complete_graphs_uses_exactly_n():
     for n in range(1, 7):
-        g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-        assert _check_brooks(g).q_used == n
+        k_n = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert _check_brooks(n, k_n).q_used == n
 
 
 def test_brooks_on_paths_and_cycles():
-    path = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert _check_brooks(path).q_used <= 2
-    even = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert _check_brooks(even).q_used == 2
-    odd = SimpleGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert _check_brooks(odd).q_used == 3
+    assert _check_brooks(4, [(0, 1), (1, 2), (2, 3)]).q_used <= 2
+    assert _check_brooks(6, [(i, (i + 1) % 6) for i in range(6)]).q_used == 2
+    assert _check_brooks(5, [(i, (i + 1) % 5) for i in range(5)]).q_used == 3
 
 
 def test_brooks_on_regular_two_connected_graphs():
-    assert _check_brooks(petersen()).q_used <= 3
-    prism = SimpleGraph(
-        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
-    )
-    assert _check_brooks(prism).q_used <= 3
-    circulant = SimpleGraph(
-        8, [(i, (i + 1) % 8) for i in range(8)] + [(i, (i + 2) % 8) for i in range(8)]
-    )
-    assert _check_brooks(circulant).q_used <= 4
+    assert _check_brooks(*petersen()).q_used <= 3
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    assert _check_brooks(6, prism).q_used <= 3
+    circulant = [(i, (i + 1) % 8) for i in range(8)] + [(i, (i + 2) % 8) for i in range(8)]
+    assert _check_brooks(8, circulant).q_used <= 4
 
 
 def test_brooks_on_regular_graph_with_cut_vertices():
-    g = bridged_cubic()
-    assert g.max_degree() == 3
-    assert all(g.degree(v) == 3 for v in range(g.n))
-    assert _check_brooks(g).q_used <= 3
+    n, edges = bridged_cubic()
+    assert set(_degrees(n, edges)) == {3}
+    assert _check_brooks(n, edges).q_used <= 3
     for d in (4, 6, 8):
-        g = gadget_join(d)
-        assert all(g.degree(v) == d for v in range(g.n))
-        assert brute_cut_vertices(g) == {0}
-        assert _check_brooks(g).q_used <= d
+        n, edges = gadget_join(d)
+        assert set(_degrees(n, edges)) == {d}
+        assert brute_cut_vertices(line_graph(graph_hypergraph(n, edges))) == {0}
+        assert _check_brooks(n, edges).q_used <= d
 
 
 def test_cut_vertex_matches_vertex_removal():
     outcomes = set()
     for seed in range(300):
-        g = random_connected_graph(Rng(seed + 8000), 2, 14)
+        n, edges = random_connected_graph(Rng(seed + 8000), 2, 14)
+        g = line_graph(graph_hypergraph(n, edges))
         cut = brute_cut_vertices(g)
         found = _cut_vertex(g)
         if found is None:
@@ -161,19 +177,18 @@ def test_cut_vertex_matches_vertex_removal():
 
 
 def test_brooks_on_disconnected_input():
-    g = SimpleGraph(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4)])
-    assert _check_brooks(g).q_used <= 3
+    edges = [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4)]
+    assert _check_brooks(8, edges).q_used <= 3
 
 
 def test_brooks_respects_max_degree_on_random_connected_graphs():
     for seed in range(100):
-        g = random_connected_graph(Rng(seed + 6000), 2, 12)
-        coloring = _check_brooks(g)
-        n, delta = g.n, g.max_degree()
-        complete = all(g.degree(v) == n - 1 for v in range(n))
-        odd_cycle = delta == 2 and n % 2 == 1 and all(
-            g.degree(v) == 2 for v in range(n)
-        )
+        n, edges = random_connected_graph(Rng(seed + 6000), 2, 12)
+        coloring = _check_brooks(n, edges)
+        degs = _degrees(n, edges)
+        delta = max(degs)
+        complete = all(d == n - 1 for d in degs)
+        odd_cycle = delta == 2 and n % 2 == 1 and all(d == 2 for d in degs)
         if complete:
             assert coloring.q_used == n
         elif odd_cycle:
@@ -183,16 +198,15 @@ def test_brooks_respects_max_degree_on_random_connected_graphs():
 
 
 def test_brooks_edge_color_on_design_instances():
-    # Brooks edge coloring is brooks_color on the line graph.
-    f = brooks_color(line_graph(fano()))
+    f = brooks_color(fano())
     assert is_proper(fano(), f)
     assert f.q_used == 7
-    a = brooks_color(line_graph(affine_plane(3)))
+    a = brooks_color(affine_plane(3))
     assert is_proper(affine_plane(3), a)
     assert a.q_used <= 9
     single = Hypergraph(3, [(0, 1, 2)])
-    assert brooks_color(line_graph(single)).q_used == 1
-    assert brooks_color(line_graph(Hypergraph(3, []))) == Coloring(())
+    assert brooks_color(single).q_used == 1
+    assert brooks_color(Hypergraph(3, [])) == Coloring(())
 
 
 def test_vizing_pinned_instances():
@@ -219,10 +233,10 @@ def _assert_proper_edge_coloring(h: Hypergraph, coloring: Coloring) -> None:
 
 def test_vizing_bound_on_random_graphs():
     for seed in range(100):
-        g = random_graph(Rng(seed + 7000), 2, 9)
-        h = Hypergraph(g.n, graph_edges(g))
+        n, edges = random_graph(Rng(seed + 7000), 2, 9)
+        h = Hypergraph(n, edges)
         coloring = vizing_edge_color(h)
-        assert coloring.q_used <= g.max_degree() + 1
+        assert coloring.q_used <= max(h.degrees()) + 1
         _assert_proper_edge_coloring(h, coloring)
 
 
@@ -251,10 +265,9 @@ def test_vizing_matches_graph_edge_coloring_on_two_uniform():
 def test_vizing_colors_each_edge_the_same_in_any_position_order():
     # Edges are colored in sorted order, so the positions only index them.
     for seed in range(30):
-        g = random_graph(Rng(seed + 7100), 2, 9)
-        edges = graph_edges(g)
+        n, edges = random_graph(Rng(seed + 7100), 2, 9)
         shuffled = list(edges)
         Rng(seed).shuffle(shuffled)
-        base = vizing_edge_color(Hypergraph(g.n, edges))
-        moved = vizing_edge_color(Hypergraph(g.n, shuffled))
+        base = vizing_edge_color(Hypergraph(n, edges))
+        moved = vizing_edge_color(Hypergraph(n, shuffled))
         assert dict(zip(edges, base.colors)) == dict(zip(shuffled, moved.colors))

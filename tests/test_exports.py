@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import fields
 
+import pytest
+
 import hypercolor
 from hypercolor import analysis, coloring, oracle, transforms
 
@@ -47,12 +49,24 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
         assert not hasattr(coloring, name)
     assert "Coloring" in hypercolor.__all__
     assert namespace["Coloring"] is coloring.Coloring
-    assert not hasattr(transforms.SimpleGraph, "neighbors")
-    assert not hasattr(transforms.SimpleGraph, "edges")
-    # Brooks edge coloring is brooks_color(line_graph(h)).
-    assert "brooks_edge_color" not in namespace
-    assert not hasattr(hypercolor, "brooks_edge_color")
-    assert not hasattr(coloring, "brooks_edge_color")
+    # Hypergraphs in, colorings by position out: the line graph is the one
+    # graph, made only from a hypergraph's rows, and brooks_color(h) colors
+    # its vertices, the hyperedges.
+    for name in ("neighbors", "edges", "has_edge", "degree"):
+        assert not hasattr(transforms.SimpleGraph, name)
+    with pytest.raises(TypeError):
+        transforms.SimpleGraph(2, [(0, 1)])
+    assert "SimpleGraph" not in hypercolor.__all__
+    assert not hasattr(hypercolor, "SimpleGraph")
+    assert "line_graph" in hypercolor.__all__
+    for name, module in (
+        ("brooks_edge_color", coloring),
+        ("is_proper_vertex_coloring", coloring),
+        ("chromatic_number", oracle),
+    ):
+        assert name not in namespace
+        assert not hasattr(hypercolor, name)
+        assert not hasattr(module, name)
     # The size, linearity and connectivity facts are read from stats(), and
     # vertex degrees from degrees() or incident(), not from other methods.
     h = hypercolor.fano()

@@ -386,7 +386,9 @@ def test_survey_instance_clamps_impossible_requests():
 
 def test_survey_instance_refuses_input_it_cannot_sample():
     # Each of these used to loop forever or fail on a division deep in
-    # the sampler; they run in a child so that a hang fails the test.
+    # the sampler, except the m range from 0, which was quietly raised to
+    # 1 though the CLI refuses it; they run in a child so that a hang
+    # fails the test.
     script = """
 from hypercolor import GenerationError, survey_instance
 for args in [
@@ -397,6 +399,7 @@ for args in [
     ((8, 6), (4, 6), (3,)),
     ((6, 8), (6, 4), (3,)),
     ((6, 8), (4, 6), ()),
+    ((6, 8), (0, 4), (3,)),
 ]:
     try:
         survey_instance(0, 0, *args)

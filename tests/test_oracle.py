@@ -18,13 +18,11 @@ from hypercolor import (
     Rng,
     affine_plane,
     chromatic_index,
-    chromatic_number,
     complete_graph,
     criticality_report,
     fano,
     greedy_clique,
     is_proper,
-    is_proper_vertex_coloring,
     projective_plane,
     random_linear,
     steiner_triple,
@@ -37,7 +35,7 @@ from hypercolor import oracle
 from brute import (
     brute_chromatic_index,
     brute_chromatic_number,
-    graph_edges,
+    graph_hypergraph,
     petersen,
     random_graph,
     random_hypergraph_raw,
@@ -68,48 +66,46 @@ def test_result_bracket_properties():
 
 
 def test_chromatic_number_pins():
-    assert chromatic_number(SimpleGraph(0, []), FAST) == OracleResult(0, 0, Coloring(()), 0)
-    assert chromatic_number(SimpleGraph(1, []), FAST).exact == 1
-    k4 = SimpleGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert chromatic_number(k4, FAST).exact == 4
-    c5 = SimpleGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert chromatic_number(c5, FAST).exact == 3
-    assert chromatic_number(petersen(), FAST).exact == 3
-    k33 = SimpleGraph(6, [(i, j) for i in range(3) for j in range(3, 6)])
-    assert chromatic_number(k33, FAST).exact == 2
+    # The chromatic number of a graph is the chromatic index of the
+    # hypergraph whose line graph it is.
+    assert chromatic_index(graph_hypergraph(0, []), FAST) == OracleResult(
+        0, 0, Coloring(()), 0
+    )
+    assert chromatic_index(graph_hypergraph(1, []), FAST).exact == 1
+    k4 = graph_hypergraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    assert chromatic_index(k4, FAST).exact == 4
+    c5 = graph_hypergraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert chromatic_index(c5, FAST).exact == 3
+    assert chromatic_index(graph_hypergraph(*petersen()), FAST).exact == 3
+    k33 = graph_hypergraph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    assert chromatic_index(k33, FAST).exact == 2
 
 
 def test_chromatic_number_matches_brute_force():
     for seed in range(50):
-        g = random_graph(Rng(seed + 8000), 2, 8)
-        res = chromatic_number(g, FAST)
-        expected = brute_chromatic_number(g.n, graph_edges(g))
-        assert res.exact == expected
-        assert is_proper_vertex_coloring(g, res.witness)
+        n, edges = random_graph(Rng(seed + 8000), 2, 8)
+        h = graph_hypergraph(n, edges)
+        res = chromatic_index(h, FAST)
+        assert res.exact == brute_chromatic_number(n, edges)
+        assert is_proper(h, res.witness)
         assert res.witness.q_used == res.upper
 
 
 def test_lower_hint_tightens_but_never_flips_answers():
     # The lower hint is the maximum degree, which chromatic_index applies to
-    # the line graph's bracket.  At zero nodes that bracket starts at its
+    # an open bracket.  At zero nodes the line graph's bracket starts at its
     # greedy clique, and the hint raises it.
     h = random_linear(12, 14, 3, 2)
     assert max(h.degrees()) == 5
-    unsearched = Budget(0, None)
-    plain = chromatic_number(line_graph(h), unsearched)
-    assert (plain.lower, plain.upper, plain.nodes) == (4, 6, 0)
-    floored = chromatic_index(h, unsearched)
-    assert (floored.lower, floored.upper) == (5, 6)
-    assert floored.witness == plain.witness
+    assert len(greedy_clique(line_graph(h))) == 4
+    floored = chromatic_index(h, Budget(0, None))
+    assert (floored.lower, floored.upper, floored.nodes) == (5, 6, 0)
     assert chromatic_index(h, FAST).exact == 5
-    assert chromatic_number(line_graph(h), FAST).exact == 5
-    # Never flips: with or without the hint the exact answers agree.
+    # Never flips: the exact answers are the true ones, at least the hint.
     for seed in range(30):
         h = random_hypergraph_raw(Rng(seed + 9100), 3, 8, 8, 1, 3)
-        bare = chromatic_number(line_graph(h), FAST)
         hinted = chromatic_index(h, FAST)
-        assert bare.exact is not None
-        assert hinted.exact == bare.exact
+        assert hinted.exact == brute_chromatic_index(h.n, list(h.edges))
         assert hinted.lower >= max(h.degrees(), default=0)
 
 
@@ -164,49 +160,51 @@ def test_a_clock_cut_stops_every_later_component(monkeypatch):
 
 def test_search_is_deterministic_including_node_counts():
     for seed in range(20):
-        g = random_graph(Rng(seed + 10_000), 2, 9)
-        assert chromatic_number(g, FAST) == chromatic_number(g, FAST)
+        h = graph_hypergraph(*random_graph(Rng(seed + 10_000), 2, 9))
+        assert chromatic_index(h, FAST) == chromatic_index(h, FAST)
     h = complete_graph(5)
     assert chromatic_index(h, FAST) == chromatic_index(h, FAST)
 
 
-def _disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
-    edges = graph_edges(a) + [(u + a.n, v + a.n) for u, v in graph_edges(b)]
-    return SimpleGraph(a.n + b.n, edges)
+def _disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
+    shifted = [[v + a.n for v in e] for e in b.edges]
+    return Hypergraph(a.n + b.n, list(a.edges) + shifted)
 
 
 def _linear(seed: int) -> Hypergraph:
     return survey_instance(seed, 0, (12, 18), (16, 30), (3,))[1]
 
 
-def _differential_graphs():
+def _differential_inputs():
     for seed in range(60):
-        yield line_graph(_linear(seed + 500))
+        yield _linear(seed + 500)
     for seed in range(30):
-        yield line_graph(random_hypergraph_raw(Rng(seed + 12_000), 3, 8, 14, 1, 4))
+        yield random_hypergraph_raw(Rng(seed + 12_000), 3, 8, 14, 1, 4)
     for seed in range(30):
         # A linear instance plus a repeated hyperedge and a loop.
         h = _linear(seed + 700)
         rng = Rng(seed + 12_500)
         extra = [h.edges[rng.below(h.m)], (rng.below(h.n),)]
-        yield line_graph(Hypergraph(h.n, list(h.edges) + extra))
+        yield Hypergraph(h.n, list(h.edges) + extra)
     for seed in range(40):
         rng = Rng(seed + 13_000)
-        yield _disjoint_union(random_graph(rng, 3, 12, 10, 40), line_graph(_linear(seed + 900)))
+        graph = graph_hypergraph(*random_graph(rng, 3, 12, 10, 40))
+        yield _disjoint_union(graph, _linear(seed + 900))
     for seed in range(40):
-        yield random_graph(Rng(seed + 14_000), 8, 16, 30, 60)
+        yield graph_hypergraph(*random_graph(Rng(seed + 14_000), 8, 16, 30, 60))
 
 
 def test_search_matches_the_recursive_reference(monkeypatch):
     searched = starved = multi = 0
-    for index, g in enumerate(_differential_graphs()):
+    for index, h in enumerate(_differential_inputs()):
+        g = line_graph(h)
         if g.n:
             assert oracle._dsatur_greedy(g) == rebuilding_dsatur_greedy(g)
         multi += len(g.connected_components()) > 1
         for budget in (Budget(index % 51, None), FAST):
-            got = chromatic_number(g, budget)
+            got = chromatic_index(h, budget)
             monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
-            want = chromatic_number(g, budget)
+            want = chromatic_index(h, budget)
             monkeypatch.undo()
             assert got == want
             searched += got.nodes > 0
@@ -220,11 +218,12 @@ def _renumber(colors: list[int]) -> tuple[int, ...]:
     return tuple(rank[c] for c in colors)
 
 
-def _incumbents(g: SimpleGraph) -> list[Coloring]:
+def _incumbents(h: Hypergraph) -> list[Coloring]:
     """Proper colorings to start from: an optimal one, index-order first
     fit, and the optimal one with the components' colors interleaved, so
-    that no component of a disconnected graph holds 1..k."""
-    best = chromatic_number(g, FAST).witness.colors
+    that no component of a disconnected line graph holds 1..k."""
+    g = line_graph(h)
+    best = chromatic_index(h, FAST).witness.colors
     first_fit = [0] * g.n
     for v in range(g.n):
         taken = {first_fit[w] for w in g.adj[v]}
@@ -237,33 +236,34 @@ def _incumbents(g: SimpleGraph) -> list[Coloring]:
     return [Coloring(best), Coloring(tuple(first_fit)), Coloring(_renumber(interleaved))]
 
 
-def _seeded_graphs():
-    yield from _differential_graphs()
+def _seeded_inputs():
+    yield from _differential_inputs()
     for seed in range(20):
         rng = Rng(seed + 15_000)
-        three = _disjoint_union(random_graph(rng, 1, 6), random_graph(rng, 2, 7))
-        yield _disjoint_union(three, line_graph(_linear(seed + 950)))
+        one = graph_hypergraph(*random_graph(rng, 1, 6))
+        two = graph_hypergraph(*random_graph(rng, 2, 7))
+        yield _disjoint_union(_disjoint_union(one, two), _linear(seed + 950))
 
 
 def test_a_seeded_search_agrees_and_never_visits_more_nodes(monkeypatch):
     spread = beaten = 0
-    for index, g in enumerate(_seeded_graphs()):
-        plain = chromatic_number(g, FAST)
-        starts = _incumbents(g)
+    for index, h in enumerate(_seeded_inputs()):
+        plain = chromatic_index(h, FAST)
+        starts = _incumbents(h)
         for start in starts:
-            seeded = chromatic_number(g, FAST, incumbent=start)
+            seeded = chromatic_index(h, FAST, incumbent=start)
             assert seeded.exact == plain.exact
             assert seeded.nodes <= plain.nodes
-            assert is_proper_vertex_coloring(g, seeded.witness)
+            assert is_proper(h, seeded.witness)
             assert seeded.witness.q_used == seeded.upper
             beaten += seeded.nodes < plain.nodes
             budget = Budget(index % 51, None)
-            got = chromatic_number(g, budget, incumbent=start)
+            got = chromatic_index(h, budget, incumbent=start)
             monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
-            want = chromatic_number(g, budget, incumbent=start)
+            want = chromatic_index(h, budget, incumbent=start)
             monkeypatch.undo()
             assert got == want
-        for comp in g.connected_components():
+        for comp in line_graph(h).connected_components():
             local = {starts[2].colors[v] for v in comp}
             spread += len(local) < max(local) - min(local) + 1
         # At every node budget the seeded bracket holds the true value and
@@ -271,22 +271,22 @@ def test_a_seeded_search_agrees_and_never_visits_more_nodes(monkeypatch):
         # finish, as checked above.
         for nodes in range(min(50, plain.nodes) + 1):
             start = starts[nodes % len(starts)]
-            cut = chromatic_number(g, Budget(nodes, None))
-            res = chromatic_number(g, Budget(nodes, None), incumbent=start)
+            cut = chromatic_index(h, Budget(nodes, None))
+            res = chromatic_index(h, Budget(nodes, None), incumbent=start)
             assert cut.lower <= res.lower <= plain.exact <= res.upper <= cut.upper
             assert res.upper <= start.q_used and res.nodes <= cut.nodes <= nodes
-            assert is_proper_vertex_coloring(g, res.witness)
+            assert is_proper(h, res.witness)
             assert res.witness.q_used == res.upper
     assert index + 1 == 220
     assert spread >= 40 and beaten >= 50
 
 
 def test_an_incumbent_that_is_not_proper_is_refused():
-    triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+    triangle = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError, match="not a proper coloring"):
-        chromatic_number(triangle, FAST, incumbent=Coloring((1, 2, 1)))
-    with pytest.raises(ValueError, match="exactly the vertices"):
-        chromatic_number(triangle, FAST, incumbent=Coloring((1, 2)))
+        chromatic_index(triangle, FAST, incumbent=Coloring((1, 2, 1)))
+    with pytest.raises(ValueError, match="exactly the positions"):
+        chromatic_index(triangle, FAST, incumbent=Coloring((1, 2)))
 
 
 def test_search_depth_is_not_bound_by_the_recursion_limit(monkeypatch):
@@ -296,10 +296,10 @@ def test_search_depth_is_not_bound_by_the_recursion_limit(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     n = 1201
     assert n > sys.getrecursionlimit()
-    odd_cycle = SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
-    res = chromatic_number(odd_cycle, FAST)
+    odd_cycle = graph_hypergraph(n, [(i, (i + 1) % n) for i in range(n)])
+    res = chromatic_index(odd_cycle, FAST)
     assert (res.lower, res.upper) == (3, 3)
-    assert is_proper_vertex_coloring(odd_cycle, res.witness)
+    assert is_proper(odd_cycle, res.witness)
     assert res.witness.q_used == 3
 
 
@@ -336,22 +336,24 @@ def test_a_component_past_the_budget_keeps_its_greedy_clique():
 
 def test_greedy_clique_is_a_maximal_clique():
     for seed in range(40):
-        g = random_graph(Rng(seed + 11_000), 2, 9)
+        n, edges = random_graph(Rng(seed + 11_000), 2, 9)
+        g = line_graph(graph_hypergraph(n, edges))
         clique = greedy_clique(g)
         assert len(set(clique)) == len(clique)
         for i, u in enumerate(clique):
             for v in clique[i + 1:]:
-                assert g.has_edge(u, v)
+                assert v in g.adj[u]
         for v in range(g.n):
             if v not in clique:
-                assert not all(g.has_edge(v, u) for u in clique)
-        assert len(clique) <= brute_chromatic_number(g.n, graph_edges(g))
+                assert not all(u in g.adj[v] for u in clique)
+        assert len(clique) <= brute_chromatic_number(n, edges)
 
 
 def test_greedy_clique_matches_the_set_based_reference():
     graphs = [random_graph(Rng(seed + 13_000), 0, 14) for seed in range(300)]
-    graphs += [SimpleGraph(0, []), SimpleGraph(6, [])]
-    for g in graphs:
+    graphs += [(0, []), (6, [])]
+    for n, edges in graphs:
+        g = line_graph(graph_hypergraph(n, edges))
         assert greedy_clique(g) == set_greedy_clique(g)
 
 
@@ -359,20 +361,18 @@ def test_large_line_graphs_match_the_references(monkeypatch):
     # Sizes the differential set never reaches.  K17's line graph has 136
     # vertices and DSATUR colors it with 19 colors; saturations reach 18,
     # so the counter carries into its fifth plane.  PG(2,11)'s is K133.
-    graphs = [
-        line_graph(h)
-        for h in (complete_graph(17), steiner_triple(21), projective_plane(11))
-    ]
+    inputs = (complete_graph(17), steiner_triple(21), projective_plane(11))
+    graphs = [line_graph(h) for h in inputs]
     assert [g.n for g in graphs] == [136, 70, 133]
     assert max(oracle._dsatur_greedy(graphs[0])) == 19
-    for g in graphs:
+    for h, g in zip(inputs, graphs):
         assert oracle._dsatur_greedy(g) == rebuilding_dsatur_greedy(g)
         assert greedy_clique(g) == set_greedy_clique(g)
         for nodes in (0, 1, 37, 500):
             budget = Budget(nodes, None)
-            got = chromatic_number(g, budget)
+            got = chromatic_index(h, budget)
             monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
-            want = chromatic_number(g, budget)
+            want = chromatic_index(h, budget)
             monkeypatch.undo()
             assert got == want
 

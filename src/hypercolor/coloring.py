@@ -55,7 +55,7 @@ def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
 
     The coloring must assign every position of h; a partial coloring
     raises ValueError.  Only the hyperedges are read, so the check builds
-    neither incidence lists nor line-graph rows.
+    neither incidence lists nor the line graph.
     """
     if len(coloring.colors) != h.m:
         raise ValueError("coloring must assign exactly the positions 0..m-1")

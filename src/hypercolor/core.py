@@ -1,10 +1,13 @@
-"""Hypergraphs with multiset hyperedge lists on vertices 0..n-1."""
+"""Hypergraphs with multiset hyperedge lists on vertices 0..n-1, each
+keeping its one line graph (Hypergraph._line_graph, a SimpleGraph)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
+
+from .transforms import SimpleGraph
 
 
 class UnsupportedInputError(ValueError):
@@ -46,25 +49,28 @@ class Hypergraph:
     Hyperedges live at positions 0..m-1 of a sequence; two positions may
     hold equal vertex sets, and every position counts separately for
     degrees, the two-section and the line graph.  Vertices are the integers
-    0..n-1.  Loops (size-one hyperedges) are allowed; empty hyperedges are
-    rejected.
+    0..n-1, each an int (not a bool or a float).  Loops (size-one hyperedges)
+    are allowed; empty hyperedges are rejected.
     """
 
     n: int
     edges: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count {n!r} is not a non-negative int")
         normalized = []
         for pos, edge in enumerate(edges):
-            vs = tuple(sorted(edge))
+            try:
+                vs = tuple(sorted(edge))
+            except TypeError:
+                raise ValueError(f"hyperedge {pos} is not a set of int vertices") from None
             if not vs:
                 raise ValueError(f"hyperedge {pos} is empty")
             for i, v in enumerate(vs):
-                if not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise ValueError(
-                        f"hyperedge {pos} contains vertex {v}, not in 0..{n - 1}"
+                        f"hyperedge {pos} contains vertex {v!r}, not an int in 0..{n - 1}"
                     )
                 if i and vs[i - 1] == v:
                     raise ValueError(f"hyperedge {pos} repeats vertex {v}")
@@ -85,12 +91,12 @@ class Hypergraph:
         return tuple(tuple(positions) for positions in inc)
 
     @cached_property
-    def _line_rows(self) -> tuple[tuple[int, ...], ...]:
-        """For each position, the other positions whose hyperedge meets it,
-        ascending: the line graph's rows, the one record of which hyperedges
-        meet.  Each position walks its vertices' incidence lists and marks
-        what it meets, so a position met twice is listed once.  Hypergraphs
-        made by without() inherit the rows.
+    def _line_graph(self) -> SimpleGraph:
+        """The line graph, whose row i lists the other positions whose
+        hyperedge meets position i, ascending: the one record of which
+        hyperedges meet.  Each position walks its vertices' incidence lists
+        and marks what it meets, so a position met twice is listed once.
+        Hypergraphs made by without() inherit it.
         """
         inc = self._incidence
         mark = [-1] * self.m
@@ -105,7 +111,7 @@ class Hypergraph:
                         row.append(other)
             row.sort()
             rows.append(tuple(row))
-        return tuple(rows)
+        return SimpleGraph(tuple(rows))
 
     def incident(self, x: int) -> tuple[int, ...]:
         """Positions of the hyperedges containing vertex x, ascending."""
@@ -121,7 +127,7 @@ class Hypergraph:
         row i of the line graph.
         """
         self._check_position(i)
-        return len(self._line_rows[i])
+        return len(self._line_graph.adj[i])
 
     def degrees(self) -> tuple[int, ...]:
         """Vertex degrees indexed by vertex."""
@@ -168,20 +174,19 @@ class Hypergraph:
         """The hypergraph on the same vertices without the given positions.
 
         The other hyperedges keep their order and are not validated again.
-        When this hypergraph's line-graph rows are built, the result
-        inherits them, cut down by _restricted_rows, instead of building
-        its own.
+        When this hypergraph's line graph is built, the result inherits its
+        induced subgraph on the kept positions instead of building its own.
         """
         gone = set(positions)
         for i in gone:
             self._check_position(i)
-        keep = [p for p in range(self.m) if p not in gone]
+        keep = tuple(p for p in range(self.m) if p not in gone)
         sub = object.__new__(Hypergraph)
         object.__setattr__(sub, "n", self.n)
         object.__setattr__(sub, "edges", tuple(self.edges[p] for p in keep))
-        rows = self.__dict__.get("_line_rows")
-        if rows is not None:
-            sub.__dict__["_line_rows"] = _restricted_rows(rows, keep)
+        g = self.__dict__.get("_line_graph")
+        if g is not None:
+            sub.__dict__["_line_graph"] = g.induced(keep)
         return sub
 
     def stats(self) -> HypergraphStats:
@@ -219,20 +224,3 @@ class Hypergraph:
         if not 0 <= i < self.m:
             raise IndexError(f"hyperedge position {i} not in 0..{self.m - 1}")
 
-
-def _restricted_rows(
-    rows: tuple[tuple[int, ...], ...], keep: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Ascending adjacency rows cut down to the vertices in keep, where new
-    vertex i stands for keep[i]: the rows of the induced subgraph.  Both
-    Hypergraph.without and SimpleGraph.induced restrict rows through it.
-    """
-    index = [-1] * len(rows)
-    for new, p in enumerate(keep):
-        index[p] = new
-    cut = [[k for other in rows[p] if (k := index[other]) >= 0] for p in keep]
-    # index is increasing on an ascending keep, so its rows stay sorted.
-    if any(a > b for a, b in zip(keep, keep[1:])):
-        for row in cut:
-            row.sort()
-    return tuple(map(tuple, cut))

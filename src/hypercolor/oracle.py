@@ -19,10 +19,11 @@ saturations are a bit-sliced counter, so coloring or uncoloring a vertex
 and picking the next one (DSATUR's most saturated, then highest-degree,
 then lowest-numbered vertex) cost a few big-integer operations each,
 not a loop over neighbours.  DSATUR's starting coloring and the greedy
-clique read the same view.  The search visits the same nodes in the same
-order as the recursive, set-rebuilding search (tests/brute.py keeps that
-one as the reference), so node counts, brackets and witnesses are
-unchanged from it.
+clique read the same view, and line_graph(h) is the hypergraph's one
+cached graph, so a later search or clique on h reads it too.  The search
+visits the same nodes in the same order as the recursive, set-rebuilding
+search (tests/brute.py keeps that one as the reference), so node counts,
+brackets and witnesses are unchanged from it.
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ def _dsatur_greedy(g: SimpleGraph) -> list[int]:
     """Greedy coloring picking the most saturated vertex first."""
     order, _, nb = g._bit_view
     colors = [0] * g.n
-    # A vertex of degree d never needs a color above d + 1.
-    sat = _BitSaturation(nb, g.max_degree() + 1)
+    # A vertex of degree d never needs a color above d + 1; rank 0, of the
+    # largest degree, exists, as a component is never empty.
+    sat = _BitSaturation(nb, nb[0].bit_count() + 1)
     seen = sat.seen
     for _ in range(g.n):
         i = sat.pick()
@@ -392,8 +394,8 @@ class _Rows:
     which only prunes the search, so a row decided by a plain search
     within the budget is decided here too, with the same value.  The
     candidate h' - e is h.without(...): once the base search has built h's
-    line-graph rows, every candidate inherits them, renumbered, instead of
-    building its own line graph.
+    line graph, every candidate inherits its induced subgraph instead of
+    building its own.
     """
 
     def __init__(self, h: Hypergraph, q: int, witness: Coloring):
@@ -402,6 +404,7 @@ class _Rows:
         self.colors = witness.colors
         # Sets of q pairwise intersecting positions: the edges through a
         # vertex of degree q, and the greedy clique when it has q members.
+        # line_graph(h) is the graph the base search ran on, bit view and all.
         self.cliques = [set(h.incident(x)) for x, d in enumerate(h.degrees()) if d == q]
         clique = greedy_clique(line_graph(h))
         if len(clique) == q:

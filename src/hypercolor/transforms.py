@@ -1,41 +1,41 @@
 """The line graph of a hypergraph: the one graph the package works on.
 
-The line graph's rows (the positions each hyperedge meets) are a cached
-fact of the Hypergraph and the one record of which hyperedges meet;
-line_graph only wraps them, so a hypergraph builds them once and a
-subhypergraph made by Hypergraph.without inherits them, cut down by
-core._restricted_rows as induced subgraphs are.  A SimpleGraph is made
-only from such rows: the line graph itself, or an induced subgraph of it
-(a component, for the oracle and Brooks' colorer).  It keeps one more
-cached fact, its rows as bitmasks (SimpleGraph._bit_view), which the
-oracle reads.  The two-section's facts (its maximum degree and whether
-it is simple) are hypergraph invariants, read from Hypergraph.stats().
+The line graph is a cached fact of the Hypergraph (Hypergraph._line_graph),
+built from its incidence lists on first use and the one record of which
+hyperedges meet; line_graph returns that same object, so a hypergraph
+builds it once.  A subhypergraph made by Hypergraph.without inherits it
+as an induced subgraph, and SimpleGraph.induced is the one routine that
+cuts rows down.  A SimpleGraph is made only from such rows: the line
+graph itself, or an induced subgraph of it (a component, for the oracle
+and Brooks' colorer).  It keeps one more cached fact, its rows as
+bitmasks (SimpleGraph._bit_view), which the oracle reads, so every search
+on one hypergraph's graph shares it.  The two-section's facts (its
+maximum degree and whether it is simple) are hypergraph invariants, read
+from Hypergraph.stats().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .core import Hypergraph, _restricted_rows
+if TYPE_CHECKING:
+    from .core import Hypergraph
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SimpleGraph:
     """An undirected simple graph on vertices 0..n-1, kept as sorted
-    adjacency rows: a line graph or an induced subgraph of one."""
+    adjacency rows: a line graph or an induced subgraph of one.  The rows
+    are trusted to be a symmetric, loopless adjacency with each row
+    ascending; nothing is checked or copied."""
 
-    n: int
     adj: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def _from_rows(cls, adj: tuple[tuple[int, ...], ...]) -> "SimpleGraph":
-        """The graph with these rows, trusted to be a symmetric, loopless
-        adjacency with each row ascending; nothing is checked or copied."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", len(adj))
-        object.__setattr__(g, "adj", adj)
-        return g
+    @property
+    def n(self) -> int:
+        return len(self.adj)
 
     @cached_property
     def _bit_view(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -55,9 +55,6 @@ class SimpleGraph:
         bit = [1 << i for i in rank]
         nb = tuple(sum(map(bit.__getitem__, adj[v])) for v in order)
         return tuple(order), tuple(rank), nb
-
-    def max_degree(self) -> int:
-        return max((len(nb) for nb in self.adj), default=0)
 
     def connected_components(self) -> list[tuple[int, ...]]:
         """Vertex sets of the components, each ascending, by smallest vertex."""
@@ -82,13 +79,22 @@ class SimpleGraph:
     def induced(self, vertices: tuple[int, ...]) -> "SimpleGraph":
         """The induced subgraph; local vertex i stands for vertices[i].
 
-        Its rows are cut down by core._restricted_rows, as those that
-        Hypergraph.without hands down are.  All vertices in their own order
-        give the graph itself, which is frozen, so it is shared.
+        Hypergraph.without hands its line graph down through here.  All
+        vertices in their own order give the graph itself, which is
+        frozen, so it is shared.
         """
         if vertices == tuple(range(self.n)):
             return self
-        return SimpleGraph._from_rows(_restricted_rows(self.adj, vertices))
+        index = [-1] * self.n
+        for new, v in enumerate(vertices):
+            index[v] = new
+        adj = self.adj
+        cut = [[k for w in adj[v] if (k := index[w]) >= 0] for v in vertices]
+        # index is increasing on ascending vertices, so their rows stay sorted.
+        if any(a > b for a, b in zip(vertices, vertices[1:])):
+            for row in cut:
+                row.sort()
+        return SimpleGraph(tuple(map(tuple, cut)))
 
 
 def line_graph(h: Hypergraph) -> SimpleGraph:
@@ -96,8 +102,8 @@ def line_graph(h: Hypergraph) -> SimpleGraph:
 
     Vertex i stands for position i; i and j are adjacent iff the hyperedges
     share a vertex.  Equal hyperedges at distinct positions are adjacent,
-    so the line graph has as many vertices as h has positions.  Its rows
-    are h's own, built on the first call and kept (see Hypergraph.without),
-    so later calls on h cost no more than the wrapper.
+    so the line graph has as many vertices as h has positions.  It is h's
+    own, built on the first call and kept (see Hypergraph.without), so
+    every call on h returns the same graph.
     """
-    return SimpleGraph._from_rows(h._line_rows)
+    return h._line_graph

@@ -40,6 +40,7 @@ from hypercolor.report import (
     render_criticality,
     render_stats,
 )
+from hypercolor.transforms import SimpleGraph
 
 LOOPS = "p hgr 1 2\ne 1\ne 1\n"
 
@@ -349,7 +350,20 @@ def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
     # Every row searched in the table or the extraction is a subhypergraph
     # of the input, and inherits the input's rows instead of building its
     # own: one build for 44 oracle calls.
-    built = _counting_builds(monkeypatch, "_line_rows")
+    built = _counting_builds(monkeypatch, "_line_graph")
+    # The input's one line graph is one object, so _Rows' greedy clique
+    # reads the bit view that the base search built: one view on all 22
+    # vertices, and one per searched candidate.
+    views = []
+    build_view = SimpleGraph._bit_view.func
+
+    def counted_view(g):
+        views.append(g.n)
+        return build_view(g)
+
+    view = cached_property(counted_view)
+    view.__set_name__(SimpleGraph, "_bit_view")
+    monkeypatch.setattr(SimpleGraph, "_bit_view", view)
     calls = []
     searched = oracle.chromatic_index
 
@@ -366,6 +380,8 @@ def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
     assert len(calls) == 44
     assert calls[:23] == [22] + [21] * 22
     assert built == [22]
+    assert len(views) == 44
+    assert views.count(22) == 1
 
 
 def test_critical_builds_the_incidence_lists_once(capsys, monkeypatch):

@@ -31,6 +31,15 @@ def test_construction_rejects_bad_input():
         Hypergraph(3, [(-1, 0)])
     with pytest.raises(ValueError):
         Hypergraph(-1, [])
+    # Vertex ids and n must be ints: a float or a bool is not one.
+    for edge in ((0, 1.5), (0, 1.0), (True, 2)):
+        with pytest.raises(ValueError, match="hyperedge 0 contains vertex"):
+            Hypergraph(3, [edge])
+    with pytest.raises(ValueError, match="vertex count 2.0"):
+        Hypergraph(2.0, [(0, 1)])
+    # Vertices that do not sort together are not ints either.
+    with pytest.raises(ValueError, match="hyperedge 1 is not a set"):
+        Hypergraph(3, [(0, 1), (0, "a")])
 
 
 def test_duplicate_hyperedges_are_kept_as_positions():

@@ -132,13 +132,15 @@ def test_without_inherits_or_builds_the_line_graph():
         want = sorted_adjacency(len(kept), pairwise_line_graph_edges(h.n, kept))
         # Before h's rows are built, the subhypergraph builds its own.
         lazy = h.without(gone)
-        assert "_line_rows" not in vars(lazy)
+        assert "_line_graph" not in vars(lazy)
         assert line_graph(lazy).adj == want
         # After, it inherits them, renumbered.
-        line_graph(h)
+        assert line_graph(h) is line_graph(h)
         inherited = h.without(gone)
-        assert "_line_rows" in vars(inherited)
+        assert "_line_graph" in vars(inherited)
         assert line_graph(inherited).adj == want
+        keep = tuple(p for p in range(h.m) if p not in gone)
+        assert line_graph(inherited).adj == line_graph(h).induced(keep).adj
 
 
 def test_induced_on_shuffled_vertices_matches_the_pairs():

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
-from .transforms import SimpleGraph, line_graph
+from .transforms import line_graph
 
 
 def _check_palette(colors: tuple[int, ...]) -> None:
@@ -126,36 +126,37 @@ def _first_fit(
 def brooks_color(h: Hypergraph) -> Coloring:
     """Hyperedge coloring meeting Brooks' bound on each line-graph component:
     at most its maximum degree, one more for a complete graph or odd cycle."""
-    g = line_graph(h)
-    colors = [0] * g.n
-    for comp in g.connected_components():
-        local = _brooks_component(g.induced(comp))
+    colors = [0] * h.m
+    for comp in h._components():
+        local = _brooks_component(h._keeping(comp))
         for i, v in enumerate(comp):
             colors[v] = local[i]
     return Coloring(tuple(colors))
 
 
-def _brooks_component(g: SimpleGraph) -> list[int]:
-    """Color a connected graph with colors 1..k, k within the degree bound."""
-    n = g.n
-    degs = [len(row) for row in g.adj]
+def _brooks_component(h: Hypergraph) -> list[int]:
+    """Color a hypergraph with a connected line graph with colors 1..k, k
+    within the degree bound."""
+    adj = line_graph(h).adj
+    n = len(adj)
+    degs = [len(row) for row in adj]
     delta = max(degs)
     if all(d == n - 1 for d in degs):
         return [v + 1 for v in range(n)]
     if delta <= 2:
-        return _color_path_or_cycle(g, degs)
+        return _color_path_or_cycle(adj, degs)
     low_vertices = [v for v in range(n) if degs[v] < delta]
     if low_vertices:
-        return _greedy_reverse_bfs(g, low_vertices[0])
-    x = _cut_vertex(g)
+        return _greedy_reverse_bfs(adj, low_vertices[0])
+    x = _cut_vertex(adj)
     if x is not None:
-        return _split_at(g, x)
-    u, v, w = _connected_split_pair(g)
-    return _greedy_reverse_bfs(g, v, (u, w))
+        return _split_at(h, x)
+    u, v, w = _connected_split_pair(h)
+    return _greedy_reverse_bfs(adj, v, (u, w))
 
 
-def _color_path_or_cycle(g: SimpleGraph, degs: list[int]) -> list[int]:
-    n = g.n
+def _color_path_or_cycle(adj: Sequence[Sequence[int]], degs: list[int]) -> list[int]:
+    n = len(adj)
     ends = [v for v in range(n) if degs[v] == 1]
     if ends:
         start = ends[0]
@@ -165,7 +166,7 @@ def _color_path_or_cycle(g: SimpleGraph, degs: list[int]) -> list[int]:
     prev = -1
     cur = start
     while len(walk) < n:
-        nxt = next(w for w in g.adj[cur] if w != prev)
+        nxt = next(w for w in adj[cur] if w != prev)
         walk.append(nxt)
         prev, cur = cur, nxt
     colors = [0] * n
@@ -177,7 +178,7 @@ def _color_path_or_cycle(g: SimpleGraph, degs: list[int]) -> list[int]:
 
 
 def _greedy_reverse_bfs(
-    g: SimpleGraph, root: int, ones: tuple[int, ...] = ()
+    adj: Sequence[Sequence[int]], root: int, ones: tuple[int, ...] = ()
 ) -> list[int]:
     """Color greedily so every vertex but the root keeps an uncolored
     neighbor (its search parent) at assignment time.  The vertices in ones
@@ -190,56 +191,60 @@ def _greedy_reverse_bfs(
     while head < len(order):
         v = order[head]
         head += 1
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-    if len(seen) != g.n:
+    if len(seen) != len(adj):
         raise RuntimeError("traversal failed to reach the whole component")
-    colors = [0] * g.n
+    colors = [0] * len(adj)
     for v in ones:
         colors[v] = 1
-    return _first_fit(g.adj, reversed(order), colors)
+    return _first_fit(adj, reversed(order), colors)
 
 
-def _connected_split_pair(g: SimpleGraph) -> tuple[int, int, int]:
-    """Non-adjacent u, w with common neighbor v, g minus {u, w} connected.
+def _connected_split_pair(h: Hypergraph) -> tuple[int, int, int]:
+    """Non-adjacent u, w with common neighbor v in the line graph of h,
+    which stays connected without u and w.
 
     Exists in every two-connected regular non-complete graph of degree at
     least 3, which is the only shape this is called on.
     """
-    n = g.n
+    adj = line_graph(h).adj
+    n = len(adj)
     for v in range(n):
-        nb = g.adj[v]
+        nb = adj[v]
         for a in range(len(nb)):
             for b in range(a + 1, len(nb)):
                 u, w = nb[a], nb[b]
-                if w in g.adj[u]:
+                if w in adj[u]:
                     continue
                 rest = tuple(x for x in range(n) if x != u and x != w)
-                if len(g.induced(rest).connected_components()) == 1:
+                if len(h._keeping(rest)._components()) == 1:
                     return u, v, w
     raise RuntimeError("no split pair found; input was not as assumed")
 
 
-def _cut_vertex(g: SimpleGraph) -> Optional[int]:
-    """A cut vertex of the connected graph g, or None if it has none.
+def _cut_vertex(adj: Sequence[Sequence[int]]) -> Optional[int]:
+    """A cut vertex of the connected graph with rows adj, or None if it
+    has none.
 
     Depth-first search from vertex 0 with low points: a non-root u is a
     cut vertex once a finished child's subtree reaches nothing above u;
     the root is one when its first child's subtree misses a vertex.
     """
-    num = [0] * g.n
-    low = [0] * g.n
+    n = len(adj)
+    num = [0] * n
+    low = [0] * n
     num[0] = low[0] = counter = 1
-    stack = [(0, iter(g.adj[0]))]
+    stack = [(0, iter(adj[0]))]
     while stack:
         v, it = stack[-1]
         for w in it:
             if not num[w]:
                 counter += 1
                 num[w] = low[w] = counter
-                stack.append((w, iter(g.adj[w])))
+                stack.append((w, iter(adj[w])))
                 break
             low[v] = min(low[v], num[w])
         else:
@@ -248,21 +253,22 @@ def _cut_vertex(g: SimpleGraph) -> Optional[int]:
                 break
             u = stack[-1][0]
             if u == 0:
-                return 0 if counter < g.n else None
+                return 0 if counter < n else None
             if low[v] >= num[u]:
                 return u
             low[u] = min(low[u], low[v])
     return None
 
 
-def _split_at(g: SimpleGraph, x: int) -> list[int]:
-    """Color each component of g - x together with x, x taking color 1."""
-    rest = tuple(v for v in range(g.n) if v != x)
-    colors = [0] * g.n
-    for comp in g.induced(rest).connected_components():
+def _split_at(h: Hypergraph, x: int) -> list[int]:
+    """Color each component of the line graph of h without x together with
+    x, x taking color 1."""
+    rest = tuple(v for v in range(h.m) if v != x)
+    colors = [0] * h.m
+    for comp in h._keeping(rest)._components():
         part = tuple(sorted([rest[i] for i in comp] + [x]))
         root = part.index(x)
-        local = _greedy_reverse_bfs(g.induced(part), root)
+        local = _greedy_reverse_bfs(line_graph(h._keeping(part)).adj, root)
         have = local[root]
         for v, c in zip(part, local):
             colors[v] = 1 if c == have else have if c == 1 else c

@@ -1,11 +1,16 @@
 """Hypergraphs with multiset hyperedge lists on vertices 0..n-1, each
-keeping its one line graph (Hypergraph._line_graph, a SimpleGraph)."""
+keeping its one line graph (Hypergraph._line_graph, a SimpleGraph of
+neighbourhood masks built from the hyperedges), and their subhypergraphs:
+without(positions) for the callers, _keeping(positions) for the parts
+that the oracle and Brooks' colorer search, each a component from
+_components() or a part of one."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .transforms import SimpleGraph
 
@@ -92,26 +97,19 @@ class Hypergraph:
 
     @cached_property
     def _line_graph(self) -> SimpleGraph:
-        """The line graph, whose row i lists the other positions whose
-        hyperedge meets position i, ascending: the one record of which
-        hyperedges meet.  Each position walks its vertices' incidence lists
-        and marks what it meets, so a position met twice is listed once.
-        Hypergraphs made by without() inherit it.
+        """The line graph, the one record of which hyperedges meet.  The
+        positions' meeting masks give the degrees (popcount less one),
+        hence the ranks; the same masks over ranks, less each position's
+        own bit, are the neighbourhoods.
         """
-        inc = self._incidence
-        mark = [-1] * self.m
-        rows = []
-        for pos, edge in enumerate(self.edges):
-            mark[pos] = pos
-            row = []
-            for v in edge:
-                for other in inc[v]:
-                    if mark[other] != pos:
-                        mark[other] = pos
-                        row.append(other)
-            row.sort()
-            rows.append(tuple(row))
-        return SimpleGraph(tuple(rows))
+        met = _meeting_masks(self.n, self.edges)
+        order = sorted(range(self.m), key=lambda p: (-met[p].bit_count(), p))
+        rank = [0] * self.m
+        for i, p in enumerate(order):
+            rank[p] = i
+        ranked = _meeting_masks(self.n, [self.edges[p] for p in order])
+        nb = tuple(mask ^ (1 << i) for i, mask in enumerate(ranked))
+        return SimpleGraph(tuple(order), tuple(rank), nb)
 
     def incident(self, x: int) -> tuple[int, ...]:
         """Positions of the hyperedges containing vertex x, ascending."""
@@ -123,11 +121,12 @@ class Hypergraph:
         """Number of other positions whose hyperedge meets hyperedge i.
 
         Duplicate hyperedges count once per position, so a pair of equal
-        edges contributes 1 to each other's degree.  It is the length of
-        row i of the line graph.
+        edges contributes 1 to each other's degree.  It is the popcount of
+        position i's line-graph mask.
         """
         self._check_position(i)
-        return len(self._line_graph.adj[i])
+        g = self._line_graph
+        return g.nb[g.rank[i]].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         """Vertex degrees indexed by vertex."""
@@ -150,8 +149,11 @@ class Hypergraph:
                     met_by[other] = pos
         return True
 
-    def _component_count(self) -> int:
-        """The number of components, each isolated vertex counting as one."""
+    def _components(self) -> list[tuple[int, ...]]:
+        """The positions of each line-graph component, ascending, the
+        components by their smallest position: the hyperedges grouped by
+        the union-find root of their first vertex.
+        """
         parent = list(range(self.n))
 
         def find(a: int) -> int:
@@ -164,7 +166,10 @@ class Hypergraph:
             r = find(edge[0])
             for v in edge[1:]:
                 parent[find(v)] = r
-        return sum(parent[v] == v for v in range(self.n))
+        groups: dict[int, list[int]] = {}
+        for pos, edge in enumerate(self.edges):
+            groups.setdefault(find(edge[0]), []).append(pos)
+        return [tuple(group) for group in groups.values()]
 
     def remove_hyperedge(self, i: int) -> "Hypergraph":
         """The hypergraph on the same vertices with position i deleted."""
@@ -174,19 +179,23 @@ class Hypergraph:
         """The hypergraph on the same vertices without the given positions.
 
         The other hyperedges keep their order and are not validated again.
-        When this hypergraph's line graph is built, the result inherits its
-        induced subgraph on the kept positions instead of building its own.
         """
         gone = set(positions)
         for i in gone:
             self._check_position(i)
-        keep = tuple(p for p in range(self.m) if p not in gone)
+        return self._keeping(tuple(p for p in range(self.m) if p not in gone))
+
+    def _keeping(self, positions: tuple[int, ...]) -> "Hypergraph":
+        """The hypergraph on the same vertices with only the hyperedges at
+        the given ascending positions, position i of it standing for
+        positions[i]; its line graph is the part of this one on them.
+        Keeping every position gives this hypergraph itself.
+        """
+        if len(positions) == self.m:
+            return self
         sub = object.__new__(Hypergraph)
         object.__setattr__(sub, "n", self.n)
-        object.__setattr__(sub, "edges", tuple(self.edges[p] for p in keep))
-        g = self.__dict__.get("_line_graph")
-        if g is not None:
-            sub.__dict__["_line_graph"] = g.induced(keep)
+        object.__setattr__(sub, "edges", tuple(self.edges[p] for p in positions))
         return sub
 
     def stats(self) -> HypergraphStats:
@@ -216,7 +225,8 @@ class Hypergraph:
             linear=self._is_linear(),
             uniform_k=sizes[0] if sizes and len(set(sizes)) == 1 else None,
             regular_d=max_deg if max_deg == min_deg else None,
-            connected=self._component_count() <= 1,
+            # An isolated vertex is a component without a hyperedge.
+            connected=len(self._components()) + degs.count(0) <= 1,
             two_section_max_degree=max(two_section_degs, default=0),
         )
 
@@ -224,3 +234,22 @@ class Hypergraph:
         if not 0 <= i < self.m:
             raise IndexError(f"hyperedge position {i} not in 0..{self.m - 1}")
 
+
+def _meeting_masks(n: int, edges: Sequence[tuple[int, ...]]) -> list[int]:
+    """Mask i has bit j set iff hyperedges i and j share a vertex, bit i
+    included: each vertex ORs in the bits of its hyperedges, and each
+    hyperedge ORs its vertices' masks.  The vertex masks are a list, or a
+    dict when the vertices outnumber the incidences (a small part of a
+    large hypergraph), so the work is bounded by the edges, not by n."""
+    at = [0] * n if n <= sum(map(len, edges)) else defaultdict(int)
+    for i, edge in enumerate(edges):
+        bit = 1 << i
+        for v in edge:
+            at[v] |= bit
+    masks = []
+    for edge in edges:
+        mask = 0
+        for v in edge:
+            mask |= at[v]
+        masks.append(mask)
+    return masks

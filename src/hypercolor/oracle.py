@@ -2,24 +2,25 @@
 
 The chromatic index of a hypergraph is the chromatic number of its line
 graph, and the solver is a saturation-guided branch and bound on each
-component of that graph.  It either proves an exact value or, when the
+component of that graph, which is the line graph of the subhypergraph on
+the component's positions.  It either proves an exact value or, when the
 budget runs out, returns an honest bracket [lower, upper] together with
 a proper coloring achieving the upper end; it never reports a wrong
-exact value.  The search is deterministic, so
-an exact answer never changes when the budget is enlarged, and node
-counts are reproducible (wall-clock cutoffs aside).
+exact value.  The search is deterministic, so an exact answer never
+changes when the budget is enlarged, and node counts are reproducible
+(wall-clock cutoffs aside).
 
 The search is iterative, on an explicit stack, so its depth is not tied
 to the interpreter's recursion limit.  It runs on bitsets, in the manner
-of San Segundo et al.'s bit-parallel colorings: the graph's bit view
-(SimpleGraph._bit_view) ranks the vertices by degree, then number, and
-keeps each neighbourhood as an int mask over the ranks.  A mask per
+of San Segundo et al.'s bit-parallel colorings: a SimpleGraph is its
+ranked neighbourhood masks, the vertices ranked by degree, then number,
+and each neighbourhood an int mask over the ranks.  A mask per
 color marks the vertices with a neighbour of that color, and the
 saturations are a bit-sliced counter, so coloring or uncoloring a vertex
 and picking the next one (DSATUR's most saturated, then highest-degree,
 then lowest-numbered vertex) cost a few big-integer operations each,
 not a loop over neighbours.  DSATUR's starting coloring and the greedy
-clique read the same view, and line_graph(h) is the hypergraph's one
+clique read the same masks, and line_graph(h) is the hypergraph's one
 cached graph, so a later search or clique on h reads it too.  The search
 visits the same nodes in the same order as the recursive, set-rebuilding
 search (tests/brute.py keeps that one as the reference), so node counts,
@@ -106,7 +107,7 @@ class OracleResult:
 
 
 class _BitSaturation:
-    """DSATUR's saturation on a graph's bit view (SimpleGraph._bit_view).
+    """DSATUR's saturation on a graph's neighbourhood masks (SimpleGraph.nb).
 
     Masks are over ranks.  seen[c] holds the vertices with a neighbour
     colored c, and the saturation of each vertex (its number of distinct
@@ -167,7 +168,7 @@ class _BitSaturation:
 
 def _dsatur_greedy(g: SimpleGraph) -> list[int]:
     """Greedy coloring picking the most saturated vertex first."""
-    order, _, nb = g._bit_view
+    order, nb = g.order, g.nb
     colors = [0] * g.n
     # A vertex of degree d never needs a color above d + 1; rank 0, of the
     # largest degree, exists, as a component is never empty.
@@ -190,13 +191,13 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     search below starts from it, and a component the budget leaves
     unsearched takes it as its lower end.  While every vertex is a
     candidate the count is the degree, so the first pick is the
-    lowest-numbered vertex of maximum degree, rank 0 of the bit view;
+    lowest-numbered vertex of maximum degree, rank 0 of the masks;
     later counts are popcounts of the candidates within a row, ties going
     to the lowest-numbered vertex.
     """
     if not g.n:
         return []
-    order, _, nb = g._bit_view
+    order, nb = g.order, g.nb
     clique = [0]
     cand = nb[0]
     while cand:
@@ -218,7 +219,7 @@ def _component_chromatic(
     """(lower, upper, coloring achieving upper) for a connected graph.
 
     Depth-first branch and bound on an explicit stack, so deep searches
-    need no recursion.  The search colors ranks of the bit view.  A frame
+    need no recursion.  The search colors ranks of the masks.  A frame
     is [rank, next color to try, colors used on entry, color limit, the
     mask its current color saturated], the limit fixed when the frame is
     entered.
@@ -237,7 +238,7 @@ def _component_chromatic(
         return lb, best_count, best
 
     # Search colors stay below the incumbent.
-    _, rank, nb = g._bit_view
+    rank, nb = g.rank, g.nb
     sat = _BitSaturation(nb, best_count - 1)
     seen, assign, unassign, pick = sat.seen, sat.assign, sat.unassign, sat.pick
     colors = [0] * g.n
@@ -310,17 +311,17 @@ def chromatic_index(
     """
     if incumbent is not None and not is_proper(h, incumbent):
         raise ValueError("incumbent is not a proper coloring of the hyperedges")
-    g = line_graph(h)
     state = _SearchState(budget)
     lower = upper = 0
-    witness = [0] * g.n
-    for comp in g.connected_components():
+    witness = [0] * h.m
+    for comp in h._components():
         start = (
             None
             if incumbent is None
             else _renumbered([incumbent.colors[v] for v in comp])
         )
-        lo, hi, local = _component_chromatic(g.induced(comp), state, start)
+        g = line_graph(h._keeping(comp))
+        lo, hi, local = _component_chromatic(g, state, start)
         for i, v in enumerate(comp):
             witness[v] = local[i]
         lower = max(lower, lo)
@@ -393,9 +394,7 @@ class _Rows:
     Any other row is searched from the base coloring restricted to h' - e,
     which only prunes the search, so a row decided by a plain search
     within the budget is decided here too, with the same value.  The
-    candidate h' - e is h.without(...): once the base search has built h's
-    line graph, every candidate inherits its induced subgraph instead of
-    building its own.
+    candidate h' - e is h.without(...), which builds its own line graph.
     """
 
     def __init__(self, h: Hypergraph, q: int, witness: Coloring):
@@ -404,7 +403,7 @@ class _Rows:
         self.colors = witness.colors
         # Sets of q pairwise intersecting positions: the edges through a
         # vertex of degree q, and the greedy clique when it has q members.
-        # line_graph(h) is the graph the base search ran on, bit view and all.
+        # line_graph(h) is the graph the base search ran on when h is connected.
         self.cliques = [set(h.incident(x)) for x, d in enumerate(h.degrees()) if d == q]
         clique = greedy_clique(line_graph(h))
         if len(clique) == q:

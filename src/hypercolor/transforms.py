@@ -1,17 +1,15 @@
 """The line graph of a hypergraph: the one graph the package works on.
 
 The line graph is a cached fact of the Hypergraph (Hypergraph._line_graph),
-built from its incidence lists on first use and the one record of which
-hyperedges meet; line_graph returns that same object, so a hypergraph
-builds it once.  A subhypergraph made by Hypergraph.without inherits it
-as an induced subgraph, and SimpleGraph.induced is the one routine that
-cuts rows down.  A SimpleGraph is made only from such rows: the line
-graph itself, or an induced subgraph of it (a component, for the oracle
-and Brooks' colorer).  It keeps one more cached fact, its rows as
-bitmasks (SimpleGraph._bit_view), which the oracle reads, so every search
-on one hypergraph's graph shares it.  The two-section's facts (its
-maximum degree and whether it is simple) are hypergraph invariants, read
-from Hypergraph.stats().
+built from its hyperedges on first use as ranked neighbourhood masks, the
+one record of which hyperedges meet; line_graph returns that same object,
+so a hypergraph builds it once.  A part of the line graph (a component,
+for the oracle and Brooks' colorer) is the line graph of the
+subhypergraph on those positions (Hypergraph._keeping), which builds its
+own.  The oracle reads the masks; first fit and Brooks read rows, which a
+SimpleGraph derives from its masks on the first read of adj.  The
+two-section's facts (its maximum degree and whether it is simple) are
+hypergraph invariants, read from Hypergraph.stats().
 """
 
 from __future__ import annotations
@@ -26,75 +24,40 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """An undirected simple graph on vertices 0..n-1, kept as sorted
-    adjacency rows: a line graph or an induced subgraph of one.  The rows
-    are trusted to be a symmetric, loopless adjacency with each row
-    ascending; nothing is checked or copied."""
+    """An undirected simple graph on vertices 0..n-1, kept as ranked
+    neighbourhood masks: order[i] = v and rank[v] = i rank the vertices by
+    degree descending, then index ascending, and nb[i] is the neighbourhood
+    of order[i] as an int whose bit j stands for rank j.  The lowest set
+    bit of a mask is the highest-degree, then lowest-numbered, vertex in
+    it.  The masks are trusted to be symmetric and loopless; nothing is
+    checked or copied."""
 
-    adj: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    rank: tuple[int, ...]
+    nb: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.order)
 
     @cached_property
-    def _bit_view(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(order, rank, nb): the vertices ranked by degree descending, then
-        index ascending, as order[i] = v and rank[v] = i; nb[i] is the
-        neighbourhood of order[i] as an int whose bit j stands for rank j.
-
-        Built on the first use and kept, so the oracle's greedy coloring,
-        clique and search on one graph share it.  The lowest set bit of a
-        mask is the highest-degree, then lowest-numbered, vertex in it.
-        """
-        adj = self.adj
-        order = sorted(range(self.n), key=lambda v: (-len(adj[v]), v))
-        rank = [0] * self.n
-        for i, v in enumerate(order):
-            rank[v] = i
-        bit = [1 << i for i in rank]
-        nb = tuple(sum(map(bit.__getitem__, adj[v])) for v in order)
-        return tuple(order), tuple(rank), nb
-
-    def connected_components(self) -> list[tuple[int, ...]]:
-        """Vertex sets of the components, each ascending, by smallest vertex."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
-
-    def induced(self, vertices: tuple[int, ...]) -> "SimpleGraph":
-        """The induced subgraph; local vertex i stands for vertices[i].
-
-        Hypergraph.without hands its line graph down through here.  All
-        vertices in their own order give the graph itself, which is
-        frozen, so it is shared.
-        """
-        if vertices == tuple(range(self.n)):
-            return self
-        index = [-1] * self.n
-        for new, v in enumerate(vertices):
-            index[v] = new
-        adj = self.adj
-        cut = [[k for w in adj[v] if (k := index[w]) >= 0] for v in vertices]
-        # index is increasing on ascending vertices, so their rows stay sorted.
-        if any(a > b for a, b in zip(vertices, vertices[1:])):
-            for row in cut:
-                row.sort()
-        return SimpleGraph(tuple(map(tuple, cut)))
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """The adjacency rows, each ascending, derived from the masks on
+        the first read and kept.  Each edge is read once, from the mask of
+        its lower rank, shifted down past each bit as it is taken."""
+        order = self.order
+        rows: list[list[int]] = [[] for _ in order]
+        for i, mask in enumerate(self.nb):
+            v = order[i]
+            mask >>= i + 1
+            j = i
+            while mask:
+                step = (mask & -mask).bit_length()
+                j += step
+                mask >>= step
+                rows[v].append(order[j])
+                rows[order[j]].append(v)
+        return tuple(tuple(sorted(row)) for row in rows)
 
 
 def line_graph(h: Hypergraph) -> SimpleGraph:
@@ -103,7 +66,7 @@ def line_graph(h: Hypergraph) -> SimpleGraph:
     Vertex i stands for position i; i and j are adjacent iff the hyperedges
     share a vertex.  Equal hyperedges at distinct positions are adjacent,
     so the line graph has as many vertices as h has positions.  It is h's
-    own, built on the first call and kept (see Hypergraph.without), so
-    every call on h returns the same graph.
+    own, built on the first call and kept, so every call on h returns the
+    same graph.
     """
     return h._line_graph

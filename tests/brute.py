@@ -156,6 +156,26 @@ def pairwise_line_graph_edges(
     ]
 
 
+def brute_line_graph_components(hyperedges: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The positions of each component of the pairwise line graph,
+    ascending, the components by their smallest position: every position
+    takes the smallest label of an intersecting one until none changes."""
+    pairs = pairwise_line_graph_edges(0, hyperedges)
+    label = list(range(len(hyperedges)))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    groups: dict[int, list[int]] = {}
+    for pos, root in enumerate(label):
+        groups.setdefault(root, []).append(pos)
+    return [tuple(group) for group in groups.values()]
+
+
 def graph_edges(g: SimpleGraph) -> list[tuple[int, int]]:
     """All edges of g as (u, v) with u < v, lexicographically sorted."""
     return [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
@@ -276,14 +296,27 @@ def gadget_join(d: int) -> tuple[int, list[tuple[int, int]]]:
 
 
 def brute_cut_vertices(g: SimpleGraph) -> set[int]:
-    """Vertices whose removal leaves more components than g has."""
-    base = len(g.connected_components())
-    cut = set()
-    for x in range(g.n):
-        rest = tuple(v for v in range(g.n) if v != x)
-        if len(g.induced(rest).connected_components()) > base:
-            cut.add(x)
-    return cut
+    """Vertices whose removal leaves more components than g has, each
+    count a flood fill over g's rows."""
+
+    def components(skip: int) -> int:
+        seen = {skip}
+        count = 0
+        for start in range(g.n):
+            if start in seen:
+                continue
+            count += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for w in g.adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return count
+
+    base = components(-1)
+    return {x for x in range(g.n) if components(x) > base}
 
 
 def if_chain_conditions(h: Hypergraph) -> frozenset[str]:

@@ -346,24 +346,12 @@ def _counting_builds(monkeypatch, name):
     return built
 
 
-def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
+def test_critical_builds_one_line_graph_per_searched_hypergraph(capsys, monkeypatch):
     # Every row searched in the table or the extraction is a subhypergraph
-    # of the input, and inherits the input's rows instead of building its
-    # own: one build for 44 oracle calls.
+    # of the input with a connected line graph, which it builds for its
+    # one search.  The input's one line graph is one object, so _Rows'
+    # greedy clique reads the graph the base search built.
     built = _counting_builds(monkeypatch, "_line_graph")
-    # The input's one line graph is one object, so _Rows' greedy clique
-    # reads the bit view that the base search built: one view on all 22
-    # vertices, and one per searched candidate.
-    views = []
-    build_view = SimpleGraph._bit_view.func
-
-    def counted_view(g):
-        views.append(g.n)
-        return build_view(g)
-
-    view = cached_property(counted_view)
-    view.__set_name__(SimpleGraph, "_bit_view")
-    monkeypatch.setattr(SimpleGraph, "_bit_view", view)
     calls = []
     searched = oracle.chromatic_index
 
@@ -379,9 +367,37 @@ def test_critical_builds_the_line_graph_rows_once(capsys, monkeypatch):
     # The base search, all 22 table rows, then 21 rows of the extraction.
     assert len(calls) == 44
     assert calls[:23] == [22] + [21] * 22
-    assert built == [22]
-    assert len(views) == 44
-    assert views.count(22) == 1
+    assert len(built) == 44
+    assert built.count(22) == 1
+
+
+def _counting_rows(monkeypatch):
+    """Count the derivations of SimpleGraph.adj from the masks."""
+    derived = []
+    derive = SimpleGraph.adj.func
+
+    def counted(g):
+        derived.append(g.n)
+        return derive(g)
+
+    rows = cached_property(counted)
+    rows.__set_name__(SimpleGraph, "adj")
+    monkeypatch.setattr(SimpleGraph, "adj", rows)
+    return derived
+
+
+def test_rows_are_derived_only_where_they_are_read(capsys, monkeypatch):
+    # The oracle reads the masks only; first fit reads rows.
+    for args, reads_rows in (
+        (["critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"], False),
+        (["verify", "--no-exact", "--family", "steiner-triple:99"], False),
+        (["color", "--family", "steiner-triple:15", "--method", "greedy"], True),
+    ):
+        derived = _counting_rows(monkeypatch)
+        code, _, _ = run_cli(capsys, *args)
+        monkeypatch.undo()
+        assert code == 0, args
+        assert bool(derived) == reads_rows, (args, derived)
 
 
 def test_critical_builds_the_incidence_lists_once(capsys, monkeypatch):
@@ -436,7 +452,8 @@ def test_verify_no_exact_is_the_oracle_at_zero_nodes(capsys, monkeypatch):
             got = run_cli(capsys, "verify", "--family", family, "--no-exact", *extra)
             monkeypatch.undo()
             assert got == zero, (family, extra)
-            assert calls == [h.m], (family, extra)
+            # One line graph per component searched.
+            assert calls == [len(comp) for comp in h._components()], (family, extra)
         payload = json.loads(got[1])
         assert payload["oracle_nodes"] == 0
         assert payload["q_lower"] >= _no_exact_floor(h), family
@@ -451,7 +468,9 @@ def test_survey_no_exact_is_the_oracle_at_zero_nodes(capsys, monkeypatch):
         got = run_cli(capsys, *base, "--no-exact", *extra)
         monkeypatch.undo()
         assert got == zero, extra
-        assert len(calls) == 20
+        # One line graph per component searched, instance by instance.
+        hs = [survey_instance(3, i, (6, 12), (4, 16), (2, 3, 4))[1] for i in range(20)]
+        assert calls == [len(comp) for h in hs for comp in h._components()]
     for row in json.loads(got[1])["instances"]:
         _, h = survey_instance(3, row["index"], (6, 12), (4, 16), (2, 3, 4))
         assert row["input_sha256"] == digest(h)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from hypercolor import (
@@ -14,9 +16,12 @@ from hypercolor import (
     complete_graph,
     cycle,
     fano,
+    generate,
     greedy_color,
     is_proper,
     line_graph,
+    parse_family,
+    steiner_triple,
     vizing_edge_color,
 )
 from hypercolor.coloring import _cut_vertex
@@ -148,6 +153,13 @@ def test_brooks_on_regular_two_connected_graphs():
     assert _check_brooks(6, prism).q_used <= 3
     circulant = [(i, (i + 1) % 8) for i in range(8)] + [(i, (i + 2) % 8) for i in range(8)]
     assert _check_brooks(8, circulant).q_used <= 4
+    # Without 1 and 5, the first non-adjacent neighbours of vertex 0, this
+    # cubic graph falls apart, so the split-pair search must pass them by.
+    cut_pair = [
+        (0, 1), (0, 4), (0, 5), (1, 4), (1, 6), (2, 3),
+        (2, 6), (2, 7), (3, 5), (3, 7), (4, 5), (6, 7),
+    ]
+    assert _check_brooks(8, cut_pair).q_used <= 3
 
 
 def test_brooks_on_regular_graph_with_cut_vertices():
@@ -167,7 +179,7 @@ def test_cut_vertex_matches_vertex_removal():
         n, edges = random_connected_graph(Rng(seed + 8000), 2, 14)
         g = line_graph(graph_hypergraph(n, edges))
         cut = brute_cut_vertices(g)
-        found = _cut_vertex(g)
+        found = _cut_vertex(g.adj)
         if found is None:
             assert not cut, seed
         else:
@@ -195,6 +207,33 @@ def test_brooks_respects_max_degree_on_random_connected_graphs():
             assert coloring.q_used == 3
         else:
             assert coloring.q_used <= max(delta, 1)
+
+
+def _brooks_guard_inputs():
+    """Regular graphs with and without cut vertices, cycles, a complete
+    graph, a design, a disconnected input with a loop and 400 random
+    graphs: together they reach every branch of the Brooks colorer."""
+    for n, edges in (petersen(), bridged_cubic(), *map(gadget_join, (4, 6, 8))):
+        yield graph_hypergraph(n, edges)
+    yield from (cycle(7), cycle(8), complete_graph(6), steiner_triple(15))
+    yield generate(parse_family("random:n=9,m=5,sizes=1-3,seed=0"))
+    for s in range(200):
+        yield graph_hypergraph(*random_connected_graph(Rng(s + 8000), 2, 14))
+        yield graph_hypergraph(*random_graph(Rng(s + 9000), 0, 14))
+
+
+# sha256 of the Brooks colorings of _brooks_guard_inputs, one line of
+# colors per input, recorded on the colorer that cut induced subgraphs out
+# of one line graph, so the pin holds its rewrite on subhypergraphs to the
+# same output.
+_BROOKS_GUARD = "91c71aeddbaa1cc00ee9fed8fe59788f197a08a824766000e6a922ea2abfcbf6"
+
+
+def test_brooks_colorings_are_pinned():
+    lines = [" ".join(map(str, brooks_color(h).colors)) for h in _brooks_guard_inputs()]
+    assert len(lines) == 410
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == _BROOKS_GUARD
 
 
 def test_brooks_edge_color_on_design_instances():

@@ -56,6 +56,11 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
     # its vertices, the hyperedges.
     for name in ("neighbors", "edges", "has_edge", "degree"):
         assert not hasattr(transforms.SimpleGraph, name)
+    # The graph is its ranked masks: a part of it is the line graph of a
+    # subhypergraph, so no rows are cut and no second view is kept.
+    for name in ("induced", "connected_components", "_bit_view"):
+        assert not hasattr(transforms.SimpleGraph, name)
+    assert not hasattr(core.Hypergraph, "_component_count")
     with pytest.raises(TypeError):
         transforms.SimpleGraph(2, [(0, 1)])
     assert "SimpleGraph" not in hypercolor.__all__

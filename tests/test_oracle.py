@@ -28,7 +28,7 @@ from hypercolor import (
     steiner_triple,
     survey_instance,
 )
-from hypercolor.transforms import SimpleGraph, line_graph
+from hypercolor.transforms import line_graph
 
 from hypercolor import oracle
 
@@ -200,7 +200,7 @@ def test_search_matches_the_recursive_reference(monkeypatch):
         g = line_graph(h)
         if g.n:
             assert oracle._dsatur_greedy(g) == rebuilding_dsatur_greedy(g)
-        multi += len(g.connected_components()) > 1
+        multi += len(h._components()) > 1
         for budget in (Budget(index % 51, None), FAST):
             got = chromatic_index(h, budget)
             monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
@@ -228,7 +228,7 @@ def _incumbents(h: Hypergraph) -> list[Coloring]:
     for v in range(g.n):
         taken = {first_fit[w] for w in g.adj[v]}
         first_fit[v] = min(c for c in range(1, g.n + 2) if c not in taken)
-    comps = g.connected_components()
+    comps = h._components()
     interleaved = [0] * g.n
     for j, comp in enumerate(comps):
         for v in comp:
@@ -263,7 +263,7 @@ def test_a_seeded_search_agrees_and_never_visits_more_nodes(monkeypatch):
             want = chromatic_index(h, budget, incumbent=start)
             monkeypatch.undo()
             assert got == want
-        for comp in line_graph(h).connected_components():
+        for comp in h._components():
             local = {starts[2].colors[v] for v in comp}
             spread += len(local) < max(local) - min(local) + 1
         # At every node budget the seeded bracket holds the true value and
@@ -378,17 +378,18 @@ def test_large_line_graphs_match_the_references(monkeypatch):
 
 
 def test_a_search_builds_each_components_bit_view_once(monkeypatch):
-    # DSATUR, the greedy clique and the branch and bound share one view.
+    # DSATUR, the greedy clique and the branch and bound share one line
+    # graph, its masks, per component.
     built = []
-    build = SimpleGraph._bit_view.func
+    build = Hypergraph._line_graph.func
 
-    def counted(g):
-        built.append(g.n)
-        return build(g)
+    def counted(h):
+        built.append(h.m)
+        return build(h)
 
-    view = cached_property(counted)
-    view.__set_name__(SimpleGraph, "_bit_view")
-    monkeypatch.setattr(SimpleGraph, "_bit_view", view)
+    fact = cached_property(counted)
+    fact.__set_name__(Hypergraph, "_line_graph")
+    monkeypatch.setattr(Hypergraph, "_line_graph", fact)
     # K_5 (line graph of 10 vertices, searched) beside the Fano plane (K_7).
     plane = [tuple(x + 5 for x in e) for e in fano().edges]
     h = Hypergraph(12, list(complete_graph(5).edges) + plane)

@@ -6,6 +6,7 @@ from hypercolor import Hypergraph, Rng, fano, projective_plane, steiner_triple
 from hypercolor.transforms import line_graph
 
 from brute import (
+    brute_line_graph_components,
     brute_two_section,
     brute_two_section_max_degree,
     graph_edges,
@@ -35,20 +36,18 @@ def test_graph_hypergraph_has_the_graph_as_its_line_graph():
 
 
 def test_simple_graph_components_and_induced():
-    g = line_graph(graph_hypergraph(5, [(0, 1), (1, 2), (3, 4)]))
-    assert g.connected_components() == [(0, 1, 2), (3, 4)]
-    sub = g.induced((1, 2, 3))
+    # A component of the line graph, or any part of it, is the line graph
+    # of the subhypergraph on those positions.
+    h = graph_hypergraph(5, [(0, 1), (1, 2), (3, 4)])
+    assert h._components() == [(0, 1, 2), (3, 4)]
+    sub = line_graph(h._keeping((1, 2, 3)))
     assert sub.n == 3
     assert graph_edges(sub) == [(0, 1)]
-    # All vertices in their own order: the frozen graph itself is shared.
-    assert g.induced((0, 1, 2, 3, 4)) is g
-    # A permuted or partial tuple still relabels.
-    perm = g.induced((4, 3, 2, 1, 0))
-    assert perm is not g
-    assert graph_edges(perm) == [(0, 1), (2, 3), (3, 4)]
-    part = g.induced((0, 1, 2, 3))
-    assert part is not g
-    assert part.n == 4 and graph_edges(part) == [(0, 1), (1, 2)]
+    # Every position: the frozen hypergraph itself, line graph and all.
+    assert h._keeping((0, 1, 2, 3, 4)) is h
+    part = h._keeping((0, 1, 2, 3))
+    assert part is not h
+    assert part.m == 4 and graph_edges(line_graph(part)) == [(0, 1), (1, 2)]
 
 
 def test_two_section_multiplicities():
@@ -116,47 +115,39 @@ def test_intersection_facts_match_the_references():
     assert Hypergraph(5, _LOOPLESS).stats().two_section_max_degree == 4
 
 
-def _shuffled(rng: Rng, items) -> list:
-    items = list(items)
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
-
-
-def test_without_inherits_or_builds_the_line_graph():
+def test_without_builds_its_own_line_graph():
     for index, h in enumerate(_raw_inputs()):
         rng = Rng(index + 7000)
         gone = {p for p in range(h.m) if rng.below(3) == 0}
         kept = [e for p, e in enumerate(h.edges) if p not in gone]
         want = sorted_adjacency(len(kept), pairwise_line_graph_edges(h.n, kept))
-        # Before h's rows are built, the subhypergraph builds its own.
-        lazy = h.without(gone)
-        assert "_line_graph" not in vars(lazy)
-        assert line_graph(lazy).adj == want
-        # After, it inherits them, renumbered.
+        # Before and after h's line graph is built, the subhypergraph
+        # builds its own; without nothing, it is h.
+        assert line_graph(h.without(gone)).adj == want
         assert line_graph(h) is line_graph(h)
-        inherited = h.without(gone)
-        assert "_line_graph" in vars(inherited)
-        assert line_graph(inherited).adj == want
-        keep = tuple(p for p in range(h.m) if p not in gone)
-        assert line_graph(inherited).adj == line_graph(h).induced(keep).adj
+        sub = h.without(gone)
+        assert sub is h if not gone else "_line_graph" not in vars(sub)
+        assert line_graph(sub).adj == want
 
 
-def test_induced_on_shuffled_vertices_matches_the_pairs():
-    for seed in range(200):
-        rng = Rng(seed + 8000)
-        g = line_graph(graph_hypergraph(*random_graph(rng, 0, 12)))
-        vertices = tuple(v for v in _shuffled(rng, range(g.n)) if rng.below(4))
-        index = {v: i for i, v in enumerate(vertices)}
-        pairs = [
-            (index[u], index[v])
-            for u, v in graph_edges(g)
-            if u in index and v in index
-        ]
-        sub = g.induced(vertices)
-        assert sub.n == len(vertices)
-        assert sub.adj == sorted_adjacency(len(vertices), pairs)
+def test_line_graph_masks_match_the_pairs():
+    # Checked against the pairwise intersections, not against adj, which
+    # is derived from the masks; so are the components that the oracle
+    # and Brooks' colorer search one by one.
+    for h in _raw_inputs():
+        assert h._components() == brute_line_graph_components(list(h.edges))
+        g = line_graph(h)
+        pairs = set(pairwise_line_graph_edges(h.n, list(h.edges)))
+        degree = [0] * h.m
+        for i, j in pairs:
+            degree[i] += 1
+            degree[j] += 1
+        assert g.order == tuple(sorted(range(h.m), key=lambda p: (-degree[p], p)))
+        assert g.rank == tuple(g.order.index(p) for p in range(h.m))
+        for i, u in enumerate(g.order):
+            assert g.nb[i] >> h.m == 0
+            for j, v in enumerate(g.order):
+                assert (g.nb[i] >> j & 1) == ((min(u, v), max(u, v)) in pairs)
 
 
 def test_line_graph_adjacency():

@@ -3,20 +3,23 @@ coloring of the line graph, and Vizing-style edge coloring of simple
 graphs.
 
 Every colorer takes a Hypergraph and returns a Coloring: a tuple of
-colors indexed by hyperedge position.  All colorers are deterministic
-for a fixed input (and order strategy / seed where one applies), and all
-emit palettes that are exactly 1..q_used with every color in between
-used at least once.
+colors indexed by hyperedge position.  First fit reads the line graph's
+ranked masks; Brooks' colorer reads one line graph per component, its
+masks for the degrees and first fit, its rows for the traversals.  All
+colorers are deterministic for a fixed input (and order strategy / seed
+where one applies), and all emit palettes that are exactly 1..q_used
+with every color in between used at least once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
-from .transforms import line_graph
+from .transforms import SimpleGraph, line_graph
 
 
 def _check_palette(colors: tuple[int, ...]) -> None:
@@ -71,35 +74,42 @@ def greedy_color(
     """First-fit coloring of the line graph, hyperedges in a chosen order.
 
     Orders: "index" (positions as given), "desc-degree" (by decreasing
-    hyperedge degree, ties by position), "random" (a seeded shuffle;
-    seed defaults to 0).  A position takes the least color held by no
-    position in its line-graph row; an uncolored one holds 0, which never
-    blocks.  Uses at most max hyperedge degree + 1 colors.
+    hyperedge degree, ties by position: the line graph's own ranking),
+    "random" (a seeded shuffle; seed defaults to 0).  A position takes the
+    least color whose class misses its line-graph neighbourhood.  Uses at
+    most max hyperedge degree + 1 colors.
     """
-    adj = line_graph(h).adj
-    positions = list(range(h.m))
+    g = line_graph(h)
     if order == "index":
-        pass
+        positions: Sequence[int] = range(h.m)
     elif order == "desc-degree":
-        positions.sort(key=lambda i: (-len(adj[i]), i))
+        positions = g.order
     elif order == "random":
+        positions = list(range(h.m))
         Rng(seed if seed is not None else 0).shuffle(positions)
     else:
         raise ValueError(f"unknown order {order!r}")
-    return Coloring(tuple(_first_fit(adj, positions, [0] * h.m)))
+    return Coloring(tuple(_first_fit(g, positions)))
 
 
-def _first_fit(
-    adj: Sequence[Sequence[int]], order: Iterable[int], colors: list[int]
-) -> list[int]:
-    """Give each vertex of order, in turn, the least color held by none of
-    its neighbors in adj; colors is filled in place, 0 being uncolored."""
-    for v in order:
-        taken = {colors[w] for w in adj[v]}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
+def _first_fit(g: SimpleGraph, positions: Iterable[int]) -> list[int]:
+    """Give each position, in turn, the least color whose class (a mask
+    over ranks) misses its neighbourhood mask; positions not given keep
+    color 0."""
+    rank, nb = g.rank, g.nb
+    colors = [0] * g.n
+    classes: list[int] = []
+    for p in positions:
+        i = rank[p]
+        mask = nb[i]
+        for c, members in enumerate(classes):
+            if not members & mask:
+                classes[c] = members | 1 << i
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << i)
+        colors[p] = c + 1
     return colors
 
 
@@ -128,40 +138,37 @@ def brooks_color(h: Hypergraph) -> Coloring:
     at most its maximum degree, one more for a complete graph or odd cycle."""
     colors = [0] * h.m
     for comp in h._components():
-        local = _brooks_component(h._keeping(comp))
+        local = _brooks_component(line_graph(h._keeping(comp)))
         for i, v in enumerate(comp):
             colors[v] = local[i]
     return Coloring(tuple(colors))
 
 
-def _brooks_component(h: Hypergraph) -> list[int]:
-    """Color a hypergraph with a connected line graph with colors 1..k, k
-    within the degree bound."""
-    adj = line_graph(h).adj
-    n = len(adj)
-    degs = [len(row) for row in adj]
-    delta = max(degs)
-    if all(d == n - 1 for d in degs):
-        return [v + 1 for v in range(n)]
+def _brooks_component(g: SimpleGraph) -> list[int]:
+    """Color a connected graph with colors 1..k, k within the degree bound.
+    Rank 0 has the largest degree and the last rank the smallest."""
+    n = g.n
+    delta, least = g.nb[0].bit_count(), g.nb[-1].bit_count()
+    if least == n - 1:
+        return list(range(1, n + 1))
+    adj = g.adj
     if delta <= 2:
-        return _color_path_or_cycle(adj, degs)
-    low_vertices = [v for v in range(n) if degs[v] < delta]
-    if low_vertices:
-        return _greedy_reverse_bfs(adj, low_vertices[0])
+        return _color_path_or_cycle(adj)
+    if least < delta:
+        below = next(i for i, mask in enumerate(g.nb) if mask.bit_count() < delta)
+        return _first_fit(g, reversed(_bfs(adj, min(g.order[below:]))))
     x = _cut_vertex(adj)
     if x is not None:
-        return _split_at(h, x)
-    u, v, w = _connected_split_pair(h)
-    return _greedy_reverse_bfs(adj, v, (u, w))
+        return _split_at(g, x)
+    u, v, w = _connected_split_pair(adj)
+    # u and w are not adjacent, so both take color 1.
+    return _first_fit(g, [u, w, *reversed(_bfs(adj, v, (u, w)))])
 
 
-def _color_path_or_cycle(adj: Sequence[Sequence[int]], degs: list[int]) -> list[int]:
+def _color_path_or_cycle(adj: Sequence[Sequence[int]]) -> list[int]:
     n = len(adj)
-    ends = [v for v in range(n) if degs[v] == 1]
-    if ends:
-        start = ends[0]
-    else:
-        start = 0
+    ends = [v for v in range(n) if len(adj[v]) == 1]
+    start = ends[0] if ends else 0
     walk = [start]
     prev = -1
     cur = start
@@ -177,51 +184,36 @@ def _color_path_or_cycle(adj: Sequence[Sequence[int]], degs: list[int]) -> list[
     return colors
 
 
-def _greedy_reverse_bfs(
-    adj: Sequence[Sequence[int]], root: int, ones: tuple[int, ...] = ()
+def _bfs(
+    adj: Sequence[Sequence[int]], root: int, skip: Iterable[int] = ()
 ) -> list[int]:
-    """Color greedily so every vertex but the root keeps an uncolored
-    neighbor (its search parent) at assignment time.  The vertices in ones
-    take color 1 first and the traversal skips them, so it must reach all
-    others from the root."""
+    """The vertices reached from root without entering skip, in
+    breadth-first order, each row's neighbors taken ascending.  First fit
+    in the reverse of this order leaves every vertex but the root an
+    uncolored neighbor (its search parent) when it is colored."""
     order = [root]
-    seen = set(ones)
+    seen = set(skip)
     seen.add(root)
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    for v in order:
         for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-    if len(seen) != len(adj):
-        raise RuntimeError("traversal failed to reach the whole component")
-    colors = [0] * len(adj)
-    for v in ones:
-        colors[v] = 1
-    return _first_fit(adj, reversed(order), colors)
+    return order
 
 
-def _connected_split_pair(h: Hypergraph) -> tuple[int, int, int]:
-    """Non-adjacent u, w with common neighbor v in the line graph of h,
+def _connected_split_pair(adj: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Non-adjacent u, w with common neighbor v in the graph with rows adj,
     which stays connected without u and w.
 
     Exists in every two-connected regular non-complete graph of degree at
     least 3, which is the only shape this is called on.
     """
-    adj = line_graph(h).adj
     n = len(adj)
-    for v in range(n):
-        nb = adj[v]
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                u, w = nb[a], nb[b]
-                if w in adj[u]:
-                    continue
-                rest = tuple(x for x in range(n) if x != u and x != w)
-                if len(h._keeping(rest)._components()) == 1:
-                    return u, v, w
+    for v, row in enumerate(adj):
+        for u, w in combinations(row, 2):
+            if w not in adj[u] and len(_bfs(adj, v, (u, w))) == n - 2:
+                return u, v, w
     raise RuntimeError("no split pair found; input was not as assumed")
 
 
@@ -260,17 +252,21 @@ def _cut_vertex(adj: Sequence[Sequence[int]]) -> Optional[int]:
     return None
 
 
-def _split_at(h: Hypergraph, x: int) -> list[int]:
-    """Color each component of the line graph of h without x together with
-    x, x taking color 1."""
-    rest = tuple(v for v in range(h.m) if v != x)
-    colors = [0] * h.m
-    for comp in h._keeping(rest)._components():
-        part = tuple(sorted([rest[i] for i in comp] + [x]))
-        root = part.index(x)
-        local = _greedy_reverse_bfs(line_graph(h._keeping(part)).adj, root)
-        have = local[root]
-        for v, c in zip(part, local):
+def _split_at(g: SimpleGraph, x: int) -> list[int]:
+    """Color each component of g without x, found from its lowest
+    position, together with x by first fit in reverse breadth-first order
+    from x, skipping the rest; x takes color 1 in all of them."""
+    adj = g.adj
+    colors = [0] * g.n
+    for s in range(g.n):
+        if s == x or colors[s]:
+            continue
+        part = set(_bfs(adj, s, (x,)))
+        order = _bfs(adj, x, set(range(g.n)) - part)
+        local = _first_fit(g, reversed(order))
+        have = local[x]
+        for v in order:
+            c = local[v]
             colors[v] = 1 if c == have else have if c == 1 else c
     return colors
 

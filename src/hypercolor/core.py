@@ -1,9 +1,9 @@
 """Hypergraphs with multiset hyperedge lists on vertices 0..n-1, each
 keeping its one line graph (Hypergraph._line_graph, a SimpleGraph of
 neighbourhood masks built from the hyperedges), and their subhypergraphs:
-without(positions) for the callers, _keeping(positions) for the parts
-that the oracle and Brooks' colorer search, each a component from
-_components() or a part of one."""
+without(positions) for the callers, _keeping(positions) for the
+line-graph components (_components()) that the oracle and Brooks'
+colorer search."""
 
 from __future__ import annotations
 

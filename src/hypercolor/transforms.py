@@ -3,13 +3,13 @@
 The line graph is a cached fact of the Hypergraph (Hypergraph._line_graph),
 built from its hyperedges on first use as ranked neighbourhood masks, the
 one record of which hyperedges meet; line_graph returns that same object,
-so a hypergraph builds it once.  A part of the line graph (a component,
-for the oracle and Brooks' colorer) is the line graph of the
-subhypergraph on those positions (Hypergraph._keeping), which builds its
-own.  The oracle reads the masks; first fit and Brooks read rows, which a
-SimpleGraph derives from its masks on the first read of adj.  The
-two-section's facts (its maximum degree and whether it is simple) are
-hypergraph invariants, read from Hypergraph.stats().
+so a hypergraph builds it once.  A component, for the oracle and Brooks'
+colorer, is the line graph of the subhypergraph on its positions
+(Hypergraph._keeping), which builds its own.  The oracle and first fit
+read the masks; Brooks' traversals read rows, which a SimpleGraph derives
+from its masks on the first read of adj.  The two-section's facts (its
+maximum degree and whether it is simple) are hypergraph invariants, read
+from Hypergraph.stats().
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ class SimpleGraph:
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """The adjacency rows, each ascending, derived from the masks on
-        the first read and kept.  Each edge is read once, from the mask of
-        its lower rank, shifted down past each bit as it is taken."""
+        the first read and kept, for the readers that walk a graph: Brooks'
+        traversals, the tests and the benchmark's edge count.  Each edge is
+        read once, from the mask of its lower rank, shifted down past each
+        bit as it is taken."""
         order = self.order
         rows: list[list[int]] = [[] for _ in order]
         for i, mask in enumerate(self.nb):

@@ -11,11 +11,13 @@ logic (condition tags, the criticality table, core extraction, the
 first-fit hyperedge colorer, the oracle's greedy coloring, greedy clique
 and branch and bound, the random linear sampler) are the earlier, more
 literal forms of that logic, kept to check the current forms against.
+counting_builds spies on the package's cached facts.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -583,3 +585,20 @@ def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
                 f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}"
             )
     return Hypergraph(n, chosen)
+
+
+def counting_builds(monkeypatch, cls: type, name: str) -> list[int]:
+    """Patch the cached property cls.name to record each computation: a
+    Hypergraph's m, or a SimpleGraph's n.  The list fills while the patch
+    lasts."""
+    built: list[int] = []
+    build = getattr(cls, name).func
+
+    def counted(obj):
+        built.append(obj.m if cls is Hypergraph else obj.n)
+        return build(obj)
+
+    fact = cached_property(counted)
+    fact.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, fact)
+    return built

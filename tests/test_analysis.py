@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import pytest
+
 from hypercolor import (
     HOLDS,
     UNRESOLVED,
     VIOLATED,
     Budget,
+    Coloring,
     Hypergraph,
+    OracleResult,
     Rng,
     affine_plane,
     bound_set,
@@ -22,6 +26,7 @@ from hypercolor import (
     survey_instance,
     verify_conjecture,
 )
+from hypercolor import analysis
 
 from brute import brute_chromatic_index, if_chain_conditions, random_hypergraph_raw
 
@@ -244,6 +249,17 @@ def test_verdict_flags_violations_from_loops():
     bracketed = verify_conjecture(loops, Budget(0, None))
     assert bracketed.status == VIOLATED
     assert bracketed.q_lower == 2
+
+
+def test_violation_alarm_cross_examines_the_lower_bound(monkeypatch):
+    # A lower end above the bound that first fit beats is a wrong floor,
+    # not a violation: cycle(8) has bound 3 and first fit colors it with 2.
+    h = cycle(8)
+    forged = OracleResult(4, 4, Coloring((1, 2, 3, 4, 1, 2, 3, 4)), 0)
+    monkeypatch.setattr(analysis, "chromatic_index", lambda h, budget: forged)
+    assert bound_set(h).two_section == 3
+    with pytest.raises(RuntimeError, match="lower bound exceeds a constructive"):
+        verify_conjecture(h, FAST)
 
 
 def test_verdict_unresolved_when_bracket_straddles_bound():

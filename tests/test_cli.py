@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from functools import cached_property
 
 import pytest
 
@@ -41,6 +40,8 @@ from hypercolor.report import (
     render_stats,
 )
 from hypercolor.transforms import SimpleGraph
+
+from brute import counting_builds
 
 LOOPS = "p hgr 1 2\ne 1\ne 1\n"
 
@@ -330,28 +331,12 @@ def _counting_line_graphs(monkeypatch):
     return calls
 
 
-def _counting_builds(monkeypatch, name):
-    """Count the builds of the cached Hypergraph fact name, recording each
-    hypergraph's m."""
-    built = []
-    build = getattr(Hypergraph, name).func
-
-    def counted(h):
-        built.append(h.m)
-        return build(h)
-
-    fact = cached_property(counted)
-    fact.__set_name__(Hypergraph, name)
-    monkeypatch.setattr(Hypergraph, name, fact)
-    return built
-
-
 def test_critical_builds_one_line_graph_per_searched_hypergraph(capsys, monkeypatch):
     # Every row searched in the table or the extraction is a subhypergraph
     # of the input with a connected line graph, which it builds for its
     # one search.  The input's one line graph is one object, so _Rows'
     # greedy clique reads the graph the base search built.
-    built = _counting_builds(monkeypatch, "_line_graph")
+    built = counting_builds(monkeypatch, Hypergraph, "_line_graph")
     calls = []
     searched = oracle.chromatic_index
 
@@ -371,29 +356,16 @@ def test_critical_builds_one_line_graph_per_searched_hypergraph(capsys, monkeypa
     assert built.count(22) == 1
 
 
-def _counting_rows(monkeypatch):
-    """Count the derivations of SimpleGraph.adj from the masks."""
-    derived = []
-    derive = SimpleGraph.adj.func
-
-    def counted(g):
-        derived.append(g.n)
-        return derive(g)
-
-    rows = cached_property(counted)
-    rows.__set_name__(SimpleGraph, "adj")
-    monkeypatch.setattr(SimpleGraph, "adj", rows)
-    return derived
-
-
 def test_rows_are_derived_only_where_they_are_read(capsys, monkeypatch):
-    # The oracle reads the masks only; first fit reads rows.
+    # The oracle and first fit read the masks only; Brooks' traversals
+    # read rows.
     for args, reads_rows in (
         (["critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"], False),
         (["verify", "--no-exact", "--family", "steiner-triple:99"], False),
-        (["color", "--family", "steiner-triple:15", "--method", "greedy"], True),
+        (["color", "--family", "steiner-triple:15", "--method", "greedy"], False),
+        (["color", "--family", "steiner-triple:15", "--method", "brooks"], True),
     ):
-        derived = _counting_rows(monkeypatch)
+        derived = counting_builds(monkeypatch, SimpleGraph, "adj")
         code, _, _ = run_cli(capsys, *args)
         monkeypatch.undo()
         assert code == 0, args
@@ -401,10 +373,10 @@ def test_rows_are_derived_only_where_they_are_read(capsys, monkeypatch):
 
 
 def test_critical_builds_the_incidence_lists_once(capsys, monkeypatch):
-    # A searched candidate inherits its line-graph rows, and its search
-    # ends exact, so the maximum-degree floor, the one reader of its
+    # A searched candidate builds its line graph from its hyperedges, and
+    # its search ends exact, so the maximum-degree floor, the one reader of its
     # incidence lists, is never needed: only the input builds them.
-    built = _counting_builds(monkeypatch, "_incidence")
+    built = counting_builds(monkeypatch, Hypergraph, "_incidence")
     code, _, _ = run_cli(
         capsys, "critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"
     )

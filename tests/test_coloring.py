@@ -25,10 +25,12 @@ from hypercolor import (
     vizing_edge_color,
 )
 from hypercolor.coloring import _cut_vertex
+from hypercolor.transforms import SimpleGraph
 
 from brute import (
     bridged_cubic,
     brute_cut_vertices,
+    counting_builds,
     gadget_join,
     graph_hypergraph,
     pairwise_line_graph_edges,
@@ -103,8 +105,8 @@ def test_greedy_color_orders_and_guarantee():
 
 
 def test_greedy_color_matches_the_per_vertex_reference():
-    # First fit on the line-graph rows against the per-vertex color sets
-    # it replaced, in every order, on inputs with loops and duplicates.
+    # First fit on the line graph's masks against the per-vertex color
+    # sets it replaced, in every order, on inputs with loops and duplicates.
     loops = duplicates = 0
     for seed in range(300):
         h = random_hypergraph_raw(Rng(seed + 5200), 1, 10, 16, 1, 5)
@@ -223,9 +225,8 @@ def _brooks_guard_inputs():
 
 
 # sha256 of the Brooks colorings of _brooks_guard_inputs, one line of
-# colors per input, recorded on the colorer that cut induced subgraphs out
-# of one line graph, so the pin holds its rewrite on subhypergraphs to the
-# same output.
+# colors per input, recorded on an earlier form of the colorer, so the pin
+# holds every rewrite to the same output.
 _BROOKS_GUARD = "91c71aeddbaa1cc00ee9fed8fe59788f197a08a824766000e6a922ea2abfcbf6"
 
 
@@ -234,6 +235,25 @@ def test_brooks_colorings_are_pinned():
     assert len(lines) == 410
     digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
     assert digest == _BROOKS_GUARD
+
+
+def test_colorers_build_no_part_of_a_component(monkeypatch):
+    # Brooks' colorer builds one line graph per component and splits it
+    # in place; first fit reads the masks and derives no rows.
+    for graph, sizes in (
+        (gadget_join(8), [37]),
+        (bridged_cubic(), [10]),
+        (petersen(), [10]),
+    ):
+        built = counting_builds(monkeypatch, Hypergraph, "_line_graph")
+        brooks_color(graph_hypergraph(*graph))
+        monkeypatch.undo()
+        assert built == sizes
+        derived = counting_builds(monkeypatch, SimpleGraph, "adj")
+        for order in ("index", "desc-degree", "random"):
+            greedy_color(graph_hypergraph(*graph), order)
+        monkeypatch.undo()
+        assert derived == []
 
 
 def test_brooks_edge_color_on_design_instances():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
-from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +34,7 @@ from hypercolor import oracle
 from brute import (
     brute_chromatic_index,
     brute_chromatic_number,
+    counting_builds,
     graph_hypergraph,
     petersen,
     random_graph,
@@ -380,16 +380,7 @@ def test_large_line_graphs_match_the_references(monkeypatch):
 def test_a_search_builds_each_components_bit_view_once(monkeypatch):
     # DSATUR, the greedy clique and the branch and bound share one line
     # graph, its masks, per component.
-    built = []
-    build = Hypergraph._line_graph.func
-
-    def counted(h):
-        built.append(h.m)
-        return build(h)
-
-    fact = cached_property(counted)
-    fact.__set_name__(Hypergraph, "_line_graph")
-    monkeypatch.setattr(Hypergraph, "_line_graph", fact)
+    built = counting_builds(monkeypatch, Hypergraph, "_line_graph")
     # K_5 (line graph of 10 vertices, searched) beside the Fano plane (K_7).
     plane = [tuple(x + 5 for x in e) for e in fano().edges]
     h = Hypergraph(12, list(complete_graph(5).edges) + plane)

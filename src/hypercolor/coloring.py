@@ -3,12 +3,11 @@ coloring of the line graph, and Vizing-style edge coloring of simple
 graphs.
 
 Every colorer takes a Hypergraph and returns a Coloring: a tuple of
-colors indexed by hyperedge position.  First fit reads the line graph's
-ranked masks; Brooks' colorer reads one line graph per component, its
-masks for the degrees and first fit, its rows for the traversals.  All
-colorers are deterministic for a fixed input (and order strategy / seed
-where one applies), and all emit palettes that are exactly 1..q_used
-with every color in between used at least once.
+colors indexed by hyperedge position.  First fit and Brooks' colorer
+walk the line graph's ranked masks, Brooks' one component's at a time,
+and read no rows.  All colorers are deterministic for a fixed input (and
+order strategy / seed where one applies), and all emit palettes that are
+exactly 1..q_used with every color in between used at least once.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
-from .transforms import SimpleGraph, line_graph
+from .transforms import SimpleGraph, _ranks, line_graph
 
 
 def _check_palette(colors: tuple[int, ...]) -> None:
@@ -129,7 +128,10 @@ def _first_fit(g: SimpleGraph, positions: Iterable[int]) -> list[int]:
 # in reverse breadth-first order from x.  x has neighbors in at least two
 # parts, so fewer than the maximum degree in each, and every other vertex
 # keeps its search parent uncolored; first fit leaves no gaps, and swapping
-# two colors inside a part gives x color 1 in all of them.
+# two colors inside a part gives x color 1 in all of them.  Every traversal
+# walks the component's masks; ties rank by position, so in a regular
+# component, where the cut-vertex, split-pair and split-at helpers run, a
+# bit is a position.
 # ---------------------------------------------------------------------------
 
 
@@ -151,118 +153,111 @@ def _brooks_component(g: SimpleGraph) -> list[int]:
     delta, least = g.nb[0].bit_count(), g.nb[-1].bit_count()
     if least == n - 1:
         return list(range(1, n + 1))
-    adj = g.adj
     if delta <= 2:
-        return _color_path_or_cycle(adj)
+        return _color_path_or_cycle(g)
     if least < delta:
         below = next(i for i, mask in enumerate(g.nb) if mask.bit_count() < delta)
-        return _first_fit(g, reversed(_bfs(adj, min(g.order[below:]))))
-    x = _cut_vertex(adj)
+        return _first_fit(g, reversed(_bfs(g, min(g.order[below:]))))
+    x = _cut_vertex(g)
     if x is not None:
         return _split_at(g, x)
-    u, v, w = _connected_split_pair(adj)
+    u, v, w = _connected_split_pair(g)
     # u and w are not adjacent, so both take color 1.
-    return _first_fit(g, [u, w, *reversed(_bfs(adj, v, (u, w)))])
+    return _first_fit(g, [u, w, *reversed(_bfs(g, v, 1 << u | 1 << w))])
 
 
-def _color_path_or_cycle(adj: Sequence[Sequence[int]]) -> list[int]:
-    n = len(adj)
-    ends = [v for v in range(n) if len(adj[v]) == 1]
-    start = ends[0] if ends else 0
-    walk = [start]
-    prev = -1
-    cur = start
-    while len(walk) < n:
-        nxt = next(w for w in adj[cur] if w != prev)
-        walk.append(nxt)
-        prev, cur = cur, nxt
+def _color_path_or_cycle(g: SimpleGraph) -> list[int]:
+    """Colors 1, 2, 1, ... along a path from its lower-numbered end (the
+    ends rank last), or a cycle from position 0 (rank 0, as a cycle is
+    regular) to its lower neighbor first; an odd cycle ends in color 3."""
+    n, order, nb = g.n, g.order, g.nb
+    cycle = nb[-1].bit_count() == 2
+    i = 0 if cycle else n - 2
+    seen = 1 << i
     colors = [0] * n
-    for i, v in enumerate(walk):
-        colors[v] = 1 + (i % 2)
-    if not ends and n % 2 == 1:
-        colors[walk[-1]] = 3
+    for step in range(n):
+        colors[order[i]] = 3 if cycle and n % 2 and step == n - 1 else 1 + step % 2
+        low = nb[i] & ~seen
+        low &= -low
+        seen |= low
+        i = low.bit_length() - 1
     return colors
 
 
-def _bfs(
-    adj: Sequence[Sequence[int]], root: int, skip: Iterable[int] = ()
-) -> list[int]:
-    """The vertices reached from root without entering skip, in
-    breadth-first order, each row's neighbors taken ascending.  First fit
-    in the reverse of this order leaves every vertex but the root an
-    uncolored neighbor (its search parent) when it is colored."""
-    order = [root]
-    seen = set(skip)
-    seen.add(root)
-    for v in order:
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    return order
+def _bfs(g: SimpleGraph, root: int, skip: int = 0) -> list[int]:
+    """The positions reached from root without entering skip (a mask over
+    ranks), breadth first, each vertex's new neighbors in ascending
+    position.  First fit in the reverse of this order leaves every vertex
+    but the root an uncolored neighbor (its search parent) when colored."""
+    order, rank, nb = g.order, g.rank, g.nb
+    found = [root]
+    seen = skip | 1 << rank[root]
+    for v in found:
+        new = nb[rank[v]] & ~seen
+        seen |= new
+        found += sorted(order[i] for i in _ranks(new))
+    return found
 
 
-def _connected_split_pair(adj: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Non-adjacent u, w with common neighbor v in the graph with rows adj,
+def _connected_split_pair(g: SimpleGraph) -> tuple[int, int, int]:
+    """Non-adjacent u, w with common neighbor v in the regular graph g,
     which stays connected without u and w.
 
     Exists in every two-connected regular non-complete graph of degree at
     least 3, which is the only shape this is called on.
     """
-    n = len(adj)
-    for v, row in enumerate(adj):
-        for u, w in combinations(row, 2):
-            if w not in adj[u] and len(_bfs(adj, v, (u, w))) == n - 2:
+    nb = g.nb
+    for v in range(g.n):
+        for u, w in combinations(_ranks(nb[v]), 2):
+            if not nb[u] >> w & 1 and len(_bfs(g, v, 1 << u | 1 << w)) == g.n - 2:
                 return u, v, w
     raise RuntimeError("no split pair found; input was not as assumed")
 
 
-def _cut_vertex(adj: Sequence[Sequence[int]]) -> Optional[int]:
-    """A cut vertex of the connected graph with rows adj, or None if it
-    has none.
+def _cut_vertex(g: SimpleGraph) -> Optional[int]:
+    """A cut vertex of the connected graph g, or None if it has none.
 
-    Depth-first search from vertex 0 with low points: a non-root u is a
-    cut vertex once a finished child's subtree reaches nothing above u;
-    the root is one when its first child's subtree misses a vertex.
+    Depth-first search from rank 0, lowest unvisited rank first; a frame
+    holds a rank, the OR of its finished subtree's neighborhoods and its
+    ancestors' mask.  Edges off the search tree join a vertex to an
+    ancestor, so a non-root u is a cut vertex once a finished child's
+    subtree meets none of u's ancestors.  The root is one when its first
+    child's subtree misses a vertex; it has no child only when alone.
     """
-    n = len(adj)
-    num = [0] * n
-    low = [0] * n
-    num[0] = low[0] = counter = 1
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if not num[w]:
-                counter += 1
-                num[w] = low[w] = counter
-                stack.append((w, iter(adj[w])))
-                break
-            low[v] = min(low[v], num[w])
-        else:
-            stack.pop()
-            if not stack:
-                break
-            u = stack[-1][0]
-            if u == 0:
-                return 0 if counter < n else None
-            if low[v] >= num[u]:
-                return u
-            low[u] = min(low[u], low[v])
-    return None
+    nb = g.nb
+    seen = 1
+    stack = [[0, nb[0], 0]]
+    while True:
+        i, reach, above = stack[-1]
+        low = nb[i] & ~seen
+        if low:
+            low &= -low
+            seen |= low
+            j = low.bit_length() - 1
+            stack.append([j, nb[j], above | 1 << i])
+            continue
+        if not above:
+            return None
+        stack.pop()
+        parent = stack[-1]
+        if not parent[2]:
+            return g.order[0] if seen.bit_count() < g.n else None
+        if not reach & parent[2]:
+            return g.order[parent[0]]
+        parent[1] |= reach
 
 
 def _split_at(g: SimpleGraph, x: int) -> list[int]:
-    """Color each component of g without x, found from its lowest
-    position, together with x by first fit in reverse breadth-first order
-    from x, skipping the rest; x takes color 1 in all of them."""
-    adj = g.adj
+    """Color each component of the regular graph g without x, found from
+    its lowest position, together with x by first fit in reverse
+    breadth-first order from x, skipping the rest; x takes color 1 in all
+    of them."""
     colors = [0] * g.n
     for s in range(g.n):
         if s == x or colors[s]:
             continue
-        part = set(_bfs(adj, s, (x,)))
-        order = _bfs(adj, x, set(range(g.n)) - part)
+        part = sum(1 << v for v in _bfs(g, s, 1 << x))
+        order = _bfs(g, x, ~part)
         local = _first_fit(g, reversed(order))
         have = local[x]
         for v in order:

@@ -47,9 +47,9 @@ class Rng:
         return (s * 0x2545F4914F6CDD1D) & _MASK64
 
     def below(self, n: int) -> int:
-        """Uniform integer in 0..n-1, unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
+        """Uniform integer in 0..n-1, n in 1..2**64, unbiased via rejection."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() needs a bound in 1..2**64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()
@@ -407,11 +407,13 @@ def _check_survey_input(
     n_range: tuple[int, int], m_range: tuple[int, int], k_choices: tuple[int, ...]
 ) -> None:
     """Raise GenerationError on survey input that survey_instance cannot
-    sample: a range with LO > HI, vertex counts below 2, edge counts below
-    1, or no edge size, or one below 2."""
+    sample: a range with LO > HI or over 2**64 wide (one Rng draw), vertex
+    counts below 2, edge counts below 1, or no edge size, or one below 2."""
     for name, (lo, hi), least in (("n", n_range, 2), ("m", m_range, 1)):
         if lo > hi:
             raise GenerationError(f"survey {name} range is empty: {lo}..{hi}")
+        if hi - lo >= 1 << 64:
+            raise GenerationError(f"survey {name} range is over 2**64 wide: {lo}..{hi}")
         if lo < least:
             raise GenerationError(
                 f"survey {name} range must start at {least} or more, got {lo}..{hi}"

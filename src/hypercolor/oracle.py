@@ -35,7 +35,7 @@ from typing import Optional
 
 from .coloring import Coloring, _renumbered, is_proper
 from .core import Hypergraph
-from .transforms import SimpleGraph, line_graph
+from .transforms import SimpleGraph, _ranks, line_graph
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,8 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     unsearched takes it as its lower end.  While every vertex is a
     candidate the count is the degree, so the first pick is the
     lowest-numbered vertex of maximum degree, rank 0 of the masks;
-    later counts are popcounts of the candidates within a row, ties going
-    to the lowest-numbered vertex.
+    later counts are popcounts of the candidates within a neighbourhood,
+    ties going to the lowest-numbered vertex.
     """
     if not g.n:
         return []
@@ -201,13 +201,7 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     clique = [0]
     cand = nb[0]
     while cand:
-        ranks = []
-        rest = cand
-        while rest:
-            low = rest & -rest
-            ranks.append(low.bit_length() - 1)
-            rest ^= low
-        pick = max(ranks, key=lambda i: ((cand & nb[i]).bit_count(), -order[i]))
+        pick = max(_ranks(cand), key=lambda i: ((cand & nb[i]).bit_count(), -order[i]))
         clique.append(pick)
         cand &= nb[pick]
     return [order[i] for i in clique]

@@ -5,11 +5,10 @@ built from its hyperedges on first use as ranked neighbourhood masks, the
 one record of which hyperedges meet; line_graph returns that same object,
 so a hypergraph builds it once.  A component, for the oracle and Brooks'
 colorer, is the line graph of the subhypergraph on its positions
-(Hypergraph._keeping), which builds its own.  The oracle and first fit
-read the masks; Brooks' traversals read rows, which a SimpleGraph derives
-from its masks on the first read of adj.  The two-section's facts (its
-maximum degree and whether it is simple) are hypergraph invariants, read
-from Hypergraph.stats().
+(Hypergraph._keeping), which builds its own.  The oracle, first fit and
+Brooks' colorer walk the masks' set bits (_ranks), not rows; adj derives
+rows for the tests and the benchmark.  The two-section's facts (maximum
+degree, simplicity) are hypergraph invariants in Hypergraph.stats().
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ class SimpleGraph:
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """The adjacency rows, each ascending, derived from the masks on
-        the first read and kept, for the readers that walk a graph: Brooks'
-        traversals, the tests and the benchmark's edge count.  Each edge is
-        read once, from the mask of its lower rank, shifted down past each
-        bit as it is taken."""
+        the first read and kept, for the tests and the benchmark's edge
+        count; no package code reads them.  Each edge is read once, from
+        the mask of its lower rank, shifted down past each bit as it is
+        taken."""
         order = self.order
         rows: list[list[int]] = [[] for _ in order]
         for i, mask in enumerate(self.nb):
@@ -60,6 +59,16 @@ class SimpleGraph:
                 rows[v].append(order[j])
                 rows[order[j]].append(v)
         return tuple(tuple(sorted(row)) for row in rows)
+
+
+def _ranks(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    ranks = []
+    while mask:
+        low = mask & -mask
+        ranks.append(low.bit_length() - 1)
+        mask ^= low
+    return ranks
 
 
 def line_graph(h: Hypergraph) -> SimpleGraph:

@@ -321,6 +321,87 @@ def brute_cut_vertices(g: SimpleGraph) -> set[int]:
     return {x for x in range(g.n) if components(x) > base}
 
 
+def low_point_cut_vertex(adj: tuple[tuple[int, ...], ...]) -> Optional[int]:
+    """A cut vertex of the connected graph with ascending rows adj, or None
+    if it has none: Hopcroft and Tarjan's low points, from vertex 0 with
+    neighbours taken ascending.  A non-root u is a cut vertex once a
+    finished child's subtree reaches nothing above u; the root is one when
+    its first child's subtree misses a vertex.  The first cut vertex it
+    finds is the one coloring._cut_vertex finds on a regular graph."""
+    n = len(adj)
+    num = [0] * n
+    low = [0] * n
+    num[0] = low[0] = counter = 1
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if not num[w]:
+                counter += 1
+                num[w] = low[w] = counter
+                stack.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], num[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if u == 0:
+                return 0 if counter < n else None
+            if low[v] >= num[u]:
+                return u
+            low[u] = min(low[u], low[v])
+    return None
+
+
+def class_colorable(h: Hypergraph, k: int) -> bool:
+    """True iff the hyperedges of h split into k matchings, by a search
+    over whole colour classes that shares nothing with the oracle.
+
+    Without loss of generality each class is a maximal matching of the
+    edges left and holds the lowest of them: moving edges into earlier
+    classes keeps a k-colouring.  A branch is cut when the edges left
+    outnumber the classes left times floor(|W| / a), the most edges one
+    matching of them can hold, for W the vertices they cover and a their
+    smallest size.
+    """
+    verts = [sum(1 << v for v in e) for e in h.edges]
+    meets = [sum(1 << j for j in range(h.m) if verts[i] & verts[j]) for i in range(h.m)]
+
+    def positions(mask: int) -> list[int]:
+        return [i for i in range(h.m) if mask >> i & 1]
+
+    def classes(free: int, used: int, chosen: int, left: int):
+        # The maximal matchings of left that hold chosen, whose vertices
+        # are used, and any of free, the edges of left that miss them.
+        if not free:
+            if all(verts[j] & used for j in positions(left & ~chosen)):
+                yield chosen
+            return
+        i = (free & -free).bit_length() - 1
+        yield from classes(free & ~meets[i], used | verts[i], chosen | 1 << i, left)
+        yield from classes(free & ~(1 << i), used, chosen, left)
+
+    def split(left: int, k: int) -> bool:
+        if not left:
+            return True
+        edges = positions(left)
+        cover = 0
+        for i in edges:
+            cover |= verts[i]
+        least = min(len(h.edges[i]) for i in edges)
+        if len(edges) > k * (cover.bit_count() // least):
+            return False
+        i = edges[0]
+        return any(
+            split(left & ~cls, k - 1)
+            for cls in classes(left & ~meets[i], verts[i], 1 << i, left)
+        )
+
+    return split((1 << h.m) - 1, k)
+
+
 def if_chain_conditions(h: Hypergraph) -> frozenset[str]:
     """Condition tags of h, one if per tag, from invariants computed here."""
     m = len(h.edges)

@@ -357,13 +357,12 @@ def test_critical_builds_one_line_graph_per_searched_hypergraph(capsys, monkeypa
 
 
 def test_rows_are_derived_only_where_they_are_read(capsys, monkeypatch):
-    # The oracle and first fit read the masks only; Brooks' traversals
-    # read rows.
+    # The oracle and both colorers read the masks only.
     for args, reads_rows in (
         (["critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"], False),
         (["verify", "--no-exact", "--family", "steiner-triple:99"], False),
         (["color", "--family", "steiner-triple:15", "--method", "greedy"], False),
-        (["color", "--family", "steiner-triple:15", "--method", "brooks"], True),
+        (["color", "--family", "steiner-triple:15", "--method", "brooks"], False),
     ):
         derived = counting_builds(monkeypatch, SimpleGraph, "adj")
         code, _, _ = run_cli(capsys, *args)
@@ -847,6 +846,9 @@ def test_survey_range_syntax_and_validation(capsys):
         ["--n-range", "six"],
         ["--n-range", "1..4"],
         ["--m-range", "0..4"],
+        # One Rng draw covers at most 2**64 values.
+        ["--n-range", "2..18446744073709551618"],
+        ["--m-range", "1..18446744073709551617"],
         ["--k", "1,3"],
         ["--k", "x"],
         ["--count", "-1"],

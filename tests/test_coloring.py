@@ -21,6 +21,7 @@ from hypercolor import (
     is_proper,
     line_graph,
     parse_family,
+    random_linear,
     steiner_triple,
     vizing_edge_color,
 )
@@ -33,6 +34,7 @@ from brute import (
     counting_builds,
     gadget_join,
     graph_hypergraph,
+    low_point_cut_vertex,
     pairwise_line_graph_edges,
     petersen,
     random_connected_graph,
@@ -181,12 +183,23 @@ def test_cut_vertex_matches_vertex_removal():
         n, edges = random_connected_graph(Rng(seed + 8000), 2, 14)
         g = line_graph(graph_hypergraph(n, edges))
         cut = brute_cut_vertices(g)
-        found = _cut_vertex(g.adj)
+        found = _cut_vertex(g)
         if found is None:
             assert not cut, seed
         else:
             assert found in cut, seed
         outcomes.add(found is None)
+    assert outcomes == {True, False}
+    # On a regular graph, where a rank is a position, the search over the
+    # masks finds the cut vertex that the low-point search over rows finds.
+    outcomes = set()
+    for h in _brooks_guard_inputs():
+        for comp in h._components():
+            g = line_graph(h._keeping(comp))
+            if g.nb[0].bit_count() == g.nb[-1].bit_count():
+                found = _cut_vertex(g)
+                assert found == low_point_cut_vertex(g.adj), (h, comp)
+                outcomes.add(found is None)
     assert outcomes == {True, False}
 
 
@@ -239,19 +252,22 @@ def test_brooks_colorings_are_pinned():
 
 def test_colorers_build_no_part_of_a_component(monkeypatch):
     # Brooks' colorer builds one line graph per component and splits it
-    # in place; first fit reads the masks and derives no rows.
-    for graph, sizes in (
-        (gadget_join(8), [37]),
-        (bridged_cubic(), [10]),
-        (petersen(), [10]),
+    # in place; both colorers read the masks and derive no rows.  Between
+    # them the inputs take every Brooks branch but the complete one.
+    for h, sizes in (
+        (graph_hypergraph(*gadget_join(8)), [37]),
+        (graph_hypergraph(*bridged_cubic()), [10]),
+        (graph_hypergraph(*petersen()), [10]),
+        (cycle(9), [9]),
+        (steiner_triple(15), [35]),
+        (random_linear(120, 600, 4, 1), [600]),
     ):
         built = counting_builds(monkeypatch, Hypergraph, "_line_graph")
-        brooks_color(graph_hypergraph(*graph))
-        monkeypatch.undo()
-        assert built == sizes
         derived = counting_builds(monkeypatch, SimpleGraph, "adj")
+        brooks_color(h)
+        assert built == sizes
         for order in ("index", "desc-degree", "random"):
-            greedy_color(graph_hypergraph(*graph), order)
+            greedy_color(h, order)
         monkeypatch.undo()
         assert derived == []
 

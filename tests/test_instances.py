@@ -50,6 +50,12 @@ def test_rng_below_and_randint_ranges():
     assert rng.randint(4, 4) == 4
     with pytest.raises(ValueError):
         rng.below(0)
+    # One 64-bit draw covers at most 2**64 values; a wider bound used to
+    # reject every draw and loop forever.
+    assert 0 <= rng.below(1 << 64) < 1 << 64
+    for n in (2**64 + 1, 2**65):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            rng.below(n)
     with pytest.raises(ValueError):
         rng.randint(5, 4)
 
@@ -400,6 +406,8 @@ for args in [
     ((6, 8), (6, 4), (3,)),
     ((6, 8), (4, 6), ()),
     ((6, 8), (0, 4), (3,)),
+    ((2, 2**64 + 2), (4, 6), (3,)),
+    ((6, 8), (1, 2**64 + 1), (3,)),
 ]:
     try:
         survey_instance(0, 0, *args)

@@ -23,6 +23,7 @@ from hypercolor import (
     greedy_clique,
     is_proper,
     projective_plane,
+    random_hypergraph,
     random_linear,
     steiner_triple,
     survey_instance,
@@ -34,6 +35,7 @@ from hypercolor import oracle
 from brute import (
     brute_chromatic_index,
     brute_chromatic_number,
+    class_colorable,
     counting_builds,
     graph_hypergraph,
     petersen,
@@ -127,6 +129,22 @@ def test_chromatic_index_matches_brute_force():
         assert res.exact == expected
         assert is_proper(h, res.witness)
         assert res.witness.q_used == res.upper
+
+
+def test_colour_class_search_referees_the_exact_value():
+    # A search over whole colour classes, sharing nothing with the oracle,
+    # must find q classes and refute q - 1 on every exact answer.
+    inputs = [
+        random_linear(n, m, k, seed)
+        for n, m, k in ((16, 22, 3), (20, 16, 4), (12, 14, 3))
+        for seed in range(20)
+    ]
+    inputs += [random_hypergraph(8, 9, (1, 3), seed) for seed in range(40)]
+    assert any(len(e) == 1 for h in inputs for e in h.edges)
+    assert any(len(set(h.edges)) < h.m for h in inputs)
+    for h in inputs:
+        q = chromatic_index(h, FAST).exact
+        assert class_colorable(h, q) and not class_colorable(h, q - 1), h.edges
 
 
 def test_starved_search_reports_honest_bracket():

@@ -341,11 +341,18 @@ def _family(name: str) -> tuple[tuple[str, ...], Callable[[FamilySpec], Hypergra
 
 
 def generate(spec: FamilySpec) -> Hypergraph:
-    """Build the hypergraph a FamilySpec describes."""
+    """Build the hypergraph a FamilySpec describes.
+
+    A random family (one with a seed) samples each vertex with one Rng
+    draw, which covers at most 2**64 values, so a larger n is refused
+    before anything is drawn or allocated.
+    """
     params, build = _family(spec.family)
     missing = [p for p in params if p not in _OPTIONAL and getattr(spec, p) is None]
     if missing:
         raise GenerationError(f"{spec.family} needs {', '.join(missing)}")
+    if "seed" in params and spec.n > 1 << 64:
+        raise GenerationError(f"{spec.family} needs n at most 2**64, got {spec.n}")
     return build(spec)
 
 

@@ -19,7 +19,9 @@ color marks the vertices with a neighbour of that color, and the
 saturations are a bit-sliced counter, so coloring or uncoloring a vertex
 and picking the next one (DSATUR's most saturated, then highest-degree,
 then lowest-numbered vertex) cost a few big-integer operations each,
-not a loop over neighbours.  DSATUR's starting coloring and the greedy
+not a loop over neighbours.  The search keeps these masks, its stack and
+its node count in the locals of one loop, so a branch node makes no
+function call.  DSATUR's starting coloring and the greedy
 clique read the same masks, and line_graph(h) is the hypergraph's one
 cached graph, so a later search or clique on h reads it too.  The search
 visits the same nodes in the same order as the recursive, set-rebuilding
@@ -52,11 +54,14 @@ class Budget:
     time_limit: Optional[float] = 30.0
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _SearchState:
+    """The node count and the limits that every component's search shares.
+
+    The search reads all three on entry, keeps them in locals and writes
+    nodes back on every exit.  A clock cut sets max_nodes to the count, so
+    every later component refuses before it counts, as after a node cut.
+    """
+
     def __init__(self, budget: Budget):
         self.nodes = 0
         self._max_nodes = budget.max_nodes
@@ -65,19 +70,6 @@ class _SearchState:
             if budget.time_limit is not None
             else None
         )
-
-    def tick(self) -> None:
-        if self.nodes >= self._max_nodes:
-            raise _BudgetExhausted
-        self.nodes += 1
-        if (
-            self._deadline is not None
-            and (self.nodes & 1023) == 0
-            and time.monotonic() > self._deadline
-        ):
-            # Every later tick refuses before it counts, as after a node cut.
-            self._max_nodes = self.nodes
-            raise _BudgetExhausted
 
 
 @dataclass(frozen=True)
@@ -106,81 +98,42 @@ class OracleResult:
         return self.lower == self.upper
 
 
-class _BitSaturation:
-    """DSATUR's saturation on a graph's neighbourhood masks (SimpleGraph.nb).
+def _dsatur_greedy(g: SimpleGraph) -> list[int]:
+    """Greedy coloring picking the most saturated vertex first.
 
-    Masks are over ranks.  seen[c] holds the vertices with a neighbour
-    colored c, and the saturation of each vertex (its number of distinct
-    neighbour colors) is kept bit-sliced: bit i of planes[j] is bit j of
-    the count of rank i.  uncolored holds the ranks without a color.
-    assign returns the mask it newly saturated with c; the search undoes
-    assignments last in, first out, so unassign with that mask restores
-    seen[c] and the counts exactly.  colors bounds every color assigned,
-    hence every count.
+    The saturation is kept as in _component_chromatic's search, with no
+    undo: seen[c] marks the ranks with a neighbour colored c, and the
+    planes count each rank's distinct neighbour colors bit-sliced.
     """
-
-    __slots__ = ("nb", "seen", "planes", "uncolored")
-
-    def __init__(self, nb: tuple[int, ...], colors: int):
-        self.nb = nb
-        self.seen = [0] * (colors + 1)
-        self.planes = [0] * colors.bit_length()
-        self.uncolored = (1 << len(nb)) - 1
-
-    def pick(self) -> int:
-        """The uncolored rank with the largest (sat, degree, -vertex).
-
-        Narrowing the uncolored mask plane by plane from the top leaves the
-        ties at the highest saturation; their lowest rank has the highest
-        degree, then the lowest number.
-        """
-        ties = self.uncolored
-        for plane in reversed(self.planes):
+    order, nb, n = g.order, g.nb, g.n
+    colors = [0] * n
+    # A vertex of degree d never needs a color above d + 1; rank 0, of the
+    # largest degree, exists, as a component is never empty.
+    most = nb[0].bit_count() + 1
+    seen = [0] * (most + 1)
+    planes = [0] * most.bit_length()
+    ones = len(planes) - 1
+    uncolored = (1 << n) - 1
+    for _ in range(n):
+        ties = uncolored
+        for plane in planes:
             top = ties & plane
             if top:
                 ties = top
-        return (ties & -ties).bit_length() - 1
-
-    def assign(self, i: int, c: int) -> int:
-        x = self.nb[i] & ~self.seen[c]
-        self.seen[c] |= x
-        self.uncolored ^= 1 << i
-        planes = self.planes
-        carry, j = x, 0
-        while carry:
-            plane = planes[j]
-            planes[j] = plane ^ carry
-            carry &= plane
-            j += 1
-        return x
-
-    def unassign(self, i: int, c: int, x: int) -> None:
-        self.seen[c] ^= x
-        self.uncolored |= 1 << i
-        planes = self.planes
-        borrow, j = x, 0
-        while borrow:
-            plane = planes[j]
-            planes[j] = plane ^ borrow
-            borrow &= ~plane
-            j += 1
-
-
-def _dsatur_greedy(g: SimpleGraph) -> list[int]:
-    """Greedy coloring picking the most saturated vertex first."""
-    order, nb = g.order, g.nb
-    colors = [0] * g.n
-    # A vertex of degree d never needs a color above d + 1; rank 0, of the
-    # largest degree, exists, as a component is never empty.
-    sat = _BitSaturation(nb, nb[0].bit_count() + 1)
-    seen = sat.seen
-    for _ in range(g.n):
-        i = sat.pick()
+        i = (ties & -ties).bit_length() - 1
         c = 1
         while seen[c] >> i & 1:
             c += 1
         colors[order[i]] = c
-        sat.assign(i, c)
+        x = nb[i] & ~seen[c]
+        seen[c] |= x
+        uncolored ^= 1 << i
+        j = ones
+        while x:
+            plane = planes[j]
+            planes[j] = plane ^ x
+            x &= plane
+            j -= 1
     return colors
 
 
@@ -213,10 +166,26 @@ def _component_chromatic(
     """(lower, upper, coloring achieving upper) for a connected graph.
 
     Depth-first branch and bound on an explicit stack, so deep searches
-    need no recursion.  The search colors ranks of the masks.  A frame
-    is [rank, next color to try, colors used on entry, color limit, the
-    mask its current color saturated], the limit fixed when the frame is
-    entered.
+    need no recursion.  The search colors ranks of the masks in one loop
+    that keeps its state in locals and makes no call per node:
+    - seen[c] marks the ranks with a neighbour colored c, and uncolored
+      the ranks without a color;
+    - the saturation of each rank (its number of distinct neighbour
+      colors) is bit-sliced, high plane first: bit i of planes[ones - j]
+      is bit j of the count of rank i.  Coloring rank i with c saturates
+      x = nb[i] & ~seen[c], which joins seen[c] and is added to the counts
+      as a carry; uncoloring subtracts the same x as a borrow, which
+      restores both exactly, since colors are undone last in, first out;
+    - the pick is the uncolored rank with the largest (saturation, degree,
+      -vertex): narrowing the uncolored mask plane by plane from the top
+      leaves the ties at the highest saturation, and their lowest rank has
+      the highest degree, then the lowest number;
+    - the stack is five lists indexed by depth d: the rank, its current
+      color (0 when the frame is entered), the colors used on entry, the
+      color limit, fixed on entry, and the mask the current color
+      saturated;
+    - the node count and the limits are read from state on entry, and the
+      count is written back on every exit.
     The search starts from the incumbent, a proper coloring 1..k, when it
     uses fewer colors than DSATUR.  A lower start bound only narrows each
     frame's color limit, so it prunes the same search tree: it never
@@ -231,57 +200,102 @@ def _component_chromatic(
     if lb == best_count:
         return lb, best_count, best
 
-    # Search colors stay below the incumbent.
-    rank, nb = g.rank, g.nb
-    sat = _BitSaturation(nb, best_count - 1)
-    seen, assign, unassign, pick = sat.seen, sat.assign, sat.unassign, sat.pick
-    colors = [0] * g.n
-    for idx, v in enumerate(clique):
-        colors[rank[v]] = idx + 1
-        assign(rank[v], idx + 1)
-    free = g.n - lb
-    stack: list[list[int]] = []
+    # Search colors stay below the incumbent, and so does every count.
+    rank, nb, n = g.rank, g.nb, g.n
+    seen = [0] * best_count
+    planes = [0] * (best_count - 1).bit_length()
+    ones = len(planes) - 1
+    uncolored = (1 << n) - 1
+    # Colors by rank: the clique's, and the stack's copied in at each new best.
+    colors = [0] * n
+    for c, v in enumerate(clique, 1):
+        i = rank[v]
+        colors[i] = c
+        # Each clique color is taken once, so it saturates i's whole neighbourhood.
+        seen[c] = x = nb[i]
+        uncolored ^= 1 << i
+        j = ones
+        while x:
+            plane = planes[j]
+            planes[j] = plane ^ x
+            x &= plane
+            j -= 1
+    free = n - lb
+    at, current, entry, limits, saturated = ([0] * free for _ in range(5))
+    last, d = free - 1, -1
     used = lb
-    try:
-        while True:
-            state.tick()
-            if len(stack) == free:
-                if used < best_count:
-                    best_count = used
-                    best = [colors[i] for i in rank]
-            else:
-                # Colors beyond used+1 are interchangeable, so trying one of
-                # them suffices; anything at or above the incumbent cannot
-                # improve it.  (Here and below, a comparison in place of
-                # min and max saves a call per node.)
-                limit = used + 1 if used + 1 < best_count else best_count - 1
-                stack.append([pick(), 1, used, limit, 0])
-            # Back up to the deepest frame with a color left, and take it.
-            while stack:
-                frame = stack[-1]
-                i, c, used, limit, saturated = frame
-                if colors[i]:
-                    unassign(i, colors[i], saturated)
-                    colors[i] = 0
-                    if best_count == lb:
-                        stack.pop()
-                        continue
-                while c <= limit and seen[c] >> i & 1:
-                    c += 1
-                if c > limit:
-                    stack.pop()
+    nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
+    while True:
+        if nodes >= max_nodes:
+            state.nodes = nodes
+            return lb, best_count, best
+        nodes += 1
+        if not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
+            # Every later component refuses before it counts, as after a node cut.
+            state.nodes = state._max_nodes = nodes
+            return lb, best_count, best
+        if d == last:
+            if used < best_count:
+                best_count = used
+                for k in range(free):
+                    colors[at[k]] = current[k]
+                best = [colors[i] for i in rank]
+        else:
+            ties = uncolored
+            for plane in planes:
+                top = ties & plane
+                if top:
+                    ties = top
+            d += 1
+            at[d] = (ties & -ties).bit_length() - 1
+            current[d] = 0
+            entry[d] = used
+            # Colors beyond used+1 are interchangeable, so trying one of
+            # them suffices; anything at or above the incumbent cannot
+            # improve it.  (Here and below, a comparison in place of min
+            # and max saves a call per node.)
+            limits[d] = used + 1 if used + 1 < best_count else best_count - 1
+        # Back up to the deepest frame with a color left, and take it.
+        while d >= 0:
+            i = at[d]
+            c = current[d]
+            if c:
+                x = saturated[d]
+                seen[c] ^= x
+                uncolored |= 1 << i
+                j = ones
+                while x:
+                    plane = planes[j]
+                    planes[j] = plane ^ x
+                    x &= ~plane
+                    j -= 1
+                if best_count == lb:
+                    d -= 1
                     continue
-                frame[1] = c + 1
-                colors[i] = c
-                frame[4] = assign(i, c)
-                if c > used:
-                    used = c
-                break
-            if not stack:
-                break
-    except _BudgetExhausted:
-        return lb, best_count, best
-    return best_count, best_count, best
+            c += 1
+            limit = limits[d]
+            while c <= limit and seen[c] >> i & 1:
+                c += 1
+            if c > limit:
+                d -= 1
+                continue
+            current[d] = c
+            saturated[d] = x = nb[i] & ~seen[c]
+            seen[c] |= x
+            uncolored ^= 1 << i
+            j = ones
+            while x:
+                plane = planes[j]
+                planes[j] = plane ^ x
+                x &= plane
+                j -= 1
+            used = entry[d]
+            if c > used:
+                used = c
+            break
+        if d < 0:
+            state.nodes = nodes
+            return best_count, best_count, best
 
 
 def chromatic_index(

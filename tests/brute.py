@@ -6,17 +6,18 @@ code with the package's solvers, so agreement between the two is
 meaningful evidence.  Inputs are raw (n, edge list) pairs rather than
 package types wherever possible; the package colors hyperedges only, so
 a simple graph reaches it as graph_hypergraph(n, edges), whose line
-graph it is.  The reference versions of package
-logic (condition tags, the criticality table, core extraction, the
-first-fit hyperedge colorer, the oracle's greedy coloring, greedy clique
-and branch and bound, the random linear sampler) are the earlier, more
-literal forms of that logic, kept to check the current forms against.
+graph it is.  The reference versions of package logic (condition tags,
+the criticality table, core extraction, the first-fit hyperedge colorer,
+the oracle's greedy coloring, greedy clique, node counter and branch and
+bound, the random linear sampler) are the earlier, more literal forms of
+that logic, kept to check the current forms against.
 counting_builds spies on the package's cached facts.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
@@ -33,7 +34,7 @@ from hypercolor import (
     chromatic_index,
 )
 from hypercolor.instances import _RETRIES_PER_EDGE
-from hypercolor.oracle import _BudgetExhausted, _SearchState, greedy_clique
+from hypercolor.oracle import _SearchState, greedy_clique
 from hypercolor.transforms import SimpleGraph
 
 
@@ -566,6 +567,27 @@ def rebuilding_dsatur_greedy(g: SimpleGraph) -> list[int]:
     return colors
 
 
+class _BudgetExhausted(Exception):
+    pass
+
+
+def _tick(state: _SearchState) -> None:
+    """Count one node of the recursive search against the shared budget,
+    as the oracle's loop counts it: a spent budget refuses before it
+    counts, and a clock cut, read every 1024 nodes, makes every later
+    count refuse as well."""
+    if state.nodes >= state._max_nodes:
+        raise _BudgetExhausted
+    state.nodes += 1
+    if (
+        state._deadline is not None
+        and (state.nodes & 1023) == 0
+        and time.monotonic() > state._deadline
+    ):
+        state._max_nodes = state.nodes
+        raise _BudgetExhausted
+
+
 def recursive_component_chromatic(
     g: SimpleGraph, state: _SearchState, incumbent: list[int] | None = None
 ) -> tuple[int, int, list[int]]:
@@ -594,7 +616,7 @@ def recursive_component_chromatic(
 
     def descend(used: int) -> None:
         nonlocal best_count, best, uncolored
-        state.tick()
+        _tick(state)
         if uncolored == 0:
             if used < best_count:
                 best_count = used

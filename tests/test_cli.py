@@ -824,6 +824,18 @@ def test_gen_says_why_an_edge_could_not_be_placed(capsys):
     )
 
 
+def test_gen_refuses_a_random_family_past_one_rng_draw(capsys):
+    # One Rng draw covers at most 2**64 vertices.
+    for family in (
+        "random:n=18446744073709551617,m=1,sizes=1-2,seed=1",
+        "random-linear:n=18446744073709551617,m=1,k=2,seed=1",
+    ):
+        code, out, err = run_cli(capsys, "gen", "--family", family)
+        assert (code, out) == (2, ""), family
+        name = family.partition(":")[0]
+        assert err == f"error: {name} needs n at most 2**64, got 18446744073709551617\n"
+
+
 def test_survey_range_syntax_and_validation(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -161,19 +161,28 @@ def test_starved_search_reports_honest_bracket():
 
 
 def test_a_clock_cut_stops_every_later_component(monkeypatch):
-    # STS(15) on vertices 0-14 and K_5 on 15-19: the clock fires at the
-    # first check inside STS(15), and K_5's component is not searched.
-    sts = steiner_triple(15)
-    k5 = [tuple(v + 15 for v in e) for e in complete_graph(5).edges]
-    h = Hypergraph(20, list(sts.edges) + k5)
-    readings = iter([0.0])
-    monkeypatch.setattr(
-        oracle, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
-    )
-    res = chromatic_index(h, Budget(10**7, 1.0))
-    assert (res.lower, res.upper, res.nodes) == (7, 9, 1024)
-    assert is_proper(h, res.witness)
-    assert res.witness.q_used == 9
+    # The clock fires at its first check, at 1024 nodes counted from the
+    # start of the call, and both layouts end there with STS(15) open.
+    # STS(15) on vertices 0-14 and K_5 on 15-19: the cut lands inside
+    # STS(15), and K_5's component is not searched.  K_5 on 0-4, at the
+    # lowest positions, and STS(15) on 5-19: K_5's line graph is searched
+    # first (DSATUR uses 6 colors, its clique has 4), in 29 nodes, and
+    # STS(15)'s search counts on from them to the cut.
+    sts = list(steiner_triple(15).edges)
+    k5 = list(complete_graph(5).edges)
+    for edges in (
+        sts + [tuple(v + 15 for v in e) for e in k5],
+        k5 + [tuple(v + 5 for v in e) for e in sts],
+    ):
+        h = Hypergraph(20, edges)
+        readings = iter([0.0])
+        monkeypatch.setattr(
+            oracle, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
+        )
+        res = chromatic_index(h, Budget(10**7, 1.0))
+        assert (res.lower, res.upper, res.nodes) == (7, 9, 1024)
+        assert is_proper(h, res.witness)
+        assert res.witness.q_used == 9
 
 
 def test_search_is_deterministic_including_node_counts():
@@ -325,6 +334,9 @@ def test_hard_set_brackets_and_node_counts():
     # Deterministic counters of the benchmark's hard set, node budgets only.
     for v, budget, bracket, nodes in (
         (15, 100_000, (9, 9), 35_373),
+        # One node short of the proof, and just enough for it.
+        (15, 35_372, (7, 9), 35_372),
+        (15, 35_373, (9, 9), 35_373),
         (21, 20_000, (10, 12), 20_000),
         (27, 16_000, (13, 16), 16_000),
     ):

@@ -3,7 +3,8 @@ keeping its one line graph (Hypergraph._line_graph, a SimpleGraph of
 neighbourhood masks built from the hyperedges), and their subhypergraphs:
 without(positions) for the callers, _keeping(positions) for the
 line-graph components (_components()) that the oracle and Brooks'
-colorer search."""
+colorer search.  The masks are the one record of which hyperedges meet:
+the components, stats().linear and stats().connected are read from them."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .transforms import SimpleGraph
+from .transforms import SimpleGraph, _ranks
 
 
 class UnsupportedInputError(ValueError):
@@ -29,8 +30,11 @@ class HypergraphStats:
     is the maximum degree of the two-section multigraph, i.e. the largest
     value of sum(len(e) - 1 for e containing x) over vertices x.  linear:
     no two positions share two vertices, so a duplicated hyperedge of size
-    >= 2 breaks it and duplicated loops do not.  connected: at most one
-    component, an isolated vertex being a component of its own.
+    >= 2 breaks it and duplicated loops do not; it compares the pairs of
+    positions through each vertex with the pairs that meet, the line
+    graph's edges.  connected: at most one line-graph component, an
+    isolated vertex being a component of its own.  Both build the line
+    graph on the first call.
     """
 
     n: int
@@ -132,44 +136,29 @@ class Hypergraph:
         """Vertex degrees indexed by vertex."""
         return tuple(len(positions) for positions in self._incidence)
 
-    def _is_linear(self) -> bool:
-        """stats().linear.  Each position marks the earlier positions it
-        meets through its vertices; meeting one twice means a second shared
-        vertex.  The work is bounded by the line graph's edges and the
-        memory by m, however large a hyperedge.
-        """
-        met_by = [-1] * self.m
-        for pos, edge in enumerate(self.edges):
-            for v in edge:
-                for other in self._incidence[v]:
-                    if other >= pos:
-                        break
-                    if met_by[other] == pos:
-                        return False
-                    met_by[other] = pos
-        return True
-
     def _components(self) -> list[tuple[int, ...]]:
         """The positions of each line-graph component, ascending, the
-        components by their smallest position: the hyperedges grouped by
-        the union-find root of their first vertex.
+        components by their smallest position: from each position not yet
+        reached, the masks are flooded, each frontier ORing its
+        neighbourhoods until nothing new is reached.
         """
-        parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for edge in self.edges:
-            r = find(edge[0])
-            for v in edge[1:]:
-                parent[find(v)] = r
-        groups: dict[int, list[int]] = {}
-        for pos, edge in enumerate(self.edges):
-            groups.setdefault(find(edge[0]), []).append(pos)
-        return [tuple(group) for group in groups.values()]
+        g = self._line_graph
+        order, rank, nb = g.order, g.rank, g.nb
+        left = (1 << self.m) - 1
+        comps = []
+        for p in range(self.m):
+            if not left >> rank[p] & 1:
+                continue
+            comp = frontier = 1 << rank[p]
+            while frontier:
+                grown = 0
+                for i in _ranks(frontier):
+                    grown |= nb[i]
+                frontier = grown & ~comp
+                comp |= frontier
+            left ^= comp
+            comps.append(tuple(sorted(order[i] for i in _ranks(comp))))
+        return comps
 
     def remove_hyperedge(self, i: int) -> "Hypergraph":
         """The hypergraph on the same vertices with position i deleted."""
@@ -222,7 +211,11 @@ class Hypergraph:
             max_degree=max_deg,
             min_degree=min_deg,
             loopless=all(size >= 2 for size in sizes),
-            linear=self._is_linear(),
+            # An ordered pair of positions counts once per vertex it shares
+            # on the left and once if it meets on the right, so the sides
+            # are equal iff no pair shares two vertices.
+            linear=sum(d * (d - 1) for d in degs)
+            == sum(mask.bit_count() for mask in self._line_graph.nb),
             uniform_k=sizes[0] if sizes and len(set(sizes)) == 1 else None,
             regular_d=max_deg if max_deg == min_deg else None,
             # An isolated vertex is a component without a hyperedge.

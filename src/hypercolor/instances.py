@@ -231,18 +231,19 @@ def steiner_triple(n: int) -> Hypergraph:
 _RETRIES_PER_EDGE = 1000
 
 
-def _has_clique(free: list[int], cand: int, k: int) -> bool:
-    """Whether k vertices of the bitmask ``cand`` are pairwise free.
+def _has_clique(used: list[int], cand: int, k: int) -> bool:
+    """Whether k vertices of the bitmask ``cand`` share no used pair.
 
-    Branches on the top vertex of ``cand``, keeping its free lower
-    vertices, and prunes a branch once fewer than k vertices are left.
+    Branches on the top vertex of ``cand``, keeping its lower vertices
+    that it has no used pair with, and prunes a branch once fewer than k
+    vertices are left.
     """
     if k == 1:
         return cand != 0
     while cand.bit_count() >= k:
         v = cand.bit_length() - 1
         cand ^= 1 << v
-        if _has_clique(free, cand & free[v], k - 1):
+        if _has_clique(used, cand & ~used[v], k - 1):
             return True
     return False
 
@@ -264,17 +265,17 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
         raise GenerationError("edge count must be non-negative")
     rng = Rng(seed)
     chosen: list[tuple[int, ...]] = []
-    # free[v]: bitmask of the vertices that share no chosen edge with v.  A
-    # k-set fits iff all its pairs are free; a repeated k-set repeats a pair.
-    everyone = (1 << n) - 1
-    free = [everyone ^ (1 << v) for v in range(n)]
+    # used[v]: bitmask of the vertices that share a chosen edge with v, 0
+    # until v is drawn.  A k-set fits iff none of its pairs is used; a
+    # repeated k-set repeats a pair.
+    used = [0] * n
     for _ in range(m):
         for attempt in range(_RETRIES_PER_EDGE):
             cand = rng.sample_sorted(k, n)
-            fits = all(free[a] >> b & 1 for a, b in combinations(cand, 2))
+            fits = not any(used[a] >> b & 1 for a, b in combinations(cand, 2))
             # With no free k-set left every later draw misses too, and the
             # RNG is not read again, so failing now changes only the reason.
-            full = not fits and attempt == 0 and not _has_clique(free, everyone, k)
+            full = not fits and attempt == 0 and not _has_clique(used, (1 << n) - 1, k)
             if fits or full:
                 break
         if not fits:
@@ -284,8 +285,8 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
             )
         chosen.append(cand)
         for a, b in combinations(cand, 2):
-            free[a] &= ~(1 << b)
-            free[b] &= ~(1 << a)
+            used[a] |= 1 << b
+            used[b] |= 1 << a
     return Hypergraph(n, chosen)
 
 

@@ -185,7 +185,8 @@ def _component_chromatic(
       color limit, fixed on entry, and the mask the current color
       saturated;
     - the node count and the limits are read from state on entry, and the
-      count is written back on every exit.
+      count is written back on every exit;
+    - a new best that uses as many colors as the clique ends the search.
     The search starts from the incumbent, a proper coloring 1..k, when it
     uses fewer colors than DSATUR.  A lower start bound only narrows each
     frame's color limit, so it prunes the same search tree: it never
@@ -240,6 +241,9 @@ def _component_chromatic(
                 for k in range(free):
                     colors[at[k]] = current[k]
                 best = [colors[i] for i in rank]
+                if used == lb:
+                    state.nodes = nodes
+                    return lb, lb, best
         else:
             ties = uncolored
             for plane in planes:
@@ -269,9 +273,6 @@ def _component_chromatic(
                     planes[j] = plane ^ x
                     x &= ~plane
                     j -= 1
-                if best_count == lb:
-                    d -= 1
-                    continue
             c += 1
             limit = limits[d]
             while c <= limit and seen[c] >> i & 1:

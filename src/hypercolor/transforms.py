@@ -5,10 +5,11 @@ built from its hyperedges on first use as ranked neighbourhood masks, the
 one record of which hyperedges meet; line_graph returns that same object,
 so a hypergraph builds it once.  A component, for the oracle and Brooks'
 colorer, is the line graph of the subhypergraph on its positions
-(Hypergraph._keeping), which builds its own.  The oracle, first fit and
-Brooks' colorer walk the masks' set bits (_ranks), not rows; adj derives
-rows for the tests and the benchmark.  The two-section's facts (maximum
-degree, simplicity) are hypergraph invariants in Hypergraph.stats().
+(Hypergraph._keeping), which builds its own.  The oracle, first fit,
+Brooks' colorer and the component flood (Hypergraph._components) walk
+the masks' set bits (_ranks), not rows; adj derives rows for the tests
+and the benchmark.  The two-section's facts (maximum degree, simplicity)
+are hypergraph invariants in Hypergraph.stats().
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
     for name in ("rank", "antirank", "loopless", "linear", "connected"):
         assert not hasattr(h, name)
         assert hasattr(h.stats(), name)
-    for name in ("is_linear", "connected_components", "vertex_degree"):
+    for name in ("is_linear", "_is_linear", "connected_components", "vertex_degree"):
         assert not hasattr(h, name)
     # A report carries its core; the two hand no state to each other.
     assert [f.name for f in fields(oracle.CriticalityReport)] == [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -186,6 +187,19 @@ def test_random_linear_properties():
         random_linear(5, -1, 2, 0)
 
 
+def test_random_linear_memory_does_not_grow_with_n_squared():
+    # One edge on 20,000 vertices: n masks of n bits each would take about
+    # 50 MB before the first draw; masks that start at 0 take a few KB.
+    tracemalloc.start()
+    try:
+        h = random_linear(20_000, 1, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.edges == ((11517, 15165),)
+    assert peak < 5_000_000
+
+
 def _outcome(generator, *args):
     """The edges a generator returns, or the text of its GenerationError."""
     try:
@@ -258,7 +272,8 @@ def test_packing_full_search_matches_brute_force():
             all(free[a] >> b & 1 for a, b in combinations(c, 2))
             for c in combinations(range(n), k)
         )
-        assert _has_clique(free, (1 << n) - 1, k) == expected, (n, k, free)
+        used = [((1 << n) - 1) ^ mask for mask in free]
+        assert _has_clique(used, (1 << n) - 1, k) == expected, (n, k, free)
         seen.add(expected)
     assert seen == {True, False}
 

@@ -373,7 +373,10 @@ class CriticalityReport:
     holds for every critical e of any hypergraph, loops and duplicate
     edges included: if e's neighbours missed a color of a (q-1)-coloring
     of h - e, e could take that color and h would need only q - 1.  So a
-    False here indicates an implementation bug, not a discovery.
+    False here indicates an implementation bug, not a discovery.  The
+    same exchange decides rows without a search: a neighbour of e that is
+    the only one with its color c is critical, since dropping it and
+    giving e color c colors the rest with q - 1 colors (see _Rows).
     complete is True when q and every row were decided within budget.
     core is the critical core of h with the same q (see
     criticality_report), or None when it was not asked for.
@@ -402,40 +405,86 @@ class _Rows:
       at most 1, so e is critical.
     Any other row is searched from the base coloring restricted to h' - e,
     which only prunes the search, so a row decided by a plain search
-    within the budget is decided here too, with the same value.  The
-    candidate h' - e is h.without(...), which builds its own line graph.
+    within the budget is decided here too, with the same value.
+
+    A row found critical comes with a (q-1)-coloring of h' - e: the
+    search's witness, or the base coloring without e.  The key lemma's
+    exchange argument reads more critical rows off it: a neighbour f of e
+    in h' that is e's only neighbour with its color c is critical in h',
+    since dropping f and giving e color c colors h' - f with q - 1 colors.
+    That coloring is read the same way in turn, until no new row is proved.
     """
 
     def __init__(self, h: Hypergraph, q: int, witness: Coloring):
         self.h = h
         self.q = q
         self.colors = witness.colors
+        # line_graph(h) is the graph the base search ran on when h is
+        # connected; the exchange argument walks its masks.
+        self.graph = line_graph(h)
         # Sets of q pairwise intersecting positions: the edges through a
         # vertex of degree q, and the greedy clique when it has q members.
-        # line_graph(h) is the graph the base search ran on when h is connected.
         self.cliques = [set(h.incident(x)) for x, d in enumerate(h.degrees()) if d == q]
-        clique = greedy_clique(line_graph(h))
+        clique = greedy_clique(self.graph)
         if len(clique) == q:
             self.cliques.append(set(clique))
         self.classes: dict[int, list[int]] = {}
         for pos, c in enumerate(witness.colors):
             self.classes.setdefault(c, []).append(pos)
 
-    def q_without(self, deleted: list[int], e: int, budget: Budget) -> Optional[int]:
-        """q of h without the deleted positions and e; None if undecided."""
+    def q_without(
+        self, deleted: list[int], e: int, budget: Budget, proved: set[int]
+    ) -> Optional[int]:
+        """q of h without the deleted positions and e; None if undecided.
+
+        proved holds rows known critical in h' = h without the deleted
+        positions.  When the answer is q - 1, e joins it, and so does every
+        row that the exchange argument derives from the coloring that
+        shows it.
+        """
         gone = {e, *deleted}
         # q pairwise intersecting edges left make q colors necessary, and
         # no deletion raises q.
         if any(gone.isdisjoint(clique) for clique in self.cliques):
             return self.q
-        # The base coloring without e uses q - 1 colors, and one deletion
-        # lowers q by at most 1.
-        if gone.issuperset(self.classes[self.colors[e]]):
-            return self.q - 1
-        start = [c for p, c in enumerate(self.colors) if p not in gone]
-        return chromatic_index(
-            self.h.without(gone), budget, incumbent=Coloring(tuple(_renumbered(start)))
-        ).exact
+        colors = [0 if p in gone else c for p, c in enumerate(self.colors)]
+        # Unless the base coloring without e already uses q - 1 colors (one
+        # deletion lowers q by at most 1), search from it.
+        if not gone.issuperset(self.classes[self.colors[e]]):
+            kept = tuple(p for p in range(self.h.m) if p not in gone)
+            start = Coloring(tuple(_renumbered([colors[p] for p in kept])))
+            result = chromatic_index(self.h._keeping(kept), budget, incumbent=start)
+            if result.exact != self.q - 1:
+                return result.exact
+            for p, c in zip(kept, result.witness.colors):
+                colors[p] = c
+        self._exchange(e, colors, proved)
+        return self.q - 1
+
+    def _exchange(self, e: int, colors: list[int], proved: set[int]) -> None:
+        """Add e to proved, and every row the exchange argument derives
+        from colors, a (q-1)-coloring of h' - e by position (0 off it)."""
+        g = self.graph
+        rank, order, nb = g.rank, g.order, g.nb
+        classes: dict[int, int] = {}
+        for p, c in enumerate(colors):
+            if c:
+                classes[c] = classes.get(c, 0) | 1 << rank[p]
+        proved.add(e)
+        todo = [(e, classes)]
+        while todo:
+            x, classes = todo.pop()
+            i = rank[x]
+            for c, members in classes.items():
+                met = nb[i] & members
+                # One rank met: x's only neighbour colored c.
+                if met and not met & (met - 1):
+                    f = order[met.bit_length() - 1]
+                    if f not in proved:
+                        proved.add(f)
+                        swapped = dict(classes)
+                        swapped[c] = members ^ met | 1 << i
+                        todo.append((f, swapped))
 
 
 def criticality_report(
@@ -444,17 +493,23 @@ def criticality_report(
     """Tabulate criticality, check q - 1 <= d(e) for critical e, and with
     extract, reduce h to a critical core.
 
-    Each row is q(h - e), decided by proof where the base search gives
-    one and searched otherwise (see _Rows).  The lemma check runs on every
-    critical row however it was decided.
+    Each row is q(h - e), decided by a proof of the base search, by the
+    exchange argument from a row found critical, or by a search (see
+    _Rows).  The lemma check runs on every critical row however it was
+    decided.
 
-    The core scans positions once in ascending order and deletes each one
-    whose removal keeps q, so it is deterministic.  A row the table proved
-    critical is kept without a search: in every subhypergraph h' of h that
-    holds e and has the same q, q(h' - e) <= q(h - e) = q - 1.  Before the
-    first deletion a row takes the table's value; after it, _Rows decides
-    it on the current h'.  An undecided row or q ends the extraction,
-    incomplete.  Every hyperedge of a complete core is critical.
+    The core comes first.  It scans positions once in ascending order and
+    deletes each one whose removal keeps q, so it is deterministic; until
+    its first deletion its rows are the table's rows.  A row it deletes
+    is removable in h too: q(h - e) >= q(h' - e) = q.  A row proved
+    critical is kept without a search: in every subhypergraph h' of h
+    that holds e and has the same q, q(h' - e) <= q(h - e) = q - 1, and a
+    row proved critical in h' stays so in every later h''.  A row left
+    undecided in h' is decided in h: it is kept if critical there, and
+    otherwise the extraction ends, incomplete.  Every hyperedge of a
+    complete core is critical.  The table then searches in h only the
+    rows that nothing has decided yet, so a row that a search in h
+    decides within the budget has the same value with or without extract.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
@@ -462,29 +517,45 @@ def criticality_report(
         return CriticalityReport(None, (), False, True, core)
     q = base.exact
     rows = _Rows(h, q, base.witness)
-    entries = []
-    for i in range(h.m):
-        q_without = rows.q_without([], i, budget)
-        crit = None if q_without is None else q_without == q - 1
-        entries.append(EdgeCriticality(i, h.hyperedge_degree(i), q_without, crit))
-    complete = all(e.critical is not None for e in entries)
-    lemma_ok = all(q - 1 <= e.degree for e in entries if e.critical)
+    # q(h - e) of the rows searched or deleted so far (None where a search
+    # ran out of budget), and the rows proved critical in h.
+    table: dict[int, Optional[int]] = {}
+    critical: set[int] = set()
     core = None
     if extract:
         removed: list[int] = []
+        # The rows proved critical in h without removed, beyond critical.
+        kept: set[int] = set()
         core_complete = True
-        for entry in entries:
-            if entry.critical is True:
+        for e in range(h.m):
+            if e in critical or e in kept:
                 continue
-            q_without = (
-                rows.q_without(removed, entry.position, budget)
-                if removed
-                else entry.q_without
-            )
+            if not removed:
+                q_without = table[e] = rows.q_without([], e, budget, critical)
+            else:
+                q_without = rows.q_without(removed, e, budget, kept)
+                if q_without is None:
+                    # A row critical in h is critical in h' too.
+                    table[e] = rows.q_without([], e, budget, critical)
+                    if e in critical:
+                        continue
             if q_without is None:
                 core_complete = False
                 break
             if q_without == q:
-                removed.append(entry.position)
+                removed.append(e)
+                table[e] = q
         core = CriticalCore(h.without(removed), core_complete, tuple(removed))
+    for e in range(h.m):
+        if e not in critical and e not in table:
+            table[e] = rows.q_without([], e, budget, critical)
+    # Only now is every row final: a later row's exchange can prove an
+    # earlier one critical, one a search left undecided included.
+    entries = []
+    for e in range(h.m):
+        q_without = q - 1 if e in critical else table[e]
+        crit = None if q_without is None else q_without == q - 1
+        entries.append(EdgeCriticality(e, h.hyperedge_degree(e), q_without, crit))
+    complete = all(e.critical is not None for e in entries)
+    lemma_ok = all(q - 1 <= e.degree for e in entries if e.critical)
     return CriticalityReport(q, tuple(entries), complete, lemma_ok, core)

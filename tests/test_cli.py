@@ -349,10 +349,13 @@ def test_critical_builds_one_line_graph_per_searched_hypergraph(capsys, monkeypa
         capsys, "critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"
     )
     assert code == 0
-    # The base search, all 22 table rows, then 21 rows of the extraction.
-    assert len(calls) == 44
-    assert calls[:23] == [22] + [21] * 22
-    assert len(built) == 44
+    # The base search, then 16 rows of the extraction (the core comes
+    # first), each on h without the rows deleted so far, then the 13 rows
+    # of the core that no proof settles in h (44 calls at table first).
+    assert len(calls) == 30
+    assert calls[:17] == [22, 21, 20, 19, 19, 19, 19, 18, 17, 16, 16, 15, 15, 14, 13, 13, 13]
+    assert calls[17:] == [21] * 13
+    assert len(built) == 30
     assert built.count(22) == 1
 
 
@@ -621,37 +624,18 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         assert out == expected[family]
         assert calls.count(m) == 1
         if exit_code == 0:
-            # One base call, and the two rows of the table that no proof of
-            # the base search settles.  Extraction keeps the two critical
-            # rows and deletes the first removable one on the table's word;
-            # of the other three, a proof settles two and one is searched.
-            assert calls == [m, m - 1, m - 1, m - 2]
+            # One base call, then the extraction, first: it searches rows 0
+            # and 1 and deletes both.  Proofs of the base search and the
+            # exchange argument settle every other row of the core and of
+            # the table.
+            assert calls == [m, m - 1, m - 2]
         else:
             assert calls == [m]
 
 
-def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys):
-    # The table decides every row but 5 within 20 nodes.  Re-searching a
-    # row it proved critical used to run out of budget and leave the core
-    # incomplete; now the core is the default-budget one.
-    family = "random-linear:n=12,m=14,k=3,seed=14"
-    h = generate(parse_family(family))
-    budget = Budget(20, None)
-    rep = criticality_report(h, budget, extract=True)
-    assert [e.position for e in rep.entries if e.critical is None] == [5]
-    core = rep.core
-    assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
-    assert core.complete and core.removed == (3, 8, 9) and core.hypergraph.m == 11
-    code, out, _ = run_cli(
-        capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
-    )
-    assert code == 4
-    assert out == render_criticality(h, rep)
-
-
-def _table_then_extraction_calls(monkeypatch, h, budget):
-    """criticality_report(h, budget, extract=True) and the edge counts of
-    its oracle calls after those the table alone makes (the extraction's)."""
+def _oracle_calls(monkeypatch, h, budget, extract=True):
+    """criticality_report(h, budget, extract) and the edge counts of the
+    hypergraphs its oracle calls search, in order."""
     calls = []
 
     def counted(g, budget, incumbent=None):
@@ -659,28 +643,66 @@ def _table_then_extraction_calls(monkeypatch, h, budget):
         return chromatic_index(g, budget, incumbent)
 
     monkeypatch.setattr(oracle, "chromatic_index", counted)
-    criticality_report(h, budget)
-    table_calls = list(calls)
-    calls.clear()
-    rep = criticality_report(h, budget, extract=True)
+    rep = criticality_report(h, budget, extract=extract)
     monkeypatch.undo()
-    assert calls[: len(table_calls)] == table_calls
-    return rep, calls[len(table_calls):]
+    return rep, calls
+
+
+def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys, monkeypatch):
+    # Within 20 nodes the table decides every row: row 5, the one a search
+    # leaves open, is critical by the exchange argument from row 0's
+    # coloring.  The core is the default-budget one.
+    family = "random-linear:n=12,m=14,k=3,seed=14"
+    h = generate(parse_family(family))
+    budget = Budget(20, None)
+    rep = criticality_report(h, budget, extract=True)
+    assert rep.complete and rep.entries[5].critical is True
+    core = rep.core
+    assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
+    assert core.complete and core.removed == (3, 8, 9) and core.hypergraph.m == 11
+    code, out, _ = run_cli(
+        capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
+    )
+    assert code == 0
+    assert out == render_criticality(h, rep)
+    # Within 2 nodes, row 2 is undecided on h without rows 0 and 1, the
+    # first two the core deletes.  Its row in h is critical, so the core
+    # keeps it and goes on: the default-budget core again, complete.
+    family = "random-linear:n=14,m=18,k=3,seed=3"
+    h = generate(parse_family(family))
+    rep, calls = _oracle_calls(monkeypatch, h, Budget(2, None))
+    # The base search, row 2 on h - {0, 1} and then on h, row 10 on the
+    # core, then the rows 10 and 15 of the table.
+    assert calls == [18, 15, 17, 9, 17, 17]
+    assert rep.entries[2].critical is True
+    assert [e.position for e in rep.entries if e.critical is None] == [10]
+    core = rep.core
+    assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
+    assert core.complete and core.removed == (0, 1, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16)
+    code, out, _ = run_cli(
+        capsys, "critical", "--family", family, "--budget", "2", "--time-limit", "0"
+    )
+    assert code == 4
+    assert out == render_criticality(h, rep)
 
 
 def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
-    # q is known but rows 3, 7, 8, 9 and 10 are undecided within 50 nodes,
-    # and no proof of the base search settles them.  After the first
-    # deletion (row 1) each is searched on a smaller hypergraph, which
-    # settles them (8 removable, the others critical).
+    # q is known, but the table alone leaves rows 3, 7, 8, 9 and 10
+    # undecided within 50 nodes, and no proof of the base search settles
+    # them.  The core comes first: after its first deletion (row 1) each
+    # is searched on a smaller hypergraph, which settles it (8 removable,
+    # so removable in h too, the others critical there).
     h = generate(parse_family("random-linear:n=16,m=22,k=3,seed=22"))
     budget = Budget(50, None)
-    rep, calls = _table_then_extraction_calls(monkeypatch, h, budget)
+    table = criticality_report(h, budget)
+    assert [e.position for e in table.entries if e.critical is None] == [3, 7, 8, 9, 10]
+    rep, calls = _oracle_calls(monkeypatch, h, budget)
     assert rep.q == 6
-    assert [e.position for e in rep.entries if e.critical is None] == [3, 7, 8, 9, 10]
-    # Rows 3 and 4 are searched on 20 edges, 7 and 8 on 19, 9, 10, 11 and
-    # 13 on 18, and 15, 17 and 21 on 17.
-    assert calls == [20, 20, 19, 19, 18, 18, 18, 18, 17, 17, 17]
+    assert [e.position for e in rep.entries if e.critical is None] == [3, 7, 9, 10]
+    # The base search; rows 0 and 1 on 21 edges, 3 and 4 on 20, 7 and 8 on
+    # 19, 9 to 13 on 18, and 15, 16 and 21 on 17; then the ten rows of the
+    # core that no proof settles in h, on 21.
+    assert calls == [22, 21, 21, 20, 20, 19, 19] + [18] * 5 + [17] * 3 + [21] * 10
     core = rep.core
     full = criticality_report(h, Budget(time_limit=None), extract=True).core
     assert core == full
@@ -689,14 +711,16 @@ def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
 
 def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypatch):
     # Row 0 is undecided within 20 nodes.  Before any deletion its candidate
-    # is the one the table ran out of budget on, so extraction stops there,
-    # incomplete, without searching it again.
+    # is the table's row, so extraction stops there, incomplete, and the
+    # table does not search it again: with or without extract, the same
+    # rows are searched.
     family = "random-linear:n=12,m=14,k=3,seed=24"
     h = generate(parse_family(family))
     budget = Budget(20, None)
-    rep, calls = _table_then_extraction_calls(monkeypatch, h, budget)
+    rep, calls = _oracle_calls(monkeypatch, h, budget)
     assert rep.q == 6 and rep.entries[0].critical is None
-    assert calls == []
+    assert calls == _oracle_calls(monkeypatch, h, budget, extract=False)[1]
+    assert calls == [14] + [13] * 8
     assert rep.core == CriticalCore(h, False, ())
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"

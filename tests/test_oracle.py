@@ -517,32 +517,45 @@ def test_extract_critical_preserves_q_and_leaves_only_critical_edges():
     assert kept == 25
 
 
+def _asking_rows(monkeypatch):
+    """A list that gets (deleted, e, answer, derived) for each row that
+    _Rows.q_without decides, derived being the rows beyond e that it
+    added to the proved set."""
+    asked = []
+    q_without = oracle._Rows.q_without
+
+    def counted(rows, deleted, e, budget, proved):
+        before = set(proved)
+        answer = q_without(rows, deleted, e, budget, proved)
+        asked.append((tuple(deleted), e, answer, proved - before - {e}))
+        return answer
+
+    monkeypatch.setattr(oracle._Rows, "q_without", counted)
+    return asked
+
+
 def test_one_pass_extraction_matches_the_rescanning_reference(monkeypatch):
-    calls = []
-
-    def counted(h, budget=FAST, incumbent=None):
-        calls.append(h.m)
-        return chromatic_index(h, budget, incumbent)
-
     compared = 0
     for seed in range(60):
         _, h = survey_instance(seed, 0, (7, 10), (5, 9), (3,))
         ref = rescanning_extract_critical(h, FAST)
         if not ref.complete:
             continue
-        monkeypatch.setattr(oracle, "chromatic_index", counted)
-        calls.clear()
-        rep = criticality_report(h, FAST)
-        table_calls = list(calls)
-        calls.clear()
+        asked = _asking_rows(monkeypatch)
         core = criticality_report(h, FAST, extract=True).core
         monkeypatch.undo()
-        assert calls[: len(table_calls)] == table_calls
         assert core == ref
-        # Critical rows are kept and the first removable one deleted on
-        # the table's word; only the other removable rows are searched.
-        removable = sum(entry.critical is False for entry in rep.entries)
-        assert len(calls) - len(table_calls) <= max(0, removable - 1)
+        # The core comes first.  Its scan asks each row at most once: in h
+        # until its first deletion, then in h without the rows deleted so
+        # far.  The table then asks in h only rows that the scan kept, each
+        # at most once, so the one deleted row asked in h is the first.
+        in_h = [e for deleted, e, _, _ in asked if not deleted]
+        assert len(in_h) == len(set(in_h))
+        assert set(in_h) & set(core.removed) <= set(core.removed[:1])
+        later = [(deleted, e) for deleted, e, _, _ in asked if deleted]
+        assert [e for _, e in later] == sorted({e for _, e in later})
+        for deleted, e in later:
+            assert deleted == core.removed[: len(deleted)] and e > deleted[-1]
         compared += 1
     assert compared >= 50
 
@@ -581,7 +594,7 @@ def _certified(h: Hypergraph, rep) -> list[tuple[bool, bool, bool]]:
 
 def test_certified_rows_match_the_searching_table(monkeypatch):
     fired = [0, 0, 0]
-    gained = 0
+    gained = derived = 0
     for index, h in enumerate(_criticality_inputs()):
         full = searching_criticality_report(h, FAST)
         calls = []
@@ -595,24 +608,36 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
         monkeypatch.undo()
         assert rep == full
         proofs = _certified(h, rep)
-        # One base search, then one per row that no proof settles.
-        assert len(calls) == 1 + sum(not any(p) for p in proofs)
+        # One base search, then one per row that no proof of the base
+        # search settles, less the rows that the exchange argument derives
+        # from a row found critical.
+        unsettled = sum(not any(p) for p in proofs)
+        assert len(calls) <= 1 + unsettled
+        derived += 1 + unsettled - len(calls)
         for entry, p in zip(rep.entries, proofs):
             fired = [f + b for f, b in zip(fired, p)]
             if any(p[:2]):
                 assert entry.q_without == rep.q
             if p[2]:
                 assert entry.critical is True
-        core = criticality_report(h, FAST, extract=True).core
+        # The core comes first; every row it decides is the table's.
+        extracted = criticality_report(h, FAST, extract=True)
+        assert replace(extracted, core=None) == full
+        core = extracted.core
         assert core == rescanning_extract_critical(h, FAST)
         for nodes in (20, 50, 200):
             budget = Budget(nodes, None)
             ref = searching_criticality_report(h, budget)
+            table = criticality_report(h, budget)
             got = criticality_report(h, budget, extract=True)
-            assert got.q == ref.q
-            for mine, theirs, want in zip(got.entries, ref.entries, full.entries):
+            assert got.q == table.q == ref.q
+            for mine, alone, theirs, want in zip(
+                got.entries, table.entries, ref.entries, full.entries
+            ):
                 if theirs.critical is not None:
-                    assert mine == theirs
+                    assert alone == theirs
+                if alone.critical is not None:
+                    assert mine == alone
                 if mine.critical is not None:
                     assert mine == want
                 gained += mine.critical is not None and theirs.critical is None
@@ -625,6 +650,28 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
                 assert core.removed[: len(partial.removed)] == partial.removed
     assert index + 1 == 200
     assert min(fired) >= 1 and gained >= 1
+    assert derived == 176
+
+
+def test_exchanged_rows_are_critical(monkeypatch):
+    # Every row the exchange argument derives, in h or in a subhypergraph
+    # h' of the extraction, is critical there by brute force: loops and
+    # duplicate edges included.
+    derived = {True: 0, False: 0}
+    for seed in range(150):
+        h = random_hypergraph_raw(Rng(seed + 17_000), 2, 9, 12, 1, 4)
+        for extract in (False, True):
+            asked = _asking_rows(monkeypatch)
+            rep = criticality_report(h, FAST, extract=extract)
+            monkeypatch.undo()
+            for deleted, e, answer, rows in asked:
+                assert not rows or answer == rep.q - 1
+                for f in rows:
+                    sub = h.without({f, *deleted})
+                    assert brute_chromatic_index(sub.n, list(sub.edges)) == rep.q - 1
+                    derived[bool(deleted)] += 1
+    # Rows derived in h, and in an h' with a row deleted.
+    assert derived == {False: 828, True: 235}
 
 
 def test_critical_core_obeys_size_adjusted_bound():

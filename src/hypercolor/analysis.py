@@ -34,17 +34,17 @@ def _open(st: HypergraphStats) -> bool:
 
 
 # The condition tags, each one predicate over the stats in integer
-# arithmetic.  THM3 reads max_degree <= sqrt(Delta_2 + 1) + 1 and holds at
-# m = 0.  RK61 is the strict greedy regime.  RK62 puts the line-graph greedy
-# bound rank * (max_degree - 1) + 1 within Delta_2 + 1.  The U65 tags and
-# OPEN classify linear k-uniform instances with k >= 2; OPEN, given when no
-# U65 tag applies, marks the regime where the bound is not settled.
+# arithmetic.  THM3 reads max_degree <= sqrt(Delta_2 + 1) + 1, so it holds
+# at max_degree <= 1.  RK61 is the strict greedy regime.  RK62 puts the
+# line-graph greedy bound rank * (max_degree - 1) + 1 within Delta_2 + 1.
+# The U65 tags and OPEN classify linear k-uniform instances with k >= 2;
+# OPEN, given when no U65 tag applies, marks where the bound is unsettled.
 _CONDITIONS: dict[str, Callable[[HypergraphStats], bool]] = {
     "THM1": lambda st: st.m >= 1 and st.loopless
         and st.antirank ** 2 >= st.two_section_max_degree + 1,
     "THM2": lambda st: _uniform_linear(st) and st.regular_d == st.uniform_k + 1,
-    "THM3": lambda st: st.loopless and (st.max_degree <= 1
-        or (st.max_degree - 1) ** 2 <= st.two_section_max_degree + 1),
+    "THM3": lambda st: st.loopless
+        and (st.max_degree - 1) ** 2 <= st.two_section_max_degree + 1,
     "RK61": lambda st: st.m >= 1 and st.loopless
         and st.antirank ** 2 > st.two_section_max_degree + 1,
     "RK62": lambda st: st.m >= 1

@@ -310,6 +310,11 @@ def random_hypergraph(
 
 
 def _build_random(spec: FamilySpec) -> Hypergraph:
+    # The default sizes, 2..min(3, n), are empty below two vertices.
+    if spec.size_min is None and spec.n < 2:
+        raise GenerationError(
+            f"random needs n >= 2 unless sizes=LO-HI is given, got n={spec.n}"
+        )
     lo = spec.size_min if spec.size_min is not None else 2
     hi = spec.size_max if spec.size_max is not None else min(3, spec.n)
     return random_hypergraph(spec.n, spec.m, (lo, hi), spec.seed or 0)

@@ -369,17 +369,13 @@ class CriticalityReport:
     """Per-hyperedge criticality, plus the key inequality's verdict.
 
     lemma_ok reports whether q - 1 <= hyperedge degree held for every
-    hyperedge whose criticality was decided positively.  That inequality
-    holds for every critical e of any hypergraph, loops and duplicate
-    edges included: if e's neighbours missed a color of a (q-1)-coloring
-    of h - e, e could take that color and h would need only q - 1.  So a
-    False here indicates an implementation bug, not a discovery.  The
-    same exchange decides rows without a search: a neighbour of e that is
-    the only one with its color c is critical, since dropping it and
-    giving e color c colors the rest with q - 1 colors (see _Rows).
-    complete is True when q and every row were decided within budget.
-    core is the critical core of h with the same q (see
-    criticality_report), or None when it was not asked for.
+    hyperedge whose criticality was decided positively.  The key lemma
+    proves that inequality for every critical e of any hypergraph, loops
+    and duplicate edges included (see _Rows), so a False here indicates
+    an implementation bug, not a discovery.  complete is True when q and
+    every row were decided within budget.  core is the critical core of h
+    with the same q (see criticality_report), or None when it was not
+    asked for.
     """
 
     q: Optional[int]
@@ -394,8 +390,10 @@ class _Rows:
 
     Built once from h, its chromatic index q and a proper q-coloring of h.
     The deleted positions are those of h's edges missing from the current
-    subhypergraph h', whose chromatic index is q as well.  A row is proved
-    without a search by one of three facts of the base search:
+    subhypergraph h', whose chromatic index is q as well.  The caller keeps
+    a map of the rows decided in h', and q_without records its answers
+    there.  A row is proved without a search by one of three facts of the
+    base search:
     - a vertex of degree q in h none of whose edges is deleted or e leaves
       q pairwise intersecting edges in h' - e, so q(h' - e) >= q, and
       removing an edge never raises q: e is removable;
@@ -408,8 +406,10 @@ class _Rows:
     within the budget is decided here too, with the same value.
 
     A row found critical comes with a (q-1)-coloring of h' - e: the
-    search's witness, or the base coloring without e.  The key lemma's
-    exchange argument reads more critical rows off it: a neighbour f of e
+    search's witness, or the base coloring without e.  e's neighbours meet
+    every color of it, or e could take the missing one and h' would need
+    only q - 1: this is the key lemma, q - 1 <= d(e).  Its exchange
+    argument reads more critical rows off the coloring: a neighbour f of e
     in h' that is e's only neighbour with its color c is critical in h',
     since dropping f and giving e color c colors h' - f with q - 1 colors.
     That coloring is read the same way in turn, until no new row is proved.
@@ -428,49 +428,50 @@ class _Rows:
         clique = greedy_clique(self.graph)
         if len(clique) == q:
             self.cliques.append(set(clique))
-        self.classes: dict[int, list[int]] = {}
-        for pos, c in enumerate(witness.colors):
-            self.classes.setdefault(c, []).append(pos)
 
     def q_without(
-        self, deleted: list[int], e: int, budget: Budget, proved: set[int]
+        self, deleted: list[int], e: int, budget: Budget,
+        decided: dict[int, Optional[int]],
     ) -> Optional[int]:
-        """q of h without the deleted positions and e; None if undecided.
-
-        proved holds rows known critical in h' = h without the deleted
-        positions.  When the answer is q - 1, e joins it, and so does every
-        row that the exchange argument derives from the coloring that
-        shows it.
-        """
+        """q(h' - e), h' being h without the deleted positions; None if
+        undecided.  Records it in decided, the rows of h' decided so far;
+        on q - 1, _exchange records the rows it derives there as well."""
         gone = {e, *deleted}
         # q pairwise intersecting edges left make q colors necessary, and
         # no deletion raises q.
         if any(gone.isdisjoint(clique) for clique in self.cliques):
+            decided[e] = self.q
             return self.q
         colors = [0 if p in gone else c for p, c in enumerate(self.colors)]
-        # Unless the base coloring without e already uses q - 1 colors (one
-        # deletion lowers q by at most 1), search from it.
-        if not gone.issuperset(self.classes[self.colors[e]]):
-            kept = tuple(p for p in range(self.h.m) if p not in gone)
-            start = Coloring(tuple(_renumbered([colors[p] for p in kept])))
-            result = chromatic_index(self.h._keeping(kept), budget, incumbent=start)
+        # Unless e is alone in its base color class, so that the base
+        # coloring without e already uses q - 1 colors (one deletion lowers
+        # q by at most 1), search from it.
+        if self.colors[e] in colors:
+            left = tuple(p for p in range(self.h.m) if p not in gone)
+            start = Coloring(tuple(_renumbered([colors[p] for p in left])))
+            result = chromatic_index(self.h._keeping(left), budget, incumbent=start)
             if result.exact != self.q - 1:
+                decided[e] = result.exact
                 return result.exact
-            for p, c in zip(kept, result.witness.colors):
+            for p, c in zip(left, result.witness.colors):
                 colors[p] = c
-        self._exchange(e, colors, proved)
+        self._exchange(e, colors, decided)
         return self.q - 1
 
-    def _exchange(self, e: int, colors: list[int], proved: set[int]) -> None:
-        """Add e to proved, and every row the exchange argument derives
-        from colors, a (q-1)-coloring of h' - e by position (0 off it)."""
+    def _exchange(
+        self, e: int, colors: list[int], decided: dict[int, Optional[int]]
+    ) -> None:
+        """Record q - 1 for e, and for every row the exchange argument
+        derives from colors, a (q-1)-coloring of h' - e by position (0 off
+        it).  A row the map already holds at q - 1 is not followed again."""
         g = self.graph
         rank, order, nb = g.rank, g.order, g.nb
+        below = self.q - 1
         classes: dict[int, int] = {}
         for p, c in enumerate(colors):
             if c:
                 classes[c] = classes.get(c, 0) | 1 << rank[p]
-        proved.add(e)
+        decided[e] = below
         todo = [(e, classes)]
         while todo:
             x, classes = todo.pop()
@@ -480,8 +481,8 @@ class _Rows:
                 # One rank met: x's only neighbour colored c.
                 if met and not met & (met - 1):
                     f = order[met.bit_length() - 1]
-                    if f not in proved:
-                        proved.add(f)
+                    if decided.get(f) != below:
+                        decided[f] = below
                         swapped = dict(classes)
                         swapped[c] = members ^ met | 1 << i
                         todo.append((f, swapped))
@@ -496,20 +497,22 @@ def criticality_report(
     Each row is q(h - e), decided by a proof of the base search, by the
     exchange argument from a row found critical, or by a search (see
     _Rows).  The lemma check runs on every critical row however it was
-    decided.
+    decided.  Two maps hold the rows decided so far: in_h maps a row e to
+    q(h - e), and in_core to q(h' - e) for the scan's current h'.
 
     The core comes first.  It scans positions once in ascending order and
     deletes each one whose removal keeps q, so it is deterministic; until
-    its first deletion its rows are the table's rows.  A row it deletes
-    is removable in h too: q(h - e) >= q(h' - e) = q.  A row proved
-    critical is kept without a search: in every subhypergraph h' of h
-    that holds e and has the same q, q(h' - e) <= q(h - e) = q - 1, and a
-    row proved critical in h' stays so in every later h''.  A row left
-    undecided in h' is decided in h: it is kept if critical there, and
-    otherwise the extraction ends, incomplete.  Every hyperedge of a
-    complete core is critical.  The table then searches in h only the
-    rows that nothing has decided yet, so a row that a search in h
-    decides within the budget has the same value with or without extract.
+    its first deletion h' is h and its rows are the table's rows.  A row
+    it deletes is removable in h too: q(h - e) >= q(h' - e) = q.  A row
+    proved critical in either map is kept without a search: in every
+    subhypergraph h' of h that holds e and has the same q,
+    q(h' - e) <= q(h - e) = q - 1, and a row proved critical in h' stays
+    so in every later h''.  A row left undecided in h' is decided in h: it
+    is kept if critical there, and otherwise the extraction ends,
+    incomplete.  Every hyperedge of a complete core is critical.  The
+    table then searches in h only the rows that in_h lacks, so a row that
+    a search in h decides within the budget has the same value with or
+    without extract.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
@@ -517,43 +520,34 @@ def criticality_report(
         return CriticalityReport(None, (), False, True, core)
     q = base.exact
     rows = _Rows(h, q, base.witness)
-    # q(h - e) of the rows searched or deleted so far (None where a search
-    # ran out of budget), and the rows proved critical in h.
-    table: dict[int, Optional[int]] = {}
-    critical: set[int] = set()
+    in_h: dict[int, Optional[int]] = {}
     core = None
     if extract:
         removed: list[int] = []
-        # The rows proved critical in h without removed, beyond critical.
-        kept: set[int] = set()
+        in_core: dict[int, Optional[int]] = {}
         core_complete = True
         for e in range(h.m):
-            if e in critical or e in kept:
+            if in_h.get(e) == q - 1 or in_core.get(e) == q - 1:
                 continue
-            if not removed:
-                q_without = table[e] = rows.q_without([], e, budget, critical)
-            else:
-                q_without = rows.q_without(removed, e, budget, kept)
-                if q_without is None:
-                    # A row critical in h is critical in h' too.
-                    table[e] = rows.q_without([], e, budget, critical)
-                    if e in critical:
-                        continue
+            q_without = rows.q_without(removed, e, budget, in_core if removed else in_h)
+            # A row critical in h is critical in h' too.
+            if q_without is None and removed:
+                if rows.q_without([], e, budget, in_h) == q - 1:
+                    continue
             if q_without is None:
                 core_complete = False
                 break
             if q_without == q:
                 removed.append(e)
-                table[e] = q
+                in_h[e] = q
         core = CriticalCore(h.without(removed), core_complete, tuple(removed))
     for e in range(h.m):
-        if e not in critical and e not in table:
-            table[e] = rows.q_without([], e, budget, critical)
+        if e not in in_h:
+            rows.q_without([], e, budget, in_h)
     # Only now is every row final: a later row's exchange can prove an
     # earlier one critical, one a search left undecided included.
     entries = []
-    for e in range(h.m):
-        q_without = q - 1 if e in critical else table[e]
+    for e, q_without in sorted(in_h.items()):
         crit = None if q_without is None else q_without == q - 1
         entries.append(EdgeCriticality(e, h.hyperedge_degree(e), q_without, crit))
     complete = all(e.critical is not None for e in entries)

@@ -371,6 +371,15 @@ def test_parse_family_rejections():
     for text in bad:
         with pytest.raises(GenerationError):
             parse_family(text)
+    # The default sizes, 2..min(3, n), need two vertices; the error says
+    # so rather than naming a size range the family never gave.
+    for n in (0, 1):
+        with pytest.raises(GenerationError) as err:
+            generate(parse_family(f"random:n={n},m=0"))
+        assert str(err.value) == (
+            f"random needs n >= 2 unless sizes=LO-HI is given, got n={n}"
+        )
+    assert generate(parse_family("random:n=1,m=1,sizes=1-1")).edges == ((0,),)
 
 
 def test_survey_instance_is_a_pure_function_of_its_arguments():

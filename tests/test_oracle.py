@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -520,14 +521,17 @@ def test_extract_critical_preserves_q_and_leaves_only_critical_edges():
 def _asking_rows(monkeypatch):
     """A list that gets (deleted, e, answer, derived) for each row that
     _Rows.q_without decides, derived being the rows beyond e that it
-    added to the proved set."""
+    proved critical, at q - 1 in the map of decided rows."""
     asked = []
     q_without = oracle._Rows.q_without
 
-    def counted(rows, deleted, e, budget, proved):
-        before = set(proved)
-        answer = q_without(rows, deleted, e, budget, proved)
-        asked.append((tuple(deleted), e, answer, proved - before - {e}))
+    def counted(rows, deleted, e, budget, decided):
+        def critical():
+            return {f for f, value in decided.items() if value == rows.q - 1}
+
+        before = critical()
+        answer = q_without(rows, deleted, e, budget, decided)
+        asked.append((tuple(deleted), e, answer, critical() - before - {e}))
         return answer
 
     monkeypatch.setattr(oracle._Rows, "q_without", counted)
@@ -672,6 +676,47 @@ def test_exchanged_rows_are_critical(monkeypatch):
                     derived[bool(deleted)] += 1
     # Rows derived in h, and in an h' with a row deleted.
     assert derived == {False: 828, True: 235}
+
+
+# sha256 of criticality_report over _small_budget_inputs at each budget,
+# with extract off and on, and of the (m, nodes) of every chromatic_index
+# call it made: a small budget leaves rows and cores undecided, so this
+# pins which ones, and the searches that decide the rest.  Recorded while a
+# row's answer was still spread over a dict and two sets of proved rows.
+SMALL_BUDGET_DIGEST = "bf4067cc313a103940eca37dc6a2b6aa59e41736a827e65bd3c9826456475fa7"
+
+
+def _small_budget_inputs():
+    for seed in range(20):
+        yield random_linear(16, 22, 3, seed)
+        yield random_linear(20, 16, 4, seed)
+        yield random_linear(14, 18, 3, seed)
+    # Loops and duplicate edges.
+    for seed in range(120):
+        yield random_hypergraph_raw(Rng(seed + 18_000), 2, 9, 12, 1, 4)
+
+
+def test_critical_under_small_budgets_is_pinned(monkeypatch):
+    calls = []
+
+    def counted(g, budget=FAST, incumbent=None):
+        result = chromatic_index(g, budget, incumbent)
+        calls.append((g.m, result.nodes))
+        return result
+
+    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    lines = []
+    for h in _small_budget_inputs():
+        for nodes in (0, 2, 5, 20, 35, 50, 200, 10**6):
+            for extract in (False, True):
+                rep = criticality_report(h, Budget(nodes, None), extract=extract)
+                rows = [(e.position, e.degree, e.q_without, e.critical) for e in rep.entries]
+                core = rep.core and (rep.core.complete, rep.core.removed, rep.core.hypergraph.edges)
+                lines.append(repr((rep.q, rows, rep.complete, rep.lemma_ok, core, calls)))
+                calls.clear()
+    assert len(lines) == 180 * 16
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == SMALL_BUDGET_DIGEST
 
 
 def test_critical_core_obeys_size_adjusted_bound():

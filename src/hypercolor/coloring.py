@@ -361,21 +361,15 @@ def vizing_edge_color(h: Hypergraph) -> Coloring:
         d = free_color(fan[-1])
         if d in at[u]:
             invert_path(u, c, d)
-        w = None
-        for i, x in enumerate(fan):
-            if d in at[x]:
-                continue
-            prefix_ok = True
-            for j in range(1, i + 1):
-                cj = col.get((min(u, fan[j]), max(u, fan[j])))
-                if cj is None or cj in at[fan[j - 1]]:
-                    prefix_ok = False
-                    break
-            if prefix_ok:
-                w = i
-                break
-        if w is None:
-            raise RuntimeError("no rotatable fan prefix; invariant broken")
+        # Rotate fan[:w + 1] for the first fan vertex w missing d.  The
+        # prefix rotates while each spoke's color is free at the fan vertex
+        # before it; once one is not, no longer prefix rotates either.
+        w = 0
+        while d in at[fan[w]]:
+            w += 1
+            cw = col.get((min(u, fan[w]), max(u, fan[w]))) if w < len(fan) else None
+            if cw is None or cw in at[fan[w - 1]]:
+                raise RuntimeError("no rotatable fan prefix; invariant broken")
         for j in range(w):
             shifted = unassign(u, fan[j + 1])
             assign(u, fan[j], shifted)

@@ -371,11 +371,11 @@ def parse_family(text: str) -> FamilySpec:
     ``random:n=N,m=M[,sizes=LO-HI][,seed=S]``.  Every number is read by
     hgr.integer: ASCII decimal digits, so '+1', '1_0' and '٣' are errors.
     """
-    head, _, rest = text.partition(":")
+    head, colon, rest = text.partition(":")
     head = head.strip()
     params, _ = _family(head)
     if not params:
-        if rest:
+        if colon:
             raise GenerationError(f"{head} takes no parameters")
         return FamilySpec(head)
     if len(params) == 1:

@@ -21,7 +21,8 @@ and picking the next one (DSATUR's most saturated, then highest-degree,
 then lowest-numbered vertex) cost a few big-integer operations each,
 not a loop over neighbours.  The search keeps these masks, its stack and
 its node count in the locals of one loop, so a branch node makes no
-function call.  DSATUR's starting coloring and the greedy
+function call, and each frame's color limit follows the best coloring
+found so far.  DSATUR's starting coloring and the greedy
 clique read the same masks, and line_graph(h) is the hypergraph's one
 cached graph, so a later search or clique on h reads it too.  The search
 visits the same nodes in the same order as the recursive, set-rebuilding
@@ -180,10 +181,10 @@ def _component_chromatic(
       -vertex): narrowing the uncolored mask plane by plane from the top
       leaves the ties at the highest saturation, and their lowest rank has
       the highest degree, then the lowest number;
-    - the stack is five lists indexed by depth d: the rank, its current
-      color (0 when the frame is entered), the colors used on entry, the
-      color limit, fixed on entry, and the mask the current color
-      saturated;
+    - the stack is three lists indexed by depth d: the rank, the colors
+      used on entry and the mask its color saturated.  The rank's color
+      is its entry in colors, 0 off the stack, so a new best reads colors
+      whole, and each step reads its color limit from the best so far;
     - the node count and the limits are read from state on entry, and the
       count is written back on every exit;
     - a new best that uses as many colors as the clique ends the search.
@@ -207,7 +208,7 @@ def _component_chromatic(
     planes = [0] * (best_count - 1).bit_length()
     ones = len(planes) - 1
     uncolored = (1 << n) - 1
-    # Colors by rank: the clique's, and the stack's copied in at each new best.
+    # Colors by rank: the clique's, and each frame's current one (0 off the stack).
     colors = [0] * n
     for c, v in enumerate(clique, 1):
         i = rank[v]
@@ -222,7 +223,7 @@ def _component_chromatic(
             x &= plane
             j -= 1
     free = n - lb
-    at, current, entry, limits, saturated = ([0] * free for _ in range(5))
+    at, entry, saturated = ([0] * free for _ in range(3))
     last, d = free - 1, -1
     used = lb
     nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
@@ -238,8 +239,6 @@ def _component_chromatic(
         if d == last:
             if used < best_count:
                 best_count = used
-                for k in range(free):
-                    colors[at[k]] = current[k]
                 best = [colors[i] for i in rank]
                 if used == lb:
                     state.nodes = nodes
@@ -252,21 +251,16 @@ def _component_chromatic(
                     ties = top
             d += 1
             at[d] = (ties & -ties).bit_length() - 1
-            current[d] = 0
             entry[d] = used
-            # Colors beyond used+1 are interchangeable, so trying one of
-            # them suffices; anything at or above the incumbent cannot
-            # improve it.  (Here and below, a comparison in place of min
-            # and max saves a call per node.)
-            limits[d] = used + 1 if used + 1 < best_count else best_count - 1
         # Back up to the deepest frame with a color left, and take it.
         while d >= 0:
             i = at[d]
-            c = current[d]
+            bit = 1 << i
+            c = colors[i]
             if c:
                 x = saturated[d]
                 seen[c] ^= x
-                uncolored |= 1 << i
+                uncolored |= bit
                 j = ones
                 while x:
                     plane = planes[j]
@@ -274,16 +268,22 @@ def _component_chromatic(
                     x &= ~plane
                     j -= 1
             c += 1
-            limit = limits[d]
-            while c <= limit and seen[c] >> i & 1:
+            # Colors beyond entry + 1 are interchangeable, and none at or
+            # above the best so far can beat it.  (Here and below, a
+            # comparison in place of min and max saves a call per node.)
+            limit = best_count - 1
+            if entry[d] < limit:
+                limit = entry[d] + 1
+            while c <= limit and seen[c] & bit:
                 c += 1
             if c > limit:
+                colors[i] = 0
                 d -= 1
                 continue
-            current[d] = c
+            colors[i] = c
             saturated[d] = x = nb[i] & ~seen[c]
             seen[c] |= x
-            uncolored ^= 1 << i
+            uncolored ^= bit
             j = ones
             while x:
                 plane = planes[j]

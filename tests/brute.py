@@ -631,8 +631,10 @@ def recursive_component_chromatic(
                     pick, pick_key = v, key
         v = pick
         forbidden = {colors[w] for w in adj[v]}
-        limit = min(used + 1, best_count - 1)
-        for c in range(1, limit + 1):
+        for c in range(1, used + 2):
+            # The limit follows the best: no color at or above it can beat it.
+            if c >= best_count:
+                break
             if c in forbidden:
                 continue
             colors[v] = c

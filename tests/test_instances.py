@@ -350,6 +350,9 @@ def test_parse_family_defaults_and_spaces():
 def test_parse_family_rejections():
     bad = [
         "fano:3",
+        # A family without parameters takes no colon either, as
+        # complete-graph: is refused: one spelling per family.
+        "fano:",
         "complete-graph:x",
         "cycle:",
         "steiner-triple:abc",

@@ -31,7 +31,8 @@ class Rng:
     """xorshift64* generator: shifts 12/25/27, multiplier 0x2545F4914F6CDD1D.
 
     A zero seed is replaced by a fixed odd constant since the all-zero
-    state is a fixed point of the recurrence.
+    state is a fixed point of the recurrence.  next_u64 is the one step;
+    sample_sorted repeats it inline for speed and reads the same stream.
     """
 
     def __init__(self, seed: int):
@@ -63,12 +64,26 @@ class Rng:
         return lo + self.below(hi - lo + 1)
 
     def sample_sorted(self, k: int, n: int) -> tuple[int, ...]:
-        """k distinct integers from 0..n-1, ascending."""
+        """k distinct integers from 0..n-1, ascending: below(n) until k
+        distinct values are drawn, with the step and below's rejection
+        run inline on a local state."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
+        if k == 0:
+            return ()
+        if n > 1 << 64:
+            self.below(n)  # refuses the bound
+        limit = (1 << 64) - ((1 << 64) % n)
+        s = self._state
         chosen: set[int] = set()
         while len(chosen) < k:
-            chosen.add(self.below(n))
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK64
+            s ^= s >> 27
+            x = (s * 0x2545F4914F6CDD1D) & _MASK64
+            if x < limit:
+                chosen.add(x % n)
+        self._state = s
         return tuple(sorted(chosen))
 
     def shuffle(self, items: list) -> None:
@@ -266,13 +281,17 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
     rng = Rng(seed)
     chosen: list[tuple[int, ...]] = []
     # used[v]: bitmask of the vertices that share a chosen edge with v, 0
-    # until v is drawn.  A k-set fits iff none of its pairs is used; a
-    # repeated k-set repeats a pair.
+    # until v is drawn.  A k-set fits iff no pair of it is used, so iff its
+    # vertices' masks miss it; a repeated k-set repeats a pair.
     used = [0] * n
     for _ in range(m):
         for attempt in range(_RETRIES_PER_EDGE):
             cand = rng.sample_sorted(k, n)
-            fits = not any(used[a] >> b & 1 for a, b in combinations(cand, 2))
+            mask = met = 0
+            for v in cand:
+                mask |= 1 << v
+                met |= used[v]
+            fits = not met & mask
             # With no free k-set left every later draw misses too, and the
             # RNG is not read again, so failing now changes only the reason.
             full = not fits and attempt == 0 and not _has_clique(used, (1 << n) - 1, k)
@@ -284,9 +303,8 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
                 f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}"
             )
         chosen.append(cand)
-        for a, b in combinations(cand, 2):
-            used[a] |= 1 << b
-            used[b] |= 1 << a
+        for a in cand:
+            used[a] |= mask ^ (1 << a)
     return Hypergraph(n, chosen)
 
 

@@ -9,7 +9,7 @@ its input.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import Optional
 
 from .analysis import HOLDS, UNRESOLVED, VIOLATED, InequalityReport, Verdict
@@ -52,6 +52,11 @@ def _field_lines(record, prefix: str = "") -> list[str]:
     ]
 
 
+def _flat(record) -> dict:
+    """A dataclass of scalar fields as a dict, without asdict's deep copies."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _witness_line(coloring: Coloring) -> str:
     return "witness: " + (" ".join(map(str, coloring.colors)) or "empty")
 
@@ -61,7 +66,7 @@ def render_stats(h: Hypergraph) -> str:
 
 
 def stats_json(h: Hypergraph) -> str:
-    return _json({"stats": asdict(h.stats())}, h)
+    return _json({"stats": _flat(h.stats())}, h)
 
 
 def render_coloring(h: Hypergraph, coloring: Coloring, method: str) -> str:
@@ -105,8 +110,8 @@ def render_verdict(h: Hypergraph, v: Verdict) -> str:
 def verdict_dict(v: Verdict) -> dict:
     """JSON-ready payload for one verdict (no header)."""
     return {
-        "stats": asdict(v.stats),
-        "bounds": asdict(v.bounds),
+        "stats": _flat(v.stats),
+        "bounds": _flat(v.bounds),
         "conditions": sorted(v.conditions),
         "q_lower": v.q_lower,
         "q_upper": v.q_upper,
@@ -159,7 +164,7 @@ def criticality_json(h: Hypergraph, rep: CriticalityReport) -> str:
     payload = {
         "q_exact": rep.q,
         "complete": rep.complete,
-        "entries": [asdict(e) for e in rep.entries],
+        "entries": [_flat(e) for e in rep.entries],
         "degree_dominates_q_minus_one": rep.lemma_ok,
     }
     core = rep.core

@@ -9,8 +9,9 @@ a simple graph reaches it as graph_hypergraph(n, edges), whose line
 graph it is.  The reference versions of package logic (condition tags,
 the criticality table, core extraction, the first-fit hyperedge colorer,
 the oracle's greedy coloring, greedy clique, node counter and branch and
-bound, the random linear sampler) are the earlier, more literal forms of
-that logic, kept to check the current forms against.
+bound, the random linear sampler and its k-set draw) are the earlier,
+more literal forms of that logic, kept to check the current forms
+against.
 counting_builds spies on the package's cached facts.
 """
 
@@ -247,6 +248,17 @@ def random_connected_graph(rng: Rng, n_lo: int, n_hi: int,
     return n, sorted(edges)
 
 
+def below_sample_sorted(rng: Rng, k: int, n: int) -> tuple[int, ...]:
+    """The set form of ``Rng.sample_sorted``: ``rng.below(n)`` until k
+    distinct values are drawn, ascending."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot sample {k} of {n}")
+    chosen: set[int] = set()
+    while len(chosen) < k:
+        chosen.add(rng.below(n))
+    return tuple(sorted(chosen))
+
+
 def random_hypergraph_raw(rng: Rng, n_lo: int = 3, n_hi: int = 10,
                           m_hi: int = 12, size_lo: int = 1,
                           size_hi: int = 4) -> Hypergraph:
@@ -258,7 +270,7 @@ def random_hypergraph_raw(rng: Rng, n_lo: int = 3, n_hi: int = 10,
     edges = []
     for _ in range(m):
         size = rng.randint(lo, hi)
-        edges.append(rng.sample_sorted(size, n))
+        edges.append(below_sample_sorted(rng, size, n))
     return Hypergraph(n, edges)
 
 
@@ -672,7 +684,7 @@ def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
     chosen_sets: list[set[int]] = []
     for _ in range(m):
         for _attempt in range(_RETRIES_PER_EDGE):
-            cand = rng.sample_sorted(k, n)
+            cand = below_sample_sorted(rng, k, n)
             cset = set(cand)
             if all(len(cset & other) <= 1 for other in chosen_sets):
                 chosen.append(cand)

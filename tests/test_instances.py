@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,8 @@ from hypercolor import (
 )
 from hypercolor.instances import _RETRIES_PER_EDGE, _has_clique
 
-from brute import rejection_random_linear
+import brute
+from brute import below_sample_sorted, rejection_random_linear
 
 
 def test_rng_is_deterministic_and_survives_zero_seed():
@@ -77,6 +79,42 @@ def test_rng_sample_and_shuffle():
     again = list(range(20))
     Rng(11).shuffle(again)
     assert again == items
+
+
+def test_sample_sorted_matches_the_below_reference():
+    # The same values and the same state after, as k draws of below():
+    # small bounds with k = 0 and k = n among them, k up to 12, and bounds
+    # near 2**64; at 2**63 + 1 below rejects about half of the raw draws.
+    rng = Rng(31)
+    wide = (2**64, 2**64 - 1, 2**63 + 1, 3 * 2**62 + 1)
+    kinds = set()
+    for t in range(2000):
+        n = wide[t % 4] if t % 5 == 0 else rng.randint(0, 24)
+        k = rng.randint(0, min(n, 12))
+        seed = rng.next_u64()
+        fast, slow = Rng(seed), Rng(seed)
+        assert fast.sample_sorted(k, n) == below_sample_sorted(slow, k, n), (k, n, seed)
+        assert fast.next_u64() == slow.next_u64(), (k, n, seed)
+        kinds.add((k == 0, k == n, k > 8, n > 24))
+    assert {(True, True, False, False), (False, True, False, False),
+            (False, True, True, False), (False, False, True, True)} <= kinds
+    assert Rng(1).sample_sorted(0, 0) == ()
+    # A bound above 2**64 is refused as below() refuses it; an inlined
+    # limit of 0 would reject every draw, so it runs in a child with a
+    # timeout.
+    script = """
+from hypercolor import Rng
+try:
+    Rng(1).sample_sorted(1, 2**64 + 1)
+except ValueError as exc:
+    print(exc)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "below() needs a bound in 1..2**64, got 18446744073709551617\n", ""
+    )
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -225,14 +263,22 @@ def test_random_linear_matches_the_rejection_reference(monkeypatch):
         "placed", "retry cap hit", "no k-set avoids the used vertex pairs"
     }
 
+    # The package draws through Rng.sample_sorted, the reference through
+    # brute.below_sample_sorted; both are counted.
     draws = [0]
     sample_sorted = Rng.sample_sorted
+    reference_draw = brute.below_sample_sorted
 
     def counted(self, k, n):
         draws[0] += 1
         return sample_sorted(self, k, n)
 
+    def counted_reference(rng, k, n):
+        draws[0] += 1
+        return reference_draw(rng, k, n)
+
     monkeypatch.setattr(Rng, "sample_sorted", counted)
+    monkeypatch.setattr(brute, "below_sample_sorted", counted_reference)
 
     def draws_of(generator, *args):
         draws[0] = 0
@@ -447,3 +493,33 @@ print("refused all")
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "refused all\n", "")
+
+
+# sha256 of (label, edges) for the generator pin below.  Any change to the
+# draw stream, the fit test or the restart rule moves it.
+GENERATOR_DIGEST = "d8a7804fbb4e2b7c0826a460006c2adcf82cd12271e95ece47c7a1c63c75c108"
+
+
+def test_generated_instances_are_pinned():
+    # Default-range survey instances, wide-range ones (k up to 5; indices
+    # 0-24 at seed 7 restart after both a retry-cap failure and a "no
+    # k-set" failure, index 3 after each within one instance), and random
+    # hypergraphs with edge sizes up to 12.
+    lines = []
+    for i in range(300):
+        spec, h = survey_instance(0, i, (6, 12), (4, 16), (2, 3, 4))
+        lines.append(repr((spec.label(), h.edges)))
+    for i in range(25):
+        spec, h = survey_instance(7, i, (6, 30), (4, 60), (2, 3, 4, 5))
+        lines.append(repr((spec.label(), h.edges)))
+    rng = Rng(5)
+    for _ in range(100):
+        n = rng.randint(1, 30)
+        lo = rng.randint(1, min(n, 12))
+        hi = rng.randint(lo, min(n, 12))
+        spec = parse_family(
+            f"random:n={n},m={rng.randint(0, 20)},sizes={lo}-{hi},seed={rng.next_u64()}"
+        )
+        lines.append(repr((spec.label(), generate(spec).edges)))
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == GENERATOR_DIGEST

@@ -249,18 +249,27 @@ _RETRIES_PER_EDGE = 1000
 def _has_clique(used: list[int], cand: int, k: int) -> bool:
     """Whether k vertices of the bitmask ``cand`` share no used pair.
 
-    Branches on the top vertex of ``cand``, keeping its lower vertices
-    that it has no used pair with, and prunes a branch once fewer than k
-    vertices are left.
+    Branches on the top vertex of ``cand``: first with it, keeping its
+    lower vertices that it has no used pair with, then without it, and
+    prunes a branch once fewer than k vertices are left.  An explicit
+    stack holds, for each vertex taken, the candidates left to try without
+    it, so k is not bound by the recursion limit.
     """
-    if k == 1:
-        return cand != 0
-    while cand.bit_count() >= k:
-        v = cand.bit_length() - 1
-        cand ^= 1 << v
-        if _has_clique(used, cand & ~used[v], k - 1):
+    stack: list[int] = []
+    while True:
+        if k == 1 and cand:
             return True
-    return False
+        if k > 1 and cand.bit_count() >= k:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            stack.append(cand)
+            cand &= ~used[v]
+            k -= 1
+        elif stack:
+            cand = stack.pop()
+            k += 1
+        else:
+            return False
 
 
 def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import Coloring, _renumbered, is_proper
+from .coloring import Coloring
 from .core import Hypergraph
 from .transforms import SimpleGraph, _ranks, line_graph
 
@@ -162,7 +162,7 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
 
 
 def _component_chromatic(
-    g: SimpleGraph, state: _SearchState, incumbent: Optional[list[int]] = None
+    g: SimpleGraph, state: _SearchState
 ) -> tuple[int, int, list[int]]:
     """(lower, upper, coloring achieving upper) for a connected graph.
 
@@ -188,21 +188,16 @@ def _component_chromatic(
     - the node count and the limits are read from state on entry, and the
       count is written back on every exit;
     - a new best that uses as many colors as the clique ends the search.
-    The search starts from the incumbent, a proper coloring 1..k, when it
-    uses fewer colors than DSATUR.  A lower start bound only narrows each
-    frame's color limit, so it prunes the same search tree: it never
-    visits a node the unseeded search would not.
+    The search starts from DSATUR's coloring.
     """
     best = _dsatur_greedy(g)
-    if incumbent is not None and max(incumbent) < max(best):
-        best = incumbent
     best_count = max(best)
     clique = greedy_clique(g)
     lb = len(clique)
     if lb == best_count:
         return lb, best_count, best
 
-    # Search colors stay below the incumbent, and so does every count.
+    # Search colors stay below DSATUR's count, and so does every saturation.
     rank, nb, n = g.rank, g.nb, g.n
     seen = [0] * best_count
     planes = [0] * (best_count - 1).bit_length()
@@ -299,9 +294,7 @@ def _component_chromatic(
             return best_count, best_count, best
 
 
-def chromatic_index(
-    h: Hypergraph, budget: Budget = Budget(), incumbent: Optional[Coloring] = None
-) -> OracleResult:
+def chromatic_index(h: Hypergraph, budget: Budget = Budget()) -> OracleResult:
     """Minimum colors for the hyperedges so intersecting ones differ.
 
     Computed as the chromatic number of the line graph, component by
@@ -311,26 +304,13 @@ def chromatic_index(
     hyperedges through any one vertex are pairwise intersecting, so an
     open bracket's lower end is raised to the maximum vertex degree; an
     exact value is already at least that.
-
-    incumbent, a proper coloring of the hyperedges, is restricted to each
-    component, renumbered 1..k there, and used as that component's
-    starting coloring when it beats DSATUR's.  At any node budget it can
-    only narrow the bracket and lower the node count, never change an
-    exact answer; a coloring that is not proper raises ValueError.
     """
-    if incumbent is not None and not is_proper(h, incumbent):
-        raise ValueError("incumbent is not a proper coloring of the hyperedges")
     state = _SearchState(budget)
     lower = upper = 0
     witness = [0] * h.m
     for comp in h._components():
-        start = (
-            None
-            if incumbent is None
-            else _renumbered([incumbent.colors[v] for v in comp])
-        )
         g = line_graph(h._keeping(comp))
-        lo, hi, local = _component_chromatic(g, state, start)
+        lo, hi, local = _component_chromatic(g, state)
         for i, v in enumerate(comp):
             witness[v] = local[i]
         lower = max(lower, lo)
@@ -401,9 +381,8 @@ class _Rows:
     - when no other edge of h' has e's color in the base coloring, that
       coloring of h' - e uses q - 1 colors, and one deletion lowers q by
       at most 1, so e is critical.
-    Any other row is searched from the base coloring restricted to h' - e,
-    which only prunes the search, so a row decided by a plain search
-    within the budget is decided here too, with the same value.
+    Any other row is searched by chromatic_index(h' - e, budget), as a
+    table of plain searches would search it.
 
     A row found critical comes with a (q-1)-coloring of h' - e: the
     search's witness, or the base coloring without e.  e's neighbours meet
@@ -445,11 +424,10 @@ class _Rows:
         colors = [0 if p in gone else c for p, c in enumerate(self.colors)]
         # Unless e is alone in its base color class, so that the base
         # coloring without e already uses q - 1 colors (one deletion lowers
-        # q by at most 1), search from it.
+        # q by at most 1), search h' - e.
         if self.colors[e] in colors:
             left = tuple(p for p in range(self.h.m) if p not in gone)
-            start = Coloring(tuple(_renumbered([colors[p] for p in left])))
-            result = chromatic_index(self.h._keeping(left), budget, incumbent=start)
+            result = chromatic_index(self.h._keeping(left), budget)
             if result.exact != self.q - 1:
                 decided[e] = result.exact
                 return result.exact
@@ -495,10 +473,11 @@ def criticality_report(
     extract, reduce h to a critical core.
 
     Each row is q(h - e), decided by a proof of the base search, by the
-    exchange argument from a row found critical, or by a search (see
-    _Rows).  The lemma check runs on every critical row however it was
-    decided.  Two maps hold the rows decided so far: in_h maps a row e to
-    q(h - e), and in_core to q(h' - e) for the scan's current h'.
+    exchange argument from a row found critical, or by a plain search of
+    the subhypergraph (see _Rows).  The lemma check runs on every critical
+    row however it was decided.  Two maps hold the rows decided so far:
+    in_h maps a row e to q(h - e), and in_core to q(h' - e) for the scan's
+    current h'.
 
     The core comes first.  It scans positions once in ascending order and
     deletes each one whose removal keeps q, so it is deterministic; until

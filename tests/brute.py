@@ -601,18 +601,15 @@ def _tick(state: _SearchState) -> None:
 
 
 def recursive_component_chromatic(
-    g: SimpleGraph, state: _SearchState, incumbent: list[int] | None = None
+    g: SimpleGraph, state: _SearchState
 ) -> tuple[int, int, list[int]]:
     """The oracle's branch and bound as a recursion over set rebuilds.
 
     Same contract as hypercolor.oracle._component_chromatic, and it must
-    visit the same nodes in the same order.  It starts from the incumbent
-    when that uses fewer colors than the greedy coloring.
+    visit the same nodes in the same order.
     """
     n = g.n
     greedy = rebuilding_dsatur_greedy(g)
-    if incumbent is not None and max(incumbent) < max(greedy):
-        greedy = incumbent
     best_count = max(greedy)
     best = list(greedy)
     clique = greedy_clique(g)

@@ -340,9 +340,9 @@ def test_critical_builds_one_line_graph_per_searched_hypergraph(capsys, monkeypa
     calls = []
     searched = oracle.chromatic_index
 
-    def spied(h, budget=Budget(), incumbent=None):
+    def spied(h, budget=Budget()):
         calls.append(h.m)
-        return searched(h, budget, incumbent)
+        return searched(h, budget)
 
     monkeypatch.setattr(oracle, "chromatic_index", spied)
     code, out, _ = run_cli(
@@ -608,9 +608,9 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         expected[family] = render_criticality(h, rep)
     calls = []
 
-    def counted(g, budget, incumbent=None):
+    def counted(g, budget):
         calls.append(g.m)
-        return chromatic_index(g, budget, incumbent)
+        return chromatic_index(g, budget)
 
     monkeypatch.setattr(oracle, "chromatic_index", counted)
     for family, budget, exit_code in cases:
@@ -638,9 +638,9 @@ def _oracle_calls(monkeypatch, h, budget, extract=True):
     hypergraphs its oracle calls search, in order."""
     calls = []
 
-    def counted(g, budget, incumbent=None):
+    def counted(g, budget):
         calls.append(g.m)
-        return chromatic_index(g, budget, incumbent)
+        return chromatic_index(g, budget)
 
     monkeypatch.setattr(oracle, "chromatic_index", counted)
     rep = criticality_report(h, budget, extract=extract)

@@ -89,6 +89,8 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
     assert [f.name for f in fields(oracle.CriticalCore)] == [
         "hypergraph", "complete", "removed"
     ]
+    # A search starts from its own DSATUR coloring; no caller seeds it.
+    assert list(inspect.signature(oracle.chromatic_index).parameters) == ["h", "budget"]
 
 
 # bench/tracing.py finds these by name: it wraps each public function of a

@@ -322,6 +322,9 @@ def test_packing_full_search_matches_brute_force():
         assert _has_clique(used, (1 << n) - 1, k) == expected, (n, k, free)
         seen.add(expected)
     assert seen == {True, False}
+    # One branch per vertex of the k-set: 1,500 levels, past the default
+    # recursion limit.
+    assert _has_clique([0] * 1500, (1 << 1500) - 1, 1500) is True
 
 
 def test_random_hypergraph_properties():

@@ -1,10 +1,12 @@
 """Hypergraphs with multiset hyperedge lists on vertices 0..n-1, each
 keeping its one line graph (Hypergraph._line_graph, a SimpleGraph of
 neighbourhood masks built from the hyperedges), and their subhypergraphs:
-without(positions) for the callers, _keeping(positions) for the
-line-graph components (_components()) that the oracle and Brooks'
-colorer search.  The masks are the one record of which hyperedges meet:
-the components, stats().linear and stats().connected are read from them."""
+without(positions) for the callers, and _keeping(positions), which
+serves without and Brooks' colorer's components.  The masks are the one
+record of which hyperedges meet: the components (_components(), flooded
+by transforms._component_masks), stats().linear and stats().connected
+are read from them, and the oracle searches its components, and h less
+some positions, as masks on them."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .transforms import SimpleGraph, _ranks
+from .transforms import SimpleGraph, _component_masks, _ranks
 
 
 class UnsupportedInputError(ValueError):
@@ -138,27 +140,13 @@ class Hypergraph:
 
     def _components(self) -> list[tuple[int, ...]]:
         """The positions of each line-graph component, ascending, the
-        components by their smallest position: from each position not yet
-        reached, the masks are flooded, each frontier ORing its
-        neighbourhoods until nothing new is reached.
-        """
+        components by their smallest position (_component_masks)."""
         g = self._line_graph
-        order, rank, nb = g.order, g.rank, g.nb
-        left = (1 << self.m) - 1
-        comps = []
-        for p in range(self.m):
-            if not left >> rank[p] & 1:
-                continue
-            comp = frontier = 1 << rank[p]
-            while frontier:
-                grown = 0
-                for i in _ranks(frontier):
-                    grown |= nb[i]
-                frontier = grown & ~comp
-                comp |= frontier
-            left ^= comp
-            comps.append(tuple(sorted(order[i] for i in _ranks(comp))))
-        return comps
+        order = g.order
+        return [
+            tuple(sorted(order[i] for i in _ranks(comp)))
+            for comp in _component_masks(g, (1 << self.m) - 1)
+        ]
 
     def remove_hyperedge(self, i: int) -> "Hypergraph":
         """The hypergraph on the same vertices with position i deleted."""

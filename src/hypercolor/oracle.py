@@ -2,13 +2,17 @@
 
 The chromatic index of a hypergraph is the chromatic number of its line
 graph, and the solver is a saturation-guided branch and bound on each
-component of that graph, which is the line graph of the subhypergraph on
-the component's positions.  It either proves an exact value or, when the
-budget runs out, returns an honest bracket [lower, upper] together with
-a proper coloring achieving the upper end; it never reports a wrong
-exact value.  The search is deterministic, so an exact answer never
-changes when the budget is enlarged, and node counts are reproducible
-(wall-clock cutoffs aside).
+component of that graph.  A component is a mask of ranks on
+line_graph(h), the hypergraph's one cached graph, so the search of h
+less some positions (a row of a criticality table) reads h's graph with
+those ranks cleared, and no graph is built per component or per call.
+It either proves an exact value or, when the budget runs out, returns an
+honest bracket [lower, upper] together with a proper coloring achieving
+the upper end; it never reports a wrong exact value.  A target t asks
+only whether q <= t, and the search stops once either side is settled.
+The search is deterministic, so an exact answer never changes when the
+budget is enlarged, and node counts are reproducible (wall-clock cutoffs
+aside).
 
 The search is iterative, on an explicit stack, so its depth is not tied
 to the interpreter's recursion limit.  It runs on bitsets, in the manner
@@ -19,26 +23,28 @@ color marks the vertices with a neighbour of that color, and the
 saturations are a bit-sliced counter, so coloring or uncoloring a vertex
 and picking the next one (DSATUR's most saturated, then highest-degree,
 then lowest-numbered vertex) cost a few big-integer operations each,
-not a loop over neighbours.  The search keeps these masks, its stack and
-its node count in the locals of one loop, so a branch node makes no
-function call, and each frame's color limit follows the best coloring
-found so far.  DSATUR's starting coloring and the greedy
-clique read the same masks, and line_graph(h) is the hypergraph's one
-cached graph, so a later search or clique on h reads it too.  The search
-visits the same nodes in the same order as the recursive, set-rebuilding
-search (tests/brute.py keeps that one as the reference), so node counts,
-brackets and witnesses are unchanged from it.
+not a loop over neighbours.  The degree that breaks ties is the degree
+in h, whichever ranks are searched.  The search keeps these masks, its
+stack and its node count in the locals of one loop, so a branch node
+makes no function call, and each frame's color limit follows the best
+coloring found so far.  DSATUR's starting coloring and the greedy clique
+read the same masks.  Without positions left out or a target, a
+component's ranks keep the order they would have in its own line graph,
+so the search visits the same nodes in the same order as the recursive,
+set-rebuilding search on that graph (tests/brute.py keeps that one as
+the reference), and node counts, brackets and witnesses are unchanged
+from it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .coloring import Coloring
 from .core import Hypergraph
-from .transforms import SimpleGraph, _ranks, line_graph
+from .transforms import SimpleGraph, _component_masks, _ranks, line_graph
 
 
 @dataclass(frozen=True)
@@ -99,23 +105,27 @@ class OracleResult:
         return self.lower == self.upper
 
 
-def _dsatur_greedy(g: SimpleGraph) -> list[int]:
-    """Greedy coloring picking the most saturated vertex first.
+def _dsatur_greedy(g: SimpleGraph, active: int) -> list[int]:
+    """Greedy coloring of the ranks in active, the most saturated first;
+    the colors are by vertex of g, 0 off active.
 
     The saturation is kept as in _component_chromatic's search, with no
     undo: seen[c] marks the ranks with a neighbour colored c, and the
+    ranks off active from the start, so no saturation counts them; the
     planes count each rank's distinct neighbour colors bit-sliced.
     """
     order, nb, n = g.order, g.nb, g.n
     colors = [0] * n
-    # A vertex of degree d never needs a color above d + 1; rank 0, of the
-    # largest degree, exists, as a component is never empty.
-    most = nb[0].bit_count() + 1
-    seen = [0] * (most + 1)
+    outside = ((1 << n) - 1) ^ active
+    # A vertex never needs a color above its degree in active plus 1, and
+    # the lowest active rank has the largest degree in g among them; an
+    # active component is never empty.
+    most = nb[(active & -active).bit_length() - 1].bit_count() + 1
+    seen = [outside] * (most + 1)
     planes = [0] * most.bit_length()
     ones = len(planes) - 1
-    uncolored = (1 << n) - 1
-    for _ in range(n):
+    uncolored = active
+    while uncolored:
         ties = uncolored
         for plane in planes:
             top = ties & plane
@@ -138,78 +148,108 @@ def _dsatur_greedy(g: SimpleGraph) -> list[int]:
     return colors
 
 
-def greedy_clique(g: SimpleGraph) -> list[int]:
-    """A maximal clique grown by highest degree into the candidate set.
+def greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
+    """A maximal clique of the ranks in active (all of g by default),
+    grown by most candidates left.
 
     Its size is a certified lower bound on the chromatic number; the
     search below starts from it, and a component the budget leaves
-    unsearched takes it as its lower end.  While every vertex is a
-    candidate the count is the degree, so the first pick is the
-    lowest-numbered vertex of maximum degree, rank 0 of the masks;
-    later counts are popcounts of the candidates within a neighbourhood,
-    ties going to the lowest-numbered vertex.
+    unsearched takes it as its lower end.  The first pick is the lowest
+    active rank, of the largest degree in g, then the lowest number; each
+    later pick is the candidate with the most candidates in its
+    neighbourhood, ties going to the lowest-numbered vertex.  The result
+    is a list of vertices of g.
     """
-    if not g.n:
+    if active is None:
+        active = (1 << g.n) - 1
+    if not active:
         return []
     order, nb = g.order, g.nb
-    clique = [0]
-    cand = nb[0]
+    pick = (active & -active).bit_length() - 1
+    clique = [order[pick]]
+    cand = nb[pick] & active
     while cand:
-        pick = max(_ranks(cand), key=lambda i: ((cand & nb[i]).bit_count(), -order[i]))
-        clique.append(pick)
+        most = -1
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            k = (cand & nb[i]).bit_count()
+            if k > most or k == most and order[i] < order[pick]:
+                pick, most = i, k
+        clique.append(order[pick])
         cand &= nb[pick]
-    return [order[i] for i in clique]
+    return clique
 
 
 def _component_chromatic(
-    g: SimpleGraph, state: _SearchState
+    g: SimpleGraph, active: int, state: _SearchState, target: Optional[int]
 ) -> tuple[int, int, list[int]]:
-    """(lower, upper, coloring achieving upper) for a connected graph.
+    """(lower, upper, coloring achieving upper) for the connected subgraph
+    of g on the ranks in active; the coloring is by vertex of g, 0 off
+    active.
 
     Depth-first branch and bound on an explicit stack, so deep searches
     need no recursion.  The search colors ranks of the masks in one loop
     that keeps its state in locals and makes no call per node:
-    - seen[c] marks the ranks with a neighbour colored c, and uncolored
-      the ranks without a color;
+    - seen[c] marks the ranks with a neighbour colored c, and the ranks
+      off active from the start, so that no neighbourhood taken below
+      reaches them; uncolored marks the active ranks without a color;
     - the saturation of each rank (its number of distinct neighbour
       colors) is bit-sliced, high plane first: bit i of planes[ones - j]
       is bit j of the count of rank i.  Coloring rank i with c saturates
       x = nb[i] & ~seen[c], which joins seen[c] and is added to the counts
       as a carry; uncoloring subtracts the same x as a borrow, which
       restores both exactly, since colors are undone last in, first out;
-    - the pick is the uncolored rank with the largest (saturation, degree,
-      -vertex): narrowing the uncolored mask plane by plane from the top
-      leaves the ties at the highest saturation, and their lowest rank has
-      the highest degree, then the lowest number;
+    - the pick is the uncolored rank with the largest (saturation, degree
+      in g, -vertex): narrowing the uncolored mask plane by plane from the
+      top leaves the ties at the highest saturation, and their lowest rank
+      has the highest degree, then the lowest number;
     - the stack is three lists indexed by depth d: the rank, the colors
       used on entry and the mask its color saturated.  The rank's color
       is its entry in colors, 0 off the stack, so a new best reads colors
-      whole, and each step reads its color limit from the best so far;
+      whole;
+    - no color above ceiling is tried: one less than the best so far,
+      which each new best lowers, or the target t, which stays;
     - the node count and the limits are read from state on entry, and the
       count is written back on every exit;
-    - a new best that uses as many colors as the clique ends the search.
-    The search starts from DSATUR's coloring.
+    - a new best of at most stop colors ends the search: stop is the
+      clique's size, or t.
+    The search starts from DSATUR's coloring.  With a target t, a coloring
+    of at most t colors, DSATUR's included, ends it at once, and a clique
+    of more than t vertices ends it before it starts; a search that runs
+    out of colorings then proves the lower end t + 1, and the upper end
+    stays DSATUR's.
     """
-    best = _dsatur_greedy(g)
+    best = _dsatur_greedy(g, active)
     best_count = max(best)
-    clique = greedy_clique(g)
+    clique = greedy_clique(g, active)
     lb = len(clique)
     if lb == best_count:
         return lb, best_count, best
+    if target is None:
+        ceiling, stop = best_count - 1, lb
+    elif lb <= target < best_count:
+        ceiling = stop = target
+    else:
+        return lb, best_count, best
 
-    # Search colors stay below DSATUR's count, and so does every saturation.
+    # Search colors stay at or below the ceiling, and so does every saturation.
     rank, nb, n = g.rank, g.nb, g.n
-    seen = [0] * best_count
-    planes = [0] * (best_count - 1).bit_length()
+    seen = [((1 << n) - 1) ^ active] * (ceiling + 1)
+    planes = [0] * ceiling.bit_length()
     ones = len(planes) - 1
-    uncolored = (1 << n) - 1
+    uncolored = active
     # Colors by rank: the clique's, and each frame's current one (0 off the stack).
     colors = [0] * n
     for c, v in enumerate(clique, 1):
         i = rank[v]
         colors[i] = c
-        # Each clique color is taken once, so it saturates i's whole neighbourhood.
-        seen[c] = x = nb[i]
+        # Each clique color is taken once, so it saturates i's whole
+        # neighbourhood in active.
+        x = nb[i] & ~seen[c]
+        seen[c] |= x
         uncolored ^= 1 << i
         j = ones
         while x:
@@ -217,7 +257,7 @@ def _component_chromatic(
             planes[j] = plane ^ x
             x &= plane
             j -= 1
-    free = n - lb
+    free = active.bit_count() - lb
     at, entry, saturated = ([0] * free for _ in range(3))
     last, d = free - 1, -1
     used = lb
@@ -235,9 +275,10 @@ def _component_chromatic(
             if used < best_count:
                 best_count = used
                 best = [colors[i] for i in rank]
-                if used == lb:
+                if used <= stop:
                     state.nodes = nodes
-                    return lb, lb, best
+                    return lb, used, best
+                ceiling = used - 1
         else:
             ties = uncolored
             for plane in planes:
@@ -263,10 +304,10 @@ def _component_chromatic(
                     x &= ~plane
                     j -= 1
             c += 1
-            # Colors beyond entry + 1 are interchangeable, and none at or
-            # above the best so far can beat it.  (Here and below, a
-            # comparison in place of min and max saves a call per node.)
-            limit = best_count - 1
+            # Colors beyond entry + 1 are interchangeable, and none above
+            # the ceiling is tried.  (Here and below, a comparison in place
+            # of min and max saves a call per node.)
+            limit = ceiling
             if entry[d] < limit:
                 limit = entry[d] + 1
             while c <= limit and seen[c] & bit:
@@ -291,32 +332,64 @@ def _component_chromatic(
             break
         if d < 0:
             state.nodes = nodes
-            return best_count, best_count, best
+            return ceiling + 1, best_count, best
 
 
-def chromatic_index(h: Hypergraph, budget: Budget = Budget()) -> OracleResult:
-    """Minimum colors for the hyperedges so intersecting ones differ.
+def chromatic_index(
+    h: Hypergraph,
+    budget: Budget = Budget(),
+    *,
+    without: Iterable[int] = (),
+    target: Optional[int] = None,
+) -> OracleResult:
+    """Minimum colors for the hyperedges of h.without(without) so
+    intersecting ones differ.
 
     Computed as the chromatic number of the line graph, component by
-    component; the witness is indexed by hyperedge position.  The
-    components share one budget; once it runs out, each component left is
-    bracketed by its greedy clique and its starting coloring.  The
-    hyperedges through any one vertex are pairwise intersecting, so an
-    open bracket's lower end is raised to the maximum vertex degree; an
-    exact value is already at least that.
+    component: each component is a rank mask on line_graph(h), h's one
+    graph, less the ranks of the positions in without, so no graph is
+    built per call.  The witness is indexed by position of
+    h.without(without).  The components share one budget; once it runs
+    out, each component left is bracketed by its greedy clique and its
+    starting coloring.  The hyperedges through any one vertex are pairwise
+    intersecting, so an open bracket's lower end is raised to the maximum
+    vertex degree; an exact value is already at least that.
+
+    A target t asks only whether q <= t: each component's search stops at
+    a coloring of at most t colors or at a proof that it needs more (see
+    _component_chromatic), so upper <= t or lower > t settles it, and the
+    bracket stays honest either way.
     """
+    g = line_graph(h)
+    order, rank = g.order, g.rank
+    gone = set(without)
+    for p in gone:
+        h._check_position(p)
+    active = (1 << h.m) - 1
+    for p in gone:
+        active ^= 1 << rank[p]
     state = _SearchState(budget)
     lower = upper = 0
     witness = [0] * h.m
-    for comp in h._components():
-        g = line_graph(h._keeping(comp))
-        lo, hi, local = _component_chromatic(g, state)
-        for i, v in enumerate(comp):
-            witness[v] = local[i]
+    for k, comp in enumerate(_component_masks(g, active)):
+        lo, hi, local = _component_chromatic(g, comp, state, target)
+        # Each coloring is 0 off its component, so the first is taken whole.
+        if not k:
+            witness = local
+        else:
+            for i in _ranks(comp):
+                v = order[i]
+                witness[v] = local[v]
         lower = max(lower, lo)
         upper = max(upper, hi)
     if lower < upper:
-        lower = max(lower, max(h.degrees()))
+        degrees = list(h.degrees())
+        for p in gone:
+            for x in h.edges[p]:
+                degrees[x] -= 1
+        lower = max(lower, max(degrees))
+    if gone:
+        witness = [c for p, c in enumerate(witness) if p not in gone]
     return OracleResult(lower, upper, Coloring(tuple(witness)), state.nodes)
 
 
@@ -381,8 +454,11 @@ class _Rows:
     - when no other edge of h' has e's color in the base coloring, that
       coloring of h' - e uses q - 1 colors, and one deletion lowers q by
       at most 1, so e is critical.
-    Any other row is searched by chromatic_index(h' - e, budget), as a
-    table of plain searches would search it.
+    Any other row is searched by chromatic_index(h, budget, without=the
+    deleted positions and e, target=q - 1), as a table of plain searches
+    would search it: a mask on h's line graph that asks only whether
+    q - 1 colors do.  It is critical when the upper end is at most q - 1,
+    removable when the lower end is at least q, and undecided otherwise.
 
     A row found critical comes with a (q-1)-coloring of h' - e: the
     search's witness, or the base coloring without e.  e's neighbours meet
@@ -398,8 +474,8 @@ class _Rows:
         self.h = h
         self.q = q
         self.colors = witness.colors
-        # line_graph(h) is the graph the base search ran on when h is
-        # connected; the exchange argument walks its masks.
+        # line_graph(h) is the graph the base search and every row search
+        # run on; the exchange argument walks its masks.
         self.graph = line_graph(h)
         # Sets of q pairwise intersecting positions: the edges through a
         # vertex of degree q, and the greedy clique when it has q members.
@@ -426,11 +502,12 @@ class _Rows:
         # coloring without e already uses q - 1 colors (one deletion lowers
         # q by at most 1), search h' - e.
         if self.colors[e] in colors:
-            left = tuple(p for p in range(self.h.m) if p not in gone)
-            result = chromatic_index(self.h._keeping(left), budget)
-            if result.exact != self.q - 1:
-                decided[e] = result.exact
-                return result.exact
+            result = chromatic_index(self.h, budget, without=gone, target=self.q - 1)
+            if result.upper >= self.q:
+                found = self.q if result.lower >= self.q else None
+                decided[e] = found
+                return found
+            left = (p for p in range(self.h.m) if p not in gone)
             for p, c in zip(left, result.witness.colors):
                 colors[p] = c
         self._exchange(e, colors, decided)
@@ -474,7 +551,7 @@ def criticality_report(
 
     Each row is q(h - e), decided by a proof of the base search, by the
     exchange argument from a row found critical, or by a plain search of
-    the subhypergraph (see _Rows).  The lemma check runs on every critical
+    h less the row, with the target q - 1 (see _Rows).  The lemma check runs on every critical
     row however it was decided.  Two maps hold the rows decided so far:
     in_h maps a row e to q(h - e), and in_core to q(h' - e) for the scan's
     current h'.

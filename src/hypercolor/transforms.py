@@ -3,14 +3,15 @@
 The line graph is a cached fact of the Hypergraph (Hypergraph._line_graph),
 built from its hyperedges on first use as ranked neighbourhood masks, the
 one record of which hyperedges meet; line_graph returns that same object,
-so a hypergraph builds it once.  A component, for the oracle and Brooks'
-colorer, is the line graph of the subhypergraph on its positions
-(Hypergraph._keeping), which builds its own.  The oracle, first fit,
-Brooks' colorer and the component flood (Hypergraph._components) walk
-the masks' set bits (_ranks), not rows; adj derives rows for the tests
-and the benchmark.  The two-section's facts (maximum degree, simplicity)
-are hypergraph invariants in Hypergraph.stats().
-"""
+so a hypergraph builds it once.  A component is a mask of ranks on it
+(_component_masks floods them, within any set of ranks), and the oracle
+searches each one, and each row of a criticality table, as a mask on the
+input's graph.  Brooks' colorer colors each component on the line
+graph of the subhypergraph on its positions (Hypergraph._keeping), which
+builds its own.  The oracle, first fit, Brooks' colorer and the component
+flood walk the masks' set bits (_ranks), not rows; adj derives rows for
+the tests and the benchmark.  The two-section's facts (maximum degree,
+simplicity) are hypergraph invariants in Hypergraph.stats()."""
 
 from __future__ import annotations
 
@@ -70,6 +71,31 @@ def _ranks(mask: int) -> list[int]:
         ranks.append(low.bit_length() - 1)
         mask ^= low
     return ranks
+
+
+def _component_masks(g: SimpleGraph, active: int) -> list[int]:
+    """The rank masks of the components of g's subgraph on the ranks in
+    active, by their smallest vertex: from each active vertex not yet
+    reached, the masks are flooded, each frontier ORing its
+    neighbourhoods within active until nothing new is reached."""
+    rank, nb = g.rank, g.nb
+    left = active
+    comps = []
+    for v in range(g.n):
+        if not left >> rank[v] & 1:
+            continue
+        comp = frontier = 1 << rank[v]
+        while frontier:
+            grown = 0
+            for i in _ranks(frontier):
+                grown |= nb[i]
+            frontier = grown & left & ~comp
+            comp |= frontier
+        left ^= comp
+        comps.append(comp)
+        if not left:
+            break
+    return comps
 
 
 def line_graph(h: Hypergraph) -> SimpleGraph:

@@ -12,7 +12,8 @@ the oracle's greedy coloring, greedy clique, node counter and branch and
 bound, the random linear sampler and its k-set draw) are the earlier,
 more literal forms of that logic, kept to check the current forms
 against.
-counting_builds spies on the package's cached facts.
+counting_searches spies on the oracle's calls, and counting_builds on
+the package's cached facts.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from hypercolor import (
     Rng,
     chromatic_index,
 )
+from hypercolor import oracle
 from hypercolor.instances import _RETRIES_PER_EDGE
 from hypercolor.oracle import _SearchState, greedy_clique
 from hypercolor.transforms import SimpleGraph
@@ -461,7 +463,10 @@ def searching_criticality_report(h: Hypergraph, budget: Budget) -> CriticalityRe
     """The criticality table that searches every row from scratch.
 
     One chromatic_index call for the base q and one per hyperedge, with no
-    certificate and no starting coloring.  It extracts no core.
+    certificate and no starting coloring.  A row's call is the one the
+    package makes: h without the row, asked whether q - 1 colors do, so a
+    row decided here is decided by the same search there.  It extracts no
+    core.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
@@ -472,13 +477,13 @@ def searching_criticality_report(h: Hypergraph, budget: Budget) -> CriticalityRe
     lemma_ok = True
     for i in range(h.m):
         deg = h.hyperedge_degree(i)
-        sub = chromatic_index(h.remove_hyperedge(i), budget)
-        if sub.exact is None:
+        sub = chromatic_index(h, budget, without={i}, target=q - 1)
+        if sub.lower < q <= sub.upper:
             entries.append(EdgeCriticality(i, deg, None, None))
             complete = False
             continue
-        crit = sub.exact == q - 1
-        entries.append(EdgeCriticality(i, deg, sub.exact, crit))
+        crit = sub.upper < q
+        entries.append(EdgeCriticality(i, deg, q - crit, crit))
         if crit and not q - 1 <= deg:
             lemma_ok = False
     return CriticalityReport(q, tuple(entries), complete, lemma_ok, None)
@@ -543,14 +548,27 @@ def vertex_set_greedy_color(
     return Coloring(tuple(colors))
 
 
-def set_greedy_clique(g: SimpleGraph) -> list[int]:
-    """The oracle's greedy clique in its set-based form: every vertex a
-    candidate at the start, a neighbour set per vertex, and each pick the
+def _active_vertices(g: SimpleGraph, active: Optional[int]) -> list[int]:
+    """The vertices of g whose ranks are in the mask active (all when
+    None), ascending."""
+    if active is None:
+        return list(range(g.n))
+    return sorted(v for v in range(g.n) if active >> g.rank[v] & 1)
+
+
+def set_greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
+    """The oracle's greedy clique in its set-based form: every active
+    vertex a candidate at the start, a neighbour set per vertex, the first
+    pick the candidate of the largest degree in g, and each later pick the
     candidate with the most neighbours among the candidates, the lowest
     number on ties."""
     adj_sets = [set(nb) for nb in g.adj]
-    cand = set(range(g.n))
+    cand = set(_active_vertices(g, active))
     clique: list[int] = []
+    if cand:
+        pick = max(cand, key=lambda v: (len(adj_sets[v]), -v))
+        clique.append(pick)
+        cand &= adj_sets[pick]
     while cand:
         pick = max(cand, key=lambda v: (len(adj_sets[v] & cand), -v))
         clique.append(pick)
@@ -558,13 +576,15 @@ def set_greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
-def rebuilding_dsatur_greedy(g: SimpleGraph) -> list[int]:
-    """DSATUR greedy rebuilding every saturation set at every step."""
-    n = g.n
-    colors = [0] * n
-    for _ in range(n):
+def rebuilding_dsatur_greedy(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
+    """DSATUR greedy on the active vertices, rebuilding every saturation
+    set at every step; ties go to the larger degree in g, then the lower
+    number.  The colors are by vertex, 0 off active."""
+    vertices = _active_vertices(g, active)
+    colors = [0] * g.n
+    for _ in vertices:
         pick, pick_key = -1, (-1, -1, 0)
-        for v in range(n):
+        for v in vertices:
             if colors[v]:
                 continue
             sat = len({colors[w] for w in g.adj[v] if colors[w]})
@@ -601,38 +621,48 @@ def _tick(state: _SearchState) -> None:
 
 
 def recursive_component_chromatic(
-    g: SimpleGraph, state: _SearchState
+    g: SimpleGraph, active: int, state: _SearchState, target: Optional[int]
 ) -> tuple[int, int, list[int]]:
     """The oracle's branch and bound as a recursion over set rebuilds.
 
     Same contract as hypercolor.oracle._component_chromatic, and it must
     visit the same nodes in the same order.
     """
-    n = g.n
-    greedy = rebuilding_dsatur_greedy(g)
+    vertices = _active_vertices(g, active)
+    greedy = rebuilding_dsatur_greedy(g, active)
     best_count = max(greedy)
     best = list(greedy)
-    clique = greedy_clique(g)
+    clique = greedy_clique(g, active)
     lb = len(clique)
     if lb == best_count:
         return lb, best_count, best
+    # No color above the ceiling is tried, and a best of at most stop
+    # colors ends the search.
+    if target is None:
+        ceiling, stop = best_count - 1, lb
+    elif lb <= target < best_count:
+        ceiling = stop = target
+    else:
+        return lb, best_count, best
 
-    colors = [0] * n
+    colors = [0] * g.n
     for idx, v in enumerate(clique):
         colors[v] = idx + 1
     adj = g.adj
-    uncolored = n - len(clique)
+    uncolored = len(vertices) - len(clique)
 
     def descend(used: int) -> None:
-        nonlocal best_count, best, uncolored
+        nonlocal best_count, best, uncolored, ceiling
         _tick(state)
         if uncolored == 0:
             if used < best_count:
                 best_count = used
                 best = colors.copy()
+                if target is None:
+                    ceiling = used - 1
             return
         pick, pick_key = -1, (-1, -1, 0)
-        for v in range(n):
+        for v in vertices:
             if colors[v] == 0:
                 sat = len({colors[w] for w in adj[v] if colors[w]})
                 key = (sat, len(adj[v]), -v)
@@ -641,8 +671,7 @@ def recursive_component_chromatic(
         v = pick
         forbidden = {colors[w] for w in adj[v]}
         for c in range(1, used + 2):
-            # The limit follows the best: no color at or above it can beat it.
-            if c >= best_count:
+            if c > ceiling:
                 break
             if c in forbidden:
                 continue
@@ -651,18 +680,20 @@ def recursive_component_chromatic(
             descend(max(used, c))
             uncolored += 1
             colors[v] = 0
-            if best_count == lb:
+            if best_count <= stop:
                 return
 
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 1000))
+    sys.setrecursionlimit(max(old_limit, g.n + 1000))
     try:
         descend(len(clique))
     except _BudgetExhausted:
         return lb, best_count, best
     finally:
         sys.setrecursionlimit(old_limit)
-    return best_count, best_count, best
+    if best_count <= stop:
+        return lb, best_count, best
+    return ceiling + 1, best_count, best
 
 
 def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
@@ -699,6 +730,22 @@ def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
                 f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}"
             )
     return Hypergraph(n, chosen)
+
+
+def counting_searches(monkeypatch) -> list[tuple[int, int]]:
+    """Patch oracle.chromatic_index to record each call's searched edge
+    count (h's m less the positions in without) and its nodes.  The list
+    fills while the patch lasts."""
+    calls: list[tuple[int, int]] = []
+    search = oracle.chromatic_index
+
+    def counted(h, budget=Budget(), **options):
+        result = search(h, budget, **options)
+        calls.append((h.m - len(set(options.get("without", ()))), result.nodes))
+        return result
+
+    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    return calls
 
 
 def counting_builds(monkeypatch, cls: type, name: str) -> list[int]:

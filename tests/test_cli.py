@@ -41,7 +41,7 @@ from hypercolor.report import (
 )
 from hypercolor.transforms import SimpleGraph
 
-from brute import counting_builds
+from brute import counting_builds, counting_searches
 
 LOOPS = "p hgr 1 2\ne 1\ne 1\n"
 
@@ -331,32 +331,24 @@ def _counting_line_graphs(monkeypatch):
     return calls
 
 
-def test_critical_builds_one_line_graph_per_searched_hypergraph(capsys, monkeypatch):
-    # Every row searched in the table or the extraction is a subhypergraph
-    # of the input with a connected line graph, which it builds for its
-    # one search.  The input's one line graph is one object, so _Rows'
-    # greedy clique reads the graph the base search built.
+def test_critical_builds_one_line_graph_per_input(capsys, monkeypatch):
+    # Every row searched in the table or the extraction is the input less
+    # some positions, a mask on the input's one line graph, so no row
+    # builds a graph; _Rows' greedy clique reads that graph as well.
     built = counting_builds(monkeypatch, Hypergraph, "_line_graph")
-    calls = []
-    searched = oracle.chromatic_index
-
-    def spied(h, budget=Budget()):
-        calls.append(h.m)
-        return searched(h, budget)
-
-    monkeypatch.setattr(oracle, "chromatic_index", spied)
+    calls = counting_searches(monkeypatch)
     code, out, _ = run_cli(
         capsys, "critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"
     )
     assert code == 0
-    # The base search, then 16 rows of the extraction (the core comes
+    # The base search, then 17 rows of the extraction (the core comes
     # first), each on h without the rows deleted so far, then the 13 rows
     # of the core that no proof settles in h (44 calls at table first).
-    assert len(calls) == 30
-    assert calls[:17] == [22, 21, 20, 19, 19, 19, 19, 18, 17, 16, 16, 15, 15, 14, 13, 13, 13]
-    assert calls[17:] == [21] * 13
-    assert len(built) == 30
-    assert built.count(22) == 1
+    searched = [m for m, _ in calls]
+    assert len(searched) == 31
+    assert searched[:18] == [22, 21, 20, 19, 19, 19, 19, 18, 17, 17, 16, 16, 15, 15, 14, 13, 13, 13]
+    assert searched[18:] == [21] * 13
+    assert built == [22]
 
 
 def test_rows_are_derived_only_where_they_are_read(capsys, monkeypatch):
@@ -375,9 +367,9 @@ def test_rows_are_derived_only_where_they_are_read(capsys, monkeypatch):
 
 
 def test_critical_builds_the_incidence_lists_once(capsys, monkeypatch):
-    # A searched candidate builds its line graph from its hyperedges, and
-    # its search ends exact, so the maximum-degree floor, the one reader of its
-    # incidence lists, is never needed: only the input builds them.
+    # A searched row is a mask on the input's line graph, and the
+    # maximum-degree floor of an open row bracket reads the input's
+    # incidence lists less the gone positions: only the input builds them.
     built = counting_builds(monkeypatch, Hypergraph, "_incidence")
     code, _, _ = run_cli(
         capsys, "critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"
@@ -426,8 +418,8 @@ def test_verify_no_exact_is_the_oracle_at_zero_nodes(capsys, monkeypatch):
             got = run_cli(capsys, "verify", "--family", family, "--no-exact", *extra)
             monkeypatch.undo()
             assert got == zero, (family, extra)
-            # One line graph per component searched.
-            assert calls == [len(comp) for comp in h._components()], (family, extra)
+            # The input's one line graph, whatever its components.
+            assert calls == [h.m], (family, extra)
         payload = json.loads(got[1])
         assert payload["oracle_nodes"] == 0
         assert payload["q_lower"] >= _no_exact_floor(h), family
@@ -442,9 +434,9 @@ def test_survey_no_exact_is_the_oracle_at_zero_nodes(capsys, monkeypatch):
         got = run_cli(capsys, *base, "--no-exact", *extra)
         monkeypatch.undo()
         assert got == zero, extra
-        # One line graph per component searched, instance by instance.
+        # One line graph per instance, whatever its components.
         hs = [survey_instance(3, i, (6, 12), (4, 16), (2, 3, 4))[1] for i in range(20)]
-        assert calls == [len(comp) for h in hs for comp in h._components()]
+        assert calls == [h.m for h in hs]
     for row in json.loads(got[1])["instances"]:
         _, h = survey_instance(3, row["index"], (6, 12), (4, 16), (2, 3, 4))
         assert row["input_sha256"] == digest(h)
@@ -606,22 +598,17 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         h = generate(parse_family(family))
         rep = criticality_report(h, budget, extract=True)
         expected[family] = render_criticality(h, rep)
-    calls = []
-
-    def counted(g, budget):
-        calls.append(g.m)
-        return chromatic_index(g, budget)
-
-    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    searches = counting_searches(monkeypatch)
     for family, budget, exit_code in cases:
         m = generate(parse_family(family)).m
-        calls.clear()
+        searches.clear()
         code, out, _ = run_cli(
             capsys, "critical", "--family", family,
             "--budget", str(budget.max_nodes), "--time-limit", "0",
         )
         assert code == exit_code
         assert out == expected[family]
+        calls = [searched for searched, _ in searches]
         assert calls.count(m) == 1
         if exit_code == 0:
             # One base call, then the extraction, first: it searches rows 0
@@ -636,16 +623,10 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
 def _oracle_calls(monkeypatch, h, budget, extract=True):
     """criticality_report(h, budget, extract) and the edge counts of the
     hypergraphs its oracle calls search, in order."""
-    calls = []
-
-    def counted(g, budget):
-        calls.append(g.m)
-        return chromatic_index(g, budget)
-
-    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    calls = counting_searches(monkeypatch)
     rep = criticality_report(h, budget, extract=extract)
     monkeypatch.undo()
-    return rep, calls
+    return rep, [searched for searched, _ in calls]
 
 
 def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys, monkeypatch):
@@ -665,48 +646,49 @@ def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys
     )
     assert code == 0
     assert out == render_criticality(h, rep)
-    # Within 2 nodes, row 2 is undecided on h without rows 0 and 1, the
+    # Within 20 nodes, row 3 is undecided on h without rows 0 and 1, the
     # first two the core deletes.  Its row in h is critical, so the core
     # keeps it and goes on: the default-budget core again, complete.
-    family = "random-linear:n=14,m=18,k=3,seed=3"
+    family = "random-linear:n=14,m=18,k=3,seed=10"
     h = generate(parse_family(family))
-    rep, calls = _oracle_calls(monkeypatch, h, Budget(2, None))
-    # The base search, row 2 on h - {0, 1} and then on h, row 10 on the
-    # core, then the rows 10 and 15 of the table.
-    assert calls == [18, 15, 17, 9, 17, 17]
-    assert rep.entries[2].critical is True
-    assert [e.position for e in rep.entries if e.critical is None] == [10]
+    rep, calls = _oracle_calls(monkeypatch, h, budget)
+    # The base search, rows 2 and 3 on h - {0, 1}, row 3 on h, then the
+    # rows 11, 12 and 16 of the table.
+    assert calls == [18, 15, 15, 17, 17, 17, 17]
+    assert rep.entries[3].critical is True
+    assert rep.complete
     core = rep.core
     assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
-    assert core.complete and core.removed == (0, 1, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16)
+    assert core.complete and core.removed == (0, 1, 4, 6, 7, 8, 9, 10, 13, 14, 15, 17)
     code, out, _ = run_cli(
-        capsys, "critical", "--family", family, "--budget", "2", "--time-limit", "0"
+        capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
     )
-    assert code == 4
+    assert code == 0
     assert out == render_criticality(h, rep)
 
 
 def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
-    # q is known, but the table alone leaves rows 3, 7, 8, 9 and 10
-    # undecided within 50 nodes, and no proof of the base search settles
-    # them.  The core comes first: after its first deletion (row 1) each
-    # is searched on a smaller hypergraph, which settles it (8 removable,
-    # so removable in h too, the others critical there).
-    h = generate(parse_family("random-linear:n=16,m=22,k=3,seed=22"))
-    budget = Budget(50, None)
+    # q is known, but the table alone leaves rows 1, 2, 4, 7 and 10
+    # undecided within 5 nodes, and no proof of the base search settles
+    # them.  The core comes first: after its first deletion (row 0) rows
+    # 1, 2, 4 and 10 are searched on smaller hypergraphs, which settles
+    # them (1 and 4 removable, so removable in h too, 2 and 10 critical
+    # there).
+    h = generate(parse_family("random-linear:n=12,m=14,k=3,seed=21"))
+    budget = Budget(5, None)
     table = criticality_report(h, budget)
-    assert [e.position for e in table.entries if e.critical is None] == [3, 7, 8, 9, 10]
+    assert [e.position for e in table.entries if e.critical is None] == [1, 2, 4, 7, 10]
     rep, calls = _oracle_calls(monkeypatch, h, budget)
-    assert rep.q == 6
-    assert [e.position for e in rep.entries if e.critical is None] == [3, 7, 9, 10]
-    # The base search; rows 0 and 1 on 21 edges, 3 and 4 on 20, 7 and 8 on
-    # 19, 9 to 13 on 18, and 15, 16 and 21 on 17; then the ten rows of the
-    # core that no proof settles in h, on 21.
-    assert calls == [22, 21, 21, 20, 20, 19, 19] + [18] * 5 + [17] * 3 + [21] * 10
+    assert rep.q == 5
+    assert [e.position for e in rep.entries if e.critical is None] == [2, 7, 10]
+    # The base search; rows 0, 1 and 2 on 13, 12 and 11 edges, 4 on 11,
+    # and 5, 6, 8, 9 and 10 on 10 down to 6; then the seven rows of the
+    # core that no proof settles in h, on 13.
+    assert calls == [14, 13, 12, 11, 11, 10, 9, 8, 7, 6] + [13] * 7
     core = rep.core
     full = criticality_report(h, Budget(time_limit=None), extract=True).core
     assert core == full
-    assert core.complete and core.removed == (1, 4, 8, 13)
+    assert core.complete and core.removed == (0, 1, 4, 5, 6, 8, 9)
 
 
 def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypatch):
@@ -720,7 +702,7 @@ def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypa
     rep, calls = _oracle_calls(monkeypatch, h, budget)
     assert rep.q == 6 and rep.entries[0].critical is None
     assert calls == _oracle_calls(monkeypatch, h, budget, extract=False)[1]
-    assert calls == [14] + [13] * 8
+    assert calls == [14] + [13] * 7
     assert rep.core == CriticalCore(h, False, ())
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"

@@ -90,7 +90,12 @@ def test_exported_names_resolve_and_removed_ones_are_gone():
         "hypergraph", "complete", "removed"
     ]
     # A search starts from its own DSATUR coloring; no caller seeds it.
-    assert list(inspect.signature(oracle.chromatic_index).parameters) == ["h", "budget"]
+    # Positions left out and a target are keyword-only.
+    params = inspect.signature(oracle.chromatic_index).parameters
+    assert list(params) == ["h", "budget", "without", "target"]
+    assert [params[name].kind for name in ("without", "target")] == [
+        inspect.Parameter.KEYWORD_ONLY
+    ] * 2
 
 
 # bench/tracing.py finds these by name: it wraps each public function of a

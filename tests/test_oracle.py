@@ -36,6 +36,7 @@ from brute import (
     brute_chromatic_number,
     class_colorable,
     counting_builds,
+    counting_searches,
     graph_hypergraph,
     petersen,
     random_graph,
@@ -220,23 +221,88 @@ def _differential_inputs():
         yield graph_hypergraph(*random_graph(Rng(seed + 14_000), 8, 16, 30, 60))
 
 
+def _masked_calls(h: Hypergraph, rng: Rng):
+    """(without, target) option sets for h: none, a target alone, and
+    random positions left out with and without a target, the targets at
+    and around the chromatic index."""
+    yield {}
+    q = chromatic_index(h, FAST).upper
+    yield {"target": max(q - 1, 0)}
+    for _ in range(2):
+        gone = {p for p in range(h.m) if rng.below(4) == 0}
+        yield {"without": gone}
+        yield {"without": gone, "target": max(q - 1 - rng.below(2), 0)}
+
+
 def test_search_matches_the_recursive_reference(monkeypatch):
-    searched = starved = multi = 0
+    searched = starved = multi = masked = targeted = 0
     for index, h in enumerate(_differential_inputs()):
         g = line_graph(h)
+        full = (1 << g.n) - 1
         if g.n:
-            assert oracle._dsatur_greedy(g) == rebuilding_dsatur_greedy(g)
+            assert oracle._dsatur_greedy(g, full) == rebuilding_dsatur_greedy(g)
+            inner = full ^ 1 << (index % g.n)
+            if inner:
+                assert oracle._dsatur_greedy(g, inner) == rebuilding_dsatur_greedy(g, inner)
         multi += len(h._components()) > 1
-        for budget in (Budget(index % 51, None), FAST):
-            got = chromatic_index(h, budget)
-            monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
-            want = chromatic_index(h, budget)
-            monkeypatch.undo()
-            assert got == want
-            searched += got.nodes > 0
-            starved += not got.complete
+        rng = Rng(index + 19_000)
+        for options in _masked_calls(h, rng):
+            for budget in (Budget(index % 51, None), FAST):
+                got = chromatic_index(h, budget, **options)
+                monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
+                want = chromatic_index(h, budget, **options)
+                monkeypatch.undo()
+                assert got == want, options
+                searched += got.nodes > 0
+                starved += not got.complete
+                masked += bool(options.get("without")) and got.nodes > 0
+                targeted += "target" in options and got.nodes > 0
     assert index + 1 == 200
-    assert searched >= 150 and starved >= 50 and multi >= 40
+    assert searched >= 600 and starved >= 300 and multi >= 40
+    assert masked >= 300 and targeted >= 250
+
+
+def _left_out_inputs():
+    for seed in range(50):
+        yield random_linear(14, 14 + seed % 5, 3, seed)
+    for seed in range(80):
+        # Loops and duplicate edges.
+        yield random_hypergraph_raw(Rng(seed + 19_500), 4, 10, 16, 1, 4)
+    for seed in range(50):
+        a = random_hypergraph_raw(Rng(seed + 20_000), 3, 7, 8, 1, 3)
+        yield _disjoint_union(a, random_linear(12, 12, 3, seed))
+    for n in range(1, 11):
+        yield Hypergraph(n, [])
+        yield Hypergraph(n, [tuple(range(0, n, 2))])
+
+
+def test_left_out_positions_and_targets_match_brute_force():
+    # h.without(S) searched as masks on h's one line graph, with and
+    # without a target: every budget gives an honest bracket and a proper
+    # witness, and the full budget settles the target.
+    searched = settled_above = settled_below = 0
+    for index, h in enumerate(_left_out_inputs()):
+        rng = Rng(index + 21_000)
+        for _ in range(2):
+            gone = {p for p in range(h.m) if rng.below(3) == 0}
+            sub = h.without(gone)
+            q = brute_chromatic_index(sub.n, list(sub.edges))
+            for target in (None, max(q - 1 + rng.below(3) - rng.below(2), 0)):
+                for nodes in [*range(51), 10**6]:
+                    res = chromatic_index(h, Budget(nodes, None), without=gone, target=target)
+                    assert res.lower <= q <= res.upper, (index, gone, target, nodes)
+                    assert len(res.witness.colors) == sub.m
+                    assert is_proper(sub, res.witness)
+                    assert set(res.witness.colors) == set(range(1, res.upper + 1))
+                    searched += res.nodes > 0
+                if target is None:
+                    assert res.exact == q == chromatic_index(sub, FAST).exact
+                else:
+                    assert res.upper <= target or res.lower > target
+                    settled_below += res.upper <= target < q + 1
+                    settled_above += res.lower > target
+    assert index + 1 == 200
+    assert searched >= 4000 and settled_below >= 120 and settled_above >= 160
 
 
 def test_a_larger_budget_never_widens_the_bracket():
@@ -326,6 +392,10 @@ def test_greedy_clique_matches_the_set_based_reference():
     for n, edges in graphs:
         g = line_graph(graph_hypergraph(n, edges))
         assert greedy_clique(g) == set_greedy_clique(g)
+        # Less its lowest rank and its highest, so that the first pick is
+        # not rank 0.
+        active = ((1 << g.n) - 1) >> 1 & ~(1 << max(g.n - 2, 0))
+        assert greedy_clique(g, active) == set_greedy_clique(g, active)
 
 
 def test_large_line_graphs_match_the_references(monkeypatch):
@@ -335,9 +405,9 @@ def test_large_line_graphs_match_the_references(monkeypatch):
     inputs = (complete_graph(17), steiner_triple(21), projective_plane(11))
     graphs = [line_graph(h) for h in inputs]
     assert [g.n for g in graphs] == [136, 70, 133]
-    assert max(oracle._dsatur_greedy(graphs[0])) == 19
+    assert max(oracle._dsatur_greedy(graphs[0], (1 << 136) - 1)) == 19
     for h, g in zip(inputs, graphs):
-        assert oracle._dsatur_greedy(g) == rebuilding_dsatur_greedy(g)
+        assert oracle._dsatur_greedy(g, (1 << g.n) - 1) == rebuilding_dsatur_greedy(g)
         assert greedy_clique(g) == set_greedy_clique(g)
         for nodes in (0, 1, 37, 500):
             budget = Budget(nodes, None)
@@ -348,17 +418,18 @@ def test_large_line_graphs_match_the_references(monkeypatch):
             assert got == want
 
 
-def test_a_search_builds_each_components_bit_view_once(monkeypatch):
-    # DSATUR, the greedy clique and the branch and bound share one line
-    # graph, its masks, per component; the whole graph, whose masks give
-    # the components, is built once before them.
+def test_a_search_builds_one_line_graph(monkeypatch):
+    # DSATUR, the greedy clique and the branch and bound read the masks of
+    # h's one line graph: each component, and h without some positions,
+    # is a mask on it, so no graph is built per component or per call.
     built = counting_builds(monkeypatch, Hypergraph, "_line_graph")
     # K_5 (line graph of 10 vertices, searched) beside the Fano plane (K_7).
     plane = [tuple(x + 5 for x in e) for e in fano().edges]
     h = Hypergraph(12, list(complete_graph(5).edges) + plane)
     res = chromatic_index(h, FAST)
     assert res.exact == 7 and res.nodes > 0
-    assert built == [17, 10, 7]
+    assert chromatic_index(h, FAST, without=range(10, 17)).exact == 5
+    assert built == [17]
     built.clear()
     assert chromatic_index(steiner_triple(15), FAST).exact == 9
     assert built == [35]
@@ -541,13 +612,7 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
     gained = derived = 0
     for index, h in enumerate(_criticality_inputs()):
         full = searching_criticality_report(h, FAST)
-        calls = []
-
-        def counted(g, budget=FAST):
-            calls.append(g.m)
-            return chromatic_index(g, budget)
-
-        monkeypatch.setattr(oracle, "chromatic_index", counted)
+        calls = counting_searches(monkeypatch)
         rep = criticality_report(h, FAST)
         monkeypatch.undo()
         assert rep == full
@@ -594,7 +659,7 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
                 assert core.removed[: len(partial.removed)] == partial.removed
     assert index + 1 == 200
     assert min(fired) >= 1 and gained >= 1
-    assert derived == 176
+    assert derived == 177
 
 
 def test_exchanged_rows_are_critical(monkeypatch):
@@ -619,14 +684,15 @@ def test_exchanged_rows_are_critical(monkeypatch):
 
 
 # sha256 of criticality_report over _small_budget_inputs at each budget,
-# with extract off and on, and of the (m, nodes) of every chromatic_index
-# call it made: a small budget leaves rows and cores undecided, so this
-# pins which ones, and the searches that decide the rest.  Recorded once
-# row searches stopped starting from the base coloring: an unseeded search
-# visits more nodes, so at 5 to 50 nodes per call 80 rows that a seeded
-# search decided stay undecided, 31 reports lose complete and 3 cores
-# stop earlier; no decided value moved.
-SMALL_BUDGET_DIGEST = "952fccd4395fff23df746cb6ef057629ac29953026b010b93402493775cc1b0f"
+# with extract off and on, and of the (searched m, nodes) of every
+# chromatic_index call it made: a small budget leaves rows and cores
+# undecided, so this pins which ones, and the searches that decide the
+# rest.  Recorded once row searches became masks on h's line graph with
+# the target q - 1: against the subgraph searches before, at 0 to 50
+# nodes per call 111 rows were newly decided and 96 newly undecided, 29
+# reports gained complete and 12 lost it; none moved at 200 or 10**6
+# nodes, and no decided value changed.
+SMALL_BUDGET_DIGEST = "ec78982ccc05599d8bdc8dcae1c3cc8f2ad661a181252438597240554c32c2a5"
 
 
 def _small_budget_inputs():
@@ -640,14 +706,7 @@ def _small_budget_inputs():
 
 
 def test_critical_under_small_budgets_is_pinned(monkeypatch):
-    calls = []
-
-    def counted(g, budget=FAST):
-        result = chromatic_index(g, budget)
-        calls.append((g.m, result.nodes))
-        return result
-
-    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    calls = counting_searches(monkeypatch)
     lines = []
     for h in _small_budget_inputs():
         for nodes in (0, 2, 5, 20, 35, 50, 200, 10**6):

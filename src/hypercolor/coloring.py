@@ -4,10 +4,11 @@ graphs.
 
 Every colorer takes a Hypergraph and returns a Coloring: a tuple of
 colors indexed by hyperedge position.  First fit and Brooks' colorer
-walk the line graph's ranked masks, Brooks' one component's at a time,
-and read no rows.  All colorers are deterministic for a fixed input (and
-order strategy / seed where one applies), and all emit palettes that are
-exactly 1..q_used with every color in between used at least once.
+walk the ranked masks of the input's one line graph, Brooks' one
+component at a time, and read no rows.  All colorers are deterministic
+for a fixed input (and order strategy / seed where one applies), and all
+emit palettes that are exactly 1..q_used with every color in between
+used at least once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
-from .transforms import SimpleGraph, _ranks, line_graph
+from .transforms import SimpleGraph, _component_masks, _ranks, line_graph
 
 
 def _check_palette(colors: tuple[int, ...]) -> None:
@@ -88,15 +89,15 @@ def greedy_color(
         Rng(seed if seed is not None else 0).shuffle(positions)
     else:
         raise ValueError(f"unknown order {order!r}")
-    return Coloring(tuple(_first_fit(g, positions)))
+    colors = [0] * h.m
+    _first_fit(g, positions, colors)
+    return Coloring(tuple(colors))
 
 
-def _first_fit(g: SimpleGraph, positions: Iterable[int]) -> list[int]:
+def _first_fit(g: SimpleGraph, positions: Iterable[int], colors: list[int]) -> None:
     """Give each position, in turn, the least color whose class (a mask
-    over ranks) misses its neighbourhood mask; positions not given keep
-    color 0."""
+    over ranks) misses its neighbourhood mask, written to colors[position]."""
     rank, nb = g.rank, g.nb
-    colors = [0] * g.n
     classes: list[int] = []
     for p in positions:
         i = rank[p]
@@ -109,7 +110,6 @@ def _first_fit(g: SimpleGraph, positions: Iterable[int]) -> list[int]:
             c = len(classes)
             classes.append(1 << i)
         colors[p] = c + 1
-    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -128,60 +128,62 @@ def _first_fit(g: SimpleGraph, positions: Iterable[int]) -> list[int]:
 # in reverse breadth-first order from x.  x has neighbors in at least two
 # parts, so fewer than the maximum degree in each, and every other vertex
 # keeps its search parent uncolored; first fit leaves no gaps, and swapping
-# two colors inside a part gives x color 1 in all of them.  Every traversal
-# walks the component's masks; ties rank by position, so in a regular
-# component, where the cut-vertex, split-pair and split-at helpers run, a
-# bit is a position.
+# two colors inside a part gives x color 1 in all of them.  Each component
+# is its ranks on h's one line graph, and each helper writes its colors by
+# position into one list for all of h.  A component is closed under
+# neighbourhoods, so its degrees in h are its own and its ranks keep their
+# order in its own line graph: in a regular one, rank order is position order.
 # ---------------------------------------------------------------------------
 
 
 def brooks_color(h: Hypergraph) -> Coloring:
     """Hyperedge coloring meeting Brooks' bound on each line-graph component:
     at most its maximum degree, one more for a complete graph or odd cycle."""
+    g = line_graph(h)
     colors = [0] * h.m
-    for comp in h._components():
-        local = _brooks_component(line_graph(h._keeping(comp)))
-        for i, v in enumerate(comp):
-            colors[v] = local[i]
+    for comp in _component_masks(g, (1 << h.m) - 1):
+        _brooks_component(g, _ranks(comp), colors)
     return Coloring(tuple(colors))
 
 
-def _brooks_component(g: SimpleGraph) -> list[int]:
-    """Color a connected graph with colors 1..k, k within the degree bound.
-    Rank 0 has the largest degree and the last rank the smallest."""
-    n = g.n
-    delta, least = g.nb[0].bit_count(), g.nb[-1].bit_count()
+def _brooks_component(g: SimpleGraph, ranks: list[int], colors: list[int]) -> None:
+    """Color the component of g on the ascending ranks with colors 1..k, k
+    within the degree bound.  Its first rank has the largest degree and its
+    last the smallest."""
+    order, nb, n = g.order, g.nb, len(ranks)
+    delta, least = nb[ranks[0]].bit_count(), nb[ranks[-1]].bit_count()
     if least == n - 1:
-        return list(range(1, n + 1))
-    if delta <= 2:
-        return _color_path_or_cycle(g)
-    if least < delta:
-        below = next(i for i, mask in enumerate(g.nb) if mask.bit_count() < delta)
-        return _first_fit(g, reversed(_bfs(g, min(g.order[below:]))))
-    x = _cut_vertex(g)
-    if x is not None:
-        return _split_at(g, x)
-    u, v, w = _connected_split_pair(g)
-    # u and w are not adjacent, so both take color 1.
-    return _first_fit(g, [u, w, *reversed(_bfs(g, v, 1 << u | 1 << w))])
+        for c, i in enumerate(ranks, 1):
+            colors[order[i]] = c
+    elif delta <= 2:
+        _color_path_or_cycle(g, ranks, colors)
+    elif least < delta:
+        below = next(k for k, i in enumerate(ranks) if nb[i].bit_count() < delta)
+        _first_fit(g, reversed(_bfs(g, min(order[i] for i in ranks[below:]))), colors)
+    elif (x := _cut_vertex(g, ranks)) is not None:
+        _split_at(g, ranks, x, colors)
+    else:
+        u, v, w = _connected_split_pair(g, ranks)
+        # u and w are not adjacent, so both take color 1.
+        skip = 1 << g.rank[u] | 1 << g.rank[w]
+        _first_fit(g, [u, w, *reversed(_bfs(g, v, skip))], colors)
 
 
-def _color_path_or_cycle(g: SimpleGraph) -> list[int]:
+def _color_path_or_cycle(g: SimpleGraph, ranks: list[int], colors: list[int]) -> None:
     """Colors 1, 2, 1, ... along a path from its lower-numbered end (the
-    ends rank last), or a cycle from position 0 (rank 0, as a cycle is
-    regular) to its lower neighbor first; an odd cycle ends in color 3."""
-    n, order, nb = g.n, g.order, g.nb
-    cycle = nb[-1].bit_count() == 2
-    i = 0 if cycle else n - 2
+    ends rank last), or a cycle from its lowest position (its first rank,
+    as a cycle is regular) to its lower neighbor first; an odd cycle ends
+    in color 3."""
+    order, nb, n = g.order, g.nb, len(ranks)
+    cycle = nb[ranks[-1]].bit_count() == 2
+    i = ranks[0] if cycle else ranks[-2]
     seen = 1 << i
-    colors = [0] * n
     for step in range(n):
         colors[order[i]] = 3 if cycle and n % 2 and step == n - 1 else 1 + step % 2
         low = nb[i] & ~seen
         low &= -low
         seen |= low
         i = low.bit_length() - 1
-    return colors
 
 
 def _bfs(g: SimpleGraph, root: int, skip: int = 0) -> list[int]:
@@ -199,34 +201,35 @@ def _bfs(g: SimpleGraph, root: int, skip: int = 0) -> list[int]:
     return found
 
 
-def _connected_split_pair(g: SimpleGraph) -> tuple[int, int, int]:
-    """Non-adjacent u, w with common neighbor v in the regular graph g,
-    which stays connected without u and w.
+def _connected_split_pair(g: SimpleGraph, ranks: list[int]) -> tuple[int, int, int]:
+    """Positions of non-adjacent u, w with common neighbor v in the regular
+    component of g on ranks, which stays connected without u and w.
 
     Exists in every two-connected regular non-complete graph of degree at
     least 3, which is the only shape this is called on.
     """
-    nb = g.nb
-    for v in range(g.n):
+    order, nb, n = g.order, g.nb, len(ranks)
+    for v in ranks:
         for u, w in combinations(_ranks(nb[v]), 2):
-            if not nb[u] >> w & 1 and len(_bfs(g, v, 1 << u | 1 << w)) == g.n - 2:
-                return u, v, w
+            if not nb[u] >> w & 1 and len(_bfs(g, order[v], 1 << u | 1 << w)) == n - 2:
+                return order[u], order[v], order[w]
     raise RuntimeError("no split pair found; input was not as assumed")
 
 
-def _cut_vertex(g: SimpleGraph) -> Optional[int]:
-    """A cut vertex of the connected graph g, or None if it has none.
+def _cut_vertex(g: SimpleGraph, ranks: list[int]) -> Optional[int]:
+    """The position of a cut vertex of the component of g on the ascending
+    ranks, or None if it has none.
 
-    Depth-first search from rank 0, lowest unvisited rank first; a frame
-    holds a rank, the OR of its finished subtree's neighborhoods and its
-    ancestors' mask.  Edges off the search tree join a vertex to an
+    Depth-first search from the first rank, lowest unvisited rank first; a
+    frame holds a rank, the OR of its finished subtree's neighborhoods and
+    its ancestors' mask.  Edges off the search tree join a vertex to an
     ancestor, so a non-root u is a cut vertex once a finished child's
     subtree meets none of u's ancestors.  The root is one when its first
     child's subtree misses a vertex; it has no child only when alone.
     """
-    nb = g.nb
-    seen = 1
-    stack = [[0, nb[0], 0]]
+    nb, root = g.nb, ranks[0]
+    seen = 1 << root
+    stack = [[root, nb[root], 0]]
     while True:
         i, reach, above = stack[-1]
         low = nb[i] & ~seen
@@ -241,29 +244,28 @@ def _cut_vertex(g: SimpleGraph) -> Optional[int]:
         stack.pop()
         parent = stack[-1]
         if not parent[2]:
-            return g.order[0] if seen.bit_count() < g.n else None
+            return g.order[root] if seen.bit_count() < len(ranks) else None
         if not reach & parent[2]:
             return g.order[parent[0]]
         parent[1] |= reach
 
 
-def _split_at(g: SimpleGraph, x: int) -> list[int]:
-    """Color each component of the regular graph g without x, found from
-    its lowest position, together with x by first fit in reverse
-    breadth-first order from x, skipping the rest; x takes color 1 in all
-    of them."""
-    colors = [0] * g.n
-    for s in range(g.n):
-        if s == x or colors[s]:
+def _split_at(g: SimpleGraph, ranks: list[int], x: int, colors: list[int]) -> None:
+    """Color each component of the regular component of g on ranks without
+    the position x, found from its lowest position, together with x by
+    first fit in reverse breadth-first order from x, skipping the rest;
+    x takes color 1 in all of them."""
+    order, rank = g.order, g.rank
+    for s in ranks:
+        if order[s] == x or colors[order[s]]:
             continue
-        part = sum(1 << v for v in _bfs(g, s, 1 << x))
-        order = _bfs(g, x, ~part)
-        local = _first_fit(g, reversed(order))
-        have = local[x]
-        for v in order:
-            c = local[v]
+        part = sum(1 << rank[v] for v in _bfs(g, order[s], 1 << rank[x]))
+        reach = _bfs(g, x, ~part)
+        _first_fit(g, reversed(reach), colors)
+        have = colors[x]
+        for v in reach:
+            c = colors[v]
             colors[v] = 1 if c == have else have if c == 1 else c
-    return colors
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Hypergraphs with multiset hyperedge lists on vertices 0..n-1, each
 keeping its one line graph (Hypergraph._line_graph, a SimpleGraph of
-neighbourhood masks built from the hyperedges), and their subhypergraphs:
-without(positions) for the callers, and _keeping(positions), which
-serves without and Brooks' colorer's components.  The masks are the one
-record of which hyperedges meet: the components (_components(), flooded
-by transforms._component_masks), stats().linear and stats().connected
-are read from them, and the oracle searches its components, and h less
-some positions, as masks on them."""
+neighbourhood masks built from the hyperedges), and their subhypergraphs,
+all built by without(positions).  The masks are the one record of which
+hyperedges meet: stats().linear is read from them, and every component
+walk in the package (stats().connected's, the oracle's and Brooks'
+colorer's) is a rank mask on them flooded by transforms._component_masks.
+The oracle searches h less some positions as masks on them too."""
 
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .transforms import SimpleGraph, _component_masks, _ranks
+from .transforms import SimpleGraph, _component_masks
 
 
 class UnsupportedInputError(ValueError):
@@ -138,16 +137,6 @@ class Hypergraph:
         """Vertex degrees indexed by vertex."""
         return tuple(len(positions) for positions in self._incidence)
 
-    def _components(self) -> list[tuple[int, ...]]:
-        """The positions of each line-graph component, ascending, the
-        components by their smallest position (_component_masks)."""
-        g = self._line_graph
-        order = g.order
-        return [
-            tuple(sorted(order[i] for i in _ranks(comp)))
-            for comp in _component_masks(g, (1 << self.m) - 1)
-        ]
-
     def remove_hyperedge(self, i: int) -> "Hypergraph":
         """The hypergraph on the same vertices with position i deleted."""
         return self.without({i})
@@ -155,24 +144,19 @@ class Hypergraph:
     def without(self, positions: Iterable[int]) -> "Hypergraph":
         """The hypergraph on the same vertices without the given positions.
 
-        The other hyperedges keep their order and are not validated again.
+        The other hyperedges keep their order and are not validated again;
+        without any position it is this hypergraph itself, line graph and
+        all.
         """
         gone = set(positions)
         for i in gone:
             self._check_position(i)
-        return self._keeping(tuple(p for p in range(self.m) if p not in gone))
-
-    def _keeping(self, positions: tuple[int, ...]) -> "Hypergraph":
-        """The hypergraph on the same vertices with only the hyperedges at
-        the given ascending positions, position i of it standing for
-        positions[i]; its line graph is the part of this one on them.
-        Keeping every position gives this hypergraph itself.
-        """
-        if len(positions) == self.m:
+        if not gone:
             return self
         sub = object.__new__(Hypergraph)
         object.__setattr__(sub, "n", self.n)
-        object.__setattr__(sub, "edges", tuple(self.edges[p] for p in positions))
+        edges = tuple(e for p, e in enumerate(self.edges) if p not in gone)
+        object.__setattr__(sub, "edges", edges)
         return sub
 
     def stats(self) -> HypergraphStats:
@@ -191,6 +175,7 @@ class Hypergraph:
             sum(sizes[p] for p in positions) - len(positions)
             for positions in self._incidence
         ]
+        components = _component_masks(self._line_graph, (1 << self.m) - 1)
         return HypergraphStats(
             n=self.n,
             m=self.m,
@@ -207,7 +192,7 @@ class Hypergraph:
             uniform_k=sizes[0] if sizes and len(set(sizes)) == 1 else None,
             regular_d=max_deg if max_deg == min_deg else None,
             # An isolated vertex is a component without a hyperedge.
-            connected=len(self._components()) + degs.count(0) <= 1,
+            connected=len(components) + degs.count(0) <= 1,
             two_section_max_degree=max(two_section_degs, default=0),
         )
 

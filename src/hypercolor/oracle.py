@@ -105,9 +105,10 @@ class OracleResult:
         return self.lower == self.upper
 
 
-def _dsatur_greedy(g: SimpleGraph, active: int) -> list[int]:
-    """Greedy coloring of the ranks in active, the most saturated first;
-    the colors are by vertex of g, 0 off active.
+def _dsatur_greedy(g: SimpleGraph, active: int) -> tuple[list[int], int]:
+    """Greedy coloring of the ranks in active, the most saturated first,
+    and the number of colors it uses; the colors are by vertex of g, 0 off
+    active.
 
     The saturation is kept as in _component_chromatic's search, with no
     undo: seen[c] marks the ranks with a neighbour colored c, and the
@@ -125,6 +126,7 @@ def _dsatur_greedy(g: SimpleGraph, active: int) -> list[int]:
     planes = [0] * most.bit_length()
     ones = len(planes) - 1
     uncolored = active
+    used = 0
     while uncolored:
         ties = uncolored
         for plane in planes:
@@ -135,6 +137,8 @@ def _dsatur_greedy(g: SimpleGraph, active: int) -> list[int]:
         c = 1
         while seen[c] >> i & 1:
             c += 1
+        if c > used:
+            used = c
         colors[order[i]] = c
         x = nb[i] & ~seen[c]
         seen[c] |= x
@@ -145,7 +149,7 @@ def _dsatur_greedy(g: SimpleGraph, active: int) -> list[int]:
             planes[j] = plane ^ x
             x &= plane
             j -= 1
-    return colors
+    return colors, used
 
 
 def greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
@@ -222,8 +226,7 @@ def _component_chromatic(
     out of colorings then proves the lower end t + 1, and the upper end
     stays DSATUR's.
     """
-    best = _dsatur_greedy(g, active)
-    best_count = max(best)
+    best, best_count = _dsatur_greedy(g, active)
     clique = greedy_clique(g, active)
     lb = len(clique)
     if lb == best_count:

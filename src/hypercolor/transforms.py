@@ -4,11 +4,10 @@ The line graph is a cached fact of the Hypergraph (Hypergraph._line_graph),
 built from its hyperedges on first use as ranked neighbourhood masks, the
 one record of which hyperedges meet; line_graph returns that same object,
 so a hypergraph builds it once.  A component is a mask of ranks on it
-(_component_masks floods them, within any set of ranks), and the oracle
-searches each one, and each row of a criticality table, as a mask on the
-input's graph.  Brooks' colorer colors each component on the line
-graph of the subhypergraph on its positions (Hypergraph._keeping), which
-builds its own.  The oracle, first fit, Brooks' colorer and the component
+(_component_masks floods them, within any set of ranks): the oracle
+searches each one, and each row of a criticality table, Brooks' colorer
+colors each one, and stats().connected counts them, all as masks on the
+input's graph.  The oracle, first fit, Brooks' colorer and the component
 flood walk the masks' set bits (_ranks), not rows; adj derives rows for
 the tests and the benchmark.  The two-section's facts (maximum degree,
 simplicity) are hypergraph invariants in Hypergraph.stats()."""

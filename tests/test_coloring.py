@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,7 @@ from hypercolor import (
     vizing_edge_color,
 )
 from hypercolor.coloring import _cut_vertex
-from hypercolor.transforms import SimpleGraph
+from hypercolor.transforms import SimpleGraph, _component_masks, _ranks
 
 from brute import (
     bridged_cubic,
@@ -183,23 +184,30 @@ def test_cut_vertex_matches_vertex_removal():
         n, edges = random_connected_graph(Rng(seed + 8000), 2, 14)
         g = line_graph(graph_hypergraph(n, edges))
         cut = brute_cut_vertices(g)
-        found = _cut_vertex(g)
+        found = _cut_vertex(g, list(range(g.n)))
         if found is None:
             assert not cut, seed
         else:
             assert found in cut, seed
         outcomes.add(found is None)
     assert outcomes == {True, False}
-    # On a regular graph, where a rank is a position, the search over the
-    # masks finds the cut vertex that the low-point search over rows finds.
+    # On a regular component of h's line graph, the search over its masks
+    # finds the cut vertex that the low-point search over the component's
+    # rows finds, the rows renumbered by position within the component.
     outcomes = set()
-    for h in _brooks_guard_inputs():
-        for comp in h._components():
-            g = line_graph(h._keeping(comp))
-            if g.nb[0].bit_count() == g.nb[-1].bit_count():
-                found = _cut_vertex(g)
-                assert found == low_point_cut_vertex(g.adj), (h, comp)
-                outcomes.add(found is None)
+    for h in (*_brooks_guard_inputs(), *_shuffled_unions()):
+        g = line_graph(h)
+        for comp in _component_masks(g, (1 << h.m) - 1):
+            ranks = _ranks(comp)
+            if g.nb[ranks[0]].bit_count() != g.nb[ranks[-1]].bit_count():
+                continue
+            positions = sorted(g.order[i] for i in ranks)
+            local = {p: k for k, p in enumerate(positions)}
+            rows = tuple(tuple(local[w] for w in g.adj[p]) for p in positions)
+            found = _cut_vertex(g, ranks)
+            low = low_point_cut_vertex(rows)
+            assert found == (None if low is None else positions[low]), (h, comp)
+            outcomes.add(found is None)
     assert outcomes == {True, False}
 
 
@@ -250,10 +258,55 @@ def test_brooks_colorings_are_pinned():
     assert digest == _BROOKS_GUARD
 
 
+def _shuffled_unions():
+    """300 seeded unions of 2 to 5 graphs on disjoint vertices, drawn from
+    regular graphs with and without cut vertices, an odd cycle, a complete
+    graph, a path and random connected graphs.  The union's vertices are
+    shuffled, so a component's positions, and its ranks among components
+    of the same degrees, interleave with the others'."""
+    pool = [
+        petersen(), bridged_cubic(), gadget_join(4), gadget_join(6),
+        (7, [(i, (i + 1) % 7) for i in range(7)]),
+        (6, list(combinations(range(6), 2))),
+        (5, [(i, i + 1) for i in range(4)]),
+    ]
+    for seed in range(300):
+        rng = Rng(seed + 9500)
+        n, edges = 0, []
+        for _ in range(rng.randint(2, 5)):
+            k = rng.below(len(pool) + 1)
+            size, part = pool[k] if k < len(pool) else random_connected_graph(rng, 2, 10)
+            edges += [(u + n, v + n) for u, v in part]
+            n += size
+        label = list(range(n))
+        rng.shuffle(label)
+        yield graph_hypergraph(n, [(label[u], label[v]) for u, v in edges])
+
+
+# sha256 of the Brooks colorings of _shuffled_unions, one line of colors
+# per input, recorded when each component was colored on a line graph of
+# its own, so the pin holds coloring the components in place to the same
+# output.
+_BROOKS_UNIONS = "a6bfc942237c87f3b94aee46f3f11d90f17b9a6dd8a4adfea9926f9f3ea91102"
+
+
+def test_brooks_colorings_of_shuffled_unions_are_pinned():
+    lines = []
+    for h in _shuffled_unions():
+        coloring = brooks_color(h)
+        assert is_proper(h, coloring)
+        lines.append(" ".join(map(str, coloring.colors)))
+    assert len(lines) == 300
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == _BROOKS_UNIONS
+
+
 def test_colorers_build_no_part_of_a_component(monkeypatch):
-    # Brooks' colorer builds one line graph per component and splits it
-    # in place; both colorers read the masks and derive no rows.  Between
-    # them the inputs take every Brooks branch but the complete one.
+    # Brooks' colorer builds the input's one line graph, disconnected or
+    # not, and colors each component and each part of a split in place;
+    # both colorers read the masks and derive no rows.  Between them the
+    # inputs take every Brooks branch.
+    triangle_and_square = [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4)]
     for h, sizes in (
         (graph_hypergraph(*gadget_join(8)), [37]),
         (graph_hypergraph(*bridged_cubic()), [10]),
@@ -261,6 +314,8 @@ def test_colorers_build_no_part_of_a_component(monkeypatch):
         (cycle(9), [9]),
         (steiner_triple(15), [35]),
         (random_linear(120, 600, 4, 1), [600]),
+        (generate(parse_family("random:n=9,m=5,sizes=1-3,seed=0")), [5]),
+        (Hypergraph(8, triangle_and_square), [7]),
     ):
         built = counting_builds(monkeypatch, Hypergraph, "_line_graph")
         derived = counting_builds(monkeypatch, SimpleGraph, "adj")

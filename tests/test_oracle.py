@@ -27,7 +27,7 @@ from hypercolor import (
     steiner_triple,
     survey_instance,
 )
-from hypercolor.transforms import line_graph
+from hypercolor.transforms import _component_masks, line_graph
 
 from hypercolor import oracle
 
@@ -240,11 +240,13 @@ def test_search_matches_the_recursive_reference(monkeypatch):
         g = line_graph(h)
         full = (1 << g.n) - 1
         if g.n:
-            assert oracle._dsatur_greedy(g, full) == rebuilding_dsatur_greedy(g)
+            want = rebuilding_dsatur_greedy(g)
+            assert oracle._dsatur_greedy(g, full) == (want, max(want))
             inner = full ^ 1 << (index % g.n)
             if inner:
-                assert oracle._dsatur_greedy(g, inner) == rebuilding_dsatur_greedy(g, inner)
-        multi += len(h._components()) > 1
+                want = rebuilding_dsatur_greedy(g, inner)
+                assert oracle._dsatur_greedy(g, inner) == (want, max(want))
+        multi += len(_component_masks(g, full)) > 1
         rng = Rng(index + 19_000)
         for options in _masked_calls(h, rng):
             for budget in (Budget(index % 51, None), FAST):
@@ -405,9 +407,10 @@ def test_large_line_graphs_match_the_references(monkeypatch):
     inputs = (complete_graph(17), steiner_triple(21), projective_plane(11))
     graphs = [line_graph(h) for h in inputs]
     assert [g.n for g in graphs] == [136, 70, 133]
-    assert max(oracle._dsatur_greedy(graphs[0], (1 << 136) - 1)) == 19
+    assert oracle._dsatur_greedy(graphs[0], (1 << 136) - 1)[1] == 19
     for h, g in zip(inputs, graphs):
-        assert oracle._dsatur_greedy(g, (1 << g.n) - 1) == rebuilding_dsatur_greedy(g)
+        want = rebuilding_dsatur_greedy(g)
+        assert oracle._dsatur_greedy(g, (1 << g.n) - 1) == (want, max(want))
         assert greedy_clique(g) == set_greedy_clique(g)
         for nodes in (0, 1, 37, 500):
             budget = Budget(nodes, None)

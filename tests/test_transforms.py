@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from hypercolor import Hypergraph, Rng, fano, projective_plane, steiner_triple
-from hypercolor.transforms import line_graph
+from hypercolor.transforms import _component_masks, _ranks, line_graph
 
 from brute import (
     brute_line_graph_components,
@@ -35,17 +35,27 @@ def test_graph_hypergraph_has_the_graph_as_its_line_graph():
     )
 
 
+def _position_components(h: Hypergraph) -> list[tuple[int, ...]]:
+    """The positions of each component mask of h's line graph, ascending."""
+    g = line_graph(h)
+    return [
+        tuple(sorted(g.order[i] for i in _ranks(comp)))
+        for comp in _component_masks(g, (1 << h.m) - 1)
+    ]
+
+
 def test_simple_graph_components_and_induced():
-    # A component of the line graph, or any part of it, is the line graph
-    # of the subhypergraph on those positions.
+    # The components are masks on h's line graph, by their smallest
+    # position; the line graph of h without some positions is the part of
+    # h's on the rest.
     h = graph_hypergraph(5, [(0, 1), (1, 2), (3, 4)])
-    assert h._components() == [(0, 1, 2), (3, 4)]
-    sub = line_graph(h._keeping((1, 2, 3)))
+    assert _position_components(h) == [(0, 1, 2), (3, 4)]
+    sub = line_graph(h.without((0, 4)))
     assert sub.n == 3
     assert graph_edges(sub) == [(0, 1)]
-    # Every position: the frozen hypergraph itself, line graph and all.
-    assert h._keeping((0, 1, 2, 3, 4)) is h
-    part = h._keeping((0, 1, 2, 3))
+    # Without nothing: the frozen hypergraph itself, line graph and all.
+    assert h.without(()) is h
+    part = h.without((4,))
     assert part is not h
     assert part.m == 4 and graph_edges(line_graph(part)) == [(0, 1), (1, 2)]
 
@@ -133,9 +143,9 @@ def test_without_builds_its_own_line_graph():
 def test_line_graph_masks_match_the_pairs():
     # Checked against the pairwise intersections, not against adj, which
     # is derived from the masks; so are the components that the oracle
-    # and Brooks' colorer search one by one.
+    # searches and Brooks' colorer colors one by one.
     for h in _raw_inputs():
-        assert h._components() == brute_line_graph_components(list(h.edges))
+        assert _position_components(h) == brute_line_graph_components(list(h.edges))
         g = line_graph(h)
         pairs = set(pairwise_line_graph_edges(h.n, list(h.edges)))
         degree = [0] * h.m

@@ -25,10 +25,14 @@ and picking the next one (DSATUR's most saturated, then highest-degree,
 then lowest-numbered vertex) cost a few big-integer operations each,
 not a loop over neighbours.  The degree that breaks ties is the degree
 in h, whichever ranks are searched.  The search keeps these masks, its
-stack and its node count in the locals of one loop, so a branch node
-makes no function call, and each frame's color limit follows the best
-coloring found so far.  DSATUR's starting coloring and the greedy clique
-read the same masks.  Without positions left out or a target, a
+stack of four per-depth lists and its node count in the locals of one
+loop, so a branch node makes no function call and costs one comparison
+against the budget.  The pick reads the saturation of the rank it takes,
+so each frame counts its spare colors (the free ones up to those used
+on entry) and scans for the next only while one is left; a push colors
+its rank at once, and no frame tries a color that cannot beat the
+best coloring found so far.  DSATUR's starting coloring and the greedy
+clique read the same masks.  Without positions left out or a target, a
 component's ranks keep the order they would have in its own line graph,
 so the search visits the same nodes in the same order as the recursive,
 set-rebuilding search on that graph (tests/brute.py keeps that one as
@@ -44,7 +48,7 @@ from typing import Iterable, Optional
 
 from .coloring import Coloring
 from .core import Hypergraph
-from .transforms import SimpleGraph, _component_masks, _ranks, line_graph
+from .transforms import SimpleGraph, _component_masks, line_graph
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,19 @@ class OracleResult:
         return self.lower == self.upper
 
 
-def _dsatur_greedy(g: SimpleGraph, active: int) -> tuple[list[int], int]:
+def _dsatur_greedy(g: SimpleGraph, active: int, colors: list[int]) -> int:
     """Greedy coloring of the ranks in active, the most saturated first,
-    and the number of colors it uses; the colors are by vertex of g, 0 off
-    active.
+    written into colors by vertex of g; returns the number of colors used.
+    Entries off active are left as they are.
 
     The saturation is kept as in _component_chromatic's search, with no
     undo: seen[c] marks the ranks with a neighbour colored c, and the
     ranks off active from the start, so no saturation counts them; the
-    planes count each rank's distinct neighbour colors bit-sliced.
+    planes count each rank's distinct neighbour colors bit-sliced.  The
+    pick reads the saturation sat of the rank it takes, and a rank whose
+    neighbours hold every color used so far takes a new one unscanned.
     """
     order, nb, n = g.order, g.nb, g.n
-    colors = [0] * n
     outside = ((1 << n) - 1) ^ active
     # A vertex never needs a color above its degree in active plus 1, and
     # the lowest active rank has the largest degree in g among them; an
@@ -129,16 +134,20 @@ def _dsatur_greedy(g: SimpleGraph, active: int) -> tuple[list[int], int]:
     used = 0
     while uncolored:
         ties = uncolored
+        sat = 0
         for plane in planes:
+            sat += sat
             top = ties & plane
             if top:
                 ties = top
+                sat += 1
         i = (ties & -ties).bit_length() - 1
-        c = 1
-        while seen[c] >> i & 1:
-            c += 1
-        if c > used:
-            used = c
+        if sat == used:
+            used = c = used + 1
+        else:
+            c = 1
+            while seen[c] >> i & 1:
+                c += 1
         colors[order[i]] = c
         x = nb[i] & ~seen[c]
         seen[c] |= x
@@ -149,7 +158,7 @@ def _dsatur_greedy(g: SimpleGraph, active: int) -> tuple[list[int], int]:
             planes[j] = plane ^ x
             x &= plane
             j -= 1
-    return colors, used
+    return used
 
 
 def greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
@@ -188,11 +197,15 @@ def greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
 
 
 def _component_chromatic(
-    g: SimpleGraph, active: int, state: _SearchState, target: Optional[int]
-) -> tuple[int, int, list[int]]:
-    """(lower, upper, coloring achieving upper) for the connected subgraph
-    of g on the ranks in active; the coloring is by vertex of g, 0 off
-    active.
+    g: SimpleGraph,
+    active: int,
+    state: _SearchState,
+    target: Optional[int],
+    colors: list[int],
+) -> tuple[int, int]:
+    """(lower, upper) for the connected subgraph of g on the ranks in
+    active, with a coloring achieving upper written into colors by vertex
+    of g; entries off active are left as they are.
 
     Depth-first branch and bound on an explicit stack, so deep searches
     need no recursion.  The search colors ranks of the masks in one loop
@@ -209,15 +222,30 @@ def _component_chromatic(
     - the pick is the uncolored rank with the largest (saturation, degree
       in g, -vertex): narrowing the uncolored mask plane by plane from the
       top leaves the ties at the highest saturation, and their lowest rank
-      has the highest degree, then the lowest number;
-    - the stack is three lists indexed by depth d: the rank, the colors
-      used on entry and the mask its color saturated.  The rank's color
-      is its entry in colors, 0 off the stack, so a new best reads colors
-      whole;
+      has the highest degree, then the lowest number.  The narrowing reads
+      that saturation sat as it goes, one doubling per plane;
+    - the stack is four lists indexed by depth d: the rank, the colors
+      used on entry, its spare colors and the mask its color saturated.
+      The rank's color is its entry in held, by rank, and a new best
+      copies the frames' colors and the clique's into colors;
+    - a frame's candidates are its free colors up to entry, ascending,
+      then entry + 1 (colors beyond it are interchangeable).  The colors
+      of its neighbours stay the same while it is on the stack, and none
+      is above entry, so entry - sat of them are free, and spare counts
+      the ones not yet taken: a scan for the next runs only while spare
+      is positive, and always stops at or below entry.  A rank that sees
+      every color used takes entry + 1 at once;
     - no color above ceiling is tried: one less than the best so far,
-      which each new best lowers, or the target t, which stays;
+      which each new best lowers, or the target t, which stays.  A
+      candidate above it ends its frame, since every later one is larger;
+    - a push colors its rank at once.  A pick with no candidate is a dead
+      end: it is counted as a node but not pushed, so the stack holds
+      only colored frames;
     - the node count and the limits are read from state on entry, and the
-      count is written back on every exit;
+      count is written back on every exit.  One comparison per node
+      guards both: bound is max_nodes or, with a clock, the count just
+      before its next read at a multiple of 1024 nodes, if that comes
+      first;
     - a new best of at most stop colors ends the search: stop is the
       clique's size, or t.
     The search starts from DSATUR's coloring.  With a target t, a coloring
@@ -226,29 +254,26 @@ def _component_chromatic(
     out of colorings then proves the lower end t + 1, and the upper end
     stays DSATUR's.
     """
-    best, best_count = _dsatur_greedy(g, active)
+    best_count = _dsatur_greedy(g, active, colors)
     clique = greedy_clique(g, active)
     lb = len(clique)
     if lb == best_count:
-        return lb, best_count, best
+        return lb, best_count
     if target is None:
         ceiling, stop = best_count - 1, lb
     elif lb <= target < best_count:
         ceiling = stop = target
     else:
-        return lb, best_count, best
+        return lb, best_count
 
     # Search colors stay at or below the ceiling, and so does every saturation.
-    rank, nb, n = g.rank, g.nb, g.n
+    rank, order, nb, n = g.rank, g.order, g.nb, g.n
     seen = [((1 << n) - 1) ^ active] * (ceiling + 1)
     planes = [0] * ceiling.bit_length()
     ones = len(planes) - 1
     uncolored = active
-    # Colors by rank: the clique's, and each frame's current one (0 off the stack).
-    colors = [0] * n
     for c, v in enumerate(clique, 1):
         i = rank[v]
-        colors[i] = c
         # Each clique color is taken once, so it saturates i's whole
         # neighbourhood in active.
         x = nb[i] & ~seen[c]
@@ -261,65 +286,105 @@ def _component_chromatic(
             x &= plane
             j -= 1
     free = active.bit_count() - lb
-    at, entry, saturated = ([0] * free for _ in range(3))
+    at, entry, spare, saturated = ([0] * free for _ in range(4))
+    # Each frame's current color, by rank.
+    held = [0] * n
     last, d = free - 1, -1
     used = lb
     nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
+    bound = max_nodes
+    if deadline is not None and nodes | 1023 < bound:
+        bound = nodes | 1023
     while True:
-        if nodes >= max_nodes:
-            state.nodes = nodes
-            return lb, best_count, best
+        if nodes >= bound:
+            if nodes >= max_nodes:
+                state.nodes = nodes
+                return lb, best_count
+            # The count is about to reach a multiple of 1024: read the clock.
+            if time.monotonic() > deadline:
+                # Every later component refuses before it counts, as after a node cut.
+                state.nodes = state._max_nodes = nodes + 1
+                return lb, best_count
+            bound = min(max_nodes, nodes + 1024)
         nodes += 1
-        if not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
-            # Every later component refuses before it counts, as after a node cut.
-            state.nodes = state._max_nodes = nodes
-            return lb, best_count, best
         if d == last:
             if used < best_count:
                 best_count = used
-                best = [colors[i] for i in rank]
+                for i in at:
+                    colors[order[i]] = held[i]
+                for c, v in enumerate(clique, 1):
+                    colors[v] = c
                 if used <= stop:
                     state.nodes = nodes
-                    return lb, used, best
+                    return lb, used
                 ceiling = used - 1
         else:
             ties = uncolored
+            sat = 0
             for plane in planes:
+                sat += sat
                 top = ties & plane
                 if top:
                     ties = top
-            d += 1
-            at[d] = (ties & -ties).bit_length() - 1
-            entry[d] = used
-        # Back up to the deepest frame with a color left, and take it.
-        while d >= 0:
-            i = at[d]
-            bit = 1 << i
-            c = colors[i]
-            if c:
-                x = saturated[d]
-                seen[c] ^= x
-                uncolored |= bit
+                    sat += 1
+            bit = ties & -ties
+            i = bit.bit_length() - 1
+            s = used - sat
+            if s:
+                s -= 1
+                c = 1
+                while seen[c] & bit:
+                    c += 1
+            else:
+                c = used + 1
+            if c <= ceiling:
+                d += 1
+                at[d] = i
+                entry[d] = used
+                spare[d] = s
+                held[i] = c
+                saturated[d] = x = nb[i] & ~seen[c]
+                seen[c] |= x
+                uncolored ^= bit
                 j = ones
                 while x:
                     plane = planes[j]
                     planes[j] = plane ^ x
-                    x &= ~plane
+                    x &= plane
                     j -= 1
-            c += 1
-            # Colors beyond entry + 1 are interchangeable, and none above
-            # the ceiling is tried.  (Here and below, a comparison in place
-            # of min and max saves a call per node.)
-            limit = ceiling
-            if entry[d] < limit:
-                limit = entry[d] + 1
-            while c <= limit and seen[c] & bit:
+                if c > used:
+                    used = c
+                continue
+        # Back up to the deepest frame with a color left, and take it.
+        while d >= 0:
+            i = at[d]
+            bit = 1 << i
+            c = held[i]
+            x = saturated[d]
+            seen[c] ^= x
+            uncolored |= bit
+            j = ones
+            while x:
+                plane = planes[j]
+                planes[j] = plane ^ x
+                x &= ~plane
+                j -= 1
+            s = spare[d]
+            if s:
+                spare[d] = s - 1
                 c += 1
-            if c > limit:
-                colors[i] = 0
+                while seen[c] & bit:
+                    c += 1
+                used = entry[d]
+            elif c > entry[d]:
                 d -= 1
                 continue
-            colors[i] = c
+            else:
+                used = c = entry[d] + 1
+            if c > ceiling:
+                d -= 1
+                continue
+            held[i] = c
             saturated[d] = x = nb[i] & ~seen[c]
             seen[c] |= x
             uncolored ^= bit
@@ -329,13 +394,11 @@ def _component_chromatic(
                 planes[j] = plane ^ x
                 x &= plane
                 j -= 1
-            used = entry[d]
-            if c > used:
-                used = c
             break
-        if d < 0:
+        else:
+            # No frame has a color left under the ceiling.
             state.nodes = nodes
-            return ceiling + 1, best_count, best
+            return ceiling + 1, best_count
 
 
 def chromatic_index(
@@ -364,7 +427,7 @@ def chromatic_index(
     bracket stays honest either way.
     """
     g = line_graph(h)
-    order, rank = g.order, g.rank
+    rank = g.rank
     gone = set(without)
     for p in gone:
         h._check_position(p)
@@ -374,15 +437,8 @@ def chromatic_index(
     state = _SearchState(budget)
     lower = upper = 0
     witness = [0] * h.m
-    for k, comp in enumerate(_component_masks(g, active)):
-        lo, hi, local = _component_chromatic(g, comp, state, target)
-        # Each coloring is 0 off its component, so the first is taken whole.
-        if not k:
-            witness = local
-        else:
-            for i in _ranks(comp):
-                v = order[i]
-                witness[v] = local[v]
+    for comp in _component_masks(g, active):
+        lo, hi = _component_chromatic(g, comp, state, target, witness)
         lower = max(lower, lo)
         upper = max(upper, hi)
     if lower < upper:

@@ -621,13 +621,27 @@ def _tick(state: _SearchState) -> None:
 
 
 def recursive_component_chromatic(
-    g: SimpleGraph, active: int, state: _SearchState, target: Optional[int]
-) -> tuple[int, int, list[int]]:
+    g: SimpleGraph,
+    active: int,
+    state: _SearchState,
+    target: Optional[int],
+    witness: list[int],
+) -> tuple[int, int]:
     """The oracle's branch and bound as a recursion over set rebuilds.
 
     Same contract as hypercolor.oracle._component_chromatic, and it must
     visit the same nodes in the same order.
     """
+    lower, upper, best = _recursive_search(g, active, state, target)
+    for v in _active_vertices(g, active):
+        witness[v] = best[v]
+    return lower, upper
+
+
+def _recursive_search(
+    g: SimpleGraph, active: int, state: _SearchState, target: Optional[int]
+) -> tuple[int, int, list[int]]:
+    """(lower, upper, coloring achieving upper by vertex, 0 off active)."""
     vertices = _active_vertices(g, active)
     greedy = rebuilding_dsatur_greedy(g, active)
     best_count = max(greedy)

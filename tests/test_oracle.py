@@ -6,6 +6,7 @@ import hashlib
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
+from typing import Optional
 
 from hypercolor import (
     Budget,
@@ -166,7 +167,7 @@ def test_a_clock_cut_stops_every_later_component(monkeypatch):
     # STS(15) on vertices 0-14 and K_5 on 15-19: the cut lands inside
     # STS(15), and K_5's component is not searched.  K_5 on 0-4, at the
     # lowest positions, and STS(15) on 5-19: K_5's line graph is searched
-    # first (DSATUR uses 6 colors, its clique has 4), in 29 nodes, and
+    # first (DSATUR uses 6 colors, its clique has 4), in 16 nodes, and
     # STS(15)'s search counts on from them to the cut.
     sts = list(steiner_triple(15).edges)
     k5 = list(complete_graph(5).edges)
@@ -183,6 +184,50 @@ def test_a_clock_cut_stops_every_later_component(monkeypatch):
         assert (res.lower, res.upper, res.nodes) == (7, 9, 1024)
         assert is_proper(h, res.witness)
         assert res.witness.q_used == 9
+
+
+def _counting_clock(monkeypatch, expires_at: Optional[int] = None) -> list[float]:
+    """Give the oracle a clock that reads 0.0, and 10.0 from its read
+    number expires_at on, the read that sets the deadline being number 0;
+    returns the list of its readings."""
+    readings: list[float] = []
+
+    def monotonic() -> float:
+        late = expires_at is not None and len(readings) >= expires_at
+        readings.append(10.0 if late else 0.0)
+        return readings[-1]
+
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=monotonic))
+    return readings
+
+
+def test_the_clock_is_read_at_every_1024th_node_of_the_shared_count(monkeypatch):
+    budget = Budget(10**7, 1.0)
+    sts = steiner_triple(15)
+    # Once for the deadline, then at each of the 34 multiples of 1024
+    # below the exact search's 35,332 nodes.
+    readings = _counting_clock(monkeypatch)
+    res = chromatic_index(sts, budget)
+    assert (res.exact, res.nodes, len(readings)) == (9, 35_332, 35)
+    # Expiring at its third read in the loop, the clock cuts at 3 * 1024.
+    readings = _counting_clock(monkeypatch, expires_at=3)
+    res = chromatic_index(sts, budget)
+    assert (res.lower, res.upper, res.nodes, len(readings)) == (7, 9, 3072, 4)
+    assert is_proper(sts, res.witness)
+    # K_7 takes 947 nodes and each K_5 after it 16, so the shared count
+    # crosses 1024 inside the fifth K_5 (947 + 4 * 16 = 1011 falls short),
+    # and the read still comes there, not at a multiple of 1024 of one
+    # component's own count.
+    k5 = complete_graph(5).edges
+    k5s = [tuple(x + 7 + 5 * k for x in e) for k in range(10) for e in k5]
+    union = Hypergraph(57, list(complete_graph(7).edges) + k5s)
+    readings = _counting_clock(monkeypatch)
+    res = chromatic_index(union, budget)
+    assert (res.exact, res.nodes, len(readings)) == (7, 947 + 10 * 16, 2)
+    readings = _counting_clock(monkeypatch, expires_at=1)
+    res = chromatic_index(union, budget)
+    assert (res.exact, res.nodes, len(readings)) == (7, 1024, 2)
+    assert is_proper(union, res.witness)
 
 
 def test_search_is_deterministic_including_node_counts():
@@ -221,6 +266,13 @@ def _differential_inputs():
         yield graph_hypergraph(*random_graph(Rng(seed + 14_000), 8, 16, 30, 60))
 
 
+def _dsatur(g, active: int) -> tuple[list[int], int]:
+    """The oracle's DSATUR coloring of active by vertex, 0 off it, and its
+    color count."""
+    colors = [0] * g.n
+    return colors, oracle._dsatur_greedy(g, active, colors)
+
+
 def _masked_calls(h: Hypergraph, rng: Rng):
     """(without, target) option sets for h: none, a target alone, and
     random positions left out with and without a target, the targets at
@@ -235,21 +287,34 @@ def _masked_calls(h: Hypergraph, rng: Rng):
 
 
 def test_search_matches_the_recursive_reference(monkeypatch):
-    searched = starved = multi = masked = targeted = 0
+    searched = starved = multi = masked = targeted = dropped = 0
+    searching = oracle._component_chromatic
+
+    def counting_drops(g, active, state, target, colors):
+        # A best at least 2 below DSATUR's count.  Without a target, such a
+        # search has lowered its ceiling under colors that frames on its
+        # stack already use, so it backs through frames whose entry lies
+        # above the ceiling.
+        nonlocal dropped
+        lower, upper = searching(g, active, state, target, colors)
+        dropped += upper <= _dsatur(g, active)[1] - 2
+        return lower, upper
+
     for index, h in enumerate(_differential_inputs()):
         g = line_graph(h)
         full = (1 << g.n) - 1
         if g.n:
             want = rebuilding_dsatur_greedy(g)
-            assert oracle._dsatur_greedy(g, full) == (want, max(want))
+            assert _dsatur(g, full) == (want, max(want))
             inner = full ^ 1 << (index % g.n)
             if inner:
                 want = rebuilding_dsatur_greedy(g, inner)
-                assert oracle._dsatur_greedy(g, inner) == (want, max(want))
+                assert _dsatur(g, inner) == (want, max(want))
         multi += len(_component_masks(g, full)) > 1
         rng = Rng(index + 19_000)
         for options in _masked_calls(h, rng):
             for budget in (Budget(index % 51, None), FAST):
+                monkeypatch.setattr(oracle, "_component_chromatic", counting_drops)
                 got = chromatic_index(h, budget, **options)
                 monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
                 want = chromatic_index(h, budget, **options)
@@ -261,7 +326,7 @@ def test_search_matches_the_recursive_reference(monkeypatch):
                 targeted += "target" in options and got.nodes > 0
     assert index + 1 == 200
     assert searched >= 600 and starved >= 300 and multi >= 40
-    assert masked >= 300 and targeted >= 250
+    assert masked >= 300 and targeted >= 250 and dropped >= 20
 
 
 def _left_out_inputs():
@@ -407,10 +472,10 @@ def test_large_line_graphs_match_the_references(monkeypatch):
     inputs = (complete_graph(17), steiner_triple(21), projective_plane(11))
     graphs = [line_graph(h) for h in inputs]
     assert [g.n for g in graphs] == [136, 70, 133]
-    assert oracle._dsatur_greedy(graphs[0], (1 << 136) - 1)[1] == 19
+    assert _dsatur(graphs[0], (1 << 136) - 1)[1] == 19
     for h, g in zip(inputs, graphs):
         want = rebuilding_dsatur_greedy(g)
-        assert oracle._dsatur_greedy(g, (1 << g.n) - 1) == (want, max(want))
+        assert _dsatur(g, (1 << g.n) - 1) == (want, max(want))
         assert greedy_clique(g) == set_greedy_clique(g)
         for nodes in (0, 1, 37, 500):
             budget = Budget(nodes, None)

@@ -118,8 +118,8 @@ class Hypergraph:
 
     def incident(self, x: int) -> tuple[int, ...]:
         """Positions of the hyperedges containing vertex x, ascending."""
-        if not 0 <= x < self.n:
-            raise IndexError(f"vertex {x} not in 0..{self.n - 1}")
+        if type(x) is not int or not 0 <= x < self.n:
+            raise IndexError(f"vertex {x!r} not an int in 0..{self.n - 1}")
         return self._incidence[x]
 
     def hyperedge_degree(self, i: int) -> int:
@@ -197,8 +197,8 @@ class Hypergraph:
         )
 
     def _check_position(self, i: int) -> None:
-        if not 0 <= i < self.m:
-            raise IndexError(f"hyperedge position {i} not in 0..{self.m - 1}")
+        if type(i) is not int or not 0 <= i < self.m:
+            raise IndexError(f"hyperedge position {i!r} not an int in 0..{self.m - 1}")
 
 
 def _meeting_masks(n: int, edges: Sequence[tuple[int, ...]]) -> list[int]:

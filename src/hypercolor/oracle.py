@@ -25,19 +25,19 @@ and picking the next one (DSATUR's most saturated, then highest-degree,
 then lowest-numbered vertex) cost a few big-integer operations each,
 not a loop over neighbours.  The degree that breaks ties is the degree
 in h, whichever ranks are searched.  The search keeps these masks, its
-stack of four per-depth lists and its node count in the locals of one
-loop, so a branch node makes no function call and costs one comparison
-against the budget.  The pick reads the saturation of the rank it takes,
-so each frame counts its spare colors (the free ones up to those used
-on entry) and scans for the next only while one is left; a push colors
-its rank at once, and no frame tries a color that cannot beat the
-best coloring found so far.  DSATUR's starting coloring and the greedy
-clique read the same masks.  Without positions left out or a target, a
-component's ranks keep the order they would have in its own line graph,
-so the search visits the same nodes in the same order as the recursive,
-set-rebuilding search on that graph (tests/brute.py keeps that one as
-the reference), and node counts, brackets and witnesses are unchanged
-from it.
+stack of five per-depth lists and its node count, all sized by the
+component, in the locals of one loop, so a branch node makes no function
+call and costs one comparison against the budget.  The pick reads the
+saturation of the rank it takes, so each frame counts its spare colors
+(the free ones up to those used on entry) and scans for the next only
+while one is left; a push colors its rank at once, and no frame tries a
+color that cannot beat the best coloring found so far.  DSATUR's
+starting coloring and the greedy clique read the same masks.  Without
+positions left out or a target, a component's ranks keep the order they
+would have in its own line graph, so the search visits the same nodes in
+the same order as the recursive, set-rebuilding search on that graph
+(tests/brute.py keeps that one as the reference), and node counts,
+brackets and witnesses are unchanged from it.
 """
 
 from __future__ import annotations
@@ -116,18 +116,19 @@ def _dsatur_greedy(g: SimpleGraph, active: int, colors: list[int]) -> int:
 
     The saturation is kept as in _component_chromatic's search, with no
     undo: seen[c] marks the ranks with a neighbour colored c, and the
-    ranks off active from the start, so no saturation counts them; the
-    planes count each rank's distinct neighbour colors bit-sliced.  The
-    pick reads the saturation sat of the rank it takes, and a rank whose
-    neighbours hold every color used so far takes a new one unscanned.
+    planes count each rank's distinct neighbour colors bit-sliced; both
+    start empty.  Marks on the positions left out of the search are
+    harmless: they are never uncolored, so never picked, and a scan tests
+    only the picked rank's bit.  The pick reads the saturation sat of the
+    rank it takes, and a rank whose neighbours hold every color used so
+    far takes a new one unscanned.
     """
-    order, nb, n = g.order, g.nb, g.n
-    outside = ((1 << n) - 1) ^ active
+    order, nb = g.order, g.nb
     # A vertex never needs a color above its degree in active plus 1, and
     # the lowest active rank has the largest degree in g among them; an
     # active component is never empty.
     most = nb[(active & -active).bit_length() - 1].bit_count() + 1
-    seen = [outside] * (most + 1)
+    seen = [0] * (most + 1)
     planes = [0] * most.bit_length()
     ones = len(planes) - 1
     uncolored = active
@@ -210,9 +211,9 @@ def _component_chromatic(
     Depth-first branch and bound on an explicit stack, so deep searches
     need no recursion.  The search colors ranks of the masks in one loop
     that keeps its state in locals and makes no call per node:
-    - seen[c] marks the ranks with a neighbour colored c, and the ranks
-      off active from the start, so that no neighbourhood taken below
-      reaches them; uncolored marks the active ranks without a color;
+    - seen[c] marks the ranks with a neighbour colored c, and starts
+      empty; uncolored marks the active ranks without a color.  Marks on
+      the positions left out are harmless, as in _dsatur_greedy;
     - the saturation of each rank (its number of distinct neighbour
       colors) is bit-sliced, high plane first: bit i of planes[ones - j]
       is bit j of the count of rank i.  Coloring rank i with c saturates
@@ -224,10 +225,10 @@ def _component_chromatic(
       top leaves the ties at the highest saturation, and their lowest rank
       has the highest degree, then the lowest number.  The narrowing reads
       that saturation sat as it goes, one doubling per plane;
-    - the stack is four lists indexed by depth d: the rank, the colors
-      used on entry, its spare colors and the mask its color saturated.
-      The rank's color is its entry in held, by rank, and a new best
-      copies the frames' colors and the clique's into colors;
+    - the stack is five lists indexed by depth d: the rank, its color,
+      the colors used on entry, its spare colors and the mask its color
+      saturated.  A new best copies the frames' colors and the clique's
+      into colors;
     - a frame's candidates are its free colors up to entry, ascending,
       then entry + 1 (colors beyond it are interchangeable).  The colors
       of its neighbours stay the same while it is on the stack, and none
@@ -267,17 +268,16 @@ def _component_chromatic(
         return lb, best_count
 
     # Search colors stay at or below the ceiling, and so does every saturation.
-    rank, order, nb, n = g.rank, g.order, g.nb, g.n
-    seen = [((1 << n) - 1) ^ active] * (ceiling + 1)
+    rank, order, nb = g.rank, g.order, g.nb
+    seen = [0] * (ceiling + 1)
     planes = [0] * ceiling.bit_length()
     ones = len(planes) - 1
     uncolored = active
     for c, v in enumerate(clique, 1):
         i = rank[v]
         # Each clique color is taken once, so it saturates i's whole
-        # neighbourhood in active.
-        x = nb[i] & ~seen[c]
-        seen[c] |= x
+        # neighbourhood.
+        x = seen[c] = nb[i]
         uncolored ^= 1 << i
         j = ones
         while x:
@@ -286,9 +286,7 @@ def _component_chromatic(
             x &= plane
             j -= 1
     free = active.bit_count() - lb
-    at, entry, spare, saturated = ([0] * free for _ in range(4))
-    # Each frame's current color, by rank.
-    held = [0] * n
+    at, held, entry, spare, saturated = ([0] * free for _ in range(5))
     last, d = free - 1, -1
     used = lb
     nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
@@ -310,8 +308,8 @@ def _component_chromatic(
         if d == last:
             if used < best_count:
                 best_count = used
-                for i in at:
-                    colors[order[i]] = held[i]
+                for i, c in zip(at, held):
+                    colors[order[i]] = c
                 for c, v in enumerate(clique, 1):
                     colors[v] = c
                 if used <= stop:
@@ -340,9 +338,9 @@ def _component_chromatic(
             if c <= ceiling:
                 d += 1
                 at[d] = i
+                held[d] = c
                 entry[d] = used
                 spare[d] = s
-                held[i] = c
                 saturated[d] = x = nb[i] & ~seen[c]
                 seen[c] |= x
                 uncolored ^= bit
@@ -359,7 +357,7 @@ def _component_chromatic(
         while d >= 0:
             i = at[d]
             bit = 1 << i
-            c = held[i]
+            c = held[d]
             x = saturated[d]
             seen[c] ^= x
             uncolored |= bit
@@ -384,7 +382,7 @@ def _component_chromatic(
             if c > ceiling:
                 d -= 1
                 continue
-            held[i] = c
+            held[d] = c
             saturated[d] = x = nb[i] & ~seen[c]
             seen[c] |= x
             uncolored ^= bit

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypercolor import Hypergraph, Rng, fano, random_linear
+from hypercolor import Hypergraph, Rng, chromatic_index, fano, random_linear
 
 from brute import (
     brute_connected,
@@ -59,6 +59,14 @@ def test_degrees_and_incidence():
         h.incident(4)
     with pytest.raises(IndexError):
         h.hyperedge_degree(3)
+    # Vertices and positions are ints, as in the constructor: not floats
+    # within range, and not bools.
+    with pytest.raises(IndexError, match="1.0"):
+        h.incident(1.0)
+    with pytest.raises(IndexError, match="True"):
+        h.incident(True)
+    with pytest.raises(IndexError, match="1.5"):
+        h.hyperedge_degree(1.5)
 
 
 def test_hyperedge_degree_counts_intersecting_positions():
@@ -146,6 +154,13 @@ def test_without_keeps_the_other_positions_in_order():
     assert h.without(range(5)) == Hypergraph(4, [])
     with pytest.raises(IndexError):
         h.without({5})
+    # A float within range would keep every position, and True would
+    # delete position 1.
+    for bad in (1.5, True):
+        with pytest.raises(IndexError, match=repr(bad)):
+            h.without([bad])
+        with pytest.raises(IndexError, match=repr(bad)):
+            chromatic_index(h, without=[bad])
     # Loops and duplicate edges kept or dropped like any other position.
     seen = set()
     for seed in range(200):

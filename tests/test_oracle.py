@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 from typing import Optional
@@ -436,6 +437,29 @@ def test_a_component_past_the_budget_keeps_its_greedy_clique():
     res = chromatic_index(h, Budget(0, None))
     assert (res.lower, res.upper, res.nodes) == (7, 7, 0)
     assert is_proper(h, res.witness)
+
+
+def test_a_components_search_allocates_nothing_sized_by_the_input():
+    # K_5 after 500, then 5,000, single edges: its ten ranks come first,
+    # the padding's ranks after them.  The search of K_5's mask holds the
+    # same state beside either, so its traced peak does not grow with m.
+    peaks = []
+    for pad in (500, 5_000):
+        edges = [(5 + 2 * k, 6 + 2 * k) for k in range(pad)]
+        h = Hypergraph(5 + 2 * pad, edges + list(complete_graph(5).edges))
+        g = line_graph(h)
+        k5 = (1 << 10) - 1
+        assert sorted(g.order[i] for i in range(10)) == list(range(pad, pad + 10))
+        state = oracle._SearchState(Budget(50, None))
+        colors = [0] * h.m
+        tracemalloc.start()
+        try:
+            found = oracle._component_chromatic(g, k5, state, None, colors)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert found == (5, 5)
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_greedy_clique_is_a_maximal_clique():

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, UnsupportedInputError
 from .instances import Rng
-from .transforms import SimpleGraph, _component_masks, _ranks, line_graph
+from .transforms import SimpleGraph, _ranks, line_graph
 
 
 def _check_palette(colors: tuple[int, ...]) -> None:
@@ -141,7 +141,7 @@ def brooks_color(h: Hypergraph) -> Coloring:
     at most its maximum degree, one more for a complete graph or odd cycle."""
     g = line_graph(h)
     colors = [0] * h.m
-    for comp in _component_masks(g, (1 << h.m) - 1):
+    for comp in h._components:
         _brooks_component(g, _ranks(comp), colors)
     return Coloring(tuple(colors))
 

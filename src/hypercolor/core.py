@@ -4,8 +4,10 @@ neighbourhood masks built from the hyperedges), and their subhypergraphs,
 all built by without(positions).  The masks are the one record of which
 hyperedges meet: stats().linear is read from them, and every component
 walk in the package (stats().connected's, the oracle's and Brooks'
-colorer's) is a rank mask on them flooded by transforms._component_masks.
-The oracle searches h less some positions as masks on them too."""
+colorer's) is a rank mask on them flooded by transforms._component_masks;
+the components of the whole graph are flooded once and kept
+(Hypergraph._components).  The oracle searches h less some positions as
+masks on them too."""
 
 from __future__ import annotations
 
@@ -116,6 +118,13 @@ class Hypergraph:
         nb = tuple(mask ^ (1 << i) for i, mask in enumerate(ranked))
         return SimpleGraph(tuple(order), tuple(rank), nb)
 
+    @cached_property
+    def _components(self) -> tuple[int, ...]:
+        """The rank masks of the line graph's components, flooded once:
+        stats().connected counts them, and the oracle, the criticality
+        table's search and Brooks' colorer walk them."""
+        return tuple(_component_masks(self._line_graph, (1 << self.m) - 1))
+
     def incident(self, x: int) -> tuple[int, ...]:
         """Positions of the hyperedges containing vertex x, ascending."""
         if type(x) is not int or not 0 <= x < self.n:
@@ -175,7 +184,6 @@ class Hypergraph:
             sum(sizes[p] for p in positions) - len(positions)
             for positions in self._incidence
         ]
-        components = _component_masks(self._line_graph, (1 << self.m) - 1)
         return HypergraphStats(
             n=self.n,
             m=self.m,
@@ -192,7 +200,7 @@ class Hypergraph:
             uniform_k=sizes[0] if sizes and len(set(sizes)) == 1 else None,
             regular_d=max_deg if max_deg == min_deg else None,
             # An isolated vertex is a component without a hyperedge.
-            connected=len(components) + degs.count(0) <= 1,
+            connected=len(self._components) + degs.count(0) <= 1,
             two_section_max_degree=max(two_section_degs, default=0),
         )
 

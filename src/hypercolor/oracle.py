@@ -37,18 +37,29 @@ positions left out or a target, a component's ranks keep the order they
 would have in its own line graph, so the search visits the same nodes in
 the same order as the recursive, set-rebuilding search on that graph
 (tests/brute.py keeps that one as the reference), and node counts,
-brackets and witnesses are unchanged from it.
+brackets and witnesses are unchanged from it.  A component of one rank
+takes color 1 with no search.
+
+A criticality table asks, for every row e of h, whether h - e takes
+q - 1 colors.  One search answers all rows at once (_drop_search, a
+second loop of the same shape): it looks for a (q-1)-coloring of h's
+line graph in which one undecided row may stay uncolored, so each
+coloring it completes proves its dropped row critical, and once it is
+exhausted every row it did not prove is removable.  Its nodes count
+against a budget of their own and are not part of any OracleResult.
 """
 
 from __future__ import annotations
 
 import time
+from collections import ChainMap
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, MutableMapping, Optional
 
 from .coloring import Coloring
 from .core import Hypergraph
-from .transforms import SimpleGraph, _component_masks, line_graph
+from .transforms import SimpleGraph, _component_masks, _ranks, line_graph
 
 
 @dataclass(frozen=True)
@@ -399,6 +410,168 @@ def _component_chromatic(
             return ceiling + 1, best_count
 
 
+def _drop_search(
+    g: SimpleGraph,
+    active: int,
+    state: _SearchState,
+    ceiling: int,
+    droppable: int,
+    prove: Callable[[int, dict[int, int]], int],
+) -> Optional[bool]:
+    """Search the connected subgraph of g on the ranks in active for a
+    coloring with colors 1..ceiling that may leave one rank of droppable
+    uncolored: the rank is dropped.
+
+    True once a coloring drops nothing, False once the search is
+    exhausted, None when the budget or the clock cuts it.  Each coloring
+    that drops a rank s goes to prove(s, classes), classes mapping each
+    color to its mask of ranks; prove returns the ranks it proved, s among
+    them, and no frame drops one of those afterwards.  The search then
+    backs up past the frame that dropped s, since every coloring below it
+    drops s too.
+
+    The loop is _component_chromatic's, with a fixed ceiling, no starting
+    coloring and no clique: the pick, the colors a frame tries, the stack
+    and the guard on nodes and the clock are the same.  A frame tries its
+    rank's colors first, then, if no rank is dropped yet and its rank is
+    still droppable, the drop; a drop frame holds color 0 and saturates
+    nothing.  Every rank colored or dropped is a complete coloring.
+    """
+    nb = g.nb
+    seen = [0] * (ceiling + 1)
+    planes = [0] * ceiling.bit_length()
+    ones = len(planes) - 1
+    uncolored = active
+    free = active.bit_count()
+    at, held, entry, spare, saturated = ([0] * free for _ in range(5))
+    last, d, drop, used = free - 1, -1, -1, 0
+    jumping = False
+    nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
+    bound = max_nodes
+    if deadline is not None and nodes | 1023 < bound:
+        bound = nodes | 1023
+    while True:
+        if nodes >= bound:
+            if nodes >= max_nodes:
+                state.nodes = nodes
+                return None
+            if time.monotonic() > deadline:
+                state.nodes = state._max_nodes = nodes + 1
+                return None
+            bound = min(max_nodes, nodes + 1024)
+        nodes += 1
+        if d == last:
+            if drop < 0:
+                state.nodes = nodes
+                return True
+            classes: dict[int, int] = {}
+            for k in range(free):
+                if k != drop:
+                    c = held[k]
+                    classes[c] = classes.get(c, 0) | 1 << at[k]
+            droppable &= ~prove(at[drop], classes)
+            jumping = True
+        else:
+            ties = uncolored
+            sat = 0
+            for plane in planes:
+                sat += sat
+                top = ties & plane
+                if top:
+                    ties = top
+                    sat += 1
+            bit = ties & -ties
+            i = bit.bit_length() - 1
+            s = used - sat
+            if s:
+                s -= 1
+                c = 1
+                while seen[c] & bit:
+                    c += 1
+            else:
+                c = used + 1
+            if c <= ceiling:
+                d += 1
+                at[d] = i
+                held[d] = c
+                entry[d] = used
+                spare[d] = s
+                saturated[d] = x = nb[i] & ~seen[c]
+                seen[c] |= x
+                uncolored ^= bit
+                j = ones
+                while x:
+                    plane = planes[j]
+                    planes[j] = plane ^ x
+                    x &= plane
+                    j -= 1
+                if c > used:
+                    used = c
+                continue
+            if drop < 0 and droppable & bit:
+                d = drop = d + 1
+                at[d] = i
+                held[d] = 0
+                uncolored ^= bit
+                continue
+        # Back up to the deepest frame with a color or the drop left, and
+        # take it; after a complete coloring, back up past the drop frame.
+        while d >= 0:
+            i = at[d]
+            bit = 1 << i
+            c = held[d]
+            uncolored |= bit
+            if not c:
+                # The drop is a frame's last option.
+                drop = -1
+                jumping = False
+                d -= 1
+                continue
+            x = saturated[d]
+            seen[c] ^= x
+            j = ones
+            while x:
+                plane = planes[j]
+                planes[j] = plane ^ x
+                x &= ~plane
+                j -= 1
+            if jumping:
+                d -= 1
+                continue
+            s = spare[d]
+            if s:
+                spare[d] = s - 1
+                c += 1
+                while seen[c] & bit:
+                    c += 1
+                used = entry[d]
+            elif c <= entry[d] < ceiling:
+                used = c = entry[d] + 1
+            elif drop < 0 and droppable & bit:
+                held[d] = 0
+                used = entry[d]
+                uncolored ^= bit
+                drop = d
+                break
+            else:
+                d -= 1
+                continue
+            held[d] = c
+            saturated[d] = x = nb[i] & ~seen[c]
+            seen[c] |= x
+            uncolored ^= bit
+            j = ones
+            while x:
+                plane = planes[j]
+                planes[j] = plane ^ x
+                x &= plane
+                j -= 1
+            break
+        else:
+            state.nodes = nodes
+            return False
+
+
 def chromatic_index(
     h: Hypergraph,
     budget: Budget = Budget(),
@@ -425,18 +598,27 @@ def chromatic_index(
     bracket stays honest either way.
     """
     g = line_graph(h)
-    rank = g.rank
     gone = set(without)
     for p in gone:
         h._check_position(p)
-    active = (1 << h.m) - 1
-    for p in gone:
-        active ^= 1 << rank[p]
+    if gone:
+        active = (1 << h.m) - 1
+        for p in gone:
+            active ^= 1 << g.rank[p]
+        components = _component_masks(g, active)
+    else:
+        components = h._components
     state = _SearchState(budget)
     lower = upper = 0
     witness = [0] * h.m
-    for comp in _component_masks(g, active):
-        lo, hi = _component_chromatic(g, comp, state, target, witness)
+    for comp in components:
+        if comp & (comp - 1):
+            lo, hi = _component_chromatic(g, comp, state, target, witness)
+        else:
+            # A lone rank takes color 1, as DSATUR would give it, and its
+            # clique of one closes the bracket before any node.
+            witness[g.order[comp.bit_length() - 1]] = 1
+            lo = hi = 1
         lower = max(lower, lo)
         upper = max(upper, hi)
     if lower < upper:
@@ -501,9 +683,9 @@ class _Rows:
     Built once from h, its chromatic index q and a proper q-coloring of h.
     The deleted positions are those of h's edges missing from the current
     subhypergraph h', whose chromatic index is q as well.  The caller keeps
-    a map of the rows decided in h', and q_without records its answers
-    there.  A row is proved without a search by one of three facts of the
-    base search:
+    a map of the rows decided in h', and decide (for h itself) and
+    q_without (for one row) record their answers there.  A row is proved
+    without a search by one of three facts of the base search:
     - a vertex of degree q in h none of whose edges is deleted or e leaves
       q pairwise intersecting edges in h' - e, so q(h' - e) >= q, and
       removing an edge never raises q: e is removable;
@@ -511,28 +693,32 @@ class _Rows:
     - when no other edge of h' has e's color in the base coloring, that
       coloring of h' - e uses q - 1 colors, and one deletion lowers q by
       at most 1, so e is critical.
-    Any other row is searched by chromatic_index(h, budget, without=the
-    deleted positions and e, target=q - 1), as a table of plain searches
-    would search it: a mask on h's line graph that asks only whether
-    q - 1 colors do.  It is critical when the upper end is at most q - 1,
+    decide settles the other rows of h with one search of h's line graph
+    for a (q-1)-coloring that leaves one of them uncolored (_drop_search):
+    a coloring that drops e proves e critical, and once the search is
+    exhausted every row it did not prove is removable.  q_without searches
+    a row of h' (or one that a cut of that search left open) by
+    chromatic_index(h, budget, without=the deleted positions and e,
+    target=q - 1): a mask on h's line graph that asks only whether q - 1
+    colors do.  It is critical when the upper end is at most q - 1,
     removable when the lower end is at least q, and undecided otherwise.
 
     A row found critical comes with a (q-1)-coloring of h' - e: the
-    search's witness, or the base coloring without e.  e's neighbours meet
-    every color of it, or e could take the missing one and h' would need
-    only q - 1: this is the key lemma, q - 1 <= d(e).  Its exchange
-    argument reads more critical rows off the coloring: a neighbour f of e
-    in h' that is e's only neighbour with its color c is critical in h',
-    since dropping f and giving e color c colors h' - f with q - 1 colors.
-    That coloring is read the same way in turn, until no new row is proved.
+    search's, or the base coloring without e.  e's neighbours meet every
+    color of it, or e could take the missing one and h' would need only
+    q - 1: this is the key lemma, q - 1 <= d(e).  Its exchange argument
+    reads more critical rows off the coloring: a neighbour f of e in h'
+    that is e's only neighbour with its color c is critical in h', since
+    dropping f and giving e color c colors h' - f with q - 1 colors.  That
+    coloring is read the same way in turn, until no new row is proved.
     """
 
     def __init__(self, h: Hypergraph, q: int, witness: Coloring):
         self.h = h
         self.q = q
         self.colors = witness.colors
-        # line_graph(h) is the graph the base search and every row search
-        # run on; the exchange argument walks its masks.
+        # line_graph(h) is the graph the base search, the drop search and
+        # every row search run on; the exchange argument walks its masks.
         self.graph = line_graph(h)
         # Sets of q pairwise intersecting positions: the edges through a
         # vertex of degree q, and the greedy clique when it has q members.
@@ -540,6 +726,66 @@ class _Rows:
         clique = greedy_clique(self.graph)
         if len(clique) == q:
             self.cliques.append(set(clique))
+
+    def decide(self, budget: Budget, decided: dict[int, Optional[int]]) -> int:
+        """Record in decided, an empty map, every row of h that a proof of
+        the base search settles, then search for the rest: one
+        _drop_search per component of h's line graph, all on one budget
+        of their own.  Returns the search's nodes.  A row the budget or
+        the clock leaves open is not recorded.
+
+        A coloring that drops e proves only that C - e takes q - 1 colors,
+        C being e's component, and q(h - e) = q - 1 only if every other
+        component takes q - 1 colors as well.  So the rows a component's
+        search proves are kept apart, in proved (read through to decided),
+        and recorded once every other component's search has found a
+        coloring with no drop.  Such a coloring makes each row of its
+        component removable; two exhausted components, each needing q,
+        make every row removable; and so is each row of an exhausted
+        component that its search did not prove.
+        """
+        h, q, g = self.h, self.q, self.graph
+        rank, order = g.rank, g.order
+        base: dict[int, int] = {}
+        for p, c in enumerate(self.colors):
+            base[c] = base.get(c, 0) | 1 << rank[p]
+        open_rows = proved_rows = 0
+        for e in range(h.m):
+            if e in decided:
+                continue
+            c = self.colors[e]
+            if any(e not in clique for clique in self.cliques):
+                decided[e] = q
+            elif base[c] == 1 << rank[e]:
+                others = {k: v for k, v in base.items() if k != c}
+                proved_rows |= self._exchange(rank[e], others, decided)
+            else:
+                open_rows |= 1 << rank[e]
+        open_rows &= ~proved_rows
+        if not open_rows:
+            return 0
+        state = _SearchState(budget)
+        searched = []
+        exhausted = 0
+        for comp in h._components:
+            proved: dict[int, Optional[int]] = {}
+            prove = partial(self._exchange, decided=ChainMap(proved, decided))
+            found = _drop_search(g, comp, state, q - 1, open_rows & comp, prove)
+            searched.append((comp, found, proved))
+            exhausted += found is False
+            if exhausted == 2:
+                for e in range(h.m):
+                    decided[e] = q
+                return state.nodes
+        colorable = sum(found is True for _, found, _ in searched)
+        for comp, found, proved in searched:
+            if found is not True and colorable == len(searched) - 1:
+                decided.update(proved)
+            if found is not None:
+                for i in _ranks(comp & open_rows):
+                    if found or order[i] not in proved:
+                        decided[order[i]] = q
+        return state.nodes
 
     def q_without(
         self, deleted: list[int], e: int, budget: Budget,
@@ -567,37 +813,41 @@ class _Rows:
             left = (p for p in range(self.h.m) if p not in gone)
             for p, c in zip(left, result.witness.colors):
                 colors[p] = c
-        self._exchange(e, colors, decided)
-        return self.q - 1
-
-    def _exchange(
-        self, e: int, colors: list[int], decided: dict[int, Optional[int]]
-    ) -> None:
-        """Record q - 1 for e, and for every row the exchange argument
-        derives from colors, a (q-1)-coloring of h' - e by position (0 off
-        it).  A row the map already holds at q - 1 is not followed again."""
-        g = self.graph
-        rank, order, nb = g.rank, g.order, g.nb
-        below = self.q - 1
+        rank = self.graph.rank
         classes: dict[int, int] = {}
         for p, c in enumerate(colors):
             if c:
                 classes[c] = classes.get(c, 0) | 1 << rank[p]
-        decided[e] = below
-        todo = [(e, classes)]
+        self._exchange(rank[e], classes, decided)
+        return self.q - 1
+
+    def _exchange(
+        self, i: int, classes: dict[int, int],
+        decided: MutableMapping[int, Optional[int]],
+    ) -> int:
+        """Record q - 1 for the row of rank i, and for every row the
+        exchange argument derives from classes, a (q-1)-coloring of h' less
+        that row as a rank mask per color; returns the ranks recorded.  A
+        row the map already holds at q - 1 is not followed again."""
+        order, nb = self.graph.order, self.graph.nb
+        below = self.q - 1
+        decided[order[i]] = below
+        recorded = 1 << i
+        todo = [(i, classes)]
         while todo:
-            x, classes = todo.pop()
-            i = rank[x]
+            i, classes = todo.pop()
             for c, members in classes.items():
                 met = nb[i] & members
-                # One rank met: x's only neighbour colored c.
+                # One rank met: the row's only neighbour colored c.
                 if met and not met & (met - 1):
                     f = order[met.bit_length() - 1]
                     if decided.get(f) != below:
                         decided[f] = below
+                        recorded |= met
                         swapped = dict(classes)
                         swapped[c] = members ^ met | 1 << i
-                        todo.append((f, swapped))
+                        todo.append((met.bit_length() - 1, swapped))
+        return recorded
 
 
 def criticality_report(
@@ -607,25 +857,26 @@ def criticality_report(
     extract, reduce h to a critical core.
 
     Each row is q(h - e), decided by a proof of the base search, by the
-    exchange argument from a row found critical, or by a plain search of
-    h less the row, with the target q - 1 (see _Rows).  The lemma check runs on every critical
-    row however it was decided.  Two maps hold the rows decided so far:
-    in_h maps a row e to q(h - e), and in_core to q(h' - e) for the scan's
-    current h'.
+    exchange argument from a row found critical, or by search (see
+    _Rows).  The lemma check runs on every critical row however it was
+    decided.  Two maps hold the rows decided so far: in_h maps a row e to
+    q(h - e), and in_core to q(h' - e) for the scan's current h'.  One
+    search that may drop a row (_Rows.decide) fills in_h first; only a row
+    it leaves open, when the budget or the clock cuts it, is searched on
+    its own, with the target q - 1, when the core or the table reads it.
 
-    The core comes first.  It scans positions once in ascending order and
+    The core comes next.  It scans positions once in ascending order and
     deletes each one whose removal keeps q, so it is deterministic; until
-    its first deletion h' is h and its rows are the table's rows.  A row
-    it deletes is removable in h too: q(h - e) >= q(h' - e) = q.  A row
+    its first deletion h' is h and its rows are read from in_h.  A row it
+    deletes is removable in h too: q(h - e) >= q(h' - e) = q.  A row
     proved critical in either map is kept without a search: in every
     subhypergraph h' of h that holds e and has the same q,
     q(h' - e) <= q(h - e) = q - 1, and a row proved critical in h' stays
     so in every later h''.  A row left undecided in h' is decided in h: it
     is kept if critical there, and otherwise the extraction ends,
     incomplete.  Every hyperedge of a complete core is critical.  The
-    table then searches in h only the rows that in_h lacks, so a row that
-    a search in h decides within the budget has the same value with or
-    without extract.
+    table then reads every row from in_h, so a row has the same value
+    with or without extract.
     """
     base = chromatic_index(h, budget)
     if base.exact is None:
@@ -634,6 +885,11 @@ def criticality_report(
     q = base.exact
     rows = _Rows(h, q, base.witness)
     in_h: dict[int, Optional[int]] = {}
+    rows.decide(budget, in_h)
+
+    def in_h_row(e: int) -> Optional[int]:
+        return in_h[e] if e in in_h else rows.q_without([], e, budget, in_h)
+
     core = None
     if extract:
         removed: list[int] = []
@@ -642,11 +898,10 @@ def criticality_report(
         for e in range(h.m):
             if in_h.get(e) == q - 1 or in_core.get(e) == q - 1:
                 continue
-            q_without = rows.q_without(removed, e, budget, in_core if removed else in_h)
+            q_without = rows.q_without(removed, e, budget, in_core) if removed else in_h_row(e)
             # A row critical in h is critical in h' too.
-            if q_without is None and removed:
-                if rows.q_without([], e, budget, in_h) == q - 1:
-                    continue
+            if q_without is None and removed and in_h_row(e) == q - 1:
+                continue
             if q_without is None:
                 core_complete = False
                 break
@@ -655,8 +910,7 @@ def criticality_report(
                 in_h[e] = q
         core = CriticalCore(h.without(removed), core_complete, tuple(removed))
     for e in range(h.m):
-        if e not in in_h:
-            rows.q_without([], e, budget, in_h)
+        in_h_row(e)
     # Only now is every row final: a later row's exchange can prove an
     # earlier one critical, one a search left undecided included.
     entries = []

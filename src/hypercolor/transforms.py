@@ -4,10 +4,11 @@ The line graph is a cached fact of the Hypergraph (Hypergraph._line_graph),
 built from its hyperedges on first use as ranked neighbourhood masks, the
 one record of which hyperedges meet; line_graph returns that same object,
 so a hypergraph builds it once.  A component is a mask of ranks on it
-(_component_masks floods them, within any set of ranks): the oracle
-searches each one, and each row of a criticality table, Brooks' colorer
-colors each one, and stats().connected counts them, all as masks on the
-input's graph.  The oracle, first fit, Brooks' colorer and the component
+(_component_masks floods them, within any set of ranks; those of the
+whole graph are flooded once and kept as Hypergraph._components): the
+oracle searches each one, and each row of a criticality table, Brooks'
+colorer colors each one, and stats().connected counts them, all as masks
+on the input's graph.  The oracle, first fit, Brooks' colorer and the component
 flood walk the masks' set bits (_ranks), not rows; adj derives rows for
 the tests and the benchmark.  The two-section's facts (maximum degree,
 simplicity) are hypergraph invariants in Hypergraph.stats()."""

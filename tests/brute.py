@@ -8,10 +8,10 @@ package types wherever possible; the package colors hyperedges only, so
 a simple graph reaches it as graph_hypergraph(n, edges), whose line
 graph it is.  The reference versions of package logic (condition tags,
 the criticality table, core extraction, the first-fit hyperedge colorer,
-the oracle's greedy coloring, greedy clique, node counter and branch and
-bound, the random linear sampler and its k-set draw) are the earlier,
-more literal forms of that logic, kept to check the current forms
-against.
+the oracle's greedy coloring, greedy clique, node counter, branch and
+bound and drop search, the random linear sampler and its k-set draw)
+are the earlier, more literal forms of that logic, kept to check the
+current forms against.
 counting_searches spies on the oracle's calls, and counting_builds on
 the package's cached facts.
 """
@@ -22,7 +22,7 @@ import sys
 import time
 from functools import cached_property
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from hypercolor import (
     Budget,
@@ -708,6 +708,88 @@ def _recursive_search(
     if best_count <= stop:
         return lb, best_count, best
     return ceiling + 1, best_count, best
+
+
+class _Colorable(Exception):
+    pass
+
+
+def recursive_drop_search(
+    g: SimpleGraph,
+    active: int,
+    state: _SearchState,
+    ceiling: int,
+    droppable: int,
+    prove: Callable[[int, dict[int, int]], int],
+) -> Optional[bool]:
+    """The criticality table's drop search as a recursion over set
+    rebuilds.
+
+    Same contract as hypercolor.oracle._drop_search, and it must visit the
+    same nodes in the same order and pass prove the same colorings: each
+    node picks the uncolored, undropped vertex of the largest saturation,
+    then degree in g, then the lowest number, and tries its colors up to
+    one above those used, then the drop.  A coloring that drops a vertex
+    is passed to prove by rank, and the recursion returns through every
+    frame below the drop's, which then returns too.
+    """
+    vertices = _active_vertices(g, active)
+    rank, adj = g.rank, g.adj
+    colors = [0] * g.n
+    dropped: Optional[int] = None
+    left = len(vertices)
+
+    def descend(used: int) -> bool:
+        """True while returning from a coloring that drops a vertex."""
+        nonlocal droppable, dropped, left
+        _tick(state)
+        if left == 0:
+            if dropped is None:
+                raise _Colorable
+            classes: dict[int, int] = {}
+            for v in vertices:
+                if colors[v]:
+                    classes[colors[v]] = classes.get(colors[v], 0) | 1 << rank[v]
+            droppable &= ~prove(rank[dropped], classes)
+            return True
+        pick, pick_key = -1, (-1, -1, 0)
+        for v in vertices:
+            if colors[v] == 0 and v != dropped:
+                sat = len({colors[w] for w in adj[v] if colors[w]})
+                key = (sat, len(adj[v]), -v)
+                if key > pick_key:
+                    pick, pick_key = v, key
+        v = pick
+        forbidden = {colors[w] for w in adj[v]}
+        for c in range(1, min(used + 1, ceiling) + 1):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            left -= 1
+            jumping = descend(max(used, c))
+            left += 1
+            colors[v] = 0
+            if jumping:
+                return True
+        if dropped is None and droppable >> rank[v] & 1:
+            dropped = v
+            left -= 1
+            descend(used)
+            left += 1
+            dropped = None
+        return False
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, g.n + 1000))
+    try:
+        descend(0)
+    except _Colorable:
+        return True
+    except _BudgetExhausted:
+        return None
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return False
 
 
 def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:

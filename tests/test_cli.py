@@ -32,7 +32,7 @@ from hypercolor import (
     survey_instance,
     verify_conjecture,
 )
-from hypercolor import analysis, cli, coloring, oracle
+from hypercolor import analysis, cli, coloring, core, oracle, transforms
 from hypercolor.cli import main
 from hypercolor.report import (
     TOOL_VERSION,
@@ -341,14 +341,31 @@ def test_critical_builds_one_line_graph_per_input(capsys, monkeypatch):
         capsys, "critical", "--family", "random-linear:n=16,m=22,k=3,seed=6"
     )
     assert code == 0
-    # The base search, then 17 rows of the extraction (the core comes
-    # first), each on h without the rows deleted so far, then the 13 rows
-    # of the core that no proof settles in h (44 calls at table first).
+    # The base search, then 16 rows of the extraction, each on h without
+    # the rows deleted so far (row 0, the first deleted, is read from the
+    # drop search's table of h, which decides every row; 31 calls with a
+    # search per row of h, 44 at table first).
     searched = [m for m, _ in calls]
-    assert len(searched) == 31
-    assert searched[:18] == [22, 21, 20, 19, 19, 19, 19, 18, 17, 17, 16, 16, 15, 15, 14, 13, 13, 13]
-    assert searched[18:] == [21] * 13
+    assert searched == [22, 20, 19, 19, 19, 19, 18, 17, 17, 16, 16, 15, 15, 14, 13, 13, 13]
     assert built == [22]
+
+
+def test_verify_no_exact_floods_the_components_once(capsys, monkeypatch):
+    # stats().connected and the oracle read the input's components from
+    # the one flood its Hypergraph keeps.
+    floods = []
+    flood = transforms._component_masks
+
+    def counted(g, active):
+        floods.append(active.bit_count())
+        return flood(g, active)
+
+    for module in (core, oracle):
+        monkeypatch.setattr(module, "_component_masks", counted)
+    family = "random:n=4000,m=2000,sizes=1-3,seed=3"
+    code, out, _ = run_cli(capsys, "verify", "--no-exact", "--family", family)
+    assert code == 0 and "connected: no" in out
+    assert floods == [2000]
 
 
 def test_rows_are_derived_only_where_they_are_read(capsys, monkeypatch):
@@ -611,11 +628,12 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
         calls = [searched for searched, _ in searches]
         assert calls.count(m) == 1
         if exit_code == 0:
-            # One base call, then the extraction, first: it searches rows 0
-            # and 1 and deletes both.  Proofs of the base search and the
-            # exchange argument settle every other row of the core and of
-            # the table.
-            assert calls == [m, m - 1, m - 2]
+            # One base call; the drop search decides every row of h.  The
+            # extraction deletes row 0 as that table says, then searches
+            # row 1 on h - {0} and deletes it too.  Proofs of the base
+            # search and the exchange argument settle every other row of
+            # the core.
+            assert calls == [m, m - 2]
         else:
             assert calls == [m]
 
@@ -692,17 +710,18 @@ def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
 
 
 def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypatch):
-    # Row 0 is undecided within 20 nodes.  Before any deletion its candidate
-    # is the table's row, so extraction stops there, incomplete, and the
-    # table does not search it again: with or without extract, the same
-    # rows are searched.
+    # The drop search decides 8 rows within 20 nodes and leaves row 0
+    # open, and so does row 0's own search.  Before any deletion its
+    # candidate is the table's row, so extraction stops there, incomplete,
+    # and the table does not search it again: with or without extract, the
+    # same rows are searched.
     family = "random-linear:n=12,m=14,k=3,seed=24"
     h = generate(parse_family(family))
     budget = Budget(20, None)
     rep, calls = _oracle_calls(monkeypatch, h, budget)
     assert rep.q == 6 and rep.entries[0].critical is None
     assert calls == _oracle_calls(monkeypatch, h, budget, extract=False)[1]
-    assert calls == [14] + [13] * 7
+    assert calls == [14] + [13] * 6
     assert rep.core == CriticalCore(h, False, ())
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"

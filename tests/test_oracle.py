@@ -6,6 +6,7 @@ import hashlib
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from types import SimpleNamespace
 from typing import Optional
 
@@ -19,6 +20,7 @@ from hypercolor import (
     affine_plane,
     chromatic_index,
     complete_graph,
+    cycle,
     criticality_report,
     fano,
     greedy_clique,
@@ -45,12 +47,15 @@ from brute import (
     random_hypergraph_raw,
     rebuilding_dsatur_greedy,
     recursive_component_chromatic,
+    recursive_drop_search,
     rescanning_extract_critical,
     searching_criticality_report,
     set_greedy_clique,
 )
 
 FAST = Budget(max_nodes=1_000_000, time_limit=None)
+# The drop search's nodes over the tables of test_drop_search_nodes_are_pinned.
+DROP_NODES = 8_272
 
 
 def test_budget_defaults():
@@ -462,6 +467,38 @@ def test_a_components_search_allocates_nothing_sized_by_the_input():
     assert peaks[1] < 2 * peaks[0], peaks
 
 
+def test_a_lone_rank_is_colored_without_a_search(monkeypatch):
+    # Most components of a sparse random input are one hyperedge meeting
+    # no other.  Each takes color 1 with no DSATUR, clique or search, and
+    # the result is the one of searching every component.
+    h = random_hypergraph(4000, 2000, (1, 3), 3)
+    g = line_graph(h)
+    lone = [comp for comp in h._components if not comp & (comp - 1)]
+    for budget in (FAST, Budget(0, None)):
+        state = oracle._SearchState(budget)
+        witness = [0] * h.m
+        brackets = [
+            oracle._component_chromatic(g, comp, state, None, witness)
+            for comp in h._components
+        ]
+        searched = []
+        search = oracle._component_chromatic
+
+        def counted(g, active, *args):
+            searched.append(active)
+            return search(g, active, *args)
+
+        monkeypatch.setattr(oracle, "_component_chromatic", counted)
+        res = chromatic_index(h, budget)
+        monkeypatch.undo()
+        assert res == OracleResult(
+            max(lo for lo, _ in brackets), max(hi for _, hi in brackets),
+            Coloring(tuple(witness)), state.nodes,
+        )
+        assert len(searched) + len(lone) == len(h._components)
+        assert not set(searched) & set(lone) and len(lone) > 300
+
+
 def test_greedy_clique_is_a_maximal_clique():
     for seed in range(40):
         n, edges = random_graph(Rng(seed + 11_000), 2, 9)
@@ -709,11 +746,10 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
         monkeypatch.undo()
         assert rep == full
         proofs = _certified(h, rep)
-        # One base search, then one per row that no proof of the base
-        # search settles, less the rows that the exchange argument derives
-        # from a row found critical.
+        # One base search: the drop search decides every row that no proof
+        # of the base search settles, so none is searched on its own.
         unsettled = sum(not any(p) for p in proofs)
-        assert len(calls) <= 1 + unsettled
+        assert len(calls) == 1
         derived += 1 + unsettled - len(calls)
         for entry, p in zip(rep.entries, proofs):
             fired = [f + b for f, b in zip(fired, p)]
@@ -751,28 +787,176 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
                 assert core.removed[: len(partial.removed)] == partial.removed
     assert index + 1 == 200
     assert min(fired) >= 1 and gained >= 1
-    assert derived == 177
+    assert derived == 839
+
+
+def _deciding_rows(monkeypatch) -> list:
+    """A list that gets, for each _Rows.decide call, the map of the rows
+    of h it decided."""
+    maps = []
+    decide = oracle._Rows.decide
+
+    def counted(rows, budget, decided):
+        nodes = decide(rows, budget, decided)
+        maps.append(dict(decided))
+        return nodes
+
+    monkeypatch.setattr(oracle._Rows, "decide", counted)
+    return maps
 
 
 def test_exchanged_rows_are_critical(monkeypatch):
-    # Every row the exchange argument derives, in h or in a subhypergraph
-    # h' of the extraction, is critical there by brute force: loops and
-    # duplicate edges included.
+    # Every row the drop search or the exchange argument proves critical,
+    # in h or in a subhypergraph h' of the extraction, is critical there
+    # by brute force: loops and duplicate edges included.  Every row the
+    # drop search finds removable is removable.
     derived = {True: 0, False: 0}
     for seed in range(150):
         h = random_hypergraph_raw(Rng(seed + 17_000), 2, 9, 12, 1, 4)
         for extract in (False, True):
             asked = _asking_rows(monkeypatch)
+            maps = _deciding_rows(monkeypatch)
             rep = criticality_report(h, FAST, extract=extract)
             monkeypatch.undo()
+            for decided in maps:
+                for f, value in decided.items():
+                    sub = h.without({f})
+                    assert brute_chromatic_index(sub.n, list(sub.edges)) == value
+                    derived[False] += value == rep.q - 1
             for deleted, e, answer, rows in asked:
                 assert not rows or answer == rep.q - 1
                 for f in rows:
                     sub = h.without({f, *deleted})
                     assert brute_chromatic_index(sub.n, list(sub.edges)) == rep.q - 1
                     derived[bool(deleted)] += 1
-    # Rows derived in h, and in an h' with a row deleted.
-    assert derived == {False: 828, True: 235}
+    # Rows proved critical in h, and derived in an h' with a row deleted.
+    assert derived == {False: 1094, True: 119}
+
+
+def _drop_inputs():
+    for seed in range(30):
+        yield random_linear(16, 22, 3, seed)
+        yield random_linear(20, 16, 4, seed)
+    # Loops and duplicate edges.
+    for seed in range(60):
+        yield random_hypergraph_raw(Rng(seed + 19_000), 2, 9, 12, 1, 4)
+    # Unions of 2 or 3 parts, so that one component or several need q.
+    for seed in range(70):
+        rng = Rng(seed + 19_500)
+        parts = []
+        for _ in range(2 + rng.below(2)):
+            kind = rng.below(4)
+            if kind == 0:
+                parts.append(cycle(3 + rng.below(4)))
+            elif kind == 1:
+                parts.append(complete_graph(3 + rng.below(3)))
+            elif kind == 2:
+                parts.append(random_linear(9, 8, 3, seed))
+            else:
+                parts.append(random_hypergraph_raw(rng, 2, 7, 8, 1, 3))
+        yield reduce(_disjoint_union, parts)
+    for n in range(1, 6):
+        yield Hypergraph(n, [])
+        yield Hypergraph(n, [tuple(range(n))])
+    # q = 1: disjoint edges, then loops.
+    for m in range(1, 6):
+        yield Hypergraph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+        yield Hypergraph(m, [(i,) for i in range(m)])
+
+
+def _deciding(monkeypatch, h: Hypergraph, search) -> tuple:
+    """_Rows.decide on h at FAST with search as its drop search: the rows
+    it decides, its nodes, each component search's outcome and each
+    exchange it makes (the rank and the color classes it starts from)."""
+    base = chromatic_index(h, FAST)
+    outcomes: list = []
+    exchanges: list = []
+    exchange = oracle._Rows._exchange
+
+    def exchanging(rows, i, classes, decided):
+        exchanges.append((i, sorted(classes.items())))
+        return exchange(rows, i, classes, decided)
+
+    def searching(*args):
+        outcomes.append(search(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(oracle._Rows, "_exchange", exchanging)
+    monkeypatch.setattr(oracle, "_drop_search", searching)
+    decided: dict = {}
+    nodes = oracle._Rows(h, base.exact, base.witness).decide(FAST, decided)
+    monkeypatch.undo()
+    return decided, nodes, outcomes, exchanges
+
+
+def test_drop_search_matches_the_recursive_reference(monkeypatch):
+    # One drop search decides every row of the table: node for node as
+    # the recursive reference, and with the values of a search per row.
+    needing = {0: 0, 1: 0, 2: 0}
+    beside = dropped = 0
+    for index, h in enumerate(_drop_inputs()):
+        calls = counting_searches(monkeypatch)
+        rep = criticality_report(h, FAST)
+        monkeypatch.undo()
+        assert rep == searching_criticality_report(h, FAST)
+        got = _deciding(monkeypatch, h, oracle._drop_search)
+        assert got == _deciding(monkeypatch, h, recursive_drop_search)
+        decided, nodes, outcomes, exchanges = got
+        assert decided == {e.position: e.q_without for e in rep.entries}
+        assert len(calls) == (rep.q is not None)
+        # Components exhausted: none when no row is left to search, else
+        # one, or two, which settles every row.
+        assert not outcomes or False in outcomes
+        needing[outcomes.count(False)] += 1
+        # One component needs q beside components that take q - 1 colors.
+        beside += outcomes.count(False) == 1 and True in outcomes
+        dropped += len(exchanges)
+    assert index + 1 == 210
+    assert needing[1] >= 80 and needing[2] >= 10 and beside >= 20 and dropped >= 150
+
+
+def test_drop_search_nodes_are_pinned():
+    # The benchmark's tracer counts the nodes of chromatic_index results
+    # only, so this pin is where a change to the drop search's nodes shows.
+    total = 0
+    for seed in range(30):
+        for h in (random_linear(16, 22, 3, seed), random_linear(20, 16, 4, seed)):
+            base = chromatic_index(h, FAST)
+            total += oracle._Rows(h, base.exact, base.witness).decide(FAST, {})
+    assert total == DROP_NODES
+
+
+def test_a_clock_cut_leaves_the_drop_searchs_open_rows_to_row_searches(monkeypatch):
+    # Every row of this input is critical.  Its drop search takes 7,494
+    # nodes and reads the clock at each of the 7 multiples of 1024 below.
+    h = random_linear(16, 30, 3, 10)
+    base = chromatic_index(h, FAST)
+    rows = oracle._Rows(h, base.exact, base.witness)
+    budget = Budget(10**7, 1.0)
+    readings = _counting_clock(monkeypatch)
+    full: dict = {}
+    assert rows.decide(budget, full) == 7_494 and len(readings) == 8
+    assert full == {e: base.exact - 1 for e in range(h.m)}
+    # Expiring at its second read in the loop, the clock cuts at 2048
+    # nodes, with 21 rows proved and 9 left open.
+    readings = _counting_clock(monkeypatch, expires_at=2)
+    cut: dict = {}
+    assert rows.decide(budget, cut) == 2_048 and len(readings) == 3
+    assert cut.items() <= full.items() and len(cut) == 21
+    # In the report, the base search reads the clock 3 times (2,573
+    # nodes), and its drop search is cut at 2048 nodes again.  The rows it
+    # left open are searched one by one, on a clock that no longer moves,
+    # and the table is the uncut one.
+    monkeypatch.undo()
+    asked = _asking_rows(monkeypatch)
+    _counting_clock(monkeypatch, expires_at=5)
+    rep = criticality_report(h, budget)
+    monkeypatch.undo()
+    assert rep == criticality_report(h, FAST)
+    left_open = sorted(set(range(h.m)) - set(cut))
+    searched = [e for deleted, e, _, _ in asked]
+    assert searched[0] == left_open[0] and set(searched) <= set(left_open)
+    assert all(not deleted for deleted, _, _, _ in asked)
 
 
 # sha256 of criticality_report over _small_budget_inputs at each budget,
@@ -783,8 +967,13 @@ def test_exchanged_rows_are_critical(monkeypatch):
 # the target q - 1: against the subgraph searches before, at 0 to 50
 # nodes per call 111 rows were newly decided and 96 newly undecided, 29
 # reports gained complete and 12 lost it; none moved at 200 or 10**6
-# nodes, and no decided value changed.
-SMALL_BUDGET_DIGEST = "ec78982ccc05599d8bdc8dcae1c3cc8f2ad661a181252438597240554c32c2a5"
+# nodes, and no decided value changed.  Re-recorded when one drop search
+# came to decide the rows of h: the calls list lost the row searches it
+# replaces, and against the search per row, at 0 to 50 nodes 2 rows were
+# newly decided and none newly undecided, 2 reports gained complete and
+# none lost it; no row, core or flag moved at 200 or 10**6 nodes, and no
+# decided value changed.
+SMALL_BUDGET_DIGEST = "688f984a64929cb06825b17f0e7cd9e05f38f754b6fdf144c9781bbc926b1a48"
 
 
 def _small_budget_inputs():

@@ -37,16 +37,15 @@ positions left out or a target, a component's ranks keep the order they
 would have in its own line graph, so the search visits the same nodes in
 the same order as the recursive, set-rebuilding search on that graph
 (tests/brute.py keeps that one as the reference), and node counts,
-brackets and witnesses are unchanged from it.  A component of one rank
-takes color 1 with no search.
+brackets and witnesses are unchanged from it.
 
 A criticality table asks, for every row e of h, whether h - e takes
-q - 1 colors.  One search answers all rows at once (_drop_search, a
-second loop of the same shape): it looks for a (q-1)-coloring of h's
-line graph in which one undecided row may stay uncolored, so each
-coloring it completes proves its dropped row critical, and once it is
-exhausted every row it did not prove is removable.  Its nodes count
-against a budget of their own and are not part of any OracleResult.
+q - 1 colors.  One search answers all rows at once (the drop search: the
+same loop, given rows it may drop): it looks for a (q-1)-coloring of h's line graph in
+which one undecided row may stay uncolored, so each coloring it
+completes proves its dropped row critical, and once it is exhausted
+every row it did not prove is removable.  Its nodes count against a
+budget of their own and are not part of any OracleResult.
 """
 
 from __future__ import annotations
@@ -214,6 +213,8 @@ def _component_chromatic(
     state: _SearchState,
     target: Optional[int],
     colors: list[int],
+    droppable: int = 0,
+    prove: Optional[Callable[[int, dict[int, int]], int]] = None,
 ) -> tuple[int, int]:
     """(lower, upper) for the connected subgraph of g on the ranks in
     active, with a coloring achieving upper written into colors by vertex
@@ -252,7 +253,7 @@ def _component_chromatic(
       candidate above it ends its frame, since every later one is larger;
     - a push colors its rank at once.  A pick with no candidate is a dead
       end: it is counted as a node but not pushed, so the stack holds
-      only colored frames;
+      only colored frames (and, for a table, one dropped rank);
     - the node count and the limits are read from state on entry, and the
       count is written back on every exit.  One comparison per node
       guards both: bound is max_nodes or, with a clock, the count just
@@ -265,22 +266,44 @@ def _component_chromatic(
     of more than t vertices ends it before it starts; a search that runs
     out of colorings then proves the lower end t + 1, and the upper end
     stays DSATUR's.
-    """
-    best_count = _dsatur_greedy(g, active, colors)
-    clique = greedy_clique(g, active)
-    lb = len(clique)
-    if lb == best_count:
-        return lb, best_count
-    if target is None:
-        ceiling, stop = best_count - 1, lb
-    elif lb <= target < best_count:
-        ceiling = stop = target
-    else:
-        return lb, best_count
 
-    # Search colors stay at or below the ceiling, and so does every saturation.
+    With prove, the search decides a criticality table (see _Rows.decide):
+    the caller knows a coloring with t + 1 colors, so the search starts
+    from none and colors no clique first, and it looks for a t-coloring
+    that may leave one rank of droppable uncolored.  A frame with no color
+    left under the ceiling then drops its rank, if no rank is dropped yet
+    and its rank is droppable; the dropped rank holds color t + 1, which
+    saturates nothing.  A complete coloring that drops a rank s goes to
+    prove(s, classes), classes mapping each color to its mask of ranks;
+    prove returns the ranks it proved, s among them, and no frame drops
+    one of those afterwards.  Every coloring below the dropping frame
+    drops s too, so the frames above it have nothing left, and it pops.
+    A t-coloring that drops nothing ends the search with upper <= t; an
+    exhausted search has lower t + 1, as with a target alone, and a cut
+    one returns (0, t + 1).
+    """
+    if prove is None:
+        best_count = _dsatur_greedy(g, active, colors)
+        clique = greedy_clique(g, active)
+        lb = len(clique)
+        if lb == best_count:
+            return lb, best_count
+        if target is None:
+            ceiling, stop = best_count - 1, lb
+        elif lb <= target < best_count:
+            ceiling = stop = target
+        else:
+            return lb, best_count
+    else:
+        clique = []
+        lb = 0
+        ceiling = stop = target
+        best_count = target + 1
+
+    # Search colors stay at or below the ceiling, and so does every
+    # saturation; a dropped rank holds ceiling + 1.
     rank, order, nb = g.rank, g.order, g.nb
-    seen = [0] * (ceiling + 1)
+    seen = [0] * (ceiling + 2)
     planes = [0] * ceiling.bit_length()
     ones = len(planes) - 1
     uncolored = active
@@ -298,7 +321,7 @@ def _component_chromatic(
             j -= 1
     free = active.bit_count() - lb
     at, held, entry, spare, saturated = ([0] * free for _ in range(5))
-    last, d = free - 1, -1
+    last, d, drop = free - 1, -1, -1
     used = lb
     nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
     bound = max_nodes
@@ -317,7 +340,18 @@ def _component_chromatic(
             bound = min(max_nodes, nodes + 1024)
         nodes += 1
         if d == last:
-            if used < best_count:
+            if drop >= 0:
+                classes: dict[int, int] = {}
+                for i, c in zip(at, held):
+                    if c <= ceiling:
+                        classes[c] = classes.get(c, 0) | 1 << i
+                droppable &= ~prove(at[drop], classes)
+                # Every coloring below the drop drops the same rank: the
+                # frames above it have nothing left, and then it pops.
+                for k in range(drop + 1, free):
+                    spare[k] = 0
+                    entry[k] = ceiling
+            elif used < best_count:
                 best_count = used
                 for i, c in zip(at, held):
                     colors[order[i]] = c
@@ -364,7 +398,16 @@ def _component_chromatic(
                 if c > used:
                     used = c
                 continue
-        # Back up to the deepest frame with a color left, and take it.
+            if droppable & bit and drop < 0:
+                d = drop = d + 1
+                at[d] = i
+                held[d] = ceiling + 1
+                entry[d] = used
+                spare[d] = saturated[d] = 0
+                uncolored ^= bit
+                continue
+        # Back up to the deepest frame with a color or the drop left, and
+        # take it.
         while d >= 0:
             i = at[d]
             bit = 1 << i
@@ -386,11 +429,20 @@ def _component_chromatic(
                     c += 1
                 used = entry[d]
             elif c > entry[d]:
-                d -= 1
-                continue
+                c = ceiling + 1
             else:
                 used = c = entry[d] + 1
             if c > ceiling:
+                if d == drop:
+                    drop = -1
+                elif droppable & bit and drop < 0:
+                    # After its colors, the frame drops its rank.
+                    held[d] = ceiling + 1
+                    saturated[d] = 0
+                    used = entry[d]
+                    uncolored ^= bit
+                    drop = d
+                    break
                 d -= 1
                 continue
             held[d] = c
@@ -408,168 +460,6 @@ def _component_chromatic(
             # No frame has a color left under the ceiling.
             state.nodes = nodes
             return ceiling + 1, best_count
-
-
-def _drop_search(
-    g: SimpleGraph,
-    active: int,
-    state: _SearchState,
-    ceiling: int,
-    droppable: int,
-    prove: Callable[[int, dict[int, int]], int],
-) -> Optional[bool]:
-    """Search the connected subgraph of g on the ranks in active for a
-    coloring with colors 1..ceiling that may leave one rank of droppable
-    uncolored: the rank is dropped.
-
-    True once a coloring drops nothing, False once the search is
-    exhausted, None when the budget or the clock cuts it.  Each coloring
-    that drops a rank s goes to prove(s, classes), classes mapping each
-    color to its mask of ranks; prove returns the ranks it proved, s among
-    them, and no frame drops one of those afterwards.  The search then
-    backs up past the frame that dropped s, since every coloring below it
-    drops s too.
-
-    The loop is _component_chromatic's, with a fixed ceiling, no starting
-    coloring and no clique: the pick, the colors a frame tries, the stack
-    and the guard on nodes and the clock are the same.  A frame tries its
-    rank's colors first, then, if no rank is dropped yet and its rank is
-    still droppable, the drop; a drop frame holds color 0 and saturates
-    nothing.  Every rank colored or dropped is a complete coloring.
-    """
-    nb = g.nb
-    seen = [0] * (ceiling + 1)
-    planes = [0] * ceiling.bit_length()
-    ones = len(planes) - 1
-    uncolored = active
-    free = active.bit_count()
-    at, held, entry, spare, saturated = ([0] * free for _ in range(5))
-    last, d, drop, used = free - 1, -1, -1, 0
-    jumping = False
-    nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
-    bound = max_nodes
-    if deadline is not None and nodes | 1023 < bound:
-        bound = nodes | 1023
-    while True:
-        if nodes >= bound:
-            if nodes >= max_nodes:
-                state.nodes = nodes
-                return None
-            if time.monotonic() > deadline:
-                state.nodes = state._max_nodes = nodes + 1
-                return None
-            bound = min(max_nodes, nodes + 1024)
-        nodes += 1
-        if d == last:
-            if drop < 0:
-                state.nodes = nodes
-                return True
-            classes: dict[int, int] = {}
-            for k in range(free):
-                if k != drop:
-                    c = held[k]
-                    classes[c] = classes.get(c, 0) | 1 << at[k]
-            droppable &= ~prove(at[drop], classes)
-            jumping = True
-        else:
-            ties = uncolored
-            sat = 0
-            for plane in planes:
-                sat += sat
-                top = ties & plane
-                if top:
-                    ties = top
-                    sat += 1
-            bit = ties & -ties
-            i = bit.bit_length() - 1
-            s = used - sat
-            if s:
-                s -= 1
-                c = 1
-                while seen[c] & bit:
-                    c += 1
-            else:
-                c = used + 1
-            if c <= ceiling:
-                d += 1
-                at[d] = i
-                held[d] = c
-                entry[d] = used
-                spare[d] = s
-                saturated[d] = x = nb[i] & ~seen[c]
-                seen[c] |= x
-                uncolored ^= bit
-                j = ones
-                while x:
-                    plane = planes[j]
-                    planes[j] = plane ^ x
-                    x &= plane
-                    j -= 1
-                if c > used:
-                    used = c
-                continue
-            if drop < 0 and droppable & bit:
-                d = drop = d + 1
-                at[d] = i
-                held[d] = 0
-                uncolored ^= bit
-                continue
-        # Back up to the deepest frame with a color or the drop left, and
-        # take it; after a complete coloring, back up past the drop frame.
-        while d >= 0:
-            i = at[d]
-            bit = 1 << i
-            c = held[d]
-            uncolored |= bit
-            if not c:
-                # The drop is a frame's last option.
-                drop = -1
-                jumping = False
-                d -= 1
-                continue
-            x = saturated[d]
-            seen[c] ^= x
-            j = ones
-            while x:
-                plane = planes[j]
-                planes[j] = plane ^ x
-                x &= ~plane
-                j -= 1
-            if jumping:
-                d -= 1
-                continue
-            s = spare[d]
-            if s:
-                spare[d] = s - 1
-                c += 1
-                while seen[c] & bit:
-                    c += 1
-                used = entry[d]
-            elif c <= entry[d] < ceiling:
-                used = c = entry[d] + 1
-            elif drop < 0 and droppable & bit:
-                held[d] = 0
-                used = entry[d]
-                uncolored ^= bit
-                drop = d
-                break
-            else:
-                d -= 1
-                continue
-            held[d] = c
-            saturated[d] = x = nb[i] & ~seen[c]
-            seen[c] |= x
-            uncolored ^= bit
-            j = ones
-            while x:
-                plane = planes[j]
-                planes[j] = plane ^ x
-                x &= plane
-                j -= 1
-            break
-        else:
-            state.nodes = nodes
-            return False
 
 
 def chromatic_index(
@@ -612,13 +502,7 @@ def chromatic_index(
     lower = upper = 0
     witness = [0] * h.m
     for comp in components:
-        if comp & (comp - 1):
-            lo, hi = _component_chromatic(g, comp, state, target, witness)
-        else:
-            # A lone rank takes color 1, as DSATUR would give it, and its
-            # clique of one closes the bracket before any node.
-            witness[g.order[comp.bit_length() - 1]] = 1
-            lo = hi = 1
+        lo, hi = _component_chromatic(g, comp, state, target, witness)
         lower = max(lower, lo)
         upper = max(upper, hi)
     if lower < upper:
@@ -694,13 +578,13 @@ class _Rows:
       coloring of h' - e uses q - 1 colors, and one deletion lowers q by
       at most 1, so e is critical.
     decide settles the other rows of h with one search of h's line graph
-    for a (q-1)-coloring that leaves one of them uncolored (_drop_search):
-    a coloring that drops e proves e critical, and once the search is
-    exhausted every row it did not prove is removable.  q_without searches
-    a row of h' (or one that a cut of that search left open) by
-    chromatic_index(h, budget, without=the deleted positions and e,
-    target=q - 1): a mask on h's line graph that asks only whether q - 1
-    colors do.  It is critical when the upper end is at most q - 1,
+    for a (q-1)-coloring that leaves one of them uncolored
+    (_component_chromatic with rows to drop): a coloring that drops e
+    proves e critical, and once the search is exhausted every row it did
+    not prove is removable.  q_without searches a row of h' (or one that a
+    cut of that search left open) by chromatic_index(h, budget,
+    without=the deleted positions and e, target=q - 1): a mask on h's
+    line graph that asks only whether q - 1 colors do.  It is critical when the upper end is at most q - 1,
     removable when the lower end is at least q, and undecided otherwise.
 
     A row found critical comes with a (q-1)-coloring of h' - e: the
@@ -729,20 +613,24 @@ class _Rows:
 
     def decide(self, budget: Budget, decided: dict[int, Optional[int]]) -> int:
         """Record in decided, an empty map, every row of h that a proof of
-        the base search settles, then search for the rest: one
-        _drop_search per component of h's line graph, all on one budget
-        of their own.  Returns the search's nodes.  A row the budget or
-        the clock leaves open is not recorded.
+        the base search settles, then search for the rest, component by
+        component of h's line graph, on one budget of their own.  Returns
+        the search's nodes.  A row the budget or the clock leaves open is
+        not recorded.
 
-        A coloring that drops e proves only that C - e takes q - 1 colors,
-        C being e's component, and q(h - e) = q - 1 only if every other
-        component takes q - 1 colors as well.  So the rows a component's
-        search proves are kept apart, in proved (read through to decided),
-        and recorded once every other component's search has found a
-        coloring with no drop.  Such a coloring makes each row of its
-        component removable; two exhausted components, each needing q,
-        make every row removable; and so is each row of an exhausted
-        component that its search did not prove.
+        A component takes q - 1 colors when the base coloring uses fewer
+        than q on it, and then needs no search; otherwise a component with
+        rows left is searched for a (q-1)-coloring that may drop one of
+        them, and one with none only for a (q-1)-coloring, from its DSATUR
+        coloring and its clique as in the base search.  A coloring that
+        drops e proves only that C - e takes q - 1 colors, C being e's
+        component, and q(h - e) = q - 1 only if every other component takes
+        q - 1 colors as well.  So the rows a component's search proves are
+        kept apart, in proved (read through to decided), and recorded once
+        every other component has a (q-1)-coloring.  Such a coloring makes
+        each row of its component removable; two components that need q
+        make every row removable; and so is each row of a component that
+        needs q and that its search did not prove.
         """
         h, q, g = self.h, self.q, self.graph
         rank, order = g.rank, g.order
@@ -765,15 +653,26 @@ class _Rows:
         if not open_rows:
             return 0
         state = _SearchState(budget)
+        scratch = [0] * h.m
         searched = []
-        exhausted = 0
+        needing = 0
         for comp in h._components:
             proved: dict[int, Optional[int]] = {}
-            prove = partial(self._exchange, decided=ChainMap(proved, decided))
-            found = _drop_search(g, comp, state, q - 1, open_rows & comp, prove)
+            if sum(1 for members in base.values() if members & comp) < q:
+                # The base coloring colors it with q - 1 colors.
+                lo, hi = 0, q - 1
+            elif comp & open_rows:
+                prove = partial(self._exchange, decided=ChainMap(proved, decided))
+                lo, hi = _component_chromatic(
+                    g, comp, state, q - 1, scratch, open_rows & comp, prove
+                )
+            else:
+                lo, hi = _component_chromatic(g, comp, state, q - 1, scratch)
+            # True: the component takes q - 1 colors; False: it needs q.
+            found = True if hi < q else False if lo >= q else None
             searched.append((comp, found, proved))
-            exhausted += found is False
-            if exhausted == 2:
+            needing += found is False
+            if needing == 2:
                 for e in range(h.m):
                     decided[e] = q
                 return state.nodes

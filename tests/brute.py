@@ -626,12 +626,17 @@ def recursive_component_chromatic(
     state: _SearchState,
     target: Optional[int],
     witness: list[int],
+    droppable: int = 0,
+    prove: Optional[Callable[[int, dict[int, int]], int]] = None,
 ) -> tuple[int, int]:
     """The oracle's branch and bound as a recursion over set rebuilds.
 
     Same contract as hypercolor.oracle._component_chromatic, and it must
-    visit the same nodes in the same order.
+    visit the same nodes in the same order.  With prove, it is the drop
+    search's (recursive_drop_search).
     """
+    if prove is not None:
+        return recursive_drop_search(g, active, state, target, witness, droppable, prove)
     lower, upper, best = _recursive_search(g, active, state, target)
     for v in _active_vertices(g, active):
         witness[v] = best[v]
@@ -711,7 +716,7 @@ def _recursive_search(
 
 
 class _Colorable(Exception):
-    pass
+    """A coloring that drops nothing, with its number of colors."""
 
 
 def recursive_drop_search(
@@ -719,19 +724,21 @@ def recursive_drop_search(
     active: int,
     state: _SearchState,
     ceiling: int,
+    witness: list[int],
     droppable: int,
     prove: Callable[[int, dict[int, int]], int],
-) -> Optional[bool]:
+) -> tuple[int, int]:
     """The criticality table's drop search as a recursion over set
     rebuilds.
 
-    Same contract as hypercolor.oracle._drop_search, and it must visit the
-    same nodes in the same order and pass prove the same colorings: each
-    node picks the uncolored, undropped vertex of the largest saturation,
-    then degree in g, then the lowest number, and tries its colors up to
-    one above those used, then the drop.  A coloring that drops a vertex
-    is passed to prove by rank, and the recursion returns through every
-    frame below the drop's, which then returns too.
+    Same contract as hypercolor.oracle._component_chromatic given prove,
+    and it must visit the same nodes in the same order and pass prove the
+    same colorings: each node picks the uncolored, undropped vertex of the
+    largest saturation, then degree in g, then the lowest number, and
+    tries its colors up to one above those used, then the drop.  A
+    coloring that drops a vertex is passed to prove by rank, and the
+    recursion returns through every frame below the drop's, which then
+    returns too.  A coloring that drops nothing is written into witness.
     """
     vertices = _active_vertices(g, active)
     rank, adj = g.rank, g.adj
@@ -745,7 +752,7 @@ def recursive_drop_search(
         _tick(state)
         if left == 0:
             if dropped is None:
-                raise _Colorable
+                raise _Colorable(used)
             classes: dict[int, int] = {}
             for v in vertices:
                 if colors[v]:
@@ -783,13 +790,15 @@ def recursive_drop_search(
     sys.setrecursionlimit(max(old_limit, g.n + 1000))
     try:
         descend(0)
-    except _Colorable:
-        return True
+    except _Colorable as done:
+        for v in vertices:
+            witness[v] = colors[v]
+        return 0, done.args[0]
     except _BudgetExhausted:
-        return None
+        return 0, ceiling + 1
     finally:
         sys.setrecursionlimit(old_limit)
-    return False
+    return ceiling + 1, ceiling + 1
 
 
 def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:

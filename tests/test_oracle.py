@@ -31,7 +31,7 @@ from hypercolor import (
     steiner_triple,
     survey_instance,
 )
-from hypercolor.transforms import _component_masks, line_graph
+from hypercolor.transforms import _component_masks, _ranks, line_graph
 
 from hypercolor import oracle
 
@@ -47,7 +47,6 @@ from brute import (
     random_hypergraph_raw,
     rebuilding_dsatur_greedy,
     recursive_component_chromatic,
-    recursive_drop_search,
     rescanning_extract_critical,
     searching_criticality_report,
     set_greedy_clique,
@@ -467,38 +466,6 @@ def test_a_components_search_allocates_nothing_sized_by_the_input():
     assert peaks[1] < 2 * peaks[0], peaks
 
 
-def test_a_lone_rank_is_colored_without_a_search(monkeypatch):
-    # Most components of a sparse random input are one hyperedge meeting
-    # no other.  Each takes color 1 with no DSATUR, clique or search, and
-    # the result is the one of searching every component.
-    h = random_hypergraph(4000, 2000, (1, 3), 3)
-    g = line_graph(h)
-    lone = [comp for comp in h._components if not comp & (comp - 1)]
-    for budget in (FAST, Budget(0, None)):
-        state = oracle._SearchState(budget)
-        witness = [0] * h.m
-        brackets = [
-            oracle._component_chromatic(g, comp, state, None, witness)
-            for comp in h._components
-        ]
-        searched = []
-        search = oracle._component_chromatic
-
-        def counted(g, active, *args):
-            searched.append(active)
-            return search(g, active, *args)
-
-        monkeypatch.setattr(oracle, "_component_chromatic", counted)
-        res = chromatic_index(h, budget)
-        monkeypatch.undo()
-        assert res == OracleResult(
-            max(lo for lo, _ in brackets), max(hi for _, hi in brackets),
-            Coloring(tuple(witness)), state.nodes,
-        )
-        assert len(searched) + len(lone) == len(h._components)
-        assert not set(searched) & set(lone) and len(lone) > 300
-
-
 def test_greedy_clique_is_a_maximal_clique():
     for seed in range(40):
         n, edges = random_graph(Rng(seed + 11_000), 2, 9)
@@ -865,9 +832,10 @@ def _drop_inputs():
 
 
 def _deciding(monkeypatch, h: Hypergraph, search) -> tuple:
-    """_Rows.decide on h at FAST with search as its drop search: the rows
-    it decides, its nodes, each component search's outcome and each
-    exchange it makes (the rank and the color classes it starts from)."""
+    """_Rows.decide on h at FAST with search as its component search: the
+    rows it decides, its nodes, each component search (its ranks, whether
+    it may drop rows, and its bracket) and each exchange it makes (the
+    rank and the color classes it starts from)."""
     base = chromatic_index(h, FAST)
     outcomes: list = []
     exchanges: list = []
@@ -878,11 +846,11 @@ def _deciding(monkeypatch, h: Hypergraph, search) -> tuple:
         return exchange(rows, i, classes, decided)
 
     def searching(*args):
-        outcomes.append(search(*args))
-        return outcomes[-1]
+        outcomes.append((args[1], len(args) > 5, search(*args)))
+        return outcomes[-1][2]
 
     monkeypatch.setattr(oracle._Rows, "_exchange", exchanging)
-    monkeypatch.setattr(oracle, "_drop_search", searching)
+    monkeypatch.setattr(oracle, "_component_chromatic", searching)
     decided: dict = {}
     nodes = oracle._Rows(h, base.exact, base.witness).decide(FAST, decided)
     monkeypatch.undo()
@@ -893,26 +861,80 @@ def test_drop_search_matches_the_recursive_reference(monkeypatch):
     # One drop search decides every row of the table: node for node as
     # the recursive reference, and with the values of a search per row.
     needing = {0: 0, 1: 0, 2: 0}
-    beside = dropped = 0
+    beside = dropped = plain = 0
     for index, h in enumerate(_drop_inputs()):
         calls = counting_searches(monkeypatch)
         rep = criticality_report(h, FAST)
         monkeypatch.undo()
         assert rep == searching_criticality_report(h, FAST)
-        got = _deciding(monkeypatch, h, oracle._drop_search)
-        assert got == _deciding(monkeypatch, h, recursive_drop_search)
+        got = _deciding(monkeypatch, h, oracle._component_chromatic)
+        assert got == _deciding(monkeypatch, h, recursive_component_chromatic)
         decided, nodes, outcomes, exchanges = got
         assert decided == {e.position: e.q_without for e in rep.entries}
         assert len(calls) == (rep.q is not None)
-        # Components exhausted: none when no row is left to search, else
+        # Only a component on which the base coloring uses q colors is
+        # searched; one with no row left to drop is searched as in the
+        # base search.
+        colors = chromatic_index(h, FAST).witness.colors
+        order = line_graph(h).order
+        for comp, drops, _ in outcomes:
+            assert len({colors[order[i]] for i in _ranks(comp)}) == rep.q
+            plain += not drops
+        # Components that need q: none when no row is left to search, else
         # one, or two, which settles every row.
-        assert not outcomes or False in outcomes
-        needing[outcomes.count(False)] += 1
+        need = sum(lo >= rep.q for _, _, (lo, _) in outcomes)
+        assert need or not outcomes
+        needing[need] += 1
         # One component needs q beside components that take q - 1 colors.
-        beside += outcomes.count(False) == 1 and True in outcomes
+        beside += need == 1 and len(h._components) > 1
         dropped += len(exchanges)
     assert index + 1 == 210
-    assert needing[1] >= 80 and needing[2] >= 10 and beside >= 20 and dropped >= 150
+    assert needing[1] >= 80 and needing[2] >= 10 and beside >= 20
+    assert dropped >= 150 and plain >= 10
+
+
+def test_a_component_with_no_row_left_is_not_searched_for_drops(monkeypatch):
+    # A star of 7 edges with a pendant edge, beside the Fano plane: q = 7.
+    # The greedy clique is the star, so the plane's rows and the pendant
+    # edge are removable, and only the star's rows are left to search.
+    # The plane needs 7 colors by its own clique, which the table holds no
+    # copy of: its search asks only whether 6 colors do, as the base
+    # search did, and that clique ends it before a node.  The star's
+    # search then needs 7 as well, so every row is removable.
+    h = _disjoint_union(Hypergraph(9, [(0, i) for i in range(1, 8)] + [(1, 8)]), fano())
+    base = chromatic_index(h, FAST)
+    rows = oracle._Rows(h, base.exact, base.witness)
+    search = oracle._component_chromatic
+    searched = []
+
+    def counted(g, active, state, *args):
+        before = state.nodes
+        bracket = search(g, active, state, *args)
+        searched.append((len(args) > 2, bracket, state.nodes - before))
+        return bracket
+
+    monkeypatch.setattr(oracle, "_component_chromatic", counted)
+    decided: dict = {}
+    nodes = rows.decide(FAST, decided)
+    assert decided == {e: 7 for e in range(h.m)}
+    assert searched == [(True, (7, 7), nodes), (False, (7, 7), 0)] and nodes > 0
+
+
+def test_a_components_proofs_wait_for_every_other_component():
+    # Two 5-cycles: q = 3, and each cycle less an edge takes 2 colors, so
+    # the first cycle's drop search proves its rows, but the second cycle
+    # needs 3 as well, and every row of h is removable.  Under each budget
+    # that cuts the second search, the first one's proofs stay unrecorded.
+    h = _disjoint_union(cycle(5), cycle(5))
+    base = chromatic_index(h, FAST)
+    rows = oracle._Rows(h, base.exact, base.witness)
+    full: dict = {}
+    nodes = rows.decide(FAST, full)
+    assert full == {e: 3 for e in range(h.m)}
+    for cut in range(nodes):
+        decided: dict = {}
+        rows.decide(Budget(cut, None), decided)
+        assert decided == {}, cut
 
 
 def test_drop_search_nodes_are_pinned():

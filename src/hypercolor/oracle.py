@@ -14,6 +14,18 @@ The search is deterministic, so an exact answer never changes when the
 budget is enlarged, and node counts are reproducible (wall-clock cutoffs
 aside).
 
+Each component's lower end starts at the larger of its greedy clique and
+the counting floor ceil(|C| / floor(|W| / a)) (Chetwynd & Hilton's
+overfull bound: a color class is a matching), and its upper end at
+DSATUR's coloring.  When the budget cuts a component's search with its
+bracket open (or, with a target, its question open), a seeded TabuCol
+pass (Hertz & de Werra 1987) from DSATUR's coloring, on a fixed
+allowance of moves, may close it from above.  The floor can only end a
+search sooner, the pass runs after it, and the pass reads nothing of the
+budget or of the search, so a larger budget still never widens a
+bracket.  The pass never runs at max_nodes=0, after a clock cut, or in
+the drop search below.
+
 The search is iterative, on an explicit stack, so its depth is not tied
 to the interpreter's recursion limit.  It runs on bitsets, in the manner
 of San Segundo et al.'s bit-parallel colorings: a SimpleGraph is its
@@ -54,10 +66,11 @@ import time
 from collections import ChainMap
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, MutableMapping, Optional
+from typing import Callable, Iterable, MutableMapping, Optional, Sequence
 
 from .coloring import Coloring
 from .core import Hypergraph
+from .instances import Rng
 from .transforms import SimpleGraph, _component_masks, _ranks, line_graph
 
 
@@ -66,9 +79,10 @@ class Budget:
     """Per-call search allowance: branch nodes and wall-clock seconds.
 
     A search visits at most max_nodes nodes; at max_nodes=0 it visits
-    none, and each component is bracketed by its greedy clique and its
-    starting (DSATUR) coloring.  time_limit=None disables the clock; node limits
-    alone keep results machine-independent.
+    none and runs no local search either, and each component is bracketed
+    by its greedy clique or counting floor and its starting (DSATUR)
+    coloring.  time_limit=None disables the clock; node limits alone keep
+    results machine-independent.
     """
 
     max_nodes: int = 10_000_000
@@ -80,11 +94,13 @@ class _SearchState:
 
     The search reads all three on entry, keeps them in locals and writes
     nodes back on every exit.  A clock cut sets max_nodes to the count, so
-    every later component refuses before it counts, as after a node cut.
+    every later component refuses before it counts, as after a node cut,
+    and sets timed_out, so that no later TabuCol pass runs.
     """
 
     def __init__(self, budget: Budget):
         self.nodes = 0
+        self.timed_out = False
         self._max_nodes = budget.max_nodes
         self._deadline = (
             time.monotonic() + budget.time_limit
@@ -119,7 +135,9 @@ class OracleResult:
         return self.lower == self.upper
 
 
-def _dsatur_greedy(g: SimpleGraph, active: int, colors: list[int]) -> int:
+def _dsatur_greedy(
+    g: SimpleGraph, active: int, colors: list[int] | dict[int, int]
+) -> int:
     """Greedy coloring of the ranks in active, the most saturated first,
     written into colors by vertex of g; returns the number of colors used.
     Entries off active are left as they are.
@@ -207,8 +225,25 @@ def greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
     return clique
 
 
+def _counting_floor(
+    g: SimpleGraph, edges: Sequence[tuple[int, ...]], active: int
+) -> int:
+    """ceil(|C| / floor(|W| / a)) for the hyperedges C at the ranks in
+    active, W the vertices they cover and a their smallest size.
+
+    Each color class is a matching, and a matching of hyperedges of size
+    at least a inside W has at most floor(|W| / a) members: the overfull
+    bound (Chetwynd & Hilton 1986).  It holds with loops and duplicate
+    hyperedges.  For an odd complete graph K_n it is n.
+    """
+    members = [edges[g.order[i]] for i in _ranks(active)]
+    per_class = len(set().union(*members)) // min(map(len, members))
+    return -(-len(members) // per_class)
+
+
 def _component_chromatic(
     g: SimpleGraph,
+    edges: Sequence[tuple[int, ...]],
     active: int,
     state: _SearchState,
     target: Optional[int],
@@ -218,7 +253,8 @@ def _component_chromatic(
 ) -> tuple[int, int]:
     """(lower, upper) for the connected subgraph of g on the ranks in
     active, with a coloring achieving upper written into colors by vertex
-    of g; entries off active are left as they are.
+    of g; entries off active are left as they are.  g is the line graph of
+    edges, the hyperedges by position.
 
     Depth-first branch and bound on an explicit stack, so deep searches
     need no recursion.  The search colors ranks of the masks in one loop
@@ -260,12 +296,15 @@ def _component_chromatic(
       before its next read at a multiple of 1024 nodes, if that comes
       first;
     - a new best of at most stop colors ends the search: stop is the
-      clique's size, or t.
-    The search starts from DSATUR's coloring.  With a target t, a coloring
-    of at most t colors, DSATUR's included, ends it at once, and a clique
-    of more than t vertices ends it before it starts; a search that runs
-    out of colorings then proves the lower end t + 1, and the upper end
-    stays DSATUR's.
+      lower end lb, or t.
+    The search starts from DSATUR's coloring, and its clique takes colors
+    1..len(clique) before the first node.  lb is the clique's size or,
+    when DSATUR uses more colors, the larger of it and the counting floor
+    (_counting_floor), so the floor can only end a search sooner.  With a
+    target t, a coloring of at most t colors, DSATUR's included, ends it
+    at once, and a lower end above t ends it before it starts; a search
+    that runs out of colorings then proves the lower end t + 1, and the
+    upper end stays DSATUR's.
 
     With prove, the search decides a criticality table (see _Rows.decide):
     the caller knows a coloring with t + 1 colors, so the search starts
@@ -286,6 +325,8 @@ def _component_chromatic(
         best_count = _dsatur_greedy(g, active, colors)
         clique = greedy_clique(g, active)
         lb = len(clique)
+        if lb < best_count:
+            lb = max(lb, _counting_floor(g, edges, active))
         if lb == best_count:
             return lb, best_count
         if target is None:
@@ -319,10 +360,10 @@ def _component_chromatic(
             planes[j] = plane ^ x
             x &= plane
             j -= 1
-    free = active.bit_count() - lb
+    used = len(clique)
+    free = active.bit_count() - used
     at, held, entry, spare, saturated = ([0] * free for _ in range(5))
     last, d, drop = free - 1, -1, -1
-    used = lb
     nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
     bound = max_nodes
     if deadline is not None and nodes | 1023 < bound:
@@ -336,6 +377,7 @@ def _component_chromatic(
             if time.monotonic() > deadline:
                 # Every later component refuses before it counts, as after a node cut.
                 state.nodes = state._max_nodes = nodes + 1
+                state.timed_out = True
                 return lb, best_count
             bound = min(max_nodes, nodes + 1024)
         nodes += 1
@@ -462,6 +504,144 @@ def _component_chromatic(
             return ceiling + 1, best_count
 
 
+# The TabuCol pass: moves per rank of a component, shared by all its
+# attempts, and the seed of its draws.  Neither depends on the budget.
+_TABU_MOVES_PER_RANK = 6
+_TABU_SEED = 1
+
+
+def _tabucol(
+    g: SimpleGraph, active: int, goal: int, upper: int, colors: list[int],
+    state: _SearchState,
+) -> int:
+    """The upper end for the component of g on the ranks in active after a
+    seeded TabuCol pass (Hertz & de Werra 1987): upper, or the count of a
+    coloring with fewer colors that the pass found, written into colors by
+    vertex of g with the palette 1..count.
+
+    The pass starts from DSATUR's coloring, with D colors, and asks for
+    D - 1, D - 2, ... colors in turn, down to goal.  Each attempt gives the
+    ranks of the top color, one by one, the color fewest of their
+    neighbours hold, then makes moves until no two neighbours share a
+    color.  A move recolors a conflicted rank (one with a neighbour of its
+    color) to the color that lowers the count of conflicting pairs most,
+    ties drawn at random; it never gives a rank back a color it left less
+    than its tenure ago (0.6 times the conflicted ranks, plus a draw from
+    0..9, in moves), unless the move reaches fewer conflicts than the
+    attempt has seen.  All attempts share one allowance of
+    _TABU_MOVES_PER_RANK moves per rank, and the pass ends at the first
+    attempt that runs out of it.  Nothing in the pass reads the node
+    budget or the search's coloring, so it ends at the same coloring
+    whatever the budget.  With a clock it reads it every 1024 moves, and
+    past the deadline it ends there and cuts every later component, as the
+    search does.
+    """
+    order, nb = g.order, g.nb
+    ranks = _ranks(active)
+    n = len(ranks)
+    local = {i: v for v, i in enumerate(ranks)}
+    adj = [[local[j] for j in _ranks(nb[i] & active)] for i in ranks]
+    start: dict[int, int] = {}
+    k = _dsatur_greedy(g, active, start)
+    # Colors from 0 here, so that color c indexes gamma[v][c].
+    col = [start[order[i]] - 1 for i in ranks]
+    best: Optional[list[int]] = None
+    count = k
+    rng = Rng(_TABU_SEED)
+    deadline = state._deadline
+    moves, allowance = 0, _TABU_MOVES_PER_RANK * n
+    # With a clock, the pass reads it at every 1024th move.
+    read_at = 1024 if deadline is not None else -1
+    hidden = 2 * n
+    # gamma[v][c] counts v's neighbours of color c.
+    gamma = [[0] * k for _ in range(n)]
+    for v, c in enumerate(col):
+        for u in adj[v]:
+            gamma[u][c] += 1
+    conflicts = 0
+    while k > goal and not conflicts:
+        # The top color goes, and its ranks take, one by one, the color
+        # fewest of their neighbours hold.
+        k -= 1
+        for gv in gamma:
+            del gv[k]
+        for v in [v for v, c in enumerate(col) if c == k]:
+            gv = gamma[v]
+            c = col[v] = gv.index(min(gv))
+            for u in adj[v]:
+                gamma[u][c] += 1
+        # The conflicted ranks, as a dict so that they keep a fixed order.
+        conflicted = {v: None for v in range(n) if gamma[v][col[v]]}
+        conflicts = fewest = sum(gamma[v][col[v]] for v in conflicted) // 2
+        tabu = [[0] * k for _ in range(n)]
+        while conflicts and moves < allowance:
+            if moves == read_at:
+                read_at += 1024
+                if time.monotonic() > deadline:
+                    state.timed_out = True
+                    state._max_nodes = state.nodes
+                    break
+            moves += 1
+            delta = n
+            for v in conflicted:
+                gv = gamma[v]
+                cv = col[v]
+                own = gv[cv]
+                # A color worth a look has at most limit neighbours of it;
+                # v's own color is hidden above every limit while its row
+                # is scanned.
+                limit = delta + own
+                gv[cv] = hidden
+                if min(gv) <= limit:
+                    tv = tabu[v]
+                    # A tabu color is taken only below aspire neighbours.
+                    aspire = fewest - conflicts + own
+                    for c, x in enumerate(gv):
+                        if x > limit or tv[c] > moves and x >= aspire:
+                            continue
+                        if x < limit:
+                            delta, limit = x - own, x
+                            picks = [(v, c)]
+                        else:
+                            picks.append((v, c))
+                gv[cv] = own
+            if delta == n:
+                # Every move is tabu: wait for a tenure to end.
+                continue
+            # One draw serves both the tie and the tenure; its bias is below
+            # 2**-28.
+            draw = rng.next_u64()
+            v, c = picks[draw % len(picks)]
+            old = col[v]
+            col[v] = c
+            for u in adj[v]:
+                gu = gamma[u]
+                gu[old] -= 1
+                gu[c] += 1
+                cu = col[u]
+                if cu == old:
+                    if not gu[old]:
+                        del conflicted[u]
+                elif cu == c and gu[c] == 1:
+                    conflicted[u] = None
+            if not gamma[v][c]:
+                del conflicted[v]
+            conflicts += delta
+            if conflicts < fewest:
+                fewest = conflicts
+            tabu[v][old] = moves + 3 * len(conflicted) // 5 + (draw >> 32) % 10
+        if not conflicts:
+            best, count = col[:], k
+    if best is None or count >= upper:
+        return upper
+    # A move takes a rank out of its color only while a neighbour holds
+    # that color, so no color of an attempt goes unused, and the palette is
+    # 1..count.
+    for v, i in enumerate(ranks):
+        colors[order[i]] = best[v] + 1
+    return count
+
+
 def chromatic_index(
     h: Hypergraph,
     budget: Budget = Budget(),
@@ -477,15 +657,23 @@ def chromatic_index(
     graph, less the ranks of the positions in without, so no graph is
     built per call.  The witness is indexed by position of
     h.without(without).  The components share one budget; once it runs
-    out, each component left is bracketed by its greedy clique and its
-    starting coloring.  The hyperedges through any one vertex are pairwise
-    intersecting, so an open bracket's lower end is raised to the maximum
-    vertex degree; an exact value is already at least that.
+    out, each component left is bracketed by its greedy clique or counting
+    floor and its starting coloring.  The hyperedges through any one vertex
+    are pairwise intersecting, so an open bracket's lower end is raised to
+    the maximum vertex degree; an exact value is already at least that.
 
     A target t asks only whether q <= t: each component's search stops at
     a coloring of at most t colors or at a proof that it needs more (see
     _component_chromatic), so upper <= t or lower > t settles it, and the
     bracket stays honest either way.
+
+    A component whose search the budget cuts with its bracket open (with
+    a target: with lower <= t < upper) gets a TabuCol pass (_tabucol)
+    down to its lower end, or to t, when max_nodes is positive and no clock
+    has cut the call; its coloring is kept only when it uses fewer colors.
+    The pass is the same at every budget, so the upper end is the smaller
+    of the search's and the pass's, and a larger budget never widens the
+    bracket.
     """
     g = line_graph(h)
     gone = set(without)
@@ -502,7 +690,12 @@ def chromatic_index(
     lower = upper = 0
     witness = [0] * h.m
     for comp in components:
-        lo, hi = _component_chromatic(g, comp, state, target, witness)
+        lo, hi = _component_chromatic(g, h.edges, comp, state, target, witness)
+        # A search the budget cut leaves its question open: a coloring with
+        # fewer colors may still close it from above.
+        goal = lo if target is None else target
+        if lo <= goal < hi and budget.max_nodes and not state.timed_out:
+            hi = _tabucol(g, comp, goal, hi, witness, state)
         lower = max(lower, lo)
         upper = max(upper, hi)
     if lower < upper:
@@ -664,10 +857,10 @@ class _Rows:
             elif comp & open_rows:
                 prove = partial(self._exchange, decided=ChainMap(proved, decided))
                 lo, hi = _component_chromatic(
-                    g, comp, state, q - 1, scratch, open_rows & comp, prove
+                    g, h.edges, comp, state, q - 1, scratch, open_rows & comp, prove
                 )
             else:
-                lo, hi = _component_chromatic(g, comp, state, q - 1, scratch)
+                lo, hi = _component_chromatic(g, h.edges, comp, state, q - 1, scratch)
             # True: the component takes q - 1 colors; False: it needs q.
             found = True if hi < q else False if lo >= q else None
             searched.append((comp, found, proved))

@@ -22,7 +22,7 @@ import sys
 import time
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from hypercolor import (
     Budget,
@@ -617,11 +617,22 @@ def _tick(state: _SearchState) -> None:
         and time.monotonic() > state._deadline
     ):
         state._max_nodes = state.nodes
+        state.timed_out = True
         raise _BudgetExhausted
+
+
+def counting_floor(edges: Sequence[tuple[int, ...]]) -> int:
+    """The overfull bound ceil(m / floor(|W| / a)) on the chromatic index
+    of the hyperedges given, W the vertices they cover and a their
+    smallest size: no color class holds more than floor(|W| / a) of them."""
+    covered = set().union(*edges)
+    per_class = len(covered) // min(len(e) for e in edges)
+    return -(-len(edges) // per_class)
 
 
 def recursive_component_chromatic(
     g: SimpleGraph,
+    edges: Sequence[tuple[int, ...]],
     active: int,
     state: _SearchState,
     target: Optional[int],
@@ -637,14 +648,18 @@ def recursive_component_chromatic(
     """
     if prove is not None:
         return recursive_drop_search(g, active, state, target, witness, droppable, prove)
-    lower, upper, best = _recursive_search(g, active, state, target)
+    lower, upper, best = _recursive_search(g, edges, active, state, target)
     for v in _active_vertices(g, active):
         witness[v] = best[v]
     return lower, upper
 
 
 def _recursive_search(
-    g: SimpleGraph, active: int, state: _SearchState, target: Optional[int]
+    g: SimpleGraph,
+    edges: Sequence[tuple[int, ...]],
+    active: int,
+    state: _SearchState,
+    target: Optional[int],
 ) -> tuple[int, int, list[int]]:
     """(lower, upper, coloring achieving upper by vertex, 0 off active)."""
     vertices = _active_vertices(g, active)
@@ -653,6 +668,8 @@ def _recursive_search(
     best = list(greedy)
     clique = greedy_clique(g, active)
     lb = len(clique)
+    if lb < best_count:
+        lb = max(lb, counting_floor([edges[v] for v in vertices]))
     if lb == best_count:
         return lb, best_count, best
     # No color above the ceiling is tried, and a best of at most stop

@@ -263,17 +263,20 @@ def test_violation_alarm_cross_examines_the_lower_bound(monkeypatch):
 
 
 def test_verdict_unresolved_when_bracket_straddles_bound():
+    # K_5 sits at the bound, q = 5.  With no node searched, DSATUR's 6
+    # colors and the counting floor of 5 straddle it.
     h = complete_graph(5)
-    starved = verify_conjecture(h, Budget(max_nodes=8, time_limit=None))
+    starved = verify_conjecture(h, Budget(0, None))
     assert starved.status == UNRESOLVED
     assert starved.q_exact is None
-    assert (starved.q_lower, starved.q_upper) == (4, 6)
+    assert (starved.q_lower, starved.q_upper) == (5, 6)
     assert starved.efl_ok is None
     assert is_proper(h, starved.witness)
 
-    constructive = verify_conjecture(h, Budget(0, None))
-    assert constructive.status == UNRESOLVED
-    assert (constructive.q_lower, constructive.q_upper) == (4, 6)
+    # 8 nodes do not finish the search, but its TabuCol pass finds 5.
+    settled = verify_conjecture(h, Budget(max_nodes=8, time_limit=None))
+    assert settled.status == HOLDS
+    assert (settled.q_exact, settled.oracle_nodes) == (5, 8)
 
     full = verify_conjecture(h, FAST)
     assert full.status == HOLDS

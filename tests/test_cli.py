@@ -186,11 +186,13 @@ def test_color_methods_and_exit_codes(capsys):
     assert code == 2
     assert "2 vertices" in err
 
+    # STS(15) needs 9 colors, above its clique and counting floor of 7, so
+    # no coloring closes the bracket that 8 nodes leave.
     code, out, err = run_cli(
         capsys,
         "color",
         "--family",
-        "complete-graph:5",
+        "steiner-triple:15",
         "--method",
         "exact",
         "--budget",
@@ -199,8 +201,8 @@ def test_color_methods_and_exit_codes(capsys):
         "0",
     )
     assert code == 4
-    assert "budget exhausted" in err
-    assert "colors-used: 6" in out
+    assert "budget exhausted: q is in [7, 9]" in err
+    assert "colors-used: 9" in out
 
     code, out, _ = run_cli(
         capsys,
@@ -298,6 +300,17 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert code == 3
     assert "status: VIOLATED" in out
 
+    # K_5 sits at the bound, q = 5.  With no node, DSATUR's 6 colors and
+    # the counting floor of 5 straddle it; 8 nodes and the TabuCol pass
+    # close the bracket.
+    code, out, _ = run_cli(
+        capsys, "verify", "--family", "complete-graph:5", "--no-exact"
+    )
+    assert code == 4
+    assert "status: UNRESOLVED" in out
+    assert "q-lower: 5" in out
+    assert "q-upper: 6" in out
+
     code, out, _ = run_cli(
         capsys,
         "verify",
@@ -308,15 +321,9 @@ def test_verify_exit_codes(capsys, tmp_path):
         "--time-limit",
         "0",
     )
-    assert code == 4
-    assert "status: UNRESOLVED" in out
-
-    code, out, _ = run_cli(
-        capsys, "verify", "--family", "complete-graph:5", "--no-exact"
-    )
-    assert code == 4
-    assert "q-lower: 4" in out
-    assert "q-upper: 6" in out
+    assert code == 0
+    assert "status: HOLDS" in out
+    assert "q-exact: 5" in out
 
 
 def _counting_line_graphs(monkeypatch):
@@ -593,7 +600,7 @@ def test_critical_command(capsys, tmp_path):
         capsys,
         "critical",
         "--family",
-        "complete-graph:5",
+        "steiner-triple:15",
         "--budget",
         "8",
         "--time-limit",
@@ -608,7 +615,7 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
     # budget leaves undecided.
     cases = [
         ("random-linear:n=8,m=6,k=3,seed=1", Budget(1_000_000, None), 0),
-        ("complete-graph:5", Budget(8, None), 4),
+        ("steiner-triple:15", Budget(8, None), 4),
     ]
     expected = {}
     for family, budget, _ in cases:
@@ -664,20 +671,20 @@ def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys
     )
     assert code == 0
     assert out == render_criticality(h, rep)
-    # Within 20 nodes, row 3 is undecided on h without rows 0 and 1, the
-    # first two the core deletes.  Its row in h is critical, so the core
-    # keeps it and goes on: the default-budget core again, complete.
-    family = "random-linear:n=14,m=18,k=3,seed=10"
+    # Within 20 nodes, row 1 is undecided on h without row 0, the first
+    # row the core deletes.  Its row in h is critical, so the core keeps it
+    # and goes on: the default-budget core again, complete.
+    family = "random-linear:n=14,m=16,k=3,seed=33"
     h = generate(parse_family(family))
     rep, calls = _oracle_calls(monkeypatch, h, budget)
-    # The base search, rows 2 and 3 on h - {0, 1}, row 3 on h, then the
-    # rows 11, 12 and 16 of the table.
-    assert calls == [18, 15, 15, 17, 17, 17, 17]
-    assert rep.entries[3].critical is True
+    # The base search, row 0 on h, row 1 on h - {0}, row 1 on h, rows 2
+    # and 3 on h - {0}, then row 2 of the table.
+    assert calls == [16, 15, 14, 15, 14, 14, 15]
+    assert rep.entries[1].critical is True
     assert rep.complete
     core = rep.core
     assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
-    assert core.complete and core.removed == (0, 1, 4, 6, 7, 8, 9, 10, 13, 14, 15, 17)
+    assert core.complete and core.removed == (0, 3)
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
     )
@@ -790,9 +797,12 @@ def test_survey_text_json_and_jobs_agree(capsys):
 # sha256 of `survey --count 100 --seed 7 --time-limit 0` stdout, recorded
 # before random_linear stopped early on a full packing: the generator must
 # place the same edges and retry the same instances as its rejection form.
+# The JSON one was re-recorded when the counting floor came to end
+# searches: instance 64 (7 vertices, 16 edges, q = 6) is settled before a
+# node, and its oracle_nodes fell from 90 to 0; nothing else moved.
 SURVEY_DIGESTS = [
     ((), "de104492f0c21286cefde20bd67dae3e26ca1de3f13bc10235bc14523d0f4b1f"),
-    (("--json",), "0e75c63c0b5444446c4680596ab8891522d209271a1c3df1094ab906d9b78b4f"),
+    (("--json",), "258f9f4f5d38e7bf8d4070c78bad1607569cb13c44cbbe286f7bf2f5249843cc"),
 ]
 
 

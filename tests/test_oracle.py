@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
+from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 from typing import Optional
 
@@ -154,16 +155,19 @@ def test_colour_class_search_referees_the_exact_value():
 
 
 def test_starved_search_reports_honest_bracket():
-    h = complete_graph(5)
+    # The Petersen graph is class 2: q = 4 above its clique and counting
+    # floor of 3, so no coloring closes the bracket that a cut search
+    # leaves.
+    h = Hypergraph(*petersen())
     exact = chromatic_index(h, FAST)
-    assert exact.exact == 5
+    assert exact.exact == 4
     starved = chromatic_index(h, Budget(max_nodes=8, time_limit=None))
     assert starved.exact is None
-    assert starved.lower <= 5 <= starved.upper
+    assert starved.lower <= 4 <= starved.upper
     assert is_proper(h, starved.witness)
     assert starved.witness.q_used == starved.upper
     bigger = chromatic_index(h, Budget(max_nodes=10_000_000, time_limit=None))
-    assert bigger.exact == 5
+    assert bigger.exact == 4
 
 
 def test_a_clock_cut_stops_every_later_component(monkeypatch):
@@ -172,8 +176,9 @@ def test_a_clock_cut_stops_every_later_component(monkeypatch):
     # STS(15) on vertices 0-14 and K_5 on 15-19: the cut lands inside
     # STS(15), and K_5's component is not searched.  K_5 on 0-4, at the
     # lowest positions, and STS(15) on 5-19: K_5's line graph is searched
-    # first (DSATUR uses 6 colors, its clique has 4), in 16 nodes, and
-    # STS(15)'s search counts on from them to the cut.
+    # first (DSATUR uses 6 colors, its clique has 4 and its counting floor
+    # is 5), in 12 nodes, and STS(15)'s search counts on from them to the
+    # cut.  After a clock cut no component takes the TabuCol pass.
     sts = list(steiner_triple(15).edges)
     k5 = list(complete_graph(5).edges)
     for edges in (
@@ -185,10 +190,12 @@ def test_a_clock_cut_stops_every_later_component(monkeypatch):
         monkeypatch.setattr(
             oracle, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
         )
+        passes = _counting_passes(monkeypatch)
         res = chromatic_index(h, Budget(10**7, 1.0))
         assert (res.lower, res.upper, res.nodes) == (7, 9, 1024)
         assert is_proper(h, res.witness)
         assert res.witness.q_used == 9
+        assert passes == []
 
 
 def _counting_clock(monkeypatch, expires_at: Optional[int] = None) -> list[float]:
@@ -219,16 +226,16 @@ def test_the_clock_is_read_at_every_1024th_node_of_the_shared_count(monkeypatch)
     res = chromatic_index(sts, budget)
     assert (res.lower, res.upper, res.nodes, len(readings)) == (7, 9, 3072, 4)
     assert is_proper(sts, res.witness)
-    # K_7 takes 947 nodes and each K_5 after it 16, so the shared count
-    # crosses 1024 inside the fifth K_5 (947 + 4 * 16 = 1011 falls short),
-    # and the read still comes there, not at a multiple of 1024 of one
-    # component's own count.
-    k5 = complete_graph(5).edges
-    k5s = [tuple(x + 7 + 5 * k for x in e) for k in range(10) for e in k5]
-    union = Hypergraph(57, list(complete_graph(7).edges) + k5s)
+    # K_7 takes 257 nodes and each Petersen graph after it 27, so the
+    # shared count crosses 1024 inside the 29th Petersen graph
+    # (257 + 28 * 27 = 1013 falls short), and the read still comes there,
+    # not at a multiple of 1024 of one component's own count.
+    n, edges = petersen()
+    copies = [tuple(x + 7 + n * k for x in e) for k in range(30) for e in edges]
+    union = Hypergraph(7 + 30 * n, list(complete_graph(7).edges) + copies)
     readings = _counting_clock(monkeypatch)
     res = chromatic_index(union, budget)
-    assert (res.exact, res.nodes, len(readings)) == (7, 947 + 10 * 16, 2)
+    assert (res.exact, res.nodes, len(readings)) == (7, 257 + 30 * 27, 2)
     readings = _counting_clock(monkeypatch, expires_at=1)
     res = chromatic_index(union, budget)
     assert (res.exact, res.nodes, len(readings)) == (7, 1024, 2)
@@ -295,13 +302,13 @@ def test_search_matches_the_recursive_reference(monkeypatch):
     searched = starved = multi = masked = targeted = dropped = 0
     searching = oracle._component_chromatic
 
-    def counting_drops(g, active, state, target, colors):
+    def counting_drops(g, edges, active, state, target, colors):
         # A best at least 2 below DSATUR's count.  Without a target, such a
         # search has lowered its ceiling under colors that frames on its
         # stack already use, so it backs through frames whose entry lies
         # above the ceiling.
         nonlocal dropped
-        lower, upper = searching(g, active, state, target, colors)
+        lower, upper = searching(g, edges, active, state, target, colors)
         dropped += upper <= _dsatur(g, active)[1] - 2
         return lower, upper
 
@@ -393,6 +400,145 @@ def test_a_larger_budget_never_widens_the_bracket():
             last = res
         assert last.complete
     assert narrowed >= 100
+    # STS(21), whose search no budget here finishes: the TabuCol pass
+    # gives every positive budget its 12 colors, and no budget loses them.
+    h = steiner_triple(21)
+    brackets = []
+    for nodes in (0, 1, 37, 1_000, 5_000, 20_000, 40_000):
+        res = chromatic_index(h, Budget(nodes, None))
+        assert is_proper(h, res.witness) and res.witness.q_used == res.upper
+        brackets.append((res.lower, res.upper))
+    assert brackets == [(10, 15)] + [(10, 12)] * 6
+
+
+def _three_vertex_inputs():
+    """Every multiset of non-empty hyperedges on 3 vertices with at most 5
+    members, each in one order."""
+    subsets = [s for k in (1, 2, 3) for s in combinations(range(3), k)]
+    for m in range(6):
+        for edges in combinations_with_replacement(subsets, m):
+            yield Hypergraph(3, edges)
+
+
+def test_every_small_multiset_on_three_vertices():
+    # Loops, duplicates and every overlap a triple allows, exhaustively:
+    # each budget gives an honest bracket, a proper witness with the palette
+    # 1..upper and at most its nodes, and a larger budget never widens it.
+    budgets = [Budget(nodes, None) for nodes in (0, 1, 2, 3, 10**6)]
+    for count, h in enumerate(_three_vertex_inputs(), 1):
+        q = brute_chromatic_index(3, list(h.edges))
+        last = None
+        for budget in budgets:
+            res = chromatic_index(h, budget)
+            assert res.lower <= q <= res.upper, (h.edges, budget)
+            assert res.nodes <= budget.max_nodes
+            assert is_proper(h, res.witness) and res.witness.q_used == res.upper
+            if last is not None:
+                assert last.lower <= res.lower <= res.upper <= last.upper
+            last = res
+        assert last.exact == q
+    assert count == 792
+
+
+def test_the_counting_floor_never_exceeds_the_chromatic_index():
+    # Each color class is a matching, so a component C needs at least
+    # ceil(|C| / floor(|W| / a)) colors.  Where the floor is at most the
+    # greedy clique, the clique bounds q already; where it is above, brute
+    # force checks it.
+    raised = 0
+    for h in _differential_inputs():
+        g = line_graph(h)
+        for comp in h._components:
+            floor = oracle._counting_floor(g, h.edges, comp)
+            if floor > len(greedy_clique(g, comp)):
+                edges = [h.edges[g.order[i]] for i in _ranks(comp)]
+                assert floor <= brute_chromatic_index(h.n, edges), h.edges
+                raised += 1
+    assert raised >= 10
+    # Odd complete graphs meet it: q(K_n) = n.
+    for n in (3, 5, 7, 9):
+        g = line_graph(complete_graph(n))
+        assert oracle._counting_floor(g, complete_graph(n).edges, (1 << g.n) - 1) == n
+
+
+def _counting_passes(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch oracle._tabucol to record each pass's goal, the upper end it
+    was given and the one it returned.  The list fills while the patch
+    lasts."""
+    passes: list[tuple[int, int, int]] = []
+    tabucol = oracle._tabucol
+
+    def counted(g, active, goal, upper, colors, state):
+        found = tabucol(g, active, goal, upper, colors, state)
+        passes.append((goal, upper, found))
+        return found
+
+    monkeypatch.setattr(oracle, "_tabucol", counted)
+    return passes
+
+
+def test_the_tabucol_witness_is_proper_and_reproducible(monkeypatch):
+    # A pass runs on each component whose search a small budget cuts: its
+    # coloring, when kept, is proper with the palette 1..upper, and a
+    # second call returns the same result.
+    passes = _counting_passes(monkeypatch)
+    improved = 0
+    for h in _differential_inputs():
+        for nodes in (1, 5):
+            passes.clear()
+            res = chromatic_index(h, Budget(nodes, None))
+            assert is_proper(h, res.witness) and res.witness.q_used == res.upper
+            assert chromatic_index(h, Budget(nodes, None)) == res
+            improved += any(found < upper for _, upper, found in passes)
+    assert improved >= 50
+    # The hard set's two budget-capped designs, from DSATUR's 15 and 18.
+    for v, upper in ((21, 12), (27, 14)):
+        h = steiner_triple(v)
+        res = chromatic_index(h, Budget(16_000, None))
+        assert res.upper == upper and is_proper(h, res.witness)
+        assert res.witness.q_used == upper
+
+
+def test_the_tabucol_pass_runs_only_after_a_cut(monkeypatch):
+    # Every search of the critical-core benchmark's shapes ends within
+    # 200,000 nodes, and at 0 nodes no component gets a local search.
+    passes = _counting_passes(monkeypatch)
+    budget = Budget(200_000, None)
+    for seed in range(30):
+        for h in (random_linear(16, 22, 3, seed), random_linear(20, 16, 4, seed)):
+            assert criticality_report(h, budget, extract=True).complete
+    for h in _differential_inputs():
+        res = chromatic_index(h, Budget(0, None))
+        assert res.nodes == 0
+    assert passes == []
+    # One node short of STS(15)'s proof the pass runs, and finds nothing
+    # below the search's 9, so the search's coloring stays the witness.
+    budget = Budget(35_331, None)
+    res = chromatic_index(steiner_triple(15), budget)
+    assert passes == [(7, 9, 9)]
+    monkeypatch.setattr(oracle, "_tabucol", lambda g, active, goal, upper, *_: upper)
+    assert chromatic_index(steiner_triple(15), budget) == res
+
+
+def test_the_tabucol_pass_reads_the_clock_every_1024_moves(monkeypatch):
+    # STS(33) has 176 ranks, so its pass may make 1,056 moves and reads the
+    # clock once, at its 1,024th.  K_5 comes after it and is not searched,
+    # the budget being spent; its own pass closes it at 5.  A clock that
+    # has expired at that read ends STS(33)'s pass there and cuts K_5,
+    # which then keeps the bracket of its DSATUR coloring.
+    sts = list(steiner_triple(33).edges)
+    k5 = [tuple(x + 33 for x in e) for e in complete_graph(5).edges]
+    h = Hypergraph(38, sts + k5)
+    budget = Budget(50, 1.0)
+    for expires_at, runs in ((None, 2), (1, 1)):
+        passes = _counting_passes(monkeypatch)
+        readings = _counting_clock(monkeypatch, expires_at)
+        res = chromatic_index(h, budget)
+        assert (res.nodes, len(readings), len(passes)) == (50, 2, runs)
+        assert is_proper(h, res.witness) and res.witness.q_used == res.upper
+        k5_colors = set(res.witness.colors[len(sts):])
+        assert len(k5_colors) == (5 if expires_at is None else 6)
+        monkeypatch.undo()
 
 
 def test_search_depth_is_not_bound_by_the_recursion_limit(monkeypatch):
@@ -417,7 +563,7 @@ def test_hard_set_brackets_and_node_counts():
         (15, 35_331, (7, 9), 35_331),
         (15, 35_332, (9, 9), 35_332),
         (21, 20_000, (10, 12), 20_000),
-        (27, 16_000, (13, 16), 16_000),
+        (27, 16_000, (13, 14), 16_000),
     ):
         h = steiner_triple(v)
         res = chromatic_index(h, Budget(budget, None))
@@ -458,7 +604,7 @@ def test_a_components_search_allocates_nothing_sized_by_the_input():
         colors = [0] * h.m
         tracemalloc.start()
         try:
-            found = oracle._component_chromatic(g, k5, state, None, colors)
+            found = oracle._component_chromatic(g, h.edges, k5, state, None, colors)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -544,7 +690,7 @@ def test_criticality_report_pins():
     assert _critical_flags(matching, FAST)[0] is False
     # Undecided within the budget: no row is claimed either way.
     starved = Budget(max_nodes=8, time_limit=None)
-    rep = criticality_report(complete_graph(5), starved)
+    rep = criticality_report(Hypergraph(*petersen()), starved)
     assert not rep.complete and rep.entries == ()
 
 
@@ -567,7 +713,7 @@ def test_criticality_report_on_small_instances():
 
 
 def test_criticality_report_respects_budget():
-    rep = criticality_report(complete_graph(5), Budget(max_nodes=8, time_limit=None))
+    rep = criticality_report(Hypergraph(*petersen()), Budget(max_nodes=8, time_limit=None))
     assert rep.q is None
     assert rep.entries == ()
     assert not rep.complete
@@ -575,7 +721,8 @@ def test_criticality_report_respects_budget():
 
 
 def test_criticality_report_extracts_a_core_only_when_asked():
-    for h in (Hypergraph(4, [(0, 1), (2, 3)]), fano(), complete_graph(5)):
+    graph = Hypergraph(*petersen())
+    for h in (Hypergraph(4, [(0, 1), (2, 3)]), fano(), complete_graph(5), graph):
         for budget in (FAST, Budget(max_nodes=8, time_limit=None)):
             rep = criticality_report(h, budget)
             assert rep.core is None
@@ -583,9 +730,8 @@ def test_criticality_report_extracts_a_core_only_when_asked():
             assert extracted.core is not None
             assert replace(extracted, core=None) == rep
     # An undecided q leaves h as an incomplete core with nothing removed.
-    k5 = complete_graph(5)
-    starved = criticality_report(k5, Budget(max_nodes=8, time_limit=None), extract=True)
-    assert starved.core == CriticalCore(k5, False, ())
+    starved = criticality_report(graph, Budget(max_nodes=8, time_limit=None), extract=True)
+    assert starved.core == CriticalCore(graph, False, ())
 
 
 def test_extract_critical_pins():
@@ -846,7 +992,7 @@ def _deciding(monkeypatch, h: Hypergraph, search) -> tuple:
         return exchange(rows, i, classes, decided)
 
     def searching(*args):
-        outcomes.append((args[1], len(args) > 5, search(*args)))
+        outcomes.append((args[2], len(args) > 6, search(*args)))
         return outcomes[-1][2]
 
     monkeypatch.setattr(oracle._Rows, "_exchange", exchanging)
@@ -907,9 +1053,9 @@ def test_a_component_with_no_row_left_is_not_searched_for_drops(monkeypatch):
     search = oracle._component_chromatic
     searched = []
 
-    def counted(g, active, state, *args):
+    def counted(g, edges, active, state, *args):
         before = state.nodes
-        bracket = search(g, active, state, *args)
+        bracket = search(g, edges, active, state, *args)
         searched.append((len(args) > 2, bracket, state.nodes - before))
         return bracket
 
@@ -994,8 +1140,13 @@ def test_a_clock_cut_leaves_the_drop_searchs_open_rows_to_row_searches(monkeypat
 # replaces, and against the search per row, at 0 to 50 nodes 2 rows were
 # newly decided and none newly undecided, 2 reports gained complete and
 # none lost it; no row, core or flag moved at 200 or 10**6 nodes, and no
-# decided value changed.
-SMALL_BUDGET_DIGEST = "688f984a64929cb06825b17f0e7cd9e05f38f754b6fdf144c9781bbc926b1a48"
+# decided value changed.  Re-recorded when the counting floor and the
+# TabuCol pass came to close brackets: at 0 to 50 nodes the base q of 70
+# reports and 1,380 rows were newly decided and none newly undecided, 56
+# reports gained complete and none lost it, and 32 cores became complete;
+# nothing, the calls and their nodes included, moved at 200 or 10**6
+# nodes, and no decided value changed.
+SMALL_BUDGET_DIGEST = "5f355e48b8f1bfbff2b62bf7478ad71e4d3dadcfbb548e9c602b641bce8e3e2f"
 
 
 def _small_budget_inputs():

@@ -215,9 +215,9 @@ def verify_conjecture(h: Hypergraph, budget: Budget = Budget()) -> Verdict:
 
     q is bracketed by chromatic_index(h, budget), the one bracket
     routine.  At max_nodes=0 no node is searched: the bracket is DSATUR's
-    coloring over the larger of the maximum degree and the largest greedy
-    clique of a line-graph component, which can still settle the status
-    whenever it clears the bound on either side.
+    coloring over the greedy clique, the counting floor and the maximum
+    degree, which can still settle the status whenever it clears the
+    bound on either side.
     """
     st = h.stats()
     bounds = bound_set(h)

@@ -16,7 +16,6 @@ import argparse
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from . import report
@@ -82,8 +81,8 @@ def _add_exact_flag(sub: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="run the exact oracle (--no-exact: the oracle at zero nodes, DSATUR "
-        "over the greedy clique and the maximum degree; ignores --budget and "
-        "--time-limit)",
+        "over the greedy clique, the counting floor and the maximum degree; "
+        "ignores --budget and --time-limit)",
     )
 
 
@@ -242,6 +241,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
     # The pool forks all its workers at once, so start no more than can work.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the pool loads multiprocessing and threading,
+        # which no other command and no serial survey needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(

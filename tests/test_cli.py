@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -826,7 +827,7 @@ def test_survey_jobs_start_no_more_workers_than_instances(capsys, monkeypatch):
 
     args = ["survey", "--count", "3", "--seed", "5", "--time-limit", "0"]
     serial = run_cli(capsys, *args, "--jobs", "1")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert run_cli(capsys, *args, "--jobs", "64") == serial
     assert sizes == [3]
@@ -836,6 +837,35 @@ def test_survey_jobs_start_no_more_workers_than_instances(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run_cli(capsys, *args, "--jobs", "64") == serial
     assert sizes == [3, 2]
+
+
+def test_only_a_parallel_survey_loads_the_process_pool():
+    # A fresh interpreter: other tests here run survey --jobs 2, which
+    # loads the pool into this process for good.
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from hypercolor.cli import main\n"
+        "for argv in (['verify', '--family', 'fano', '--no-exact'],\n"
+        "             ['critical', '--family', 'fano'],\n"
+        "             ['survey', '--count', '3', '--jobs', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "hypercolor.cli" in added
+    pool = [
+        name
+        for name in added
+        if name == "concurrent.futures.process"
+        or name.partition(".")[0] == "multiprocessing"
+    ]
+    assert pool == []
 
 
 def test_survey_reports_are_pinned_byte_for_byte(capsys):

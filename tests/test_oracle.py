@@ -21,14 +21,17 @@ from hypercolor import (
     affine_plane,
     chromatic_index,
     complete_graph,
+    conditions,
     cycle,
     criticality_report,
     fano,
     greedy_clique,
     is_proper,
+    parse_hgr,
     projective_plane,
     random_hypergraph,
     random_linear,
+    serialize_hgr,
     steiner_triple,
     survey_instance,
 )
@@ -43,6 +46,7 @@ from brute import (
     counting_builds,
     counting_searches,
     graph_hypergraph,
+    if_chain_conditions,
     petersen,
     random_graph,
     random_hypergraph_raw,
@@ -411,33 +415,52 @@ def test_a_larger_budget_never_widens_the_bracket():
     assert brackets == [(10, 15)] + [(10, 12)] * 6
 
 
-def _three_vertex_inputs():
-    """Every multiset of non-empty hyperedges on 3 vertices with at most 5
-    members, each in one order."""
-    subsets = [s for k in (1, 2, 3) for s in combinations(range(3), k)]
-    for m in range(6):
+def _small_multisets(n: int, most: int):
+    """Every multiset of non-empty hyperedges on n vertices with at most
+    `most` members, each in one order."""
+    subsets = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    for m in range(most + 1):
         for edges in combinations_with_replacement(subsets, m):
-            yield Hypergraph(3, edges)
+            yield Hypergraph(n, edges)
+
+
+def _assert_honest_brackets(h: Hypergraph) -> None:
+    """Each budget gives an honest bracket, a proper witness with the
+    palette 1..upper and at most its nodes, and a larger budget never
+    widens it; the largest closes it."""
+    q = brute_chromatic_index(h.n, list(h.edges))
+    last = None
+    for budget in (Budget(nodes, None) for nodes in (0, 1, 2, 3, 10**6)):
+        res = chromatic_index(h, budget)
+        assert res.lower <= q <= res.upper, (h.edges, budget)
+        assert res.nodes <= budget.max_nodes
+        assert is_proper(h, res.witness) and res.witness.q_used == res.upper
+        if last is not None:
+            assert last.lower <= res.lower <= res.upper <= last.upper
+        last = res
+    assert last.exact == q
 
 
 def test_every_small_multiset_on_three_vertices():
-    # Loops, duplicates and every overlap a triple allows, exhaustively:
-    # each budget gives an honest bracket, a proper witness with the palette
-    # 1..upper and at most its nodes, and a larger budget never widens it.
-    budgets = [Budget(nodes, None) for nodes in (0, 1, 2, 3, 10**6)]
-    for count, h in enumerate(_three_vertex_inputs(), 1):
-        q = brute_chromatic_index(3, list(h.edges))
-        last = None
-        for budget in budgets:
-            res = chromatic_index(h, budget)
-            assert res.lower <= q <= res.upper, (h.edges, budget)
-            assert res.nodes <= budget.max_nodes
-            assert is_proper(h, res.witness) and res.witness.q_used == res.upper
-            if last is not None:
-                assert last.lower <= res.lower <= res.upper <= last.upper
-            last = res
-        assert last.exact == q
+    # Loops, duplicates and every overlap a triple allows, exhaustively.
+    for count, h in enumerate(_small_multisets(3, 5), 1):
+        _assert_honest_brackets(h)
     assert count == 792
+
+
+def test_every_small_multiset_on_four_vertices():
+    # Every overlap of up to four hyperedges on four vertices: the brackets
+    # as above, the criticality table as a search per row finds it and the
+    # core as a rescan finds it, the condition tags as the if chain finds
+    # them, and the hgr round trip.
+    for count, h in enumerate(_small_multisets(4, 4), 1):
+        _assert_honest_brackets(h)
+        rep = criticality_report(h, FAST, extract=True)
+        assert replace(rep, core=None) == searching_criticality_report(h, FAST)
+        assert rep.core == rescanning_extract_critical(h, FAST)
+        assert conditions(h) == if_chain_conditions(h)
+        assert parse_hgr(serialize_hgr(h)) == h
+    assert count == 3876
 
 
 def test_the_counting_floor_never_exceeds_the_chromatic_index():

@@ -51,13 +51,8 @@ the same order as the recursive, set-rebuilding search on that graph
 (tests/brute.py keeps that one as the reference), and node counts,
 brackets and witnesses are unchanged from it.
 
-A criticality table asks, for every row e of h, whether h - e takes
-q - 1 colors.  One search answers all rows at once (the drop search: the
-same loop, given rows it may drop): it looks for a (q-1)-coloring of h's line graph in
-which one undecided row may stay uncolored, so each coloring it
-completes proves its dropped row critical, and once it is exhausted
-every row it did not prove is removable.  Its nodes count against a
-budget of their own and are not part of any OracleResult.
+The same loop, given rows it may drop, is the drop search of a
+criticality table (_Rows); its nodes are not part of any OracleResult.
 """
 
 from __future__ import annotations
@@ -135,9 +130,7 @@ class OracleResult:
         return self.lower == self.upper
 
 
-def _dsatur_greedy(
-    g: SimpleGraph, active: int, colors: list[int] | dict[int, int]
-) -> int:
+def _dsatur_greedy(g: SimpleGraph, active: int, colors: list[int]) -> int:
     """Greedy coloring of the ranks in active, the most saturated first,
     written into colors by vertex of g; returns the number of colors used.
     Entries off active are left as they are.
@@ -196,7 +189,9 @@ def greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
 
     Its size is a certified lower bound on the chromatic number; the
     search below starts from it, and a component the budget leaves
-    unsearched takes it as its lower end.  The first pick is the lowest
+    unsearched takes it as its lower end or, when DSATUR uses more colors,
+    the larger of it and the counting floor (_counting_floor).  The first
+    pick is the lowest
     active rank, of the largest degree in g, then the lowest number; each
     later pick is the candidate with the most candidates in its
     neighbourhood, ties going to the lowest-numbered vertex.  The result
@@ -306,20 +301,16 @@ def _component_chromatic(
     that runs out of colorings then proves the lower end t + 1, and the
     upper end stays DSATUR's.
 
-    With prove, the search decides a criticality table (see _Rows.decide):
-    the caller knows a coloring with t + 1 colors, so the search starts
-    from none and colors no clique first, and it looks for a t-coloring
-    that may leave one rank of droppable uncolored.  A frame with no color
-    left under the ceiling then drops its rank, if no rank is dropped yet
-    and its rank is droppable; the dropped rank holds color t + 1, which
-    saturates nothing.  A complete coloring that drops a rank s goes to
-    prove(s, classes), classes mapping each color to its mask of ranks;
-    prove returns the ranks it proved, s among them, and no frame drops
-    one of those afterwards.  Every coloring below the dropping frame
-    drops s too, so the frames above it have nothing left, and it pops.
-    A t-coloring that drops nothing ends the search with upper <= t; an
-    exhausted search has lower t + 1, as with a target alone, and a cut
-    one returns (0, t + 1).
+    With prove, the search starts from no coloring and no clique and looks
+    for a t-coloring that may leave one rank of droppable uncolored: a
+    frame with no color left under the ceiling drops its rank, if it is
+    droppable and no rank is dropped yet, and the dropped rank holds
+    t + 1, which saturates nothing.  A complete coloring that drops a rank
+    s goes to prove(s, classes), classes mapping each color to its mask of
+    ranks; prove returns ranks, s among them, that no frame drops
+    afterwards, and the dropping frame pops.  A t-coloring that drops
+    nothing ends the search with upper <= t; an exhausted search returns
+    lower t + 1, and a cut one (0, t + 1).
     """
     if prove is None:
         best_count = _dsatur_greedy(g, active, colors)
@@ -541,7 +532,7 @@ def _tabucol(
     n = len(ranks)
     local = {i: v for v, i in enumerate(ranks)}
     adj = [[local[j] for j in _ranks(nb[i] & active)] for i in ranks]
-    start: dict[int, int] = {}
+    start = [0] * g.n
     k = _dsatur_greedy(g, active, start)
     # Colors from 0 here, so that color c indexes gamma[v][c].
     col = [start[order[i]] - 1 for i in ranks]
@@ -755,39 +746,38 @@ class CriticalityReport:
 
 
 class _Rows:
-    """q(h - deleted - e) for the rows of a table and its extraction.
+    """q(h' - e) for the rows e of a table and its extraction, h' being h
+    less some deleted positions, with the same chromatic index q as h.
 
-    Built once from h, its chromatic index q and a proper q-coloring of h.
-    The deleted positions are those of h's edges missing from the current
-    subhypergraph h', whose chromatic index is q as well.  The caller keeps
-    a map of the rows decided in h', and decide (for h itself) and
-    q_without (for one row) record their answers there.  A row is proved
-    without a search by one of three facts of the base search:
-    - a vertex of degree q in h none of whose edges is deleted or e leaves
-      q pairwise intersecting edges in h' - e, so q(h' - e) >= q, and
-      removing an edge never raises q: e is removable;
-    - so does a q-clique of h's line graph (greedy_clique) avoiding them;
-    - when no other edge of h' has e's color in the base coloring, that
-      coloring of h' - e uses q - 1 colors, and one deletion lowers q by
-      at most 1, so e is critical.
-    decide settles the other rows of h with one search of h's line graph
-    for a (q-1)-coloring that leaves one of them uncolored
-    (_component_chromatic with rows to drop): a coloring that drops e
-    proves e critical, and once the search is exhausted every row it did
-    not prove is removable.  q_without searches a row of h' (or one that a
-    cut of that search left open) by chromatic_index(h, budget,
-    without=the deleted positions and e, target=q - 1): a mask on h's
-    line graph that asks only whether q - 1 colors do.  It is critical when the upper end is at most q - 1,
-    removable when the lower end is at least q, and undecided otherwise.
+    Built once from h, q and the base search's q-coloring of h.  The
+    caller keeps a map of the rows decided in h', and each answer goes
+    there: q (e is removable), q - 1 (e is critical) or None (undecided).
+    A row is decided by the first of these that applies:
+    - a proof of the base search (_proof).  A vertex of degree q in h, or
+      a q-clique of h's line graph (greedy_clique), none of whose edges is
+      deleted or e, leaves q pairwise intersecting edges in h' - e, and no
+      deletion raises q, so e is removable.  When no other edge of h' has
+      e's color in the base coloring, that coloring of h' - e uses q - 1
+      colors, and one deletion lowers q by at most 1, so e is critical;
+    - in h, the drop search (decide): one search of h's line graph for a
+      (q-1)-coloring that leaves one undecided row uncolored
+      (_component_chromatic with rows to drop).  A coloring that drops e
+      proves e critical, and once the search is exhausted every row it
+      did not prove is removable;
+    - a search of h' - e (q_without): chromatic_index(h, budget,
+      without=the deleted positions and e, target=q - 1), a mask on h's
+      line graph.  e is critical when the upper end is at most q - 1,
+      removable when the lower end is at least q.
 
     A row found critical comes with a (q-1)-coloring of h' - e: the
     search's, or the base coloring without e.  e's neighbours meet every
     color of it, or e could take the missing one and h' would need only
     q - 1: this is the key lemma, q - 1 <= d(e).  Its exchange argument
-    reads more critical rows off the coloring: a neighbour f of e in h'
-    that is e's only neighbour with its color c is critical in h', since
-    dropping f and giving e color c colors h' - f with q - 1 colors.  That
-    coloring is read the same way in turn, until no new row is proved.
+    (_exchange) reads more critical rows off the coloring: a neighbour f
+    of e in h' that is e's only neighbour with its color c is critical in
+    h', since dropping f and giving e color c colors h' - f with q - 1
+    colors.  That coloring is read the same way in turn, until no new row
+    is proved.
     """
 
     def __init__(self, h: Hypergraph, q: int, witness: Coloring):
@@ -797,52 +787,62 @@ class _Rows:
         # line_graph(h) is the graph the base search, the drop search and
         # every row search run on; the exchange argument walks its masks.
         self.graph = line_graph(h)
-        # Sets of q pairwise intersecting positions: the edges through a
-        # vertex of degree q, and the greedy clique when it has q members.
-        self.cliques = [set(h.incident(x)) for x, d in enumerate(h.degrees()) if d == q]
+        rank = self.graph.rank
+        # The base coloring as a rank mask per color, in order of each
+        # color's first position.
+        self.classes: dict[int, int] = {}
+        for p, c in enumerate(self.colors):
+            self.classes[c] = self.classes.get(c, 0) | 1 << rank[p]
+        # Rank masks of q pairwise intersecting positions: the edges through
+        # a vertex of degree q, and the greedy clique when it has q members.
+        sets = [h.incident(x) for x, d in enumerate(h.degrees()) if d == q]
         clique = greedy_clique(self.graph)
         if len(clique) == q:
-            self.cliques.append(set(clique))
+            sets.append(clique)
+        self.cliques = [sum(1 << rank[p] for p in s) for s in sets]
+
+    def _proof(self, e: int, gone: int, decided: dict[int, Optional[int]]) -> Optional[int]:
+        """q(h' - e) by a proof of the base search, recorded in decided, or
+        None when none applies; gone is the rank mask of e and the deleted
+        positions.  On q - 1, _exchange records the rows it derives too."""
+        if any(not clique & gone for clique in self.cliques):
+            decided[e] = self.q
+            return self.q
+        if self.classes[self.colors[e]] & ~gone:
+            return None
+        # The base coloring of h' - e, its classes in order of their first
+        # position left: the exchange's result depends on that order.
+        order = self.graph.order
+        left = sorted(
+            ((c, members & ~gone) for c, members in self.classes.items() if members & ~gone),
+            key=lambda item: min(order[i] for i in _ranks(item[1])),
+        )
+        self._exchange(self.graph.rank[e], dict(left), decided)
+        return self.q - 1
 
     def decide(self, budget: Budget, decided: dict[int, Optional[int]]) -> int:
-        """Record in decided, an empty map, every row of h that a proof of
-        the base search settles, then search for the rest, component by
-        component of h's line graph, on one budget of their own.  Returns
-        the search's nodes.  A row the budget or the clock leaves open is
-        not recorded.
+        """Record in decided, an empty map, the rows of h that _proof
+        settles, then drop-search the rest, component by component of h's
+        line graph, on one budget of their own.  Returns the search's
+        nodes.  A row the budget or the clock leaves open is not recorded.
 
-        A component takes q - 1 colors when the base coloring uses fewer
-        than q on it, and then needs no search; otherwise a component with
-        rows left is searched for a (q-1)-coloring that may drop one of
-        them, and one with none only for a (q-1)-coloring, from its DSATUR
-        coloring and its clique as in the base search.  A coloring that
-        drops e proves only that C - e takes q - 1 colors, C being e's
-        component, and q(h - e) = q - 1 only if every other component takes
-        q - 1 colors as well.  So the rows a component's search proves are
+        A coloring that drops e proves only that C - e takes q - 1 colors,
+        C being e's component.  So the rows a component's search proves are
         kept apart, in proved (read through to decided), and recorded once
-        every other component has a (q-1)-coloring.  Such a coloring makes
-        each row of its component removable; two components that need q
-        make every row removable; and so is each row of a component that
-        needs q and that its search did not prove.
+        every other component takes q - 1 colors: without a search when the
+        base coloring uses fewer than q colors on it, and otherwise by a
+        search for a (q-1)-coloring, which drops rows only when the
+        component has some left.  Such a coloring makes each row of its
+        component removable; two components that need q make every row
+        removable; and so is each row of a component that needs q and that
+        its search did not prove.
         """
         h, q, g = self.h, self.q, self.graph
         rank, order = g.rank, g.order
-        base: dict[int, int] = {}
-        for p, c in enumerate(self.colors):
-            base[c] = base.get(c, 0) | 1 << rank[p]
-        open_rows = proved_rows = 0
         for e in range(h.m):
-            if e in decided:
-                continue
-            c = self.colors[e]
-            if any(e not in clique for clique in self.cliques):
-                decided[e] = q
-            elif base[c] == 1 << rank[e]:
-                others = {k: v for k, v in base.items() if k != c}
-                proved_rows |= self._exchange(rank[e], others, decided)
-            else:
-                open_rows |= 1 << rank[e]
-        open_rows &= ~proved_rows
+            if e not in decided:
+                self._proof(e, 1 << rank[e], decided)
+        open_rows = sum(1 << rank[e] for e in range(h.m) if e not in decided)
         if not open_rows:
             return 0
         state = _SearchState(budget)
@@ -851,8 +851,7 @@ class _Rows:
         needing = 0
         for comp in h._components:
             proved: dict[int, Optional[int]] = {}
-            if sum(1 for members in base.values() if members & comp) < q:
-                # The base coloring colors it with q - 1 colors.
+            if sum(1 for members in self.classes.values() if members & comp) < q:
                 lo, hi = 0, q - 1
             elif comp & open_rows:
                 prove = partial(self._exchange, decided=ChainMap(proved, decided))
@@ -883,33 +882,23 @@ class _Rows:
         self, deleted: list[int], e: int, budget: Budget,
         decided: dict[int, Optional[int]],
     ) -> Optional[int]:
-        """q(h' - e), h' being h without the deleted positions; None if
-        undecided.  Records it in decided, the rows of h' decided so far;
-        on q - 1, _exchange records the rows it derives there as well."""
-        gone = {e, *deleted}
-        # q pairwise intersecting edges left make q colors necessary, and
-        # no deletion raises q.
-        if any(gone.isdisjoint(clique) for clique in self.cliques):
-            decided[e] = self.q
-            return self.q
-        colors = [0 if p in gone else c for p, c in enumerate(self.colors)]
-        # Unless e is alone in its base color class, so that the base
-        # coloring without e already uses q - 1 colors (one deletion lowers
-        # q by at most 1), search h' - e.
-        if self.colors[e] in colors:
-            result = chromatic_index(self.h, budget, without=gone, target=self.q - 1)
-            if result.upper >= self.q:
-                found = self.q if result.lower >= self.q else None
-                decided[e] = found
-                return found
-            left = (p for p in range(self.h.m) if p not in gone)
-            for p, c in zip(left, result.witness.colors):
-                colors[p] = c
+        """q(h' - e), h' being h without the deleted positions, by _proof
+        or else by a search; None if undecided.  Records it in decided, the
+        rows of h' decided so far."""
         rank = self.graph.rank
+        gone = sum(1 << rank[p] for p in (e, *deleted))
+        found = self._proof(e, gone, decided)
+        if found is not None:
+            return found
+        result = chromatic_index(self.h, budget, without=(e, *deleted), target=self.q - 1)
+        if result.upper >= self.q:
+            found = self.q if result.lower >= self.q else None
+            decided[e] = found
+            return found
+        left = (p for p in range(self.h.m) if not gone >> rank[p] & 1)
         classes: dict[int, int] = {}
-        for p, c in enumerate(colors):
-            if c:
-                classes[c] = classes.get(c, 0) | 1 << rank[p]
+        for p, c in zip(left, result.witness.colors):
+            classes[c] = classes.get(c, 0) | 1 << rank[p]
         self._exchange(rank[e], classes, decided)
         return self.q - 1
 
@@ -948,14 +937,12 @@ def criticality_report(
     """Tabulate criticality, check q - 1 <= d(e) for critical e, and with
     extract, reduce h to a critical core.
 
-    Each row is q(h - e), decided by a proof of the base search, by the
-    exchange argument from a row found critical, or by search (see
-    _Rows).  The lemma check runs on every critical row however it was
-    decided.  Two maps hold the rows decided so far: in_h maps a row e to
-    q(h - e), and in_core to q(h' - e) for the scan's current h'.  One
-    search that may drop a row (_Rows.decide) fills in_h first; only a row
-    it leaves open, when the budget or the clock cuts it, is searched on
-    its own, with the target q - 1, when the core or the table reads it.
+    Each row is q(h - e), decided as _Rows says, and the lemma check runs
+    on every critical row however it was decided.  Two maps hold the rows
+    decided so far: in_h maps a row e to q(h - e), and in_core to
+    q(h' - e) for the scan's current h'.  The drop search fills in_h first;
+    a row it leaves open is searched on its own when the core or the table
+    reads it.
 
     The core comes next.  It scans positions once in ascending order and
     deletes each one whose removal keeps q, so it is deterministic; until
@@ -992,7 +979,7 @@ def criticality_report(
                 continue
             q_without = rows.q_without(removed, e, budget, in_core) if removed else in_h_row(e)
             # A row critical in h is critical in h' too.
-            if q_without is None and removed and in_h_row(e) == q - 1:
+            if q_without is None and in_h_row(e) == q - 1:
                 continue
             if q_without is None:
                 core_complete = False

@@ -611,6 +611,20 @@ def test_critical_command(capsys, tmp_path):
     assert "q-exact: none" in out
 
 
+@pytest.mark.parametrize(
+    "family", ["fano", "steiner-triple:9", "random-linear:n=16,m=22,k=3,seed=1"]
+)
+def test_critical_of_a_written_family_prints_the_same_bytes(capsys, tmp_path, family):
+    # The report names its input only by the sha256 of its canonical hgr
+    # text, and the file gen writes parses back to the family's hypergraph,
+    # so both give one report.  A workload may time critical on files.
+    path = tmp_path / "input.hgr"
+    assert run_cli(capsys, "gen", "--family", family, "-o", str(path))[0] == 0
+    from_file = run_cli(capsys, "critical", str(path))
+    assert from_file[0] == 0
+    assert from_file == run_cli(capsys, "critical", "--family", family)
+
+
 def test_critical_computes_the_base_q_once(capsys, monkeypatch):
     # A decided base q whose table flags are F,F,F,F,T,T, then one the
     # budget leaves undecided.

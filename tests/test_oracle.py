@@ -6,8 +6,8 @@ import hashlib
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from functools import cache, reduce
+from itertools import chain, combinations, combinations_with_replacement
 from types import SimpleNamespace
 from typing import Optional
 
@@ -967,6 +967,60 @@ def test_exchanged_rows_are_critical(monkeypatch):
                     derived[bool(deleted)] += 1
     # Rows proved critical in h, and derived in an h' with a row deleted.
     assert derived == {False: 1094, True: 119}
+
+
+def test_base_search_proofs_match_brute_force_on_subhypergraphs():
+    # _Rows._proof on h' = h - D for every set D of at most 2 positions
+    # with q(h') = q, not only the prefixes of the deletions a core scan
+    # makes: every row it settles has the brute-force value of h' - e, and
+    # every row its exchange derives is critical in h' by brute force.
+    # Brute force is exponential in the edges, and the linear inputs have
+    # 16 to 30, so of _differential_inputs only those of at most 14 edges
+    # are taken: the draws with loops and duplicates, and small graphs.
+    settled = derived = 0
+    small = (h for h in _differential_inputs() if h.m <= 14)
+    for h in chain(_small_multisets(3, 5), small):
+        base = chromatic_index(h, FAST)
+        q = base.exact
+        rows = oracle._Rows(h, q, base.witness)
+        rank = rows.graph.rank
+
+        @cache
+        def brute(gone: frozenset) -> int:
+            sub = h.without(gone)
+            return brute_chromatic_index(sub.n, list(sub.edges))
+
+        for size in (0, 1, 2):
+            for deleted in combinations(range(h.m), size):
+                if brute(frozenset(deleted)) != q:
+                    continue
+                for e in set(range(h.m)) - set(deleted):
+                    decided: dict = {}
+                    gone = sum(1 << rank[p] for p in (e, *deleted))
+                    found = rows._proof(e, gone, decided)
+                    if found is None:
+                        assert not decided
+                        continue
+                    assert found == brute(frozenset((e, *deleted)))
+                    settled += 1
+                    for f, value in decided.items():
+                        if f != e:
+                            assert value == q - 1 == brute(frozenset((f, *deleted)))
+                            derived += 1
+    assert (settled, derived) == (11_445, 18_855)
+
+
+def test_a_lone_row_reads_the_base_classes_in_order_of_first_position_left():
+    # The rows the exchange derives depend on the order in which it reads
+    # the color classes.  With rows 2 and 5 deleted, q stays 6 and row 1
+    # is alone in its base class; read in order of each class's first
+    # position in h instead, the classes would derive row 11 as well.
+    h = random_linear(12, 15, 3, 1)
+    base = chromatic_index(h, FAST)
+    rows = oracle._Rows(h, base.exact, base.witness)
+    decided: dict = {}
+    assert rows.q_without([2, 5], 1, FAST, decided) == 5
+    assert decided == {e: 5 for e in (0, 1, 3, 6, 8, 9, 10, 13, 14)}
 
 
 def _drop_inputs():

@@ -23,8 +23,13 @@ class GenerationError(ValueError):
 
     random_linear raises it at its retry cap ("retry cap hit"), or as soon
     as no k-set avoids every vertex pair already used ("no k-set avoids
-    the used vertex pairs"): the edge the cap would fail on.
+    the used vertex pairs"): the edge the cap would fail on.  ``placed``
+    is the edges placed before it, in order, or None for a parameter error.
     """
+
+    def __init__(self, message: str, placed: Optional[tuple[tuple[int, ...], ...]] = None):
+        super().__init__(message)
+        self.placed = placed
 
 
 class Rng:
@@ -309,7 +314,8 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
         if not fits:
             reason = "no k-set avoids the used vertex pairs" if full else "retry cap hit"
             raise GenerationError(
-                f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}"
+                f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}",
+                tuple(chosen),
             )
         chosen.append(cand)
         for a in cand:
@@ -475,12 +481,11 @@ def survey_instance(
     Parameters are drawn from an RNG seeded by derive_seed(master, index),
     so the mapping from index to instance does not depend on worker
     scheduling.  The edge count is clamped to the pair budget
-    C(n,2) / C(k,2) that linearity imposes, and on a rejection-cap failure
-    the draw retries with a fresh generator seed and one edge fewer, down
-    to one edge, which always fits.  So the procedure terminates whenever
-    n_range starts at 2 or more, m_range at 1 or more, both ranges are
-    LO <= HI and every size in k_choices is at least 2; other input raises
-    GenerationError (see _check_survey_input).
+    C(n,2) / C(k,2) that linearity imposes, and random_linear is called
+    once.  If it cannot place an edge, the edges placed before that one
+    (the first always fits) are the instance, and the label counts them:
+    the draws are sequential, so that label regenerates the same edges.
+    Input it cannot sample raises GenerationError (_check_survey_input).
     """
     _check_survey_input(n_range, m_range, k_choices)
     rng = Rng(derive_seed(master_seed, index))
@@ -488,15 +493,10 @@ def survey_instance(
     k = k_choices[rng.below(len(k_choices))]
     if k > n:
         k = 2
-    m = rng.randint(*m_range)
-    budget = (n * (n - 1) // 2) // (k * (k - 1) // 2)
-    m = min(m, budget)
-    while True:
-        seed = rng.next_u64()
-        try:
-            h = random_linear(n, m, k, seed)
-        except GenerationError:
-            m = max(1, m - 1)
-            continue
-        spec = FamilySpec("random-linear", n=n, m=m, k=k, seed=seed)
-        return spec, h
+    m = min(rng.randint(*m_range), (n * (n - 1) // 2) // (k * (k - 1) // 2))
+    seed = rng.next_u64()
+    try:
+        h = random_linear(n, m, k, seed)
+    except GenerationError as exc:
+        h = Hypergraph(n, exc.placed)
+    return FamilySpec("random-linear", n=n, m=h.m, k=k, seed=seed), h

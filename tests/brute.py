@@ -9,9 +9,9 @@ a simple graph reaches it as graph_hypergraph(n, edges), whose line
 graph it is.  The reference versions of package logic (condition tags,
 the criticality table, core extraction, the first-fit hyperedge colorer,
 the oracle's greedy coloring, greedy clique, node counter, branch and
-bound and drop search, the random linear sampler and its k-set draw)
-are the earlier, more literal forms of that logic, kept to check the
-current forms against.
+bound and drop search, the random linear sampler and its k-set draw,
+the survey's restart rule) are the earlier, more literal forms of that
+logic, kept to check the current forms against.
 counting_searches spies on the oracle's calls, and counting_builds on
 the package's cached facts.
 """
@@ -30,13 +30,16 @@ from hypercolor import (
     CriticalCore,
     CriticalityReport,
     EdgeCriticality,
+    FamilySpec,
     GenerationError,
     Hypergraph,
     Rng,
     chromatic_index,
+    derive_seed,
+    random_linear,
 )
 from hypercolor import oracle
-from hypercolor.instances import _RETRIES_PER_EDGE
+from hypercolor.instances import _RETRIES_PER_EDGE, _check_survey_input
 from hypercolor.oracle import _SearchState, greedy_clique
 from hypercolor.transforms import SimpleGraph
 
@@ -852,6 +855,36 @@ def rejection_random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
                 f"could not place edge {len(chosen) + 1} of {m} (n={n}, k={k}): {reason}"
             )
     return Hypergraph(n, chosen)
+
+
+def restarting_survey_instance(
+    master_seed: int,
+    index: int,
+    n_range: tuple[int, int],
+    m_range: tuple[int, int],
+    k_choices: tuple[int, ...],
+) -> tuple[FamilySpec, Hypergraph]:
+    """The earlier form of ``survey_instance``: when random_linear cannot
+    place an edge, the instance is drawn again from scratch with a fresh
+    seed and one edge fewer, down to one edge, which always fits."""
+    _check_survey_input(n_range, m_range, k_choices)
+    rng = Rng(derive_seed(master_seed, index))
+    n = rng.randint(*n_range)
+    k = k_choices[rng.below(len(k_choices))]
+    if k > n:
+        k = 2
+    m = rng.randint(*m_range)
+    budget = (n * (n - 1) // 2) // (k * (k - 1) // 2)
+    m = min(m, budget)
+    while True:
+        seed = rng.next_u64()
+        try:
+            h = random_linear(n, m, k, seed)
+        except GenerationError:
+            m = max(1, m - 1)
+            continue
+        spec = FamilySpec("random-linear", n=n, m=m, k=k, seed=seed)
+        return spec, h
 
 
 def counting_searches(monkeypatch) -> list[tuple[int, int]]:

@@ -815,9 +815,12 @@ def test_survey_text_json_and_jobs_agree(capsys):
 # The JSON one was re-recorded when the counting floor came to end
 # searches: instance 64 (7 vertices, 16 edges, q = 6) is settled before a
 # node, and its oracle_nodes fell from 90 to 0; nothing else moved.
+# Both were re-recorded when a survey instance came to end at an edge
+# that does not fit instead of being drawn again with one edge fewer:
+# 53 of the 100 instances changed.
 SURVEY_DIGESTS = [
-    ((), "de104492f0c21286cefde20bd67dae3e26ca1de3f13bc10235bc14523d0f4b1f"),
-    (("--json",), "258f9f4f5d38e7bf8d4070c78bad1607569cb13c44cbbe286f7bf2f5249843cc"),
+    ((), "0fe14eca02ffa84f85f00401293fc998e968fe167f58d9b248838a7b60a7a498"),
+    (("--json",), "952309c576c74eeba271ac3696f0d0f4fcfc0b7b692bef4940e9bac38d331254"),
 ]
 
 

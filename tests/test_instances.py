@@ -31,7 +31,7 @@ from hypercolor import (
 from hypercolor.instances import _RETRIES_PER_EDGE, _has_clique
 
 import brute
-from brute import below_sample_sorted, rejection_random_linear
+from brute import below_sample_sorted, rejection_random_linear, restarting_survey_instance
 
 
 def test_rng_is_deterministic_and_survives_zero_seed():
@@ -466,6 +466,54 @@ def test_survey_instance_clamps_impossible_requests():
     assert ht.stats().linear
 
 
+def test_survey_keeps_the_edges_placed_before_a_failed_draw(monkeypatch):
+    # survey_instance calls random_linear once; a spy records that call
+    # and the GenerationError it raised, if any.
+    calls = []
+
+    def spy(n, m, k, seed):
+        try:
+            h = random_linear(n, m, k, seed)
+        except GenerationError as exc:
+            calls.append(((n, m, k, seed), exc))
+            raise
+        calls.append(((n, m, k, seed), None))
+        return h
+
+    monkeypatch.setattr("hypercolor.instances.random_linear", spy)
+    reasons = []
+    for master, count, ranges in (
+        (0, 300, ((6, 12), (4, 16), (2, 3, 4))),
+        (7, 150, ((6, 30), (4, 60), (2, 3, 4, 5))),
+    ):
+        for i in range(count):
+            calls.clear()
+            spec, h = survey_instance(master, i, *ranges)
+            assert len(calls) == 1
+            (n, m, k, seed), exc = calls[0]
+            assert (spec.n, spec.k, spec.seed) == (n, k, seed)
+            assert generate(parse_family(spec.label())) == h
+            assert m <= (n * (n - 1) // 2) // (k * (k - 1) // 2)
+            if exc is None:
+                assert spec.m == m
+                assert (spec, h) == restarting_survey_instance(master, i, *ranges)
+                continue
+            assert h.edges == exc.placed
+            assert 1 <= spec.m < m
+            reasons.append(str(exc).partition(": ")[2])
+    # Both ways an edge can fail to fit end some instance early.
+    assert set(reasons) == {"retry cap hit", "no k-set avoids the used vertex pairs"}
+
+    # K_4 holds six pairs, so the seventh 2-set fits nowhere.
+    with pytest.raises(GenerationError) as err:
+        random_linear(4, 100, 2, 0)
+    assert err.value.placed == random_linear(4, 6, 2, 0).edges
+    assert len(err.value.placed) == 6
+    with pytest.raises(GenerationError) as err:
+        random_linear(5, 2, 1, 0)
+    assert err.value.placed is None
+
+
 def test_survey_instance_refuses_input_it_cannot_sample():
     # Each of these used to loop forever or fail on a division deep in
     # the sampler, except the m range from 0, which was quietly raised to
@@ -499,14 +547,14 @@ print("refused all")
 
 
 # sha256 of (label, edges) for the generator pin below.  Any change to the
-# draw stream, the fit test or the restart rule moves it.
-GENERATOR_DIGEST = "d8a7804fbb4e2b7c0826a460006c2adcf82cd12271e95ece47c7a1c63c75c108"
+# draw stream, the fit test or the rule that ends an instance at an edge
+# that does not fit moves it.
+GENERATOR_DIGEST = "341cd3f32c62b037d7818135b11be0ed64d4d49f250f75adde5961853bc2213d"
 
 
 def test_generated_instances_are_pinned():
-    # Default-range survey instances, wide-range ones (k up to 5; indices
-    # 0-24 at seed 7 restart after both a retry-cap failure and a "no
-    # k-set" failure, index 3 after each within one instance), and random
+    # Default-range survey instances, wide-range ones (k up to 5; 15 of
+    # indices 0-24 at seed 7 end at an edge that does not fit), and random
     # hypergraphs with edge sizes up to 12.
     lines = []
     for i in range(300):

@@ -53,6 +53,7 @@ from brute import (
     rebuilding_dsatur_greedy,
     recursive_component_chromatic,
     rescanning_extract_critical,
+    restarting_survey_instance,
     searching_criticality_report,
     set_greedy_clique,
 )
@@ -260,7 +261,9 @@ def _disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
 
 def _linear(seed: int) -> Hypergraph:
-    return survey_instance(seed, 0, (12, 18), (16, 30), (3,))[1]
+    # The restart rule keeps these inputs, and the floors they meet, as
+    # they were when the floors were set.
+    return restarting_survey_instance(seed, 0, (12, 18), (16, 30), (3,))[1]
 
 
 def _differential_inputs():

@@ -53,6 +53,8 @@ brackets and witnesses are unchanged from it.
 
 The same loop, given rows it may drop, is the drop search of a
 criticality table (_Rows); its nodes are not part of any OracleResult.
+It starts from no coloring and no clique instead, and passes the same
+gate as every other search.
 """
 
 from __future__ import annotations
@@ -77,11 +79,20 @@ class Budget:
     none and runs no local search either, and each component is bracketed
     by its greedy clique or counting floor and its starting (DSATUR)
     coloring.  time_limit=None disables the clock; node limits alone keep
-    results machine-independent.
+    results machine-independent.  max_nodes must be an int >= 0 and
+    time_limit None or a number >= 0 (bools and nan are refused), or
+    ValueError is raised: the search could not honour anything else.
     """
 
     max_nodes: int = 10_000_000
     time_limit: Optional[float] = 30.0
+
+    def __post_init__(self):
+        if type(self.max_nodes) is not int or self.max_nodes < 0:
+            raise ValueError(f"max_nodes {self.max_nodes!r} is not an int >= 0")
+        limit = self.time_limit
+        if limit is not None and (type(limit) not in (int, float) or not limit >= 0):
+            raise ValueError(f"time_limit {limit!r} is not None or a number >= 0")
 
 
 class _SearchState:
@@ -292,45 +303,41 @@ def _component_chromatic(
       first;
     - a new best of at most stop colors ends the search: stop is the
       lower end lb, or t.
-    The search starts from DSATUR's coloring, and its clique takes colors
-    1..len(clique) before the first node.  lb is the clique's size or,
-    when DSATUR uses more colors, the larger of it and the counting floor
-    (_counting_floor), so the floor can only end a search sooner.  With a
-    target t, a coloring of at most t colors, DSATUR's included, ends it
-    at once, and a lower end above t ends it before it starts; a search
-    that runs out of colorings then proves the lower end t + 1, and the
-    upper end stays DSATUR's.
+    The search has two starts and one gate.  With no rank to drop
+    (droppable 0), the best coloring starts as DSATUR's, and the clique
+    takes colors 1..len(clique) before the first node; lb is the clique's
+    size or, when DSATUR uses more colors, the larger of it and the
+    counting floor (_counting_floor), so the floor can only end a search
+    sooner.  With ranks to drop there is no coloring and no clique: lb is
+    0 and the best count t + 1.  The gate returns (lb, best count) at once
+    unless lb <= stop < best count, so a closed bracket, a coloring of at
+    most t colors (DSATUR's included) and a lower end above t each end a
+    search before its first node; the ceiling is then the best count less
+    1, or t.  A search that runs out of colorings proves the lower end
+    ceiling + 1: with a target, t + 1 beside DSATUR's upper end.
 
-    With prove, the search starts from no coloring and no clique and looks
-    for a t-coloring that may leave one rank of droppable uncolored: a
-    frame with no color left under the ceiling drops its rank, if it is
-    droppable and no rank is dropped yet, and the dropped rank holds
-    t + 1, which saturates nothing.  A complete coloring that drops a rank
-    s goes to prove(s, classes), classes mapping each color to its mask of
-    ranks; prove returns ranks, s among them, that no frame drops
-    afterwards, and the dropping frame pops.  A t-coloring that drops
-    nothing ends the search with upper <= t; an exhausted search returns
-    lower t + 1, and a cut one (0, t + 1).
+    With ranks to drop, the search looks for a t-coloring that may leave
+    one rank of droppable uncolored: a frame with no color left under the
+    ceiling drops its rank, if it is droppable and no rank is dropped yet,
+    and the dropped rank holds t + 1, which saturates nothing.  A complete
+    coloring that drops a rank s goes to prove(s, classes), classes
+    mapping each color to its mask of ranks; prove returns ranks, s among
+    them, that no frame drops afterwards, and the dropping frame pops.  A
+    t-coloring that drops nothing ends the search with upper <= t; an
+    exhausted search returns lower t + 1, and a cut one (0, t + 1).
     """
-    if prove is None:
+    if droppable:
+        clique, lb, best_count = [], 0, target + 1
+    else:
         best_count = _dsatur_greedy(g, active, colors)
         clique = greedy_clique(g, active)
         lb = len(clique)
         if lb < best_count:
             lb = max(lb, _counting_floor(g, edges, active))
-        if lb == best_count:
-            return lb, best_count
-        if target is None:
-            ceiling, stop = best_count - 1, lb
-        elif lb <= target < best_count:
-            ceiling = stop = target
-        else:
-            return lb, best_count
-    else:
-        clique = []
-        lb = 0
-        ceiling = stop = target
-        best_count = target + 1
+    stop = lb if target is None else target
+    if not lb <= stop < best_count:
+        return lb, best_count
+    ceiling = best_count - 1 if target is None else target
 
     # Search colors stay at or below the ceiling, and so does every
     # saturation; a dropped rank holds ceiling + 1.
@@ -656,7 +663,8 @@ def chromatic_index(
     A target t asks only whether q <= t: each component's search stops at
     a coloring of at most t colors or at a proof that it needs more (see
     _component_chromatic), so upper <= t or lower > t settles it, and the
-    bracket stays honest either way.
+    bracket stays honest either way.  A target that is not an int, a bool
+    included, raises ValueError before any search.
 
     A component whose search the budget cuts with its bracket open (with
     a target: with lower <= t < upper) gets a TabuCol pass (_tabucol)
@@ -666,6 +674,8 @@ def chromatic_index(
     of the search's and the pass's, and a larger budget never widens the
     bracket.
     """
+    if target is not None and type(target) is not int:
+        raise ValueError(f"target {target!r} is not an int")
     g = line_graph(h)
     gone = set(without)
     for p in gone:
@@ -853,13 +863,11 @@ class _Rows:
             proved: dict[int, Optional[int]] = {}
             if sum(1 for members in self.classes.values() if members & comp) < q:
                 lo, hi = 0, q - 1
-            elif comp & open_rows:
+            else:
                 prove = partial(self._exchange, decided=ChainMap(proved, decided))
                 lo, hi = _component_chromatic(
                     g, h.edges, comp, state, q - 1, scratch, open_rows & comp, prove
                 )
-            else:
-                lo, hi = _component_chromatic(g, h.edges, comp, state, q - 1, scratch)
             # True: the component takes q - 1 colors; False: it needs q.
             found = True if hi < q else False if lo >= q else None
             searched.append((comp, found, proved))

@@ -646,10 +646,10 @@ def recursive_component_chromatic(
     """The oracle's branch and bound as a recursion over set rebuilds.
 
     Same contract as hypercolor.oracle._component_chromatic, and it must
-    visit the same nodes in the same order.  With prove, it is the drop
-    search's (recursive_drop_search).
+    visit the same nodes in the same order.  With rows to drop, it is the
+    drop search's (recursive_drop_search).
     """
-    if prove is not None:
+    if droppable:
         return recursive_drop_search(g, active, state, target, witness, droppable, prove)
     lower, upper, best = _recursive_search(g, edges, active, state, target)
     for v in _active_vertices(g, active):
@@ -673,16 +673,13 @@ def _recursive_search(
     lb = len(clique)
     if lb < best_count:
         lb = max(lb, counting_floor([edges[v] for v in vertices]))
-    if lb == best_count:
-        return lb, best_count, best
     # No color above the ceiling is tried, and a best of at most stop
-    # colors ends the search.
-    if target is None:
-        ceiling, stop = best_count - 1, lb
-    elif lb <= target < best_count:
-        ceiling = stop = target
-    else:
+    # colors ends the search; a bracket that already settles the question
+    # ends it before it starts.
+    stop = lb if target is None else target
+    if not lb <= stop < best_count:
         return lb, best_count, best
+    ceiling = best_count - 1 if target is None else target
 
     colors = [0] * g.n
     for idx, v in enumerate(clique):
@@ -751,13 +748,13 @@ def recursive_drop_search(
     """The criticality table's drop search as a recursion over set
     rebuilds.
 
-    Same contract as hypercolor.oracle._component_chromatic given prove,
-    and it must visit the same nodes in the same order and pass prove the
-    same colorings: each node picks the uncolored, undropped vertex of the
-    largest saturation, then degree in g, then the lowest number, and
-    tries its colors up to one above those used, then the drop.  A
-    coloring that drops a vertex is passed to prove by rank, and the
-    recursion returns through every frame below the drop's, which then
+    Same contract as hypercolor.oracle._component_chromatic given rows to
+    drop, and it must visit the same nodes in the same order and pass
+    prove the same colorings: each node picks the uncolored, undropped
+    vertex of the largest saturation, then degree in g, then the lowest
+    number, and tries its colors up to one above those used, then the
+    drop.  A coloring that drops a vertex is passed to prove by rank, and
+    the recursion returns through every frame below the drop's, which then
     returns too.  A coloring that drops nothing is written into witness.
     """
     vertices = _active_vertices(g, active)

@@ -11,6 +11,8 @@ from itertools import chain, combinations, combinations_with_replacement
 from types import SimpleNamespace
 from typing import Optional
 
+import pytest
+
 from hypercolor import (
     Budget,
     Coloring,
@@ -34,6 +36,7 @@ from hypercolor import (
     serialize_hgr,
     steiner_triple,
     survey_instance,
+    vizing_edge_color,
 )
 from hypercolor.transforms import _component_masks, _ranks, line_graph
 
@@ -68,6 +71,37 @@ def test_budget_defaults():
     assert b.max_nodes == 10_000_000
     assert b.time_limit == 30.0
     assert Budget(time_limit=None).time_limit is None
+
+
+def test_a_budget_the_search_cannot_honour_is_refused():
+    # 1.5 nodes let a search visit 2, nan nodes never cut it, and -1 nodes
+    # ran the TabuCol pass that 0 nodes skips; nan seconds never cut it.
+    for bad in (1.5, float("nan"), -1, True, "10", None):
+        with pytest.raises(ValueError, match="max_nodes"):
+            Budget(bad, None)
+    for bad in (float("nan"), -1, -0.5, True, "1"):
+        with pytest.raises(ValueError, match="time_limit"):
+            Budget(10, bad)
+    for nodes, limit in ((0, None), (10**12, 0), (5, 0.0), (5, 2.5), (5, float("inf"))):
+        budget = Budget(nodes, limit)
+        assert (budget.max_nodes, budget.time_limit) == (nodes, limit)
+    with pytest.raises(ValueError, match="max_nodes"):
+        replace(FAST, max_nodes=-1)
+
+
+def test_a_target_that_is_not_an_int_is_refused(monkeypatch):
+    # 8.5 failed inside the search, which reported an internal failure as
+    # bad input, and 1.5 and True were answered as numbers of colors.
+    def searching(*args):
+        raise AssertionError("searched before refusing the target")
+
+    monkeypatch.setattr(oracle, "_component_chromatic", searching)
+    h = steiner_triple(15)
+    for bad in (8.5, 1.5, 9.0, True, False, "9"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            chromatic_index(h, FAST, target=bad)
+    monkeypatch.undo()
+    assert chromatic_index(h, FAST, target=8).lower == 9
 
 
 def test_result_bracket_properties():
@@ -451,19 +485,40 @@ def test_every_small_multiset_on_three_vertices():
     assert count == 792
 
 
+def _check_small_multisets(n: int, most: int) -> tuple[int, int, int]:
+    """Check every multiset of non-empty hyperedges on n vertices with at
+    most `most` members: the brackets as _assert_honest_brackets does, the
+    criticality table as a search per row finds it and the core as a
+    rescan finds it, the drop search node for node as the recursive
+    reference, the condition tags as the if chain finds them, the hgr
+    round trip and, on simple graphs, Vizing's coloring proper within the
+    maximum degree plus 1.  Returns the number of inputs, of those whose
+    drop search visits nodes, and of simple graphs."""
+    dropping = simple = 0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for count, h in enumerate(_small_multisets(n, most), 1):
+            _assert_honest_brackets(h)
+            rep = criticality_report(h, FAST, extract=True)
+            assert replace(rep, core=None) == searching_criticality_report(h, FAST)
+            assert rep.core == rescanning_extract_critical(h, FAST)
+            if rep.q is not None:
+                got = _deciding(monkeypatch, h, oracle._component_chromatic)
+                assert got == _deciding(monkeypatch, h, recursive_component_chromatic), h.edges
+                dropping += got[1] > 0
+            assert conditions(h) == if_chain_conditions(h)
+            assert parse_hgr(serialize_hgr(h)) == h
+            if all(len(e) == 2 for e in h.edges) and len(set(h.edges)) == h.m:
+                colors = vizing_edge_color(h)
+                assert is_proper(h, colors)
+                assert colors.q_used <= max(h.degrees(), default=0) + 1
+                simple += 1
+    return count, dropping, simple
+
+
 def test_every_small_multiset_on_four_vertices():
-    # Every overlap of up to four hyperedges on four vertices: the brackets
-    # as above, the criticality table as a search per row finds it and the
-    # core as a rescan finds it, the condition tags as the if chain finds
-    # them, and the hgr round trip.
-    for count, h in enumerate(_small_multisets(4, 4), 1):
-        _assert_honest_brackets(h)
-        rep = criticality_report(h, FAST, extract=True)
-        assert replace(rep, core=None) == searching_criticality_report(h, FAST)
-        assert rep.core == rescanning_extract_critical(h, FAST)
-        assert conditions(h) == if_chain_conditions(h)
-        assert parse_hgr(serialize_hgr(h)) == h
-    assert count == 3876
+    # Every overlap of up to four hyperedges on four vertices.  CI runs the
+    # same checks with up to five, 15,504 inputs.
+    assert _check_small_multisets(4, 4) == (3876, 159, 57)
 
 
 def test_the_counting_floor_never_exceeds_the_chromatic_index():
@@ -1072,7 +1127,7 @@ def _deciding(monkeypatch, h: Hypergraph, search) -> tuple:
         return exchange(rows, i, classes, decided)
 
     def searching(*args):
-        outcomes.append((args[2], len(args) > 6, search(*args)))
+        outcomes.append((args[2], args[6] != 0, search(*args)))
         return outcomes[-1][2]
 
     monkeypatch.setattr(oracle._Rows, "_exchange", exchanging)
@@ -1136,7 +1191,7 @@ def test_a_component_with_no_row_left_is_not_searched_for_drops(monkeypatch):
     def counted(g, edges, active, state, *args):
         before = state.nodes
         bracket = search(g, edges, active, state, *args)
-        searched.append((len(args) > 2, bracket, state.nodes - before))
+        searched.append((args[2] != 0, bracket, state.nodes - before))
         return bracket
 
     monkeypatch.setattr(oracle, "_component_chromatic", counted)

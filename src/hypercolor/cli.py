@@ -223,6 +223,84 @@ def _survey_worker(task: tuple) -> dict:
     return row
 
 
+def _survey_share(tasks: list) -> tuple:
+    """One worker's share: its rows in task order, and the (index,
+    exception) of the task that raised, or None.  A share stops at its
+    first failure, since no later index of it can be the lowest."""
+    rows = []
+    for task in tasks:
+        try:
+            rows.append(_survey_worker(task))
+        except Exception as exc:
+            return rows, (task[1], exc)
+    return rows, None
+
+
+def _survey_child(tasks: list, conn) -> None:
+    # One send, after the last task: a child that dies sends nothing.
+    with conn:
+        conn.send(_survey_share(tasks))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    has one, since a host's count includes CPUs the process is barred from."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _survey_rows(tasks: list, workers: int) -> list:
+    """The rows of tasks, in order, from workers workers: this process runs
+    tasks[0::workers] and child w runs tasks[w::workers], sending its rows
+    back once.  A failing task raises as it would at one worker: the lowest
+    failing index wins, once every share is in.  A child that dies without
+    sending is an internal error, never bad input, so it is a RuntimeError,
+    not the OSError or EOFError its pipe gives.  Every child is joined
+    before this returns or raises; if this process itself raises, the
+    children are terminated first."""
+    children = []
+    if workers > 1:
+        # Imported here: no other command and no serial survey needs it.
+        import multiprocessing
+    try:
+        for w in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_survey_child, args=(tasks[w::workers], send)
+            )
+            # Closing this process's copy of the child's end lets recv see
+            # end of file when the child dies.
+            with send:
+                child.start()
+            children.append((child, recv))
+        shares = [_survey_share(tasks[0::workers])]
+        for child, recv in children:
+            try:
+                shares.append(recv.recv())
+            except (EOFError, OSError):
+                child.join()
+                raise RuntimeError(
+                    f"internal error: a survey worker exited with code "
+                    f"{child.exitcode} before sending its rows"
+                ) from None
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.join()
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows: list = [None] * len(tasks)
+    for w, (share, _) in enumerate(shares):
+        rows[w::workers] = share
+    return rows
+
+
 def cmd_survey(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise GenerationError("--count must be non-negative")
@@ -238,23 +316,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
     _check_survey_input(n_range, m_range, ks)
     budget = _budget(args)
     tasks = [(args.seed, i, n_range, m_range, ks, budget) for i in range(args.count)]
-    # The pool forks all its workers at once, so start no more than can work.
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here: the pool loads multiprocessing and threading,
-        # which no other command and no serial survey needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    _survey_worker,
-                    tasks,
-                    chunksize=max(1, len(tasks) // (workers * 4)),
-                )
-            )
-    else:
-        rows = [_survey_worker(t) for t in tasks]
+    # Each worker gets a fixed share of the indices, so start no more than
+    # there are instances and CPUs to run them.
+    workers = max(1, min(args.jobs, len(tasks), _usable_cpus()))
+    rows = _survey_rows(tasks, workers)
     render = report.survey_json if args.json else report.render_survey
     sys.stdout.write(render(args.seed, rows))
     statuses = {row["status"] for row in rows}

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import io
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,6 +19,7 @@ from hypercolor import (
     Budget,
     CriticalCore,
     FamilySpec,
+    GenerationError,
     Hypergraph,
     InequalityReport,
     chromatic_index,
@@ -825,40 +828,173 @@ SURVEY_DIGESTS = [
 
 
 def test_survey_jobs_start_no_more_workers_than_instances(capsys, monkeypatch):
-    sizes = []
+    usable_cpus = cli._usable_cpus
+    children = []
 
-    class InlinePool:
-        # Records the pool size and maps in this process: no worker starts.
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlineProcess:
+        # Records the child's share and runs it in this process at start:
+        # no process starts.
+        def __init__(self, target, args):
+            self.target, self.args = target, args
 
-        def __enter__(self):
-            return self
+        def start(self):
+            children.append(len(self.args[0]))
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, tasks, chunksize=1):
-            assert chunksize >= 1
-            return map(fn, tasks)
+    def workers(cpus):
+        # This process is one worker, and each child another.
+        children.clear()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert run_cli(capsys, *args, "--jobs", "64") == serial
+        return 1 + len(children)
 
     args = ["survey", "--count", "3", "--seed", "5", "--time-limit", "0"]
     serial = run_cli(capsys, *args, "--jobs", "1")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert run_cli(capsys, *args, "--jobs", "64") == serial
-    assert sizes == [3]
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+    assert workers(8) == 3
+    assert children == [1, 1]
+    assert workers(2) == 2
+    assert children == [1]
+    assert workers(1) == 1
+
+    # The cap counts the CPUs this process may run on, not the host's.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert run_cli(capsys, *args, "--jobs", "64") == serial
-    assert sizes == [3, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run_cli(capsys, *args, "--jobs", "64") == serial
-    assert sizes == [3, 2]
+    assert usable_cpus() == 1
+
+
+# The failure tests patch cli.survey_instance, which a child sees only when
+# it is a fork of this process.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the survey workers do not start by fork",
+)
+
+
+def _patch_survey_instance(monkeypatch, fail):
+    """cli.survey_instance, calling fail(index) first."""
+    real = cli.survey_instance
+
+    def survey_instance(seed, index, *rest):
+        fail(index)
+        return real(seed, index, *rest)
+
+    monkeypatch.setattr(cli, "survey_instance", survey_instance)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "jobs, failing",
+    [
+        # At 2 workers this process runs 0, 2, 4, 6 and the child 1, 3, 5.
+        (2, {4}),
+        (2, {3}),
+        (2, {3, 6}),
+        (2, {2, 5}),
+        # At 3: this process 0, 3, 6, the children 1, 4 and 2, 5.
+        (3, {3}),
+        (3, {5}),
+        (3, {4, 5, 6}),
+        (3, {3, 4}),
+    ],
+)
+def test_a_parallel_survey_fails_as_a_serial_one(capsys, monkeypatch, jobs, failing):
+    def fail(index):
+        if index in failing:
+            raise GenerationError(f"boom at {index}")
+
+    _patch_survey_instance(monkeypatch, fail)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: jobs)
+    args = ["survey", "--count", "7", "--seed", "5", "--time-limit", "0"]
+    serial = run_cli(capsys, *args, "--jobs", "1")
+    assert serial == (2, "", f"error: boom at {min(failing)}\n")
+    assert run_cli(capsys, *args, "--jobs", str(jobs)) == serial
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("cannot be sent")
+        self.held = lambda: None
+
+
+@needs_fork
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("death, code", [("exit", 7), ("unpicklable", 1)])
+def test_a_survey_worker_that_dies_is_an_internal_error(monkeypatch, jobs, death, code):
+    parent = os.getpid()
+
+    def fail(index):
+        # Index 1 is a child's at any worker count; the test process must
+        # never run this.
+        if index == 1 and os.getpid() != parent:
+            if death == "exit":
+                os._exit(code)
+            raise _Unpicklable()
+
+    _patch_survey_instance(monkeypatch, fail)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: jobs)
+    # main lets a RuntimeError out, so the command exits 1 with a
+    # traceback; an OSError or EOFError from the pipe would exit 2.
+    argv = ["survey", "--count", "7", "--seed", "5", "--time-limit", "0"]
+    with pytest.raises(RuntimeError, match=f"exited with code {code} before") as info:
+        main([*argv, "--jobs", str(jobs)])
+    assert not isinstance(info.value, OSError)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_survey_pipe_error_is_not_bad_input(monkeypatch):
+    # A reset pipe is an OSError, which main would report as bad input.
+    def reset(self):
+        raise ConnectionResetError("reset by peer")
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", reset)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="before sending its rows"):
+        main(["survey", "--count", "2", "--time-limit", "0", "--jobs", "2"])
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_an_interrupted_survey_terminates_its_workers(monkeypatch):
+    parent = os.getpid()
+
+    def fail(index):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    _patch_survey_instance(monkeypatch, fail)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["survey", "--count", "2", "--time-limit", "0", "--jobs", "2"])
+    # Joined without the terminate, the child would sleep its 60 s out.
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_uneven_survey_shares_come_back_in_index_order(capsys, monkeypatch):
+    # 7 instances at 3 workers: shares of 3, 2 and 2 indices.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    args = ["survey", "--count", "7", "--seed", "11", "--time-limit", "0", "--json"]
+    serial = run_cli(capsys, *args, "--jobs", "1")
+    parallel = run_cli(capsys, *args, "--jobs", "3")
+    assert [row["index"] for row in json.loads(parallel[1])["instances"]] == list(range(7))
+    assert parallel == serial
+    assert multiprocessing.active_children() == []
 
 
 def test_only_a_parallel_survey_loads_the_process_pool():
     # A fresh interpreter: other tests here run survey --jobs 2, which
-    # loads the pool into this process for good.
+    # loads multiprocessing into this process for good.
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"

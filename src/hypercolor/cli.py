@@ -55,9 +55,8 @@ def _budget(args: argparse.Namespace) -> Budget:
     digits = text.strip().removeprefix("-").replace(".", "", 1)
     if not (digits.isascii() and digits.isdigit()) or float(text) < 0:
         raise GenerationError(f"--time-limit must be a number >= 0, got {text!r}")
-    seconds = float(text)
     nodes = args.budget if getattr(args, "exact", True) else 0
-    return Budget(max_nodes=nodes, time_limit=seconds if seconds > 0 else None)
+    return Budget(max_nodes=nodes, time_limit=float(text))
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:

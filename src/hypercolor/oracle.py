@@ -30,31 +30,26 @@ The search is iterative, on an explicit stack, so its depth is not tied
 to the interpreter's recursion limit.  It runs on bitsets, in the manner
 of San Segundo et al.'s bit-parallel colorings: a SimpleGraph is its
 ranked neighbourhood masks, the vertices ranked by degree, then number,
-and each neighbourhood an int mask over the ranks.  A mask per
-color marks the vertices with a neighbour of that color, and the
-saturations are a bit-sliced counter, so coloring or uncoloring a vertex
-and picking the next one (DSATUR's most saturated, then highest-degree,
-then lowest-numbered vertex) cost a few big-integer operations each,
-not a loop over neighbours.  The degree that breaks ties is the degree
-in h, whichever ranks are searched.  The search keeps these masks, its
-stack of five per-depth lists and its node count, all sized by the
-component, in the locals of one loop, so a branch node makes no function
-call and costs one comparison against the budget.  The pick reads the
-saturation of the rank it takes, so each frame counts its spare colors
-(the free ones up to those used on entry) and scans for the next only
-while one is left; a push colors its rank at once, and no frame tries a
-color that cannot beat the best coloring found so far.  DSATUR's
-starting coloring and the greedy clique read the same masks.  Without
-positions left out or a target, a component's ranks keep the order they
-would have in its own line graph, so the search visits the same nodes in
-the same order as the recursive, set-rebuilding search on that graph
-(tests/brute.py keeps that one as the reference), and node counts,
-brackets and witnesses are unchanged from it.
+and each neighbourhood an int mask over the ranks.  One loop (_search)
+keeps a mask per color, a bit-sliced saturation counter, its stack and
+its node count in locals, so coloring or uncoloring a vertex and picking
+the next one (DSATUR's most saturated, then highest-degree, then
+lowest-numbered vertex) cost a few big-integer operations each, and a
+branch node makes no function call and costs one comparison against the
+budget.  The degree that breaks ties is the degree in h, whichever ranks
+are searched.  DSATUR's starting coloring is that loop's first descent,
+so the plain, target and drop searches, the DSATUR start and TabuCol's
+start share one pick and one color rule; the greedy clique reads the
+same masks.  Without positions left out or a target, a component's
+ranks keep the order they would have in its own line graph, so the
+search visits the same nodes in the same order as the recursive,
+set-rebuilding search on that graph (tests/brute.py keeps that one as
+the reference), and node counts, brackets and witnesses are unchanged
+from it.
 
 The same loop, given rows it may drop, is the drop search of a
 criticality table (_Rows); its nodes are not part of any OracleResult.
-It starts from no coloring and no clique instead, and passes the same
-gate as every other search.
+It starts from no coloring and no clique, behind the same gate.
 """
 
 from __future__ import annotations
@@ -78,10 +73,11 @@ class Budget:
     A search visits at most max_nodes nodes; at max_nodes=0 it visits
     none and runs no local search either, and each component is bracketed
     by its greedy clique or counting floor and its starting (DSATUR)
-    coloring.  time_limit=None disables the clock; node limits alone keep
-    results machine-independent.  max_nodes must be an int >= 0 and
-    time_limit None or a number >= 0 (bools and nan are refused), or
-    ValueError is raised: the search could not honour anything else.
+    coloring.  time_limit=None or 0 disables the clock, which is then
+    never read; node limits alone keep results machine-independent.
+    max_nodes must be an int >= 0 and time_limit None or a number >= 0
+    (bools and nan are refused), or ValueError is raised: the search could
+    not honour anything else.
     """
 
     max_nodes: int = 10_000_000
@@ -108,11 +104,7 @@ class _SearchState:
         self.nodes = 0
         self.timed_out = False
         self._max_nodes = budget.max_nodes
-        self._deadline = (
-            time.monotonic() + budget.time_limit
-            if budget.time_limit is not None
-            else None
-        )
+        self._deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
 
 
 @dataclass(frozen=True)
@@ -146,52 +138,19 @@ def _dsatur_greedy(g: SimpleGraph, active: int, colors: list[int]) -> int:
     written into colors by vertex of g; returns the number of colors used.
     Entries off active are left as they are.
 
-    The saturation is kept as in _component_chromatic's search, with no
-    undo: seen[c] marks the ranks with a neighbour colored c, and the
-    planes count each rank's distinct neighbour colors bit-sliced; both
-    start empty.  Marks on the positions left out of the search are
-    harmless: they are never uncolored, so never picked, and a scan tests
-    only the picked rank's bit.  The pick reads the saturation sat of the
-    rank it takes, and a rank whose neighbours hold every color used so
-    far takes a new one unscanned.
+    It is the search loop's first descent (_search): no clique, lower end
+    0, and the ceiling and stop both at the degree bound most, which no
+    rank's color needs to pass.  So no pick is a dead end, and the first
+    leaf ends the search before any backtracking.  Its nodes go to a state
+    of its own, which no result reads.
     """
-    order, nb = g.order, g.nb
     # A vertex never needs a color above its degree in active plus 1, and
     # the lowest active rank has the largest degree in g among them; an
     # active component is never empty.
-    most = nb[(active & -active).bit_length() - 1].bit_count() + 1
-    seen = [0] * (most + 1)
-    planes = [0] * most.bit_length()
-    ones = len(planes) - 1
-    uncolored = active
-    used = 0
-    while uncolored:
-        ties = uncolored
-        sat = 0
-        for plane in planes:
-            sat += sat
-            top = ties & plane
-            if top:
-                ties = top
-                sat += 1
-        i = (ties & -ties).bit_length() - 1
-        if sat == used:
-            used = c = used + 1
-        else:
-            c = 1
-            while seen[c] >> i & 1:
-                c += 1
-        colors[order[i]] = c
-        x = nb[i] & ~seen[c]
-        seen[c] |= x
-        uncolored ^= 1 << i
-        j = ones
-        while x:
-            plane = planes[j]
-            planes[j] = plane ^ x
-            x &= plane
-            j -= 1
-    return used
+    most = g.nb[(active & -active).bit_length() - 1].bit_count() + 1
+    # One node per rank and one for the leaf.
+    state = _SearchState(Budget(active.bit_count() + 1, None))
+    return _search(g, active, state, [], 0, most + 1, most, most, colors)[1]
 
 
 def greedy_clique(g: SimpleGraph, active: Optional[int] = None) -> list[int]:
@@ -262,69 +221,17 @@ def _component_chromatic(
     of g; entries off active are left as they are.  g is the line graph of
     edges, the hyperedges by position.
 
-    Depth-first branch and bound on an explicit stack, so deep searches
-    need no recursion.  The search colors ranks of the masks in one loop
-    that keeps its state in locals and makes no call per node:
-    - seen[c] marks the ranks with a neighbour colored c, and starts
-      empty; uncolored marks the active ranks without a color.  Marks on
-      the positions left out are harmless, as in _dsatur_greedy;
-    - the saturation of each rank (its number of distinct neighbour
-      colors) is bit-sliced, high plane first: bit i of planes[ones - j]
-      is bit j of the count of rank i.  Coloring rank i with c saturates
-      x = nb[i] & ~seen[c], which joins seen[c] and is added to the counts
-      as a carry; uncoloring subtracts the same x as a borrow, which
-      restores both exactly, since colors are undone last in, first out;
-    - the pick is the uncolored rank with the largest (saturation, degree
-      in g, -vertex): narrowing the uncolored mask plane by plane from the
-      top leaves the ties at the highest saturation, and their lowest rank
-      has the highest degree, then the lowest number.  The narrowing reads
-      that saturation sat as it goes, one doubling per plane;
-    - the stack is five lists indexed by depth d: the rank, its color,
-      the colors used on entry, its spare colors and the mask its color
-      saturated.  A new best copies the frames' colors and the clique's
-      into colors;
-    - a frame's candidates are its free colors up to entry, ascending,
-      then entry + 1 (colors beyond it are interchangeable).  The colors
-      of its neighbours stay the same while it is on the stack, and none
-      is above entry, so entry - sat of them are free, and spare counts
-      the ones not yet taken: a scan for the next runs only while spare
-      is positive, and always stops at or below entry.  A rank that sees
-      every color used takes entry + 1 at once;
-    - no color above ceiling is tried: one less than the best so far,
-      which each new best lowers, or the target t, which stays.  A
-      candidate above it ends its frame, since every later one is larger;
-    - a push colors its rank at once.  A pick with no candidate is a dead
-      end: it is counted as a node but not pushed, so the stack holds
-      only colored frames (and, for a table, one dropped rank);
-    - the node count and the limits are read from state on entry, and the
-      count is written back on every exit.  One comparison per node
-      guards both: bound is max_nodes or, with a clock, the count just
-      before its next read at a multiple of 1024 nodes, if that comes
-      first;
-    - a new best of at most stop colors ends the search: stop is the
-      lower end lb, or t.
-    The search has two starts and one gate.  With no rank to drop
-    (droppable 0), the best coloring starts as DSATUR's, and the clique
-    takes colors 1..len(clique) before the first node; lb is the clique's
-    size or, when DSATUR uses more colors, the larger of it and the
-    counting floor (_counting_floor), so the floor can only end a search
-    sooner.  With ranks to drop there is no coloring and no clique: lb is
-    0 and the best count t + 1.  The gate returns (lb, best count) at once
-    unless lb <= stop < best count, so a closed bracket, a coloring of at
-    most t colors (DSATUR's included) and a lower end above t each end a
-    search before its first node; the ceiling is then the best count less
-    1, or t.  A search that runs out of colorings proves the lower end
-    ceiling + 1: with a target, t + 1 beside DSATUR's upper end.
-
-    With ranks to drop, the search looks for a t-coloring that may leave
-    one rank of droppable uncolored: a frame with no color left under the
-    ceiling drops its rank, if it is droppable and no rank is dropped yet,
-    and the dropped rank holds t + 1, which saturates nothing.  A complete
-    coloring that drops a rank s goes to prove(s, classes), classes
-    mapping each color to its mask of ranks; prove returns ranks, s among
-    them, that no frame drops afterwards, and the dropping frame pops.  A
-    t-coloring that drops nothing ends the search with upper <= t; an
-    exhausted search returns lower t + 1, and a cut one (0, t + 1).
+    Two starts and one gate come before the loop (_search).  With no rank
+    to drop (droppable 0), the best coloring starts as DSATUR's and the
+    clique as greedy_clique's; lb is the clique's size or, when DSATUR
+    uses more colors, the larger of it and the counting floor
+    (_counting_floor), so the floor can only end a search sooner.  With
+    ranks to drop there is no coloring and no clique: lb is 0 and the best
+    count t + 1, so a cut search returns (0, t + 1).  stop is lb, or t.
+    The gate returns (lb, best count) at once unless lb <= stop < best
+    count, so a closed bracket, a coloring of at most t colors (DSATUR's
+    included) and a lower end above t each end a search before its first
+    node; the ceiling is then the best count less 1, or t.
     """
     if droppable:
         clique, lb, best_count = [], 0, target + 1
@@ -338,7 +245,68 @@ def _component_chromatic(
     if not lb <= stop < best_count:
         return lb, best_count
     ceiling = best_count - 1 if target is None else target
+    return _search(
+        g, active, state, clique, lb, best_count, stop, ceiling, colors, droppable, prove
+    )
 
+
+def _search(
+    g: SimpleGraph, active: int, state: _SearchState, clique: list[int],
+    lb: int, best_count: int, stop: int, ceiling: int, colors: list[int],
+    droppable: int = 0, prove: Optional[Callable[[int, dict[int, int]], int]] = None,
+) -> tuple[int, int]:
+    """(lower, upper) for the ranks in active of g from the clique (colors
+    1..len(clique)), lb and the best count, where lb <= stop < best count
+    and ceiling < best count; each new best goes into colors by vertex.
+
+    Depth-first on an explicit stack, in one loop that keeps its state in
+    locals and makes no call per node:
+    - seen[c] marks the ranks with a neighbour colored c, and starts
+      empty; uncolored marks the active ranks without a color.  Marks off
+      active are harmless: those ranks are never picked, and a scan tests
+      only the picked rank's bit;
+    - the saturation of each rank (its number of distinct neighbour
+      colors) is bit-sliced, high plane first: bit i of planes[ones - j]
+      is bit j of the count of rank i.  Coloring rank i with c saturates
+      x = nb[i] & ~seen[c], which joins seen[c] and is added to the counts
+      as a carry; uncoloring subtracts the same x as a borrow, which
+      restores both exactly, since colors are undone last in, first out;
+    - the pick is the uncolored rank with the largest (saturation, degree
+      in g, -vertex): narrowing the uncolored mask plane by plane from the
+      top leaves the ties at the highest saturation, and their lowest rank
+      has the highest degree, then the lowest number.  The narrowing reads
+      that saturation sat as it goes, one doubling per plane;
+    - the stack is five lists indexed by depth d: the rank, its color,
+      the colors used on entry, its spare colors and the mask its color
+      saturated;
+    - a frame's candidates are its free colors up to entry, ascending,
+      then entry + 1 (colors beyond it are interchangeable).  The colors
+      of its neighbours stay the same while it is on the stack, and none
+      is above entry, so entry - sat of them are free, and spare counts
+      the ones not yet taken: a scan for the next runs only while spare
+      is positive, and always stops at or below entry.  A rank that sees
+      every color used takes entry + 1 at once;
+    - no color above ceiling is tried: a candidate above it ends its
+      frame, since every later one is larger;
+    - a push colors its rank at once.  A pick with no candidate is a dead
+      end: it is counted as a node but not pushed, so the stack holds
+      only colored frames (and, for a table, one dropped rank);
+    - one comparison per node guards the node count, which is read from
+      state on entry and written back on every exit: bound is max_nodes
+      or, with a clock, the count just before its next read at a multiple
+      of 1024 nodes, if that comes first;
+    - a new best of at most stop colors ends the search; any other lowers
+      the ceiling to one less than its count.
+    A cut returns (lb, best count), and a search out of colorings
+    (ceiling + 1, best count).
+
+    Given ranks it may drop, a frame with no color left under the ceiling
+    drops its rank, if it is droppable and no rank is dropped yet, and the
+    dropped rank holds ceiling + 1, which saturates nothing.  A complete
+    coloring that drops a rank s goes to prove(s, classes), classes
+    mapping each color to its mask of ranks; prove returns ranks, s among
+    them, that no frame drops afterwards, and the dropping frame pops.
+    """
     # Search colors stay at or below the ceiling, and so does every
     # saturation; a dropped rank holds ceiling + 1.
     rank, order, nb = g.rank, g.order, g.nb

@@ -252,7 +252,11 @@ def test_color_reports_are_pinned_byte_for_byte(capsys):
 # sha256 of `stats` and `verify --no-exact --inequalities` stdout, recorded
 # while linearity and connectivity still had their own Hypergraph methods.
 # The inputs: fano; a disconnected instance with a loop and isolated
-# vertices; a non-linear one holding one edge three times.
+# vertices; a non-linear one holding one edge three times.  The last four,
+# `verify --no-exact` on STS(99) (1,617 ranks) and a random linear
+# hypergraph, recorded while DSATUR had a loop of its own, pin DSATUR's
+# upper end and witness on components too large for the set-rebuilding
+# reference.
 STRUCTURE_DIGESTS = [
     ("stats fano", "d6d454b308bf8c1e13ee111b888350b776fc39c3a7f5b2807b6e422a9931ee64"),
     ("stats fano --json", "ce40c2ade96eb634112bbd15742b7c005bf59e86088635634fe4b646b498b9ce"),
@@ -266,6 +270,10 @@ STRUCTURE_DIGESTS = [
     ("stats random:n=5,m=6,sizes=2-3,seed=1 --json", "a85c5586e3c117c25500901121126ec45dc5120b3f7175327833aad366d8484d"),
     ("verify random:n=5,m=6,sizes=2-3,seed=1 --no-exact --inequalities", "d1f972d492bd6da91ef4df378a845d08bf26dd3ed63493eef890f1a668d5f78d"),
     ("verify random:n=5,m=6,sizes=2-3,seed=1 --no-exact --inequalities --json", "83f4ea32bbeb8ca4d4b6ea7bdab96ee8e2c4af0aabdfed73fc77e1c80e2ddcb4"),
+    ("verify steiner-triple:99 --no-exact", "ec05ed64e247035f953bbc95b7a6b69e6a54b05993ac8e04d23f7f9778e442aa"),
+    ("verify steiner-triple:99 --no-exact --json", "453e80f54ee35c37e31f802273c775486bb455209c0d6b017ec346e1605c6f11"),
+    ("verify random-linear:n=120,m=600,k=4,seed=1 --no-exact", "0b4df1d55c7c5607b42f3362cd003c07be39741521dbf7eddeace084720df64c"),
+    ("verify random-linear:n=120,m=600,k=4,seed=1 --no-exact --json", "9c0d1cf58842aa0c1347c85273958b6887392f6c245767237cc47f85c1e4d003"),
 ]
 
 

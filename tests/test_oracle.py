@@ -281,6 +281,20 @@ def test_the_clock_is_read_at_every_1024th_node_of_the_shared_count(monkeypatch)
     assert is_proper(union, res.witness)
 
 
+def test_a_zero_time_limit_is_no_clock(monkeypatch):
+    # A zero limit set a deadline that had passed at the first read, so
+    # STS(15) ended at [7, 9] after 1,024 nodes; as --time-limit 0 says,
+    # it means no clock, as None does.
+    sts = steiner_triple(15)
+    for limit in (0, 0.0):
+        res = chromatic_index(sts, Budget(10**7, limit))
+        assert (res.exact, res.nodes) == (9, 35_332)
+        readings = _counting_clock(monkeypatch)
+        assert chromatic_index(sts, Budget(10**7, limit)) == res
+        assert readings == []
+        monkeypatch.undo()
+
+
 def test_search_is_deterministic_including_node_counts():
     for seed in range(20):
         h = graph_hypergraph(*random_graph(Rng(seed + 10_000), 2, 9))
@@ -490,6 +504,7 @@ def _check_small_multisets(n: int, most: int) -> tuple[int, int, int]:
     most `most` members: the brackets as _assert_honest_brackets does, the
     criticality table as a search per row finds it and the core as a
     rescan finds it, the drop search node for node as the recursive
+    reference, DSATUR's coloring of the whole line graph as the rebuilding
     reference, the condition tags as the if chain finds them, the hgr
     round trip and, on simple graphs, Vizing's coloring proper within the
     maximum degree plus 1.  Returns the number of inputs, of those whose
@@ -498,6 +513,10 @@ def _check_small_multisets(n: int, most: int) -> tuple[int, int, int]:
     with pytest.MonkeyPatch.context() as monkeypatch:
         for count, h in enumerate(_small_multisets(n, most), 1):
             _assert_honest_brackets(h)
+            if h.m:
+                g = line_graph(h)
+                want = rebuilding_dsatur_greedy(g)
+                assert _dsatur(g, (1 << g.n) - 1) == (want, max(want)), h.edges
             rep = criticality_report(h, FAST, extract=True)
             assert replace(rep, core=None) == searching_criticality_report(h, FAST)
             assert rep.core == rescanning_extract_critical(h, FAST)
@@ -739,6 +758,22 @@ def test_large_line_graphs_match_the_references(monkeypatch):
             want = chromatic_index(h, budget)
             monkeypatch.undo()
             assert got == want
+
+
+def test_dsatur_matches_the_rebuilding_reference_on_large_components():
+    # Components of 133 to 330 ranks, whole and less the positions through
+    # vertex 0.  Larger ones (STS(99), a random linear hypergraph) are
+    # pinned by their verify --no-exact digests in test_cli.
+    sizes = []
+    for h in (projective_plane(11), steiner_triple(33), steiner_triple(45)):
+        g = line_graph(h)
+        sizes.append(g.n)
+        full = (1 << g.n) - 1
+        inner = full & ~sum(1 << g.rank[p] for p in h.incident(0))
+        for active in (full, inner):
+            want = rebuilding_dsatur_greedy(g, active)
+            assert _dsatur(g, active) == (want, max(want))
+    assert sizes == [133, 176, 330]
 
 
 def test_a_search_builds_one_line_graph(monkeypatch):

@@ -109,13 +109,17 @@ def inequality_suite(h: Hypergraph) -> InequalityReport:
         ok, detail = True, "needs m >= 1 and no loops"
     checks.append(InequalityCheck("two-section-degree-floor", floor_applicable, ok, detail))
 
+    # Hyperedge degrees are popcounts of the line graph's masks, read as
+    # the oracle reads h's components.
+    g = h._line_graph
     sum_applicable = st.m >= 1
     if sum_applicable:
         ok = True
         worst = ""
-        for i in range(h.m):
-            d = h.hyperedge_degree(i)
-            bound = sum(len(h.incident(x)) - 1 for x in h.edges[i])
+        degs = h.degrees()
+        for i, edge in enumerate(h.edges):
+            d = g.nb[g.rank[i]].bit_count()
+            bound = sum([degs[x] for x in edge]) - len(edge)
             if d > bound or (st.linear and d != bound):
                 ok = False
                 worst = f"; position {i}: degree {d} vs sum {bound}"
@@ -133,7 +137,7 @@ def inequality_suite(h: Hypergraph) -> InequalityReport:
         k = st.uniform_k
         count_ok = k * st.m == (k + 1) * st.n
         d2_ok = st.two_section_max_degree == k * k - 1
-        deg_ok = all(h.hyperedge_degree(i) == k * k for i in range(h.m))
+        deg_ok = all(mask.bit_count() == k * k for mask in g.nb)
         ok = count_ok and d2_ok and deg_ok
         detail = (
             f"k*m={k * st.m} vs (k+1)*n={(k + 1) * st.n}, "
@@ -174,7 +178,8 @@ def bound_set(h: Hypergraph) -> BoundSet:
     greedy = rank_degree = edge_degree = None
     if st.m:
         rank_degree = st.rank * (st.max_degree - 1) + 1
-        edge_degree = max(h.hyperedge_degree(i) for i in range(h.m)) + 1
+        # Rank 0 has the largest hyperedge degree.
+        edge_degree = h._line_graph.nb[0].bit_count() + 1
         if st.loopless:
             d2 = st.two_section_max_degree
             greedy = max(

@@ -162,11 +162,9 @@ class Hypergraph:
             self._check_position(i)
         if not gone:
             return self
-        sub = object.__new__(Hypergraph)
-        object.__setattr__(sub, "n", self.n)
-        edges = tuple(e for p, e in enumerate(self.edges) if p not in gone)
-        object.__setattr__(sub, "edges", edges)
-        return sub
+        return _presorted(
+            self.n, tuple(e for p, e in enumerate(self.edges) if p not in gone)
+        )
 
     def stats(self) -> HypergraphStats:
         """The scalar invariants, computed on the first call and then kept."""
@@ -207,6 +205,17 @@ class Hypergraph:
     def _check_position(self, i: int) -> None:
         if type(i) is not int or not 0 <= i < self.m:
             raise IndexError(f"hyperedge position {i!r} not an int in 0..{self.m - 1}")
+
+
+def _presorted(n: int, edges: tuple[tuple[int, ...], ...]) -> Hypergraph:
+    """The hypergraph on vertices 0..n-1 with these hyperedges as they
+    stand, each already a sorted tuple of distinct ints in 0..n-1: the
+    parser, the random draws and without() have checked them once, so
+    Hypergraph.__init__ does not check them again."""
+    h = object.__new__(Hypergraph)
+    object.__setattr__(h, "n", n)
+    object.__setattr__(h, "edges", edges)
+    return h
 
 
 def _meeting_masks(n: int, edges: Sequence[tuple[int, ...]]) -> list[int]:

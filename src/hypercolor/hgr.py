@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from .core import Hypergraph
+from .core import Hypergraph, _presorted
 
 
 class HgrParseError(ValueError):
@@ -76,20 +76,22 @@ def parse_hgr(text: str) -> Hypergraph:
                 raise HgrParseError("edge before problem line", line_no)
             if len(tokens) == 1:
                 raise HgrParseError("empty hyperedge", line_no)
-            vs = []
-            for tok in tokens[1:]:
+            # One check over the whole line: ids of ASCII digits, distinct
+            # and in 1..n are the edge as they stand.  Any other line, one
+            # whose id int() refuses for its length among them, is read
+            # again token by token, only to word the error.
+            ids = tokens[1:]
+            digits = "".join(ids)
+            edge = None
+            if digits.isascii() and digits.isdigit():
                 try:
-                    v = integer(tok)
+                    vs = sorted({int(tok) - 1 for tok in ids})
                 except ValueError:
-                    raise HgrParseError(f"bad vertex id {tok!r}", line_no)
-                if not 1 <= v <= n:
-                    raise HgrParseError(
-                        f"vertex id {v} outside 1..{n}", line_no
-                    )
-                vs.append(v - 1)
-            if len(set(vs)) != len(vs):
-                raise HgrParseError("repeated vertex in hyperedge", line_no)
-            edges.append(tuple(vs))
+                    pass
+                else:
+                    if len(vs) == len(ids) and vs[0] >= 0 and vs[-1] < n:
+                        edge = tuple(vs)
+            edges.append(edge or _checked_edge(ids, n, line_no))
             if len(edges) > m:
                 raise HgrParseError(
                     f"more than the declared {m} hyperedges", line_no
@@ -103,14 +105,32 @@ def parse_hgr(text: str) -> Hypergraph:
             f"declared {m} hyperedges but found {len(edges)}",
             last_line if last_line else None,
         )
-    return Hypergraph(n, edges)
+    return _presorted(n, tuple(edges))
+
+
+def _checked_edge(ids: list[str], n: int, line_no: int) -> tuple[int, ...]:
+    """The 0-based edge of an e line's ids, each read on its own: the first
+    id that is not an integer or lies outside 1..n, or else a repeated
+    one, is a parse error."""
+    vs = []
+    for tok in ids:
+        try:
+            v = integer(tok)
+        except ValueError:
+            raise HgrParseError(f"bad vertex id {tok!r}", line_no)
+        if not 1 <= v <= n:
+            raise HgrParseError(f"vertex id {v} outside 1..{n}", line_no)
+        vs.append(v - 1)
+    if len(set(vs)) != len(vs):
+        raise HgrParseError("repeated vertex in hyperedge", line_no)
+    return tuple(sorted(vs))
 
 
 def serialize_hgr(h: Hypergraph) -> str:
     """Canonical file contents for h."""
-    lines = [f"p hgr {h.n} {h.m}"]
-    for edge in h.edges:
-        lines.append("e " + " ".join(str(v + 1) for v in edge))
+    lines = [f"p hgr {h.n} {h.m}"] + [
+        "e " + " ".join([str(v + 1) for v in edge]) for edge in h.edges
+    ]
     return "\n".join(lines) + "\n"
 
 

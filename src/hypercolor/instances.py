@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .core import Hypergraph
+from .core import Hypergraph, _presorted
 from .hgr import integer
 
 _MASK64 = (1 << 64) - 1
@@ -320,7 +320,7 @@ def random_linear(n: int, m: int, k: int, seed: int) -> Hypergraph:
         chosen.append(cand)
         for a in cand:
             used[a] |= mask ^ (1 << a)
-    return Hypergraph(n, chosen)
+    return _presorted(n, tuple(chosen))
 
 
 def random_hypergraph(
@@ -498,5 +498,5 @@ def survey_instance(
     try:
         h = random_linear(n, m, k, seed)
     except GenerationError as exc:
-        h = Hypergraph(n, exc.placed)
+        h = _presorted(n, exc.placed)
     return FamilySpec("random-linear", n=n, m=h.m, k=k, seed=seed), h

@@ -424,10 +424,11 @@ def _search(
             seen[c] ^= x
             uncolored |= bit
             j = ones
+            # The borrow out of a plane is x less the old plane: x and the
+            # new one.
             while x:
-                plane = planes[j]
-                planes[j] = plane ^ x
-                x &= ~plane
+                planes[j] = plane = planes[j] ^ x
+                x &= plane
                 j -= 1
             s = spare[d]
             if s:

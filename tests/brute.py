@@ -10,7 +10,8 @@ graph it is.  The reference versions of package logic (condition tags,
 the criticality table, core extraction, the first-fit hyperedge colorer,
 the oracle's greedy coloring, greedy clique, node counter, branch and
 bound and drop search, the random linear sampler and its k-set draw,
-the survey's restart rule) are the earlier, more literal forms of that
+the survey's restart rule, the per-token file parser, the degree counts
+of the inequality suite) are the earlier, more literal forms of that
 logic, kept to check the current forms against.
 counting_searches spies on the oracle's calls, and counting_builds on
 the package's cached facts.
@@ -32,13 +33,17 @@ from hypercolor import (
     EdgeCriticality,
     FamilySpec,
     GenerationError,
+    HgrParseError,
     Hypergraph,
+    InequalityCheck,
+    InequalityReport,
     Rng,
     chromatic_index,
     derive_seed,
     random_linear,
 )
 from hypercolor import oracle
+from hypercolor.hgr import integer
 from hypercolor.instances import _RETRIES_PER_EDGE, _check_survey_input
 from hypercolor.oracle import _SearchState, greedy_clique
 from hypercolor.transforms import SimpleGraph
@@ -462,6 +467,70 @@ def if_chain_conditions(h: Hypergraph) -> frozenset[str]:
     return frozenset(tags)
 
 
+def counted_edge_degrees(h: Hypergraph) -> list[int]:
+    """Each position's hyperedge degree, counted pair by pair: the other
+    positions whose hyperedge shares a vertex with it, duplicates each
+    counted."""
+    return [
+        sum(1 for j, b in enumerate(h.edges) if j != i and set(a) & set(b))
+        for i, a in enumerate(h.edges)
+    ]
+
+
+def counted_inequality_suite(h: Hypergraph) -> InequalityReport:
+    """inequality_suite from degrees counted here: vertex degrees edge by
+    edge, hyperedge degrees by counted_edge_degrees.  The other invariants
+    are h.stats()'s."""
+    st = h.stats()
+    degs = [sum(x in e for e in h.edges) for x in range(h.n)]
+    edge_degs = counted_edge_degrees(h)
+    checks = []
+    if st.m >= 1 and st.loopless:
+        floor = InequalityCheck(
+            "two-section-degree-floor",
+            True,
+            st.two_section_max_degree >= (st.antirank - 1) * st.max_degree,
+            f"{st.two_section_max_degree} >= ({st.antirank} - 1) * {st.max_degree}",
+        )
+    else:
+        floor = InequalityCheck("two-section-degree-floor", False, True, "needs m >= 1 and no loops")
+    checks.append(floor)
+    if st.m >= 1:
+        worst = ""
+        for i, e in enumerate(h.edges):
+            bound = sum(degs[x] - 1 for x in e)
+            if edge_degs[i] > bound or (st.linear and edge_degs[i] != bound):
+                worst = f"; position {i}: degree {edge_degs[i]} vs sum {bound}"
+                break
+        required = "yes" if st.linear else "no"
+        checks.append(InequalityCheck(
+            "edge-degree-incidence-sum",
+            True,
+            not worst,
+            f"checked {h.m} positions, equality required: {required}{worst}",
+        ))
+    else:
+        checks.append(InequalityCheck("edge-degree-incidence-sum", False, True, "needs m >= 1"))
+    k = st.uniform_k
+    if st.linear and k is not None and k >= 2 and st.regular_d == k + 1:
+        count_ok = k * st.m == (k + 1) * st.n
+        d2_ok = st.two_section_max_degree == k * k - 1
+        deg_ok = all(d == k * k for d in edge_degs)
+        checks.append(InequalityCheck(
+            "uniform-regular-count",
+            True,
+            count_ok and d2_ok and deg_ok,
+            f"k*m={k * st.m} vs (k+1)*n={(k + 1) * st.n}, "
+            f"Delta_2={st.two_section_max_degree} vs k^2-1={k * k - 1}, "
+            f"hyperedge degrees all k^2={k * k}: {'yes' if deg_ok else 'no'}",
+        ))
+    else:
+        checks.append(InequalityCheck(
+            "uniform-regular-count", False, True, "needs linear k-uniform (k+1)-regular"
+        ))
+    return InequalityReport(tuple(checks))
+
+
 def searching_criticality_report(h: Hypergraph, budget: Budget) -> CriticalityReport:
     """The criticality table that searches every row from scratch.
 
@@ -882,6 +951,79 @@ def restarting_survey_instance(
             continue
         spec = FamilySpec("random-linear", n=n, m=m, k=k, seed=seed)
         return spec, h
+
+
+def per_token_parse_hgr(text: str) -> Hypergraph:
+    """The earlier form of ``parse_hgr``: every vertex id is read on its own
+    through ``integer`` and checked against 1..n, and the edges are
+    validated again by ``Hypergraph``."""
+    n: Optional[int] = None
+    m: Optional[int] = None
+    edges: list[tuple[int, ...]] = []
+    last_line = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line = line_no
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "c":
+            continue
+        tokens = line.split()
+        if tokens[0] == "p":
+            if n is not None:
+                raise HgrParseError("second problem line", line_no)
+            if len(tokens) != 4 or tokens[1] != "hgr":
+                raise HgrParseError(
+                    "problem line must be 'p hgr <n> <m>'", line_no
+                )
+            try:
+                n, m = integer(tokens[2]), integer(tokens[3])
+            except ValueError:
+                raise HgrParseError("n and m must be integers", line_no)
+            if n < 0 or m < 0:
+                raise HgrParseError("n and m must be non-negative", line_no)
+        elif tokens[0] == "e":
+            if n is None:
+                raise HgrParseError("edge before problem line", line_no)
+            if len(tokens) == 1:
+                raise HgrParseError("empty hyperedge", line_no)
+            vs = []
+            for tok in tokens[1:]:
+                try:
+                    v = integer(tok)
+                except ValueError:
+                    raise HgrParseError(f"bad vertex id {tok!r}", line_no)
+                if not 1 <= v <= n:
+                    raise HgrParseError(
+                        f"vertex id {v} outside 1..{n}", line_no
+                    )
+                vs.append(v - 1)
+            if len(set(vs)) != len(vs):
+                raise HgrParseError("repeated vertex in hyperedge", line_no)
+            edges.append(tuple(vs))
+            if len(edges) > m:
+                raise HgrParseError(
+                    f"more than the declared {m} hyperedges", line_no
+                )
+        else:
+            raise HgrParseError(f"unknown line type {tokens[0]!r}", line_no)
+    if n is None:
+        raise HgrParseError("missing problem line", None)
+    if len(edges) != m:
+        raise HgrParseError(
+            f"declared {m} hyperedges but found {len(edges)}",
+            last_line if last_line else None,
+        )
+    return Hypergraph(n, edges)
+
+
+def per_token_parse_hgr_bytes(data: bytes) -> Hypergraph:
+    """``parse_hgr_bytes`` through ``per_token_parse_hgr``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HgrParseError(f"input is not UTF-8 text (byte {exc.start})") from None
+    return per_token_parse_hgr(text)
 
 
 def counting_searches(monkeypatch) -> list[tuple[int, int]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from hypercolor import (
@@ -15,8 +17,9 @@ from hypercolor import (
     parse_hgr,
     serialize_hgr,
 )
+from hypercolor.hgr import parse_hgr_bytes
 
-from brute import random_hypergraph_raw
+from brute import per_token_parse_hgr, per_token_parse_hgr_bytes, random_hypergraph_raw
 
 
 def test_parse_basic_file_with_comments_and_blanks():
@@ -104,3 +107,121 @@ def test_load_and_dump(tmp_path):
     dump(fano(), str(path))
     assert load(str(path)) == fano()
     assert path.read_text(encoding="utf-8") == serialize_hgr(fano())
+
+
+def test_reading_and_writing_a_file_allocates_nothing_sized_by_n():
+    # 3,000,000 vertices and one edge: the parser, the serializer and the
+    # digest work per edge, so none builds a table of the vertices.
+    tracemalloc.start()
+    try:
+        h = parse_hgr("p hgr 3000000 1\ne 1 2\n")
+        text = serialize_hgr(h)
+        digest(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "p hgr 3000000 1\ne 1 2\n"
+    assert peak < 1 << 20
+
+
+def _outcome(parse, data):
+    """What parse makes of data: the hypergraph, or the error's text and
+    line number."""
+    try:
+        return parse(data)
+    except HgrParseError as exc:
+        return str(exc), exc.line_no
+
+
+def _assert_parses_as_the_per_token_reference(text: str) -> None:
+    # Hypergraphs are equal only with equal tuples of tuples as edges.
+    assert _outcome(parse_hgr, text) == _outcome(per_token_parse_hgr, text), text[:200]
+
+
+# A 5,000-digit id is past int()'s default limit on digits, which refuses
+# it with ValueError; it must still word "bad vertex id".
+_LONG_ID = "9" * 5000
+_ODD_IDS = ("+1", "1_0", "\u0663", "-1", "-0", "0", "01", "1.0", "0x1", _LONG_ID)
+
+
+def _mutated(rng: Rng, h: Hypergraph) -> str:
+    """h's canonical file with one to three edits: an odd id (bad or out
+    of range, or a valid one with a leading zero), a repeated id, a bare
+    'e', an edge added or dropped against the problem line, an edge's ids
+    out of order, tabs, indentation, comments and blank lines, joined by
+    LF or CRLF with or without a final line break."""
+    lines = serialize_hgr(h).splitlines()
+    n = h.n
+    for _ in range(rng.randint(1, 3)):
+        op = rng.below(9)
+        e_lines = [i for i, line in enumerate(lines) if line.startswith("e")]
+        if op == 0 and e_lines:
+            i = e_lines[rng.below(len(e_lines))]
+            tokens = lines[i].split()
+            if len(tokens) > 1:
+                odd = (*_ODD_IDS, str(n + 1), str(n))[rng.below(len(_ODD_IDS) + 2)]
+                tokens[rng.randint(1, len(tokens) - 1)] = odd
+                lines[i] = " ".join(tokens)
+        elif op == 1 and e_lines:
+            i = e_lines[rng.below(len(e_lines))]
+            tokens = lines[i].split()
+            if len(tokens) > 1:
+                tokens.append(tokens[rng.randint(1, len(tokens) - 1)])
+                lines[i] = " ".join(tokens)
+        elif op == 2 and e_lines:
+            lines[e_lines[rng.below(len(e_lines))]] = "e"
+        elif op == 3 and e_lines:
+            lines.append(lines[e_lines[rng.below(len(e_lines))]])
+        elif op == 4 and e_lines:
+            del lines[e_lines[rng.below(len(e_lines))]]
+        elif op == 5 and e_lines:
+            i = e_lines[rng.below(len(e_lines))]
+            tokens = lines[i].split()
+            lines[i] = " ".join([tokens[0], *reversed(tokens[1:])])
+        elif op == 6:
+            i = rng.below(len(lines))
+            lines[i] = lines[i].replace(" ", "\t", rng.randint(1, 3))
+        elif op == 7:
+            i = rng.below(len(lines))
+            lines[i] = (" ", "\t", "")[rng.below(3)] + lines[i] + (" ", "\t ", "")[rng.below(3)]
+        else:
+            lines.insert(rng.below(len(lines) + 1), ("c note", "", "  ", "c")[rng.below(4)])
+    end = ("\n", "\r\n")[rng.below(2)]
+    return end.join(lines) + (end if rng.below(4) else "")
+
+
+def test_the_parser_reads_files_as_the_per_token_reference():
+    # Hand cases first: each odd id at each place on an edge line, then
+    # the other deviations the parser words.
+    for odd in (*_ODD_IDS, "4", "\u0663\u0663", "\uff11"):
+        for line in (f"e {odd} 2 3", f"e 1 {odd} 3", f"e 1 2 {odd}", f"e {odd}"):
+            _assert_parses_as_the_per_token_reference(f"p hgr 3 1\n{line}\n")
+    for text in (
+        "p hgr 3 1\ne 1 2 1\n",
+        "p hgr 3 1\ne 2 02\n",
+        "p hgr 3 1\ne\n",
+        "p hgr 3 1\ne 1 2\ne 2 3\n",
+        "p hgr 3 2\ne 1 2\n",
+        "p hgr 3 2\r\n\te\t3\t1 \r\nc x\r\n\r\n e 2\r\n",
+        "p hgr 0 1\ne 1\n",
+        f"p hgr 3 1\ne 1 {_LONG_ID} zebra\n",
+        f"p hgr 3 1\ne zebra {_LONG_ID}\n",
+        "p hgr 3 1\ne 1 +2 3\n",
+    ):
+        _assert_parses_as_the_per_token_reference(text)
+    rng = Rng(43)
+    for seed in range(400):
+        h = random_hypergraph_raw(Rng(seed + 43_000), n_lo=1, m_hi=6)
+        _assert_parses_as_the_per_token_reference(serialize_hgr(h))
+        _assert_parses_as_the_per_token_reference(_mutated(rng, h))
+
+
+def test_bytes_parse_as_the_per_token_reference():
+    rng = Rng(4343)
+    for seed in range(100):
+        data = _mutated(rng, random_hypergraph_raw(Rng(seed + 4_343))).encode("utf-8")
+        cut = rng.below(len(data) + 1)
+        bad = (b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80")[rng.below(4)]
+        for variant in (data, data[:cut] + bad + data[cut:]):
+            want = _outcome(per_token_parse_hgr_bytes, variant)
+            assert _outcome(parse_hgr_bytes, variant) == want, variant

@@ -21,6 +21,7 @@ from hypercolor import (
     OracleResult,
     Rng,
     affine_plane,
+    bound_set,
     chromatic_index,
     complete_graph,
     conditions,
@@ -28,6 +29,7 @@ from hypercolor import (
     criticality_report,
     fano,
     greedy_clique,
+    inequality_suite,
     is_proper,
     parse_hgr,
     projective_plane,
@@ -46,6 +48,8 @@ from brute import (
     brute_chromatic_index,
     brute_chromatic_number,
     class_colorable,
+    counted_edge_degrees,
+    counted_inequality_suite,
     counting_builds,
     counting_searches,
     graph_hypergraph,
@@ -505,10 +509,12 @@ def _check_small_multisets(n: int, most: int) -> tuple[int, int, int]:
     criticality table as a search per row finds it and the core as a
     rescan finds it, the drop search node for node as the recursive
     reference, DSATUR's coloring of the whole line graph as the rebuilding
-    reference, the condition tags as the if chain finds them, the hgr
-    round trip and, on simple graphs, Vizing's coloring proper within the
-    maximum degree plus 1.  Returns the number of inputs, of those whose
-    drop search visits nodes, and of simple graphs."""
+    reference, the condition tags as the if chain finds them, the edge
+    degree bound and the inequality suite from degrees counted pair by
+    pair, the hgr round trip and, on simple graphs, Vizing's coloring
+    proper within the maximum degree plus 1.  Returns the number of
+    inputs, of those whose drop search visits nodes, and of simple
+    graphs."""
     dropping = simple = 0
     with pytest.MonkeyPatch.context() as monkeypatch:
         for count, h in enumerate(_small_multisets(n, most), 1):
@@ -525,6 +531,9 @@ def _check_small_multisets(n: int, most: int) -> tuple[int, int, int]:
                 assert got == _deciding(monkeypatch, h, recursive_component_chromatic), h.edges
                 dropping += got[1] > 0
             assert conditions(h) == if_chain_conditions(h)
+            degrees = counted_edge_degrees(h)
+            assert bound_set(h).edge_degree == (max(degrees) + 1 if degrees else None)
+            assert inequality_suite(h) == counted_inequality_suite(h), h.edges
             assert parse_hgr(serialize_hgr(h)) == h
             if all(len(e) == 2 for e in h.edges) and len(set(h.edges)) == h.m:
                 colors = vizing_edge_color(h)

@@ -45,18 +45,18 @@ _DEFAULTS = Budget()
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    """The search budget; --time-limit 0 is no clock, and --no-exact, where
-    a command has it, is 0 nodes.  --time-limit is ASCII decimal digits
-    with at most one '.', after an optional minus sign: float() alone would
-    also read '1_0', '+1', '٣', 'inf' and 'nan'."""
+    """The search budget: --budget nodes, or 0 nodes under --no-exact where
+    a command has it.  The oracle reads no clock, so --time-limit takes
+    only 0, the value scripts pass to say so; any other is refused rather
+    than ignored."""
     if args.budget < 0:
         raise GenerationError(f"--budget must be an integer >= 0, got {args.budget!r}")
-    text = args.time_limit
-    digits = text.strip().removeprefix("-").replace(".", "", 1)
-    if not (digits.isascii() and digits.isdigit()) or float(text) < 0:
-        raise GenerationError(f"--time-limit must be a number >= 0, got {text!r}")
-    nodes = args.budget if getattr(args, "exact", True) else 0
-    return Budget(max_nodes=nodes, time_limit=float(text))
+    if args.time_limit != "0":
+        raise GenerationError(
+            f"--time-limit takes only 0, got {args.time_limit!r}: the search reads "
+            "no clock, and --budget NODES bounds it"
+        )
+    return Budget(args.budget if getattr(args, "exact", True) else 0)
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
@@ -69,8 +69,8 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--time-limit",
-        default=str(_DEFAULTS.time_limit),
-        help=f"seconds per exact call, 0 to disable (default {_DEFAULTS.time_limit:g})",
+        default="0",
+        help="only 0 is accepted: the search reads no clock, and --budget bounds it",
     )
 
 
@@ -81,7 +81,7 @@ def _add_exact_flag(sub: argparse.ArgumentParser) -> None:
         default=True,
         help="run the exact oracle (--no-exact: the oracle at zero nodes, DSATUR "
         "over the greedy clique, the counting floor and the maximum degree; "
-        "ignores --budget and --time-limit)",
+        "ignores --budget)",
     )
 
 

@@ -10,9 +10,9 @@ It either proves an exact value or, when the budget runs out, returns an
 honest bracket [lower, upper] together with a proper coloring achieving
 the upper end; it never reports a wrong exact value.  A target t asks
 only whether q <= t, and the search stops once either side is settled.
-The search is deterministic, so an exact answer never changes when the
-budget is enlarged, and node counts are reproducible (wall-clock cutoffs
-aside).
+The search is deterministic and bounded by its node budget alone, so
+an exact answer never changes when the budget is enlarged, and node
+counts, brackets and witnesses are the same on every machine.
 
 Each component's lower end starts at the larger of its greedy clique and
 the counting floor ceil(|C| / floor(|W| / a)) (Chetwynd & Hilton's
@@ -23,8 +23,8 @@ pass (Hertz & de Werra 1987) from DSATUR's coloring, on a fixed
 allowance of moves, may close it from above.  The floor can only end a
 search sooner, the pass runs after it, and the pass reads nothing of the
 budget or of the search, so a larger budget still never widens a
-bracket.  The pass never runs at max_nodes=0, after a clock cut, or in
-the drop search below.
+bracket.  The pass never runs at max_nodes=0 or in the drop search
+below.
 
 The search is iterative, on an explicit stack, so its depth is not tied
 to the interpreter's recursion limit.  It runs on bitsets, in the manner
@@ -54,7 +54,6 @@ It starts from no coloring and no clique, behind the same gate.
 
 from __future__ import annotations
 
-import time
 from collections import ChainMap
 from dataclasses import dataclass
 from functools import partial
@@ -68,43 +67,34 @@ from .transforms import SimpleGraph, _component_masks, _ranks, line_graph
 
 @dataclass(frozen=True)
 class Budget:
-    """Per-call search allowance: branch nodes and wall-clock seconds.
+    """Per-call search allowance in branch nodes.
 
     A search visits at most max_nodes nodes; at max_nodes=0 it visits
     none and runs no local search either, and each component is bracketed
     by its greedy clique or counting floor and its starting (DSATUR)
-    coloring.  time_limit=None or 0 disables the clock, which is then
-    never read; node limits alone keep results machine-independent.
-    max_nodes must be an int >= 0 and time_limit None or a number >= 0
-    (bools and nan are refused), or ValueError is raised: the search could
-    not honour anything else.
+    coloring.  No clock is read, so a result does not depend on the
+    machine.  max_nodes must be an int >= 0 (bools refused), or ValueError
+    is raised: the search could not honour anything else.
     """
 
     max_nodes: int = 10_000_000
-    time_limit: Optional[float] = 30.0
 
     def __post_init__(self):
         if type(self.max_nodes) is not int or self.max_nodes < 0:
             raise ValueError(f"max_nodes {self.max_nodes!r} is not an int >= 0")
-        limit = self.time_limit
-        if limit is not None and (type(limit) not in (int, float) or not limit >= 0):
-            raise ValueError(f"time_limit {limit!r} is not None or a number >= 0")
 
 
 class _SearchState:
-    """The node count and the limits that every component's search shares.
+    """The node count and the limit that every component's search shares.
 
-    The search reads all three on entry, keeps them in locals and writes
-    nodes back on every exit.  A clock cut sets max_nodes to the count, so
-    every later component refuses before it counts, as after a node cut,
-    and sets timed_out, so that no later TabuCol pass runs.
+    The search reads both on entry, keeps them in locals and writes nodes
+    back on every exit, so a later component counts on from an earlier
+    one and refuses before it counts once the limit is spent.
     """
 
-    def __init__(self, budget: Budget):
+    def __init__(self, max_nodes: int):
         self.nodes = 0
-        self.timed_out = False
-        self._max_nodes = budget.max_nodes
-        self._deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
+        self._max_nodes = max_nodes
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def _dsatur_greedy(g: SimpleGraph, active: int, colors: list[int]) -> int:
     # active component is never empty.
     most = g.nb[(active & -active).bit_length() - 1].bit_count() + 1
     # One node per rank and one for the leaf.
-    state = _SearchState(Budget(active.bit_count() + 1, None))
+    state = _SearchState(active.bit_count() + 1)
     return _search(g, active, state, [], 0, most + 1, most, most, colors)[1]
 
 
@@ -291,10 +281,9 @@ def _search(
     - a push colors its rank at once.  A pick with no candidate is a dead
       end: it is counted as a node but not pushed, so the stack holds
       only colored frames (and, for a table, one dropped rank);
-    - one comparison per node guards the node count, which is read from
-      state on entry and written back on every exit: bound is max_nodes
-      or, with a clock, the count just before its next read at a multiple
-      of 1024 nodes, if that comes first;
+    - one comparison per node guards the node count against max_nodes;
+      the count is read from state on entry and written back on every
+      exit;
     - a new best of at most stop colors ends the search; any other lowers
       the ceiling to one less than its count.
     A cut returns (lb, best count), and a search out of colorings
@@ -330,22 +319,11 @@ def _search(
     free = active.bit_count() - used
     at, held, entry, spare, saturated = ([0] * free for _ in range(5))
     last, d, drop = free - 1, -1, -1
-    nodes, max_nodes, deadline = state.nodes, state._max_nodes, state._deadline
-    bound = max_nodes
-    if deadline is not None and nodes | 1023 < bound:
-        bound = nodes | 1023
+    nodes, max_nodes = state.nodes, state._max_nodes
     while True:
-        if nodes >= bound:
-            if nodes >= max_nodes:
-                state.nodes = nodes
-                return lb, best_count
-            # The count is about to reach a multiple of 1024: read the clock.
-            if time.monotonic() > deadline:
-                # Every later component refuses before it counts, as after a node cut.
-                state.nodes = state._max_nodes = nodes + 1
-                state.timed_out = True
-                return lb, best_count
-            bound = min(max_nodes, nodes + 1024)
+        if nodes >= max_nodes:
+            state.nodes = nodes
+            return lb, best_count
         nodes += 1
         if d == last:
             if drop >= 0:
@@ -477,10 +455,7 @@ _TABU_MOVES_PER_RANK = 6
 _TABU_SEED = 1
 
 
-def _tabucol(
-    g: SimpleGraph, active: int, goal: int, upper: int, colors: list[int],
-    state: _SearchState,
-) -> int:
+def _tabucol(g: SimpleGraph, active: int, goal: int, upper: int, colors: list[int]) -> int:
     """The upper end for the component of g on the ranks in active after a
     seeded TabuCol pass (Hertz & de Werra 1987): upper, or the count of a
     coloring with fewer colors that the pass found, written into colors by
@@ -499,9 +474,7 @@ def _tabucol(
     _TABU_MOVES_PER_RANK moves per rank, and the pass ends at the first
     attempt that runs out of it.  Nothing in the pass reads the node
     budget or the search's coloring, so it ends at the same coloring
-    whatever the budget.  With a clock it reads it every 1024 moves, and
-    past the deadline it ends there and cuts every later component, as the
-    search does.
+    whatever the budget.
     """
     order, nb = g.order, g.nb
     ranks = _ranks(active)
@@ -515,10 +488,7 @@ def _tabucol(
     best: Optional[list[int]] = None
     count = k
     rng = Rng(_TABU_SEED)
-    deadline = state._deadline
     moves, allowance = 0, _TABU_MOVES_PER_RANK * n
-    # With a clock, the pass reads it at every 1024th move.
-    read_at = 1024 if deadline is not None else -1
     hidden = 2 * n
     # gamma[v][c] counts v's neighbours of color c.
     gamma = [[0] * k for _ in range(n)]
@@ -542,12 +512,6 @@ def _tabucol(
         conflicts = fewest = sum(gamma[v][col[v]] for v in conflicted) // 2
         tabu = [[0] * k for _ in range(n)]
         while conflicts and moves < allowance:
-            if moves == read_at:
-                read_at += 1024
-                if time.monotonic() > deadline:
-                    state.timed_out = True
-                    state._max_nodes = state.nodes
-                    break
             moves += 1
             delta = n
             for v in conflicted:
@@ -637,8 +601,8 @@ def chromatic_index(
 
     A component whose search the budget cuts with its bracket open (with
     a target: with lower <= t < upper) gets a TabuCol pass (_tabucol)
-    down to its lower end, or to t, when max_nodes is positive and no clock
-    has cut the call; its coloring is kept only when it uses fewer colors.
+    down to its lower end, or to t, when max_nodes is positive; its
+    coloring is kept only when it uses fewer colors.
     The pass is the same at every budget, so the upper end is the smaller
     of the search's and the pass's, and a larger budget never widens the
     bracket.
@@ -656,7 +620,7 @@ def chromatic_index(
         components = _component_masks(g, active)
     else:
         components = h._components
-    state = _SearchState(budget)
+    state = _SearchState(budget.max_nodes)
     lower = upper = 0
     witness = [0] * h.m
     for comp in components:
@@ -664,8 +628,8 @@ def chromatic_index(
         # A search the budget cut leaves its question open: a coloring with
         # fewer colors may still close it from above.
         goal = lo if target is None else target
-        if lo <= goal < hi and budget.max_nodes and not state.timed_out:
-            hi = _tabucol(g, comp, goal, hi, witness, state)
+        if lo <= goal < hi and budget.max_nodes:
+            hi = _tabucol(g, comp, goal, hi, witness)
         lower = max(lower, lo)
         upper = max(upper, hi)
     if lower < upper:
@@ -803,7 +767,7 @@ class _Rows:
         """Record in decided, an empty map, the rows of h that _proof
         settles, then drop-search the rest, component by component of h's
         line graph, on one budget of their own.  Returns the search's
-        nodes.  A row the budget or the clock leaves open is not recorded.
+        nodes.  A row the budget leaves open is not recorded.
 
         A coloring that drops e proves only that C - e takes q - 1 colors,
         C being e's component.  So the rows a component's search proves are
@@ -824,7 +788,7 @@ class _Rows:
         open_rows = sum(1 << rank[e] for e in range(h.m) if e not in decided)
         if not open_rows:
             return 0
-        state = _SearchState(budget)
+        state = _SearchState(budget.max_nodes)
         scratch = [0] * h.m
         searched = []
         needing = 0

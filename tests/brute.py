@@ -20,7 +20,6 @@ the package's cached facts.
 from __future__ import annotations
 
 import sys
-import time
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -678,19 +677,10 @@ class _BudgetExhausted(Exception):
 def _tick(state: _SearchState) -> None:
     """Count one node of the recursive search against the shared budget,
     as the oracle's loop counts it: a spent budget refuses before it
-    counts, and a clock cut, read every 1024 nodes, makes every later
-    count refuse as well."""
+    counts."""
     if state.nodes >= state._max_nodes:
         raise _BudgetExhausted
     state.nodes += 1
-    if (
-        state._deadline is not None
-        and (state.nodes & 1023) == 0
-        and time.monotonic() > state._deadline
-    ):
-        state._max_nodes = state.nodes
-        state.timed_out = True
-        raise _BudgetExhausted
 
 
 def counting_floor(edges: Sequence[tuple[int, ...]]) -> int:

@@ -52,7 +52,7 @@ from brute import (
     sorted_adjacency,
 )
 
-BUDGET = Budget(max_nodes=10_000_000, time_limit=None)
+BUDGET = Budget(max_nodes=10_000_000)
 
 MASTER_STRICT = 20240
 MASTER_CORES = 20250

@@ -30,7 +30,7 @@ from hypercolor import analysis
 
 from brute import brute_chromatic_index, if_chain_conditions, random_hypergraph_raw
 
-FAST = Budget(max_nodes=1_000_000, time_limit=None)
+FAST = Budget(max_nodes=1_000_000)
 
 
 def test_two_section_bound_pins():
@@ -141,7 +141,7 @@ def test_condition_table_matches_the_if_chain():
     for h in _tag_table_instances():
         expected = if_chain_conditions(h)
         seen |= expected
-        assert verify_conjecture(h, Budget(0, None)).conditions == expected
+        assert verify_conjecture(h, Budget(0)).conditions == expected
         assert conditions(h) == expected
     assert seen == {
         "THM1", "THM2", "THM3", "RK61", "RK62",
@@ -246,7 +246,7 @@ def test_verdict_flags_violations_from_loops():
     assert exact.bounds.greedy is None
     assert exact.bounds.rank_degree == 2
     assert exact.bounds.edge_degree == 2
-    bracketed = verify_conjecture(loops, Budget(0, None))
+    bracketed = verify_conjecture(loops, Budget(0))
     assert bracketed.status == VIOLATED
     assert bracketed.q_lower == 2
 
@@ -266,7 +266,7 @@ def test_verdict_unresolved_when_bracket_straddles_bound():
     # K_5 sits at the bound, q = 5.  With no node searched, DSATUR's 6
     # colors and the counting floor of 5 straddle it.
     h = complete_graph(5)
-    starved = verify_conjecture(h, Budget(0, None))
+    starved = verify_conjecture(h, Budget(0))
     assert starved.status == UNRESOLVED
     assert starved.q_exact is None
     assert (starved.q_lower, starved.q_upper) == (5, 6)
@@ -274,7 +274,7 @@ def test_verdict_unresolved_when_bracket_straddles_bound():
     assert is_proper(h, starved.witness)
 
     # 8 nodes do not finish the search, but its TabuCol pass finds 5.
-    settled = verify_conjecture(h, Budget(max_nodes=8, time_limit=None))
+    settled = verify_conjecture(h, Budget(max_nodes=8))
     assert settled.status == HOLDS
     assert (settled.q_exact, settled.oracle_nodes) == (5, 8)
 
@@ -286,7 +286,7 @@ def test_verdict_unresolved_when_bracket_straddles_bound():
 
 
 def test_constructive_mode_can_still_settle_easy_instances():
-    v = verify_conjecture(fano(), Budget(0, None))
+    v = verify_conjecture(fano(), Budget(0))
     assert v.status == HOLDS
     assert v.q_upper <= 7
     assert v.oracle_nodes == 0
@@ -312,7 +312,7 @@ def test_verdicts_are_honest_against_brute_force():
         assert v.witness.q_used == v.q_upper
         # At 0 nodes the bracket still holds the truth, and a decided
         # status agrees with it.
-        zero = verify_conjecture(h, Budget(0, None))
+        zero = verify_conjecture(h, Budget(0))
         assert zero.q_lower <= truth <= zero.q_upper
         assert zero.status in (v.status, UNRESOLVED)
         assert zero.oracle_nodes == 0

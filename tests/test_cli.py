@@ -526,7 +526,6 @@ def test_budget_defaults_come_from_the_budget_type(capsys):
         main(["verify", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "(default 10000000)" in help_text
-    assert "(default 30)" in help_text
     args = cli.build_parser().parse_args(["verify", "--family", "fano"])
     assert cli._budget(args) == Budget()
 
@@ -582,6 +581,10 @@ def test_gen_seed_and_the_colon_range_are_gone(capsys):
         (["verify", "--family", "fano", "--time-limit", "+1"], {}, "--time-limit"),
         (["verify", "--family", "fano", "--time-limit", "\u0663"], {}, "--time-limit"),
         (["critical", "--family", "fano", "--time-limit", "inf"], {}, "--time-limit"),
+        # The search reads no clock: a valid number of seconds is refused
+        # too, never ignored, and the message points to the node budget.
+        (["verify", "--family", "fano", "--time-limit", "5"], {}, "--budget"),
+        (["survey", "--count", "2", "--time-limit", "0.5"], {}, "--budget"),
     ],
 )
 def test_budget_inputs_are_validated(capsys, monkeypatch, argv, env, named):
@@ -640,8 +643,8 @@ def test_critical_computes_the_base_q_once(capsys, monkeypatch):
     # A decided base q whose table flags are F,F,F,F,T,T, then one the
     # budget leaves undecided.
     cases = [
-        ("random-linear:n=8,m=6,k=3,seed=1", Budget(1_000_000, None), 0),
-        ("steiner-triple:15", Budget(8, None), 4),
+        ("random-linear:n=8,m=6,k=3,seed=1", Budget(1_000_000), 0),
+        ("steiner-triple:15", Budget(8), 4),
     ]
     expected = {}
     for family, budget, _ in cases:
@@ -686,11 +689,11 @@ def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys
     # coloring.  The core is the default-budget one.
     family = "random-linear:n=12,m=14,k=3,seed=14"
     h = generate(parse_family(family))
-    budget = Budget(20, None)
+    budget = Budget(20)
     rep = criticality_report(h, budget, extract=True)
     assert rep.complete and rep.entries[5].critical is True
     core = rep.core
-    assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
+    assert core == criticality_report(h, Budget(), extract=True).core
     assert core.complete and core.removed == (3, 8, 9) and core.hypergraph.m == 11
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
@@ -709,7 +712,7 @@ def test_critical_extraction_keeps_table_proven_rows_under_a_small_budget(capsys
     assert rep.entries[1].critical is True
     assert rep.complete
     core = rep.core
-    assert core == criticality_report(h, Budget(time_limit=None), extract=True).core
+    assert core == criticality_report(h, Budget(), extract=True).core
     assert core.complete and core.removed == (0, 3)
     code, out, _ = run_cli(
         capsys, "critical", "--family", family, "--budget", "20", "--time-limit", "0"
@@ -726,7 +729,7 @@ def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
     # them (1 and 4 removable, so removable in h too, 2 and 10 critical
     # there).
     h = generate(parse_family("random-linear:n=12,m=14,k=3,seed=21"))
-    budget = Budget(5, None)
+    budget = Budget(5)
     table = criticality_report(h, budget)
     assert [e.position for e in table.entries if e.critical is None] == [1, 2, 4, 7, 10]
     rep, calls = _oracle_calls(monkeypatch, h, budget)
@@ -737,7 +740,7 @@ def test_critical_extraction_searches_the_rows_the_table_left_open(monkeypatch):
     # core that no proof settles in h, on 13.
     assert calls == [14, 13, 12, 11, 11, 10, 9, 8, 7, 6] + [13] * 7
     core = rep.core
-    full = criticality_report(h, Budget(time_limit=None), extract=True).core
+    full = criticality_report(h, Budget(), extract=True).core
     assert core == full
     assert core.complete and core.removed == (0, 1, 4, 5, 6, 8, 9)
 
@@ -750,7 +753,7 @@ def test_critical_extraction_stops_at_a_row_the_table_left_open(capsys, monkeypa
     # same rows are searched.
     family = "random-linear:n=12,m=14,k=3,seed=24"
     h = generate(parse_family(family))
-    budget = Budget(20, None)
+    budget = Budget(20)
     rep, calls = _oracle_calls(monkeypatch, h, budget)
     assert rep.q == 6 and rep.entries[0].critical is None
     assert calls == _oracle_calls(monkeypatch, h, budget, extract=False)[1]

@@ -130,6 +130,6 @@ def test_the_names_the_benchmark_traces_are_defined():
         assert inspect.isfunction(getattr(owner, attr, None)), attr
     h = hypercolor.fano()
     assert len(transforms.line_graph(h).adj) == 7
-    res = oracle.chromatic_index(h, oracle.Budget(1000, None))
+    res = oracle.chromatic_index(h, oracle.Budget(1000))
     assert res.complete is True and res.nodes == 0
     assert instances.random_linear(8, 5, 3, 7).m == 5

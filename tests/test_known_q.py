@@ -4,8 +4,8 @@ Exact rows must reach their textbook value.  The open rows are those
 whose search runs out of this budget, and they pin the brackets the
 oracle returns, so a floor or a start that closes one shows here as a
 moved pin, and their widths sum to the score that better bounds should
-lower.  The clock is off, so every row is decided by the node count and
-the TabuCol pass's fixed allowance alone.
+lower.  The search reads no clock, so every row is decided by the node
+count and the TabuCol pass's fixed allowance alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypercolor import (
     steiner_triple,
 )
 
-BUDGET = Budget(max_nodes=40_000, time_limit=None)
+BUDGET = Budget(max_nodes=40_000)
 
 EXACT = [
     # Even complete graphs are class 1: q(K_n) = n - 1.

@@ -5,11 +5,9 @@ from __future__ import annotations
 import hashlib
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache, reduce
 from itertools import chain, combinations, combinations_with_replacement
-from types import SimpleNamespace
-from typing import Optional
 
 import pytest
 
@@ -65,30 +63,26 @@ from brute import (
     set_greedy_clique,
 )
 
-FAST = Budget(max_nodes=1_000_000, time_limit=None)
+FAST = Budget(max_nodes=1_000_000)
 # The drop search's nodes over the tables of test_drop_search_nodes_are_pinned.
 DROP_NODES = 8_272
 
 
 def test_budget_defaults():
-    b = Budget()
-    assert b.max_nodes == 10_000_000
-    assert b.time_limit == 30.0
-    assert Budget(time_limit=None).time_limit is None
+    # The node count is the one bound: no clock makes a result depend on
+    # the machine.
+    assert [f.name for f in fields(Budget)] == ["max_nodes"]
+    assert Budget().max_nodes == 10_000_000
 
 
 def test_a_budget_the_search_cannot_honour_is_refused():
     # 1.5 nodes let a search visit 2, nan nodes never cut it, and -1 nodes
-    # ran the TabuCol pass that 0 nodes skips; nan seconds never cut it.
+    # ran the TabuCol pass that 0 nodes skips.
     for bad in (1.5, float("nan"), -1, True, "10", None):
         with pytest.raises(ValueError, match="max_nodes"):
-            Budget(bad, None)
-    for bad in (float("nan"), -1, -0.5, True, "1"):
-        with pytest.raises(ValueError, match="time_limit"):
-            Budget(10, bad)
-    for nodes, limit in ((0, None), (10**12, 0), (5, 0.0), (5, 2.5), (5, float("inf"))):
-        budget = Budget(nodes, limit)
-        assert (budget.max_nodes, budget.time_limit) == (nodes, limit)
+            Budget(bad)
+    for nodes in (0, 5, 10**12):
+        assert Budget(nodes).max_nodes == nodes
     with pytest.raises(ValueError, match="max_nodes"):
         replace(FAST, max_nodes=-1)
 
@@ -150,7 +144,7 @@ def test_lower_hint_tightens_but_never_flips_answers():
     h = random_linear(12, 14, 3, 2)
     assert max(h.degrees()) == 5
     assert len(greedy_clique(line_graph(h))) == 4
-    floored = chromatic_index(h, Budget(0, None))
+    floored = chromatic_index(h, Budget(0))
     assert (floored.lower, floored.upper, floored.nodes) == (5, 6, 0)
     assert chromatic_index(h, FAST).exact == 5
     # Never flips: the exact answers are the true ones, at least the hint.
@@ -204,99 +198,29 @@ def test_starved_search_reports_honest_bracket():
     h = Hypergraph(*petersen())
     exact = chromatic_index(h, FAST)
     assert exact.exact == 4
-    starved = chromatic_index(h, Budget(max_nodes=8, time_limit=None))
+    starved = chromatic_index(h, Budget(max_nodes=8))
     assert starved.exact is None
     assert starved.lower <= 4 <= starved.upper
     assert is_proper(h, starved.witness)
     assert starved.witness.q_used == starved.upper
-    bigger = chromatic_index(h, Budget(max_nodes=10_000_000, time_limit=None))
+    bigger = chromatic_index(h, Budget(max_nodes=10_000_000))
     assert bigger.exact == 4
 
 
-def test_a_clock_cut_stops_every_later_component(monkeypatch):
-    # The clock fires at its first check, at 1024 nodes counted from the
-    # start of the call, and both layouts end there with STS(15) open.
-    # STS(15) on vertices 0-14 and K_5 on 15-19: the cut lands inside
-    # STS(15), and K_5's component is not searched.  K_5 on 0-4, at the
-    # lowest positions, and STS(15) on 5-19: K_5's line graph is searched
-    # first (DSATUR uses 6 colors, its clique has 4 and its counting floor
-    # is 5), in 12 nodes, and STS(15)'s search counts on from them to the
-    # cut.  After a clock cut no component takes the TabuCol pass.
-    sts = list(steiner_triple(15).edges)
-    k5 = list(complete_graph(5).edges)
-    for edges in (
-        sts + [tuple(v + 15 for v in e) for e in k5],
-        k5 + [tuple(v + 5 for v in e) for e in sts],
-    ):
-        h = Hypergraph(20, edges)
-        readings = iter([0.0])
-        monkeypatch.setattr(
-            oracle, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
-        )
-        passes = _counting_passes(monkeypatch)
-        res = chromatic_index(h, Budget(10**7, 1.0))
-        assert (res.lower, res.upper, res.nodes) == (7, 9, 1024)
-        assert is_proper(h, res.witness)
-        assert res.witness.q_used == 9
-        assert passes == []
-
-
-def _counting_clock(monkeypatch, expires_at: Optional[int] = None) -> list[float]:
-    """Give the oracle a clock that reads 0.0, and 10.0 from its read
-    number expires_at on, the read that sets the deadline being number 0;
-    returns the list of its readings."""
-    readings: list[float] = []
-
-    def monotonic() -> float:
-        late = expires_at is not None and len(readings) >= expires_at
-        readings.append(10.0 if late else 0.0)
-        return readings[-1]
-
-    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=monotonic))
-    return readings
-
-
-def test_the_clock_is_read_at_every_1024th_node_of_the_shared_count(monkeypatch):
-    budget = Budget(10**7, 1.0)
-    sts = steiner_triple(15)
-    # Once for the deadline, then at each of the 34 multiples of 1024
-    # below the exact search's 35,332 nodes.
-    readings = _counting_clock(monkeypatch)
-    res = chromatic_index(sts, budget)
-    assert (res.exact, res.nodes, len(readings)) == (9, 35_332, 35)
-    # Expiring at its third read in the loop, the clock cuts at 3 * 1024.
-    readings = _counting_clock(monkeypatch, expires_at=3)
-    res = chromatic_index(sts, budget)
-    assert (res.lower, res.upper, res.nodes, len(readings)) == (7, 9, 3072, 4)
-    assert is_proper(sts, res.witness)
-    # K_7 takes 257 nodes and each Petersen graph after it 27, so the
-    # shared count crosses 1024 inside the 29th Petersen graph
-    # (257 + 28 * 27 = 1013 falls short), and the read still comes there,
-    # not at a multiple of 1024 of one component's own count.
+def test_the_components_share_one_node_count():
+    # K_7 takes 257 nodes and each Petersen graph after it 27, and every
+    # component counts on from the ones before it: the call is exact at
+    # 257 + 30 * 27 nodes, and a budget of 1024 cuts inside the 29th
+    # Petersen graph (257 + 28 * 27 = 1013 falls short), not at 1024 of
+    # one component's own count.  K_7 still settles q.
     n, edges = petersen()
     copies = [tuple(x + 7 + n * k for x in e) for k in range(30) for e in edges]
     union = Hypergraph(7 + 30 * n, list(complete_graph(7).edges) + copies)
-    readings = _counting_clock(monkeypatch)
-    res = chromatic_index(union, budget)
-    assert (res.exact, res.nodes, len(readings)) == (7, 257 + 30 * 27, 2)
-    readings = _counting_clock(monkeypatch, expires_at=1)
-    res = chromatic_index(union, budget)
-    assert (res.exact, res.nodes, len(readings)) == (7, 1024, 2)
-    assert is_proper(union, res.witness)
-
-
-def test_a_zero_time_limit_is_no_clock(monkeypatch):
-    # A zero limit set a deadline that had passed at the first read, so
-    # STS(15) ended at [7, 9] after 1,024 nodes; as --time-limit 0 says,
-    # it means no clock, as None does.
-    sts = steiner_triple(15)
-    for limit in (0, 0.0):
-        res = chromatic_index(sts, Budget(10**7, limit))
-        assert (res.exact, res.nodes) == (9, 35_332)
-        readings = _counting_clock(monkeypatch)
-        assert chromatic_index(sts, Budget(10**7, limit)) == res
-        assert readings == []
-        monkeypatch.undo()
+    for budget, nodes in ((FAST, 257 + 30 * 27), (Budget(257 + 30 * 27), 257 + 30 * 27),
+                          (Budget(1024), 1024)):
+        res = chromatic_index(union, budget)
+        assert (res.exact, res.nodes) == (7, nodes)
+        assert is_proper(union, res.witness)
 
 
 def test_search_is_deterministic_including_node_counts():
@@ -384,7 +308,7 @@ def test_search_matches_the_recursive_reference(monkeypatch):
         multi += len(_component_masks(g, full)) > 1
         rng = Rng(index + 19_000)
         for options in _masked_calls(h, rng):
-            for budget in (Budget(index % 51, None), FAST):
+            for budget in (Budget(index % 51), FAST):
                 monkeypatch.setattr(oracle, "_component_chromatic", counting_drops)
                 got = chromatic_index(h, budget, **options)
                 monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
@@ -427,7 +351,7 @@ def test_left_out_positions_and_targets_match_brute_force():
             q = brute_chromatic_index(sub.n, list(sub.edges))
             for target in (None, max(q - 1 + rng.below(3) - rng.below(2), 0)):
                 for nodes in [*range(51), 10**6]:
-                    res = chromatic_index(h, Budget(nodes, None), without=gone, target=target)
+                    res = chromatic_index(h, Budget(nodes), without=gone, target=target)
                     assert res.lower <= q <= res.upper, (index, gone, target, nodes)
                     assert len(res.witness.colors) == sub.m
                     assert is_proper(sub, res.witness)
@@ -450,7 +374,7 @@ def test_a_larger_budget_never_widens_the_bracket():
     narrowed = 0
     for h in _differential_inputs():
         last = None
-        for budget in [*(Budget(nodes, None) for nodes in range(61)), FAST]:
+        for budget in [*(Budget(nodes) for nodes in range(61)), FAST]:
             res = chromatic_index(h, budget)
             if last is not None:
                 assert last.lower <= res.lower <= res.upper <= last.upper
@@ -464,7 +388,7 @@ def test_a_larger_budget_never_widens_the_bracket():
     h = steiner_triple(21)
     brackets = []
     for nodes in (0, 1, 37, 1_000, 5_000, 20_000, 40_000):
-        res = chromatic_index(h, Budget(nodes, None))
+        res = chromatic_index(h, Budget(nodes))
         assert is_proper(h, res.witness) and res.witness.q_used == res.upper
         brackets.append((res.lower, res.upper))
     assert brackets == [(10, 15)] + [(10, 12)] * 6
@@ -485,7 +409,7 @@ def _assert_honest_brackets(h: Hypergraph) -> None:
     widens it; the largest closes it."""
     q = brute_chromatic_index(h.n, list(h.edges))
     last = None
-    for budget in (Budget(nodes, None) for nodes in (0, 1, 2, 3, 10**6)):
+    for budget in (Budget(nodes) for nodes in (0, 1, 2, 3, 10**6)):
         res = chromatic_index(h, budget)
         assert res.lower <= q <= res.upper, (h.edges, budget)
         assert res.nodes <= budget.max_nodes
@@ -577,8 +501,8 @@ def _counting_passes(monkeypatch) -> list[tuple[int, int, int]]:
     passes: list[tuple[int, int, int]] = []
     tabucol = oracle._tabucol
 
-    def counted(g, active, goal, upper, colors, state):
-        found = tabucol(g, active, goal, upper, colors, state)
+    def counted(g, active, goal, upper, colors):
+        found = tabucol(g, active, goal, upper, colors)
         passes.append((goal, upper, found))
         return found
 
@@ -595,15 +519,15 @@ def test_the_tabucol_witness_is_proper_and_reproducible(monkeypatch):
     for h in _differential_inputs():
         for nodes in (1, 5):
             passes.clear()
-            res = chromatic_index(h, Budget(nodes, None))
+            res = chromatic_index(h, Budget(nodes))
             assert is_proper(h, res.witness) and res.witness.q_used == res.upper
-            assert chromatic_index(h, Budget(nodes, None)) == res
+            assert chromatic_index(h, Budget(nodes)) == res
             improved += any(found < upper for _, upper, found in passes)
     assert improved >= 50
     # The hard set's two budget-capped designs, from DSATUR's 15 and 18.
     for v, upper in ((21, 12), (27, 14)):
         h = steiner_triple(v)
-        res = chromatic_index(h, Budget(16_000, None))
+        res = chromatic_index(h, Budget(16_000))
         assert res.upper == upper and is_proper(h, res.witness)
         assert res.witness.q_used == upper
 
@@ -612,42 +536,32 @@ def test_the_tabucol_pass_runs_only_after_a_cut(monkeypatch):
     # Every search of the critical-core benchmark's shapes ends within
     # 200,000 nodes, and at 0 nodes no component gets a local search.
     passes = _counting_passes(monkeypatch)
-    budget = Budget(200_000, None)
+    budget = Budget(200_000)
     for seed in range(30):
         for h in (random_linear(16, 22, 3, seed), random_linear(20, 16, 4, seed)):
             assert criticality_report(h, budget, extract=True).complete
     for h in _differential_inputs():
-        res = chromatic_index(h, Budget(0, None))
+        res = chromatic_index(h, Budget(0))
         assert res.nodes == 0
     assert passes == []
     # One node short of STS(15)'s proof the pass runs, and finds nothing
     # below the search's 9, so the search's coloring stays the witness.
-    budget = Budget(35_331, None)
+    budget = Budget(35_331)
     res = chromatic_index(steiner_triple(15), budget)
     assert passes == [(7, 9, 9)]
     monkeypatch.setattr(oracle, "_tabucol", lambda g, active, goal, upper, *_: upper)
     assert chromatic_index(steiner_triple(15), budget) == res
-
-
-def test_the_tabucol_pass_reads_the_clock_every_1024_moves(monkeypatch):
-    # STS(33) has 176 ranks, so its pass may make 1,056 moves and reads the
-    # clock once, at its 1,024th.  K_5 comes after it and is not searched,
-    # the budget being spent; its own pass closes it at 5.  A clock that
-    # has expired at that read ends STS(33)'s pass there and cuts K_5,
-    # which then keeps the bracket of its DSATUR coloring.
-    sts = list(steiner_triple(33).edges)
+    monkeypatch.undo()
+    # A component after the spent budget takes the pass too: 50 nodes cut
+    # STS(33), K_5 beside it is never searched, and its pass closes it at 5
+    # from DSATUR's 6.
+    passes = _counting_passes(monkeypatch)
     k5 = [tuple(x + 33 for x in e) for e in complete_graph(5).edges]
-    h = Hypergraph(38, sts + k5)
-    budget = Budget(50, 1.0)
-    for expires_at, runs in ((None, 2), (1, 1)):
-        passes = _counting_passes(monkeypatch)
-        readings = _counting_clock(monkeypatch, expires_at)
-        res = chromatic_index(h, budget)
-        assert (res.nodes, len(readings), len(passes)) == (50, 2, runs)
-        assert is_proper(h, res.witness) and res.witness.q_used == res.upper
-        k5_colors = set(res.witness.colors[len(sts):])
-        assert len(k5_colors) == (5 if expires_at is None else 6)
-        monkeypatch.undo()
+    h = Hypergraph(38, list(steiner_triple(33).edges) + k5)
+    res = chromatic_index(h, Budget(50))
+    assert res.nodes == 50 and len(passes) == 2
+    assert is_proper(h, res.witness) and res.witness.q_used == res.upper
+    assert len(set(res.witness.colors[-len(k5):])) == 5
 
 
 def test_search_depth_is_not_bound_by_the_recursion_limit(monkeypatch):
@@ -675,12 +589,12 @@ def test_hard_set_brackets_and_node_counts():
         (27, 16_000, (13, 14), 16_000),
     ):
         h = steiner_triple(v)
-        res = chromatic_index(h, Budget(budget, None))
+        res = chromatic_index(h, Budget(budget))
         assert ((res.lower, res.upper), res.nodes) == (bracket, nodes)
         assert is_proper(h, res.witness)
         assert res.witness.q_used == res.upper
     h = random_linear(40, 80, 4, 1)
-    res = chromatic_index(h, Budget(10_000, None))
+    res = chromatic_index(h, Budget(10_000))
     assert ((res.lower, res.upper), res.nodes) == ((10, 12), 10_000)
     assert is_proper(h, res.witness)
     assert res.witness.q_used == res.upper
@@ -693,7 +607,7 @@ def test_a_component_past_the_budget_keeps_its_greedy_clique():
     plane = [tuple(x + 5 for x in e) for e in fano().edges]
     h = Hypergraph(12, list(complete_graph(5).edges) + plane)
     assert not h.stats().connected
-    res = chromatic_index(h, Budget(0, None))
+    res = chromatic_index(h, Budget(0))
     assert (res.lower, res.upper, res.nodes) == (7, 7, 0)
     assert is_proper(h, res.witness)
 
@@ -709,7 +623,7 @@ def test_a_components_search_allocates_nothing_sized_by_the_input():
         g = line_graph(h)
         k5 = (1 << 10) - 1
         assert sorted(g.order[i] for i in range(10)) == list(range(pad, pad + 10))
-        state = oracle._SearchState(Budget(50, None))
+        state = oracle._SearchState(50)
         colors = [0] * h.m
         tracemalloc.start()
         try:
@@ -761,7 +675,7 @@ def test_large_line_graphs_match_the_references(monkeypatch):
         assert _dsatur(g, (1 << g.n) - 1) == (want, max(want))
         assert greedy_clique(g) == set_greedy_clique(g)
         for nodes in (0, 1, 37, 500):
-            budget = Budget(nodes, None)
+            budget = Budget(nodes)
             got = chromatic_index(h, budget)
             monkeypatch.setattr(oracle, "_component_chromatic", recursive_component_chromatic)
             want = chromatic_index(h, budget)
@@ -814,7 +728,7 @@ def test_criticality_report_pins():
     matching = Hypergraph(4, [(0, 1), (2, 3)])
     assert _critical_flags(matching, FAST)[0] is False
     # Undecided within the budget: no row is claimed either way.
-    starved = Budget(max_nodes=8, time_limit=None)
+    starved = Budget(max_nodes=8)
     rep = criticality_report(Hypergraph(*petersen()), starved)
     assert not rep.complete and rep.entries == ()
 
@@ -838,7 +752,7 @@ def test_criticality_report_on_small_instances():
 
 
 def test_criticality_report_respects_budget():
-    rep = criticality_report(Hypergraph(*petersen()), Budget(max_nodes=8, time_limit=None))
+    rep = criticality_report(Hypergraph(*petersen()), Budget(max_nodes=8))
     assert rep.q is None
     assert rep.entries == ()
     assert not rep.complete
@@ -848,14 +762,14 @@ def test_criticality_report_respects_budget():
 def test_criticality_report_extracts_a_core_only_when_asked():
     graph = Hypergraph(*petersen())
     for h in (Hypergraph(4, [(0, 1), (2, 3)]), fano(), complete_graph(5), graph):
-        for budget in (FAST, Budget(max_nodes=8, time_limit=None)):
+        for budget in (FAST, Budget(max_nodes=8)):
             rep = criticality_report(h, budget)
             assert rep.core is None
             extracted = criticality_report(h, budget, extract=True)
             assert extracted.core is not None
             assert replace(extracted, core=None) == rep
     # An undecided q leaves h as an incomplete core with nothing removed.
-    starved = criticality_report(graph, Budget(max_nodes=8, time_limit=None), extract=True)
+    starved = criticality_report(graph, Budget(max_nodes=8), extract=True)
     assert starved.core == CriticalCore(graph, False, ())
 
 
@@ -1001,7 +915,7 @@ def test_certified_rows_match_the_searching_table(monkeypatch):
         core = extracted.core
         assert core == rescanning_extract_critical(h, FAST)
         for nodes in (20, 50, 200):
-            budget = Budget(nodes, None)
+            budget = Budget(nodes)
             ref = searching_criticality_report(h, budget)
             table = criticality_report(h, budget)
             got = criticality_report(h, budget, extract=True)
@@ -1258,7 +1172,7 @@ def test_a_components_proofs_wait_for_every_other_component():
     assert full == {e: 3 for e in range(h.m)}
     for cut in range(nodes):
         decided: dict = {}
-        rows.decide(Budget(cut, None), decided)
+        rows.decide(Budget(cut), decided)
         assert decided == {}, cut
 
 
@@ -1273,30 +1187,23 @@ def test_drop_search_nodes_are_pinned():
     assert total == DROP_NODES
 
 
-def test_a_clock_cut_leaves_the_drop_searchs_open_rows_to_row_searches(monkeypatch):
-    # Every row of this input is critical.  Its drop search takes 7,494
-    # nodes and reads the clock at each of the 7 multiples of 1024 below.
+def test_a_cut_drop_search_leaves_its_open_rows_to_row_searches(monkeypatch):
+    # Every row of this input is critical.  Its base search takes 2,573
+    # nodes and its drop search 7,494, so a budget of 3,000 per call cuts
+    # the drop search alone, with some rows proved and the rest left open.
     h = random_linear(16, 30, 3, 10)
     base = chromatic_index(h, FAST)
     rows = oracle._Rows(h, base.exact, base.witness)
-    budget = Budget(10**7, 1.0)
-    readings = _counting_clock(monkeypatch)
     full: dict = {}
-    assert rows.decide(budget, full) == 7_494 and len(readings) == 8
+    assert base.nodes == 2_573 and rows.decide(FAST, full) == 7_494
     assert full == {e: base.exact - 1 for e in range(h.m)}
-    # Expiring at its second read in the loop, the clock cuts at 2048
-    # nodes, with 21 rows proved and 9 left open.
-    readings = _counting_clock(monkeypatch, expires_at=2)
+    budget = Budget(3_000)
     cut: dict = {}
-    assert rows.decide(budget, cut) == 2_048 and len(readings) == 3
-    assert cut.items() <= full.items() and len(cut) == 21
-    # In the report, the base search reads the clock 3 times (2,573
-    # nodes), and its drop search is cut at 2048 nodes again.  The rows it
-    # left open are searched one by one, on a clock that no longer moves,
+    assert rows.decide(budget, cut) == 3_000
+    assert cut.items() < full.items()
+    # In the report, the rows it left open are searched one by one in h,
     # and the table is the uncut one.
-    monkeypatch.undo()
     asked = _asking_rows(monkeypatch)
-    _counting_clock(monkeypatch, expires_at=5)
     rep = criticality_report(h, budget)
     monkeypatch.undo()
     assert rep == criticality_report(h, FAST)
@@ -1344,7 +1251,7 @@ def test_critical_under_small_budgets_is_pinned(monkeypatch):
     for h in _small_budget_inputs():
         for nodes in (0, 2, 5, 20, 35, 50, 200, 10**6):
             for extract in (False, True):
-                rep = criticality_report(h, Budget(nodes, None), extract=extract)
+                rep = criticality_report(h, Budget(nodes), extract=extract)
                 rows = [(e.position, e.degree, e.q_without, e.critical) for e in rep.entries]
                 core = rep.core and (rep.core.complete, rep.core.removed, rep.core.hypergraph.edges)
                 lines.append(repr((rep.q, rows, rep.complete, rep.lemma_ok, core, calls)))

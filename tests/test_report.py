@@ -28,7 +28,7 @@ from hypercolor.report import (
     verdict_json,
 )
 
-FAST = Budget(max_nodes=1_000_000, time_limit=None)
+FAST = Budget(max_nodes=1_000_000)
 
 
 def test_stats_report_header_and_fields():

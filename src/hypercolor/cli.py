@@ -254,24 +254,32 @@ def _survey_rows(tasks: list, workers: int) -> list:
     tasks[0::workers] and child w runs tasks[w::workers], sending its rows
     back once.  A failing task raises as it would at one worker: the lowest
     failing index wins, once every share is in.  A child that dies without
-    sending is an internal error, never bad input, so it is a RuntimeError,
-    not the OSError or EOFError its pipe gives.  Every child is joined
-    before this returns or raises; if this process itself raises, the
-    children are terminated first."""
+    sending, or that cannot be started, is an internal error, never bad
+    input, so it is a RuntimeError, not the OSError or EOFError its pipe or
+    its start gives.  Every child is joined before this returns or raises;
+    if this process itself raises, the children are terminated first."""
     children = []
     if workers > 1:
         # Imported here: no other command and no serial survey needs it.
         import multiprocessing
     try:
         for w in range(1, workers):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
-                target=_survey_child, args=(tasks[w::workers], send)
-            )
-            # Closing this process's copy of the child's end lets recv see
-            # end of file when the child dies.
-            with send:
-                child.start()
+            recv = None
+            try:
+                recv, send = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(
+                    target=_survey_child, args=(tasks[w::workers], send)
+                )
+                # Closing this process's copy of the child's end lets recv
+                # see end of file when the child dies.
+                with send:
+                    child.start()
+            except OSError as exc:
+                if recv is not None:
+                    recv.close()
+                raise RuntimeError(
+                    f"internal error: a survey worker could not start: {exc}"
+                ) from exc
             children.append((child, recv))
         shares = [_survey_share(tasks[0::workers])]
         for child, recv in children:

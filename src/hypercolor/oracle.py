@@ -130,9 +130,9 @@ def _dsatur_greedy(g: SimpleGraph, active: int, colors: list[int]) -> int:
 
     It is the search loop's first descent (_search): no clique, lower end
     0, and the ceiling and stop both at the degree bound most, which no
-    rank's color needs to pass.  So no pick is a dead end, and the first
-    leaf ends the search before any backtracking.  Its nodes go to a state
-    of its own, which no result reads.
+    rank's color needs to pass.  So every new frame takes its first
+    candidate, and the first leaf ends the search before any frame pops.
+    Its nodes go to a state of its own, which no result reads.
     """
     # A vertex never needs a color above its degree in active plus 1, and
     # the lowest active rank has the largest degree in g among them; an
@@ -266,21 +266,24 @@ def _search(
       top leaves the ties at the highest saturation, and their lowest rank
       has the highest degree, then the lowest number.  The narrowing reads
       that saturation sat as it goes, one doubling per plane;
-    - the stack is five lists indexed by depth d: the rank, its color,
-      the colors used on entry, its spare colors and the mask its color
-      saturated;
-    - a frame's candidates are its free colors up to entry, ascending,
-      then entry + 1 (colors beyond it are interchangeable).  The colors
-      of its neighbours stay the same while it is on the stack, and none
-      is above entry, so entry - sat of them are free, and spare counts
-      the ones not yet taken: a scan for the next runs only while spare
-      is positive, and always stops at or below entry.  A rank that sees
+    - the stack is five lists indexed by depth d: the rank, its color
+      (0 for none yet), the colors used on entry, its spare colors and
+      the mask its color saturated;
+    - a pick pushes a frame with no color, which then advances as a frame
+      the search backs up to does: one step, with used back at entry,
+      yields a frame's next candidate, its free colors up to entry,
+      ascending, then entry + 1 (colors beyond it are interchangeable).  The colors of its
+      neighbours stay the same while it is on the stack, and none is
+      above entry, so entry - sat of them are free, and spare counts the
+      ones not yet taken: a scan for the next runs only while spare is
+      positive, and always stops at or below entry.  A rank that sees
       every color used takes entry + 1 at once;
     - no color above ceiling is tried: a candidate above it ends its
       frame, since every later one is larger;
-    - a push colors its rank at once.  A pick with no candidate is a dead
-      end: it is counted as a node but not pushed, so the stack holds
-      only colored frames (and, for a table, one dropped rank);
+    - a frame with no candidate left pops, and the frame below it
+      advances in the same node, so a pick with no candidate is counted
+      as a node and pops within it.  Between nodes the stack holds only
+      colored frames (and, for a table, one dropped rank);
     - one comparison per node guards the node count against max_nodes;
       the count is read from state on entry and written back on every
       exit;
@@ -347,7 +350,14 @@ def _search(
                     state.nodes = nodes
                     return lb, used
                 ceiling = used - 1
+            # Back up from the deepest frame.  A leaf has one: the gate
+            # leaves at least one rank off the clique.
+            i = at[d]
+            bit = 1 << i
+            c = held[d]
         else:
+            # Push the pick as a frame with no color yet (color 0), with
+            # used - sat free colors up to entry.
             ties = uncolored
             sat = 0
             for plane in planes:
@@ -356,97 +366,68 @@ def _search(
                 if top:
                     ties = top
                     sat += 1
+            d += 1
             bit = ties & -ties
-            i = bit.bit_length() - 1
-            s = used - sat
-            if s:
-                s -= 1
-                c = 1
-                while seen[c] & bit:
-                    c += 1
-            else:
-                c = used + 1
-            if c <= ceiling:
-                d += 1
-                at[d] = i
-                held[d] = c
-                entry[d] = used
-                spare[d] = s
-                saturated[d] = x = nb[i] & ~seen[c]
-                seen[c] |= x
-                uncolored ^= bit
+            at[d] = i = bit.bit_length() - 1
+            entry[d] = used
+            spare[d] = s = used - sat
+            c = 0
+        # Advance frame d (rank i, color c) to its next candidate, with used
+        # at its entry; a frame with none left pops, and the one below it
+        # advances in turn.
+        while True:
+            if c:
+                # Undo the frame's color.  The borrow out of a plane is x
+                # less the old plane: x and the new one.
+                x = saturated[d]
+                seen[c] ^= x
+                uncolored |= bit
                 j = ones
                 while x:
-                    plane = planes[j]
-                    planes[j] = plane ^ x
+                    planes[j] = plane = planes[j] ^ x
                     x &= plane
                     j -= 1
-                if c > used:
-                    used = c
-                continue
-            if droppable & bit and drop < 0:
-                d = drop = d + 1
-                at[d] = i
-                held[d] = ceiling + 1
-                entry[d] = used
-                spare[d] = saturated[d] = 0
-                uncolored ^= bit
-                continue
-        # Back up to the deepest frame with a color or the drop left, and
-        # take it.
-        while d >= 0:
-            i = at[d]
-            bit = 1 << i
-            c = held[d]
-            x = saturated[d]
-            seen[c] ^= x
-            uncolored |= bit
-            j = ones
-            # The borrow out of a plane is x less the old plane: x and the
-            # new one.
-            while x:
-                planes[j] = plane = planes[j] ^ x
-                x &= plane
-                j -= 1
-            s = spare[d]
+                used = entry[d]
+                s = spare[d]
             if s:
                 spare[d] = s - 1
                 c += 1
                 while seen[c] & bit:
                     c += 1
-                used = entry[d]
-            elif c > entry[d]:
+            elif c > used:
                 c = ceiling + 1
             else:
-                used = c = entry[d] + 1
-            if c > ceiling:
-                if d == drop:
-                    drop = -1
-                elif droppable & bit and drop < 0:
-                    # After its colors, the frame drops its rank.
-                    held[d] = ceiling + 1
-                    saturated[d] = 0
-                    used = entry[d]
-                    uncolored ^= bit
-                    drop = d
-                    break
-                d -= 1
-                continue
+                used = c = used + 1
+            if c <= ceiling or droppable & bit and drop < 0:
+                break
+            if d == drop:
+                drop = -1
+            d -= 1
+            if d < 0:
+                # No frame has a color left under the ceiling.
+                state.nodes = nodes
+                return ceiling + 1, best_count
+            i = at[d]
+            bit = 1 << i
+            c = held[d]
+        # Take the color or, past the ceiling, drop the rank, which then
+        # holds ceiling + 1 and saturates nothing.
+        if c <= ceiling:
             held[d] = c
             saturated[d] = x = nb[i] & ~seen[c]
             seen[c] |= x
-            uncolored ^= bit
             j = ones
             while x:
                 plane = planes[j]
                 planes[j] = plane ^ x
                 x &= plane
                 j -= 1
-            break
         else:
-            # No frame has a color left under the ceiling.
-            state.nodes = nodes
-            return ceiling + 1, best_count
+            held[d] = ceiling + 1
+            saturated[d] = 0
+            used = entry[d]
+            drop = d
+        uncolored ^= bit
 
 
 # The TabuCol pass: moves per rank of a component, shared by all its

@@ -973,6 +973,49 @@ def test_a_survey_pipe_error_is_not_bad_input(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("jobs, refused", [(2, "start"), (3, "start"), (3, "Pipe")])
+def test_a_survey_worker_that_cannot_start_is_an_internal_error(monkeypatch, jobs, refused):
+    # Out of processes or descriptors, Process.start or Pipe raises an
+    # OSError, which main would report as bad input.  The last worker is
+    # refused; one before it runs its share in this process when started,
+    # so nothing forks, and it must still be terminated and joined.
+    calls = []
+    pipe = multiprocessing.Pipe
+
+    def refuse():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    def refusing_pipe(duplex):
+        if refused == "Pipe" and calls.count("start") == jobs - 2:
+            refuse()
+        return pipe(duplex)
+
+    class Process:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            if refused == "start" and calls.count("start") == jobs - 2:
+                refuse()
+            calls.append("start")
+            self.target(*self.args)
+
+        def terminate(self):
+            calls.append("terminate")
+
+        def join(self):
+            calls.append("join")
+
+    monkeypatch.setattr(multiprocessing, "Pipe", refusing_pipe)
+    monkeypatch.setattr(multiprocessing, "Process", Process)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: jobs)
+    argv = ["survey", "--count", "4", "--seed", "1", "--jobs", str(jobs)]
+    with pytest.raises(RuntimeError, match="internal error: a survey worker could not start") as info:
+        main(argv)
+    assert not isinstance(info.value, OSError)
+    assert calls == ["start", "terminate", "join"] * (jobs - 2)
+
+
 @needs_fork
 def test_an_interrupted_survey_terminates_its_workers(monkeypatch):
     parent = os.getpid()

@@ -419,10 +419,13 @@ def test_parse_family_rejections():
         "complete-graph:5_0",
         "cycle:\u0663",
         "random-linear:n=8,m=5,k=3,seed=+1",
+        "random:n=8,m",
     ]
     for text in bad:
         with pytest.raises(GenerationError):
             parse_family(text)
+    with pytest.raises(GenerationError, match="^expected key=value, got 'm'$"):
+        parse_family("random:n=8,m")
     # The default sizes, 2..min(3, n), need two vertices; the error says
     # so rather than naming a size range the family never gave.
     for n in (0, 1):
